@@ -89,6 +89,17 @@ pub(crate) struct Interval {
     pub entries: std::ops::Range<u64>,
 }
 
+impl Interval {
+    /// The paired-window request that moves this interval: `(owner, entry
+    /// range)`.
+    pub fn get(&self) -> (usize, std::ops::Range<usize>) {
+        (
+            self.owner,
+            self.entries.start as usize..self.entries.end as usize,
+        )
+    }
+}
+
 /// The full fetch schedule of one multiply, plus its exact cost.
 pub(crate) struct FetchPlan {
     /// Ranged fetches, ordered by owner rank then position — ascending

@@ -754,27 +754,23 @@ impl SpgemmSession {
         let me = comm.rank();
         let offsets = self.a.offsets().clone();
         // issue the planned gets now: metering happens here, in plan
-        // order, so CommStats cannot differ from the inline path; each
-        // handle carries its interval's base offset into the staging
+        // order, so CommStats cannot differ from the inline path;
+        // `stage_bases[i]` is interval `i`'s base offset into the staging
+        let mut stage_bases = Vec::with_capacity(fplan.intervals.len());
         let mut entry_base = 0usize;
-        let gets: Vec<(PairedGet<Vidx, f64>, usize)> = fplan
+        let gets: Vec<PairedGet<Vidx, f64>> = fplan
             .intervals
             .iter()
             .map(|iv| {
-                let g = self
-                    .win
-                    .start_get_both(
-                        comm,
-                        iv.owner,
-                        iv.entries.start as usize..iv.entries.end as usize,
-                    )
-                    .expect("fetch interval within exposed window");
-                let b0 = entry_base;
-                entry_base += (iv.entries.end - iv.entries.start) as usize;
-                (g, b0)
+                let (owner, range) = iv.get();
+                stage_bases.push(entry_base);
+                entry_base += range.len();
+                self.win
+                    .start_get_both(comm, owner, range)
+                    .expect("fetch interval within exposed window")
             })
             .collect();
-        let sizes: Vec<u64> = gets.iter().map(|(g, _)| g.bytes()).collect();
+        let sizes: Vec<u64> = gets.iter().map(|g| g.bytes()).collect();
 
         let stage = self.ws.take_chunk();
         let stage_lens = stage.lens;
@@ -792,9 +788,7 @@ impl SpgemmSession {
             &mut staging,
             |range, st: &mut (Vec<Vidx>, Vec<f64>, f64)| {
                 let t0 = Instant::now();
-                for (g, _) in &gets[range] {
-                    g.fetch_into(&mut st.0, &mut st.1);
-                }
+                PairedGet::fetch_many_into(&gets[range], &mut st.0, &mut st.1);
                 st.2 += t0.elapsed().as_secs_f64();
             },
             || {
@@ -874,7 +868,7 @@ impl SpgemmSession {
             freshbuf.rows,
             freshbuf.vals,
         );
-        for (iv, &(_, stage_base)) in fplan.intervals.iter().zip(&gets) {
+        for (iv, &stage_base) in fplan.intervals.iter().zip(&stage_bases) {
             let meta = &self.metas[iv.owner];
             let base = offsets[iv.owner];
             for q in iv.pos.clone() {
@@ -915,8 +909,8 @@ impl SpgemmSession {
     }
 
     /// Assemble `Ã` in ascending global-column order: the local slice
-    /// spliced at its owner position, cache hits read in place, and each
-    /// owner's planned intervals fetched into a staging buffer then merged
+    /// spliced at its owner position, cache hits read in place, and the
+    /// planned intervals fetched as one batch into a staging buffer then merged
     /// column-by-column (fresh columns — over-fetched ones included, like
     /// the sessionless path — are inserted into the cache as they pass).
     /// The builder's arrays and the staging buffers are recycled through
@@ -946,11 +940,21 @@ impl SpgemmSession {
             bbuf.vals,
         );
         builder.reserve(nzc_est, nnz_est);
-        let mut comm_s = 0.0f64;
-        let mut iv_iter = fplan.intervals.iter().peekable();
+        // fetch the whole miss plan as one batch into the staging buffers,
+        // where the intervals land back to back in plan order
         let mut stage = self.ws.take_chunk();
         let stage_ir = &mut stage.rows;
         let stage_num = &mut stage.vals;
+        stage_ir.clear();
+        stage_num.clear();
+        let gets: Vec<_> = fplan.intervals.iter().map(|iv| iv.get()).collect();
+        let t0 = Instant::now();
+        self.win
+            .get_many_into(comm, &gets, stage_ir, stage_num)
+            .expect("fetch interval within exposed window");
+        let comm_s = t0.elapsed().as_secs_f64();
+        let mut next_iv = 0usize;
+        let mut stage_base = 0usize;
         let mut fresh: Vec<(&Interval, usize)> = Vec::new();
         for owner in 0..comm.size() {
             if owner == me {
@@ -963,28 +967,12 @@ impl SpgemmSession {
             }
             let meta = &self.metas[owner];
             let base = offsets[owner];
-            // fetch this owner's intervals into the staging buffers
-            stage_ir.clear();
-            stage_num.clear();
+            // this owner's staged intervals
             fresh.clear();
-            while let Some(iv) = iv_iter.peek() {
-                if iv.owner != owner {
-                    break;
-                }
-                let iv = iv_iter.next().unwrap();
-                let stage_base = stage_ir.len();
-                let t0 = Instant::now();
-                self.win
-                    .get_both_into(
-                        comm,
-                        owner,
-                        iv.entries.start as usize..iv.entries.end as usize,
-                        stage_ir,
-                        stage_num,
-                    )
-                    .expect("fetch interval within exposed window");
-                comm_s += t0.elapsed().as_secs_f64();
+            while let Some(iv) = fplan.intervals.get(next_iv).filter(|iv| iv.owner == owner) {
                 fresh.push((iv, stage_base));
+                stage_base += gets[next_iv].1.len();
+                next_iv += 1;
             }
             if fresh.is_empty() && survey.hits.is_empty() {
                 continue;

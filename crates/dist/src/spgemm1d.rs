@@ -24,8 +24,8 @@ use crate::dist1d::DistMat1D;
 use crate::fetch::{exchange_meta, plan_fetch, FetchPlan, RankMeta, ENTRY_BYTES};
 use crate::shape::ShapeError;
 use sa_mpisim::{
-    Breakdown, Comm, CommStats, PairedWindow, PhaseTimes, PrefetchConfig, Prefetcher, Wire,
-    WireError,
+    Breakdown, Comm, CommStats, PairedGet, PairedWindow, PhaseTimes, PrefetchConfig, Prefetcher,
+    Wire, WireError,
 };
 use sa_sparse::semiring::PlusTimes;
 use sa_sparse::spgemm::{spgemm_with, Kernel, Schedule, SpgemmWorkspace};
@@ -310,16 +310,15 @@ pub fn analyze_1d_modes<C: Comm>(
         .collect()
 }
 
-/// Fetch every planned interval through `win`, appending into `ir`/`num`,
-/// and splice the local slice in at its owner position so the buffers come
-/// out in ascending global column order. `jc`/`cp` are filled alongside
-/// (cleared first — pass recycled buffers to keep their capacity). Returns
-/// the seconds spent inside window gets.
+/// Fetch every planned interval through `win` as one batch, appending into
+/// `ir`/`num` with the local slice spliced in at its owner position, so the
+/// buffers come out in ascending global column order. `jc`/`cp` are filled
+/// alongside (cleared first — pass recycled buffers to keep their
+/// capacity). Returns the seconds spent inside the batched window get
+/// (which includes copying the local slice).
 ///
 /// `offsets[r]` is the global base column of rank `r`'s slice and `local`
-/// this rank's slice — the 1D layout directly, or one process row of a 2D
-/// grid (the sparsity-aware SUMMA assembles its `Ã` through the same path,
-/// with `comm` being the row communicator and `offsets` the stage cuts).
+/// this rank's slice, the same arrays `win` exposes for this rank.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn assemble_atilde<C: Comm>(
     comm: &C,
@@ -344,45 +343,37 @@ pub(crate) fn assemble_atilde<C: Comm>(
     cp.push(0);
     ir.reserve(plan.fetch_entries as usize + if include_local { local.nnz() } else { 0 });
     num.reserve(plan.fetch_entries as usize + if include_local { local.nnz() } else { 0 });
-    let mut comm_s = 0.0f64;
+
+    // jc/cp need only the replicated metadata; the same walk lists the
+    // gets, the local slice as an own-rank (free) one at its owner position
+    let mut gets = Vec::with_capacity(plan.intervals.len() + 1);
     let mut iv_iter = plan.intervals.iter().peekable();
     for owner in 0..comm.size() {
         if owner == me {
             if include_local {
+                gets.push((me, 0..local.nnz()));
                 let base = offsets[me];
                 for q in 0..local.nzc() {
                     jc.push(vidx(base + local.jc()[q] as usize));
                     cp.push(cp.last().unwrap() + (local.cp()[q + 1] - local.cp()[q]));
                 }
-                ir.extend_from_slice(local.ir());
-                num.extend_from_slice(local.num());
             }
             continue;
         }
         let base = offsets[owner];
         let meta = &metas[owner];
-        while let Some(iv) = iv_iter.peek() {
-            if iv.owner != owner {
-                break;
-            }
-            let iv = iv_iter.next().unwrap();
-            let t0 = Instant::now();
-            win.get_both_into(
-                comm,
-                owner,
-                iv.entries.start as usize..iv.entries.end as usize,
-                ir,
-                num,
-            )
-            .expect("fetch interval within exposed window");
-            comm_s += t0.elapsed().as_secs_f64();
+        while let Some(iv) = iv_iter.next_if(|iv| iv.owner == owner) {
+            gets.push(iv.get());
             for q in iv.pos.clone() {
                 jc.push(vidx(base + meta.jc[q] as usize));
                 cp.push(cp.last().unwrap() + meta.col_entries(q) as usize);
             }
         }
     }
-    comm_s
+    let t0 = Instant::now();
+    win.get_many_into(comm, &gets, ir, num)
+        .expect("fetch interval within exposed window");
+    t0.elapsed().as_secs_f64()
 }
 
 /// The sparsity-aware 1D SpGEMM (Algorithm 1). Returns `C` in `B`'s column
@@ -547,12 +538,9 @@ fn run_1d<C: Comm>(
             .intervals
             .iter()
             .map(|iv| {
-                win.start_get_both(
-                    comm,
-                    iv.owner,
-                    iv.entries.start as usize..iv.entries.end as usize,
-                )
-                .expect("fetch interval within exposed window")
+                let (owner, range) = iv.get();
+                win.start_get_both(comm, owner, range)
+                    .expect("fetch interval within exposed window")
             })
             .collect();
         let sizes: Vec<u64> = gets.iter().map(|g| g.bytes()).collect();
@@ -574,9 +562,7 @@ fn run_1d<C: Comm>(
             &mut staging,
             |range, st: &mut (Vec<Vidx>, Vec<f64>, f64)| {
                 let t0 = Instant::now();
-                for g in &gets[range] {
-                    g.fetch_into(&mut st.0, &mut st.1);
-                }
+                PairedGet::fetch_many_into(&gets[range], &mut st.0, &mut st.1);
                 st.2 += t0.elapsed().as_secs_f64();
             },
             || {

@@ -52,14 +52,6 @@ use std::time::Instant;
 /// `(jc, per-column lengths, rows, values)`.
 type BPart = (Vec<Vidx>, Vec<u32>, Vec<Vidx>, Vec<f64>);
 
-/// One segment of the staged `Ã` entry buffers, in assembly order: either
-/// an issued (already metered) remote interval get, or the local block's
-/// splice point. Walking the segments in order reproduces byte-for-byte
-/// the layout the sequential `assemble_atilde` loop produces.
-enum ASeg {
-    Local,
-    Get(PairedGet<Vidx, f64>),
-}
 /// Borrowed view of one B̃ merge source: the same four arrays plus the
 /// owner's global row base.
 type BSrc<'a> = (&'a [Vidx], &'a [u32], &'a [Vidx], &'a [f64], usize);
@@ -212,37 +204,31 @@ pub fn spgemm_summa_2d_sa_ws_cfg<C: Comm, S: Semiring<T = f64>>(
 
     // --- issue the A-side gets: validation and metering happen here, on
     // the calling thread, before any byte moves — the prefetcher's two
-    // interleavings below cannot differ in what they meter ---
-    let mut segs: Vec<ASeg> = Vec::with_capacity(fplan.intervals.len() + 1);
+    // interleavings below cannot differ in what they meter. One segment
+    // of the staged `Ã` entry buffers per get, in assembly order; the
+    // local block rides along as an own-rank get at its owner position
+    // (unmetered, and charged nothing against the prefetch budget) ---
+    let row = &grid.row_comm;
+    let issue = |(owner, range)| {
+        win.start_get_both(row, owner, range)
+            .expect("fetch interval within exposed window")
+    };
+    let mut segs = Vec::with_capacity(fplan.intervals.len() + 1);
+    let mut sizes = Vec::with_capacity(fplan.intervals.len() + 1);
     {
         let mut iv_iter = fplan.intervals.iter().peekable();
         for owner in 0..grid.pc {
             if owner == grid.mycol {
-                segs.push(ASeg::Local);
+                segs.push(issue((owner, 0..a_loc.nnz())));
+                sizes.push(0);
             }
-            while let Some(iv) = iv_iter.peek() {
-                if iv.owner != owner {
-                    break;
-                }
-                let iv = iv_iter.next().unwrap();
-                segs.push(ASeg::Get(
-                    win.start_get_both(
-                        &grid.row_comm,
-                        owner,
-                        iv.entries.start as usize..iv.entries.end as usize,
-                    )
-                    .expect("fetch interval within exposed window"),
-                ));
+            while let Some(iv) = iv_iter.next_if(|iv| iv.owner == owner) {
+                let get = issue(iv.get());
+                sizes.push(get.bytes());
+                segs.push(get);
             }
         }
     }
-    let sizes: Vec<u64> = segs
-        .iter()
-        .map(|s| match s {
-            ASeg::Local => 0,
-            ASeg::Get(g) => g.bytes(),
-        })
-        .collect();
     let abuf = ws.take_chunk();
     let mut a_jc = abuf.lens;
     let mut acp = ws.take_idx();
@@ -257,15 +243,7 @@ pub fn spgemm_summa_2d_sa_ws_cfg<C: Comm, S: Semiring<T = f64>>(
         &mut staging,
         |range, st: &mut (Vec<Vidx>, Vec<f64>, f64)| {
             let t0 = Instant::now();
-            for seg in &segs[range] {
-                match seg {
-                    ASeg::Local => {
-                        st.0.extend_from_slice(a_loc.ir());
-                        st.1.extend_from_slice(a_loc.num());
-                    }
-                    ASeg::Get(g) => g.fetch_into(&mut st.0, &mut st.1),
-                }
-            }
+            PairedGet::fetch_many_into(&segs[range], &mut st.0, &mut st.1);
             st.2 += t0.elapsed().as_secs_f64();
         },
         || {

@@ -136,7 +136,7 @@ pub trait Comm: Sized {
     /// capability the [`Prefetcher`](crate::Prefetcher) consults.
     ///
     /// Contract: returning `true` promises that (a) the transport half of a
-    /// window fetch (`RemoteWindow::get_bytes` or the shared-`Arc` memcpy)
+    /// window fetch (`RemoteWindow::get_many` or the shared-`Arc` memcpy)
     /// is safe to call from a helper thread of the rank, and (b) doing so
     /// cannot change metered traffic (metering is pinned to issue time on
     /// the main thread — see

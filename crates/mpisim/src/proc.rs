@@ -120,11 +120,8 @@ pub fn kill_self_with_sigkill() -> ! {
 // ---------------------------------------------------------------------------
 
 fn write_frame(stream: &mut TcpStream, frame: &Frame) -> std::io::Result<()> {
-    let body = frame.to_bytes();
-    debug_assert!(body.len() <= MAX_FRAME);
-    let mut msg = Vec::with_capacity(4 + body.len());
-    (body.len() as u32).put(&mut msg);
-    msg.extend_from_slice(&body);
+    let mut msg = Vec::new();
+    frame.put_framed(&mut msg);
     stream.write_all(&msg)
 }
 
@@ -288,9 +285,22 @@ struct GetQueue {
 /// retransmit log of a seeded drop plan replayable.
 const RETRANSMIT_AFTER: Duration = Duration::from_millis(50);
 
+/// The in-flight window of one [`RemoteWindow::get_many`] batch: at most
+/// this many requests and this many response bytes outstanding at once (a
+/// lone request larger than the byte budget is admitted alone). Bounds
+/// what a batch can park in the requester's response map and in the
+/// target's service queue, however long the plan.
+const GET_WINDOW_REQS: usize = 256;
+const GET_WINDOW_BYTES: usize = 4 << 20;
+
+/// A responder flushes its reply buffer to the socket once it holds this
+/// many bytes, so a drain of large responses does not build the whole
+/// window in memory before the first byte leaves.
+const RESP_FLUSH_BYTES: usize = 256 << 10;
+
 /// One sent-but-unacknowledged reliable frame (the clean, uninjured
-/// encoding — retransmissions bypass the fault shim so a lossy run always
-/// converges).
+/// socket encoding, length prefix included — retransmissions bypass the
+/// fault shim so a lossy run always converges).
 struct Unacked {
     bytes: Vec<u8>,
     due: Instant,
@@ -339,7 +349,8 @@ struct ProcNode {
     world_size: usize,
     sched: Arc<Scheduler>,
     /// Write halves of the mesh links, indexed by world rank (`None` at
-    /// our own slot). Locked per write; one frame per `write_all`.
+    /// our own slot). Locked per write; whole frames per `write_all` (one,
+    /// or a burst of gets / get-responses).
     links: Vec<Option<Mutex<TcpStream>>>,
     inbox: Inbox,
     getresp: GetRespMap,
@@ -393,73 +404,75 @@ impl ProcNode {
         self.peers_done_cv.notify_all();
     }
 
-    /// Write pre-encoded frame bytes (with the length prefix) to `world`'s
-    /// link — the raw path the fault shim and the sweeper use, so injured
-    /// bytes and retransmissions skip re-encoding.
+    /// Write pre-encoded frames (socket form, length prefixes included) to
+    /// `world`'s link in one `write_all` — the raw path bursts, the fault
+    /// shim and the sweeper use, so injured bytes and retransmissions skip
+    /// re-encoding.
     fn write_raw(&self, world: usize, bytes: &[u8]) -> std::io::Result<()> {
         let link = self.links[world]
             .as_ref()
             .expect("no link to self — caller handles self-sends locally");
-        let mut msg = Vec::with_capacity(4 + bytes.len());
-        (bytes.len() as u32).put(&mut msg);
-        msg.extend_from_slice(bytes);
-        link.lock().write_all(&msg)
+        link.lock().write_all(bytes)
     }
 
-    /// Send a droppable frame (`Data`/`GetReq`/`GetResp`) to `world`. With
-    /// no lossy plan armed this is a plain [`ProcNode::send_frame`]. Under
-    /// an armed plan the frame is wrapped in [`Frame::Reliable`] with a
-    /// per-link sequence number, recorded for retransmission until acked,
+    /// Append droppable frame `frame` (`Data`/`GetReq`/`GetResp`) for
+    /// `world` to `out` in socket form; the caller writes `out` with
+    /// [`ProcNode::write_raw`]. With no lossy plan armed the frame travels
+    /// bare. Under an armed plan it is wrapped in [`Frame::Reliable`] with
+    /// a per-link sequence number, recorded for retransmission until acked,
     /// and the plan gets one chance to drop / corrupt / delay / duplicate
-    /// the wire bytes.
-    fn send_droppable(&self, world: usize, frame: &Frame) -> std::io::Result<()> {
+    /// the wire bytes — frame by frame, however many share the buffer.
+    fn put_droppable(&self, world: usize, frame: &Frame, out: &mut Vec<u8>) {
         let Some(plan) = &self.lossy else {
-            return self.send_frame(world, frame);
+            return frame.put_framed(out);
         };
         let idx = self.frames_sent.fetch_add(1, Ordering::SeqCst);
-        let bytes = {
+        let at = out.len();
+        {
             let mut link = self.send_links[world].lock();
             let seq = link.next_seq;
             link.next_seq += 1;
-            let bytes = Frame::Reliable {
+            Frame::Reliable {
                 seq,
                 inner: frame.to_bytes(),
             }
-            .to_bytes();
+            .put_framed(out);
             link.unacked.insert(
                 seq,
                 Unacked {
-                    bytes: bytes.clone(),
+                    bytes: out[at..].to_vec(),
                     due: Instant::now() + RETRANSMIT_AFTER,
                     tries: 0,
                 },
             );
-            bytes
-        };
+        }
         match plan.frame_lookup(self.world_rank, idx) {
             Some(FrameFault::Drop) => {
                 eprintln!(
                     "[sa_mpisim] rank {}: fault plan dropped frame {idx} to peer {world}",
                     self.world_rank
                 );
-                Ok(()) // never written; the sweeper retransmits it
+                out.truncate(at); // never written; the sweeper retransmits it
             }
             Some(FrameFault::Corrupt) => {
-                let mut bad = bytes;
-                let pos = (idx as usize) % bad.len();
-                bad[pos] ^= 0x40; // one flipped bit: CRC-detectable, framing intact
-                self.write_raw(world, &bad)
+                // one flipped bit past the length prefix: CRC-detectable,
+                // framing intact
+                let body = &mut out[at + 4..];
+                let pos = (idx as usize) % body.len();
+                body[pos] ^= 0x40;
             }
-            Some(FrameFault::Delay(d)) => {
-                std::thread::sleep(d);
-                self.write_raw(world, &bytes)
-            }
-            Some(FrameFault::Duplicate) => {
-                self.write_raw(world, &bytes)?;
-                self.write_raw(world, &bytes)
-            }
-            None => self.write_raw(world, &bytes),
+            Some(FrameFault::Delay(d)) => std::thread::sleep(d),
+            Some(FrameFault::Duplicate) => out.extend_from_within(at..),
+            None => {}
         }
+    }
+
+    /// Send one droppable frame to `world` now (see
+    /// [`ProcNode::put_droppable`]).
+    fn send_droppable(&self, world: usize, frame: &Frame) -> std::io::Result<()> {
+        let mut msg = Vec::new();
+        self.put_droppable(world, frame, &mut msg);
+        self.write_raw(world, &msg)
     }
 
     /// Peer `world` acknowledged reliable frame `seq`: stop retransmitting.
@@ -659,62 +672,71 @@ impl ProcNode {
         }
     }
 
+    /// Serialize the bytes answering get-request `work`, or `None` if it
+    /// names a window this rank never exposed or a range out of bounds.
+    /// Only the lookup runs under the registry lock: the deposit is
+    /// extracted outside it, so one peer's large get blocks neither
+    /// `expose` nor the other peers' responders.
+    fn serve_get(&self, work: &GetWork) -> Option<Vec<u8>> {
+        let (arc, extract, range) = {
+            let windows = self.windows.lock();
+            let win = windows.get(&work.win_id)?;
+            let part = win.parts.get(work.part as usize)?;
+            let (start, end) = (work.start as usize, work.end as usize);
+            if start > end || end > part.len {
+                return None;
+            }
+            (win.arc.clone(), win.extract, start..end)
+        };
+        let mut bytes = Vec::new();
+        extract(arc.as_ref(), work.part as usize, range, &mut bytes);
+        Some(bytes)
+    }
+
     /// Responder thread body: service `peer`'s get-requests against the
     /// window registry, and write the acks the reader queued. Writes only
-    /// to `peer`.
+    /// to `peer`. Each wake-up takes everything queued under one lock and
+    /// answers it back-to-back — one `write_all` per drain (flushed early
+    /// past [`RESP_FLUSH_BYTES`]), not one per frame.
     fn responder_loop(self: &Arc<Self>, peer: usize, getq: Arc<GetQueue>) {
+        let mut batch = VecDeque::new();
+        let mut out = Vec::new();
         loop {
-            let work = {
+            {
                 let mut q = getq.q.lock();
-                loop {
-                    if let Some(w) = q.pop_front() {
-                        break w;
-                    }
+                while q.is_empty() {
                     getq.cv.wait(&mut q);
                 }
-            };
-            let work = match work {
-                RespWork::Get(w) => w,
-                RespWork::Ack { seq } => {
+                std::mem::swap(&mut batch, &mut *q);
+            }
+            for work in batch.drain(..) {
+                match work {
                     // Acks travel bare (never wrapped, never injected
                     // against): the reliability layer must not depend on
-                    // itself. A failed write means the peer died; its EOF
-                    // machinery handles it.
-                    let _ = self.send_frame(peer, &Frame::Ack { seq });
-                    continue;
-                }
-            };
-            let mut bytes = Vec::new();
-            let served = {
-                let windows = self.windows.lock();
-                match windows.get(&work.win_id) {
-                    Some(win) => {
-                        let part = work.part as usize;
-                        let (start, end) = (work.start as usize, work.end as usize);
-                        if part < win.parts.len() && start <= end && end <= win.parts[part].len {
-                            (win.extract)(win.arc.as_ref(), part, start..end, &mut bytes);
-                            true
-                        } else {
-                            false
+                    // itself.
+                    RespWork::Ack { seq } => Frame::Ack { seq }.put_framed(&mut out),
+                    RespWork::Get(work) => match self.serve_get(&work) {
+                        Some(payload) => {
+                            let frame = Frame::GetResp {
+                                req_id: work.req_id,
+                                payload,
+                            };
+                            self.put_droppable(peer, &frame, &mut out);
                         }
-                    }
-                    None => false,
+                        // Protocol corruption — fail the job rather than
+                        // leave the requester parked until its watchdog.
+                        None => self.sched.poison(self.world_rank),
+                    },
                 }
-            };
-            if !served {
-                // A request for a window we never exposed (or out of
-                // bounds): protocol corruption — fail the job rather than
-                // leave the requester parked until its watchdog.
-                self.sched.poison(self.world_rank);
-                continue;
+                if out.len() >= RESP_FLUSH_BYTES {
+                    // A failed write means the requester died; its own
+                    // machinery (EOF reader → poison) handles it.
+                    let _ = self.write_raw(peer, &out);
+                    out.clear();
+                }
             }
-            let frame = Frame::GetResp {
-                req_id: work.req_id,
-                payload: bytes,
-            };
-            // A failed write means the requester died; its own machinery
-            // (EOF reader → poison) handles it.
-            let _ = self.send_droppable(peer, &frame);
+            let _ = self.write_raw(peer, &out);
+            out.clear();
         }
     }
 
@@ -804,6 +826,53 @@ impl ProcNode {
     }
 }
 
+/// Admission state of one get batch's in-flight window — which requests
+/// of the plan are issued, which completed, how many response bytes are
+/// outstanding. Pure bookkeeping, so the caps are testable without a
+/// socket: requests are issued in plan order exactly once, complete in
+/// issue order, and the in-flight set never exceeds [`GET_WINDOW_REQS`]
+/// requests or [`GET_WINDOW_BYTES`] bytes except by a single request
+/// larger than the byte budget, admitted alone.
+#[derive(Default)]
+struct GetWindow {
+    issued: usize,
+    done: usize,
+    bytes: usize,
+}
+
+impl GetWindow {
+    /// Admit the longest prefix of the not-yet-issued requests that fits
+    /// (`sizes[i]` is request `i`'s response size) and return their index
+    /// range. Empty while more than half of either cap is still in flight:
+    /// topping up in half-window bursts keeps the request side at a write
+    /// per burst too.
+    fn top_up(&mut self, sizes: &[usize]) -> Range<usize> {
+        let start = self.issued;
+        if (self.issued - self.done) * 2 > GET_WINDOW_REQS || self.bytes * 2 > GET_WINDOW_BYTES {
+            return start..start;
+        }
+        while self.issued < sizes.len() {
+            let inflight = self.issued - self.done;
+            let fits =
+                inflight < GET_WINDOW_REQS && self.bytes + sizes[self.issued] <= GET_WINDOW_BYTES;
+            if inflight > 0 && !fits {
+                break;
+            }
+            self.bytes += sizes[self.issued];
+            self.issued += 1;
+        }
+        start..self.issued
+    }
+
+    /// The oldest in-flight request completed; returns its index.
+    fn complete(&mut self, sizes: &[usize]) -> usize {
+        debug_assert!(self.done < self.issued);
+        self.bytes -= sizes[self.done];
+        self.done += 1;
+        self.done - 1
+    }
+}
+
 /// The one-sided transport handed to [`Window`](crate::Window) /
 /// [`PairedWindow`](crate::PairedWindow) by [`ProcComm::expose`].
 struct ProcRemoteWindow {
@@ -812,40 +881,77 @@ struct ProcRemoteWindow {
     members: Arc<Vec<usize>>,
     /// Communicator rank → that rank's window id in *its* registry.
     win_ids: Vec<u64>,
+    /// Bytes per element of each part (the same on every rank).
+    elem_sizes: Vec<usize>,
+}
+
+impl ProcRemoteWindow {
+    /// Write the `GetReq` frames of requests `batch` (ids `first_id +
+    /// index`), one `write_all` per run of requests to the same peer.
+    fn issue(&self, gets: &[(usize, usize, Range<usize>)], batch: Range<usize>, first_id: u64) {
+        let mut out = Vec::new();
+        let mut dest = None;
+        let flush = |dest: Option<usize>, out: &mut Vec<u8>| {
+            if let Some(world) = dest {
+                if self.node.write_raw(world, out).is_err() {
+                    self.node.sched.poison(world);
+                }
+                out.clear();
+            }
+        };
+        for i in batch {
+            let (rank, part, range) = &gets[i];
+            let world = self.members[*rank];
+            if dest != Some(world) {
+                flush(dest, &mut out);
+                dest = Some(world);
+            }
+            let frame = Frame::GetReq {
+                req_id: first_id + i as u64,
+                win_id: self.win_ids[*rank],
+                part: *part as u32,
+                start: range.start as u64,
+                end: range.end as u64,
+            };
+            self.node.put_droppable(world, &frame, &mut out);
+        }
+        flush(dest, &mut out);
+    }
 }
 
 impl RemoteWindow for ProcRemoteWindow {
-    fn get_bytes(&self, rank: usize, part: usize, range: Range<usize>, out: &mut Vec<u8>) {
-        let world = self.members[rank];
-        let req_id = self.node.next_req.fetch_add(1, Ordering::SeqCst);
-        let frame = Frame::GetReq {
-            req_id,
-            win_id: self.win_ids[rank],
-            part: part as u32,
-            start: range.start as u64,
-            end: range.end as u64,
-        };
-        if self.node.send_droppable(world, &frame).is_err() {
-            self.node.sched.poison(world);
-        }
-        let site = WaitSite::recv(world, req_id);
-        match self
-            .node
-            .sched
-            .park_until(&self.node.getresp.map, &self.node.getresp.cv, site, |m| {
-                m.contains_key(&req_id)
-            }) {
-            Ok(()) => {
-                let bytes = self
-                    .node
-                    .getresp
-                    .map
-                    .lock()
-                    .remove(&req_id)
-                    .expect("park_until observed the response");
-                out.extend_from_slice(&bytes);
+    fn get_many(&self, gets: &[(usize, usize, Range<usize>)], sink: &mut dyn FnMut(usize, &[u8])) {
+        let node = &self.node;
+        let sizes: Vec<usize> = gets
+            .iter()
+            .map(|(_, part, range)| range.len() * self.elem_sizes[*part])
+            .collect();
+        // One contiguous id block per batch: request `i` is `first_id + i`,
+        // disjoint from a concurrent batch on a prefetch helper thread.
+        let first_id = node.next_req.fetch_add(gets.len() as u64, Ordering::SeqCst);
+        let mut window = GetWindow::default();
+        let mut arrived = Vec::new();
+        while window.done < gets.len() {
+            self.issue(gets, window.top_up(&sizes), first_id);
+            // Park only if the oldest outstanding response has not landed,
+            // then take every response that has, in issue order.
+            let next = first_id + window.done as u64;
+            let landed = |map: &HashMap<u64, Vec<u8>>| map.contains_key(&next);
+            if !landed(&node.getresp.map.lock()) {
+                let site = WaitSite::recv(self.members[gets[window.done].0], next);
+                let (map, cv) = (&node.getresp.map, &node.getresp.cv);
+                if let Err(e) = node.sched.park_until(map, cv, site, landed) {
+                    raise(e);
+                }
             }
-            Err(e) => raise(e),
+            {
+                let mut map = node.getresp.map.lock();
+                let issued = next..first_id + window.issued as u64;
+                arrived.extend(issued.map_while(|id| map.remove(&id)));
+            }
+            for bytes in arrived.drain(..) {
+                sink(window.complete(&sizes), &bytes);
+            }
         }
     }
 }
@@ -1194,7 +1300,7 @@ impl Comm for ProcComm {
 
     fn overlap_capable(&self) -> bool {
         // GetReq/GetResp round-trips are genuinely asynchronous socket
-        // traffic; ProcRemoteWindow::get_bytes only touches internally
+        // traffic; ProcRemoteWindow::get_many only touches internally
         // locked node state and parks under the parallel scheduler, so a
         // helper thread can drive fetches while the rank thread computes.
         true
@@ -1229,6 +1335,7 @@ impl Comm for ProcComm {
                 node: self.node.clone(),
                 members: self.members.clone(),
                 win_ids,
+                elem_sizes: spec.parts.iter().map(|p| p.elem_size).collect(),
             }),
         }
     }
@@ -1720,6 +1827,74 @@ mod tests {
             assert_eq!(a, &vec![src as u32; 2]);
             assert_eq!(b, &vec![src as f64 + 0.5; 2]);
         }
+    }
+
+    #[test]
+    fn get_window_admission_keeps_caps_order_and_progress() {
+        // Seeded plans mixing empty, tiny and oversized requests; completions
+        // arrive in bursts of seeded length. Whatever the interleaving:
+        // requests are issued in plan order exactly once, complete in issue
+        // order, something is always in flight while work remains, and the
+        // caps hold except for a lone oversized request.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut roll = move |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as usize
+        };
+        for plan in 0..200 {
+            let n = 1 + roll(3 * GET_WINDOW_REQS);
+            let sizes: Vec<usize> = (0..n)
+                .map(|_| match roll(if plan % 2 == 0 { 50 } else { 4 }) {
+                    0 => GET_WINDOW_BYTES + 1 + roll(GET_WINDOW_BYTES),
+                    1 => GET_WINDOW_BYTES / 3,
+                    2 => 0,
+                    _ => 8 * (1 + roll(64)),
+                })
+                .collect();
+            let mut window = GetWindow::default();
+            let mut issued = Vec::new();
+            let mut completed = Vec::new();
+            while window.done < n {
+                let batch = window.top_up(&sizes);
+                assert_eq!(batch.start, issued.len(), "issued in plan order, once");
+                issued.extend(batch);
+                let inflight = window.issued - window.done;
+                assert!(inflight > 0, "work left but nothing in flight");
+                assert!(inflight <= GET_WINDOW_REQS);
+                let bytes: usize = sizes[window.done..window.issued].iter().sum();
+                assert_eq!(bytes, window.bytes);
+                assert!(
+                    bytes <= GET_WINDOW_BYTES || inflight == 1,
+                    "byte budget exceeded by more than a lone oversized request"
+                );
+                for _ in 0..1 + roll(inflight) {
+                    completed.push(window.complete(&sizes));
+                }
+            }
+            assert_eq!(issued, (0..n).collect::<Vec<_>>());
+            assert_eq!(completed, issued, "completion in issue order");
+            assert_eq!(window.bytes, 0);
+        }
+    }
+
+    #[test]
+    fn get_window_tops_up_in_half_window_bursts() {
+        let sizes = vec![8usize; 4 * GET_WINDOW_REQS];
+        let mut window = GetWindow::default();
+        assert_eq!(window.top_up(&sizes), 0..GET_WINDOW_REQS);
+        // draining less than half the window issues nothing...
+        for _ in 0..GET_WINDOW_REQS / 2 - 1 {
+            window.complete(&sizes);
+            assert!(window.top_up(&sizes).is_empty());
+        }
+        // ...the completion that reaches half refills it in one burst
+        window.complete(&sizes);
+        assert_eq!(
+            window.top_up(&sizes),
+            GET_WINDOW_REQS..GET_WINDOW_REQS + GET_WINDOW_REQS / 2
+        );
     }
 
     #[test]

@@ -56,14 +56,22 @@ pub struct WindowSpec {
 }
 
 /// The one-sided fetch transport a non-shared-memory backend returns from
-/// [`Comm::expose`]: fetches raw bytes from a peer's exposed array. Called
+/// [`Comm::expose`]: fetches raw bytes from peers' exposed arrays. Called
 /// only for remote ranks (local reads never leave the process) and only
 /// with in-bounds ranges (the window validates first). On peer failure the
 /// implementation raises the typed [`CommError`](crate::CommError) by
 /// unwinding, like every blocking primitive — it does not return errors.
 pub trait RemoteWindow: Send + Sync {
-    /// Append elements `range` of `rank`'s part `part` to `out`.
-    fn get_bytes(&self, rank: usize, part: usize, range: Range<usize>, out: &mut Vec<u8>);
+    /// Fetch every `(rank, part, range)` of `gets` — elements `range` of
+    /// `rank`'s part `part` — and hand response `i`'s little-endian bytes
+    /// to `sink(i, bytes)` in issue order (`i` ascending, each exactly
+    /// once). Nonblocking inside the call, like `MPI_Get`s under one
+    /// `MPI_Win_flush`: an implementation keeps a bounded window of
+    /// requests in flight rather than one round trip per get, so a plan
+    /// costs its bytes, not its message count. The single get is the batch
+    /// of one. A failure mid-batch unwinds after a prefix of the responses
+    /// was delivered.
+    fn get_many(&self, gets: &[(usize, usize, Range<usize>)], sink: &mut dyn FnMut(usize, &[u8]));
 }
 
 /// Result of [`Comm::expose`]: either every rank's deposit shared directly
@@ -159,6 +167,27 @@ impl std::fmt::Display for WindowError {
 }
 
 impl std::error::Error for WindowError {}
+
+/// The validation every get passes before it is metered or moved: `rank`
+/// exists among `nranks`, and `range` ends inside its exposed buffer.
+fn check_get(
+    rank: usize,
+    range: &Range<usize>,
+    nranks: usize,
+    len_of: impl Fn(usize) -> usize,
+) -> Result<(), WindowError> {
+    if rank >= nranks {
+        return Err(WindowError::BadRank { rank, size: nranks });
+    }
+    if range.end > len_of(rank) {
+        return Err(WindowError::OutOfRange {
+            rank,
+            requested_end: range.end,
+            exposed_len: len_of(rank),
+        });
+    }
+    Ok(())
+}
 
 enum WinInner<T> {
     /// In-process: every rank's exposed buffer shared zero-copy.
@@ -275,19 +304,7 @@ impl<T: WinElem> Window<T> {
         range: Range<usize>,
         out: &mut Vec<T>,
     ) -> Result<(), WindowError> {
-        if rank >= self.nranks() {
-            return Err(WindowError::BadRank {
-                rank,
-                size: self.nranks(),
-            });
-        }
-        if range.end > self.len_of(rank) {
-            return Err(WindowError::OutOfRange {
-                rank,
-                requested_end: range.end,
-                exposed_len: self.len_of(rank),
-            });
-        }
+        check_get(rank, &range, self.nranks(), |r| self.len_of(r))?;
         if rank != comm.rank() {
             comm.record_get((range.end - range.start) * std::mem::size_of::<T>());
         }
@@ -303,9 +320,9 @@ impl<T: WinElem> Window<T> {
                     out.extend_from_slice(&local[range]);
                 } else {
                     let count = range.end - range.start;
-                    let mut bytes = Vec::with_capacity(count * std::mem::size_of::<T>());
-                    transport.get_bytes(rank, 0, range, &mut bytes);
-                    decode_elems(&bytes, count, out);
+                    transport.get_many(&[(rank, 0, range)], &mut |_, bytes| {
+                        decode_elems(bytes, count, out)
+                    });
                 }
             }
         }
@@ -328,38 +345,12 @@ impl<T> Clone for Window<T> {
 /// rendezvous count, which matters when a multiply is issued per BFS level
 /// (betweenness centrality) rather than once per application run.
 pub struct PairedWindow<T, U> {
-    inner: PairedInner<T, U>,
-}
-
-enum PairedInner<T, U> {
-    Shared {
-        bufs: Vec<Arc<(Vec<T>, Vec<U>)>>,
-    },
-    Remote {
-        me: usize,
-        local: Arc<(Vec<T>, Vec<U>)>,
-        lens: Vec<usize>,
-        transport: Arc<dyn RemoteWindow>,
-    },
-}
-
-impl<T, U> Clone for PairedInner<T, U> {
-    fn clone(&self) -> Self {
-        match self {
-            PairedInner::Shared { bufs } => PairedInner::Shared { bufs: bufs.clone() },
-            PairedInner::Remote {
-                me,
-                local,
-                lens,
-                transport,
-            } => PairedInner::Remote {
-                me: *me,
-                local: local.clone(),
-                lens: lens.clone(),
-                transport: transport.clone(),
-            },
-        }
-    }
+    /// Where a get against each rank reads from: the rank's shared deposit
+    /// (every rank in-process; this rank's own across processes) or the
+    /// byte-fetch transport.
+    srcs: Vec<GetSrc<T, U>>,
+    /// Length of each rank's exposed arrays.
+    lens: Vec<usize>,
 }
 
 impl<T: WinElem, U: WinElem> PairedWindow<T, U> {
@@ -383,46 +374,86 @@ impl<T: WinElem, U: WinElem> PairedWindow<T, U> {
             ],
             extract: extract_pair::<T, U>,
         };
-        let inner = match comm.expose(spec) {
-            Exposure::Shared(deposits) => PairedInner::Shared {
-                bufs: deposits
-                    .into_iter()
-                    .map(|d| {
-                        d.downcast::<(Vec<T>, Vec<U>)>()
-                            .expect("paired window type")
+        let pair = |d: Arc<dyn Any + Send + Sync>| {
+            d.downcast::<(Vec<T>, Vec<U>)>()
+                .expect("paired window type")
+        };
+        match comm.expose(spec) {
+            Exposure::Shared(deposits) => {
+                let bufs: Vec<_> = deposits.into_iter().map(pair).collect();
+                PairedWindow {
+                    lens: bufs.iter().map(|buf| buf.0.len()).collect(),
+                    srcs: bufs.into_iter().map(GetSrc::Local).collect(),
+                }
+            }
+            Exposure::Remote { lens, transport } => PairedWindow {
+                srcs: (0..lens.len())
+                    .map(|rank| {
+                        if rank == comm.rank() {
+                            GetSrc::Local(pair(arc.clone()))
+                        } else {
+                            GetSrc::Transport(transport.clone())
+                        }
                     })
                     .collect(),
-            },
-            Exposure::Remote { lens, transport } => PairedInner::Remote {
-                me: comm.rank(),
-                local: arc
-                    .downcast::<(Vec<T>, Vec<U>)>()
-                    .expect("paired window type"),
                 lens: lens.into_iter().map(|l| l[0]).collect(),
-                transport,
             },
-        };
-        PairedWindow { inner }
+        }
     }
 
     /// Length of `rank`'s exposed arrays.
     pub fn len_of(&self, rank: usize) -> usize {
-        match &self.inner {
-            PairedInner::Shared { bufs } => bufs[rank].0.len(),
-            PairedInner::Remote { lens, .. } => lens[rank],
-        }
+        self.lens[rank]
     }
 
-    fn nranks(&self) -> usize {
-        match &self.inner {
-            PairedInner::Shared { bufs } => bufs.len(),
-            PairedInner::Remote { lens, .. } => lens.len(),
+    /// The issue half of every paired get: validate **all** of `gets`,
+    /// then meter the remote ones — two RDMA messages each (one per array,
+    /// like the two `MPI_Get`s of Algorithm 1 line 7), in request order, on
+    /// the calling thread. A batch with one bad request meters nothing.
+    fn issue<C: Comm>(&self, comm: &C, gets: &[(usize, Range<usize>)]) -> Result<(), WindowError> {
+        for (rank, range) in gets {
+            check_get(*rank, range, self.lens.len(), |r| self.lens[r])?;
         }
+        for (rank, range) in gets {
+            if *rank != comm.rank() {
+                comm.record_get(range.len() * std::mem::size_of::<T>());
+                comm.record_get(range.len() * std::mem::size_of::<U>());
+            }
+        }
+        Ok(())
+    }
+
+    /// One-sided fetch of a whole plan: for each `(rank, range)` of `gets`,
+    /// in order, append `range` of both of `rank`'s arrays to
+    /// `out_a`/`out_b` — Algorithm 1 line 7's `MPI_Get`s followed by one
+    /// `MPI_Win_flush`. Validated as a whole first (a failed batch meters
+    /// nothing and leaves the outputs untouched), then metered exactly as
+    /// the same gets issued one by one (two RDMA messages per remote
+    /// request, nothing for own-rank entries, in plan order on the calling
+    /// thread), then moved: in-process backends copy, a cross-process
+    /// backend pipelines the requests under its bounded in-flight window
+    /// instead of paying one round trip each.
+    pub fn get_many_into<C: Comm>(
+        &self,
+        comm: &C,
+        gets: &[(usize, Range<usize>)],
+        out_a: &mut Vec<T>,
+        out_b: &mut Vec<U>,
+    ) -> Result<(), WindowError> {
+        self.issue(comm, gets)?;
+        fetch_pairs(
+            gets.len(),
+            |i| (&self.srcs[gets[i].0], gets[i].0, gets[i].1.clone()),
+            out_a,
+            out_b,
+        );
+        Ok(())
     }
 
     /// One-sided fetch of `range` from both of `rank`'s arrays, appended to
-    /// `out_a`/`out_b`. Metered as two RDMA messages (one per array), like
-    /// the two `MPI_Get`s of Algorithm 1 line 7.
+    /// `out_a`/`out_b`: [`get_many_into`](PairedWindow::get_many_into) of
+    /// one request (both arrays in flight together on a cross-process
+    /// backend — one round trip, not two).
     pub fn get_both_into<C: Comm>(
         &self,
         comm: &C,
@@ -431,55 +462,9 @@ impl<T: WinElem, U: WinElem> PairedWindow<T, U> {
         out_a: &mut Vec<T>,
         out_b: &mut Vec<U>,
     ) -> Result<(), WindowError> {
-        if rank >= self.nranks() {
-            return Err(WindowError::BadRank {
-                rank,
-                size: self.nranks(),
-            });
-        }
-        if range.end > self.len_of(rank) {
-            return Err(WindowError::OutOfRange {
-                rank,
-                requested_end: range.end,
-                exposed_len: self.len_of(rank),
-            });
-        }
-        if rank != comm.rank() {
-            comm.record_get((range.end - range.start) * std::mem::size_of::<T>());
-            comm.record_get((range.end - range.start) * std::mem::size_of::<U>());
-        }
-        match &self.inner {
-            PairedInner::Shared { bufs } => {
-                let (a, b) = &*bufs[rank];
-                out_a.extend_from_slice(&a[range.clone()]);
-                out_b.extend_from_slice(&b[range]);
-            }
-            PairedInner::Remote {
-                me,
-                local,
-                transport,
-                ..
-            } => {
-                if rank == *me {
-                    let (a, b) = &**local;
-                    out_a.extend_from_slice(&a[range.clone()]);
-                    out_b.extend_from_slice(&b[range]);
-                } else {
-                    let count = range.end - range.start;
-                    let mut bytes = Vec::with_capacity(count * std::mem::size_of::<T>());
-                    transport.get_bytes(rank, 0, range.clone(), &mut bytes);
-                    decode_elems(&bytes, count, out_a);
-                    bytes.clear();
-                    transport.get_bytes(rank, 1, range, &mut bytes);
-                    decode_elems(&bytes, count, out_b);
-                }
-            }
-        }
-        Ok(())
+        self.get_many_into(comm, &[(rank, range)], out_a, out_b)
     }
-}
 
-impl<T: WinElem, U: WinElem> PairedWindow<T, U> {
     /// Issue a paired get without moving data yet: validate and **meter
     /// now**, on the calling thread, exactly as [`get_both_into`]
     /// (two RDMA messages for a remote target, nothing for a local one),
@@ -502,56 +487,86 @@ impl<T: WinElem, U: WinElem> PairedWindow<T, U> {
         rank: usize,
         range: Range<usize>,
     ) -> Result<PairedGet<T, U>, WindowError> {
-        if rank >= self.nranks() {
-            return Err(WindowError::BadRank {
-                rank,
-                size: self.nranks(),
-            });
-        }
-        if range.end > self.len_of(rank) {
-            return Err(WindowError::OutOfRange {
-                rank,
-                requested_end: range.end,
-                exposed_len: self.len_of(rank),
-            });
-        }
-        if rank != comm.rank() {
-            comm.record_get((range.end - range.start) * std::mem::size_of::<T>());
-            comm.record_get((range.end - range.start) * std::mem::size_of::<U>());
-        }
-        let src = match &self.inner {
-            PairedInner::Shared { bufs } => GetSrc::Local(bufs[rank].clone()),
-            PairedInner::Remote {
-                me,
-                local,
-                transport,
-                ..
-            } => {
-                if rank == *me {
-                    GetSrc::Local(local.clone())
-                } else {
-                    GetSrc::Transport(transport.clone())
-                }
-            }
-        };
-        Ok(PairedGet { rank, range, src })
+        let get = [(rank, range)];
+        self.issue(comm, &get)?;
+        let [(rank, range)] = get;
+        Ok(PairedGet {
+            rank,
+            range,
+            src: self.srcs[rank].clone(),
+        })
     }
 }
 
 impl<T, U> Clone for PairedWindow<T, U> {
     fn clone(&self) -> Self {
         PairedWindow {
-            inner: self.inner.clone(),
+            srcs: self.srcs.clone(),
+            lens: self.lens.clone(),
         }
     }
 }
 
-/// Where a [`PairedGet`] reads from: the target's shared buffer pair
+/// Where a paired get reads from: the target's shared buffer pair
 /// (in-process, or the issuing rank's own deposit) or the cross-process
 /// byte-fetch transport.
 enum GetSrc<T, U> {
     Local(Arc<(Vec<T>, Vec<U>)>),
     Transport(Arc<dyn RemoteWindow>),
+}
+
+impl<T, U> Clone for GetSrc<T, U> {
+    fn clone(&self) -> Self {
+        match self {
+            GetSrc::Local(buf) => GetSrc::Local(buf.clone()),
+            GetSrc::Transport(transport) => GetSrc::Transport(transport.clone()),
+        }
+    }
+}
+
+/// The pure data movement behind every paired get: for `i` in `0..n`, in
+/// order, append the `(source, rank, range)` that `at(i)` names to
+/// `out_a`/`out_b`. Local sources are copied; each run of consecutive gets
+/// through one transport travels as one [`RemoteWindow::get_many`] batch
+/// (both arrays of every get), so the run is pipelined instead of costing
+/// two round trips per get. No `Comm`, no metering.
+fn fetch_pairs<'a, T: WinElem, U: WinElem>(
+    n: usize,
+    at: impl Fn(usize) -> (&'a GetSrc<T, U>, usize, Range<usize>),
+    out_a: &mut Vec<T>,
+    out_b: &mut Vec<U>,
+) {
+    let mut i = 0;
+    while i < n {
+        match at(i) {
+            (GetSrc::Local(buf), _, range) => {
+                out_a.extend_from_slice(&buf.0[range.clone()]);
+                out_b.extend_from_slice(&buf.1[range]);
+                i += 1;
+            }
+            (GetSrc::Transport(transport), ..) => {
+                let mut parts = Vec::new();
+                while i < n {
+                    match at(i) {
+                        (GetSrc::Transport(t), rank, range) if Arc::ptr_eq(t, transport) => {
+                            parts.push((rank, 0, range.clone()));
+                            parts.push((rank, 1, range));
+                            i += 1;
+                        }
+                        _ => break,
+                    }
+                }
+                transport.get_many(&parts, &mut |k, bytes| {
+                    let (_, part, range) = &parts[k];
+                    if *part == 0 {
+                        decode_elems(bytes, range.len(), out_a)
+                    } else {
+                        decode_elems(bytes, range.len(), out_b)
+                    }
+                });
+            }
+        }
+    }
 }
 
 /// An issued-but-not-yet-moved paired get (see
@@ -593,26 +608,25 @@ impl<T: WinElem, U: WinElem> PairedGet<T, U> {
 
     /// Move the data: append the covered range of both arrays to
     /// `out_a`/`out_b`. Involves no `Comm` and no metering; on a
-    /// cross-process backend this is the blocking `GetReq`/`GetResp`
-    /// round-trip (peer failure unwinds with the typed
+    /// cross-process backend this is one `GetReq`/`GetResp` round trip with
+    /// both arrays in flight (peer failure unwinds with the typed
     /// [`CommError`](crate::CommError), like every blocking primitive).
     pub fn fetch_into(&self, out_a: &mut Vec<T>, out_b: &mut Vec<U>) {
-        match &self.src {
-            GetSrc::Local(buf) => {
-                let (a, b) = &**buf;
-                out_a.extend_from_slice(&a[self.range.clone()]);
-                out_b.extend_from_slice(&b[self.range.clone()]);
-            }
-            GetSrc::Transport(transport) => {
-                let count = self.len();
-                let mut bytes = Vec::with_capacity(count * std::mem::size_of::<T>());
-                transport.get_bytes(self.rank, 0, self.range.clone(), &mut bytes);
-                decode_elems(&bytes, count, out_a);
-                bytes.clear();
-                transport.get_bytes(self.rank, 1, self.range.clone(), &mut bytes);
-                decode_elems(&bytes, count, out_b);
-            }
-        }
+        Self::fetch_many_into(std::slice::from_ref(self), out_a, out_b)
+    }
+
+    /// [`fetch_into`](PairedGet::fetch_into) for a slice of issued gets, in
+    /// slice order: the data-movement half of
+    /// [`PairedWindow::get_many_into`], for consumers that issue a plan up
+    /// front and move it in stages. On a cross-process backend the slice
+    /// is pipelined under the transport's in-flight window.
+    pub fn fetch_many_into(gets: &[Self], out_a: &mut Vec<T>, out_b: &mut Vec<U>) {
+        fetch_pairs(
+            gets.len(),
+            |i| (&gets[i].src, gets[i].rank, gets[i].range.clone()),
+            out_a,
+            out_b,
+        )
     }
 }
 

@@ -603,9 +603,9 @@ pub(crate) fn vec_codec<T: Send + 'static>() -> Option<&'static VecCodec> {
 // ---------------------------------------------------------------------------
 
 /// One framed message of the cross-process protocol. On a socket each frame
-/// travels as `[u32 LE length][kind byte][body]`; [`Frame::to_bytes`] /
-/// [`Frame::from_bytes`] cover the `[kind][body]` part, the transport adds
-/// the length prefix.
+/// travels as `[u32 LE length][kind byte][body][crc32]`
+/// ([`Frame::put_framed`]); [`Frame::to_bytes`] / [`Frame::from_bytes`]
+/// cover the part after the length prefix.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Frame {
     /// Child → parent bootstrap: "rank `rank` listens on `port`".
@@ -678,19 +678,47 @@ impl Frame {
     /// tag, the body, or the checksum itself — is caught at decode.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
+        self.put_checked(&mut out);
+        out
+    }
+
+    /// Append this frame as it travels on a socket —
+    /// `[u32 LE length][kind][body][crc32 LE]`, the length covering
+    /// everything after itself — to `out`. Encodes in place, so a burst of
+    /// frames for one link builds up in one buffer and leaves in one write.
+    pub fn put_framed(&self, out: &mut Vec<u8>) {
+        let at = out.len();
+        out.extend_from_slice(&[0u8; 4]);
+        self.put_checked(out);
+        let len = out.len() - at - 4;
+        debug_assert!(len <= MAX_FRAME);
+        out[at..at + 4].copy_from_slice(&(len as u32).to_le_bytes());
+    }
+
+    /// Append `[kind][body][crc32 LE]` to `out`; the CRC covers only the
+    /// bytes appended here.
+    fn put_checked(&self, out: &mut Vec<u8>) {
+        let at = out.len();
+        self.put_body(out);
+        let crc = crc32(&out[at..]);
+        out.extend_from_slice(&crc.to_le_bytes());
+    }
+
+    /// Append `[kind][body]` to `out`.
+    fn put_body(&self, out: &mut Vec<u8>) {
         match self {
             Frame::Hello { rank, port } => {
                 out.push(K_HELLO);
-                rank.put(&mut out);
-                port.put(&mut out);
+                rank.put(out);
+                port.put(out);
             }
             Frame::Table { ports } => {
                 out.push(K_TABLE);
-                ports.put(&mut out);
+                ports.put(out);
             }
             Frame::Peer { rank } => {
                 out.push(K_PEER);
-                rank.put(&mut out);
+                rank.put(out);
             }
             Frame::Data {
                 comm_id,
@@ -703,14 +731,14 @@ impl Frame {
                 payload,
             } => {
                 out.push(K_DATA);
-                comm_id.put(&mut out);
-                src.put(&mut out);
-                tag.put(&mut out);
-                metered.put(&mut out);
-                meter_bytes.put(&mut out);
-                type_fp.put(&mut out);
-                count.put(&mut out);
-                payload.put(&mut out);
+                comm_id.put(out);
+                src.put(out);
+                tag.put(out);
+                metered.put(out);
+                meter_bytes.put(out);
+                type_fp.put(out);
+                count.put(out);
+                payload.put(out);
             }
             Frame::GetReq {
                 req_id,
@@ -720,40 +748,37 @@ impl Frame {
                 end,
             } => {
                 out.push(K_GETREQ);
-                req_id.put(&mut out);
-                win_id.put(&mut out);
-                part.put(&mut out);
-                start.put(&mut out);
-                end.put(&mut out);
+                req_id.put(out);
+                win_id.put(out);
+                part.put(out);
+                start.put(out);
+                end.put(out);
             }
             Frame::GetResp { req_id, payload } => {
                 out.push(K_GETRESP);
-                req_id.put(&mut out);
-                payload.put(&mut out);
+                req_id.put(out);
+                payload.put(out);
             }
             Frame::Abort { victim } => {
                 out.push(K_ABORT);
-                victim.put(&mut out);
+                victim.put(out);
             }
             Frame::Bye => out.push(K_BYE),
             Frame::Outcome { payload } => {
                 out.push(K_OUTCOME);
-                payload.put(&mut out);
+                payload.put(out);
             }
             Frame::Heartbeat => out.push(K_HEARTBEAT),
             Frame::Reliable { seq, inner } => {
                 out.push(K_RELIABLE);
-                seq.put(&mut out);
-                inner.put(&mut out);
+                seq.put(out);
+                inner.put(out);
             }
             Frame::Ack { seq } => {
                 out.push(K_ACK);
-                seq.put(&mut out);
+                seq.put(out);
             }
         }
-        let crc = crc32(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
-        out
     }
 
     /// Decode a `[kind][body][crc32]` buffer produced by
@@ -1023,14 +1048,27 @@ mod tests {
             },
             Frame::Ack { seq: 17 },
         ];
+        // a burst: every frame appended to one buffer in socket form
+        let mut burst = Vec::new();
+        for f in &frames {
+            f.put_framed(&mut burst);
+        }
+        let mut rest = burst.as_slice();
         for f in frames {
             let bytes = f.to_bytes();
             assert_eq!(Frame::from_bytes(&bytes).unwrap(), f, "frame {f:?}");
+            // socket form = length prefix + to_bytes, wherever it lands in
+            // the buffer
+            let (len4, tail) = rest.split_at(4);
+            assert_eq!(len4, (bytes.len() as u32).to_le_bytes(), "frame {f:?}");
+            assert_eq!(&tail[..bytes.len()], bytes, "frame {f:?}");
+            rest = &tail[bytes.len()..];
             // every prefix of a valid frame is a typed error, not a panic
             for cut in 0..bytes.len() {
                 assert!(Frame::from_bytes(&bytes[..cut]).is_err());
             }
         }
+        assert!(rest.is_empty());
     }
 
     /// Append the CRC-32 suffix `Frame::to_bytes` would have stamped on a

@@ -28,8 +28,8 @@ use saspgemm::dist::{
     CacheConfig, DistMat1D, DistMat2D, DistMat3D, FetchMode, Plan1D, SpgemmSession,
 };
 use saspgemm::mpisim::{
-    arm_frame_plan, Backend, Comm, CommStats, CostModel, FaultPlan, Grid2D, Grid3D, RankJob,
-    Universe, Window,
+    arm_frame_plan, Backend, Comm, CommStats, CostModel, FaultPlan, Grid2D, Grid3D, PairedWindow,
+    RankJob, Universe, Window, WindowError,
 };
 use saspgemm::sparse::gen::erdos_renyi;
 use saspgemm::sparse::semiring::MinPlus;
@@ -169,6 +169,94 @@ impl RankJob for RuntimeChurn {
 fn runtime_churn_conforms() {
     for n in [2, 4, 5] {
         run_conformance(n, &RuntimeChurn, &format!("runtime churn p={n}"));
+    }
+}
+
+/// `PairedWindow::get_many_into` against the same gets issued one by one:
+/// same data, same per-rank `CommStats`, on every backend. The plan covers
+/// what a batching transport could get wrong — empty ranges, own-rank
+/// entries between remote ones, several owners in one call, more requests
+/// than the procs transport keeps in flight (256), one request larger than
+/// its in-flight byte budget (4 MiB) — and a batch with one bad request
+/// must fail as a whole: nothing metered, outputs untouched.
+struct BatchedGets;
+
+impl RankJob for BatchedGets {
+    type Out = Verdict;
+    fn run<C: Comm>(&self, comm: &C) -> Verdict {
+        let me = comm.rank();
+        let n = comm.size();
+        let before = comm.stats();
+        // uneven exposures, each f64 array above the 4 MiB budget
+        let len_of = |r: usize| 600_000 + 1_000 * r;
+        let win = PairedWindow::create(
+            comm,
+            (0..len_of(me))
+                .map(|i| (me * 7_000_003 + i) as u32)
+                .collect(),
+            (0..len_of(me)).map(|i| (i * 3 + me) as f64).collect(),
+        );
+        let other = |k: usize| (me + 1 + k % (n - 1)) % n;
+        let mut plan = vec![(other(0), 5..5)];
+        for owner in 0..n {
+            plan.push((owner, 10 * owner..10 * owner + 17));
+        }
+        plan.push((me, 0..100));
+        for k in 0..300 {
+            plan.push((other(k), 3 * k..3 * k + 2));
+        }
+        plan.push((other(1), 0..len_of(other(1))));
+        plan.push((other(0), 40..44));
+        plan.push((me, 7..7));
+
+        let (mut a, mut b) = (vec![u32::MAX], vec![-1.0f64]);
+        let t0 = comm.stats();
+        win.get_many_into(comm, &plan, &mut a, &mut b).unwrap();
+        let batched = comm.stats() - t0;
+        let (mut a1, mut b1) = (vec![u32::MAX], vec![-1.0f64]);
+        let t0 = comm.stats();
+        for (rank, range) in &plan {
+            win.get_both_into(comm, *rank, range.clone(), &mut a1, &mut b1)
+                .unwrap();
+        }
+        let one_by_one = comm.stats() - t0;
+        assert!(a == a1 && b == b1, "rank {me}: batched data diverged");
+        assert_eq!(batched, one_by_one, "rank {me}: batched metering diverged");
+
+        // a bad request anywhere fails the whole batch before it meters or
+        // moves anything
+        let t0 = comm.stats();
+        let mut bad = plan.clone();
+        bad.insert(200, (other(0), 0..len_of(other(0)) + 1));
+        let oob = win.get_many_into(comm, &bad, &mut a1, &mut b1).unwrap_err();
+        bad[200] = (n, 0..1);
+        let bad_rank = win.get_many_into(comm, &bad, &mut a1, &mut b1).unwrap_err();
+        assert!(matches!(oob, WindowError::OutOfRange { .. }), "{oob:?}");
+        assert!(
+            matches!(bad_rank, WindowError::BadRank { .. }),
+            "{bad_rank:?}"
+        );
+        assert_eq!(
+            comm.stats() - t0,
+            CommStats::default(),
+            "failed batch metered"
+        );
+        assert!(a == a1 && b == b1, "failed batch touched the outputs");
+        comm.barrier();
+
+        let mix = |h: u64, x: u64| (h ^ x).wrapping_mul(0x0000_0100_0000_01b3);
+        let h = a
+            .iter()
+            .fold(0xcbf2_9ce4_8422_2325, |h, &x| mix(h, x as u64));
+        let h = b.iter().fold(h, |h, x| mix(h, x.to_bits()));
+        (format!("{}:{h:x}", a.len()), comm.stats() - before)
+    }
+}
+
+#[test]
+fn batched_gets_conform_to_one_by_one() {
+    for n in [2, 3] {
+        run_conformance(n, &BatchedGets, &format!("batched gets p={n}"));
     }
 }
 

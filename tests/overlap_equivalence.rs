@@ -25,7 +25,8 @@ use saspgemm::dist::{
     SpgemmSession,
 };
 use saspgemm::mpisim::{
-    Backend, Comm, CommStats, Grid2D, Grid3D, PrefetchConfig, RankJob, Universe,
+    Backend, Comm, CommStats, Grid2D, Grid3D, Mode, PrefetchConfig, RankJob, Serial, Threads,
+    Universe,
 };
 use saspgemm::sparse::gen::erdos_renyi;
 use saspgemm::sparse::semiring::{MinPlus, PlusTimes};
@@ -392,9 +393,17 @@ fn overlap_1d_meters_each_range_exactly_once() {
 /// counters — only the reuse counters move.
 #[test]
 fn overlap_staging_is_arena_backed() {
+    staging_is_arena_backed::<Serial>();
+    staging_is_arena_backed::<Threads>();
+}
+
+/// The workspace counters are read inside the rank closure, so these two
+/// tests launch in-process whatever `SA_BACKEND` says (`Universe::run`
+/// would refuse `procs`): once degraded to inline issue, once overlapped.
+fn staging_is_arena_backed<M: Mode>() {
     let a = int_er(120, 120, 4.0, 161);
     let u = Universe::new(3);
-    let results = u.run(|comm| {
+    let results = u.launch::<M, _, _>(|comm| {
         let offsets = uniform_offsets(a.ncols(), comm.size());
         let da = DistMat1D::from_global(comm, &a, &offsets);
         let db = da.clone();
@@ -446,9 +455,14 @@ fn overlap_staging_is_arena_backed() {
 /// cache is warm the overlapped multiply allocates nothing.
 #[test]
 fn overlap_session_steady_state_is_arena_backed() {
+    session_steady_state_is_arena_backed::<Serial>();
+    session_steady_state_is_arena_backed::<Threads>();
+}
+
+fn session_steady_state_is_arena_backed<M: Mode>() {
     let a = int_er(160, 160, 5.0, 171);
     let u = Universe::new(3);
-    let results = u.run(|comm| {
+    let results = u.launch::<M, _, _>(|comm| {
         let offsets = uniform_offsets(a.ncols(), comm.size());
         let da = DistMat1D::from_global(comm, &a, &offsets);
         let db = da.clone();
