@@ -286,7 +286,7 @@ pub fn bc_batch_1d_offsets<C: Comm>(
     for l in (1..stack.len()).rev() {
         let w = backward_weights(&stack[l], &delta, &nsp);
         let t0 = Instant::now();
-        let w_dist = DistMat1D::from_local(b, n, n_offsets.clone(), Dcsc::from_csc(&w));
+        let w_dist = DistMat1D::from_local(b, n, n_offsets.clone(), Dcsc::from(w));
         let (t, _rep) = spgemm_1d_ws(comm, &w_dist, &dat, plan, &ws);
         times.backward_s.push(t0.elapsed().as_secs_f64());
         if l >= 2 {

@@ -108,7 +108,7 @@ pub fn spgemm_outer_1d<C: Comm>(
     let stats_all = comm.stats() - stats0;
     let reduce_s = t0.elapsed().as_secs_f64();
 
-    let c = DistMat1D::from_local(a.nrows(), b.ncols(), bo.clone(), Dcsc::from_csc(&c_local));
+    let c = DistMat1D::from_local(a.nrows(), b.ncols(), bo.clone(), Dcsc::from(c_local));
     let total_s = t_call.elapsed().as_secs_f64();
     let report = OuterReport {
         expand_bytes: stats_expand.sent_bytes,

@@ -684,7 +684,7 @@ impl SpgemmSession {
             self.a.nrows(),
             b.ncols(),
             b.offsets().clone(),
-            Dcsc::from_csc(&c_local),
+            Dcsc::from(c_local),
         );
         assemble_s += t_wrap.elapsed().as_secs_f64();
 

@@ -649,12 +649,7 @@ fn run_1d<C: Comm>(
 
     // --- wrap the output in B's layout ---
     let t_wrap = Instant::now();
-    let c = DistMat1D::from_local(
-        nrows,
-        b.ncols(),
-        b.offsets().clone(),
-        Dcsc::from_csc(&c_local),
-    );
+    let c = DistMat1D::from_local(nrows, b.ncols(), b.offsets().clone(), Dcsc::from(c_local));
     let assemble_s = assemble_s + t_wrap.elapsed().as_secs_f64();
 
     let comm_delta = comm.stats() - stats0;

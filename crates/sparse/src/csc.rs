@@ -48,6 +48,12 @@ impl<T: Copy + Send + Sync> Csc<T> {
         }
     }
 
+    /// Disassemble into `(colptr, rowidx, vals)` — the inverse of
+    /// [`Csc::from_parts`].
+    pub fn into_parts(self) -> (Vec<usize>, Vec<Vidx>, Vec<T>) {
+        (self.colptr, self.rowidx, self.vals)
+    }
+
     /// An empty `nrows × ncols` matrix.
     pub fn zeros(nrows: usize, ncols: usize) -> Self {
         Csc {

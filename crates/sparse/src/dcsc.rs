@@ -79,11 +79,24 @@ impl<T: Copy + Send + Sync> Dcsc<T> {
 
     /// Compress a CSC matrix (dropping empty columns from the index).
     pub fn from_csc(m: &Csc<T>) -> Self {
+        Self::compress(m, |_| true)
+    }
+
+    /// The columns of `m` flagged in `keep`, and no others: `Ã` as
+    /// Algorithm 1 assembles it from `B`'s needed set, without the
+    /// communication. Benches and tests feed the local kernels through it
+    /// the operand shape the ranks feed them.
+    pub fn from_csc_cols(m: &Csc<T>, keep: &[bool]) -> Self {
+        assert_eq!(keep.len(), m.ncols());
+        Self::compress(m, |j| keep[j])
+    }
+
+    fn compress(m: &Csc<T>, keep: impl Fn(usize) -> bool) -> Self {
         let mut jc = Vec::new();
         let mut cp = vec![0usize];
         let mut ir = Vec::with_capacity(m.nnz());
         let mut num = Vec::with_capacity(m.nnz());
-        for j in 0..m.ncols() {
+        for j in (0..m.ncols()).filter(|&j| keep(j)) {
             let (rows, vals) = m.col(j);
             if rows.is_empty() {
                 continue;
@@ -200,6 +213,33 @@ impl<T: Copy + Send + Sync> Dcsc<T> {
             + self.cp.len() * std::mem::size_of::<usize>()
             + self.ir.len() * std::mem::size_of::<Vidx>()
             + self.num.len() * std::mem::size_of::<T>()
+    }
+}
+
+/// Compress an owned CSC: the entry arrays move over untouched (a CSC and a
+/// DCSC lay their entries out identically) and only `colptr` is rewritten
+/// into `jc`/`cp` — `O(ncols)`, where [`Dcsc::from_csc`] copies all `nnz`
+/// entries. Every multiply hands its product over this way.
+impl<T: Copy + Send + Sync> From<Csc<T>> for Dcsc<T> {
+    fn from(m: Csc<T>) -> Self {
+        let (nrows, ncols) = (m.nrows(), m.ncols());
+        let (colptr, ir, num) = m.into_parts();
+        let mut jc = Vec::new();
+        let mut cp = vec![0usize];
+        for (j, w) in colptr.windows(2).enumerate() {
+            if w[1] > w[0] {
+                jc.push(vidx(j));
+                cp.push(w[1]);
+            }
+        }
+        Dcsc {
+            nrows,
+            ncols,
+            jc,
+            cp,
+            ir,
+            num,
+        }
     }
 }
 
@@ -321,6 +361,32 @@ mod tests {
         let c = hypersparse();
         let d = Dcsc::from_csc(&c);
         assert_eq!(d.to_csc(), c);
+    }
+
+    #[test]
+    fn by_value_conversion_equals_from_csc() {
+        // empty columns leading (0), between (2..=4) and trailing (7)
+        let c = hypersparse();
+        assert_eq!(Dcsc::from(c.clone()), Dcsc::from_csc(&c));
+        let all_empty: Csc<f64> = Csc::zeros(3, 5);
+        let d = Dcsc::from(all_empty.clone());
+        assert_eq!(d, Dcsc::from_csc(&all_empty));
+        assert_eq!((d.nzc(), d.cp()), (0, &[0][..]));
+        let no_cols: Csc<f64> = Csc::zeros(3, 0);
+        assert_eq!(Dcsc::from(no_cols), Dcsc::zeros(3, 0));
+        // no column empty: jc is the identity
+        let full = Csc::diagonal(&[1.0, 2.0, 3.0]);
+        let d = Dcsc::from(full.clone());
+        assert_eq!(d, Dcsc::from_csc(&full));
+        assert_eq!(d.jc(), &[0, 1, 2]);
+    }
+
+    #[test]
+    fn by_value_conversion_keeps_the_entry_buffers() {
+        let c = hypersparse();
+        let (rows_at, vals_at) = (c.rowidx().as_ptr(), c.vals().as_ptr());
+        let d = Dcsc::from(c);
+        assert_eq!((d.ir().as_ptr(), d.num().as_ptr()), (rows_at, vals_at));
     }
 
     #[test]

@@ -15,14 +15,16 @@ const EMPTY: Vidx = Vidx::MAX;
 /// probe loop masks (never a modulo) and the table can never fill
 /// mid-column (`ub` bounds the distinct keys; load factor stays ≤ 0.5):
 /// there is no rehash path at all. Backing storage grows geometrically
-/// and is retained across columns; a large table reused for a small
-/// column clears (and later scans) only the small column's prefix, so
-/// per-column cost tracks that column's `ub`, not the largest column seen.
+/// and is retained across columns. Occupied slots are recorded in
+/// `touched`, so both extracting a column and clearing the table for the
+/// next cost that column's entries — not its `ub`-sized prefix, and not the
+/// largest column seen.
 pub struct HashAcc<T> {
     keys: Vec<Vidx>,
     vals: Vec<T>,
     mask: usize,
-    len: usize,
+    /// Slots filled since the last `reset`, in insertion order.
+    touched: Vec<u32>,
     /// Extraction staging (sorted survivors), reused across columns.
     pairs: Vec<(Vidx, T)>,
 }
@@ -33,26 +35,26 @@ impl<T: Copy> HashAcc<T> {
             keys: Vec::new(),
             vals: Vec::new(),
             mask: 0,
-            len: 0,
+            touched: Vec::new(),
             pairs: Vec::new(),
         }
     }
 
     /// Prepare for up to `expected` insertions (load factor ≤ 0.5): the
-    /// addressed prefix becomes `next_power_of_two(2·expected)` slots.
+    /// addressed prefix becomes `next_power_of_two(2·expected)` slots, and
+    /// the slots the previous column filled are emptied.
     fn reset(&mut self, expected: usize, zero: T) {
         let cap = (expected.max(4) * 2).next_power_of_two();
         if self.keys.len() < cap {
             self.keys = vec![EMPTY; cap];
             self.vals = vec![zero; cap];
         } else {
-            // Reuse the allocation; clear only the prefix we will address.
-            for k in &mut self.keys[..cap] {
-                *k = EMPTY;
+            for &s in &self.touched {
+                self.keys[s as usize] = EMPTY;
             }
         }
+        self.touched.clear();
         self.mask = cap - 1;
-        self.len = 0;
     }
 
     /// Multiplicative hash (Fibonacci) — cheap and adequate for row ids.
@@ -68,7 +70,7 @@ impl<T: Copy> Default for HashAcc<T> {
     }
 }
 
-/// Compute `C(:,j)` by hash accumulation; `ub_flops` sizes the table.
+/// Append `C(:,j)` by hash accumulation; `ub_flops` sizes the table.
 pub fn hash_column<S: Semiring, A: ColSource<S::T> + ?Sized>(
     a: &A,
     brows: &[Vidx],
@@ -93,28 +95,26 @@ pub fn hash_column<S: Semiring, A: ColSource<S::T> + ?Sized>(
                 if key == EMPTY {
                     acc.keys[s] = r;
                     acc.vals[s] = contrib;
-                    acc.len += 1;
+                    acc.touched.push(s as u32);
                     break;
                 }
                 s = (s + 1) & acc.mask;
             }
         }
     }
-    // Extract (scanning only the addressed prefix), drop zeros, sort by
-    // row id. The staging vector lives in the accumulator so repeated
-    // columns don't reallocate it.
-    let mut pairs = std::mem::take(&mut acc.pairs);
-    pairs.clear();
-    pairs.reserve(acc.len);
-    for (i, &k) in acc.keys[..=acc.mask].iter().enumerate() {
-        if k != EMPTY && !S::is_zero(&acc.vals[i]) {
-            pairs.push((k, acc.vals[i]));
+    // Extract the occupied slots, drop zeros, sort by row id. The staging
+    // vector lives in the accumulator so repeated columns don't reallocate
+    // it.
+    acc.pairs.clear();
+    for &s in &acc.touched {
+        let (k, v) = (acc.keys[s as usize], acc.vals[s as usize]);
+        if !S::is_zero(&v) {
+            acc.pairs.push((k, v));
         }
     }
-    pairs.sort_unstable_by_key(|p| p.0);
-    rows_out.extend(pairs.iter().map(|p| p.0));
-    vals_out.extend(pairs.iter().map(|p| p.1));
-    acc.pairs = pairs;
+    acc.pairs.sort_unstable_by_key(|p| p.0);
+    rows_out.extend(acc.pairs.iter().map(|p| p.0));
+    vals_out.extend(acc.pairs.iter().map(|p| p.1));
 }
 
 #[cfg(test)]
@@ -170,8 +170,8 @@ mod tests {
     #[test]
     fn large_table_reused_for_small_column_masks_prefix() {
         // Grow the table with a wide column, then run a small column: the
-        // addressed prefix shrinks back (mask + 1 slots), stale keys
-        // beyond it are never scanned, and results stay exact.
+        // addressed prefix shrinks back (mask + 1 slots), the wide
+        // column's keys are gone, and results stay exact.
         let n = 1024;
         let mut m = Coo::new(n, 2);
         for i in 0..n as u32 {

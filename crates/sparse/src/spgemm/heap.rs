@@ -1,8 +1,10 @@
 //! Heap-based column kernel (Azad et al., SISC 2016).
 //!
 //! Merges the `nnz(B(:,j))` scaled columns of `A` with a binary min-heap
-//! keyed on row index. Work is `O(flops · log nnz(B(:,j)))`; wins when the
-//! merge width is small, which after a 1D split it usually is.
+//! keyed on row index. Work is `O(flops · log nnz(B(:,j)))` with no state
+//! sized by `nrows` or by the flops. Measured the slowest accumulator on
+//! every operand class (docs/PERFORMANCE.md "ISSUE 16"), so the hybrid does
+//! not dispatch to it; kept selectable for the kernel-comparison benches.
 
 use super::ColSource;
 use crate::semiring::Semiring;
@@ -10,63 +12,55 @@ use crate::types::Vidx;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Compute `C(:,j) = ⊕_k A(:,k) ⊗ B(k,j)` by k-way merge.
+/// Append `C(:,j) = ⊕_k A(:,k) ⊗ B(k,j)` to `rows_out`/`vals_out` by k-way
+/// merge. `heap` and `pos` are the caller's reusable cursor state: sources
+/// are B's entries by index (ties on a row pop in B-column order), so a
+/// column allocates nothing.
 pub fn heap_column<S: Semiring, A: ColSource<S::T> + ?Sized>(
     a: &A,
     brows: &[Vidx],
     bvals: &[S::T],
+    heap: &mut BinaryHeap<Reverse<(Vidx, u32)>>,
+    pos: &mut Vec<u32>,
     rows_out: &mut Vec<Vidx>,
     vals_out: &mut Vec<S::T>,
 ) {
-    // One cursor per participating A column: (row ids, values, B scalar).
-    type Cursor<'c, T> = (&'c [Vidx], &'c [T], T);
-    let mut cols: Vec<Cursor<'_, S::T>> = Vec::with_capacity(brows.len());
-    for (&k, &bv) in brows.iter().zip(bvals) {
-        let (ar, av) = a.col(k as usize);
-        if !ar.is_empty() {
-            cols.push((ar, av, bv));
-        }
-    }
-    // Heap of (row, source column position); cursors advance independently.
-    let mut heap: BinaryHeap<Reverse<(Vidx, u32)>> = BinaryHeap::with_capacity(cols.len());
-    let mut pos: Vec<u32> = vec![0; cols.len()];
-    for (s, &(ar, _, _)) in cols.iter().enumerate() {
-        heap.push(Reverse((ar[0], s as u32)));
-    }
-    while let Some(Reverse((row, src))) = heap.pop() {
-        let s = src as usize;
-        let (ar, av, scale) = cols[s];
-        let p = pos[s] as usize;
-        let contrib = S::mul(av[p], scale);
-        // Accumulate into the running tail entry if it has the same row.
-        match rows_out.last() {
-            Some(&last) if last == row => {
-                let t = vals_out.len() - 1;
-                vals_out[t] = S::add(vals_out[t], contrib);
-            }
-            _ => {
-                // Drop a finished zero-sum entry before starting a new row.
-                if let Some(&lastv) = vals_out.last() {
-                    if S::is_zero(&lastv) {
-                        rows_out.pop();
-                        vals_out.pop();
-                    }
-                }
-                rows_out.push(row);
-                vals_out.push(contrib);
-            }
-        }
-        pos[s] += 1;
-        if (pos[s] as usize) < ar.len() {
-            heap.push(Reverse((ar[pos[s] as usize], src)));
-        }
-    }
-    if let Some(&lastv) = vals_out.last() {
-        if S::is_zero(&lastv) {
+    let start = rows_out.len();
+    // Drop the column's tail entry if it summed to zero.
+    let drop_zero_tail = |rows_out: &mut Vec<Vidx>, vals_out: &mut Vec<S::T>| {
+        if rows_out.len() > start && S::is_zero(&vals_out[vals_out.len() - 1]) {
             rows_out.pop();
             vals_out.pop();
         }
+    };
+    heap.clear();
+    pos.clear();
+    pos.resize(brows.len(), 0);
+    for (s, &k) in brows.iter().enumerate() {
+        if let Some(&r) = a.col(k as usize).0.first() {
+            heap.push(Reverse((r, s as u32)));
+        }
     }
+    while let Some(Reverse((row, src))) = heap.pop() {
+        let s = src as usize;
+        let (ar, av) = a.col(brows[s] as usize);
+        let p = pos[s] as usize;
+        let contrib = S::mul(av[p], bvals[s]);
+        // Accumulate into the running tail entry if it has the same row.
+        if rows_out.len() > start && rows_out[rows_out.len() - 1] == row {
+            let t = vals_out.len() - 1;
+            vals_out[t] = S::add(vals_out[t], contrib);
+        } else {
+            drop_zero_tail(rows_out, vals_out);
+            rows_out.push(row);
+            vals_out.push(contrib);
+        }
+        pos[s] += 1;
+        if let Some(&r) = ar.get(p + 1) {
+            heap.push(Reverse((r, src)));
+        }
+    }
+    drop_zero_tail(rows_out, vals_out);
 }
 
 #[cfg(test)]
@@ -89,10 +83,11 @@ mod tests {
 
     fn run(brows: &[Vidx], bvals: &[f64]) -> (Vec<Vidx>, Vec<f64>) {
         let a = a_matrix();
-        let mut r = Vec::new();
-        let mut v = Vec::new();
-        heap_column::<PlusTimes<f64>, _>(&a, brows, bvals, &mut r, &mut v);
-        (r, v)
+        // a non-empty tail stands for the chunk's earlier columns
+        let (mut r, mut v) = (vec![0], vec![0.0]);
+        let (mut heap, mut pos) = (BinaryHeap::new(), vec![7; 9]);
+        heap_column::<PlusTimes<f64>, _>(&a, brows, bvals, &mut heap, &mut pos, &mut r, &mut v);
+        (r.split_off(1), v.split_off(1))
     }
 
     #[test]

@@ -2,10 +2,9 @@
 //!
 //! The paper's local computation (§II) is "a hybrid version of Heap-based
 //! SpGEMM [Azad et al. 2016] and Hash-based SpGEMM [Nagasaka et al. 2019]".
-//! We implement both, plus a dense-accumulator (SPA) kernel for very dense
-//! output columns, and a per-column [`Kernel::Hybrid`] dispatcher that picks
-//! among them from the column's upper-bound flop count — the same policy
-//! class CombBLAS' hybrid kernel uses.
+//! We implement both, plus a generation-stamped dense accumulator (SPA), and
+//! a per-column [`Kernel::Hybrid`] dispatcher whose cut between them is
+//! taken from measurement on this repository's operands (`choose_kernel`).
 //!
 //! All kernels are column-by-column: `C(:,j) = ⊕_k A(:,k) ⊗ B(k,j)`, are
 //! generic over [`Semiring`]s and over the column source of `A` (CSC or
@@ -42,6 +41,17 @@ pub trait ColSource<T>: Sync {
     fn col_nnz(&self, j: usize) -> usize {
         self.col(j).0.len()
     }
+    /// Ascending ids of the stored columns when `col` has to search for
+    /// them (DCSC); `None` when `col` is O(1) already. [`spgemm_with`]
+    /// reads a source that has one by position, never by search.
+    fn jc(&self) -> Option<&[Vidx]> {
+        None
+    }
+    /// Column at position `q` of [`ColSource::jc`]; without a `jc`,
+    /// position and id coincide.
+    fn col_by_pos(&self, q: usize) -> (&[Vidx], &[T]) {
+        self.col(q)
+    }
 }
 
 impl<T: Copy + Send + Sync> ColSource<T> for Csc<T> {
@@ -69,41 +79,87 @@ impl<T: Copy + Send + Sync> ColSource<T> for Dcsc<T> {
     fn col(&self, j: usize) -> (&[Vidx], &[T]) {
         Dcsc::col(self, j)
     }
+    fn jc(&self) -> Option<&[Vidx]> {
+        Some(Dcsc::jc(self))
+    }
+    fn col_by_pos(&self, q: usize) -> (&[Vidx], &[T]) {
+        Dcsc::col_by_pos(self, q)
+    }
+}
+
+/// `A` as the accumulators read it. A source with a `jc` is resolved through
+/// the multiply's position map — `pos[j]` is one past `j`'s position in
+/// `jc`, 0 when `j` is absent — so every B entry costs one load where
+/// `Dcsc::col` costs a binary search.
+struct Mapped<'a, A: ?Sized> {
+    a: &'a A,
+    pos: Option<&'a [usize]>,
+}
+
+impl<T, A: ColSource<T> + ?Sized> ColSource<T> for Mapped<'_, A> {
+    fn nrows(&self) -> usize {
+        self.a.nrows()
+    }
+    fn ncols(&self) -> usize {
+        self.a.ncols()
+    }
+    #[inline]
+    fn col(&self, j: usize) -> (&[Vidx], &[T]) {
+        match self.pos {
+            None => self.a.col(j),
+            Some(pos) => match pos[j] {
+                0 => (&[], &[]),
+                q => self.a.col_by_pos(q - 1),
+            },
+        }
+    }
 }
 
 /// Which accumulator a column (or a whole multiply) uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum Kernel {
-    /// k-way merge with a binary heap — cheapest for short columns.
+    /// k-way merge with a binary heap; no state proportional to `nrows` or
+    /// to the flops, `O(log nnz(B(:,j)))` per flop.
     Heap,
-    /// Linear-probing hash accumulator — robust mid-range default.
+    /// Linear-probing hash accumulator — state sized by the column's flops,
+    /// so it stays in cache whatever `nrows` is.
     Hash,
-    /// Dense accumulator (sparse accumulator "SPA") — wins when a column's
-    /// flops approach the row dimension.
+    /// Dense accumulator (sparse accumulator "SPA") — the least work per
+    /// flop while its `nrows`-sized arrays are cache-resident.
     Spa,
-    /// Per-column choice among the three from the column's upper-bound
-    /// flops (the paper's hybrid).
+    /// Per-column choice between the dense and the hash accumulator (the
+    /// paper's hybrid; see `choose_kernel`).
     #[default]
     Hybrid,
 }
 
-/// Pick a kernel for one output column given B's column nnz and the
-/// upper-bound flop count. Thresholds follow the usual CombBLAS-style
-/// heuristics: tiny columns merge cheaply; columns whose accumulation
-/// footprint rivals the row dimension go dense; the rest hash.
+/// Largest dense-accumulator footprint, `nrows × (value + stamp)` bytes per
+/// thread, below which the hybrid always accumulates densely.
+const SPA_RESIDENT_BYTES: usize = 32 << 20;
+
+/// The hybrid's accumulator for one output column with upper-bound flop
+/// count `ub`. The cut is read off `examples/kernel_rates.rs` and the
+/// `local_kernels` bench (docs/PERFORMANCE.md "ISSUE 16"), not off a rule
+/// of thumb. The stamped dense accumulator does strictly less per flop than
+/// the hash (no probing, no table to clear, the same final sort) and is
+/// 1.2–2× faster on every operand whose `nrows`-sized arrays stay
+/// cache-resident, whatever the column's size; the hash, whose state is
+/// sized by the column, only overtakes it beyond that — on millions of rows
+/// with a handful of flops per column — unless the column touches a sizable
+/// share of the rows anyway. The heap wins nowhere and is reachable only as
+/// [`Kernel::Heap`].
 #[inline]
-fn choose_kernel(bcol_nnz: usize, ub_flops: usize, nrows: usize) -> Kernel {
-    if bcol_nnz <= 2 || ub_flops <= 64 {
-        Kernel::Heap
-    } else if ub_flops * 4 >= nrows {
+fn choose_kernel<T>(ub: usize, nrows: usize) -> Kernel {
+    let footprint = nrows * (std::mem::size_of::<T>() + std::mem::size_of::<u32>());
+    if footprint <= SPA_RESIDENT_BYTES || ub * 4 >= nrows {
         Kernel::Spa
     } else {
         Kernel::Hash
     }
 }
 
-/// Compute one output column into the scratch's `col_rows`/`col_vals`
-/// staging (cleared first). `ub` is the column's upper-bound flop count,
+/// Append one output column to `out`'s rows/values (its length is the
+/// caller's to record). `ub` is the column's upper-bound flop count,
 /// computed once per multiply by the caller's symbolic pass and shared by
 /// the hybrid dispatch, the hash-table sizing, and the output pre-sizing.
 fn compute_column<S: Semiring, A: ColSource<S::T> + ?Sized>(
@@ -113,50 +169,44 @@ fn compute_column<S: Semiring, A: ColSource<S::T> + ?Sized>(
     kernel: Kernel,
     ub: usize,
     scratch: &mut Scratch<S::T>,
+    out: &mut ChunkBuf<S::T>,
 ) {
-    scratch.col_rows.clear();
-    scratch.col_vals.clear();
     if brows.is_empty() {
         return;
     }
+    let (rows, vals) = (&mut out.rows, &mut out.vals);
     // Single B entry: a scaled copy of one A column, already sorted.
-    if brows.len() == 1 {
-        let (ar, av) = a.col(brows[0] as usize);
-        let b = bvals[0];
+    if let ([k], [b]) = (brows, bvals) {
+        let (ar, av) = a.col(*k as usize);
         for (&r, &x) in ar.iter().zip(av) {
-            let v = S::mul(x, b);
+            let v = S::mul(x, *b);
             if !S::is_zero(&v) {
-                scratch.col_rows.push(r);
-                scratch.col_vals.push(v);
+                rows.push(r);
+                vals.push(v);
             }
         }
         return;
     }
-    let kernel = if kernel == Kernel::Hybrid {
-        choose_kernel(brows.len(), ub, a.nrows())
-    } else {
-        kernel
+    let kernel = match kernel {
+        Kernel::Hybrid => choose_kernel::<S::T>(ub, a.nrows()),
+        fixed => fixed,
     };
     match kernel {
         Kernel::Heap => heap::heap_column::<S, A>(
             a,
             brows,
             bvals,
-            &mut scratch.col_rows,
-            &mut scratch.col_vals,
+            &mut scratch.heap,
+            &mut scratch.heap_pos,
+            rows,
+            vals,
         ),
-        Kernel::Hash => hash::hash_column::<S, A>(
-            a,
-            brows,
-            bvals,
-            ub,
-            &mut scratch.hash,
-            &mut scratch.col_rows,
-            &mut scratch.col_vals,
-        ),
+        Kernel::Hash => {
+            hash::hash_column::<S, A>(a, brows, bvals, ub, &mut scratch.hash, rows, vals)
+        }
         Kernel::Spa => {
             // The O(nrows) dense arrays are paid only when a column
-            // actually dispatches here (most multiplies never do).
+            // actually dispatches here.
             scratch.ensure_spa(a.nrows(), S::zero());
             spa::spa_column::<S, A>(
                 a,
@@ -166,8 +216,8 @@ fn compute_column<S: Semiring, A: ColSource<S::T> + ?Sized>(
                 &mut scratch.spa_gen,
                 &mut scratch.generation,
                 &mut scratch.touched,
-                &mut scratch.col_rows,
-                &mut scratch.col_vals,
+                rows,
+                vals,
             )
         }
         Kernel::Hybrid => unreachable!("resolved above"),
@@ -194,18 +244,25 @@ where
 /// General SpGEMM `C = A·B` with explicit kernel, [`Schedule`], and
 /// [`SpgemmWorkspace`].
 ///
-/// One symbolic pass computes every output column's upper-bound flop count
-/// into a workspace buffer; that single array then drives (1) the work-item
-/// boundaries of the schedule, (2) the hybrid per-column kernel dispatch,
-/// (3) the hash accumulator's table sizing, and (4) the per-item output
-/// pre-sizing (`Σ min(ub, nrows)`), so the hot loop's extends never
-/// reallocate. Per-thread scratch, per-item output buffers, and the
-/// symbolic arrays are all borrowed from `ws` and returned after the
-/// stitch: repeated multiplies through one workspace allocate nothing
-/// beyond output growth (see [`SpgemmWorkspace::counters`]).
+/// An operand with a compressed column index (DCSC — what every distributed
+/// caller passes) is never searched: A's columns are resolved through a
+/// dense column → position map filled once per multiply, B's are walked by
+/// position. One symbolic pass then computes every stored B column's
+/// upper-bound flop count into a workspace buffer; that single array drives
+/// (1) the work-item boundaries of the schedule, (2) the hybrid per-column
+/// kernel dispatch, (3) the hash accumulator's table sizing, and (4) the
+/// per-item output pre-sizing (`Σ min(ub, nrows)`), so the accumulators
+/// append each column straight to its item's tail and never reallocate it.
+/// A schedule of one item (any single-thread pool) hands that item's
+/// buffers over as the product; otherwise the items are stitched. Per-thread
+/// scratch, per-item output buffers, the position map and the symbolic
+/// arrays are all borrowed from `ws`: repeated multiplies through one
+/// workspace allocate nothing but the product (see
+/// [`SpgemmWorkspace::counters`]).
 ///
-/// The schedule changes only the parallel shape, never the result: output
-/// is bit-identical across schedules and thread counts.
+/// Neither the schedule nor the operands' formats change the result: output
+/// is bit-identical across schedules, thread counts, accumulators and
+/// column sources.
 pub fn spgemm_with<S, A, B>(
     a: &A,
     b: &B,
@@ -228,26 +285,44 @@ where
     let ncols = b.ncols();
     let nrows = a.nrows();
     let threads = rayon::current_num_threads();
-    // --- symbolic pass: one upper-bound flop count per output column,
-    // parallelized over fixed segments when a pool is installed (with a
-    // DCSC A every col_nnz is a jc binary search — a serial prefix here
-    // would cap the multi-thread speedup the schedule buys). Segment
-    // buffers come from the idx pool, so steady state stays alloc-free.
+    // --- column resolution: B by position, A through the position map
+    // (refilled whole, so a pooled buffer's earlier contents cannot leak) ---
+    let bjc = b.jc();
+    let nb = bjc.map_or(ncols, <[Vidx]>::len);
+    if nb == 0 {
+        return Csc::zeros(nrows, ncols);
+    }
+    let apos = a.jc().map(|jc| {
+        let mut pos = ws.take_idx();
+        pos.resize(a.ncols(), 0);
+        for (q, &j) in jc.iter().enumerate() {
+            pos[j as usize] = q + 1;
+        }
+        pos
+    });
+    let a = &Mapped {
+        a,
+        pos: apos.as_deref(),
+    };
+    // --- symbolic pass: one upper-bound flop count per stored B column,
+    // parallelized over fixed segments when a pool is installed (a serial
+    // prefix here would cap the multi-thread speedup the schedule buys).
+    // Segment buffers come from the idx pool, so steady state stays
+    // alloc-free.
     const SYMBOLIC_SEG: usize = 1024;
+    let ub_of = |q: usize| -> usize {
+        let (brows, _) = b.col_by_pos(q);
+        brows.iter().map(|&k| a.col_nnz(k as usize)).sum()
+    };
     let mut ubs = ws.take_idx();
-    ubs.reserve(ncols);
-    if threads > 1 && ncols > 2 * SYMBOLIC_SEG {
-        let nseg = ncols.div_ceil(SYMBOLIC_SEG);
+    ubs.reserve(nb);
+    if threads > 1 && nb > 2 * SYMBOLIC_SEG {
+        let nseg = nb.div_ceil(SYMBOLIC_SEG);
         let mut segs: Vec<Vec<usize>> = (0..nseg)
             .into_par_iter()
             .map(|si| {
-                let (j0, j1) = (si * SYMBOLIC_SEG, ((si + 1) * SYMBOLIC_SEG).min(ncols));
                 let mut seg = ws.take_idx();
-                seg.reserve(j1 - j0);
-                for j in j0..j1 {
-                    let (brows, _) = b.col(j);
-                    seg.push(brows.iter().map(|&k| a.col_nnz(k as usize)).sum());
-                }
+                seg.extend((si * SYMBOLIC_SEG..((si + 1) * SYMBOLIC_SEG).min(nb)).map(ub_of));
                 seg
             })
             .collect();
@@ -256,70 +331,91 @@ where
             ws.put_idx(seg);
         }
     } else {
-        for j in 0..ncols {
-            let (brows, _) = b.col(j);
-            ubs.push(brows.iter().map(|&k| a.col_nnz(k as usize)).sum());
-        }
+        ubs.extend((0..nb).map(ub_of));
     }
     // --- work items from the same array ---
     let mut bounds = ws.take_idx();
     schedule::schedule_bounds_into(&mut bounds, &ubs, schedule, threads);
-    let nitems = bounds.len().saturating_sub(1);
-    // Per-item results, computed in parallel with pooled per-thread
-    // scratch and pooled output buffers (column lengths + concatenated
-    // rows/values).
-    let ubs_ref = &ubs;
-    let bounds_ref = &bounds;
-    let mut chunks: Vec<ChunkBuf<S::T>> = (0..nitems)
-        .into_par_iter()
-        .map_init(
-            || ws.scratch_guard(),
-            |guard, ci| {
-                let scratch = guard.get();
-                let (j0, j1) = (bounds_ref[ci], bounds_ref[ci + 1]);
-                let mut out = ws.take_chunk();
-                out.lens.reserve(j1 - j0);
-                let est: usize = ubs_ref[j0..j1].iter().map(|&u| u.min(nrows)).sum();
-                out.rows.reserve(est);
-                out.vals.reserve(est);
-                for (j, &ub) in (j0..j1).zip(&ubs_ref[j0..j1]) {
-                    let (brows, bvals) = b.col(j);
-                    compute_column::<S, A>(a, brows, bvals, kernel, ub, scratch);
-                    out.lens.push(scratch.col_rows.len() as u32);
-                    out.rows.extend_from_slice(&scratch.col_rows);
-                    out.vals.extend_from_slice(&scratch.col_vals);
-                }
-                // Flop-proportional capacity is held by ALL items until the
-                // stitch; when the output compresses pathologically (many
-                // k-paths landing on one entry) release the slack so peak
-                // intermediate memory stays output-proportional. The 4×
-                // threshold keeps ordinary multiplies reallocation-free
-                // across workspace reuse.
-                if out.rows.capacity() > 4 * out.rows.len().max(1) {
-                    out.rows.shrink_to_fit();
-                    out.vals.shrink_to_fit();
-                }
-                out
-            },
-        )
-        .collect();
-    // Stitch items (ordered by construction) into one CSC, returning the
-    // buffers to the pool as they drain.
-    let nnz: usize = chunks.iter().map(|c| c.rows.len()).sum();
+    let nitems = bounds.len() - 1;
+    // One item: positions `bounds[ci]..bounds[ci + 1]` of B into a pooled
+    // output buffer (column lengths + concatenated rows/values).
+    let run_item = |scratch: &mut Scratch<S::T>, ci: usize| {
+        let (q0, q1) = (bounds[ci], bounds[ci + 1]);
+        let mut out = ws.take_chunk();
+        out.lens.reserve(q1 - q0);
+        let est: usize = ubs[q0..q1].iter().map(|&u| u.min(nrows)).sum();
+        out.rows.reserve(est);
+        out.vals.reserve(est);
+        for (q, &ub) in (q0..q1).zip(&ubs[q0..q1]) {
+            let (brows, bvals) = b.col_by_pos(q);
+            let start = out.rows.len();
+            compute_column::<S, _>(a, brows, bvals, kernel, ub, scratch, &mut out);
+            out.lens.push((out.rows.len() - start) as u32);
+        }
+        out
+    };
     let mut colptr = Vec::with_capacity(ncols + 1);
     colptr.push(0usize);
-    let mut rowidx = Vec::with_capacity(nnz);
-    let mut vals = Vec::with_capacity(nnz);
-    for buf in chunks.drain(..) {
-        for &l in &buf.lens {
-            colptr.push(colptr.last().unwrap() + l as usize);
+    // Close an item's columns in `colptr`; columns B does not store end
+    // where their predecessor does.
+    let mut close_cols = |q0: usize, lens: &[u32]| {
+        for (q, &l) in (q0..).zip(lens) {
+            let end = colptr[colptr.len() - 1];
+            if let Some(jc) = bjc {
+                colptr.resize(jc[q] as usize + 1, end);
+            }
+            colptr.push(end + l as usize);
         }
-        rowidx.extend_from_slice(&buf.rows);
-        vals.extend_from_slice(&buf.vals);
-        ws.put_chunk(buf);
-    }
+    };
+    let (rowidx, vals) = if nitems == 1 {
+        // The one item's buffers are the product: nothing to stitch.
+        let mut out = run_item(ws.scratch_guard().get(), 0);
+        close_cols(0, &out.lens);
+        let (mut rowidx, mut vals) = (std::mem::take(&mut out.rows), std::mem::take(&mut out.vals));
+        ws.put_chunk(out);
+        rowidx.shrink_to_fit();
+        vals.shrink_to_fit();
+        (rowidx, vals)
+    } else {
+        let mut chunks: Vec<ChunkBuf<S::T>> = (0..nitems)
+            .into_par_iter()
+            .map_init(
+                || ws.scratch_guard(),
+                |guard, ci| {
+                    let mut out = run_item(guard.get(), ci);
+                    // Flop-proportional capacity is held by ALL items until
+                    // the stitch; when the output compresses pathologically
+                    // (many k-paths landing on one entry) release the slack
+                    // so peak intermediate memory stays output-proportional.
+                    // The 4× threshold keeps ordinary multiplies
+                    // reallocation-free across workspace reuse.
+                    if out.rows.capacity() > 4 * out.rows.len().max(1) {
+                        out.rows.shrink_to_fit();
+                        out.vals.shrink_to_fit();
+                    }
+                    out
+                },
+            )
+            .collect();
+        // Stitch items (ordered by construction), returning the buffers to
+        // the pool as they drain.
+        let nnz: usize = chunks.iter().map(|c| c.rows.len()).sum();
+        let mut rowidx = Vec::with_capacity(nnz);
+        let mut vals = Vec::with_capacity(nnz);
+        for (buf, &q0) in chunks.drain(..).zip(&bounds) {
+            close_cols(q0, &buf.lens);
+            rowidx.extend_from_slice(&buf.rows);
+            vals.extend_from_slice(&buf.vals);
+            ws.put_chunk(buf);
+        }
+        (rowidx, vals)
+    };
+    colptr.resize(ncols + 1, rowidx.len());
     ws.put_idx(ubs);
     ws.put_idx(bounds);
+    if let Some(pos) = apos {
+        ws.put_idx(pos);
+    }
     Csc::from_parts(nrows, ncols, colptr, rowidx, vals)
 }
 

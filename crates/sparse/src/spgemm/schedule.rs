@@ -33,7 +33,8 @@ pub enum Schedule {
     /// thread count.
     Fixed(usize),
     /// Greedy prefix-sum splitting into items of roughly equal upper-bound
-    /// flops, targeting `total / (4·threads)` flops per item.
+    /// flops, targeting `total / (4·threads)` flops per item (a single item
+    /// for a single thread).
     #[default]
     FlopBalanced,
 }
@@ -66,6 +67,9 @@ pub(crate) fn schedule_bounds_into(
                 bounds.push(ncols);
             }
         }
+        // one worker has nobody to balance against: one item, whose
+        // buffers the multiply then hands over as the product unstitched
+        Schedule::FlopBalanced if threads <= 1 && ncols > 0 => bounds.push(ncols),
         Schedule::FlopBalanced => {
             let total: usize = ubs
                 .iter()

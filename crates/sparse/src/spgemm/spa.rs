@@ -2,14 +2,15 @@
 //!
 //! A generation-stamped dense array over the row dimension: O(flops) with no
 //! hashing or heap overhead, at the cost of an `O(nrows)` allocation that the
-//! per-thread scratch amortizes. The hybrid dispatcher selects it when a
-//! column's flop upper bound is a sizable fraction of `nrows`.
+//! per-thread scratch amortizes. The hybrid dispatcher selects it whenever
+//! those arrays are small enough to stay cache-resident, or the column's
+//! flop upper bound is a sizable fraction of `nrows`.
 
 use super::ColSource;
 use crate::semiring::Semiring;
 use crate::types::Vidx;
 
-/// Compute `C(:,j)` with a dense accumulator.
+/// Append `C(:,j)` with a dense accumulator.
 ///
 /// `gen`/`generation` implement O(1) clearing: a slot is live only when its
 /// stamp equals the current generation, so consecutive columns never touch

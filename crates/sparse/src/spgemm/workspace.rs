@@ -2,12 +2,13 @@
 //!
 //! A [`SpgemmWorkspace`] keeps every scratch structure a multiply needs
 //! alive between calls: per-thread accumulator state (`Scratch`), the
-//! per-work-item output buffers the parallel loop concatenates columns
-//! into, and generic index buffers (the symbolic upper-bound array, work
-//! item boundaries, DCSC column pointers). Iterative workloads — the
-//! session drivers in `sa_dist`/`sa_apps` call one multiply per iteration
-//! for tens of iterations — reach steady state after the first multiply
-//! and then allocate nothing on the hot path beyond output growth.
+//! per-work-item output buffers the accumulators append columns to, and
+//! generic index buffers (the symbolic upper-bound array, work item
+//! boundaries, A's column → position map, DCSC column pointers). Iterative
+//! workloads — the session drivers in `sa_dist`/`sa_apps` call one multiply
+//! per iteration for tens of iterations — reach steady state after the
+//! first multiply and then allocate nothing on the hot path but each
+//! product's own arrays.
 //!
 //! All pools are `Mutex`-guarded free lists. Contention is negligible:
 //! the kernel takes one scratch per worker thread and one chunk buffer per
@@ -21,13 +22,14 @@
 
 use super::hash::HashAcc;
 use crate::types::Vidx;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Per-thread scratch reused across columns: a generation-stamped SPA
-/// (allocated lazily — only once the hybrid dispatcher actually picks the
-/// dense kernel), a growable hash table, and the per-column output
-/// staging the chunk loop copies out of.
+/// (allocated lazily — only once a column actually dispatches to the
+/// dense kernel), a growable hash table, and the heap kernel's cursors.
 pub(crate) struct Scratch<T> {
     /// Dense SPA value array; empty until [`Scratch::ensure_spa`] runs.
     pub(crate) spa_vals: Vec<T>,
@@ -36,10 +38,10 @@ pub(crate) struct Scratch<T> {
     pub(crate) generation: u32,
     pub(crate) touched: Vec<Vidx>,
     pub(crate) hash: HashAcc<T>,
-    /// Current column's rows, copied into the chunk buffer after compute.
-    pub(crate) col_rows: Vec<Vidx>,
-    /// Current column's values, parallel to `col_rows`.
-    pub(crate) col_vals: Vec<T>,
+    /// Heap kernel: pending `(row, source)` heads of the merge.
+    pub(crate) heap: BinaryHeap<Reverse<(Vidx, u32)>>,
+    /// Heap kernel: entries consumed so far from each source column.
+    pub(crate) heap_pos: Vec<u32>,
 }
 
 impl<T: Copy> Scratch<T> {
@@ -50,8 +52,8 @@ impl<T: Copy> Scratch<T> {
             generation: 0,
             touched: Vec::new(),
             hash: HashAcc::new(),
-            col_rows: Vec::new(),
-            col_vals: Vec::new(),
+            heap: BinaryHeap::new(),
+            heap_pos: Vec::new(),
         }
     }
 

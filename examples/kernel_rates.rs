@@ -1,0 +1,139 @@
+//! Per-operand accumulator rates — the measurement `choose_kernel`'s policy
+//! is taken from (docs/PERFORMANCE.md "ISSUE 16").
+//!
+//! For each of the benchmark suite's operand classes, squares the operand
+//! the way a `P`-rank 1D run does — `P` column slices `Bᵢ`, one multiply
+//! each — on one thread through a warm workspace, and prints the rate of
+//! every [`Kernel`] (best of 5, Mflop/s) for two A sources: the whole
+//! operand as a `Csc`, and a DCSC `Ã` holding only the columns `Bᵢ` needs
+//! (what Algorithm 1 assembles), multiplied with a DCSC `Bᵢ`.
+//!
+//! Run with: `cargo run --release --example kernel_rates -- [--lin 24,34]
+//! [--band 90] [--n 12000] [--p 8] [--seed 1]`
+
+use saspgemm::sparse::gen::{banded, kkt_arrow, stencil3d, Dataset, Scale};
+use saspgemm::sparse::semiring::PlusTimes;
+use saspgemm::sparse::spgemm::{spgemm_with, upper_bound_flops, Kernel, Schedule, SpgemmWorkspace};
+use saspgemm::sparse::{Csc, Dcsc};
+use std::hint::black_box;
+use std::time::Instant;
+
+const KERNELS: [Kernel; 4] = [Kernel::Hybrid, Kernel::Heap, Kernel::Hash, Kernel::Spa];
+
+/// Best-of-5 seconds of `f`.
+fn best_of_5(mut f: impl FnMut()) -> f64 {
+    (0..5)
+        .map(|_| {
+            let t0 = Instant::now();
+            f();
+            t0.elapsed().as_secs_f64()
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+fn rates(name: &str, a: &Csc<f64>, p: usize) {
+    let n = a.ncols();
+    let slices: Vec<Csc<f64>> = (0..p)
+        .map(|r| a.extract_cols(r * n / p, (r + 1) * n / p))
+        .collect();
+    let tildes: Vec<(Dcsc<f64>, Dcsc<f64>)> = slices
+        .iter()
+        .map(|b| {
+            (
+                Dcsc::from_csc_cols(a, &b.row_hit_vector()),
+                Dcsc::from_csc(b),
+            )
+        })
+        .collect();
+    let flops: u64 = slices
+        .iter()
+        .map(|b| upper_bound_flops::<f64, _, _>(a, b))
+        .sum();
+    let ws = SpgemmWorkspace::new();
+    print!("{name:<28} {:>8}", a.nrows());
+    for kernel in KERNELS {
+        let csc = best_of_5(|| {
+            for b in &slices {
+                black_box(spgemm_with::<PlusTimes<f64>, _, _>(
+                    a,
+                    b,
+                    kernel,
+                    Schedule::default(),
+                    &ws,
+                ));
+            }
+        });
+        let dcsc = best_of_5(|| {
+            for (at, bt) in &tildes {
+                black_box(spgemm_with::<PlusTimes<f64>, _, _>(
+                    at,
+                    bt,
+                    kernel,
+                    Schedule::default(),
+                    &ws,
+                ));
+            }
+        });
+        let mflops = |s: f64| flops as f64 / s / 1e6;
+        print!(" {:>6.0} | {:<6.0}", mflops(csc), mflops(dcsc));
+    }
+    println!();
+}
+
+fn main() {
+    let mut lins = vec![24usize];
+    let (mut band, mut n, mut p, mut seed) = (90usize, 12_000usize, 8usize, 1u64);
+    let mut args = std::env::args().skip(1);
+    while let Some(flag) = args.next() {
+        let value = args
+            .next()
+            .unwrap_or_else(|| panic!("{flag} needs a value"));
+        let num = || {
+            value
+                .parse::<usize>()
+                .unwrap_or_else(|_| panic!("{flag} {value}: not a number"))
+        };
+        match flag.as_str() {
+            "--lin" => {
+                lins = value
+                    .split(',')
+                    .map(|s| {
+                        s.parse()
+                            .unwrap_or_else(|_| panic!("--lin {value}: not numbers"))
+                    })
+                    .collect()
+            }
+            "--band" => band = num(),
+            "--n" => n = num(),
+            "--p" => p = num(),
+            "--seed" => seed = num() as u64,
+            other => panic!("unknown flag {other} (see the module docs)"),
+        }
+    }
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("one-thread pool");
+    println!("P = {p} column slices, one thread, best of 5; Mflop/s as  Csc A | DCSC Ã");
+    print!("{:<28} {:>8}", "operand", "nrows");
+    for kernel in KERNELS {
+        print!(" {:>15}", format!("{kernel:?}"));
+    }
+    println!();
+    pool.install(|| {
+        for &lin in &lins {
+            rates(
+                &format!("queen-like {lin}^3"),
+                &stencil3d(lin, lin, lin, true),
+                p,
+            );
+        }
+        rates(
+            "stokes-like Small",
+            &Dataset::StokesLike.build(Scale::Small),
+            p,
+        );
+        rates("hv15r-like", &banded(n, band, 0.35, false, seed), p);
+        rates("nlpkkt-like", &kkt_arrow(n, n / 9, band / 2, 8, seed), p);
+    });
+}

@@ -1,13 +1,67 @@
 //! Zero-allocation steady state of the workspace arena (the PR 3
 //! acceptance criterion): once a session's pools are warm, further
 //! multiplies perform no per-thread scratch, chunk-output, or index-buffer
-//! allocations — the reuse counters move, the alloc counters do not.
+//! allocations — the reuse counters move, the alloc counters do not. The
+//! pool counters cannot see an allocation made outside the pools (the heap
+//! kernel used to build three `Vec`s per column), so the last test counts
+//! the allocator's own calls.
 
 use saspgemm::dist::{uniform_offsets, CacheConfig, DistMat1D, Plan1D, SpgemmSession};
 use saspgemm::mpisim::Universe;
 use saspgemm::sparse::gen::erdos_renyi;
 use saspgemm::sparse::semiring::PlusTimes;
 use saspgemm::sparse::spgemm::{spgemm_with, Kernel, Schedule, SpgemmWorkspace, WorkspaceCounters};
+use saspgemm::sparse::Dcsc;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// Allocations and growing reallocations made by this thread.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting per thread (so the tests of this binary,
+/// which run on threads of their own, do not see each other).
+struct Counting;
+
+fn count_one() {
+    // a thread being torn down has no counter left to bump, and no test
+    // reading it
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, whose
+// `GlobalAlloc` contract is the one the caller was promised; the counter is
+// a const-initialised `Cell<u64>` thread-local without a destructor, so
+// touching it neither allocates nor re-enters the allocator.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        // SAFETY: `layout` is the caller's, passed through.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        // SAFETY: `layout` is the caller's, passed through.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through the methods above with
+        // this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        if new_size > layout.size() {
+            count_one();
+        }
+        // SAFETY: `ptr` came from `System` with this `layout`; `new_size`
+        // is the caller's, passed through.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
 
 #[test]
 fn session_steady_state_allocates_nothing() {
@@ -120,4 +174,39 @@ fn ephemeral_and_warm_workspaces_agree() {
     let ephemeral = saspgemm::sparse::spgemm::spgemm::<PlusTimes<f64>, _, _>(&a, &a);
     assert_eq!(warm1, warm2);
     assert_eq!(warm1, ephemeral);
+}
+
+#[test]
+fn warm_single_thread_multiply_allocates_only_the_product() {
+    // DCSC operands, as the ranks pass them, so the position map is in play;
+    // the narrow B has a quarter of the wide one's columns
+    let a = erdos_renyi(400, 400, 6.0, 21);
+    let (ad, wide) = (Dcsc::from_csc(&a), Dcsc::from_csc(&a));
+    let narrow = Dcsc::from_csc(&a.extract_cols(0, 100));
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("pool");
+    for kernel in [Kernel::Heap, Kernel::Hash, Kernel::Spa, Kernel::Hybrid] {
+        let ws = SpgemmWorkspace::new();
+        let multiply = |b: &Dcsc<f64>| {
+            pool.install(|| {
+                spgemm_with::<PlusTimes<f64>, _, _>(&ad, b, kernel, Schedule::FlopBalanced, &ws)
+            })
+        };
+        let warm = (multiply(&wide), multiply(&narrow));
+        for (b, expect) in [(&wide, &warm.0), (&narrow, &warm.1)] {
+            let before = ALLOCS.with(Cell::get);
+            let c = multiply(b);
+            let allocs = ALLOCS.with(Cell::get) - before;
+            assert_eq!(&c, expect);
+            assert_eq!(
+                allocs,
+                3,
+                "{kernel:?}, {} columns: a warm multiply allocates colptr, rowidx and vals of \
+                 its product and nothing per column",
+                b.ncols()
+            );
+        }
+    }
 }
