@@ -204,9 +204,18 @@ fn read_frame_raw(stream: &mut impl Read) -> Result<Frame, RecvFailure> {
             format!("frame length {len} exceeds cap"),
         )));
     }
-    let mut body = vec![0u8; len];
-    stream.read_exact(&mut body).map_err(RecvFailure::Io)?;
-    Frame::from_bytes(&body).map_err(RecvFailure::Corrupt)
+    // Straight into uninitialised capacity (no zero-fill pass over a
+    // multi-MB body); the frame then keeps this allocation as its payload.
+    let mut body = Vec::with_capacity(len);
+    let got = stream
+        .by_ref()
+        .take(len as u64)
+        .read_to_end(&mut body)
+        .map_err(RecvFailure::Io)?;
+    if got < len {
+        return Err(RecvFailure::Io(std::io::ErrorKind::UnexpectedEof.into()));
+    }
+    Frame::from_vec(body).map_err(RecvFailure::Corrupt)
 }
 
 /// [`read_frame_raw`] flattened to `io::Result` for the bootstrap and
@@ -416,15 +425,23 @@ impl ProcNode {
     }
 
     /// Append droppable frame `frame` (`Data`/`GetReq`/`GetResp`) for
-    /// `world` to `out` in socket form; the caller writes `out` with
-    /// [`ProcNode::write_raw`]. With no lossy plan armed the frame travels
-    /// bare. Under an armed plan it is wrapped in [`Frame::Reliable`] with
-    /// a per-link sequence number, recorded for retransmission until acked,
-    /// and the plan gets one chance to drop / corrupt / delay / duplicate
-    /// the wire bytes — frame by frame, however many share the buffer.
-    fn put_droppable(&self, world: usize, frame: &Frame, out: &mut Vec<u8>) {
+    /// `world` to `out` in socket form, its payload continued in place by
+    /// `fill` (see [`Frame::put_framed_with`]); the caller writes `out`
+    /// with [`ProcNode::write_raw`]. With no lossy plan armed the frame
+    /// travels bare. Under an armed plan the same encoding is wrapped in
+    /// [`Frame::Reliable`] with a per-link sequence number, recorded for
+    /// retransmission until acked, and the plan gets one chance to drop /
+    /// corrupt / delay / duplicate the wire bytes — frame by frame,
+    /// however many share the buffer.
+    fn put_droppable(
+        &self,
+        world: usize,
+        frame: &Frame,
+        out: &mut Vec<u8>,
+        fill: impl FnOnce(&mut Vec<u8>),
+    ) {
         let Some(plan) = &self.lossy else {
-            return frame.put_framed(out);
+            return frame.put_framed_with(out, fill);
         };
         let idx = self.frames_sent.fetch_add(1, Ordering::SeqCst);
         let at = out.len();
@@ -432,11 +449,9 @@ impl ProcNode {
             let mut link = self.send_links[world].lock();
             let seq = link.next_seq;
             link.next_seq += 1;
-            Frame::Reliable {
-                seq,
-                inner: frame.to_bytes(),
-            }
-            .put_framed(out);
+            let inner = Vec::new();
+            Frame::Reliable { seq, inner }
+                .put_framed_with(out, |out| frame.put_checked_with(out, fill));
             link.unacked.insert(
                 seq,
                 Unacked {
@@ -465,14 +480,6 @@ impl ProcNode {
             Some(FrameFault::Duplicate) => out.extend_from_within(at..),
             None => {}
         }
-    }
-
-    /// Send one droppable frame to `world` now (see
-    /// [`ProcNode::put_droppable`]).
-    fn send_droppable(&self, world: usize, frame: &Frame) -> std::io::Result<()> {
-        let mut msg = Vec::new();
-        self.put_droppable(world, frame, &mut msg);
-        self.write_raw(world, &msg)
     }
 
     /// Peer `world` acknowledged reliable frame `seq`: stop retransmitting.
@@ -630,7 +637,7 @@ impl ProcNode {
                 Flow::Continue
             }
             Frame::Reliable { seq, inner } => {
-                let inner = match Frame::from_bytes(&inner) {
+                let inner = match Frame::from_vec(inner) {
                     Ok(f) => f,
                     Err(e) => {
                         // The outer CRC passed but the inner frame is bad:
@@ -672,12 +679,13 @@ impl ProcNode {
         }
     }
 
-    /// Serialize the bytes answering get-request `work`, or `None` if it
+    /// Append the `GetResp` answering get-request `work` to `out` — header,
+    /// then the deposit extracted straight behind it — or `None` if it
     /// names a window this rank never exposed or a range out of bounds.
     /// Only the lookup runs under the registry lock: the deposit is
     /// extracted outside it, so one peer's large get blocks neither
     /// `expose` nor the other peers' responders.
-    fn serve_get(&self, work: &GetWork) -> Option<Vec<u8>> {
+    fn serve_get(&self, peer: usize, work: &GetWork, out: &mut Vec<u8>) -> Option<()> {
         let (arc, extract, range) = {
             let windows = self.windows.lock();
             let win = windows.get(&work.win_id)?;
@@ -688,9 +696,14 @@ impl ProcNode {
             }
             (win.arc.clone(), win.extract, start..end)
         };
-        let mut bytes = Vec::new();
-        extract(arc.as_ref(), work.part as usize, range, &mut bytes);
-        Some(bytes)
+        let frame = Frame::GetResp {
+            req_id: work.req_id,
+            payload: Vec::new(),
+        };
+        self.put_droppable(peer, &frame, out, |out| {
+            extract(arc.as_ref(), work.part as usize, range, out)
+        });
+        Some(())
     }
 
     /// Responder thread body: service `peer`'s get-requests against the
@@ -715,18 +728,13 @@ impl ProcNode {
                     // against): the reliability layer must not depend on
                     // itself.
                     RespWork::Ack { seq } => Frame::Ack { seq }.put_framed(&mut out),
-                    RespWork::Get(work) => match self.serve_get(&work) {
-                        Some(payload) => {
-                            let frame = Frame::GetResp {
-                                req_id: work.req_id,
-                                payload,
-                            };
-                            self.put_droppable(peer, &frame, &mut out);
+                    RespWork::Get(work) => {
+                        if self.serve_get(peer, &work, &mut out).is_none() {
+                            // Protocol corruption — fail the job rather than
+                            // leave the requester parked until its watchdog.
+                            self.sched.poison(self.world_rank);
                         }
-                        // Protocol corruption — fail the job rather than
-                        // leave the requester parked until its watchdog.
-                        None => self.sched.poison(self.world_rank),
-                    },
+                    }
                 }
                 if out.len() >= RESP_FLUSH_BYTES {
                     // A failed write means the requester died; its own
@@ -913,7 +921,7 @@ impl ProcRemoteWindow {
                 start: range.start as u64,
                 end: range.end as u64,
             };
-            self.node.put_droppable(world, &frame, &mut out);
+            self.node.put_droppable(world, &frame, &mut out, |_| {});
         }
         flush(dest, &mut out);
     }
@@ -1062,7 +1070,7 @@ impl ProcComm {
                 std::any::type_name::<T>()
             )
         });
-        let (count, payload) = (codec.encode)(&data as &(dyn Any + Send));
+        let count = data.len() as u64;
         let frame = Frame::Data {
             comm_id: self.comm_id,
             src: self.rank as u64,
@@ -1071,10 +1079,17 @@ impl ProcComm {
             meter_bytes,
             type_fp: codec.fp,
             count,
-            payload,
+            payload: Vec::new(),
         };
         let world = self.world_of(dst);
-        if self.node.send_droppable(world, &frame).is_err() {
+        // The elements are encoded once, into the buffer the socket write
+        // reads — sized for fixed-width elements plus header and suffixes.
+        let mut msg = Vec::with_capacity(std::mem::size_of_val(data.as_slice()) + 128);
+        self.node.put_droppable(world, &frame, &mut msg, |out| {
+            let encoded = (codec.encode)(&data as &(dyn Any + Send), out);
+            debug_assert_eq!(encoded, count);
+        });
+        if self.node.write_raw(world, &msg).is_err() {
             // Dead socket: the peer is gone. Name the job's victim and
             // unwind — a send can no longer be "eager and never blocks"
             // when the destination no longer exists.
@@ -1743,6 +1758,41 @@ where
 mod tests {
     use super::*;
     use crate::Universe;
+
+    #[test]
+    fn read_frame_raw_tells_a_dead_stream_from_a_damaged_frame() {
+        let bulk = Frame::GetResp {
+            req_id: 3,
+            payload: (0..=255).cycle().take(1000).collect(),
+        };
+        let mut wire = Vec::new();
+        bulk.put_framed(&mut wire);
+        let first = wire.len();
+        Frame::Bye.put_framed(&mut wire);
+
+        let mut stream = wire.as_slice();
+        assert!(matches!(read_frame_raw(&mut stream), Ok(f) if f == bulk));
+        assert!(matches!(read_frame_raw(&mut stream), Ok(Frame::Bye)));
+        // a stream that ends anywhere inside a frame is a dead link
+        for cut in 0..first {
+            let got = read_frame_raw(&mut &wire[..cut]);
+            assert!(matches!(got, Err(RecvFailure::Io(_))), "cut at {cut}");
+        }
+        // a flipped bit anywhere past the length prefix is caught by the
+        // checksum before any field is used, and — exactly the advertised
+        // length having been read — the next frame still decodes
+        for at in [4, 5, 20, 500, first - 1] {
+            let mut bad = wire.clone();
+            bad[at] ^= 0x40;
+            let mut stream = bad.as_slice();
+            let got = read_frame_raw(&mut stream);
+            assert!(
+                matches!(got, Err(RecvFailure::Corrupt(WireError::Corrupt { .. }))),
+                "flip at {at}"
+            );
+            assert!(matches!(read_frame_raw(&mut stream), Ok(Frame::Bye)));
+        }
+    }
 
     #[test]
     fn procs_ring_and_identity() {

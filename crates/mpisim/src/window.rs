@@ -96,9 +96,7 @@ fn extract_vec<T: WinElem>(
 ) {
     debug_assert_eq!(part, 0);
     let v = any.downcast_ref::<Vec<T>>().expect("window deposit type");
-    for x in &v[range] {
-        x.put(out);
-    }
+    T::put_slice(&v[range], out);
 }
 
 fn extract_pair<T: WinElem, U: WinElem>(
@@ -111,16 +109,8 @@ fn extract_pair<T: WinElem, U: WinElem>(
         .downcast_ref::<(Vec<T>, Vec<U>)>()
         .expect("paired window deposit type");
     match part {
-        0 => {
-            for x in &a[range] {
-                x.put(out);
-            }
-        }
-        1 => {
-            for x in &b[range] {
-                x.put(out);
-            }
-        }
+        0 => T::put_slice(&a[range], out),
+        1 => U::put_slice(&b[range], out),
         _ => unreachable!("paired window has two parts"),
     }
 }
@@ -128,10 +118,7 @@ fn extract_pair<T: WinElem, U: WinElem>(
 /// Decode `bytes` (little-endian, validated length) appending to `out`.
 fn decode_elems<T: WinElem>(bytes: &[u8], count: usize, out: &mut Vec<T>) {
     let mut buf = bytes;
-    out.reserve(count);
-    for _ in 0..count {
-        out.push(T::get(&mut buf).expect("window payload decode"));
-    }
+    T::get_into(&mut buf, count, out).expect("window payload decode");
     assert!(buf.is_empty(), "window payload had trailing bytes");
 }
 

@@ -13,7 +13,7 @@
 //! * [`Frame`] — the framed messages of the socket protocol (bootstrap
 //!   handshake, two-sided data, one-sided window gets, failure
 //!   notifications, per-rank results). On the socket every frame is
-//!   `[u32 little-endian length][kind byte][body]`.
+//!   `[u32 little-endian length][kind byte][body][crc32]`.
 //! * A `TypeId → codec` registry ([`vec_codec`]) so the untyped transport
 //!   can serialize `Comm::send_vec::<T>` payloads for every element type
 //!   that actually crosses rank boundaries in this workspace. Sending an
@@ -38,10 +38,16 @@ use std::time::Duration;
 /// prefix cannot ask the reader to allocate the address space.
 pub const MAX_FRAME: usize = 1 << 30;
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) lookup table,
-/// built at compile time so the checksum stays dependency-free.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// How many input bytes one step of [`crc32`] folds in (slicing-by-N).
+const CRC32_SLICES: usize = 16;
+
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) lookup tables,
+/// built at compile time so the checksum stays dependency-free. Table 0 is
+/// the classic byte table; `table[k][b]` is the CRC of byte `b` followed by
+/// `k` zero bytes, which lets one step look up [`CRC32_SLICES`] bytes
+/// independently instead of chaining one lookup per byte.
+static CRC32_TABLES: [[u32; 256]; CRC32_SLICES] = {
+    let mut tables = [[0u32; 256]; CRC32_SLICES];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -54,19 +60,42 @@ const CRC32_TABLE: [u32; 256] = {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < CRC32_SLICES {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
 /// CRC-32 (IEEE) of `bytes` — the checksum every [`Frame`] carries and the
 /// checkpoint header reuses. Standard check value:
 /// `crc32(b"123456789") == 0xCBF4_3926`.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let tables = &CRC32_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    let mut chunks = bytes.chunks_exact(CRC32_SLICES);
+    for chunk in &mut chunks {
+        // the running CRC folds into the chunk's first four bytes; every
+        // byte then has its own table, so the lookups do not depend on
+        // each other
+        let carry = crc.to_le_bytes();
+        crc = 0;
+        for (i, &b) in chunk.iter().enumerate() {
+            let b = if i < 4 { b ^ carry[i] } else { b };
+            crc ^= tables[CRC32_SLICES - 1 - i][b as usize];
+        }
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ tables[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     crc ^ 0xFFFF_FFFF
 }
@@ -136,6 +165,27 @@ pub trait Wire: Sized {
     /// Decode one value from the front of `buf`, advancing it.
     fn get(buf: &mut &[u8]) -> Result<Self, WireError>;
 
+    /// Append the encodings of `items` back to back (no length prefix) —
+    /// what `Vec<Self>`, the payload codecs and the window extractors
+    /// encode through. Element-wise here; the fixed-width primitives
+    /// override it with a block copy.
+    fn put_slice(items: &[Self], out: &mut Vec<u8>) {
+        for x in items {
+            x.put(out);
+        }
+    }
+
+    /// Decode `n` values from the front of `buf`, appending them to `out`.
+    /// Total like [`Wire::get`]: nothing is reserved beyond what the
+    /// remaining input could hold (every encoding is at least one byte).
+    fn get_into(buf: &mut &[u8], n: usize, out: &mut Vec<Self>) -> Result<(), WireError> {
+        out.reserve(n.min(buf.len()));
+        for _ in 0..n {
+            out.push(Self::get(buf)?);
+        }
+        Ok(())
+    }
+
     /// Encode into a fresh buffer.
     fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
@@ -155,7 +205,27 @@ pub trait Wire: Sized {
     }
 }
 
-macro_rules! wire_int {
+impl Wire for u8 {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(*self);
+    }
+    fn get(buf: &mut &[u8]) -> Result<Self, WireError> {
+        Ok(take(buf, 1)?[0])
+    }
+    fn put_slice(items: &[Self], out: &mut Vec<u8>) {
+        out.extend_from_slice(items);
+    }
+    fn get_into(buf: &mut &[u8], n: usize, out: &mut Vec<Self>) -> Result<(), WireError> {
+        out.extend_from_slice(take(buf, n)?);
+        Ok(())
+    }
+}
+
+/// Fixed-width primitives: little-endian bytes, floats as their bit
+/// pattern (NaN payloads and `-0.0` survive). The slice forms run over
+/// `chunks_exact`, which compiles to a block copy on a little-endian host
+/// and stays endian-correct (and alignment-free) everywhere else.
+macro_rules! wire_pod {
     ($($t:ty),*) => {$(
         impl Wire for $t {
             fn put(&self, out: &mut Vec<u8>) {
@@ -165,10 +235,37 @@ macro_rules! wire_int {
                 let b = take(buf, std::mem::size_of::<$t>())?;
                 Ok(<$t>::from_le_bytes(b.try_into().expect("sized take")))
             }
+            fn put_slice(items: &[Self], out: &mut Vec<u8>) {
+                const W: usize = std::mem::size_of::<$t>();
+                let at = out.len();
+                out.resize(at + items.len() * W, 0);
+                for (dst, x) in out[at..].chunks_exact_mut(W).zip(items) {
+                    dst.copy_from_slice(&x.to_le_bytes());
+                }
+            }
+            fn get_into(
+                buf: &mut &[u8],
+                n: usize,
+                out: &mut Vec<Self>,
+            ) -> Result<(), WireError> {
+                const W: usize = std::mem::size_of::<$t>();
+                // the byte need is computed and taken before anything is
+                // reserved: a hostile count fails typed, allocation-free
+                let need = n.checked_mul(W).ok_or(WireError::Malformed {
+                    what: "element count",
+                })?;
+                let bytes = take(buf, need)?;
+                out.extend(
+                    bytes
+                        .chunks_exact(W)
+                        .map(|c| <$t>::from_le_bytes(c.try_into().expect("exact chunk"))),
+                );
+                Ok(())
+            }
         }
     )*};
 }
-wire_int!(u8, u16, u32, u64, i8, i16, i32, i64);
+wire_pod!(u16, u32, u64, i8, i16, i32, i64, f32, f64);
 
 impl Wire for usize {
     fn put(&self, out: &mut Vec<u8>) {
@@ -178,24 +275,6 @@ impl Wire for usize {
         usize::try_from(u64::get(buf)?).map_err(|_| WireError::Malformed {
             what: "usize out of range",
         })
-    }
-}
-
-impl Wire for f64 {
-    fn put(&self, out: &mut Vec<u8>) {
-        self.to_bits().put(out); // bit-exact: NaN payloads and -0.0 survive
-    }
-    fn get(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(f64::from_bits(u64::get(buf)?))
-    }
-}
-
-impl Wire for f32 {
-    fn put(&self, out: &mut Vec<u8>) {
-        self.to_bits().put(out);
-    }
-    fn get(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(f32::from_bits(u32::get(buf)?))
     }
 }
 
@@ -251,16 +330,12 @@ fn checked_len(buf: &mut &[u8]) -> Result<usize, WireError> {
 impl<T: Wire> Wire for Vec<T> {
     fn put(&self, out: &mut Vec<u8>) {
         (self.len() as u64).put(out);
-        for x in self {
-            x.put(out);
-        }
+        T::put_slice(self, out);
     }
     fn get(buf: &mut &[u8]) -> Result<Self, WireError> {
         let len = checked_len(buf)?;
-        let mut v = Vec::with_capacity(len);
-        for _ in 0..len {
-            v.push(T::get(buf)?);
-        }
+        let mut v = Vec::new();
+        T::get_into(buf, len, &mut v)?;
         Ok(v)
     }
 }
@@ -513,19 +588,18 @@ pub(crate) type DecodeFn = fn(u64, &[u8]) -> Result<Box<dyn Any + Send>, WireErr
 pub(crate) struct VecCodec {
     pub fp: u64,
     pub type_name: &'static str,
-    pub encode: fn(&(dyn Any + Send)) -> (u64, Vec<u8>),
+    /// Append the elements' encodings (no length prefix) to the buffer —
+    /// the frame being built — and return the element count.
+    pub encode: fn(&(dyn Any + Send), &mut Vec<u8>) -> u64,
     pub decode: DecodeFn,
 }
 
-fn enc_vec<T: Wire + Send + 'static>(any: &(dyn Any + Send)) -> (u64, Vec<u8>) {
+fn enc_vec<T: Wire + Send + 'static>(any: &(dyn Any + Send), out: &mut Vec<u8>) -> u64 {
     let v = any
         .downcast_ref::<Vec<T>>()
         .expect("codec invoked on matching TypeId");
-    let mut out = Vec::new();
-    for x in v {
-        x.put(&mut out);
-    }
-    (v.len() as u64, out)
+    T::put_slice(v, out);
+    v.len() as u64
 }
 
 fn dec_vec<T: Wire + Send + 'static>(
@@ -536,10 +610,8 @@ fn dec_vec<T: Wire + Send + 'static>(
     let n = usize::try_from(count).map_err(|_| WireError::Malformed {
         what: "element count",
     })?;
-    let mut v: Vec<T> = Vec::with_capacity(n.min(bytes.len().max(1)));
-    for _ in 0..n {
-        v.push(T::get(&mut buf)?);
-    }
+    let mut v: Vec<T> = Vec::new();
+    T::get_into(&mut buf, n, &mut v)?;
     if !buf.is_empty() {
         return Err(WireError::Malformed {
             what: "trailing bytes after payload",
@@ -672,13 +744,28 @@ const K_HEARTBEAT: u8 = 10;
 const K_RELIABLE: u8 = 11;
 const K_ACK: u8 = 12;
 
+/// Append a byte-string field — `[u64 LE length][bytes]`, the encoding of a
+/// `Vec<u8>` — whose bytes are `head` followed by whatever `fill` appends;
+/// the length is patched in once both are written.
+fn put_bulk(out: &mut Vec<u8>, head: &[u8], fill: impl FnOnce(&mut Vec<u8>)) {
+    let at = out.len();
+    // room for the length and the CRC suffixes too, so a buffer first sized
+    // by a multi-MB `head` does not regrow (and move) for the last bytes
+    out.reserve(head.len() + 16);
+    out.extend_from_slice(&[0u8; 8]);
+    out.extend_from_slice(head);
+    fill(out);
+    let len = (out.len() - at - 8) as u64;
+    out[at..at + 8].copy_from_slice(&len.to_le_bytes());
+}
+
 impl Frame {
     /// Encode as `[kind][body][crc32 LE]` (no length prefix). The trailing
     /// CRC-32 covers `[kind][body]`, so any in-flight bit flip — in the
     /// tag, the body, or the checksum itself — is caught at decode.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        self.put_checked(&mut out);
+        self.put_checked_with(&mut out, |_| {});
         out
     }
 
@@ -687,25 +774,38 @@ impl Frame {
     /// everything after itself — to `out`. Encodes in place, so a burst of
     /// frames for one link builds up in one buffer and leaves in one write.
     pub fn put_framed(&self, out: &mut Vec<u8>) {
+        self.put_framed_with(out, |_| {});
+    }
+
+    /// [`Frame::put_framed`] with the frame's byte-string field (`payload`
+    /// / `inner`) continued in place: the field travels as its own bytes
+    /// followed by whatever `fill` appends to `out`. A sender of bulk data
+    /// passes an empty field and lets `fill` write the bytes straight into
+    /// the buffer they leave from — length and checksum are patched in
+    /// around them, and the result is byte-identical to encoding a frame
+    /// that owned those bytes.
+    pub(crate) fn put_framed_with(&self, out: &mut Vec<u8>, fill: impl FnOnce(&mut Vec<u8>)) {
         let at = out.len();
         out.extend_from_slice(&[0u8; 4]);
-        self.put_checked(out);
+        self.put_checked_with(out, fill);
         let len = out.len() - at - 4;
         debug_assert!(len <= MAX_FRAME);
         out[at..at + 4].copy_from_slice(&(len as u32).to_le_bytes());
     }
 
-    /// Append `[kind][body][crc32 LE]` to `out`; the CRC covers only the
-    /// bytes appended here.
-    fn put_checked(&self, out: &mut Vec<u8>) {
+    /// Append `[kind][body][crc32 LE]` to `out` (`fill` as in
+    /// [`Frame::put_framed_with`]); the CRC covers only the bytes appended
+    /// here.
+    pub(crate) fn put_checked_with(&self, out: &mut Vec<u8>, fill: impl FnOnce(&mut Vec<u8>)) {
         let at = out.len();
-        self.put_body(out);
+        self.put_body_with(out, fill);
         let crc = crc32(&out[at..]);
         out.extend_from_slice(&crc.to_le_bytes());
     }
 
-    /// Append `[kind][body]` to `out`.
-    fn put_body(&self, out: &mut Vec<u8>) {
+    /// Append `[kind][body]` to `out`. Kinds without a byte-string field
+    /// ignore `fill`.
+    fn put_body_with(&self, out: &mut Vec<u8>, fill: impl FnOnce(&mut Vec<u8>)) {
         match self {
             Frame::Hello { rank, port } => {
                 out.push(K_HELLO);
@@ -738,7 +838,7 @@ impl Frame {
                 meter_bytes.put(out);
                 type_fp.put(out);
                 count.put(out);
-                payload.put(out);
+                put_bulk(out, payload, fill);
             }
             Frame::GetReq {
                 req_id,
@@ -757,7 +857,7 @@ impl Frame {
             Frame::GetResp { req_id, payload } => {
                 out.push(K_GETRESP);
                 req_id.put(out);
-                payload.put(out);
+                put_bulk(out, payload, fill);
             }
             Frame::Abort { victim } => {
                 out.push(K_ABORT);
@@ -766,13 +866,13 @@ impl Frame {
             Frame::Bye => out.push(K_BYE),
             Frame::Outcome { payload } => {
                 out.push(K_OUTCOME);
-                payload.put(out);
+                put_bulk(out, payload, fill);
             }
             Frame::Heartbeat => out.push(K_HEARTBEAT),
             Frame::Reliable { seq, inner } => {
                 out.push(K_RELIABLE);
                 seq.put(out);
-                inner.put(out);
+                put_bulk(out, inner, fill);
             }
             Frame::Ack { seq } => {
                 out.push(K_ACK);
@@ -786,6 +886,42 @@ impl Frame {
     /// typed error — a checksum mismatch is always
     /// [`WireError::Corrupt`], never a silent wrong answer.
     pub fn from_bytes(bytes: &[u8]) -> Result<Frame, WireError> {
+        let (mut frame, bulk) = Frame::parse(bytes)?;
+        if let Some(field) = frame.bulk_mut() {
+            *field = bytes[bulk].to_vec();
+        }
+        Ok(frame)
+    }
+
+    /// [`Frame::from_bytes`] for a receiver that owns the buffer: the
+    /// frame's byte-string field keeps `bytes`' allocation — header and
+    /// checksum are cut away around it — instead of being copied out of it.
+    pub fn from_vec(mut bytes: Vec<u8>) -> Result<Frame, WireError> {
+        let (mut frame, bulk) = Frame::parse(&bytes)?;
+        if let Some(field) = frame.bulk_mut() {
+            bytes.truncate(bulk.end);
+            bytes.drain(..bulk.start);
+            *field = bytes;
+        }
+        Ok(frame)
+    }
+
+    /// The frame's byte-string field, if its kind has one.
+    fn bulk_mut(&mut self) -> Option<&mut Vec<u8>> {
+        match self {
+            Frame::Data { payload, .. }
+            | Frame::GetResp { payload, .. }
+            | Frame::Outcome { payload } => Some(payload),
+            Frame::Reliable { inner, .. } => Some(inner),
+            _ => None,
+        }
+    }
+
+    /// Verify the checksum of `bytes` and decode everything but the
+    /// byte-string field, which is left empty: its bytes are validated to
+    /// be present and their range in `bytes` is returned beside the frame
+    /// (empty for kinds without one), for the caller to copy or keep.
+    fn parse(bytes: &[u8]) -> Result<(Frame, std::ops::Range<usize>), WireError> {
         if bytes.len() > MAX_FRAME {
             return Err(WireError::FrameTooLarge { len: bytes.len() });
         }
@@ -803,6 +939,14 @@ impl Frame {
             return Err(WireError::Corrupt { expected, got });
         }
         let mut buf = body;
+        let mut bulk = 0..0;
+        let mut take_bulk = |buf: &mut &[u8]| -> Result<Vec<u8>, WireError> {
+            let len = checked_len(buf)?;
+            take(buf, len)?;
+            let end = body.len() - buf.len();
+            bulk = end - len..end;
+            Ok(Vec::new())
+        };
         let kind = u8::get(&mut buf)?;
         let frame = match kind {
             K_HELLO => Frame::Hello {
@@ -823,7 +967,7 @@ impl Frame {
                 meter_bytes: u64::get(&mut buf)?,
                 type_fp: u64::get(&mut buf)?,
                 count: u64::get(&mut buf)?,
-                payload: Vec::<u8>::get(&mut buf)?,
+                payload: take_bulk(&mut buf)?,
             },
             K_GETREQ => Frame::GetReq {
                 req_id: u64::get(&mut buf)?,
@@ -834,19 +978,19 @@ impl Frame {
             },
             K_GETRESP => Frame::GetResp {
                 req_id: u64::get(&mut buf)?,
-                payload: Vec::<u8>::get(&mut buf)?,
+                payload: take_bulk(&mut buf)?,
             },
             K_ABORT => Frame::Abort {
                 victim: u64::get(&mut buf)?,
             },
             K_BYE => Frame::Bye,
             K_OUTCOME => Frame::Outcome {
-                payload: Vec::<u8>::get(&mut buf)?,
+                payload: take_bulk(&mut buf)?,
             },
             K_HEARTBEAT => Frame::Heartbeat,
             K_RELIABLE => Frame::Reliable {
                 seq: u64::get(&mut buf)?,
-                inner: Vec::<u8>::get(&mut buf)?,
+                inner: take_bulk(&mut buf)?,
             },
             K_ACK => Frame::Ack {
                 seq: u64::get(&mut buf)?,
@@ -863,7 +1007,7 @@ impl Frame {
                 what: "trailing bytes after frame",
             });
         }
-        Ok(frame)
+        Ok((frame, bulk))
     }
 }
 
@@ -1071,6 +1215,110 @@ mod tests {
         assert!(rest.is_empty());
     }
 
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The format, pinned: byte strings recorded at ed28a73, before the
+    /// bulk codec, the slicing CRC and the in-place frame encoders. Value
+    /// encodings are what checkpoints store (`MatSnapshot` rides these
+    /// impls), frames are in socket form.
+    #[test]
+    fn golden_bytes_pin_the_value_and_frame_format() {
+        let nan = f64::from_bits(0x7ff8_0000_dead_beef);
+        assert_eq!(
+            hex(&vec![1.5f64, -0.0, nan].to_bytes()),
+            "0300000000000000000000000000f83f0000000000000080efbeadde0000f87f"
+        );
+        assert_eq!(
+            hex(&vec![1u32, 0xdead_beef, u32::MAX].to_bytes()),
+            "030000000000000001000000efbeaddeffffffff"
+        );
+        assert_eq!(
+            hex(&vec![0u8, 1, 0xff].to_bytes()),
+            "03000000000000000001ff"
+        );
+        assert_eq!(
+            hex(&vec![(1u32, 2u32, 3.5f64), (u32::MAX, 0, -0.0)].to_bytes()),
+            "020000000000000001000000020000000000000000000c40\
+             ffffffff000000000000000000000080"
+        );
+        assert_eq!(
+            hex(&vec![vec![1u64, 2], vec![], vec![u64::MAX]].to_bytes()),
+            "030000000000000002000000000000000100000000000000\
+             020000000000000000000000000000000100000000000000ffffffffffffffff"
+        );
+
+        let resp = Frame::GetResp {
+            req_id: 0x0102_0304_0506_0708,
+            payload: vec![0xaa, 0xbb, 0xcc, 0xdd, 0xee],
+        };
+        let data = Frame::Data {
+            comm_id: 7,
+            src: 1,
+            tag: (1 << 63) | 42,
+            metered: true,
+            meter_bytes: 24,
+            type_fp: 0xdead_beef,
+            count: 3,
+            payload: vec![9, 8, 7],
+        };
+        let reliable = Frame::Reliable {
+            seq: 17,
+            inner: resp.to_bytes(),
+        };
+        let golden = [
+            "1a0000000608070605040302010500000000000000aabbccddee1d0b5b0e",
+            "4100000004070000000000000001000000000000002a00000000000080\
+             011800000000000000efbeadde000000000300000000000000\
+             0300000000000000090807fd68425b",
+            "2f0000000b11000000000000001a00000000000000\
+             0608070605040302010500000000000000aabbccddee1d0b5b0eb7b5c7cb",
+        ];
+        for (frame, golden) in [&resp, &data, &reliable].into_iter().zip(golden) {
+            let mut socket = Vec::new();
+            frame.put_framed(&mut socket);
+            assert_eq!(hex(&socket), golden, "{frame:?}");
+            // borrowing and owning decoders agree on the recorded bytes
+            assert_eq!(Frame::from_bytes(&socket[4..]).as_ref(), Ok(frame));
+            assert_eq!(Frame::from_vec(socket[4..].to_vec()).as_ref(), Ok(frame));
+        }
+    }
+
+    /// Encoding a bulk frame in place — empty field, bytes appended by the
+    /// fill, `Reliable` wrapped around the very same bytes — is
+    /// byte-identical to encoding frames that own their payloads.
+    #[test]
+    fn in_place_encoding_equals_owning_encoding() {
+        let payload: Vec<u8> = (0..=255u8).cycle().take(1000).collect();
+        let resp = |payload| Frame::GetResp { req_id: 9, payload };
+        let data = |payload| Frame::Data {
+            comm_id: 7,
+            src: 1,
+            tag: 5,
+            metered: true,
+            meter_bytes: 1000,
+            type_fp: 0x1234,
+            count: 1000,
+            payload,
+        };
+        let mut burst = vec![0xEE; 3]; // frames land mid-buffer in a burst
+        let mut expect = burst.clone();
+        for make in [&resp as &dyn Fn(Vec<u8>) -> Frame, &data] {
+            let owning = make(payload.clone());
+            owning.put_framed(&mut expect);
+            make(Vec::new()).put_framed_with(&mut burst, |o| o.extend_from_slice(&payload));
+            assert_eq!(burst, expect);
+
+            let wrap = |inner| Frame::Reliable { seq: 3, inner };
+            wrap(owning.to_bytes()).put_framed(&mut expect);
+            wrap(Vec::new()).put_framed_with(&mut burst, |o| {
+                make(Vec::new()).put_checked_with(o, |o| o.extend_from_slice(&payload))
+            });
+            assert_eq!(burst, expect);
+        }
+    }
+
     /// Append the CRC-32 suffix `Frame::to_bytes` would have stamped on a
     /// hand-built `[kind][body]` buffer, so tests can exercise the decoder
     /// past the checksum gate.
@@ -1133,7 +1381,8 @@ mod tests {
 
         let v: Vec<u64> = vec![10, 20, 30];
         let codec = vec_codec::<u64>().unwrap();
-        let (count, bytes) = (codec.encode)(&v as &(dyn Any + Send));
+        let mut bytes = Vec::new();
+        let count = (codec.encode)(&v as &(dyn Any + Send), &mut bytes);
         assert_eq!(count, 3);
         let back = (codec.decode)(count, &bytes).unwrap();
         assert_eq!(*back.downcast::<Vec<u64>>().unwrap(), v);

@@ -1734,3 +1734,158 @@ fn seeded_lossy_column_exact_fetch_is_bit_identical_and_replayable_procs() {
         }
     }
 }
+
+/// Large frames under injury: the lossy-soak matrix and the cell above only
+/// ever hurt small frames. Here every bulk `GetResp` is ≥ 1 MiB — encoded
+/// in place into the responder's burst buffer and wrapped in `Reliable`
+/// around those same bytes — and every one of them is dropped (or has a
+/// bit flipped *inside its payload*) on its first transmission, over a
+/// seeded 5% background loss. The run must stay bit-identical to the
+/// fault-free one, and retransmit the same frames run after run.
+///
+/// Frame order is deterministic for the reason given above (rank 1 only
+/// serves, and is parked in a `recv` while it does); with two ranks a
+/// rank's one link makes its sequence numbers equal its droppable-frame
+/// indices, so the explicit rules below name retransmit-log entries. The
+/// warm-up barriers push rank 1's frame counter past the 34 header bytes
+/// of a `Reliable`-wrapped `GetResp`: the corrupting shim flips the byte
+/// at `frame index % frame length`, which then lies in the payload.
+#[test]
+fn seeded_lossy_large_frame_fetch_is_bit_identical_and_replayable_procs() {
+    quiet_expected_panics();
+    const ROWS: usize = 4_200; // entries per served column
+    const RUN: usize = 64; // served columns per get
+    const WARMUP: u64 = 40;
+    const _: () = assert!(RUN * ROWS * 4 >= 1 << 20 && WARMUP >= 34);
+    // A: rank 0 owns RUN·2+1 single-entry columns, rank 1 as many dense
+    // ones. B: one column per rank — rank 0's needs both runs of rank 1's
+    // columns but not the one between them (two gets per array), rank 1's
+    // needs a column of its own.
+    let half = 2 * RUN + 1;
+    let mut colptr = vec![0usize];
+    let (mut rowidx, mut vals) = (Vec::new(), Vec::new());
+    for c in 0..2 * half {
+        let rows = if c < half { c..c + 1 } else { 0..ROWS };
+        for r in rows {
+            rowidx.push(r as u32);
+            vals.push(((r + c) % 7 + 1) as f64);
+        }
+        colptr.push(rowidx.len());
+    }
+    let a = Csc::from_parts(ROWS, 2 * half, colptr, rowidx, vals);
+    let needed: Vec<u32> = (0..half)
+        .filter(|&q| q != RUN)
+        .map(|q| (half + q) as u32)
+        .collect();
+    let b = Csc::from_parts(
+        2 * half,
+        2,
+        vec![0, needed.len(), needed.len() + 1],
+        needed.iter().copied().chain([(half + 3) as u32]).collect(),
+        vec![2.0; needed.len() + 1],
+    );
+    let run = |plan: &FaultPlan| {
+        let _armed = arm_frame_plan(plan);
+        Universe::new(2)
+            .with_watchdog(Some(Duration::from_secs(60)))
+            .try_run_procs(|comm| {
+                for _ in 0..WARMUP {
+                    comm.barrier();
+                }
+                let da = DistMat1D::from_global(comm, &a, &uniform_offsets(a.ncols(), 2));
+                let db = DistMat1D::from_global(comm, &b, &uniform_offsets(b.ncols(), 2));
+                let plan = Plan1D {
+                    fetch_mode: FetchMode::Block(256),
+                    global_stats: false,
+                    ..Default::default()
+                };
+                let before = comm.stats();
+                let (c, rep) = spgemm_1d(comm, &da, &db, &plan);
+                let delta = comm.stats() - before;
+                let fingerprint = format!("{} {delta:?}", fp(&c.into_local_csc()));
+                if comm.rank() == 0 {
+                    comm.send_vec(1, 0x61, vec![rep.rdma_msgs]);
+                } else {
+                    comm.recv_vec::<u64>(0, 0x61);
+                }
+                comm.barrier(); // orders the log read after every retransmission
+                let mut log = comm.retransmit_log();
+                log.sort_unstable();
+                log.dedup();
+                (fingerprint, delta.rdma_gets, delta.rdma_get_bytes, log)
+            })
+            .into_iter()
+            .enumerate()
+            .map(|(r, o)| o.unwrap_or_else(|e| panic!("rank {r} failed: {e:?}")))
+            .collect::<Vec<_>>()
+    };
+    let clean = run(&FaultPlan::none());
+    assert_eq!(
+        (clean[0].1, clean[0].2),
+        (4, (2 * RUN * ROWS * 12) as u64),
+        "rank 0 must fetch two runs of rank 1's columns, rows and values"
+    );
+    assert_eq!(clean[1].1, 0, "rank 1 must only serve");
+    assert!(clean.iter().all(|(.., log)| log.is_empty()));
+    for seed in fault_seeds().into_iter().take(1) {
+        for (mode, background, fault) in [
+            (
+                "drop",
+                FaultPlan::seeded_lossy(seed, 50, 0, 0),
+                saspgemm::mpisim::FrameFault::Drop,
+            ),
+            (
+                "corrupt",
+                FaultPlan::seeded_lossy(seed, 0, 50, 0),
+                saspgemm::mpisim::FrameFault::Corrupt,
+            ),
+        ] {
+            // every frame rank 1 sends after the warm-up, the four bulk
+            // responses among them, is injured once
+            let plan = (WARMUP..WARMUP + 32).fold(background, |plan, at_frame| {
+                plan.with_frame_fault(saspgemm::mpisim::FrameFaultRule {
+                    rank: 1,
+                    at_frame,
+                    fault,
+                })
+            });
+            // The replay contract covers the frames the plan injured. A
+            // healthy frame can be resent as well here — its ack queues
+            // behind megabytes of service in the peer's responder, past
+            // `RETRANSMIT_AFTER` on a loaded host — and is deduplicated by
+            // sequence number like any other duplicate.
+            let injured = |r: usize, log: &[(u64, u64)]| -> Vec<u64> {
+                let seqs = log.iter().map(|&(_, seq)| seq);
+                seqs.filter(|&seq| plan.frame_lookup(r, seq).is_some())
+                    .collect()
+            };
+            let first = run(&plan);
+            let second = run(&plan);
+            for (r, ((got, again), want)) in first.iter().zip(&second).zip(&clean).enumerate() {
+                assert_eq!(got.0, want.0, "{mode} seed {seed}: rank {r} diverged");
+                assert_eq!(
+                    again.0, want.0,
+                    "{mode} seed {seed}: rank {r} diverged (rerun)"
+                );
+                assert_eq!(
+                    injured(r, &got.3),
+                    injured(r, &again.3),
+                    "{mode} seed {seed}: rank {r}'s retransmitted frames not replayable"
+                );
+            }
+            let served: Vec<u64> = injured(1, &first[1].3)
+                .into_iter()
+                .filter(|&seq| seq >= WARMUP)
+                .collect();
+            assert!(
+                served.len() >= 5
+                    && served
+                        .iter()
+                        .copied()
+                        .eq(WARMUP..WARMUP + served.len() as u64),
+                "{mode} seed {seed}: rank 1 must retransmit every frame it sent after the \
+                 warm-up (window exposure, then the four bulk responses), got {served:?}"
+            );
+        }
+    }
+}

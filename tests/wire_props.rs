@@ -250,3 +250,193 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// ISSUE 17: the bulk (slice) codec and the slicing CRC against references
+// kept here — element by element, bit by bit.
+// ---------------------------------------------------------------------------
+
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// One primitive of the codec registry against its reference: `make` turns
+/// random bits into a value (every bit pattern, so NaN payloads and `-0.0`
+/// are in play), `le` is the element's little-endian encoding written out
+/// independently of `Wire`. `bulk` says the type overrides the slice forms
+/// (fixed width: bytes are taken before anything is reserved).
+fn check_bulk_codec<T: Wire + std::fmt::Debug>(
+    name: &str,
+    bulk: bool,
+    make: impl Fn(u64) -> T,
+    le: impl Fn(&T) -> Vec<u8>,
+) {
+    let mut state = 0x1234_5678_9abc_def0u64;
+    let width = le(&make(7)).len();
+    for n in (0..=17).chain([1000, 4099]) {
+        let items: Vec<T> = (0..n).map(|_| make(splitmix(&mut state))).collect();
+        let reference: Vec<u8> = items.iter().flat_map(&le).collect();
+
+        // bulk encoding == element-wise reference, bare and as a Vec
+        let mut bare = vec![0x5A]; // appended, not overwritten
+        T::put_slice(&items, &mut bare);
+        assert_eq!(&bare[1..], reference, "{name} n={n}: put_slice");
+        let framed = items.to_bytes();
+        assert_eq!(
+            framed[..8],
+            (n as u64).to_le_bytes(),
+            "{name} n={n}: length"
+        );
+        assert_eq!(&framed[8..], reference, "{name} n={n}: Vec::put");
+
+        // bit-exact decode from an odd offset of a larger buffer, appended
+        // behind what the destination already holds
+        let mut big = vec![0xA5];
+        big.extend_from_slice(&reference);
+        big.extend_from_slice(&[1, 2, 3]);
+        let mut buf = &big[1..];
+        let mut out = vec![make(7)];
+        T::get_into(&mut buf, n, &mut out).unwrap();
+        assert_eq!(buf, [1, 2, 3], "{name} n={n}: consumed exactly its bytes");
+        let back: Vec<u8> = out.iter().flat_map(&le).collect();
+        assert_eq!(
+            back[..width],
+            le(&make(7))[..],
+            "{name} n={n}: prior contents"
+        );
+        assert_eq!(&back[width..], reference, "{name} n={n}: decode");
+        let whole = Vec::<T>::from_bytes(&framed).unwrap();
+        assert_eq!(whole.iter().flat_map(&le).collect::<Vec<u8>>(), reference);
+
+        // every truncation is Truncated (long inputs: a stride plus the
+        // last element's bytes); a failed decode reserves nothing in bulk
+        // form and never more elements than there are input bytes (or a
+        // `Vec`'s smallest capacity)
+        let cuts = (0..framed.len()).filter(|c| n <= 17 || c % 97 == 0 || c + 9 > framed.len());
+        for cut in cuts {
+            let err = Vec::<T>::from_bytes(&framed[..cut]).unwrap_err();
+            assert!(
+                matches!(err, WireError::Truncated { .. }),
+                "{name} n={n} cut={cut}: {err:?}"
+            );
+            if let Some(cut) = cut.checked_sub(8) {
+                let mut fresh = Vec::new();
+                let err = T::get_into(&mut &reference[..cut], n, &mut fresh).unwrap_err();
+                assert!(matches!(err, WireError::Truncated { .. }));
+                assert!(fresh.capacity() <= if bulk { 0 } else { cut.max(8) });
+            }
+        }
+
+        // hostile counts: typed, under the same reservation bound — u64::MAX
+        // and the n·W overflow could not have been allocated at all
+        for count in [u64::MAX, (usize::MAX / 8 + 1) as u64, n as u64 + 1] {
+            let mut lying = count.to_le_bytes().to_vec();
+            lying.extend_from_slice(&reference);
+            let err = Vec::<T>::from_bytes(&lying).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    WireError::Truncated { .. } | WireError::Malformed { .. }
+                ),
+                "{name} n={n} count={count}: {err:?}"
+            );
+            let mut fresh = Vec::new();
+            let err = T::get_into(&mut reference.as_slice(), count as usize, &mut fresh);
+            assert!(
+                matches!(
+                    err,
+                    Err(WireError::Truncated { .. } | WireError::Malformed { .. })
+                ),
+                "{name} n={n} count={count}: {err:?}"
+            );
+            assert!(
+                fresh.capacity() <= if bulk { 0 } else { reference.len().max(8) },
+                "{name} n={n} count={count}: reserved {} elements",
+                fresh.capacity()
+            );
+        }
+    }
+}
+
+#[test]
+fn bulk_codec_equals_the_elementwise_reference_for_every_registered_primitive() {
+    check_bulk_codec("u8", true, |r| r as u8, |x| vec![*x]);
+    check_bulk_codec("u16", true, |r| r as u16, |x| x.to_le_bytes().to_vec());
+    check_bulk_codec("u32", true, |r| r as u32, |x| x.to_le_bytes().to_vec());
+    check_bulk_codec("u64", true, |r| r, |x| x.to_le_bytes().to_vec());
+    check_bulk_codec(
+        "usize",
+        false,
+        |r| r as usize,
+        |x| (*x as u64).to_le_bytes().to_vec(),
+    );
+    check_bulk_codec("i32", true, |r| r as i32, |x| x.to_le_bytes().to_vec());
+    check_bulk_codec("i64", true, |r| r as i64, |x| x.to_le_bytes().to_vec());
+    check_bulk_codec(
+        "f32",
+        true,
+        |r| f32::from_bits(r as u32),
+        |x| x.to_bits().to_le_bytes().to_vec(),
+    );
+    check_bulk_codec("f64", true, f64::from_bits, |x| {
+        x.to_bits().to_le_bytes().to_vec()
+    });
+    // the tuples and nested vectors of the registry keep the element-wise
+    // default; same reference, same properties
+    check_bulk_codec(
+        "(u32, u32, f64)",
+        false,
+        |r| {
+            (
+                r as u32,
+                (r >> 32) as u32,
+                f64::from_bits(r.rotate_left(17)),
+            )
+        },
+        |(a, b, c)| {
+            let mut v = a.to_le_bytes().to_vec();
+            v.extend_from_slice(&b.to_le_bytes());
+            v.extend_from_slice(&c.to_bits().to_le_bytes());
+            v
+        },
+    );
+}
+
+/// CRC-32 (IEEE, reflected 0xEDB88320) one bit at a time: no tables to
+/// share a mistake with.
+fn crc32_bitwise(bytes: &[u8]) -> u32 {
+    let mut crc = 0xFFFF_FFFFu32;
+    for &b in bytes {
+        crc ^= b as u32;
+        for _ in 0..8 {
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ 0xEDB8_8320
+            } else {
+                crc >> 1
+            };
+        }
+    }
+    crc ^ 0xFFFF_FFFF
+}
+
+#[test]
+fn sliced_crc32_equals_the_bitwise_reference_at_every_length_and_offset() {
+    assert_eq!(crc32_bitwise(b"123456789"), 0xCBF4_3926);
+    let mut state = 42u64;
+    let big: Vec<u8> = (0..(1 << 20) + 8)
+        .map(|_| splitmix(&mut state) as u8)
+        .collect();
+    // every head/tail remainder of the sliced loop, at every alignment
+    for offset in 0..=8 {
+        for len in 0..=72 {
+            let s = &big[offset..offset + len];
+            assert_eq!(crc32(s), crc32_bitwise(s), "offset {offset} len {len}");
+        }
+    }
+    assert_eq!(crc32(&big[..1 << 20]), crc32_bitwise(&big[..1 << 20]));
+    assert_eq!(crc32(&big[3..]), crc32_bitwise(&big[3..]));
+}
