@@ -10,7 +10,9 @@ use sa_dist::{
     SessionStats, SpgemmSession,
 };
 use sa_mpisim::{Comm, CostModel};
-use sa_sparse::{Csc, Dcsc, Vidx};
+use sa_sparse::semiring::PlusTimes;
+use sa_sparse::spgemm::{spgemm_with_epilogue, Kernel, Schedule, SpgemmWorkspace};
+use sa_sparse::{Csc, Vidx};
 
 /// MCL parameters.
 #[derive(Clone, Copy, Debug)]
@@ -48,11 +50,14 @@ pub fn normalize_columns(m: &mut Csc<f64>) {
     }
 }
 
-/// Inflate (elementwise power) + prune + renormalize one column's values
-/// into `(rows, vals)` output buffers.
+/// Inflate (elementwise power) + prune + renormalize one column, appending
+/// the survivors to `(rows_out, vals_out)`. `vals` is scratch: each entry's
+/// power is stored back into it, so every `powf` is taken once. This is the
+/// column epilogue the expansion fuses into its kernel
+/// ([`SpgemmSession::multiply_with`]).
 fn inflate_prune_col(
-    rows_in: &[Vidx],
-    vals_in: &[f64],
+    rows: &[Vidx],
+    vals: &mut [f64],
     inflation: f64,
     threshold: f64,
     rows_out: &mut Vec<Vidx>,
@@ -60,24 +65,17 @@ fn inflate_prune_col(
 ) {
     let start = vals_out.len();
     let mut sum = 0.0f64;
-    for &v in vals_in {
-        sum += v.powf(inflation);
+    for v in vals.iter_mut() {
+        *v = v.powf(inflation);
+        sum += *v;
     }
-    if sum > 0.0 {
-        for (&r, &v) in rows_in.iter().zip(vals_in) {
-            let x = v.powf(inflation) / sum;
-            if x >= threshold {
-                rows_out.push(r);
-                vals_out.push(x);
-            }
-        }
-    } else {
-        for (&r, &v) in rows_in.iter().zip(vals_in) {
-            let x = v.powf(inflation);
-            if x >= threshold {
-                rows_out.push(r);
-                vals_out.push(x);
-            }
+    // an all-zero column is pruned as it stands (`v / 1.0` is `v` exactly)
+    let scale = if sum > 0.0 { sum } else { 1.0 };
+    for (&r, &v) in rows.iter().zip(vals.iter()) {
+        let x = v / scale;
+        if x >= threshold {
+            rows_out.push(r);
+            vals_out.push(x);
         }
     }
     let kept: f64 = vals_out[start..].iter().sum();
@@ -88,46 +86,15 @@ fn inflate_prune_col(
     }
 }
 
-/// Inflate + prune + renormalize a local slice, column by column. When the
-/// previous iteration's `(expanded, result)` pair is given, columns whose
-/// expanded input is unchanged (identical rows *and* values) reuse the
-/// previous result instead of being recomputed — near MCL convergence most
-/// of the matrix freezes, so most columns skip the `powf` passes entirely.
-/// Returns the slice and the number of skipped (reused) columns.
-fn inflate_prune_incremental(
-    m: &Csc<f64>,
-    prev: Option<(&Csc<f64>, &Csc<f64>)>,
-    inflation: f64,
-    threshold: f64,
-) -> (Csc<f64>, usize) {
-    let mut colptr = vec![0usize; m.ncols() + 1];
-    let mut rowidx: Vec<Vidx> = Vec::with_capacity(m.nnz());
-    let mut vals: Vec<f64> = Vec::with_capacity(m.nnz());
-    let mut skipped = 0usize;
-    for j in 0..m.ncols() {
-        let (rows_in, vals_in) = m.col(j);
-        match prev {
-            Some((prev_in, prev_out)) if prev_in.col(j) == (rows_in, vals_in) => {
-                let (pr, pv) = prev_out.col(j);
-                rowidx.extend_from_slice(pr);
-                vals.extend_from_slice(pv);
-                skipped += 1;
-            }
-            _ => inflate_prune_col(
-                rows_in,
-                vals_in,
-                inflation,
-                threshold,
-                &mut rowidx,
-                &mut vals,
-            ),
-        }
-        colptr[j + 1] = rowidx.len();
+/// [`inflate_prune_col`] under `cfg`, in the shape a multiply takes its
+/// column epilogue in.
+fn inflate_prune(
+    cfg: &MclConfig,
+) -> impl Fn(&[Vidx], &mut [f64], &mut Vec<Vidx>, &mut Vec<f64>) + Sync {
+    let (inflation, threshold) = (cfg.inflation, cfg.prune_threshold);
+    move |rows, vals, rows_out, vals_out| {
+        inflate_prune_col(rows, vals, inflation, threshold, rows_out, vals_out)
     }
-    (
-        Csc::from_parts(m.nrows(), m.ncols(), colptr, rowidx, vals),
-        skipped,
-    )
 }
 
 /// Extract clusters from a converged MCL matrix: vertices sharing an
@@ -176,6 +143,26 @@ fn expansion_seed(a: &Csc<f64>) -> Csc<f64> {
     with_loops
 }
 
+/// The matrix serial MCL holds after `iters` rounds of expansion + inflation
+/// on `a`. After one round its square is the dense-output multiply the early
+/// iterations run (most product columns fill most rows before pruning) —
+/// the operand class `examples/kernel_rates.rs` and the `local_kernels`
+/// bench measure the accumulators on.
+pub fn mcl_iterate(a: &Csc<f64>, cfg: &MclConfig, iters: usize) -> Csc<f64> {
+    let ws = SpgemmWorkspace::new();
+    let inflate_prune = inflate_prune(cfg);
+    (0..iters).fold(expansion_seed(a), |m, _| {
+        spgemm_with_epilogue::<PlusTimes<f64>, _, _, _>(
+            &m,
+            &m,
+            Kernel::Hybrid,
+            Schedule::default(),
+            &ws,
+            Some(&inflate_prune),
+        )
+    })
+}
+
 /// [`mcl_1d`] with the expansion's fetch mode chosen by the collective-free
 /// analyzer: each candidate coalescing is priced on the first squaring
 /// `M₀²` (the dominant multiply — later iterations only shrink) and the
@@ -218,7 +205,7 @@ pub fn mcl_1d_auto<C: Comm>(
         fetch_mode: best,
         ..Default::default()
     };
-    let (clusters, iters, stats) = mcl_run(comm, m0, cfg, &plan, cache);
+    let (clusters, iters, stats) = mcl_run(comm, || m0, cfg, &plan, cache, None);
     (clusters, iters, stats, best)
 }
 
@@ -248,9 +235,13 @@ pub fn mcl_1d<C: Comm>(
 /// re-anchored with [`SpgemmSession::update_a`], which invalidates exactly
 /// the columns whose content changed; every frozen column stays cached, so
 /// the per-iteration fetch volume decays toward zero alongside the
-/// convergence delta (only the *delta* is communicated). The inflation pass
-/// reuses the same diff idea locally: columns whose expanded input is
-/// unchanged skip the inflate/prune recompute.
+/// convergence delta (only the *delta* is communicated).
+///
+/// Inflation and pruning run inside the expansion, as its column epilogue
+/// (HipMCL's design): a column of `M²` is inflated, pruned and renormalized
+/// the moment its accumulator finishes it, so the unpruned product — 80 %
+/// dense in the early iterations — is never stored, and what the multiply
+/// returns is the next iterate.
 pub fn mcl_1d_session<C: Comm>(
     comm: &C,
     a: &Csc<f64>,
@@ -258,61 +249,7 @@ pub fn mcl_1d_session<C: Comm>(
     plan: &Plan1D,
     cache: CacheConfig,
 ) -> (Vec<u32>, usize, SessionStats) {
-    mcl_run(comm, expansion_seed(a), cfg, plan, cache)
-}
-
-/// The MCL iteration on an already-seeded column-stochastic matrix —
-/// [`mcl_1d_session`] builds the seed itself; [`mcl_1d_auto`] hands over
-/// the one it priced the fetch modes on.
-fn mcl_run<C: Comm>(
-    comm: &C,
-    with_loops: Csc<f64>,
-    cfg: &MclConfig,
-    plan: &Plan1D,
-    cache: CacheConfig,
-) -> (Vec<u32>, usize, SessionStats) {
-    let n = with_loops.ncols();
-    let offsets = sa_dist::uniform_offsets(n, comm.size());
-    let mut current = DistMat1D::from_global(comm, &with_loops, &offsets);
-    let mut session = SpgemmSession::create(comm, current.clone(), *plan, cache);
-    let mut prev_expanded: Option<Csc<f64>> = None;
-    let mut prev_result: Option<Csc<f64>> = None;
-    let mut iters = 0usize;
-    for _ in 0..cfg.max_iters {
-        if iters > 0 {
-            // re-anchor the session on the inflated matrix: only changed
-            // columns are invalidated (deferred to here so a terminating
-            // iteration never pays a collective + window refresh it will
-            // not use)
-            session.update_a(comm, current.clone());
-        }
-        iters += 1;
-        // expansion: M <- M²  (the HipMCL bottleneck), fetching only
-        // columns the cache lost to invalidation
-        let (expanded, _rep) = session.multiply(comm, &current);
-        let expanded = expanded.into_local_csc();
-        // inflation + pruning on the local slice, skipping frozen columns
-        let (local, _skipped) = inflate_prune_incremental(
-            &expanded,
-            prev_expanded.as_ref().zip(prev_result.as_ref()),
-            cfg.inflation,
-            cfg.prune_threshold,
-        );
-        let next = DistMat1D::from_local(n, n, current.offsets().clone(), Dcsc::from_csc(&local));
-        // convergence: nnz and values stable (cheap: compare local diff)
-        let my_prev = current.local().to_csc();
-        let delta = my_prev.max_abs_diff(&local);
-        let max_delta = comm.allreduce(delta, |x, y| x.max(y));
-        prev_expanded = Some(expanded);
-        prev_result = Some(local);
-        current = next;
-        if max_delta < 1e-8 {
-            break;
-        }
-    }
-    let full = current.gather(comm);
-    let clusters = comm.bcast_vec(0, full.map(|m| interpret_clusters(&m)));
-    (clusters, iters, *session.stats())
+    mcl_run(comm, || expansion_seed(a), cfg, plan, cache, None)
 }
 
 /// [`mcl_1d_session`] with per-iteration checkpointing, for execution under
@@ -329,11 +266,6 @@ fn mcl_run<C: Comm>(
 /// restart, with a cache state identical to the fault-free run's at that
 /// boundary, so clusters and iteration count come out identical. Completed
 /// runs remove their checkpoint.
-///
-/// The inflation's cross-iteration memo (`prev_expanded`/`prev_result`) is
-/// deliberately *not* checkpointed: the incremental path produces exactly
-/// the full recompute's output, so a resumed first iteration recomputing
-/// every column changes nothing but local work.
 pub fn mcl_1d_checkpointed<C: Comm>(
     comm: &C,
     a: &Csc<f64>,
@@ -343,12 +275,57 @@ pub fn mcl_1d_checkpointed<C: Comm>(
     store: &dyn CheckpointStore,
     tag: &str,
 ) -> (Vec<u32>, usize, SessionStats) {
-    let me = comm.rank();
-    let loaded: Option<(u64, MatSnapshot, SessionSnapshot)> =
-        load_wire_or_fresh(store, me, tag).expect("readable checkpoint store");
-    let step = agreed_step(comm, loaded.as_ref().map(|(k, ..)| *k));
-    let resume = step.and_then(|k| loaded.filter(|(lk, ..)| *lk == k));
+    mcl_run(
+        comm,
+        || expansion_seed(a),
+        cfg,
+        plan,
+        cache,
+        Some((store, tag)),
+    )
+}
 
+/// Every driver's run: iterate to convergence ([`mcl_converge`]), read the
+/// clusters off the gathered matrix, drop the finished run's checkpoint.
+fn mcl_run<C: Comm>(
+    comm: &C,
+    seed: impl FnOnce() -> Csc<f64>,
+    cfg: &MclConfig,
+    plan: &Plan1D,
+    cache: CacheConfig,
+    checkpoint: Option<(&dyn CheckpointStore, &str)>,
+) -> (Vec<u32>, usize, SessionStats) {
+    let (converged, iters, stats) = mcl_converge(comm, seed, cfg, plan, cache, checkpoint);
+    let full = converged.gather(comm);
+    let clusters = comm.bcast_vec(0, full.map(|m| interpret_clusters(&m)));
+    if let Some((store, tag)) = checkpoint {
+        store
+            .remove(comm.rank(), tag)
+            .expect("removable checkpoint");
+    }
+    (clusters, iters, stats)
+}
+
+/// The one MCL iteration loop. `seed` builds the column-stochastic matrix the
+/// first expansion squares ([`mcl_1d_auto`] hands over the one it priced the
+/// fetch modes on); it is not called when the run resumes from `checkpoint`.
+/// Without a `checkpoint` nothing is loaded or saved. Returns the last
+/// iterate, the iterations run, and the session counters.
+fn mcl_converge<C: Comm>(
+    comm: &C,
+    seed: impl FnOnce() -> Csc<f64>,
+    cfg: &MclConfig,
+    plan: &Plan1D,
+    cache: CacheConfig,
+    checkpoint: Option<(&dyn CheckpointStore, &str)>,
+) -> (DistMat1D, usize, SessionStats) {
+    let me = comm.rank();
+    let resume = checkpoint.and_then(|(store, tag)| {
+        let loaded: Option<(u64, MatSnapshot, SessionSnapshot)> =
+            load_wire_or_fresh(store, me, tag).expect("readable checkpoint store");
+        let step = agreed_step(comm, loaded.as_ref().map(|(k, ..)| *k));
+        step.and_then(|k| loaded.filter(|(lk, ..)| *lk == k))
+    });
     let (mut current, mut session, mut iters, mut resumed) = match resume {
         Some((k, mat, snap)) => {
             let current = mat.restore();
@@ -357,53 +334,46 @@ pub fn mcl_1d_checkpointed<C: Comm>(
             (current, session, k as usize, true)
         }
         None => {
-            let with_loops = expansion_seed(a);
+            let with_loops = seed();
             let offsets = sa_dist::uniform_offsets(with_loops.ncols(), comm.size());
             let current = DistMat1D::from_global(comm, &with_loops, &offsets);
             let session = SpgemmSession::create(comm, current.clone(), *plan, cache);
             (current, session, 0usize, false)
         }
     };
-    let n = current.ncols();
-    let mut prev_expanded: Option<Csc<f64>> = None;
-    let mut prev_result: Option<Csc<f64>> = None;
+    let inflate_prune = inflate_prune(cfg);
     while iters < cfg.max_iters {
         if iters > 0 && !resumed {
+            // re-anchor the session on the inflated matrix: only changed
+            // columns are invalidated (deferred to here so a terminating
+            // iteration never pays a collective + window refresh it will
+            // not use)
             session.update_a(comm, current.clone());
         }
         resumed = false;
-        save_wire(
-            store,
-            me,
-            tag,
-            &(iters as u64, MatSnapshot::of(&current), session.snapshot()),
-        )
-        .expect("writable checkpoint store");
+        if let Some((store, tag)) = checkpoint {
+            save_wire(
+                store,
+                me,
+                tag,
+                &(iters as u64, MatSnapshot::of(&current), session.snapshot()),
+            )
+            .expect("writable checkpoint store");
+        }
         iters += 1;
-        let (expanded, _rep) = session.multiply(comm, &current);
-        let expanded = expanded.into_local_csc();
-        let (local, _skipped) = inflate_prune_incremental(
-            &expanded,
-            prev_expanded.as_ref().zip(prev_result.as_ref()),
-            cfg.inflation,
-            cfg.prune_threshold,
-        );
-        let next = DistMat1D::from_local(n, n, current.offsets().clone(), Dcsc::from_csc(&local));
-        let my_prev = current.local().to_csc();
-        let delta = my_prev.max_abs_diff(&local);
+        // expansion M <- M² (the HipMCL bottleneck), fetching only columns
+        // the cache lost to invalidation, with inflation + pruning applied
+        // to each column as the kernel finishes it
+        let (next, _rep) = session.multiply_with(comm, &current, Some(&inflate_prune));
+        // convergence: nnz and values stable (cheap: compare local diff)
+        let delta = current.local().max_abs_diff(next.local());
         let max_delta = comm.allreduce(delta, |x, y| x.max(y));
-        prev_expanded = Some(expanded);
-        prev_result = Some(local);
         current = next;
         if max_delta < 1e-8 {
             break;
         }
     }
-    let full = current.gather(comm);
-    let clusters = comm.bcast_vec(0, full.map(|m| interpret_clusters(&m)));
-    let stats = *session.stats();
-    store.remove(me, tag).expect("removable checkpoint");
-    (clusters, iters, stats)
+    (current, iters, *session.stats())
 }
 
 #[cfg(test)]
@@ -486,35 +456,72 @@ mod tests {
     }
 
     #[test]
-    fn incremental_inflation_skips_unchanged_columns_and_matches_full() {
-        // iteration 1: full recompute; iteration 2: a few columns change,
-        // the rest must be reused — with a result identical to the full
-        // recompute (the regression the fix is guarding)
-        let mut m1 = sbm(50, 2, 8.0, 1.0, false, 7);
-        normalize_columns(&mut m1);
-        let (r1, skipped1) = inflate_prune_incremental(&m1, None, 2.0, 1e-4);
-        assert_eq!(skipped1, 0, "no previous iteration to reuse");
-        let changed: Vec<usize> = vec![2, 9, 33];
-        let m2 = {
-            let mut m = m1.clone();
-            let colptr = m.colptr().to_vec();
-            let vals = m.vals_mut();
-            for &j in &changed {
-                for v in &mut vals[colptr[j]..colptr[j + 1]] {
-                    *v = (*v + 0.1) / 2.0;
-                }
-            }
-            m
+    fn fused_iterates_equal_the_expand_then_inflate_reference_bit_for_bit() {
+        // the reference keeps the two passes apart: a plain session multiply
+        // materialises M², then `inflate_prune_col` walks its columns
+        let a = sbm(90, 3, 12.0, 0.3, false, 2);
+        let cfg = MclConfig::default();
+        let bits = |m: &sa_sparse::Dcsc<f64>| {
+            let vals: Vec<u64> = m.num().iter().map(|v| v.to_bits()).collect();
+            (m.jc().to_vec(), m.cp().to_vec(), m.ir().to_vec(), vals)
         };
-        let (full, _) = inflate_prune_incremental(&m2, None, 2.0, 1e-4);
-        let (incr, skipped) = inflate_prune_incremental(&m2, Some((&m1, &r1)), 2.0, 1e-4);
-        assert_eq!(incr, full, "incremental result must equal full recompute");
-        let dirty = changed.iter().filter(|&&j| m1.col_nnz(j) > 0).count();
-        assert_eq!(
-            skipped,
-            m1.ncols() - dirty,
-            "every unchanged column must be skipped"
-        );
+        let u = Universe::new(4);
+        let got = u.run(|comm| {
+            let fused = |max_iters: usize| {
+                let cfg = MclConfig { max_iters, ..cfg };
+                mcl_converge(
+                    comm,
+                    || expansion_seed(&a),
+                    &cfg,
+                    &Plan1D::default(),
+                    CacheConfig::unlimited(),
+                    None,
+                )
+            };
+            let (_, iters, _) = fused(cfg.max_iters);
+            let offsets = sa_dist::uniform_offsets(90, comm.size());
+            let mut current = DistMat1D::from_global(comm, &expansion_seed(&a), &offsets);
+            let mut session = SpgemmSession::create(
+                comm,
+                current.clone(),
+                Plan1D::default(),
+                CacheConfig::unlimited(),
+            );
+            let mut pruned = 0;
+            for k in 1..=iters {
+                if k > 1 {
+                    session.update_a(comm, current.clone());
+                }
+                let expanded = session.multiply(comm, &current).0.into_local_csc();
+                let mut colptr = vec![0usize];
+                let (mut rowidx, mut vals) = (Vec::new(), Vec::new());
+                for j in 0..expanded.ncols() {
+                    let (rows, col_vals) = expanded.col(j);
+                    inflate_prune_col(
+                        rows,
+                        &mut col_vals.to_vec(),
+                        cfg.inflation,
+                        cfg.prune_threshold,
+                        &mut rowidx,
+                        &mut vals,
+                    );
+                    colptr.push(rowidx.len());
+                }
+                let local = Csc::from_parts(90, expanded.ncols(), colptr, rowidx, vals);
+                pruned += expanded.nnz() - local.nnz();
+                current = DistMat1D::from_local(90, 90, current.offsets().clone(), local.into());
+                let (got, ran, _) = fused(k);
+                assert_eq!(ran, k);
+                assert_eq!(
+                    bits(got.local()),
+                    bits(current.local()),
+                    "iterate {k} of {iters}"
+                );
+            }
+            (iters, pruned)
+        });
+        let (iters, pruned) = got[0];
+        assert!(iters >= 4 && pruned > 0, "{iters} rounds pruned {pruned}");
     }
 
     #[test]

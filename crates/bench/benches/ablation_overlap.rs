@@ -9,8 +9,8 @@
 
 use sa_bench::*;
 use sa_dist::{
-    prepare, spgemm_1d, spgemm_1d_overlap, spgemm_summa_2d_sa_ws_cfg, uniform_offsets, CacheConfig,
-    DistMat1D, DistMat2D, FetchMode, SpgemmSession, Strategy,
+    prepare, spgemm_1d, spgemm_1d_overlap, spgemm_summa_2d_sa_ws_cfg, DistMat1D, DistMat2D,
+    FetchMode, Strategy,
 };
 use sa_mpisim::{Backend, Comm, Grid2D, PrefetchConfig, RankJob};
 use sa_sparse::gen::Dataset;
@@ -47,32 +47,6 @@ impl RankJob for Staged2D {
                 &ws,
             );
             acc ^= c.local().nnz() as u64 ^ rep.a_fetched_bytes;
-        }
-        acc
-    }
-}
-
-/// Session row: cache disabled so every multiply re-fetches its full miss
-/// set — the overlapped assembly path runs `iters` times against a live
-/// fetch plan instead of degenerating to cache hits after warm-up.
-struct StagedSession {
-    a: Csc<f64>,
-    iters: usize,
-    cfg: PrefetchConfig,
-}
-
-impl RankJob for StagedSession {
-    type Out = u64;
-    fn run<C: Comm>(&self, comm: &C) -> u64 {
-        let offsets = uniform_offsets(self.a.ncols(), comm.size());
-        let da = DistMat1D::from_global(comm, &self.a, &offsets);
-        let db = da.clone();
-        let mut session = SpgemmSession::create(comm, da, plan(), CacheConfig::disabled());
-        session.set_prefetch(self.cfg);
-        let mut acc = 0u64;
-        for _ in 0..self.iters {
-            let (c, rep) = session.multiply(comm, &db);
-            acc ^= c.into_local_csc().nnz() as u64 ^ rep.fresh_bytes;
         }
         acc
     }
@@ -152,9 +126,8 @@ fn main() {
     }
 
     // Staged wall rows (PR 10): the generic prefetch engine behind the 2D
-    // SUMMA stages and the session miss-fetch path, overlap off vs on,
-    // measured as parent-side wall on the SA_BACKEND/--backend-selected
-    // backend. On procs, GetReq/GetResp round-trips are genuinely
+    // SUMMA stages, overlap off vs on, measured as parent-side wall on the
+    // SA_BACKEND/--backend-selected backend. On procs, GetReq/GetResp round-trips are genuinely
     // asynchronous, so the on-column's delta is hidden fetch time; on sim
     // the Prefetcher degrades to deterministic in-order issue and the
     // ratio pins ≈ 1 by design.
@@ -196,26 +169,6 @@ fn main() {
             "hv15r-rand".into(),
             p.to_string(),
             format!("{pr}x{pc}"),
-            iters.to_string(),
-            ms(off),
-            ms(on),
-            format!("{:.2}", off / on.max(1e-12)),
-        ]);
-    }
-    let ps: &[usize] = if quick { &[4] } else { &[4, 8] };
-    for &p in ps {
-        let mk = |cfg| StagedSession {
-            a: scrambled.clone(),
-            iters,
-            cfg,
-        };
-        let off = staged_wall(p, &mk(PrefetchConfig::disabled()));
-        let on = staged_wall(p, &mk(PrefetchConfig::on()));
-        row(&[
-            "session-miss".into(),
-            "hv15r-rand".into(),
-            p.to_string(),
-            "1d".into(),
             iters.to_string(),
             ms(off),
             ms(on),

@@ -13,12 +13,16 @@
 //!   slice needs, times a DCSC slice (what the ranks actually run);
 //! * one slice of a hypersparse square with 4 M rows and ≈ 2 nonzeros per
 //!   column, whose `nrows`-sized dense accumulator is past the cut — the
-//!   hash side.
+//!   hash side;
+//! * the MCL iterate after one expansion + inflation, whose square fills
+//!   most rows of every product column before pruning — the dense-output
+//!   regime, where the dense accumulator stops stamping and sorting.
 //!
 //! `examples/kernel_rates.rs` prints the same rates for arbitrary sizes.
 
+use sa_apps::mcl::{mcl_iterate, MclConfig};
 use sa_bench::{banner, reps, row, scale};
-use sa_sparse::gen::{banded, erdos_renyi, kkt_arrow, rmat, stencil3d, Scale};
+use sa_sparse::gen::{banded, erdos_renyi, kkt_arrow, rmat, sbm, stencil3d, Scale};
 use sa_sparse::semiring::PlusTimes;
 use sa_sparse::spgemm::{
     spgemm_with, upper_bound_flops, ColSource, Kernel, Schedule, SpgemmWorkspace,
@@ -124,6 +128,15 @@ fn main() {
         ("rmat", rmat(rmat_scale, 8, (0.57, 0.19, 0.19, 0.05), 3), P),
         // at every scale: the cut it pins is a footprint, not a dataset size
         ("hypersparse_4m", erdos_renyi(1 << 22, 1 << 22, 2.0, 4), 1),
+        (
+            "mcl_iterate",
+            mcl_iterate(
+                &sbm(n / 4, n / 400, 14.0, 1.5, true, 1),
+                &MclConfig::default(),
+                1,
+            ),
+            P,
+        ),
     ];
     row(&[
         "case",

@@ -117,7 +117,7 @@ impl DistMat1D {
 
     /// This rank's slice as CSC (width = owned columns).
     pub fn into_local_csc(self) -> Csc<f64> {
-        self.local.to_csc()
+        self.local.into_csc()
     }
 
     /// Total stored entries across ranks. Collective.

@@ -32,12 +32,9 @@
 use crate::dist1d::DistMat1D;
 use crate::fetch::{exchange_meta, plan_fetch, FetchPlan, Interval, RankMeta, ENTRY_BYTES};
 use crate::spgemm1d::{assert_conformal, cv_of, global_volume, FetchMode, Plan1D, SpgemmReport};
-use sa_mpisim::{
-    Breakdown, Comm, PairedGet, PairedWindow, PhaseTimes, PrefetchConfig, Prefetcher, Wire,
-    WireError,
-};
+use sa_mpisim::{Breakdown, Comm, PairedWindow, PhaseTimes, Wire, WireError};
 use sa_sparse::semiring::PlusTimes;
-use sa_sparse::spgemm::{spgemm_with, ChunkBuf, SpgemmWorkspace};
+use sa_sparse::spgemm::{spgemm_with_epilogue, ChunkBuf, NoEpilogue, SpgemmWorkspace};
 use sa_sparse::types::{vidx, Vidx};
 use sa_sparse::{Dcsc, DcscBuilder};
 use std::collections::HashMap;
@@ -457,10 +454,6 @@ pub struct SpgemmSession {
     plan: Plan1D,
     cache: FetchCache,
     stats: SessionStats,
-    /// Overlap knob: when enabled, each multiply issues its miss-fetches
-    /// up front and streams them behind the cache-hit portion of the
-    /// kernel (see [`SpgemmSession::multiply`]).
-    prefetch: PrefetchConfig,
     /// Allocation arena shared by every multiply of this session: kernel
     /// scratch, fetch staging, and the `Ã` builder's buffers all live
     /// here, so steady-state iterations allocate nothing on the hot path
@@ -487,22 +480,8 @@ impl SpgemmSession {
             plan,
             cache: FetchCache::new(cache),
             stats: SessionStats::default(),
-            prefetch: PrefetchConfig::from_env(),
             ws: SpgemmWorkspace::new(),
         }
-    }
-
-    /// Set the overlap knob for subsequent multiplies (the constructor
-    /// seeds it from `SA_PREFETCH`/`SA_PREFETCH_BYTES`). Purely local —
-    /// results and traffic counters are byte-identical either way, so
-    /// ranks need not agree on it.
-    pub fn set_prefetch(&mut self, cfg: PrefetchConfig) {
-        self.prefetch = cfg;
-    }
-
-    /// The session's current overlap knob.
-    pub fn prefetch(&self) -> PrefetchConfig {
-        self.prefetch
     }
 
     /// The pinned operand.
@@ -633,6 +612,25 @@ impl SpgemmSession {
     /// the window fetches (plus two allreduces when
     /// [`Plan1D::global_stats`] is set).
     pub fn multiply<C: Comm>(&mut self, comm: &C, b: &DistMat1D) -> (DistMat1D, SpgemmReport) {
+        self.multiply_with(comm, b, None::<&NoEpilogue<f64>>)
+    }
+
+    /// [`multiply`](SpgemmSession::multiply) with a per-column epilogue
+    /// fused into the local kernel (see
+    /// [`spgemm_with_epilogue`]): each rank gets the epilogue's image of its
+    /// product slice without ever holding the slice itself — how MCL
+    /// inflates and prunes `M²` as it is computed. Traffic, cache transcript
+    /// and report are those of the plain multiply.
+    pub fn multiply_with<C, E>(
+        &mut self,
+        comm: &C,
+        b: &DistMat1D,
+        epilogue: Option<&E>,
+    ) -> (DistMat1D, SpgemmReport)
+    where
+        C: Comm,
+        E: Fn(&[Vidx], &mut [f64], &mut Vec<Vidx>, &mut Vec<f64>) + Sync,
+    {
         assert_conformal(&self.a, b);
         let stats0 = comm.stats();
         let t_call = Instant::now();
@@ -652,33 +650,33 @@ impl SpgemmSession {
         let fplan = self.plan_misses(me, &survey.miss);
         let symbolic_s = t_sym.elapsed().as_secs_f64();
 
-        let (c_local, comm_s, comp_s, mut assemble_s) = if self.prefetch.enabled {
-            // --- overlap: stream the miss-fetches behind the cache-hit
-            // portion of the kernel (see `multiply_overlapped`) ---
-            self.multiply_overlapped(comm, b, &survey, &fplan)
-        } else {
-            // --- fetch misses + merge with cache into Ã ---
-            let t_asm = Instant::now();
-            let (atilde, comm_s) = self.assemble(comm, &needed, &survey, &fplan);
-            let assemble_s = (t_asm.elapsed().as_secs_f64() - comm_s).max(0.0);
+        // --- fetch misses + merge with cache into Ã ---
+        let t_asm = Instant::now();
+        let (atilde, comm_s) = self.assemble(comm, &needed, &survey, &fplan);
+        let mut assemble_s = (t_asm.elapsed().as_secs_f64() - comm_s).max(0.0);
 
-            // --- local kernel ---
-            let t0 = Instant::now();
-            let (kernel, schedule, ws) = (self.plan.kernel, self.plan.schedule, &self.ws);
-            let c_local = comm.install(|| {
-                spgemm_with::<PlusTimes<f64>, _, _>(&atilde, b.local(), kernel, schedule, ws)
-            });
-            let comp_s = t0.elapsed().as_secs_f64();
-            // recycle Ã's buffers for the next iteration's assembly
-            let (jc, cp, ir, num) = atilde.into_parts();
-            self.ws.put_chunk(ChunkBuf {
-                lens: jc,
-                rows: ir,
-                vals: num,
-            });
-            self.ws.put_idx(cp);
-            (c_local, comm_s, comp_s, assemble_s)
-        };
+        // --- local kernel ---
+        let t0 = Instant::now();
+        let (kernel, schedule, ws) = (self.plan.kernel, self.plan.schedule, &self.ws);
+        let c_local = comm.install(|| {
+            spgemm_with_epilogue::<PlusTimes<f64>, _, _, _>(
+                &atilde,
+                b.local(),
+                kernel,
+                schedule,
+                ws,
+                epilogue,
+            )
+        });
+        let comp_s = t0.elapsed().as_secs_f64();
+        // recycle Ã's buffers for the next iteration's assembly
+        let (jc, cp, ir, num) = atilde.into_parts();
+        self.ws.put_chunk(ChunkBuf {
+            lens: jc,
+            rows: ir,
+            vals: num,
+        });
+        self.ws.put_idx(cp);
         let t_wrap = Instant::now();
         let c = DistMat1D::from_local(
             self.a.nrows(),
@@ -726,186 +724,6 @@ impl SpgemmSession {
         self.stats.cache_hit_bytes += report.cache_hit_bytes;
         self.stats.rdma_msgs += report.rdma_msgs;
         (c, report)
-    }
-
-    /// The overlap form of the fetch + kernel phase, as a kernel split:
-    /// `Ã` is partitioned into the *resident* part (the local slice plus
-    /// every cache hit the miss plan does not re-deliver) and the *fresh*
-    /// part (exactly the planned miss intervals). Every planned get is
-    /// issued — validated and metered — up front on this thread, then a
-    /// [`Prefetcher`] streams the fetches into an arena staging buffer
-    /// while the resident partial product `Ã_res·B` runs in the
-    /// foreground. At the rendezvous the fresh columns are assembled
-    /// (and inserted into the cache, over-fetched ones included, exactly
-    /// like the inline path), multiplied, and merged with `⊕`.
-    ///
-    /// Identical traffic and cache transcript to the inline path; the
-    /// result differs only by the `⊕`-order of the two partial products
-    /// (exact on integer data, ≤ ulp-level otherwise — the same split the
-    /// 1D overlap entry point has always made). Returns
-    /// `(C, fetch_s, compute_s, assemble_s)`.
-    fn multiply_overlapped<C: Comm>(
-        &mut self,
-        comm: &C,
-        b: &DistMat1D,
-        survey: &Survey,
-        fplan: &FetchPlan,
-    ) -> (sa_sparse::Csc<f64>, f64, f64, f64) {
-        let me = comm.rank();
-        let offsets = self.a.offsets().clone();
-        // issue the planned gets now: metering happens here, in plan
-        // order, so CommStats cannot differ from the inline path;
-        // `stage_bases[i]` is interval `i`'s base offset into the staging
-        let mut stage_bases = Vec::with_capacity(fplan.intervals.len());
-        let mut entry_base = 0usize;
-        let gets: Vec<PairedGet<Vidx, f64>> = fplan
-            .intervals
-            .iter()
-            .map(|iv| {
-                let (owner, range) = iv.get();
-                stage_bases.push(entry_base);
-                entry_base += range.len();
-                self.win
-                    .start_get_both(comm, owner, range)
-                    .expect("fetch interval within exposed window")
-            })
-            .collect();
-        let sizes: Vec<u64> = gets.iter().map(|g| g.bytes()).collect();
-
-        let stage = self.ws.take_chunk();
-        let stage_lens = stage.lens;
-        let mut staging = (stage.rows, stage.vals, 0.0f64);
-        let resbuf = self.ws.take_chunk();
-        let rescp = self.ws.take_idx();
-
-        let local = self.a.local();
-        let cache = &self.cache;
-        let (kernel, schedule, ws) = (self.plan.kernel, self.plan.schedule, &self.ws);
-        let (nrows, ncols) = (self.a.nrows(), self.a.ncols());
-        let mut pf = Prefetcher::new(comm, self.prefetch);
-        let (c_res, atilde_res, comp_res_s, asm_res_s) = pf.stage(
-            &sizes,
-            &mut staging,
-            |range, st: &mut (Vec<Vidx>, Vec<f64>, f64)| {
-                let t0 = Instant::now();
-                PairedGet::fetch_many_into(&gets[range], &mut st.0, &mut st.1);
-                st.2 += t0.elapsed().as_secs_f64();
-            },
-            || {
-                // Ã_res: local slice spliced at its owner position, plus
-                // every surveyed hit the miss plan does not re-deliver
-                // (re-delivered hits arrive fresh below — including them
-                // here too would double-count their contribution)
-                let t0 = Instant::now();
-                let mut builder = DcscBuilder::from_buffers(
-                    nrows,
-                    ncols,
-                    resbuf.lens,
-                    rescp,
-                    resbuf.rows,
-                    resbuf.vals,
-                );
-                let mut iv_iter = fplan.intervals.iter().peekable();
-                let mut hit_iter = survey.hits.iter().peekable();
-                for owner in 0..comm.size() {
-                    if owner == me {
-                        let base = offsets[me];
-                        for q in 0..local.nzc() {
-                            let (rows, vals) = local.col_by_pos(q);
-                            builder.push_col(vidx(base + local.jc()[q] as usize), rows, vals);
-                        }
-                        continue;
-                    }
-                    while let Some(&&(o, g, q, _bytes)) = hit_iter.peek() {
-                        if o != owner {
-                            break;
-                        }
-                        hit_iter.next();
-                        while iv_iter
-                            .peek()
-                            .is_some_and(|iv| (iv.owner, iv.pos.end) <= (o, q))
-                        {
-                            iv_iter.next();
-                        }
-                        let covered = iv_iter
-                            .peek()
-                            .is_some_and(|iv| iv.owner == o && iv.pos.contains(&q));
-                        if !covered {
-                            let (rows, vals) = cache
-                                .peek(o, g)
-                                .expect("surveyed hit still resident (pinned at current clock)");
-                            builder.push_col(g, rows, vals);
-                        }
-                    }
-                }
-                let atilde_res = builder.finish();
-                let asm = t0.elapsed().as_secs_f64();
-                let t1 = Instant::now();
-                let c = comm.install(|| {
-                    spgemm_with::<PlusTimes<f64>, _, _>(
-                        &atilde_res,
-                        b.local(),
-                        kernel,
-                        schedule,
-                        ws,
-                    )
-                });
-                (c, atilde_res, t1.elapsed().as_secs_f64(), asm)
-            },
-        );
-        let (stage_rows, stage_vals, fetch_s) = staging;
-
-        // --- rendezvous: assemble Ã_fresh from the plan-order staged
-        // bytes, inserting every delivered column into the cache ---
-        let t0 = Instant::now();
-        let freshbuf = self.ws.take_chunk();
-        let freshcp = self.ws.take_idx();
-        let mut builder = DcscBuilder::from_buffers(
-            nrows,
-            ncols,
-            freshbuf.lens,
-            freshcp,
-            freshbuf.rows,
-            freshbuf.vals,
-        );
-        for (iv, &stage_base) in fplan.intervals.iter().zip(&stage_bases) {
-            let meta = &self.metas[iv.owner];
-            let base = offsets[iv.owner];
-            for q in iv.pos.clone() {
-                let off = stage_base + (meta.cp[q] - iv.entries.start) as usize;
-                let len = meta.col_entries(q) as usize;
-                let (rows, vals) = (&stage_rows[off..off + len], &stage_vals[off..off + len]);
-                let g = vidx(base + meta.jc[q] as usize);
-                builder.push_col(g, rows, vals);
-                self.cache.insert(iv.owner, g, rows, vals);
-            }
-        }
-        let atilde_fresh = builder.finish();
-        let asm_fresh_s = t0.elapsed().as_secs_f64();
-        let t1 = Instant::now();
-        let (kernel, schedule, ws) = (self.plan.kernel, self.plan.schedule, &self.ws);
-        let c_fresh = comm.install(|| {
-            spgemm_with::<PlusTimes<f64>, _, _>(&atilde_fresh, b.local(), kernel, schedule, ws)
-        });
-        let merged = sa_sparse::ewise::ewise_add::<PlusTimes<f64>>(&c_res, &c_fresh);
-        let comp_s = comp_res_s + t1.elapsed().as_secs_f64();
-
-        // recycle the staging and both Ã halves' buffers
-        self.ws.put_chunk(ChunkBuf {
-            lens: stage_lens,
-            rows: stage_rows,
-            vals: stage_vals,
-        });
-        for half in [atilde_res, atilde_fresh] {
-            let (jc, cp, ir, num) = half.into_parts();
-            self.ws.put_chunk(ChunkBuf {
-                lens: jc,
-                rows: ir,
-                vals: num,
-            });
-            self.ws.put_idx(cp);
-        }
-        (merged, fetch_s, comp_s, asm_res_s + asm_fresh_s)
     }
 
     /// Assemble `Ã` in ascending global-column order: the local slice

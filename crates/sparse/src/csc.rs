@@ -319,31 +319,35 @@ impl Csc<f64> {
         if self.nrows != other.nrows || self.ncols != other.ncols {
             return f64::INFINITY;
         }
-        let mut worst = 0.0f64;
-        for j in 0..self.ncols {
-            let (ra, va) = self.col(j);
-            let (rb, vb) = other.col(j);
-            let (mut i, mut k) = (0, 0);
-            while i < ra.len() || k < rb.len() {
-                let (r1, r2) = (
-                    ra.get(i).copied().unwrap_or(Vidx::MAX),
-                    rb.get(k).copied().unwrap_or(Vidx::MAX),
-                );
-                if r1 < r2 {
-                    worst = worst.max(va[i].abs());
-                    i += 1;
-                } else if r2 < r1 {
-                    worst = worst.max(vb[k].abs());
-                    k += 1;
-                } else {
-                    worst = worst.max((va[i] - vb[k]).abs());
-                    i += 1;
-                    k += 1;
-                }
-            }
-        }
-        worst
+        (0..self.ncols)
+            .map(|j| col_max_abs_diff(self.col(j), other.col(j)))
+            .fold(0.0, f64::max)
     }
+}
+
+/// Max absolute difference of two columns (ascending rows) on the union of
+/// their patterns.
+pub(crate) fn col_max_abs_diff((ra, va): (&[Vidx], &[f64]), (rb, vb): (&[Vidx], &[f64])) -> f64 {
+    let mut worst = 0.0f64;
+    let (mut i, mut k) = (0, 0);
+    while i < ra.len() || k < rb.len() {
+        let (r1, r2) = (
+            ra.get(i).copied().unwrap_or(Vidx::MAX),
+            rb.get(k).copied().unwrap_or(Vidx::MAX),
+        );
+        if r1 < r2 {
+            worst = worst.max(va[i].abs());
+            i += 1;
+        } else if r2 < r1 {
+            worst = worst.max(vb[k].abs());
+            k += 1;
+        } else {
+            worst = worst.max((va[i] - vb[k]).abs());
+            i += 1;
+            k += 1;
+        }
+    }
+    worst
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 //! 2D split, local submatrices are hypersparse (`nnz ≪ ncols`), which is
 //! exactly when this matters.
 
-use crate::csc::Csc;
+use crate::csc::{col_max_abs_diff, Csc};
 use crate::types::{vidx, Vidx};
 
 /// A DCSC sparse matrix over element type `T`.
@@ -116,8 +116,8 @@ impl<T: Copy + Send + Sync> Dcsc<T> {
         }
     }
 
-    /// Expand back to CSC.
-    pub fn to_csc(&self) -> Csc<T> {
+    /// `colptr` of the CSC expansion.
+    fn expand_colptr(&self) -> Vec<usize> {
         let mut colptr = vec![0usize; self.ncols + 1];
         for q in 0..self.jc.len() {
             colptr[self.jc[q] as usize + 1] = self.cp[q + 1] - self.cp[q];
@@ -125,13 +125,25 @@ impl<T: Copy + Send + Sync> Dcsc<T> {
         for j in 0..self.ncols {
             colptr[j + 1] += colptr[j];
         }
+        colptr
+    }
+
+    /// Expand back to CSC.
+    pub fn to_csc(&self) -> Csc<T> {
         Csc::from_parts(
             self.nrows,
             self.ncols,
-            colptr,
+            self.expand_colptr(),
             self.ir.clone(),
             self.num.clone(),
         )
+    }
+
+    /// Expand an owned matrix back to CSC: the inverse of `Dcsc::from(Csc)`.
+    /// The entry arrays move over untouched; only `colptr` is built.
+    pub fn into_csc(self) -> Csc<T> {
+        let colptr = self.expand_colptr();
+        Csc::from_parts(self.nrows, self.ncols, colptr, self.ir, self.num)
     }
 
     pub fn nrows(&self) -> usize {
@@ -213,6 +225,26 @@ impl<T: Copy + Send + Sync> Dcsc<T> {
             + self.cp.len() * std::mem::size_of::<usize>()
             + self.ir.len() * std::mem::size_of::<Vidx>()
             + self.num.len() * std::mem::size_of::<T>()
+    }
+}
+
+impl Dcsc<f64> {
+    /// [`Csc::max_abs_diff`] between two compressed matrices, expanding
+    /// neither.
+    pub fn max_abs_diff(&self, other: &Dcsc<f64>) -> f64 {
+        if self.nrows != other.nrows || self.ncols != other.ncols {
+            return f64::INFINITY;
+        }
+        // every column either side stores, each once
+        let only_other = other
+            .jc
+            .iter()
+            .filter(|j| self.jc.binary_search(j).is_err());
+        self.jc
+            .iter()
+            .chain(only_other)
+            .map(|&j| col_max_abs_diff(self.col(j as usize), other.col(j as usize)))
+            .fold(0.0, f64::max)
     }
 }
 

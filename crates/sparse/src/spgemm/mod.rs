@@ -137,6 +137,29 @@ pub enum Kernel {
 /// thread, below which the hybrid always accumulates densely.
 const SPA_RESIDENT_BYTES: usize = 32 << 20;
 
+/// The dense accumulator finds a column's rows by one pass over its stamps,
+/// not by sorting the touched list, once `touched × SPA_SCAN_SHARE ≥ nrows`.
+/// Sized on ER squares of rising density (3 000 and 12 000 rows, one thread,
+/// docs/PERFORMANCE.md "ISSUE 18"): scan over sort took 1.19–1.27× the time
+/// at 5 % fill, 0.99–1.15× at 6–8 %, 0.88–0.98× at 9–10 %, 0.72–0.91× at
+/// 12 % and 0.6× at 30 %, so an eighth is the first power of two that is
+/// never behind. The suite's squaring operands fill 0.7–2.7 % of the rows
+/// per column and keep sorting; the MCL iterate squared once fills 80 %
+/// (`kernel_rates` Spa row: 122 → 177 Mflop/s).
+const SPA_SCAN_SHARE: usize = 8;
+
+/// The dense accumulator drops the stamps altogether — zero-fill, accumulate
+/// unconditionally, keep the non-zeros — once a column's flop bound reaches
+/// `SPA_DENSE_FLOPS × nrows`. Same sweeps: forced on every column it took
+/// 0.5–0.8× the stamped time wherever the output fills a tenth of the rows
+/// or more, but 1.3–2× on columns of few flops and sparse output (banded at
+/// `ub` = 0.18 × `nrows`, a late MCL iterate at 0.05 ×); from one flop per
+/// row up it was never behind (1.02× at worst: MCL iterate 3, `ub` = 1.24 ×
+/// `nrows`, 3.7 % fill) and `kernel_rates`' MCL rows gained 177 → 291 and
+/// 241 → 328 Mflop/s. Every column of the suite's four squaring workloads
+/// stays below it.
+const SPA_DENSE_FLOPS: usize = 1;
+
 /// The hybrid's accumulator for one output column with upper-bound flop
 /// count `ub`. The cut is read off `examples/kernel_rates.rs` and the
 /// `local_kernels` bench (docs/PERFORMANCE.md "ISSUE 16"), not off a rule
@@ -158,10 +181,12 @@ fn choose_kernel<T>(ub: usize, nrows: usize) -> Kernel {
     }
 }
 
-/// Append one output column to `out`'s rows/values (its length is the
-/// caller's to record). `ub` is the column's upper-bound flop count,
+/// Append one output column, rows ascending, to `rows`/`vals` (its length is
+/// the caller's to record). `ub` is the column's upper-bound flop count,
 /// computed once per multiply by the caller's symbolic pass and shared by
-/// the hybrid dispatch, the hash-table sizing, and the output pre-sizing.
+/// the hybrid dispatch, the hash-table sizing, the dense accumulator's
+/// gather choice, and the output pre-sizing.
+#[allow(clippy::too_many_arguments)]
 fn compute_column<S: Semiring, A: ColSource<S::T> + ?Sized>(
     a: &A,
     brows: &[Vidx],
@@ -169,12 +194,12 @@ fn compute_column<S: Semiring, A: ColSource<S::T> + ?Sized>(
     kernel: Kernel,
     ub: usize,
     scratch: &mut Scratch<S::T>,
-    out: &mut ChunkBuf<S::T>,
+    rows: &mut Vec<Vidx>,
+    vals: &mut Vec<S::T>,
 ) {
     if brows.is_empty() {
         return;
     }
-    let (rows, vals) = (&mut out.rows, &mut out.vals);
     // Single B entry: a scaled copy of one A column, already sorted.
     if let ([k], [b]) = (brows, bvals) {
         let (ar, av) = a.col(*k as usize);
@@ -207,13 +232,15 @@ fn compute_column<S: Semiring, A: ColSource<S::T> + ?Sized>(
         Kernel::Spa => {
             // The O(nrows) dense arrays are paid only when a column
             // actually dispatches here.
-            scratch.ensure_spa(a.nrows(), S::zero());
+            let nrows = a.nrows();
+            scratch.ensure_spa(nrows, S::zero());
             spa::spa_column::<S, A>(
                 a,
                 brows,
                 bvals,
-                &mut scratch.spa_vals,
-                &mut scratch.spa_gen,
+                ub,
+                &mut scratch.spa_vals[..nrows],
+                &mut scratch.spa_gen[..nrows],
                 &mut scratch.generation,
                 &mut scratch.touched,
                 rows,
@@ -274,6 +301,39 @@ where
     S: Semiring,
     A: ColSource<S::T> + ?Sized,
     B: ColSource<S::T> + ?Sized,
+{
+    spgemm_with_epilogue::<S, A, B, NoEpilogue<S::T>>(a, b, kernel, schedule, ws, None)
+}
+
+/// The epilogue type of a multiply that passes none.
+pub type NoEpilogue<T> = fn(&[Vidx], &mut [T], &mut Vec<Vidx>, &mut Vec<T>);
+
+/// [`spgemm_with`] with a per-column epilogue fused into the kernel: the one
+/// driver behind every local multiply (`None` is `spgemm_with` itself).
+///
+/// `epilogue(rows, vals, rows_out, vals_out)` is called once per non-empty
+/// product column, on the thread that computed it, and appends what it keeps
+/// of the column to `rows_out`/`vals_out` — rows ascending, one value per
+/// row. `rows` arrives ascending whichever accumulator produced it; `vals`
+/// is scratch the epilogue may overwrite. Only what it appends reaches the
+/// product, so a filtering epilogue (MCL's inflate-and-prune) never
+/// materialises the unfiltered `A·B`: a finished column is staged in the
+/// thread's scratch and the output is not pre-sized from the flop bound. The
+/// result equals running the epilogue over each column of the plain product,
+/// bit for bit, under every kernel, schedule and thread count.
+pub fn spgemm_with_epilogue<S, A, B, E>(
+    a: &A,
+    b: &B,
+    kernel: Kernel,
+    schedule: Schedule,
+    ws: &SpgemmWorkspace<S::T>,
+    epilogue: Option<&E>,
+) -> Csc<S::T>
+where
+    S: Semiring,
+    A: ColSource<S::T> + ?Sized,
+    B: ColSource<S::T> + ?Sized,
+    E: Fn(&[Vidx], &mut [S::T], &mut Vec<Vidx>, &mut Vec<S::T>) + Sync,
 {
     assert_eq!(
         a.ncols(),
@@ -343,13 +403,39 @@ where
         let (q0, q1) = (bounds[ci], bounds[ci + 1]);
         let mut out = ws.take_chunk();
         out.lens.reserve(q1 - q0);
-        let est: usize = ubs[q0..q1].iter().map(|&u| u.min(nrows)).sum();
-        out.rows.reserve(est);
-        out.vals.reserve(est);
+        if epilogue.is_none() {
+            let est: usize = ubs[q0..q1].iter().map(|&u| u.min(nrows)).sum();
+            out.rows.reserve(est);
+            out.vals.reserve(est);
+        }
         for (q, &ub) in (q0..q1).zip(&ubs[q0..q1]) {
             let (brows, bvals) = b.col_by_pos(q);
             let start = out.rows.len();
-            compute_column::<S, _>(a, brows, bvals, kernel, ub, scratch, &mut out);
+            match epilogue {
+                None => compute_column::<S, _>(
+                    a,
+                    brows,
+                    bvals,
+                    kernel,
+                    ub,
+                    scratch,
+                    &mut out.rows,
+                    &mut out.vals,
+                ),
+                Some(epilogue) => {
+                    let mut rows = std::mem::take(&mut scratch.col_rows);
+                    let mut vals = std::mem::take(&mut scratch.col_vals);
+                    rows.clear();
+                    vals.clear();
+                    compute_column::<S, _>(
+                        a, brows, bvals, kernel, ub, scratch, &mut rows, &mut vals,
+                    );
+                    if !rows.is_empty() {
+                        epilogue(&rows, &mut vals, &mut out.rows, &mut out.vals);
+                    }
+                    (scratch.col_rows, scratch.col_vals) = (rows, vals);
+                }
+            }
             out.lens.push((out.rows.len() - start) as u32);
         }
         out

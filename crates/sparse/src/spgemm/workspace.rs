@@ -42,6 +42,10 @@ pub(crate) struct Scratch<T> {
     pub(crate) heap: BinaryHeap<Reverse<(Vidx, u32)>>,
     /// Heap kernel: entries consumed so far from each source column.
     pub(crate) heap_pos: Vec<u32>,
+    /// Staging for one finished column on its way through a multiply's
+    /// epilogue; unused (and empty) when there is none.
+    pub(crate) col_rows: Vec<Vidx>,
+    pub(crate) col_vals: Vec<T>,
 }
 
 impl<T: Copy> Scratch<T> {
@@ -54,6 +58,8 @@ impl<T: Copy> Scratch<T> {
             hash: HashAcc::new(),
             heap: BinaryHeap::new(),
             heap_pos: Vec::new(),
+            col_rows: Vec::new(),
+            col_vals: Vec::new(),
         }
     }
 

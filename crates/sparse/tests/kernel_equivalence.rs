@@ -8,11 +8,20 @@
 //! a needed-columns-only `Ã`, empty and single-entry B columns, `nrows` on
 //! both sides of the hybrid's dense/hash cut, and one workspace shared by
 //! multiplies of different inner dimension.
+//!
+//! Two further properties ride on the same bits: the dense accumulator's
+//! three ways of finding a column's rows (sorted touched list, stamp scan,
+//! stamp-free accumulation) agree with each other and with the hash on
+//! columns a few entries either side of each cut-off, and a column epilogue
+//! fused into the kernel equals the same epilogue run over the finished
+//! product.
 
 use proptest::prelude::*;
-use sa_sparse::semiring::PlusTimes;
-use sa_sparse::spgemm::{spgemm_with, ColSource, Kernel, Schedule, SpgemmWorkspace};
-use sa_sparse::{Coo, Csc, Dcsc};
+use sa_sparse::semiring::{MinPlus, OrAnd, PlusTimes, Semiring};
+use sa_sparse::spgemm::{
+    spgemm_with, spgemm_with_epilogue, ColSource, Kernel, Schedule, SpgemmWorkspace,
+};
+use sa_sparse::{Coo, Csc, Dcsc, Vidx};
 
 const KERNELS: [Kernel; 4] = [Kernel::Heap, Kernel::Hash, Kernel::Spa, Kernel::Hybrid];
 const SCHEDULES: [Schedule; 3] = [
@@ -119,6 +128,196 @@ proptest! {
             check("needed-columns dcsc·dcsc", &needed, &bd, &ws, &expect)?;
         }
     }
+
+    #[test]
+    fn fused_epilogue_equals_the_post_pass(
+        ta in triples(SMALL, 40, 260),
+        tb in triples(40, 30, 170),
+    ) {
+        let ws = SpgemmWorkspace::new();
+        for nrows in [SMALL, TALL] {
+            let a = matrix(nrows, 40, nrows / SMALL, &ta, |c, _| c % 5 != 2);
+            let b = matrix(40, 30, 1, &tb, |c, first| c % 4 != 0 && (c % 4 != 1 || first));
+            let plain = spgemm_with::<PlusTimes<f64>, _, _>(
+                &a, &b, Kernel::Spa, Schedule::Fixed(256), &SpgemmWorkspace::new(),
+            );
+            // the epilogue over each finished column, values copied out first
+            let mut colptr = vec![0usize];
+            let (mut rowidx, mut vals) = (Vec::new(), Vec::new());
+            for j in 0..plain.ncols() {
+                let (rows, col_vals) = plain.col(j);
+                if !rows.is_empty() {
+                    keep_large_rescaled(rows, &mut col_vals.to_vec(), &mut rowidx, &mut vals);
+                }
+                colptr.push(rowidx.len());
+            }
+            let expect = Csc::from_parts(nrows, plain.ncols(), colptr, rowidx, vals);
+            prop_assert!(expect.nnz() > 0 && expect.nnz() < plain.nnz(), "the epilogue filters");
+            let ad = Dcsc::from_csc(&a);
+            for threads in [1, 2, 4] {
+                let pool = rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .expect("test pool");
+                for kernel in KERNELS {
+                    for schedule in SCHEDULES {
+                        let fused = |a: &dyn ColSource<f64>| {
+                            pool.install(|| {
+                                spgemm_with_epilogue::<PlusTimes<f64>, _, _, _>(
+                                    a, &b, kernel, schedule, &ws, Some(&keep_large_rescaled),
+                                )
+                            })
+                        };
+                        prop_assert!(
+                            bits(&fused(&a)) == bits(&expect) && bits(&fused(&ad)) == bits(&expect),
+                            "{nrows} rows / {kernel:?} / {schedule:?} / {threads} threads diverged"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A filtering-and-rescaling epilogue: scale the column to unit 1-norm (in
+/// place — the staged values are scratch) and keep the entries of at least
+/// a twentieth.
+fn keep_large_rescaled(
+    rows: &[Vidx],
+    vals: &mut [f64],
+    rows_out: &mut Vec<Vidx>,
+    vals_out: &mut Vec<f64>,
+) {
+    let norm: f64 = vals.iter().map(|v| v.abs()).sum();
+    for v in vals.iter_mut() {
+        *v /= norm;
+    }
+    for (&r, &v) in rows.iter().zip(vals.iter()) {
+        if v.abs() >= 0.05 {
+            rows_out.push(r);
+            vals_out.push(v);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The dense accumulator's gather paths
+// ---------------------------------------------------------------------------
+
+/// Rows of the straddling operand. At 64 rows the stamp scan starts at 8
+/// touched rows (an eighth) and the stamp-free accumulation at 64 flops
+/// (one per row); the cases below run a few entries either side of both, and
+/// of twice and half of each in case the constants move.
+const ROWS: usize = 64;
+
+/// `(flops, touched rows)` of each B column.
+fn straddling_cases() -> Vec<(usize, usize)> {
+    let sparse = (1..=18).map(|touched| (touched + 2, touched));
+    let dense = [29..=35, 61..=67, 125..=131]
+        .into_iter()
+        .flatten()
+        .flat_map(|flops| [(flops, 3), (flops, 24)]);
+    sparse.chain(dense).collect()
+}
+
+/// Value bits, so `-0.0`, `0.0` and NaNs cannot hide behind `==`.
+trait Bits {
+    fn bits(&self) -> u64;
+}
+impl Bits for f64 {
+    fn bits(&self) -> u64 {
+        self.to_bits()
+    }
+}
+impl Bits for bool {
+    fn bits(&self) -> u64 {
+        *self as u64
+    }
+}
+
+/// `A·B` under `S` with every B column one of [`straddling_cases`], by the
+/// dense accumulator — whichever way it finds the rows — against the hash,
+/// the heap, and the dense accumulator over the same entries in a matrix
+/// tall enough that every column takes the sorted touched list.
+///
+/// A's column `copy · ROWS + slot` holds the single entry
+/// `(row_of(slot), a_val(copy, slot))`; a B column of `flops` entries names
+/// `touched` slots, `flops / touched` copies of each, so the slot's row is
+/// hit that many times in copy order.
+fn check_straddle<S: Semiring>(a_val: impl Fn(usize, usize) -> S::T, b_val: impl Fn(usize) -> S::T)
+where
+    S::T: Bits,
+{
+    let cases = straddling_cases();
+    let copies = cases.iter().map(|&(f, t)| f.div_ceil(t)).max().unwrap();
+    let row_of = |slot: usize| (slot * 37 + 11) % ROWS; // unsorted arrival
+    let build = |nrows: usize| {
+        let mut a = Coo::new(nrows, copies * ROWS);
+        for copy in 0..copies {
+            for slot in 0..ROWS {
+                let col = copy * ROWS + slot;
+                a.push(row_of(slot) as Vidx, col as Vidx, a_val(copy, slot));
+            }
+        }
+        a.to_csc_with(|x, _| x)
+    };
+    let mut b = Coo::new(copies * ROWS, cases.len());
+    for (j, &(flops, touched)) in cases.iter().enumerate() {
+        for e in 0..flops {
+            let (copy, slot) = (e / touched, e % touched);
+            b.push((copy * ROWS + slot) as Vidx, j as Vidx, b_val(j));
+        }
+    }
+    let b = b.to_csc_with(|x, _| x);
+    let run = |a: &Csc<S::T>, kernel| {
+        let c = spgemm_with::<S, _, _>(
+            a,
+            &b,
+            kernel,
+            Schedule::FlopBalanced,
+            &SpgemmWorkspace::new(),
+        );
+        let vals: Vec<u64> = c.vals().iter().map(Bits::bits).collect();
+        (c.colptr().to_vec(), c.rowidx().to_vec(), vals)
+    };
+    let (a, tall) = (build(ROWS), build(ROWS * ROWS));
+    let hash = run(&a, Kernel::Hash);
+    assert_eq!(run(&a, Kernel::Spa), hash, "dense accumulator vs hash");
+    assert_eq!(run(&a, Kernel::Hybrid), hash, "hybrid vs hash");
+    assert_eq!(run(&a, Kernel::Heap), hash, "heap vs hash");
+    assert_eq!(
+        run(&tall, Kernel::Spa),
+        hash,
+        "scan / stamp-free gather vs sorted touched list"
+    );
+    // the cases do drop rows: slot 1 reduces to zero in every column that
+    // hits it an even number of times
+    assert!(hash.1.len() < cases.iter().map(|c| c.1).sum::<usize>());
+}
+
+#[test]
+fn dense_accumulator_gathers_agree_across_their_cutoffs() {
+    // slot 1 alternates x, −x (cancels exactly when hit an even number of
+    // times), slot 2 opens with a −0.0 contribution (alone, it is dropped;
+    // followed by others, it must not show)
+    check_straddle::<PlusTimes<f64>>(
+        |copy, slot| match slot {
+            1 if copy % 2 == 0 => 0.7,
+            1 => -0.7,
+            2 if copy == 0 => -0.0,
+            _ => 0.1 * (copy + 1) as f64 + 0.003 * (slot + 1) as f64,
+        },
+        |j| 0.5 + 0.25 * j as f64,
+    );
+    // slot 1 contributes only the semiring zero (∞, false): dropped
+    check_straddle::<MinPlus>(
+        |copy, slot| match slot {
+            1 => f64::INFINITY,
+            _ => 1.0 + ((copy * 7 + slot * 3) % 11) as f64 * 0.3,
+        },
+        |j| 0.25 * j as f64,
+    );
+    check_straddle::<OrAnd>(|copy, slot| slot != 1 && (copy + slot) % 3 != 0, |_| true);
 }
 
 #[test]

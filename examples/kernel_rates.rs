@@ -1,17 +1,20 @@
 //! Per-operand accumulator rates — the measurement `choose_kernel`'s policy
-//! is taken from (docs/PERFORMANCE.md "ISSUE 16").
+//! and the dense accumulator's gather cut-offs are taken from
+//! (docs/PERFORMANCE.md "ISSUE 16", "ISSUE 18").
 //!
-//! For each of the benchmark suite's operand classes, squares the operand
-//! the way a `P`-rank 1D run does — `P` column slices `Bᵢ`, one multiply
-//! each — on one thread through a warm workspace, and prints the rate of
-//! every [`Kernel`] (best of 5, Mflop/s) for two A sources: the whole
-//! operand as a `Csc`, and a DCSC `Ã` holding only the columns `Bᵢ` needs
-//! (what Algorithm 1 assembles), multiplied with a DCSC `Bᵢ`.
+//! For each of the benchmark suite's operand classes, and for the MCL
+//! iterate whose square is the dense-output regime, squares the operand the
+//! way a `P`-rank 1D run does — `P` column slices `Bᵢ`, one multiply each —
+//! on one thread through a warm workspace, and prints the rate of every
+//! [`Kernel`] (best of 5, Mflop/s) for two A sources: the whole operand as a
+//! `Csc`, and a DCSC `Ã` holding only the columns `Bᵢ` needs (what
+//! Algorithm 1 assembles), multiplied with a DCSC `Bᵢ`.
 //!
 //! Run with: `cargo run --release --example kernel_rates -- [--lin 24,34]
 //! [--band 90] [--n 12000] [--p 8] [--seed 1]`
 
-use saspgemm::sparse::gen::{banded, kkt_arrow, stencil3d, Dataset, Scale};
+use saspgemm::apps::mcl::{mcl_iterate, MclConfig};
+use saspgemm::sparse::gen::{banded, kkt_arrow, sbm, stencil3d, Dataset, Scale};
 use saspgemm::sparse::semiring::PlusTimes;
 use saspgemm::sparse::spgemm::{spgemm_with, upper_bound_flops, Kernel, Schedule, SpgemmWorkspace};
 use saspgemm::sparse::{Csc, Dcsc};
@@ -135,5 +138,17 @@ fn main() {
         );
         rates("hv15r-like", &banded(n, band, 0.35, false, seed), p);
         rates("nlpkkt-like", &kkt_arrow(n, n / 9, band / 2, 8, seed), p);
+        // the apps workload's MCL graph after 1–3 expansion + inflation
+        // rounds: squared, the first fills 80 % of every product column
+        // before pruning, the second 28 %, the third 4 % from as many flops
+        // as it has rows — the three regimes of the dense accumulator
+        let graph = sbm(n / 4, n / 400, 14.0, 1.5, true, seed);
+        for rounds in 1..=3 {
+            rates(
+                &format!("mcl-iterate {rounds}"),
+                &mcl_iterate(&graph, &MclConfig::default(), rounds),
+                p,
+            );
+        }
     });
 }

@@ -544,19 +544,13 @@ fn recovery_workload<C: Comm>(
     let logical = match name {
         // Three cached multiplies with a `SessionSnapshot` checkpoint
         // before each; a restarted rank resumes with the fetch cache and
-        // cumulative stats of the attempt that died. The `_overlap`
-        // variant runs the same job with the prefetch engine on — a fault
-        // mid-prefetch must leave nothing torn in the resumed state.
-        "session" | "session_overlap" => {
+        // cumulative stats of the attempt that died.
+        "session" => {
             let a = int_er(48, 3.0, 201);
             let offsets = uniform_offsets(a.ncols(), comm.size());
             let da = DistMat1D::from_global(comm, &a, &offsets);
             let db = da.clone();
-            let tag = if name == "session_overlap" {
-                "rec.session.ov"
-            } else {
-                "rec.session"
-            };
+            let tag = "rec.session";
             let loaded: Option<(u64, Vec<String>, SessionSnapshot)> =
                 load_wire_or_fresh(store, me, tag).expect("readable checkpoint store");
             let step = agreed_step(comm, loaded.as_ref().map(|(k, ..)| *k));
@@ -567,9 +561,6 @@ fn recovery_workload<C: Comm>(
                 Plan1D::default(),
                 CacheConfig::unlimited(),
             );
-            if name == "session_overlap" {
-                session.set_prefetch(PrefetchConfig::on());
-            }
             let (mut fps, mut k) = match resume {
                 Some((k, fps, snap)) => {
                     session.restore(&snap);
@@ -1242,9 +1233,8 @@ fn corrupt_checkpoint_slot_triggers_unanimous_fresh_start_procs() {
 // abort / SIGKILL / seeded-lossy shapes with the prefetcher forced on:
 // every survivor must still fail typed `PeerFailed` naming the victim (a
 // torn staging buffer would instead surface as a wrong fingerprint, a
-// hang, or an untyped panic out of the fetch thread), lossy transports
-// must still complete bit-identically, and `run_recoverable` must resume
-// a killed overlapped session to the fault-free answer.
+// hang, or an untyped panic out of the fetch thread), and lossy transports
+// must still complete bit-identically.
 // ---------------------------------------------------------------------------
 
 /// The staged workloads with the prefetch engine forced on (explicit
@@ -1292,38 +1282,11 @@ fn overlap_workload<C: Comm>(name: &str, comm: &C) -> String {
                 rep.b_shipped_bytes
             )
         }
-        "session" => {
-            let a = int_er(60, 3.0, 106);
-            let offsets = uniform_offsets(a.ncols(), comm.size());
-            let da = DistMat1D::from_global(comm, &a, &offsets);
-            let db = da.clone();
-            let mut session = SpgemmSession::create(
-                comm,
-                da.clone(),
-                Plan1D::default(),
-                CacheConfig::unlimited(),
-            );
-            session.set_prefetch(on);
-            let (c1, r1) = session.multiply(comm, &db);
-            let a2 = a.map(|v| v + 1.0);
-            let invalidated = session.update_a(comm, DistMat1D::from_global(comm, &a2, &offsets));
-            let (c2, r2) = session.multiply(comm, &db);
-            format!(
-                "{} {} inv={} fresh=({},{}) hit=({},{})",
-                fp(&c1.into_local_csc()),
-                fp(&c2.into_local_csc()),
-                invalidated,
-                r1.fresh_bytes,
-                r2.fresh_bytes,
-                r1.cache_hit_bytes,
-                r2.cache_hit_bytes
-            )
-        }
         other => panic!("unknown overlap workload {other}"),
     }
 }
 
-const OVERLAP_WORKLOADS: [&str; 3] = ["1d", "2d", "session"];
+const OVERLAP_WORKLOADS: [&str; 2] = ["1d", "2d"];
 
 /// One cell of the abort matrix with overlap on: a victim dying while
 /// peers have staged gets in flight must produce exactly the same typed
@@ -1448,94 +1411,30 @@ fn overlap_sigkill_mid_prefetch_fails_every_survivor_typed_procs() {
 #[test]
 fn overlap_seeded_lossy_transport_completes_bit_identical_procs() {
     quiet_expected_panics();
-    for name in ["1d", "session"] {
-        let clean: Vec<String> = universe()
-            .try_run_procs(|comm| overlap_workload(name, comm))
-            .into_iter()
-            .enumerate()
-            .map(|(r, o)| {
-                o.unwrap_or_else(|e| panic!("overlap {name}: clean rank {r} failed: {e:?}"))
-            })
-            .collect();
-        for seed in fault_seeds().into_iter().take(1) {
-            for (mode, plan) in [
-                ("drop", FaultPlan::seeded_lossy(seed, 50, 0, 0)),
-                ("corrupt", FaultPlan::seeded_lossy(seed, 0, 50, 0)),
-                ("duplicate", FaultPlan::seeded_lossy(seed, 0, 0, 50)),
-            ] {
-                let _armed = arm_frame_plan(&plan);
-                let out = universe().try_run_procs(|comm| overlap_workload(name, comm));
-                for (r, o) in out.iter().enumerate() {
-                    let got = o.as_ref().unwrap_or_else(|e| {
-                        panic!("overlap {name}/{mode} seed {seed}: rank {r} failed: {e:?}")
-                    });
-                    assert_eq!(
-                        got, &clean[r],
-                        "overlap {name}/{mode} seed {seed}: rank {r} diverged from the fault-free run"
-                    );
-                }
+    let name = "1d";
+    let clean: Vec<String> = universe()
+        .try_run_procs(|comm| overlap_workload(name, comm))
+        .into_iter()
+        .enumerate()
+        .map(|(r, o)| o.unwrap_or_else(|e| panic!("overlap {name}: clean rank {r} failed: {e:?}")))
+        .collect();
+    for seed in fault_seeds().into_iter().take(1) {
+        for (mode, plan) in [
+            ("drop", FaultPlan::seeded_lossy(seed, 50, 0, 0)),
+            ("corrupt", FaultPlan::seeded_lossy(seed, 0, 50, 0)),
+            ("duplicate", FaultPlan::seeded_lossy(seed, 0, 0, 50)),
+        ] {
+            let _armed = arm_frame_plan(&plan);
+            let out = universe().try_run_procs(|comm| overlap_workload(name, comm));
+            for (r, o) in out.iter().enumerate() {
+                let got = o.as_ref().unwrap_or_else(|e| {
+                    panic!("overlap {name}/{mode} seed {seed}: rank {r} failed: {e:?}")
+                });
+                assert_eq!(
+                    got, &clean[r],
+                    "overlap {name}/{mode} seed {seed}: rank {r} diverged from the fault-free run"
+                );
             }
-        }
-    }
-}
-
-/// Recovery with overlap on: a fault landing mid-prefetch must leave
-/// nothing torn in the checkpoints — `run_recoverable` resumes the
-/// overlapped session to output bit-identical with the fault-free run, on
-/// every backend, within the retry policy.
-#[test]
-fn overlap_session_recovers_bit_identical_across_backends() {
-    quiet_expected_panics();
-    let policy = RetryPolicy::new(2, Duration::from_millis(5));
-    let watchdog = Duration::from_secs(60);
-    for backend in [Backend::Sim, Backend::Threads, Backend::Procs] {
-        let label = format!("ov_{}", backend.name());
-        let (clean_store, clean_dir) = make_store(backend, &format!("{label}_clean"));
-        let (clean, clean_rep) = recoverable_run(
-            backend,
-            "session_overlap",
-            &FaultPlan::none(),
-            clean_store.as_ref(),
-            &policy,
-            watchdog,
-        );
-        assert!(
-            clean_rep.recovered && clean_rep.restarts == 0,
-            "overlap/{label}: fault-free run restarted: {clean_rep:?}"
-        );
-        let plan = if backend == Backend::Procs {
-            FaultPlan::kill_at(VICTIM, 12).on_attempt(0)
-        } else {
-            FaultPlan::abort_at(VICTIM, 5).on_attempt(0)
-        };
-        let (store, dir) = make_store(backend, &format!("{label}_fault"));
-        let (out, report) = recoverable_run(
-            backend,
-            "session_overlap",
-            &plan,
-            store.as_ref(),
-            &policy,
-            watchdog,
-        );
-        assert!(
-            report.recovered && report.restarts >= 1,
-            "overlap/{label}: fault never fired or never recovered: {report:?}"
-        );
-        for (r, o) in out.iter().enumerate() {
-            let got = &o
-                .as_ref()
-                .unwrap_or_else(|e| {
-                    panic!("overlap/{label}: rank {r} failed after recovery: {e:?}")
-                })
-                .0;
-            let want = &clean[r].as_ref().unwrap().0;
-            assert_eq!(
-                got, want,
-                "overlap/{label}: rank {r}'s recovered output diverged from the fault-free run"
-            );
-        }
-        for d in [clean_dir, dir].into_iter().flatten() {
-            let _ = std::fs::remove_dir_all(d);
         }
     }
 }

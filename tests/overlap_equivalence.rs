@@ -1,10 +1,10 @@
 //! Overlap-equivalence suite (PR 10): turning prefetch overlap on must be
 //! observationally invisible everywhere except wall-clock. Every staged
 //! consumer of the [`Prefetcher`] — the 1D overlap entry, 2D SUMMA's
-//! A-panel staging, the 3D split's per-layer pipelines, and the session's
-//! miss-fetch assembly — is run as a `{overlap off, overlap on, overlap
-//! under a byte budget} × {SimComm, SA_BACKEND}` matrix and every cell is
-//! diffed against the pinned serial overlap-off baseline:
+//! A-panel staging and the 3D split's per-layer pipelines — is run as a
+//! `{overlap off, overlap on, overlap under a byte budget} × {SimComm,
+//! SA_BACKEND}` matrix and every cell is diffed against the pinned serial
+//! overlap-off baseline:
 //!
 //! * outputs are bit-identical (`f64::to_bits` fingerprints over
 //!   integer-valued operands, so sums are exact and scheduling cannot
@@ -21,8 +21,7 @@
 
 use saspgemm::dist::{
     spgemm_1d_overlap_ws, spgemm_1d_ws, spgemm_split_3d_sa_ws_cfg, spgemm_summa_2d_sa_ws_cfg,
-    uniform_offsets, CacheConfig, DistMat1D, DistMat2D, DistMat3D, FetchMode, Plan1D,
-    SpgemmSession,
+    uniform_offsets, DistMat1D, DistMat2D, DistMat3D, FetchMode, Plan1D,
 };
 use saspgemm::mpisim::{
     Backend, Comm, CommStats, Grid2D, Grid3D, Mode, PrefetchConfig, RankJob, Serial, Threads,
@@ -285,62 +284,6 @@ fn overlap_3d_is_byte_identical() {
     }
 }
 
-/// Session miss-fetch cell: repeated multiplies so the overlap path sees a
-/// cold miss set, a pure cache-hit iteration, and a delta-invalidation
-/// miss set — the cache transcript (hits, insertions, evictions) must be
-/// identical with overlap on, or the *next* iteration's bytes would drift.
-struct SessionMiss<'a> {
-    a: &'a Csc<f64>,
-    cfg: PrefetchConfig,
-}
-
-impl RankJob for SessionMiss<'_> {
-    type Out = Verdict;
-    fn run<C: Comm>(&self, comm: &C) -> Verdict {
-        let before = comm.stats();
-        let offsets = uniform_offsets(self.a.ncols(), comm.size());
-        let da = DistMat1D::from_global(comm, self.a, &offsets);
-        let db = da.clone();
-        let mut session = SpgemmSession::create(
-            comm,
-            da.clone(),
-            Plan1D::default(),
-            CacheConfig::unlimited(),
-        );
-        session.set_prefetch(self.cfg);
-        let (c1, r1) = session.multiply(comm, &db);
-        let (c2, r2) = session.multiply(comm, &db);
-        let a2 = self.a.map(|v| v + 1.0);
-        let da2 = DistMat1D::from_global(comm, &a2, &offsets);
-        let invalidated = session.update_a(comm, da2);
-        let (c3, r3) = session.multiply(comm, &db);
-        let s = format!(
-            "{}|{}|{}|r1={}/{}/{} r2={}/{} r3={}/{} inv={invalidated}",
-            fp_csc(&c1.into_local_csc()),
-            fp_csc(&c2.into_local_csc()),
-            fp_csc(&c3.into_local_csc()),
-            r1.fresh_bytes,
-            r1.cache_hit_bytes,
-            r1.needed_bytes,
-            r2.fresh_bytes,
-            r2.cache_hit_bytes,
-            r3.fresh_bytes,
-            r3.cache_hit_bytes,
-        );
-        (s, comm.stats() - before)
-    }
-}
-
-#[test]
-fn overlap_session_is_byte_identical() {
-    let a = int_er(60, 60, 3.0, 141);
-    assert_overlap_equivalence(
-        4,
-        |cfg| SessionMiss { a: &a, cfg },
-        "session miss-fetch overlap",
-    );
-}
-
 // ---------------------------------------------------------------------------
 // Double-meter regression net + arena discipline
 // ---------------------------------------------------------------------------
@@ -447,62 +390,6 @@ fn staging_is_arena_backed<M: Mode>() {
         assert!(
             steady.chunk_reuses > warm.chunk_reuses,
             "steady state is served from the pools"
-        );
-    }
-}
-
-/// Same discipline for the session's overlapped miss-fetch path: once the
-/// cache is warm the overlapped multiply allocates nothing.
-#[test]
-fn overlap_session_steady_state_is_arena_backed() {
-    session_steady_state_is_arena_backed::<Serial>();
-    session_steady_state_is_arena_backed::<Threads>();
-}
-
-fn session_steady_state_is_arena_backed<M: Mode>() {
-    let a = int_er(160, 160, 5.0, 171);
-    let u = Universe::new(3);
-    let results = u.launch::<M, _, _>(|comm| {
-        let offsets = uniform_offsets(a.ncols(), comm.size());
-        let da = DistMat1D::from_global(comm, &a, &offsets);
-        let db = da.clone();
-        let mut s = SpgemmSession::create(
-            comm,
-            da,
-            Plan1D {
-                global_stats: false,
-                ..Default::default()
-            },
-            CacheConfig::unlimited(),
-        );
-        s.set_prefetch(PrefetchConfig::on());
-        let (c1, _) = s.multiply(comm, &db);
-        let (_c2, _) = s.multiply(comm, &db);
-        let warm = s.workspace().counters();
-        let mut last = None;
-        for _ in 0..4 {
-            let (c, rep) = s.multiply(comm, &db);
-            assert_eq!(rep.fresh_bytes, 0, "warm cache refetches nothing");
-            last = Some(c);
-        }
-        let steady = s.workspace().counters();
-        (
-            c1.into_local_csc(),
-            last.unwrap().into_local_csc(),
-            warm,
-            steady,
-        )
-    });
-    for (first, last, warm, steady) in results {
-        assert_eq!(first, last, "steady-state iterations stay correct");
-        assert_eq!(
-            (
-                steady.chunk_allocs,
-                steady.idx_allocs,
-                steady.scratch_allocs
-            ),
-            (warm.chunk_allocs, warm.idx_allocs, warm.scratch_allocs),
-            "overlapped session steady state allocates nothing"
         );
     }
 }

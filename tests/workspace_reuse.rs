@@ -10,8 +10,10 @@ use saspgemm::dist::{uniform_offsets, CacheConfig, DistMat1D, Plan1D, SpgemmSess
 use saspgemm::mpisim::Universe;
 use saspgemm::sparse::gen::erdos_renyi;
 use saspgemm::sparse::semiring::PlusTimes;
-use saspgemm::sparse::spgemm::{spgemm_with, Kernel, Schedule, SpgemmWorkspace, WorkspaceCounters};
-use saspgemm::sparse::Dcsc;
+use saspgemm::sparse::spgemm::{
+    spgemm_with, spgemm_with_epilogue, Kernel, Schedule, SpgemmWorkspace, WorkspaceCounters,
+};
+use saspgemm::sparse::{Dcsc, Vidx};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -208,5 +210,61 @@ fn warm_single_thread_multiply_allocates_only_the_product() {
                 b.ncols()
             );
         }
+    }
+}
+
+#[test]
+fn warm_multiply_with_an_epilogue_allocates_only_its_output() {
+    // the epilogue keeps every other entry, so the output is not pre-sized
+    // from the flop bound: it grows as a `Vec` does, by doubling, and what
+    // the allocator sees beyond `colptr` is those growth steps — a number
+    // set by the output's size, where one allocation per column would be
+    // 400 or more
+    let keep_even_rows =
+        |rows: &[Vidx], vals: &mut [f64], rows_out: &mut Vec<Vidx>, vals_out: &mut Vec<f64>| {
+            for (&r, &v) in rows.iter().zip(vals.iter()) {
+                if r % 2 == 0 {
+                    rows_out.push(r);
+                    vals_out.push(v);
+                }
+            }
+        };
+    let a = erdos_renyi(400, 400, 6.0, 21);
+    let ad = Dcsc::from_csc(&a);
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("pool");
+    for kernel in [Kernel::Heap, Kernel::Hash, Kernel::Spa, Kernel::Hybrid] {
+        let ws = SpgemmWorkspace::new();
+        let multiply = || {
+            pool.install(|| {
+                spgemm_with_epilogue::<PlusTimes<f64>, _, _, _>(
+                    &ad,
+                    &ad,
+                    kernel,
+                    Schedule::FlopBalanced,
+                    &ws,
+                    Some(&keep_even_rows),
+                )
+            })
+        };
+        let warm = multiply();
+        let counters = ws.counters();
+        let before = ALLOCS.with(Cell::get);
+        let c = multiply();
+        let allocs = ALLOCS.with(Cell::get) - before;
+        assert_eq!(c, warm);
+        assert_eq!(
+            ws.counters().total_allocs(),
+            counters.total_allocs(),
+            "{kernel:?}: the staging pair lives in the pooled scratch"
+        );
+        let doublings = u64::from(usize::BITS - c.nnz().leading_zeros());
+        assert!(
+            c.nnz() > 400 && allocs <= 1 + 2 * doublings,
+            "{kernel:?}: {allocs} allocations for {} output entries",
+            c.nnz()
+        );
     }
 }
