@@ -372,36 +372,7 @@ pub fn bc_batches_1d_session<C: Comm>(
     plan: &Plan1D,
     cache: CacheConfig,
 ) -> (Vec<BcOutcome>, Vec<BcSessionStats>) {
-    let n = a.nrows();
-    let a01 = a.map(|_| 1.0);
-    let at01 = a01.transpose();
-    let plan = Plan1D {
-        global_stats: false,
-        ..*plan
-    };
-    let n_offsets = uniform_offsets(n, comm.size());
-    let mut fwd = SpgemmSession::create(
-        comm,
-        DistMat1D::from_global(comm, &at01, &n_offsets),
-        plan,
-        cache,
-    );
-    let mut bwd = SpgemmSession::create(
-        comm,
-        DistMat1D::from_global(comm, &a01, &n_offsets),
-        plan,
-        cache,
-    );
-    let mut outcomes = Vec::with_capacity(batches.len());
-    let mut snapshots = Vec::with_capacity(batches.len());
-    for sources in batches {
-        outcomes.push(bc_one_batch_sessions(comm, &mut fwd, &mut bwd, n, sources));
-        snapshots.push(BcSessionStats {
-            forward: *fwd.stats(),
-            backward: *bwd.stats(),
-        });
-    }
-    (outcomes, snapshots)
+    bc_batches(comm, a, batches, plan, cache, None)
 }
 
 /// [`bc_batches_1d_session`] with per-batch checkpointing, for execution
@@ -427,6 +398,19 @@ pub fn bc_batches_1d_session_recoverable<C: Comm>(
     store: &dyn CheckpointStore,
     tag: &str,
 ) -> (Vec<BcOutcome>, Vec<BcSessionStats>) {
+    bc_batches(comm, a, batches, plan, cache, Some((store, tag)))
+}
+
+/// The one session batch loop. Without a `checkpoint` nothing is loaded,
+/// agreed on or saved.
+fn bc_batches<C: Comm>(
+    comm: &C,
+    a: &Csc<f64>,
+    batches: &[Vec<Vidx>],
+    plan: &Plan1D,
+    cache: CacheConfig,
+    checkpoint: Option<(&dyn CheckpointStore, &str)>,
+) -> (Vec<BcOutcome>, Vec<BcSessionStats>) {
     let me = comm.rank();
     type BcCkpt = (
         u64,
@@ -435,60 +419,56 @@ pub fn bc_batches_1d_session_recoverable<C: Comm>(
         SessionSnapshot,
         SessionSnapshot,
     );
-    let loaded: Option<BcCkpt> =
-        load_wire_or_fresh(store, me, tag).expect("readable checkpoint store");
-    let step = agreed_step(comm, loaded.as_ref().map(|(k, ..)| *k));
-    let resume = step.and_then(|k| loaded.filter(|(lk, ..)| *lk == k));
+    let resume = checkpoint.and_then(|(store, tag)| {
+        let loaded: Option<BcCkpt> =
+            load_wire_or_fresh(store, me, tag).expect("readable checkpoint store");
+        let step = agreed_step(comm, loaded.as_ref().map(|(k, ..)| *k));
+        step.and_then(|k| loaded.filter(|(lk, ..)| *lk == k))
+    });
 
     let n = a.nrows();
     let a01 = a.map(|_| 1.0);
-    let at01 = a01.transpose();
     let plan = Plan1D {
         global_stats: false,
         ..*plan
     };
     let n_offsets = uniform_offsets(n, comm.size());
-    let mut fwd = SpgemmSession::create(
-        comm,
-        DistMat1D::from_global(comm, &at01, &n_offsets),
-        plan,
-        cache,
-    );
-    let mut bwd = SpgemmSession::create(
-        comm,
-        DistMat1D::from_global(comm, &a01, &n_offsets),
-        plan,
-        cache,
-    );
-    let (mut outcomes, mut snapshots, start) = match resume {
-        Some((k, outcomes, snapshots, fs, bs)) => {
+    let dist = |m: &Csc<f64>| DistMat1D::from_global(comm, m, &n_offsets);
+    let mut fwd = SpgemmSession::create(comm, dist(&a01.transpose()), plan, cache);
+    let mut bwd = SpgemmSession::create(comm, dist(&a01), plan, cache);
+    let (mut outcomes, mut snapshots) = match resume {
+        Some((_, outcomes, snapshots, fs, bs)) => {
             fwd.restore(&fs);
             bwd.restore(&bs);
-            (outcomes, snapshots, k as usize)
+            (outcomes, snapshots)
         }
-        None => (Vec::new(), Vec::new(), 0),
+        None => (Vec::new(), Vec::new()),
     };
-    for sources in batches.iter().skip(start) {
-        save_wire(
-            store,
-            me,
-            tag,
-            &(
-                outcomes.len() as u64,
-                outcomes.clone(),
-                snapshots.clone(),
-                fwd.snapshot(),
-                bwd.snapshot(),
-            ),
-        )
-        .expect("writable checkpoint store");
+    for sources in batches.iter().skip(outcomes.len()) {
+        if let Some((store, tag)) = checkpoint {
+            save_wire(
+                store,
+                me,
+                tag,
+                &(
+                    outcomes.len() as u64,
+                    outcomes.clone(),
+                    snapshots.clone(),
+                    fwd.snapshot(),
+                    bwd.snapshot(),
+                ),
+            )
+            .expect("writable checkpoint store");
+        }
         outcomes.push(bc_one_batch_sessions(comm, &mut fwd, &mut bwd, n, sources));
         snapshots.push(BcSessionStats {
             forward: *fwd.stats(),
             backward: *bwd.stats(),
         });
     }
-    store.remove(me, tag).expect("removable checkpoint");
+    if let Some((store, tag)) = checkpoint {
+        store.remove(me, tag).expect("removable checkpoint");
+    }
     (outcomes, snapshots)
 }
 

@@ -17,8 +17,7 @@
 //!   rank-loop, [`ThreadComm`](sa_mpisim::ThreadComm) truly-parallel
 //!   threads, or [`ProcComm`](sa_mpisim::ProcComm) one OS process per rank
 //!   over localhost sockets). Metered traffic is byte-identical across all
-//!   three; only wall-clock changes. `--bench backends` compares them
-//!   directly.
+//!   three; only wall-clock changes.
 //!
 //! Harness map: [`plan`]/[`scale`]/[`load`] configure a run,
 //! [`square_1d`] executes the canonical squaring workload,
@@ -208,54 +207,37 @@ pub fn square_1d(
 }
 
 /// One rank's share of the canonical squaring workload — generic over the
-/// backend so the same code runs on `SimComm` and `ThreadComm`. Returns
-/// the report plus this rank's [`sa_mpisim::rank_active_seconds`] (its
-/// interference-free own-work span under the serial scheduler; 0 under
-/// the parallel one). This is the single definition of the workload the
-/// figure benches and the `backends` comparison bench share.
-pub fn square_rank<C: Comm>(comm: &C, prep: &PrepResult, plan: &Plan1D) -> (SpgemmReport, f64) {
+/// backend so the same code runs on every communicator.
+fn square_rank<C: Comm>(comm: &C, prep: &PrepResult, plan: &Plan1D) -> SpgemmReport {
     let da = DistMat1D::from_global(comm, &prep.a, &prep.offsets);
     let db = da.clone();
-    let (_c, rep) = spgemm_1d(comm, &da, &db, plan);
-    (rep, sa_mpisim::rank_active_seconds())
-}
-
-/// Squaring on an already-prepared (permuted + offset) matrix under an
-/// explicit backend; best of [`reps`] runs by whole-universe wall time.
-/// Returns the per-rank reports plus the best run's wall seconds (launch
-/// to join — the number that differs between backends).
-pub fn run_square_prepared_on(
-    be: Backend,
-    prep: &PrepResult,
-    p: usize,
-    plan: Plan1D,
-) -> (Vec<SpgemmReport>, f64) {
-    let (_t, best) = best_of(reps(), || {
-        let u = universe_with_threads(p, threads_per_rank());
-        let t0 = std::time::Instant::now();
-        // launch::<M> pins the scheduler: the explicit `be` argument must
-        // win over any SA_BACKEND in the environment
-        let reports = match be {
-            Backend::Sim => {
-                u.launch::<sa_mpisim::Serial, _, _>(|comm| square_rank(comm, prep, &plan).0)
-            }
-            Backend::Threads => {
-                u.launch::<sa_mpisim::Threads, _, _>(|comm| square_rank(comm, prep, &plan).0)
-            }
-            // one OS process per rank; the report crosses back over a socket
-            Backend::Procs => u.run_procs(|comm| square_rank(comm, prep, &plan).0),
-        };
-        let wall = t0.elapsed().as_secs_f64();
-        (wall, (reports, wall))
-    });
-    best
+    spgemm_1d(comm, &da, &db, plan).1
 }
 
 /// Squaring on an already-prepared (permuted + offset) matrix; best of
-/// [`reps`] runs. Executes on the backend selected by [`backend`] (the
-/// serial simulator unless `SA_BACKEND`/`--backend` overrides).
+/// [`reps`] runs by whole-universe wall time (launch to join). Executes on
+/// the backend selected by [`backend`] (the serial simulator unless
+/// `SA_BACKEND`/`--backend` overrides).
 pub fn run_square_prepared(prep: &PrepResult, p: usize, plan: Plan1D) -> Vec<SpgemmReport> {
-    run_square_prepared_on(backend(), prep, p, plan).0
+    let be = backend();
+    let (_wall, reports) = best_of(reps(), || {
+        let u = universe(p);
+        let t0 = std::time::Instant::now();
+        // launch::<M> pins the scheduler: a `--backend` argument must win
+        // over any SA_BACKEND in the environment
+        let reports = match be {
+            Backend::Sim => {
+                u.launch::<sa_mpisim::Serial, _, _>(|comm| square_rank(comm, prep, &plan))
+            }
+            Backend::Threads => {
+                u.launch::<sa_mpisim::Threads, _, _>(|comm| square_rank(comm, prep, &plan))
+            }
+            // one OS process per rank; the report crosses back over a socket
+            Backend::Procs => u.run_procs(|comm| square_rank(comm, prep, &plan)),
+        };
+        (t0.elapsed().as_secs_f64(), reports)
+    });
+    reports
 }
 
 /// Print the per-rank breakdown block the paper's Figs. 4/8/10 show:

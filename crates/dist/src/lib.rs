@@ -79,8 +79,8 @@ pub use session::{
 };
 pub use shape::ShapeError;
 pub use spgemm1d::{
-    analyze_1d, analyze_1d_modes, spgemm_1d, spgemm_1d_overlap, spgemm_1d_overlap_ws, spgemm_1d_ws,
-    try_spgemm_1d, Analysis1D, FetchMode, Plan1D, SpgemmReport,
+    analyze_1d, analyze_1d_modes, spgemm_1d, spgemm_1d_ws, try_spgemm_1d, Analysis1D, FetchMode,
+    Plan1D, SpgemmReport,
 };
 pub use summa2d::{spgemm_summa_2d, spgemm_summa_2d_ws, DistMat2D, SummaReport};
 pub use summa2d_sa::{

@@ -32,11 +32,11 @@
 use crate::dist1d::DistMat1D;
 use crate::fetch::{exchange_meta, plan_fetch, FetchPlan, Interval, RankMeta, ENTRY_BYTES};
 use crate::spgemm1d::{assert_conformal, cv_of, global_volume, FetchMode, Plan1D, SpgemmReport};
-use sa_mpisim::{Breakdown, Comm, PairedWindow, PhaseTimes, Wire, WireError};
+use sa_mpisim::{Breakdown, Comm, CommStats, PairedWindow, PhaseTimes, Wire, WireError};
 use sa_sparse::semiring::PlusTimes;
 use sa_sparse::spgemm::{spgemm_with_epilogue, ChunkBuf, NoEpilogue, SpgemmWorkspace};
 use sa_sparse::types::{vidx, Vidx};
-use sa_sparse::{Dcsc, DcscBuilder};
+use sa_sparse::Dcsc;
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -122,7 +122,7 @@ pub struct FetchCache {
 }
 
 impl FetchCache {
-    fn new(cfg: CacheConfig) -> FetchCache {
+    pub(crate) fn new(cfg: CacheConfig) -> FetchCache {
         FetchCache {
             budget: cfg.budget_bytes,
             cols: HashMap::new(),
@@ -378,8 +378,10 @@ pub struct SessionAnalysis {
 }
 
 /// Outcome of the incremental symbolic pass: which needed columns the cache
-/// already holds, and the mask of those that must travel.
-struct Survey {
+/// already holds, and the mask of those that must travel. The default (no
+/// hits) is the sessionless multiply's.
+#[derive(Default)]
+pub(crate) struct Survey {
     /// Global-column mask of needed-but-uncached columns.
     miss: Vec<bool>,
     /// Resident needed columns: (owner, global column, owner-storage
@@ -414,6 +416,276 @@ fn served_hit_bytes(survey: &Survey, fplan: &FetchPlan) -> u64 {
         }
     }
     served
+}
+
+/// Expose a fetched operand: replicate its nonzero-column metadata and open
+/// a paired window over its entry arrays. Collective.
+pub(crate) fn expose<C: Comm>(
+    comm: &C,
+    local: &Dcsc<f64>,
+) -> (Vec<RankMeta>, PairedWindow<Vidx, f64>) {
+    let metas = exchange_meta(comm, local);
+    let win = PairedWindow::create(comm, local.ir().to_vec(), local.num().to_vec());
+    (metas, win)
+}
+
+/// What a caller's symbolic phase hands [`Pipeline1D::multiply`]. Planning
+/// stays with the caller because it is where the two callers differ: the
+/// sessionless multiply plans every needed column ([`plan_fetch`], an empty
+/// survey), a session plans only what its cache misses.
+pub(crate) struct Symbolic {
+    pub survey: Survey,
+    pub fplan: FetchPlan,
+    /// Counters and clock read before the symbolic phase began, so the
+    /// report covers the whole call.
+    pub stats0: CommStats,
+    pub t_call: Instant,
+}
+
+/// Algorithm 1 from the fetch on — assemble `Ã`, multiply, wrap, report —
+/// over a borrowed exposed operand. [`spgemm_1d`](crate::spgemm1d::spgemm_1d)
+/// runs it once against a cache with no budget; [`SpgemmSession::multiply`]
+/// runs it against the session's own.
+pub(crate) struct Pipeline1D<'a> {
+    pub a: &'a DistMat1D,
+    pub metas: &'a [RankMeta],
+    pub win: &'a PairedWindow<Vidx, f64>,
+    pub plan: &'a Plan1D,
+    pub ws: &'a SpgemmWorkspace<f64>,
+    pub cache: &'a mut FetchCache,
+}
+
+impl Pipeline1D<'_> {
+    pub(crate) fn multiply<C, E>(
+        mut self,
+        comm: &C,
+        b: &DistMat1D,
+        sym: Symbolic,
+        epilogue: Option<&E>,
+    ) -> (DistMat1D, SpgemmReport)
+    where
+        C: Comm,
+        E: Fn(&[Vidx], &mut [f64], &mut Vec<Vidx>, &mut Vec<f64>) + Sync,
+    {
+        let Symbolic {
+            survey,
+            fplan,
+            stats0,
+            t_call,
+        } = sym;
+        let symbolic_s = t_call.elapsed().as_secs_f64();
+
+        // --- fetch the plan + merge with cache and local slice into Ã ---
+        let t_asm = Instant::now();
+        let (atilde, comm_s) = self.assemble(comm, &survey, &fplan);
+        let mut assemble_s = (t_asm.elapsed().as_secs_f64() - comm_s).max(0.0);
+
+        // --- local kernel ---
+        let t0 = Instant::now();
+        let (kernel, schedule, ws) = (self.plan.kernel, self.plan.schedule, self.ws);
+        let c_local = comm.install(|| {
+            spgemm_with_epilogue::<PlusTimes<f64>, _, _, _>(
+                &atilde,
+                b.local(),
+                kernel,
+                schedule,
+                ws,
+                epilogue,
+            )
+        });
+        let comp_s = t0.elapsed().as_secs_f64();
+        // hand Ã's buffers back for the next multiply's assembly
+        let (jc, cp, ir, num) = atilde.into_parts();
+        ws.put_chunk(ChunkBuf {
+            lens: jc,
+            rows: ir,
+            vals: num,
+        });
+        ws.put_idx(cp);
+
+        // --- wrap the output in B's layout ---
+        let t_wrap = Instant::now();
+        let c = DistMat1D::from_local(
+            self.a.nrows(),
+            b.ncols(),
+            b.offsets().clone(),
+            Dcsc::from(c_local),
+        );
+        assemble_s += t_wrap.elapsed().as_secs_f64();
+
+        // --- exact accounting ---
+        let comm_delta = comm.stats() - stats0;
+        let fetched = fplan.fetch_bytes();
+        debug_assert_eq!(comm_delta.rdma_get_bytes, fetched, "metered == planned");
+        let (fetched_global, cv) = if self.plan.global_stats {
+            let (total, max_fetched, mem_global) = global_volume(comm, fetched, self.a);
+            (total, cv_of(max_fetched, mem_global))
+        } else {
+            // local-only variant of the criterion: this rank's volume over
+            // its own slice footprint
+            let mem_local = self.a.local().nnz() as u64 * ENTRY_BYTES;
+            (fetched, cv_of(fetched, mem_local))
+        };
+        let total_s = t_call.elapsed().as_secs_f64();
+        let report = SpgemmReport {
+            fetched_bytes: fetched,
+            fresh_bytes: fetched,
+            cache_hit_bytes: served_hit_bytes(&survey, &fplan),
+            needed_bytes: survey.hit_bytes + fplan.needed_bytes(),
+            fetched_bytes_global: fetched_global,
+            rdma_msgs: fplan.rdma_msgs(),
+            cv_over_mem: cv,
+            comm: comm_delta,
+            breakdown: Breakdown {
+                comm_s,
+                comp_s,
+                other_s: (total_s - comm_s - comp_s).max(0.0),
+            },
+            phases: PhaseTimes {
+                symbolic_s,
+                fetch_s: comm_s,
+                compute_s: comp_s,
+                assemble_s,
+            },
+        };
+        (c, report)
+    }
+
+    /// Assemble `Ã` in ascending global-column order — every planned
+    /// interval (over-fetched columns included), the surveyed hits no
+    /// interval re-delivers, and the local slice at its owner position —
+    /// into buffers recycled through the workspace. One owner/position walk
+    /// fills `jc`/`cp` from the replicated metadata and lists the gets,
+    /// which move as one batch. With no hit to interleave, the batch (the
+    /// local slice riding as a free own-rank get) lands straight in `Ã`'s
+    /// `ir`/`num`; otherwise it lands in a staging chunk and is stitched
+    /// around the cached columns and the local slice. A cache with a budget
+    /// then takes the fresh columns out of `Ã`. Returns `Ã` and the seconds
+    /// spent inside the batched get.
+    fn assemble<C: Comm>(
+        &mut self,
+        comm: &C,
+        survey: &Survey,
+        fplan: &FetchPlan,
+    ) -> (Dcsc<f64>, f64) {
+        let me = comm.rank();
+        let (local, offsets) = (self.a.local(), self.a.offsets());
+        let direct = survey.hits.is_empty();
+        let ChunkBuf {
+            lens: mut jc,
+            rows: mut ir,
+            vals: mut num,
+        } = self.ws.take_chunk();
+        let mut cp = self.ws.take_idx();
+        let nzc_estimate = local.nzc()
+            + survey.hits.len()
+            + fplan.intervals.iter().map(|iv| iv.pos.len()).sum::<usize>();
+        jc.reserve(nzc_estimate);
+        cp.reserve(nzc_estimate + 1);
+        cp.push(0);
+
+        let mut gets = Vec::with_capacity(fplan.intervals.len() + 1);
+        // Ã column at which each interval starts, for a cache that keeps them
+        let caching = self.cache.budget > 0;
+        let mut fresh_at = Vec::with_capacity(if caching { fplan.intervals.len() } else { 0 });
+        // what the stitch splices between staged runs: (Ã column, owner of
+        // a cached column | None for the local slice)
+        let mut spliced: Vec<(usize, Option<usize>)> =
+            Vec::with_capacity(if direct { 0 } else { survey.hits.len() + 1 });
+        let mut ivs = fplan.intervals.iter().peekable();
+        let mut hits = survey.hits.iter().peekable();
+        for owner in 0..comm.size() {
+            if owner == me {
+                if direct {
+                    gets.push((me, 0..local.nnz()));
+                } else {
+                    spliced.push((jc.len(), None));
+                }
+                let base = offsets[me];
+                for q in 0..local.nzc() {
+                    jc.push(vidx(base + local.jc()[q] as usize));
+                    cp.push(cp.last().unwrap() + (local.cp()[q + 1] - local.cp()[q]));
+                }
+                continue;
+            }
+            let base = offsets[owner];
+            let meta = &self.metas[owner];
+            let push_col = |jc: &mut Vec<Vidx>, cp: &mut Vec<usize>, q: usize| {
+                jc.push(vidx(base + meta.jc[q] as usize));
+                cp.push(cp.last().unwrap() + meta.col_entries(q) as usize);
+            };
+            loop {
+                let iv = ivs.next_if(|iv| iv.owner == owner);
+                // the cached columns stored before this interval (after the
+                // owner's last: all it has left); a hit stored inside an
+                // interval arrives fresh with it
+                let (start, end) =
+                    iv.map_or((usize::MAX, usize::MAX), |iv| (iv.pos.start, iv.pos.end));
+                while let Some(&(_, _, q, _)) = hits.next_if(|h| h.0 == owner && h.2 < end) {
+                    if q < start {
+                        spliced.push((jc.len(), Some(owner)));
+                        push_col(&mut jc, &mut cp, q);
+                    }
+                }
+                let Some(iv) = iv else { break };
+                gets.push(iv.get());
+                if caching {
+                    fresh_at.push(jc.len());
+                }
+                for q in iv.pos.clone() {
+                    push_col(&mut jc, &mut cp, q);
+                }
+            }
+        }
+        let nnz = *cp.last().unwrap();
+        ir.reserve(nnz);
+        num.reserve(nnz);
+
+        let mut stage = (!direct).then(|| self.ws.take_chunk());
+        let (land_ir, land_num) = match &mut stage {
+            Some(stage) => (&mut stage.rows, &mut stage.vals),
+            None => (&mut ir, &mut num),
+        };
+        let t0 = Instant::now();
+        self.win
+            .get_many_into(comm, &gets, land_ir, land_num)
+            .expect("fetch interval within exposed window");
+        let comm_s = t0.elapsed().as_secs_f64();
+
+        if let Some(stage) = stage {
+            // the staged entries are Ã's minus the spliced pieces, in order
+            let mut staged = 0usize;
+            let mut run = |upto: usize, ir: &mut Vec<Vidx>, num: &mut Vec<f64>| {
+                let n = upto - ir.len();
+                ir.extend_from_slice(&stage.rows[staged..staged + n]);
+                num.extend_from_slice(&stage.vals[staged..staged + n]);
+                staged += n;
+            };
+            for &(k, src) in &spliced {
+                run(cp[k], &mut ir, &mut num);
+                let (rows, vals) = match src {
+                    None => (local.ir(), local.num()),
+                    Some(owner) => self
+                        .cache
+                        .peek(owner, jc[k])
+                        .expect("surveyed hit still resident (pinned at current clock)"),
+                };
+                ir.extend_from_slice(rows);
+                num.extend_from_slice(vals);
+            }
+            run(nnz, &mut ir, &mut num);
+            self.ws.put_chunk(stage);
+        }
+
+        for (iv, &k0) in fplan.intervals.iter().zip(&fresh_at) {
+            for k in k0..k0 + iv.pos.len() {
+                let e = cp[k]..cp[k + 1];
+                self.cache.insert(iv.owner, jc[k], &ir[e.clone()], &num[e]);
+            }
+        }
+        let atilde = Dcsc::from_parts(self.a.nrows(), self.a.ncols(), jc, cp, ir, num);
+        (atilde, comm_s)
+    }
 }
 
 /// A pinned fetched operand for repeated [`spgemm_1d`]-style multiplies.
@@ -471,8 +743,7 @@ impl SpgemmSession {
         plan: Plan1D,
         cache: CacheConfig,
     ) -> SpgemmSession {
-        let metas = exchange_meta(comm, a.local());
-        let win = PairedWindow::create(comm, a.local().ir().to_vec(), a.local().num().to_vec());
+        let (metas, win) = expose(comm, a.local());
         SpgemmSession {
             a,
             metas,
@@ -637,189 +908,36 @@ impl SpgemmSession {
         let me = comm.rank();
 
         // --- incremental symbolic pass ---
-        let t_sym = Instant::now();
         self.cache.tick();
-        let needed = b.local().row_hit_vector();
-        let survey = self.survey(me, &needed);
+        let survey = self.survey(me, &b.local().row_hit_vector());
         // Pin the hits: entries touched at the current clock are immune to
-        // eviction, so inserting fresh columns below cannot drop a column
-        // the assembly is about to read.
+        // eviction, so inserting fresh columns cannot drop a column the
+        // assembly is about to read.
         for &(owner, g, _q, _bytes) in &survey.hits {
             self.cache.touch(owner, g);
         }
         let fplan = self.plan_misses(me, &survey.miss);
-        let symbolic_s = t_sym.elapsed().as_secs_f64();
 
-        // --- fetch misses + merge with cache into Ã ---
-        let t_asm = Instant::now();
-        let (atilde, comm_s) = self.assemble(comm, &needed, &survey, &fplan);
-        let mut assemble_s = (t_asm.elapsed().as_secs_f64() - comm_s).max(0.0);
-
-        // --- local kernel ---
-        let t0 = Instant::now();
-        let (kernel, schedule, ws) = (self.plan.kernel, self.plan.schedule, &self.ws);
-        let c_local = comm.install(|| {
-            spgemm_with_epilogue::<PlusTimes<f64>, _, _, _>(
-                &atilde,
-                b.local(),
-                kernel,
-                schedule,
-                ws,
-                epilogue,
-            )
-        });
-        let comp_s = t0.elapsed().as_secs_f64();
-        // recycle Ã's buffers for the next iteration's assembly
-        let (jc, cp, ir, num) = atilde.into_parts();
-        self.ws.put_chunk(ChunkBuf {
-            lens: jc,
-            rows: ir,
-            vals: num,
-        });
-        self.ws.put_idx(cp);
-        let t_wrap = Instant::now();
-        let c = DistMat1D::from_local(
-            self.a.nrows(),
-            b.ncols(),
-            b.offsets().clone(),
-            Dcsc::from(c_local),
-        );
-        assemble_s += t_wrap.elapsed().as_secs_f64();
-
-        // --- exact accounting ---
-        let comm_delta = comm.stats() - stats0;
-        let fetched = fplan.fetch_bytes();
-        debug_assert_eq!(comm_delta.rdma_get_bytes, fetched, "metered == planned");
-        let (fetched_global, cv) = if self.plan.global_stats {
-            let (total, max_fetched, mem_global) = global_volume(comm, fetched, &self.a);
-            (total, cv_of(max_fetched, mem_global))
-        } else {
-            let mem_local = self.a.local().nnz() as u64 * ENTRY_BYTES;
-            (fetched, cv_of(fetched, mem_local))
+        let sym = Symbolic {
+            survey,
+            fplan,
+            stats0,
+            t_call,
         };
-        let total_s = t_call.elapsed().as_secs_f64();
-        let report = SpgemmReport {
-            fetched_bytes: fetched,
-            fresh_bytes: fetched,
-            cache_hit_bytes: served_hit_bytes(&survey, &fplan),
-            needed_bytes: survey.hit_bytes + fplan.needed_bytes(),
-            fetched_bytes_global: fetched_global,
-            rdma_msgs: fplan.rdma_msgs(),
-            cv_over_mem: cv,
-            comm: comm_delta,
-            breakdown: Breakdown {
-                comm_s,
-                comp_s,
-                other_s: (total_s - comm_s - comp_s).max(0.0),
-            },
-            phases: PhaseTimes {
-                symbolic_s,
-                fetch_s: comm_s,
-                compute_s: comp_s,
-                assemble_s,
-            },
-        };
+        let (c, report) = Pipeline1D {
+            a: &self.a,
+            metas: &self.metas,
+            win: &self.win,
+            plan: &self.plan,
+            ws: &self.ws,
+            cache: &mut self.cache,
+        }
+        .multiply(comm, b, sym, epilogue);
         self.stats.multiplies += 1;
         self.stats.fresh_bytes += report.fresh_bytes;
         self.stats.cache_hit_bytes += report.cache_hit_bytes;
         self.stats.rdma_msgs += report.rdma_msgs;
         (c, report)
-    }
-
-    /// Assemble `Ã` in ascending global-column order: the local slice
-    /// spliced at its owner position, cache hits read in place, and the
-    /// planned intervals fetched as one batch into a staging buffer then merged
-    /// column-by-column (fresh columns — over-fetched ones included, like
-    /// the sessionless path — are inserted into the cache as they pass).
-    /// The builder's arrays and the staging buffers are recycled through
-    /// the session workspace, so steady-state assemblies allocate nothing.
-    fn assemble<C: Comm>(
-        &mut self,
-        comm: &C,
-        needed: &[bool],
-        survey: &Survey,
-        fplan: &FetchPlan,
-    ) -> (Dcsc<f64>, f64) {
-        let me = comm.rank();
-        let local = self.a.local();
-        let offsets = self.a.offsets().clone();
-        let nzc_est = local.nzc()
-            + survey.hits.len()
-            + fplan.intervals.iter().map(|iv| iv.pos.len()).sum::<usize>();
-        let nnz_est = local.nnz() + (survey.hit_bytes / ENTRY_BYTES + fplan.fetch_entries) as usize;
-        let bbuf = self.ws.take_chunk();
-        let bcp = self.ws.take_idx();
-        let mut builder = DcscBuilder::from_buffers(
-            self.a.nrows(),
-            self.a.ncols(),
-            bbuf.lens,
-            bcp,
-            bbuf.rows,
-            bbuf.vals,
-        );
-        builder.reserve(nzc_est, nnz_est);
-        // fetch the whole miss plan as one batch into the staging buffers,
-        // where the intervals land back to back in plan order
-        let mut stage = self.ws.take_chunk();
-        let stage_ir = &mut stage.rows;
-        let stage_num = &mut stage.vals;
-        stage_ir.clear();
-        stage_num.clear();
-        let gets: Vec<_> = fplan.intervals.iter().map(|iv| iv.get()).collect();
-        let t0 = Instant::now();
-        self.win
-            .get_many_into(comm, &gets, stage_ir, stage_num)
-            .expect("fetch interval within exposed window");
-        let comm_s = t0.elapsed().as_secs_f64();
-        let mut next_iv = 0usize;
-        let mut stage_base = 0usize;
-        let mut fresh: Vec<(&Interval, usize)> = Vec::new();
-        for owner in 0..comm.size() {
-            if owner == me {
-                let base = offsets[me];
-                for q in 0..local.nzc() {
-                    let (rows, vals) = local.col_by_pos(q);
-                    builder.push_col(vidx(base + local.jc()[q] as usize), rows, vals);
-                }
-                continue;
-            }
-            let meta = &self.metas[owner];
-            let base = offsets[owner];
-            // this owner's staged intervals
-            fresh.clear();
-            while let Some(iv) = fplan.intervals.get(next_iv).filter(|iv| iv.owner == owner) {
-                fresh.push((iv, stage_base));
-                stage_base += gets[next_iv].1.len();
-                next_iv += 1;
-            }
-            if fresh.is_empty() && survey.hits.is_empty() {
-                continue;
-            }
-            // merge fresh intervals and cache hits in position order
-            let mut k = 0usize;
-            for q in 0..meta.nzc() {
-                let g = base + meta.jc[q] as usize;
-                while k < fresh.len() && fresh[k].0.pos.end <= q {
-                    k += 1;
-                }
-                if k < fresh.len() && fresh[k].0.pos.contains(&q) {
-                    let (iv, stage_base) = fresh[k];
-                    let off = stage_base + (meta.cp[q] - iv.entries.start) as usize;
-                    let len = meta.col_entries(q) as usize;
-                    let (rows, vals) = (&stage_ir[off..off + len], &stage_num[off..off + len]);
-                    builder.push_col(vidx(g), rows, vals);
-                    self.cache.insert(owner, vidx(g), rows, vals);
-                } else if needed[g] {
-                    let (rows, vals) = self
-                        .cache
-                        .peek(owner, vidx(g))
-                        .expect("surveyed hit still resident (pinned at current clock)");
-                    builder.push_col(vidx(g), rows, vals);
-                }
-            }
-        }
-        self.ws.put_chunk(stage);
-        (builder.finish(), comm_s)
     }
 
     /// Re-anchor the session on a changed operand without discarding the
@@ -854,12 +972,7 @@ impl SpgemmSession {
                 }
             }
         }
-        self.metas = exchange_meta(comm, new_a.local());
-        self.win = PairedWindow::create(
-            comm,
-            new_a.local().ir().to_vec(),
-            new_a.local().num().to_vec(),
-        );
+        (self.metas, self.win) = expose(comm, new_a.local());
         self.a = new_a;
         self.stats.a_updates += 1;
         self.stats.invalidated_cols += invalidated;
@@ -967,11 +1080,15 @@ mod tests {
     #[test]
     fn session_matches_sessionless_across_modes_and_iterations() {
         let a = erdos_renyi(72, 72, 3.0, 21);
-        for mode in [
-            FetchMode::FullMatrix,
-            FetchMode::Block(4),
-            FetchMode::ContiguousRuns,
-            FetchMode::ColumnExact,
+        // two narrow right operands whose needed sets overlap without either
+        // containing the other
+        let b_cold = erdos_renyi(72, 72, 0.3, 22);
+        let b_warm = erdos_renyi(72, 72, 0.3, 23);
+        for (mode, want_resident) in [
+            (FetchMode::FullMatrix, 5016u64),
+            (FetchMode::Block(4), 2136),
+            (FetchMode::ContiguousRuns, 612),
+            (FetchMode::ColumnExact, 612),
         ] {
             let u = sa_mpisim::Universe::new(3);
             let got = u.run(|comm| {
@@ -985,6 +1102,18 @@ mod tests {
                 let mut s = SpgemmSession::create(comm, da.clone(), plan, CacheConfig::unlimited());
                 let (c1, r1) = s.multiply(comm, &db);
                 let (c2, r2) = s.multiply(comm, &db);
+                // a partly warm cache: `b_cold` meets an empty one (no hit,
+                // the batch lands in Ã directly), `b_warm` then finds cached
+                // columns between the intervals it still has to fetch
+                let (db_cold, db_warm) = (dist(comm, &b_cold), dist(comm, &b_warm));
+                let mut t = SpgemmSession::create(comm, da.clone(), plan, CacheConfig::unlimited());
+                t.multiply(comm, &db_cold);
+                let resident = t.cache().resident_bytes();
+                let pre = t.analyze(comm, &db_warm);
+                let before = comm.stats();
+                let (c3, r3) = t.multiply(comm, &db_warm);
+                let metered = (comm.stats() - before).rdma_get_bytes;
+                let (c3_ref, _) = spgemm_1d(comm, &da, &db_warm, &plan);
                 (
                     c_ref.gather(comm),
                     c1.gather(comm),
@@ -992,9 +1121,10 @@ mod tests {
                     rep_ref,
                     r1,
                     r2,
+                    (c3.local() == c3_ref.local(), resident, pre, r3, metered),
                 )
             });
-            let (c_ref, c1, c2, rep_ref, r1, r2) = &got[0];
+            let (c_ref, c1, c2, rep_ref, r1, r2, _) = &got[0];
             assert_eq!(c1, c_ref, "{mode:?}: first session multiply");
             assert_eq!(c2, c_ref, "{mode:?}: repeated session multiply");
             assert_eq!(r1.fresh_bytes, rep_ref.fetched_bytes, "{mode:?}");
@@ -1004,6 +1134,29 @@ mod tests {
             assert_eq!(
                 r2.cache_hit_bytes, r2.needed_bytes,
                 "{mode:?}: warm iteration fully served from cache"
+            );
+            let mut interleaved = false;
+            for (rank, (.., (bit_equal, _, pre, r3, metered))) in got.iter().enumerate() {
+                assert!(
+                    bit_equal,
+                    "{mode:?} rank {rank}: stitched Ã multiplies like spgemm_1d"
+                );
+                assert_eq!(r3.fresh_bytes, *metered, "{mode:?} rank {rank}");
+                assert_eq!(
+                    r3.cache_hit_bytes, pre.cache_hit_bytes,
+                    "{mode:?} rank {rank}"
+                );
+                interleaved |= r3.fresh_bytes > 0 && r3.cache_hit_bytes > 0;
+            }
+            if matches!(mode, FetchMode::Block(4) | FetchMode::ContiguousRuns) {
+                assert!(interleaved, "{mode:?}: hits and fresh intervals in one Ã");
+            }
+            // the literals are what the parent's stage-and-stitch assembly
+            // left resident after the same no-hit multiply
+            let resident: u64 = got.iter().map(|g| g.6 .1).sum();
+            assert_eq!(
+                resident, want_resident,
+                "{mode:?}: cache after a direct landing"
             );
         }
     }

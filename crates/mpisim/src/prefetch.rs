@@ -1,7 +1,7 @@
 //! Double-buffered prefetch: overlap planned ranged gets with compute.
 //!
-//! The staged multiplies (1D overlap, the 2D SUMMA stage, and its
-//! per-layer 3D form) all share one shape: a *plan* of ranged
+//! The staged multiplies (the 2D SUMMA stage and its per-layer 3D form)
+//! share one shape: a *plan* of ranged
 //! window gets whose coordinates are fully known before any byte moves,
 //! followed by compute that does not need the fetched bytes until a
 //! well-defined rendezvous point. [`Prefetcher`] exploits that shape: it

@@ -275,104 +275,6 @@ impl<T: Copy + Send + Sync> From<Csc<T>> for Dcsc<T> {
     }
 }
 
-/// Incremental DCSC assembly from column segments arriving in ascending
-/// column order.
-///
-/// This is the merge primitive the distributed fetch path builds `Ã` with:
-/// each appended segment is one column's `(rows, vals)` pair, whether it
-/// came off the wire this iteration or out of a fetch cache from an earlier
-/// one. Columns must be pushed in strictly ascending global-column order —
-/// exactly the order the per-owner fetch plans and cache walks produce.
-pub struct DcscBuilder<T> {
-    nrows: usize,
-    ncols: usize,
-    jc: Vec<Vidx>,
-    cp: Vec<usize>,
-    ir: Vec<Vidx>,
-    num: Vec<T>,
-}
-
-impl<T: Copy + Send + Sync> DcscBuilder<T> {
-    /// Start a builder for an `nrows × ncols` matrix, pre-sizing the column
-    /// index for `nzc_cap` columns and the entry arrays for `nnz_cap`
-    /// entries.
-    pub fn with_capacity(nrows: usize, ncols: usize, nzc_cap: usize, nnz_cap: usize) -> Self {
-        let mut cp = Vec::with_capacity(nzc_cap + 1);
-        cp.push(0);
-        DcscBuilder {
-            nrows,
-            ncols,
-            jc: Vec::with_capacity(nzc_cap),
-            cp,
-            ir: Vec::with_capacity(nnz_cap),
-            num: Vec::with_capacity(nnz_cap),
-        }
-    }
-
-    /// Start a builder on recycled buffers (cleared here; capacity kept).
-    /// Pair with [`Dcsc::into_parts`] to assemble each iteration's `Ã`
-    /// into the same allocations.
-    pub fn from_buffers(
-        nrows: usize,
-        ncols: usize,
-        mut jc: Vec<Vidx>,
-        mut cp: Vec<usize>,
-        mut ir: Vec<Vidx>,
-        mut num: Vec<T>,
-    ) -> Self {
-        jc.clear();
-        cp.clear();
-        cp.push(0);
-        ir.clear();
-        num.clear();
-        DcscBuilder {
-            nrows,
-            ncols,
-            jc,
-            cp,
-            ir,
-            num,
-        }
-    }
-
-    /// Ensure capacity for `nzc_cap` more columns and `nnz_cap` more
-    /// entries (no-op on recycled buffers that are already big enough).
-    pub fn reserve(&mut self, nzc_cap: usize, nnz_cap: usize) {
-        self.jc.reserve(nzc_cap);
-        self.cp.reserve(nzc_cap);
-        self.ir.reserve(nnz_cap);
-        self.num.reserve(nnz_cap);
-    }
-
-    /// Append one column's segment. `col` must be strictly greater than the
-    /// previously pushed column; empty segments are skipped (DCSC stores no
-    /// empty columns).
-    pub fn push_col(&mut self, col: Vidx, rows: &[Vidx], vals: &[T]) {
-        debug_assert_eq!(rows.len(), vals.len());
-        debug_assert!(
-            self.jc.last().is_none_or(|&last| last < col),
-            "columns must arrive in ascending order"
-        );
-        if rows.is_empty() {
-            return;
-        }
-        self.jc.push(col);
-        self.ir.extend_from_slice(rows);
-        self.num.extend_from_slice(vals);
-        self.cp.push(self.ir.len());
-    }
-
-    /// Entries appended so far.
-    pub fn nnz(&self) -> usize {
-        self.ir.len()
-    }
-
-    /// Finish into a [`Dcsc`].
-    pub fn finish(self) -> Dcsc<T> {
-        Dcsc::from_parts(self.nrows, self.ncols, self.jc, self.cp, self.ir, self.num)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -454,32 +356,6 @@ mod tests {
         assert_eq!(d.nnz(), 0);
         assert_eq!(d.nzc(), 0);
         assert_eq!(d.to_csc().nnz(), 0);
-    }
-
-    #[test]
-    fn builder_merges_segments_in_order() {
-        let c = hypersparse();
-        let d = Dcsc::from_csc(&c);
-        // rebuild column-by-column from borrowed segments, with empty
-        // segments interleaved (they must vanish)
-        let mut b = DcscBuilder::with_capacity(6, 8, d.nzc(), d.nnz());
-        b.push_col(0, &[], &[]);
-        for (j, rows, vals) in d.iter_cols() {
-            b.push_col(j, rows, vals);
-        }
-        b.push_col(7, &[], &[]);
-        let rebuilt = b.finish();
-        assert_eq!(rebuilt, d);
-        assert_eq!(rebuilt.to_csc(), c);
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "ascending")]
-    fn builder_rejects_out_of_order_columns() {
-        let mut b: DcscBuilder<f64> = DcscBuilder::with_capacity(4, 4, 2, 2);
-        b.push_col(2, &[0], &[1.0]);
-        b.push_col(1, &[0], &[1.0]);
     }
 
     #[test]

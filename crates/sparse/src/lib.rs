@@ -12,9 +12,7 @@
 //!
 //! * [`coo`] / [`csc`] / [`csr`] / [`dense`] — construction and baseline
 //!   storage formats.
-//! * [`dcsc`] — the hypersparse format of the 1D slices (§II); includes
-//!   [`DcscBuilder`], the ascending-column segment merge the distributed
-//!   fetch path assembles `Ã` with (fresh wire data + cached segments).
+//! * [`dcsc`] — the hypersparse format of the 1D slices (§II).
 //! * [`mod@spgemm`] — local kernels and the hybrid dispatcher (§II-B, Fig. 3).
 //! * [`semiring`] — plus-times / min-plus / or-and algebras (§II-A).
 //! * [`ewise`], [`permute`], [`stats`] — masked elementwise ops, symmetric
@@ -39,7 +37,7 @@ pub mod types;
 pub use coo::Coo;
 pub use csc::Csc;
 pub use csr::Csr;
-pub use dcsc::{Dcsc, DcscBuilder};
+pub use dcsc::Dcsc;
 pub use dense::Dense;
 pub use permute::Perm;
 pub use semiring::{MinPlus, OrAnd, PlusTimes, Semiring};

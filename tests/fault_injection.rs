@@ -44,10 +44,10 @@
 //! the seeded-replay sweeps to one seed for CI replay jobs.
 
 use saspgemm::dist::{
-    agreed_step, load_wire_or_fresh, save_wire, spgemm_1d, spgemm_1d_overlap_ws, spgemm_auto,
-    spgemm_split_3d_sa, spgemm_summa_2d_sa, spgemm_summa_2d_sa_ws_cfg, uniform_offsets,
-    CacheConfig, CheckpointStore, DistMat1D, DistMat2D, DistMat3D, FetchMode, FileStore, MemStore,
-    Plan1D, SessionSnapshot, SpgemmSession,
+    agreed_step, load_wire_or_fresh, save_wire, spgemm_1d, spgemm_auto, spgemm_split_3d_sa,
+    spgemm_summa_2d_sa, spgemm_summa_2d_sa_ws_cfg, uniform_offsets, CacheConfig, CheckpointStore,
+    DistMat1D, DistMat2D, DistMat3D, FetchMode, FileStore, MemStore, Plan1D, SessionSnapshot,
+    SpgemmSession,
 };
 use saspgemm::mpisim::{
     arm_frame_plan, kill_self_with_sigkill, mute_heartbeats, Backend, Comm, CommError, CostModel,
@@ -1237,56 +1237,33 @@ fn corrupt_checkpoint_slot_triggers_unanimous_fresh_start_procs() {
 // must still complete bit-identically.
 // ---------------------------------------------------------------------------
 
-/// The staged workloads with the prefetch engine forced on (explicit
+/// The staged 2D workload with the prefetch engine forced on (explicit
 /// config — env vars are racy in-process). Same fingerprint discipline as
 /// [`workload`].
-fn overlap_workload<C: Comm>(name: &str, comm: &C) -> String {
-    let on = PrefetchConfig::on();
-    match name {
-        "1d" => {
-            let a = int_er(48, 3.0, 101);
-            let offsets = uniform_offsets(a.ncols(), comm.size());
-            let da = DistMat1D::from_global(comm, &a, &offsets);
-            let db = da.clone();
-            let ws = SpgemmWorkspace::new();
-            let before = comm.stats();
-            let (c, rep) = spgemm_1d_overlap_ws(comm, &da, &db, &Plan1D::default(), on, &ws);
-            format!(
-                "{} {:?} fetched={}",
-                fp(&c.into_local_csc()),
-                comm.stats() - before,
-                rep.fetched_bytes
-            )
-        }
-        "2d" => {
-            let a = int_er(40, 3.0, 102);
-            let b = int_er(40, 2.5, 103);
-            let grid = Grid2D::new(comm, 2, 2);
-            let da = DistMat2D::from_global(&grid, &a);
-            let db = DistMat2D::from_global(&grid, &b);
-            let ws = SpgemmWorkspace::new();
-            let before = comm.stats();
-            let (c, rep) = spgemm_summa_2d_sa_ws_cfg::<_, PlusTimes<f64>>(
-                comm,
-                &grid,
-                &da,
-                &db,
-                FetchMode::Block(4),
-                on,
-                &ws,
-            );
-            format!(
-                "{} {:?} shipped={}",
-                fp_opt(&c.gather(comm, &grid)),
-                comm.stats() - before,
-                rep.b_shipped_bytes
-            )
-        }
-        other => panic!("unknown overlap workload {other}"),
-    }
+fn overlap_workload<C: Comm>(comm: &C) -> String {
+    let a = int_er(40, 3.0, 102);
+    let b = int_er(40, 2.5, 103);
+    let grid = Grid2D::new(comm, 2, 2);
+    let da = DistMat2D::from_global(&grid, &a);
+    let db = DistMat2D::from_global(&grid, &b);
+    let ws = SpgemmWorkspace::new();
+    let before = comm.stats();
+    let (c, rep) = spgemm_summa_2d_sa_ws_cfg::<_, PlusTimes<f64>>(
+        comm,
+        &grid,
+        &da,
+        &db,
+        FetchMode::Block(4),
+        PrefetchConfig::on(),
+        &ws,
+    );
+    format!(
+        "{} {:?} shipped={}",
+        fp_opt(&c.gather(comm, &grid)),
+        comm.stats() - before,
+        rep.b_shipped_bytes
+    )
 }
-
-const OVERLAP_WORKLOADS: [&str; 2] = ["1d", "2d"];
 
 /// One cell of the abort matrix with overlap on: a victim dying while
 /// peers have staged gets in flight must produce exactly the same typed
@@ -1330,19 +1307,17 @@ fn assert_overlap_abort_cell(what: &str, out: &[Result<String, RankError>], late
 
 fn assert_overlap_abort_matrix<M: Mode>(at_op: u64, late: bool) {
     quiet_expected_panics();
-    for name in OVERLAP_WORKLOADS {
-        let plan = FaultPlan::abort_at(VICTIM, at_op);
-        let out = universe().try_launch::<M, _, _>(|comm| {
-            let fc = FaultComm::new(comm.split(0, comm.rank()), plan.clone());
-            overlap_workload(name, &fc)
-        });
-        if std::env::var("SA_DEBUG_OVERLAP_FAULTS").is_ok() {
-            for (r, o) in out.iter().enumerate() {
-                eprintln!("DEBUG {name} at_op={at_op} rank {r}: {o:?}");
-            }
+    let plan = FaultPlan::abort_at(VICTIM, at_op);
+    let out = universe().try_launch::<M, _, _>(|comm| {
+        let fc = FaultComm::new(comm.split(0, comm.rank()), plan.clone());
+        overlap_workload(&fc)
+    });
+    if std::env::var("SA_DEBUG_OVERLAP_FAULTS").is_ok() {
+        for (r, o) in out.iter().enumerate() {
+            eprintln!("DEBUG at_op={at_op} rank {r}: {o:?}");
         }
-        assert_overlap_abort_cell(&format!("overlap {name} at_op={at_op}"), &out, late);
     }
+    assert_overlap_abort_cell(&format!("overlap 2d at_op={at_op}"), &out, late);
 }
 
 #[test]
@@ -1364,14 +1339,12 @@ fn overlap_abort_mid_prefetch_fails_every_survivor_typed_threads() {
 fn overlap_abort_mid_prefetch_fails_every_survivor_typed_procs() {
     quiet_expected_panics();
     for (at_op, late) in [(5u64, false), (8, true)] {
-        for name in OVERLAP_WORKLOADS {
-            let plan = FaultPlan::abort_at(VICTIM, at_op);
-            let out = universe().try_run_procs(|comm| {
-                let fc = FaultComm::new(comm.split(0, comm.rank()), plan.clone());
-                overlap_workload(name, &fc)
-            });
-            assert_overlap_abort_cell(&format!("overlap {name} at_op={at_op}"), &out, late);
-        }
+        let plan = FaultPlan::abort_at(VICTIM, at_op);
+        let out = universe().try_run_procs(|comm| {
+            let fc = FaultComm::new(comm.split(0, comm.rank()), plan.clone());
+            overlap_workload(&fc)
+        });
+        assert_overlap_abort_cell(&format!("overlap 2d at_op={at_op}"), &out, late);
     }
 }
 
@@ -1386,7 +1359,7 @@ fn overlap_sigkill_mid_prefetch_fails_every_survivor_typed_procs() {
         if comm.rank() == VICTIM {
             kill_self_with_sigkill();
         }
-        overlap_workload("1d", comm)
+        overlap_workload(comm)
     });
     assert_eq!(out.len(), NRANKS);
     for (r, o) in out.iter().enumerate() {
@@ -1411,9 +1384,9 @@ fn overlap_sigkill_mid_prefetch_fails_every_survivor_typed_procs() {
 #[test]
 fn overlap_seeded_lossy_transport_completes_bit_identical_procs() {
     quiet_expected_panics();
-    let name = "1d";
+    let name = "2d";
     let clean: Vec<String> = universe()
-        .try_run_procs(|comm| overlap_workload(name, comm))
+        .try_run_procs(overlap_workload)
         .into_iter()
         .enumerate()
         .map(|(r, o)| o.unwrap_or_else(|e| panic!("overlap {name}: clean rank {r} failed: {e:?}")))
@@ -1425,7 +1398,7 @@ fn overlap_seeded_lossy_transport_completes_bit_identical_procs() {
             ("duplicate", FaultPlan::seeded_lossy(seed, 0, 0, 50)),
         ] {
             let _armed = arm_frame_plan(&plan);
-            let out = universe().try_run_procs(|comm| overlap_workload(name, comm));
+            let out = universe().try_run_procs(overlap_workload);
             for (r, o) in out.iter().enumerate() {
                 let got = o.as_ref().unwrap_or_else(|e| {
                     panic!("overlap {name}/{mode} seed {seed}: rank {r} failed: {e:?}")

@@ -1,7 +1,7 @@
 //! Overlap-equivalence suite (PR 10): turning prefetch overlap on must be
 //! observationally invisible everywhere except wall-clock. Every staged
-//! consumer of the [`Prefetcher`] — the 1D overlap entry, 2D SUMMA's
-//! A-panel staging and the 3D split's per-layer pipelines — is run as a
+//! consumer of the [`Prefetcher`] — 2D SUMMA's A-panel staging and the 3D
+//! split's per-layer pipelines — is run as a
 //! `{overlap off, overlap on, overlap under a byte budget} × {SimComm,
 //! SA_BACKEND}` matrix and every cell is diffed against the pinned serial
 //! overlap-off baseline:
@@ -20,8 +20,7 @@
 //! asynchronous over sockets, not just on the deterministic simulator.
 
 use saspgemm::dist::{
-    spgemm_1d_overlap_ws, spgemm_1d_ws, spgemm_split_3d_sa_ws_cfg, spgemm_summa_2d_sa_ws_cfg,
-    uniform_offsets, DistMat1D, DistMat2D, DistMat3D, FetchMode, Plan1D,
+    spgemm_split_3d_sa_ws_cfg, spgemm_summa_2d_sa_ws_cfg, DistMat2D, DistMat3D, FetchMode,
 };
 use saspgemm::mpisim::{
     Backend, Comm, CommStats, Grid2D, Grid3D, Mode, PrefetchConfig, RankJob, Serial, Threads,
@@ -108,51 +107,6 @@ where
 // ---------------------------------------------------------------------------
 // Cells — one per staged consumer of the prefetch engine
 // ---------------------------------------------------------------------------
-
-/// 1D overlap entry: A-plan fetches staged behind the local-half kernel.
-struct OneD<'a> {
-    a: &'a Csc<f64>,
-    mode: FetchMode,
-    cfg: PrefetchConfig,
-}
-
-impl RankJob for OneD<'_> {
-    type Out = Verdict;
-    fn run<C: Comm>(&self, comm: &C) -> Verdict {
-        let offsets = uniform_offsets(self.a.ncols(), comm.size());
-        let da = DistMat1D::from_global(comm, self.a, &offsets);
-        let db = da.clone();
-        let plan = Plan1D {
-            fetch_mode: self.mode,
-            ..Default::default()
-        };
-        let ws = SpgemmWorkspace::new();
-        let before = comm.stats();
-        let (c, rep) = spgemm_1d_overlap_ws(comm, &da, &db, &plan, self.cfg, &ws);
-        let traffic = comm.stats() - before;
-        let s = format!(
-            "{}|fetched={} msgs={} needed={} global={}",
-            fp_csc(&c.into_local_csc()),
-            rep.fetched_bytes,
-            rep.rdma_msgs,
-            rep.needed_bytes,
-            rep.fetched_bytes_global,
-        );
-        (s, traffic)
-    }
-}
-
-#[test]
-fn overlap_1d_is_byte_identical() {
-    let a = int_er(48, 48, 4.0, 111);
-    for mode in [FetchMode::Block(4), FetchMode::ColumnExact] {
-        assert_overlap_equivalence(
-            4,
-            |cfg| OneD { a: &a, mode, cfg },
-            &format!("1D overlap {mode:?}"),
-        );
-    }
-}
 
 /// 2D SUMMA staged cell: the A panel is prefetched while the B
 /// request/ship exchange and the Ã metadata walk run in the foreground.
@@ -285,51 +239,8 @@ fn overlap_3d_is_byte_identical() {
 }
 
 // ---------------------------------------------------------------------------
-// Double-meter regression net + arena discipline
+// Arena discipline
 // ---------------------------------------------------------------------------
-
-/// Regression net for the meter-at-issue contract: the overlap entry and
-/// the plain inline entry must meter *exactly* the same traffic — a range
-/// that is prefetched and then also consumed at rendezvous counts once,
-/// never twice. Pins the full per-rank [`CommStats`], not just get bytes.
-#[test]
-fn overlap_1d_meters_each_range_exactly_once() {
-    let a = int_er(52, 52, 4.0, 151);
-    let u = Universe::new(4).with_watchdog(Some(Duration::from_secs(120)));
-    struct Inline<'a>(&'a Csc<f64>);
-    impl RankJob for Inline<'_> {
-        type Out = Verdict;
-        fn run<C: Comm>(&self, comm: &C) -> Verdict {
-            let offsets = uniform_offsets(self.0.ncols(), comm.size());
-            let da = DistMat1D::from_global(comm, self.0, &offsets);
-            let db = da.clone();
-            let ws = SpgemmWorkspace::new();
-            let before = comm.stats();
-            let (c, rep) = spgemm_1d_ws(comm, &da, &db, &Plan1D::default(), &ws);
-            let s = format!("{}|{}", fp_csc(&c.into_local_csc()), rep.fetched_bytes);
-            (s, comm.stats() - before)
-        }
-    }
-    let inline = u.run_backend(Backend::Sim, &Inline(&a));
-    let overlapped = u.run_backend(
-        Backend::Sim,
-        &OneD {
-            a: &a,
-            mode: FetchMode::Block(256),
-            cfg: PrefetchConfig::on(),
-        },
-    );
-    for (rank, (base, got)) in inline.iter().zip(&overlapped).enumerate() {
-        let base_fp = base.0.split('|').next().unwrap();
-        let got_fp = got.0.split('|').next().unwrap();
-        assert_eq!(base_fp, got_fp, "rank {rank}: product diverged");
-        assert_eq!(
-            base.1, got.1,
-            "rank {rank}: overlap changed the metered traffic — a prefetched \
-             range was metered twice (or a demand fetch went unmetered)"
-        );
-    }
-}
 
 /// Arena discipline: prefetch staging buffers come from the workspace
 /// pools. After warm-up, further overlapped multiplies freeze the alloc
@@ -345,29 +256,36 @@ fn overlap_staging_is_arena_backed() {
 /// would refuse `procs`): once degraded to inline issue, once overlapped.
 fn staging_is_arena_backed<M: Mode>() {
     let a = int_er(120, 120, 4.0, 161);
-    let u = Universe::new(3);
+    let u = Universe::new(4);
     let results = u.launch::<M, _, _>(|comm| {
-        let offsets = uniform_offsets(a.ncols(), comm.size());
-        let da = DistMat1D::from_global(comm, &a, &offsets);
+        let grid = Grid2D::new(comm, 2, 2);
+        let da = DistMat2D::from_global(&grid, &a);
         let db = da.clone();
-        let plan = Plan1D {
-            global_stats: false,
-            ..Default::default()
-        };
         let ws = SpgemmWorkspace::new();
+        let staged = || {
+            spgemm_summa_2d_sa_ws_cfg::<_, PlusTimes<f64>>(
+                comm,
+                &grid,
+                &da,
+                &db,
+                FetchMode::default(),
+                PrefetchConfig::on(),
+                &ws,
+            )
+            .0
+        };
         // two warm-up iterations populate and size-settle the pools
-        let (c1, _) = spgemm_1d_overlap_ws(comm, &da, &db, &plan, PrefetchConfig::on(), &ws);
-        let _ = spgemm_1d_overlap_ws(comm, &da, &db, &plan, PrefetchConfig::on(), &ws);
+        let first = staged();
+        let _ = staged();
         let warm = ws.counters();
         let mut last = None;
         for _ in 0..3 {
-            let (c, _) = spgemm_1d_overlap_ws(comm, &da, &db, &plan, PrefetchConfig::on(), &ws);
-            last = Some(c);
+            last = Some(staged());
         }
         let steady = ws.counters();
         (
-            c1.into_local_csc(),
-            last.unwrap().into_local_csc(),
+            first.local().clone(),
+            last.unwrap().local().clone(),
             warm,
             steady,
         )
