@@ -50,9 +50,33 @@ pub fn normalize_columns(m: &mut Csc<f64>) {
     }
 }
 
+/// Raise every entry of `vals` to the power `inflation`, in place, and return
+/// the sum of the powers. The exponent is the same for every entry of every
+/// column, so the loop is picked once: a multiply for exactly 2.0 (the
+/// default, and ≈ 10× cheaper per entry than `powf`), `powf` otherwise.
+/// `v * v` is the correctly rounded square, which `powf(v, 2.0)` misses by one
+/// ulp on about one input in a thousand: every inflation goes through here,
+/// so iterates are bit-identical across backends, kernels, schedules and
+/// thread counts, but not to a build that called `powf`.
+fn inflate(vals: &mut [f64], inflation: f64) -> f64 {
+    let mut sum = 0.0f64;
+    if inflation == 2.0 {
+        for v in vals.iter_mut() {
+            *v *= *v;
+            sum += *v;
+        }
+    } else {
+        for v in vals.iter_mut() {
+            *v = v.powf(inflation);
+            sum += *v;
+        }
+    }
+    sum
+}
+
 /// Inflate (elementwise power) + prune + renormalize one column, appending
 /// the survivors to `(rows_out, vals_out)`. `vals` is scratch: each entry's
-/// power is stored back into it, so every `powf` is taken once. This is the
+/// power is stored back into it, so every power is taken once. This is the
 /// column epilogue the expansion fuses into its kernel
 /// ([`SpgemmSession::multiply_with`]).
 fn inflate_prune_col(
@@ -64,11 +88,7 @@ fn inflate_prune_col(
     vals_out: &mut Vec<f64>,
 ) {
     let start = vals_out.len();
-    let mut sum = 0.0f64;
-    for v in vals.iter_mut() {
-        *v = v.powf(inflation);
-        sum += *v;
-    }
+    let sum = inflate(vals, inflation);
     // an all-zero column is pruned as it stands (`v / 1.0` is `v` exactly)
     let scale = if sum > 0.0 { sum } else { 1.0 };
     for (&r, &v) in rows.iter().zip(vals.iter()) {
@@ -456,72 +476,106 @@ mod tests {
     }
 
     #[test]
+    fn inflate_squares_by_multiplying_and_is_powf_otherwise() {
+        let inputs: Vec<f64> = (1..=4000)
+            .map(|i| (i as f64 * 0.618_033_988_749_895).fract() / (1 + i % 7) as f64)
+            .collect();
+        let mut squared = inputs.clone();
+        let sum = inflate(&mut squared, 2.0);
+        assert_eq!(sum.to_bits(), squared.iter().sum::<f64>().to_bits());
+        for (&v, &sq) in inputs.iter().zip(&squared) {
+            assert_eq!(sq.to_bits(), v.powi(2).to_bits(), "{v}²");
+            // an opaque exponent, or the compiler folds `powf(v, 2.0)` to `v * v`
+            let libm = v.powf(std::hint::black_box(2.0));
+            let ulps = sq.to_bits().abs_diff(libm.to_bits());
+            assert!(ulps <= 1, "{v}² is {ulps} ulps from powf");
+        }
+        for inflation in [1.5, 3.0] {
+            let mut powered = inputs.clone();
+            inflate(&mut powered, inflation);
+            for (&v, &pw) in inputs.iter().zip(&powered) {
+                assert_eq!(pw.to_bits(), v.powf(inflation).to_bits(), "{v}^{inflation}");
+            }
+        }
+    }
+
+    #[test]
     fn fused_iterates_equal_the_expand_then_inflate_reference_bit_for_bit() {
         // the reference keeps the two passes apart: a plain session multiply
         // materialises M², then `inflate_prune_col` walks its columns
         let a = sbm(90, 3, 12.0, 0.3, false, 2);
-        let cfg = MclConfig::default();
         let bits = |m: &sa_sparse::Dcsc<f64>| {
             let vals: Vec<u64> = m.num().iter().map(|v| v.to_bits()).collect();
             (m.jc().to_vec(), m.cp().to_vec(), m.ir().to_vec(), vals)
         };
-        let u = Universe::new(4);
-        let got = u.run(|comm| {
-            let fused = |max_iters: usize| {
-                let cfg = MclConfig { max_iters, ..cfg };
-                mcl_converge(
-                    comm,
-                    || expansion_seed(&a),
-                    &cfg,
-                    &Plan1D::default(),
-                    CacheConfig::unlimited(),
-                    None,
-                )
+        // the multiply of the default exponent, and `powf` either side of it
+        for inflation in [2.0, 1.5, 3.0] {
+            let cfg = MclConfig {
+                inflation,
+                ..MclConfig::default()
             };
-            let (_, iters, _) = fused(cfg.max_iters);
-            let offsets = sa_dist::uniform_offsets(90, comm.size());
-            let mut current = DistMat1D::from_global(comm, &expansion_seed(&a), &offsets);
-            let mut session = SpgemmSession::create(
-                comm,
-                current.clone(),
-                Plan1D::default(),
-                CacheConfig::unlimited(),
-            );
-            let mut pruned = 0;
-            for k in 1..=iters {
-                if k > 1 {
-                    session.update_a(comm, current.clone());
-                }
-                let expanded = session.multiply(comm, &current).0.into_local_csc();
-                let mut colptr = vec![0usize];
-                let (mut rowidx, mut vals) = (Vec::new(), Vec::new());
-                for j in 0..expanded.ncols() {
-                    let (rows, col_vals) = expanded.col(j);
-                    inflate_prune_col(
-                        rows,
-                        &mut col_vals.to_vec(),
-                        cfg.inflation,
-                        cfg.prune_threshold,
-                        &mut rowidx,
-                        &mut vals,
-                    );
-                    colptr.push(rowidx.len());
-                }
-                let local = Csc::from_parts(90, expanded.ncols(), colptr, rowidx, vals);
-                pruned += expanded.nnz() - local.nnz();
-                current = DistMat1D::from_local(90, 90, current.offsets().clone(), local.into());
-                let (got, ran, _) = fused(k);
-                assert_eq!(ran, k);
-                assert_eq!(
-                    bits(got.local()),
-                    bits(current.local()),
-                    "iterate {k} of {iters}"
+            let u = Universe::new(4);
+            let got = u.run(|comm| {
+                let fused = |max_iters: usize| {
+                    let cfg = MclConfig { max_iters, ..cfg };
+                    mcl_converge(
+                        comm,
+                        || expansion_seed(&a),
+                        &cfg,
+                        &Plan1D::default(),
+                        CacheConfig::unlimited(),
+                        None,
+                    )
+                };
+                let (_, iters, _) = fused(cfg.max_iters);
+                let offsets = sa_dist::uniform_offsets(90, comm.size());
+                let mut current = DistMat1D::from_global(comm, &expansion_seed(&a), &offsets);
+                let mut session = SpgemmSession::create(
+                    comm,
+                    current.clone(),
+                    Plan1D::default(),
+                    CacheConfig::unlimited(),
                 );
-            }
-            (iters, pruned)
-        });
-        let (iters, pruned) = got[0];
-        assert!(iters >= 4 && pruned > 0, "{iters} rounds pruned {pruned}");
+                let mut pruned = 0;
+                for k in 1..=iters {
+                    if k > 1 {
+                        session.update_a(comm, current.clone());
+                    }
+                    let expanded = session.multiply(comm, &current).0.into_local_csc();
+                    let mut colptr = vec![0usize];
+                    let (mut rowidx, mut vals) = (Vec::new(), Vec::new());
+                    for j in 0..expanded.ncols() {
+                        let (rows, col_vals) = expanded.col(j);
+                        inflate_prune_col(
+                            rows,
+                            &mut col_vals.to_vec(),
+                            cfg.inflation,
+                            cfg.prune_threshold,
+                            &mut rowidx,
+                            &mut vals,
+                        );
+                        colptr.push(rowidx.len());
+                    }
+                    let local = Csc::from_parts(90, expanded.ncols(), colptr, rowidx, vals);
+                    pruned += expanded.nnz() - local.nnz();
+                    current =
+                        DistMat1D::from_local(90, 90, current.offsets().clone(), local.into());
+                    let (got, ran, _) = fused(k);
+                    assert_eq!(ran, k);
+                    assert_eq!(
+                        bits(got.local()),
+                        bits(current.local()),
+                        "inflation {inflation}: iterate {k} of {iters}"
+                    );
+                }
+                (iters, pruned)
+            });
+            let (iters, pruned) = got[0];
+            assert!(
+                iters >= 4 && pruned > 0,
+                "inflation {inflation}: {iters} rounds pruned {pruned}"
+            );
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!   hash side;
 //! * the MCL iterate after one expansion + inflation, whose square fills
 //!   most rows of every product column before pruning — the dense-output
-//!   regime, where the dense accumulator stops stamping and sorting.
+//!   regime, where the dense accumulator drops its occupancy bitmap.
 //!
 //! `examples/kernel_rates.rs` prints the same rates for arbitrary sizes.
 

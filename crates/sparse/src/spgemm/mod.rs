@@ -2,9 +2,10 @@
 //!
 //! The paper's local computation (§II) is "a hybrid version of Heap-based
 //! SpGEMM [Azad et al. 2016] and Hash-based SpGEMM [Nagasaka et al. 2019]".
-//! We implement both, plus a generation-stamped dense accumulator (SPA), and
-//! a per-column [`Kernel::Hybrid`] dispatcher whose cut between them is
-//! taken from measurement on this repository's operands (`choose_kernel`).
+//! We implement both, plus a dense accumulator (SPA) ordered by an occupancy
+//! bitmap, and a per-column [`Kernel::Hybrid`] dispatcher whose cut between
+//! them is taken from measurement on this repository's operands
+//! (`choose_kernel`).
 //!
 //! All kernels are column-by-column: `C(:,j) = ⊕_k A(:,k) ⊗ B(k,j)`, are
 //! generic over [`Semiring`]s and over the column source of `A` (CSC or
@@ -133,47 +134,42 @@ pub enum Kernel {
     Hybrid,
 }
 
-/// Largest dense-accumulator footprint, `nrows × (value + stamp)` bytes per
-/// thread, below which the hybrid always accumulates densely.
-const SPA_RESIDENT_BYTES: usize = 32 << 20;
+/// Largest dense-accumulator footprint per thread — `nrows` values and the
+/// occupancy bitmap over them, one bit per row plus a 64th of that for each
+/// summary level — below which the hybrid always accumulates densely. The
+/// cut was measured in rows (≈ 2.8 M of `f64`, docs/PERFORMANCE.md "ISSUE
+/// 16", then 32 MiB of value + 4-byte stamp); 22 MiB of value + bitmap is the
+/// same row count.
+const SPA_RESIDENT_BYTES: usize = 22 << 20;
 
-/// The dense accumulator finds a column's rows by one pass over its stamps,
-/// not by sorting the touched list, once `touched × SPA_SCAN_SHARE ≥ nrows`.
-/// Sized on ER squares of rising density (3 000 and 12 000 rows, one thread,
-/// docs/PERFORMANCE.md "ISSUE 18"): scan over sort took 1.19–1.27× the time
-/// at 5 % fill, 0.99–1.15× at 6–8 %, 0.88–0.98× at 9–10 %, 0.72–0.91× at
-/// 12 % and 0.6× at 30 %, so an eighth is the first power of two that is
-/// never behind. The suite's squaring operands fill 0.7–2.7 % of the rows
-/// per column and keep sorting; the MCL iterate squared once fills 80 %
-/// (`kernel_rates` Spa row: 122 → 177 Mflop/s).
-const SPA_SCAN_SHARE: usize = 8;
-
-/// The dense accumulator drops the stamps altogether — zero-fill, accumulate
+/// The dense accumulator drops the bitmap — zero-fill, accumulate
 /// unconditionally, keep the non-zeros — once a column's flop bound reaches
-/// `SPA_DENSE_FLOPS × nrows`. Same sweeps: forced on every column it took
-/// 0.5–0.8× the stamped time wherever the output fills a tenth of the rows
-/// or more, but 1.3–2× on columns of few flops and sparse output (banded at
-/// `ub` = 0.18 × `nrows`, a late MCL iterate at 0.05 ×); from one flop per
-/// row up it was never behind (1.02× at worst: MCL iterate 3, `ub` = 1.24 ×
-/// `nrows`, 3.7 % fill) and `kernel_rates`' MCL rows gained 177 → 291 and
-/// 241 → 328 Mflop/s. Every column of the suite's four squaring workloads
-/// stays below it.
+/// `SPA_DENSE_FLOPS × nrows`. Sized on ER squares of rising density (3 000
+/// and 12 000 rows, one thread, docs/PERFORMANCE.md "ISSUE 18"): forced on
+/// every column it took 0.5–0.8× the time wherever the output fills a tenth
+/// of the rows or more, but 1.3–2× on columns of few flops and sparse output
+/// (banded at `ub` = 0.18 × `nrows`, a late MCL iterate at 0.05 ×); from one
+/// flop per row up it was never behind, and forcing MCL's dense columns
+/// through the bitmap instead measured 0.4–0.8× (docs/PERFORMANCE.md
+/// "ISSUE 22"). Every column of the suite's four squaring workloads stays
+/// below it.
 const SPA_DENSE_FLOPS: usize = 1;
 
 /// The hybrid's accumulator for one output column with upper-bound flop
 /// count `ub`. The cut is read off `examples/kernel_rates.rs` and the
 /// `local_kernels` bench (docs/PERFORMANCE.md "ISSUE 16"), not off a rule
-/// of thumb. The stamped dense accumulator does strictly less per flop than
-/// the hash (no probing, no table to clear, the same final sort) and is
-/// 1.2–2× faster on every operand whose `nrows`-sized arrays stay
-/// cache-resident, whatever the column's size; the hash, whose state is
-/// sized by the column, only overtakes it beyond that — on millions of rows
-/// with a handful of flops per column — unless the column touches a sizable
-/// share of the rows anyway. The heap wins nowhere and is reachable only as
-/// [`Kernel::Heap`].
+/// of thumb. The dense accumulator does strictly less per flop than the hash
+/// (no probing, no table to clear, no sort: its bitmap yields the rows in
+/// order) and is 1.2–2× faster on every operand whose `nrows`-sized state
+/// stays cache-resident, whatever the column's size; the hash, whose state
+/// is sized by the column, only overtakes it beyond that — on millions of
+/// rows with a handful of flops per column — unless the column touches a
+/// sizable share of the rows anyway. The heap wins nowhere and is reachable
+/// only as [`Kernel::Heap`].
 #[inline]
 fn choose_kernel<T>(ub: usize, nrows: usize) -> Kernel {
-    let footprint = nrows * (std::mem::size_of::<T>() + std::mem::size_of::<u32>());
+    let bitmap = nrows / 8 + nrows / 512 + nrows / 32_768;
+    let footprint = nrows * std::mem::size_of::<T>() + bitmap;
     if footprint <= SPA_RESIDENT_BYTES || ub * 4 >= nrows {
         Kernel::Spa
     } else {
@@ -185,7 +181,7 @@ fn choose_kernel<T>(ub: usize, nrows: usize) -> Kernel {
 /// the caller's to record). `ub` is the column's upper-bound flop count,
 /// computed once per multiply by the caller's symbolic pass and shared by
 /// the hybrid dispatch, the hash-table sizing, the dense accumulator's
-/// gather choice, and the output pre-sizing.
+/// bitmap-or-not choice, and the output pre-sizing.
 #[allow(clippy::too_many_arguments)]
 fn compute_column<S: Semiring, A: ColSource<S::T> + ?Sized>(
     a: &A,
@@ -240,9 +236,7 @@ fn compute_column<S: Semiring, A: ColSource<S::T> + ?Sized>(
                 bvals,
                 ub,
                 &mut scratch.spa_vals[..nrows],
-                &mut scratch.spa_gen[..nrows],
-                &mut scratch.generation,
-                &mut scratch.touched,
+                &mut scratch.spa_rows,
                 rows,
                 vals,
             )
@@ -696,6 +690,56 @@ mod tests {
         assert_eq!(steady.idx_allocs, warm.idx_allocs, "no new index buffers");
         assert!(steady.scratch_reuses > warm.scratch_reuses);
         assert!(steady.chunk_reuses > warm.chunk_reuses);
+    }
+
+    /// `Csc` A whose column 20 panics on its second read: the symbolic pass
+    /// sizes it, the accumulator never gets it.
+    struct PanicsMidColumn<'a>(&'a Csc<f64>, std::sync::atomic::AtomicUsize);
+
+    impl ColSource<f64> for PanicsMidColumn<'_> {
+        fn nrows(&self) -> usize {
+            self.0.nrows()
+        }
+        fn ncols(&self) -> usize {
+            self.0.ncols()
+        }
+        fn col(&self, j: usize) -> (&[Vidx], &[f64]) {
+            if j == 20 {
+                let earlier = self.1.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                assert!(earlier == 0, "poisoned column");
+            }
+            self.0.col(j)
+        }
+    }
+
+    #[test]
+    fn scratch_abandoned_mid_column_yields_a_clean_next_column() {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(1)
+            .build()
+            .expect("test pool");
+        let a = random_csc(3000, 40, 900, 61);
+        // one B column naming A's columns 0..=20: the accumulator has set
+        // bits for twenty of them when the twenty-first panics
+        let mut hub = Coo::new(40, 1);
+        for k in 0..=20 {
+            hub.push(k, 0, 1.0);
+        }
+        let hub = hub.to_csc();
+        let ws = SpgemmWorkspace::new();
+        let multiply = |a: &dyn ColSource<f64>, b: &Csc<f64>, ws: &SpgemmWorkspace<f64>| {
+            pool.install(|| {
+                spgemm_with::<PlusTimes<f64>, _, _>(a, b, Kernel::Spa, Schedule::FlopBalanced, ws)
+            })
+        };
+        let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            multiply(&PanicsMidColumn(&a, Default::default()), &hub, &ws)
+        }));
+        assert!(poisoned.is_err(), "the multiply panics mid-column");
+        let b = random_csc(40, 30, 200, 62);
+        let got = multiply(&a, &b, &ws);
+        assert_eq!(ws.counters().scratch_reuses, 1, "the same scratch");
+        assert_eq!(got, multiply(&a, &b, &SpgemmWorkspace::new()));
     }
 
     #[test]

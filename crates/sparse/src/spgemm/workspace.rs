@@ -21,22 +21,22 @@
 //! criterion the session integration test pins down.
 
 use super::hash::HashAcc;
+use super::spa::RowBitmap;
 use crate::types::Vidx;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Per-thread scratch reused across columns: a generation-stamped SPA
-/// (allocated lazily — only once a column actually dispatches to the
-/// dense kernel), a growable hash table, and the heap kernel's cursors.
+/// Per-thread scratch reused across columns: a dense accumulator (allocated
+/// lazily — only once a column actually dispatches to the dense kernel), a
+/// growable hash table, and the heap kernel's cursors.
 pub(crate) struct Scratch<T> {
     /// Dense SPA value array; empty until [`Scratch::ensure_spa`] runs.
     pub(crate) spa_vals: Vec<T>,
-    /// Generation stamps parallel to `spa_vals`.
-    pub(crate) spa_gen: Vec<u32>,
-    pub(crate) generation: u32,
-    pub(crate) touched: Vec<Vidx>,
+    /// Which rows of `spa_vals` the current column has touched; all clear
+    /// between columns.
+    pub(crate) spa_rows: RowBitmap,
     pub(crate) hash: HashAcc<T>,
     /// Heap kernel: pending `(row, source)` heads of the merge.
     pub(crate) heap: BinaryHeap<Reverse<(Vidx, u32)>>,
@@ -52,9 +52,7 @@ impl<T: Copy> Scratch<T> {
     pub(crate) fn new() -> Self {
         Scratch {
             spa_vals: Vec::new(),
-            spa_gen: Vec::new(),
-            generation: 0,
-            touched: Vec::new(),
+            spa_rows: RowBitmap::default(),
             hash: HashAcc::new(),
             heap: BinaryHeap::new(),
             heap_pos: Vec::new(),
@@ -63,16 +61,15 @@ impl<T: Copy> Scratch<T> {
         }
     }
 
-    /// Make the SPA arrays cover `nrows` rows. The arrays start empty —
-    /// `O(nrows)` per thread is only paid when a column actually dispatches
-    /// to the dense kernel — and grow monotonically so a workspace shared
-    /// across differently-sized multiplies stays valid. Grown slots carry
-    /// stamp 0, which can never equal the current generation (the SPA
-    /// kernel skips 0 on wrap-around), so stale values cannot leak.
+    /// Make the SPA arrays cover `nrows` rows, the bitmap all clear. The
+    /// arrays start empty — `O(nrows)` per thread is only paid when a column
+    /// actually dispatches to the dense kernel — and grow monotonically so a
+    /// workspace shared across differently-sized multiplies stays valid. A
+    /// value slot is read only under a set bit, so stale values cannot leak.
     pub(crate) fn ensure_spa(&mut self, nrows: usize, zero: T) {
+        self.spa_rows.ensure(nrows);
         if self.spa_vals.len() < nrows {
             self.spa_vals.resize(nrows, zero);
-            self.spa_gen.resize(nrows, 0);
         }
     }
 }
@@ -274,12 +271,10 @@ mod tests {
         assert!(s.spa_vals.is_empty(), "SPA must not be allocated up front");
         s.ensure_spa(100, 0.0);
         assert_eq!(s.spa_vals.len(), 100);
-        assert_eq!(s.spa_gen.len(), 100);
         s.ensure_spa(50, 0.0);
         assert_eq!(s.spa_vals.len(), 100, "never shrinks");
         s.ensure_spa(200, 0.0);
         assert_eq!(s.spa_vals.len(), 200);
-        assert!(s.spa_gen[100..].iter().all(|&g| g == 0));
     }
 
     #[test]
@@ -310,7 +305,7 @@ mod tests {
         let ws: SpgemmWorkspace<f64> = SpgemmWorkspace::new();
         {
             let mut g = ws.scratch_guard();
-            g.get().touched.reserve(64);
+            g.get().col_rows.reserve(64);
         }
         {
             let _g = ws.scratch_guard();

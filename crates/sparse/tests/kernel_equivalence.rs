@@ -9,17 +9,19 @@
 //! both sides of the hybrid's dense/hash cut, and one workspace shared by
 //! multiplies of different inner dimension.
 //!
-//! Two further properties ride on the same bits: the dense accumulator's
-//! three ways of finding a column's rows (sorted touched list, stamp scan,
-//! stamp-free accumulation) agree with each other and with the hash on
-//! columns a few entries either side of each cut-off, and a column epilogue
-//! fused into the kernel equals the same epilogue run over the finished
-//! product.
+//! Two further properties ride on the same bits: a column epilogue fused into
+//! the kernel equals the same epilogue run over the finished product, and the
+//! dense accumulator's two ways of finding a column's rows (reading them off
+//! its occupancy bitmap, and bitmap-free accumulation from one flop per row
+//! up) agree with each other, with the hash and with the heap — on columns a
+//! few entries either side of the cut-off, and on columns whose rows sit on
+//! the word boundaries of the bitmap and of its summary levels, and on the
+//! last row.
 
 use proptest::prelude::*;
 use sa_sparse::semiring::{MinPlus, OrAnd, PlusTimes, Semiring};
 use sa_sparse::spgemm::{
-    spgemm_with, spgemm_with_epilogue, ColSource, Kernel, Schedule, SpgemmWorkspace,
+    spgemm_with, spgemm_with_epilogue, ColSource, Kernel, NoEpilogue, Schedule, SpgemmWorkspace,
 };
 use sa_sparse::{Coo, Csc, Dcsc, Vidx};
 
@@ -30,7 +32,7 @@ const SCHEDULES: [Schedule; 3] = [
     Schedule::FlopBalanced,
 ];
 /// Rows of the small operands, and of the tall ones: past the hybrid's cut
-/// for `f64` (32 MiB / 12 B ≈ 2.8 M rows), so `Hybrid` takes the hash there.
+/// for `f64` (22 MiB / 8.13 B ≈ 2.8 M rows), so `Hybrid` takes the hash there.
 const SMALL: usize = 60;
 const TALL: usize = 3_000_000;
 
@@ -59,23 +61,46 @@ fn matrix(
     m.filter(|r, c, _| keep(c as usize, m.col(c as usize).0[0] == r))
 }
 
-fn bits(c: &Csc<f64>) -> (&[usize], &[u32], Vec<u64>) {
+/// Value bits, so `-0.0`, `0.0` and NaNs cannot hide behind `==`.
+trait Bits {
+    fn bits(&self) -> u64;
+}
+impl Bits for f64 {
+    fn bits(&self) -> u64 {
+        self.to_bits()
+    }
+}
+impl Bits for bool {
+    fn bits(&self) -> u64 {
+        *self as u64
+    }
+}
+
+fn bits<T: Bits + Copy + Send + Sync>(c: &Csc<T>) -> (&[usize], &[u32], Vec<u64>) {
     (
         c.colptr(),
         c.rowidx(),
-        c.vals().iter().map(|v| v.to_bits()).collect(),
+        c.vals().iter().map(Bits::bits).collect(),
     )
 }
 
-/// Every kernel × schedule × thread count over `(a, b)` through `ws`
-/// against `expect`.
-fn check<A: ColSource<f64>, B: ColSource<f64>>(
+/// Every kernel × schedule × thread count over `(a, b)` through `ws`, with
+/// `epilogue` fused in when there is one, against `expect`.
+fn check<S, A, B, E>(
     what: &str,
     a: &A,
     b: &B,
-    ws: &SpgemmWorkspace<f64>,
-    expect: &Csc<f64>,
-) -> Result<(), TestCaseError> {
+    ws: &SpgemmWorkspace<S::T>,
+    epilogue: Option<&E>,
+    expect: &Csc<S::T>,
+) -> Result<(), TestCaseError>
+where
+    S: Semiring,
+    S::T: Bits,
+    A: ColSource<S::T>,
+    B: ColSource<S::T>,
+    E: Fn(&[Vidx], &mut [S::T], &mut Vec<Vidx>, &mut Vec<S::T>) + Sync,
+{
     for threads in [1, 3] {
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
@@ -83,8 +108,9 @@ fn check<A: ColSource<f64>, B: ColSource<f64>>(
             .expect("test pool");
         for kernel in KERNELS {
             for schedule in SCHEDULES {
-                let got = pool
-                    .install(|| spgemm_with::<PlusTimes<f64>, A, B>(a, b, kernel, schedule, ws));
+                let got = pool.install(|| {
+                    spgemm_with_epilogue::<S, A, B, E>(a, b, kernel, schedule, ws, epilogue)
+                });
                 prop_assert!(
                     bits(&got) == bits(expect),
                     "{what} / {kernel:?} / {schedule:?} / {threads} threads diverged"
@@ -93,6 +119,55 @@ fn check<A: ColSource<f64>, B: ColSource<f64>>(
         }
     }
     Ok(())
+}
+
+/// [`check`] over every way the operands reach the kernel: both as `Csc`, A
+/// as DCSC, both as DCSC, and A as the needed-columns-only `Ã` of
+/// Algorithm 1.
+fn check_sources<S, E>(
+    a: &Csc<S::T>,
+    b: &Csc<S::T>,
+    ws: &SpgemmWorkspace<S::T>,
+    epilogue: Option<&E>,
+    expect: &Csc<S::T>,
+) -> Result<(), TestCaseError>
+where
+    S: Semiring,
+    S::T: Bits,
+    E: Fn(&[Vidx], &mut [S::T], &mut Vec<Vidx>, &mut Vec<S::T>) + Sync,
+{
+    let (ad, bd) = (Dcsc::from_csc(a), Dcsc::from_csc(b));
+    let needed = Dcsc::from_csc_cols(a, &b.row_hit_vector());
+    prop_assert!(needed.nzc() <= ad.nzc());
+    check::<S, _, _, E>("csc·csc", a, b, ws, epilogue, expect)?;
+    check::<S, _, _, E>("dcsc·csc", &ad, b, ws, epilogue, expect)?;
+    check::<S, _, _, E>("dcsc·dcsc", &ad, &bd, ws, epilogue, expect)?;
+    check::<S, _, _, E>(
+        "needed-columns dcsc·dcsc",
+        &needed,
+        &bd,
+        ws,
+        epilogue,
+        expect,
+    )
+}
+
+/// `epilogue` run over each finished column of `plain`, values copied out
+/// first: what a multiply with the epilogue fused in must return.
+fn post_pass<T: Copy + Send + Sync>(
+    plain: &Csc<T>,
+    epilogue: impl Fn(&[Vidx], &mut [T], &mut Vec<Vidx>, &mut Vec<T>),
+) -> Csc<T> {
+    let mut colptr = vec![0usize];
+    let (mut rowidx, mut vals) = (Vec::new(), Vec::new());
+    for j in 0..plain.ncols() {
+        let (rows, col_vals) = plain.col(j);
+        if !rows.is_empty() {
+            epilogue(rows, &mut col_vals.to_vec(), &mut rowidx, &mut vals);
+        }
+        colptr.push(rowidx.len());
+    }
+    Csc::from_parts(plain.nrows(), plain.ncols(), colptr, rowidx, vals)
 }
 
 proptest! {
@@ -119,13 +194,7 @@ proptest! {
             let expect = spgemm_with::<PlusTimes<f64>, _, _>(
                 &a, &b, Kernel::Spa, Schedule::Fixed(256), &SpgemmWorkspace::new(),
             );
-            let (ad, bd) = (Dcsc::from_csc(&a), Dcsc::from_csc(&b));
-            let needed = Dcsc::from_csc_cols(&a, &b.row_hit_vector());
-            prop_assert!(needed.nzc() <= ad.nzc());
-            check("csc·csc", &a, &b, &ws, &expect)?;
-            check("dcsc·csc", &ad, &b, &ws, &expect)?;
-            check("dcsc·dcsc", &ad, &bd, &ws, &expect)?;
-            check("needed-columns dcsc·dcsc", &needed, &bd, &ws, &expect)?;
+            check_sources::<PlusTimes<f64>, NoEpilogue<f64>>(&a, &b, &ws, None, &expect)?;
         }
     }
 
@@ -141,17 +210,7 @@ proptest! {
             let plain = spgemm_with::<PlusTimes<f64>, _, _>(
                 &a, &b, Kernel::Spa, Schedule::Fixed(256), &SpgemmWorkspace::new(),
             );
-            // the epilogue over each finished column, values copied out first
-            let mut colptr = vec![0usize];
-            let (mut rowidx, mut vals) = (Vec::new(), Vec::new());
-            for j in 0..plain.ncols() {
-                let (rows, col_vals) = plain.col(j);
-                if !rows.is_empty() {
-                    keep_large_rescaled(rows, &mut col_vals.to_vec(), &mut rowidx, &mut vals);
-                }
-                colptr.push(rowidx.len());
-            }
-            let expect = Csc::from_parts(nrows, plain.ncols(), colptr, rowidx, vals);
+            let expect = post_pass(&plain, keep_large_rescaled);
             prop_assert!(expect.nnz() > 0 && expect.nnz() < plain.nnz(), "the epilogue filters");
             let ad = Dcsc::from_csc(&a);
             for threads in [1, 2, 4] {
@@ -201,123 +260,172 @@ fn keep_large_rescaled(
 }
 
 // ---------------------------------------------------------------------------
-// The dense accumulator's gather paths
+// The dense accumulator's bitmap and its cut-off
 // ---------------------------------------------------------------------------
 
-/// Rows of the straddling operand. At 64 rows the stamp scan starts at 8
-/// touched rows (an eighth) and the stamp-free accumulation at 64 flops
-/// (one per row); the cases below run a few entries either side of both, and
-/// of twice and half of each in case the constants move.
-const ROWS: usize = 64;
+/// One B column of the boundary operand: the rows it hits and how often.
+type Hits = Vec<(usize, usize)>;
 
-/// `(flops, touched rows)` of each B column.
-fn straddling_cases() -> Vec<(usize, usize)> {
-    let sparse = (1..=18).map(|touched| (touched + 2, touched));
-    let dense = [29..=35, 61..=67, 125..=131]
-        .into_iter()
-        .flatten()
-        .flat_map(|flops| [(flops, 3), (flops, 24)]);
-    sparse.chain(dense).collect()
-}
-
-/// Value bits, so `-0.0`, `0.0` and NaNs cannot hide behind `==`.
-trait Bits {
-    fn bits(&self) -> u64;
-}
-impl Bits for f64 {
-    fn bits(&self) -> u64 {
-        self.to_bits()
+/// The columns that can trip a bitmap of 64-bit words over `nrows` rows with
+/// two summary levels above it (a word of the first covers 64² = 4 096 rows,
+/// a word of the second 64³ = 262 144), and the cut-off beside it: the
+/// accumulator leaves the bitmap from `nrows` flops up.
+fn boundary_columns(nrows: usize) -> Vec<Hits> {
+    let mut cols: Vec<Hits> = Vec::new();
+    // a few rows, a flop or two each
+    for touched in [1, 2, 3, 7, 18] {
+        cols.push((0..touched).map(|r| (r * 5 % nrows, 1 + r % 2)).collect());
     }
-}
-impl Bits for bool {
-    fn bits(&self) -> u64 {
-        *self as u64
-    }
-}
-
-/// `A·B` under `S` with every B column one of [`straddling_cases`], by the
-/// dense accumulator — whichever way it finds the rows — against the hash,
-/// the heap, and the dense accumulator over the same entries in a matrix
-/// tall enough that every column takes the sorted touched list.
-///
-/// A's column `copy · ROWS + slot` holds the single entry
-/// `(row_of(slot), a_val(copy, slot))`; a B column of `flops` entries names
-/// `touched` slots, `flops / touched` copies of each, so the slot's row is
-/// hit that many times in copy order.
-fn check_straddle<S: Semiring>(a_val: impl Fn(usize, usize) -> S::T, b_val: impl Fn(usize) -> S::T)
-where
-    S::T: Bits,
-{
-    let cases = straddling_cases();
-    let copies = cases.iter().map(|&(f, t)| f.div_ceil(t)).max().unwrap();
-    let row_of = |slot: usize| (slot * 37 + 11) % ROWS; // unsorted arrival
-    let build = |nrows: usize| {
-        let mut a = Coo::new(nrows, copies * ROWS);
-        for copy in 0..copies {
-            for slot in 0..ROWS {
-                let col = copy * ROWS + slot;
-                a.push(row_of(slot) as Vidx, col as Vidx, a_val(copy, slot));
+    // flop counts either side of the cut-off — and, where that stays cheap,
+    // of half and twice it in case the constant moves — over a third and a
+    // half of the rows
+    let arounds = match nrows {
+        0..=100 => vec![nrows / 2, nrows, 2 * nrows],
+        101..=8192 => vec![nrows],
+        _ => vec![],
+    };
+    for around in arounds {
+        for flops in around - 2..=around + 2 {
+            for touched in [nrows / 3, nrows / 2] {
+                let hits = |r: usize| flops / touched + (r < flops % touched) as usize;
+                cols.push((0..touched).map(|r| (r * 2, hits(r))).collect());
             }
         }
-        a.to_csc_with(|x, _| x)
-    };
-    let mut b = Coo::new(copies * ROWS, cases.len());
-    for (j, &(flops, touched)) in cases.iter().enumerate() {
-        for e in 0..flops {
-            let (copy, slot) = (e / touched, e % touched);
-            b.push((copy * ROWS + slot) as Vidx, j as Vidx, b_val(j));
-        }
     }
-    let b = b.to_csc_with(|x, _| x);
-    let run = |a: &Csc<S::T>, kernel| {
-        let c = spgemm_with::<S, _, _>(
-            a,
+    // neighbours across a word boundary of each level
+    for edge in [64, 64 * 64, 64 * 64 * 64] {
+        let around = [(edge - 2, 1), (edge - 1, 2), (edge, 3), (edge + 1, 2)];
+        cols.push(around.into_iter().filter(|h| h.0 < nrows).collect());
+    }
+    // the last row, alone and with the first
+    cols.push(vec![(nrows - 1, 2)]);
+    cols.push(vec![(0, 1), (nrows - 1, 3)]);
+    // exactly one row in every word of each level
+    for span in [64, 64 * 64, 64 * 64 * 64] {
+        cols.push(
+            (0..nrows.div_ceil(span))
+                .map(|w| ((w * span + w * 7 % span).min(nrows - 1), 2))
+                .collect(),
+        );
+    }
+    // both ends of every word
+    cols.push(
+        (0..nrows)
+            .filter(|r| r % 64 == 0 || r % 64 == 63)
+            .map(|r| (r, 1 + r % 2))
+            .collect(),
+    );
+    cols.retain(|hits| !hits.is_empty());
+    cols
+}
+
+/// `A·B` under `S` at each of `heights`, every B column one of
+/// [`boundary_columns`]: every kernel, source format, schedule and thread
+/// count against the hash, with and without an epilogue fused in, through
+/// one workspace — so each height's bitmap is the one the last height left.
+///
+/// A's column `copy · nrows + slot` holds the single entry
+/// `(row_of(slot), a_val(copy, row))`; a B column that hits a row `h` times
+/// names that row's slot in copies `0..h`, so the row is reduced in copy
+/// order and the rows of one copy arrive unsorted.
+fn check_boundaries<S: Semiring>(
+    heights: &[usize],
+    a_val: impl Fn(usize, usize) -> S::T,
+    b_val: impl Fn(usize) -> S::T,
+) where
+    S::T: Bits,
+{
+    let ws = SpgemmWorkspace::new();
+    for &nrows in heights {
+        let cols = boundary_columns(nrows);
+        let copies = cols.iter().flatten().map(|h| h.1).max().unwrap();
+        let row_of = |slot: usize| (slot * 37 + 11) % nrows;
+        let mut slot_of = vec![usize::MAX; nrows];
+        for slot in 0..nrows {
+            slot_of[row_of(slot)] = slot;
+        }
+        assert!(slot_of.iter().all(|&s| s < nrows), "row_of is a bijection");
+        let mut a = Coo::new(nrows, copies * nrows);
+        for copy in 0..copies {
+            for slot in 0..nrows {
+                let row = row_of(slot);
+                a.push(row as Vidx, (copy * nrows + slot) as Vidx, a_val(copy, row));
+            }
+        }
+        let mut b = Coo::new(copies * nrows, cols.len());
+        for (j, hits) in cols.iter().enumerate() {
+            for &(row, times) in hits {
+                for copy in 0..times {
+                    b.push((copy * nrows + slot_of[row]) as Vidx, j as Vidx, b_val(j));
+                }
+            }
+        }
+        let (a, b) = (a.to_csc_with(|x, _| x), b.to_csc_with(|x, _| x));
+        let plain = spgemm_with::<S, _, _>(
+            &a,
             &b,
-            kernel,
-            Schedule::FlopBalanced,
+            Kernel::Hash,
+            Schedule::Fixed(256),
             &SpgemmWorkspace::new(),
         );
-        let vals: Vec<u64> = c.vals().iter().map(Bits::bits).collect();
-        (c.colptr().to_vec(), c.rowidx().to_vec(), vals)
-    };
-    let (a, tall) = (build(ROWS), build(ROWS * ROWS));
-    let hash = run(&a, Kernel::Hash);
-    assert_eq!(run(&a, Kernel::Spa), hash, "dense accumulator vs hash");
-    assert_eq!(run(&a, Kernel::Hybrid), hash, "hybrid vs hash");
-    assert_eq!(run(&a, Kernel::Heap), hash, "heap vs hash");
-    assert_eq!(
-        run(&tall, Kernel::Spa),
-        hash,
-        "scan / stamp-free gather vs sorted touched list"
-    );
-    // the cases do drop rows: slot 1 reduces to zero in every column that
-    // hits it an even number of times
-    assert!(hash.1.len() < cases.iter().map(|c| c.1).sum::<usize>());
+        // the operand does drop rows (exact cancellation, lone −0.0, the
+        // semiring's zero), and does keep every height's last row
+        assert!(plain.nnz() < cols.iter().map(Vec::len).sum::<usize>());
+        assert!(plain.rowidx().contains(&(nrows as Vidx - 1)));
+        check_sources::<S, NoEpilogue<S::T>>(&a, &b, &ws, None, &plain)
+            .unwrap_or_else(|e| panic!("{nrows} rows: {e}"));
+        let thinned = post_pass(&plain, keep_even_positions);
+        assert!(thinned.nnz() < plain.nnz());
+        check_sources::<S, _>(&a, &b, &ws, Some(&keep_even_positions), &thinned)
+            .unwrap_or_else(|e| panic!("{nrows} rows, epilogue: {e}"));
+    }
+}
+
+/// An epilogue for any value type, sensitive to the order a column arrives
+/// in: keep its first, third, fifth … entry.
+fn keep_even_positions<T: Copy>(
+    rows: &[Vidx],
+    vals: &mut [T],
+    rows_out: &mut Vec<Vidx>,
+    vals_out: &mut Vec<T>,
+) {
+    rows_out.extend(rows.iter().step_by(2));
+    vals_out.extend(vals.iter().step_by(2));
 }
 
 #[test]
-fn dense_accumulator_gathers_agree_across_their_cutoffs() {
-    // slot 1 alternates x, −x (cancels exactly when hit an even number of
-    // times), slot 2 opens with a −0.0 contribution (alone, it is dropped;
-    // followed by others, it must not show)
-    check_straddle::<PlusTimes<f64>>(
-        |copy, slot| match slot {
+fn dense_accumulator_agrees_on_bitmap_boundaries_and_across_its_cutoff() {
+    // below one bitmap word, exactly one, a partial last word, partial last
+    // words of both summary levels, exact multiples — larger after smaller
+    // and smaller after larger
+    let heights = [100, 8192, 40, 4133, 64, 262_244];
+    // rows ≡ 1 (mod 4) alternate x, −x (cancel exactly when hit an even
+    // number of times); rows ≡ 2 open with a −0.0 contribution (alone, it is
+    // dropped; followed by others, it must not show)
+    check_boundaries::<PlusTimes<f64>>(
+        &heights,
+        |copy, row| match row % 4 {
             1 if copy % 2 == 0 => 0.7,
             1 => -0.7,
             2 if copy == 0 => -0.0,
-            _ => 0.1 * (copy + 1) as f64 + 0.003 * (slot + 1) as f64,
+            _ => 0.1 * (copy + 1) as f64 + 0.003 * (row % 97 + 1) as f64,
         },
         |j| 0.5 + 0.25 * j as f64,
     );
-    // slot 1 contributes only the semiring zero (∞, false): dropped
-    check_straddle::<MinPlus>(
-        |copy, slot| match slot {
+    // rows ≡ 1 (mod 4) contribute only the semiring zero (∞, false): dropped
+    check_boundaries::<MinPlus>(
+        &heights[2..4],
+        |copy, row| match row % 4 {
             1 => f64::INFINITY,
-            _ => 1.0 + ((copy * 7 + slot * 3) % 11) as f64 * 0.3,
+            _ => 1.0 + ((copy * 7 + row * 3) % 11) as f64 * 0.3,
         },
         |j| 0.25 * j as f64,
     );
-    check_straddle::<OrAnd>(|copy, slot| slot != 1 && (copy + slot) % 3 != 0, |_| true);
+    check_boundaries::<OrAnd>(
+        &heights[2..4],
+        |copy, row| row % 4 != 1 && (copy + row) % 3 != 0,
+        |_| true,
+    );
 }
 
 #[test]

@@ -1,20 +1,25 @@
 //! Per-operand accumulator rates — the measurement `choose_kernel`'s policy
-//! and the dense accumulator's gather cut-offs are taken from
-//! (docs/PERFORMANCE.md "ISSUE 16", "ISSUE 18").
+//! and the dense accumulator's bitmap cut-off are taken from
+//! (docs/PERFORMANCE.md "ISSUE 16", "ISSUE 18", "ISSUE 22").
 //!
-//! For each of the benchmark suite's operand classes, and for the MCL
-//! iterate whose square is the dense-output regime, squares the operand the
-//! way a `P`-rank 1D run does — `P` column slices `Bᵢ`, one multiply each —
-//! on one thread through a warm workspace, and prints the rate of every
-//! [`Kernel`] (best of 5, Mflop/s) for two A sources: the whole operand as a
-//! `Csc`, and a DCSC `Ã` holding only the columns `Bᵢ` needs (what
-//! Algorithm 1 assembles), multiplied with a DCSC `Bᵢ`.
+//! For each of the benchmark suite's operands, for ER squares of sparse and
+//! of fuller product columns, and for the MCL iterate whose square is the
+//! dense-output regime, squares the operand the way a `P`-rank 1D run does —
+//! `P` column slices `Bᵢ`, one multiply each — on one thread through a warm
+//! workspace, and prints the rate of every [`Kernel`] (best of 5, Mflop/s)
+//! for two A sources: the whole operand as a `Csc`, and a DCSC `Ã` holding
+//! only the columns `Bᵢ` needs (what Algorithm 1 assembles), multiplied with
+//! a DCSC `Bᵢ`. The scrambled cube and the block model are cut the way their
+//! suite workloads cut them (4 and 2 slices), whatever `--p` says.
 //!
 //! Run with: `cargo run --release --example kernel_rates -- [--lin 24,34]
 //! [--band 90] [--n 12000] [--p 8] [--seed 1]`
 
 use saspgemm::apps::mcl::{mcl_iterate, MclConfig};
-use saspgemm::sparse::gen::{banded, kkt_arrow, sbm, stencil3d, Dataset, Scale};
+use saspgemm::sparse::gen::{
+    banded, erdos_renyi_square, kkt_arrow, sbm, stencil3d, Dataset, Scale,
+};
+use saspgemm::sparse::permute::{permute_symmetric, Perm};
 use saspgemm::sparse::semiring::PlusTimes;
 use saspgemm::sparse::spgemm::{spgemm_with, upper_bound_flops, Kernel, Schedule, SpgemmWorkspace};
 use saspgemm::sparse::{Csc, Dcsc};
@@ -53,7 +58,7 @@ fn rates(name: &str, a: &Csc<f64>, p: usize) {
         .map(|b| upper_bound_flops::<f64, _, _>(a, b))
         .sum();
     let ws = SpgemmWorkspace::new();
-    print!("{name:<28} {:>8}", a.nrows());
+    print!("{name:<30} {:>8}", a.nrows());
     for kernel in KERNELS {
         let csc = best_of_5(|| {
             for b in &slices {
@@ -118,7 +123,7 @@ fn main() {
         .build()
         .expect("one-thread pool");
     println!("P = {p} column slices, one thread, best of 5; Mflop/s as  Csc A | DCSC Ã");
-    print!("{:<28} {:>8}", "operand", "nrows");
+    print!("{:<30} {:>8}", "operand", "nrows");
     for kernel in KERNELS {
         print!(" {:>15}", format!("{kernel:?}"));
     }
@@ -131,6 +136,17 @@ fn main() {
                 p,
             );
         }
+        // `sq_scrambled_procs` / `summa2d_scrambled_procs`: every product
+        // column's rows are spread over the whole row range
+        let cube = stencil3d(34, 34, 34, true);
+        rates(
+            "queen-like 34^3 scrambled P=4",
+            &permute_symmetric(&cube, &Perm::random(cube.ncols(), seed)),
+            4,
+        );
+        // `sq_colexact_procs`: flops ≈ outputs, where ordering the rows is
+        // the largest share of a column's cost
+        rates("sbm 8000 P=2", &sbm(8_000, 32, 16.0, 2.0, true, seed), 2);
         rates(
             "stokes-like Small",
             &Dataset::StokesLike.build(Scale::Small),
@@ -138,6 +154,14 @@ fn main() {
         );
         rates("hv15r-like", &banded(n, band, 0.35, false, seed), p);
         rates("nlpkkt-like", &kkt_arrow(n, n / 9, band / 2, 8, seed), p);
+        // ER squares whose product columns fill ≈ 5 % and ≈ 20 % of the rows
+        for d in [12.0, 26.0] {
+            rates(
+                &format!("er {} d={d}", n / 4),
+                &erdos_renyi_square(n / 4, d, seed),
+                p,
+            );
+        }
         // the apps workload's MCL graph after 1–3 expansion + inflation
         // rounds: squared, the first fills 80 % of every product column
         // before pruning, the second 28 %, the third 4 % from as many flops

@@ -17,8 +17,9 @@
 //! (plus its pre-communication analysis), 2D SUMMA across grid shapes and
 //! semirings, the 3D split algorithm across layer counts, the stateful
 //! `SpgemmSession` fresh-vs-cache split with delta invalidation, the
-//! `spgemm_auto` tuner, and a pure-runtime cell that exercises every
-//! collective, point-to-point patterns, windows, and splits directly.
+//! `spgemm_auto` tuner, MCL's three drivers, and a pure-runtime cell that
+//! exercises every collective, point-to-point patterns, windows, and splits
+//! directly.
 //!
 //! Outputs are fingerprinted with `f64::to_bits` (integer-valued operands
 //! make the sums exact), so equality is exact equality, not tolerance.
@@ -485,6 +486,46 @@ fn autotuner_conforms() {
     let b = int_er(48, 48, 3.0, 52);
     let got = run_conformance(4, &AutoCell { a: &a, b: &b }, "spgemm_auto");
     assert!(got[0].0.starts_with("48x48"), "rank 0 gathers the product");
+}
+
+/// MCL through its three drivers: real-valued iterates (inflation squares by
+/// multiplying, prunes and renormalizes), so clusters and iteration counts
+/// agree only if every expansion is bit-identical on the backend.
+struct MclCell<'a> {
+    graph: &'a Csc<f64>,
+}
+
+impl RankJob for MclCell<'_> {
+    type Out = Verdict;
+    fn run<C: Comm>(&self, comm: &C) -> Verdict {
+        use saspgemm::apps::mcl::{mcl_1d_auto, mcl_1d_checkpointed, mcl_1d_session, MclConfig};
+        let before = comm.stats();
+        let (cfg, plan) = (MclConfig::default(), Plan1D::default());
+        let cache = CacheConfig::unlimited;
+        let (clusters, iters, stats) = mcl_1d_session(comm, self.graph, &cfg, &plan, cache());
+        let (auto_clusters, auto_iters, _, mode) =
+            mcl_1d_auto(comm, self.graph, &cfg, cache(), &CostModel::default());
+        // a rank only ever loads what it saved: one store per rank will do
+        let store = saspgemm::dist::MemStore::new();
+        let (ckpt_clusters, ckpt_iters, ckpt_stats) =
+            mcl_1d_checkpointed(comm, self.graph, &cfg, &plan, cache(), &store, "conf.mcl");
+        assert_eq!((&auto_clusters, auto_iters), (&clusters, iters), "auto");
+        assert_eq!(
+            (&ckpt_clusters, ckpt_iters),
+            (&clusters, iters),
+            "checkpointed"
+        );
+        assert_eq!(ckpt_stats, stats, "checkpointed traffic");
+        let s = format!("{clusters:?} iters={iters} mode={mode:?} {stats:?}");
+        (s, comm.stats() - before)
+    }
+}
+
+#[test]
+fn mcl_drivers_conform() {
+    let graph = saspgemm::sparse::gen::sbm(90, 3, 12.0, 0.3, false, 2);
+    let got = run_conformance(4, &MclCell { graph: &graph }, "mcl drivers");
+    assert!(got[0].0.contains("iters="), "{}", got[0].0);
 }
 
 // ---------------------------------------------------------------------------
