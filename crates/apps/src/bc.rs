@@ -20,9 +20,9 @@
 
 use sa_dist::mat3d::{DistMat3D, LayerSplit, Owned3DBlock};
 use sa_dist::{
-    agreed_step, load_wire_or_fresh, save_wire, spgemm_1d_ws, spgemm_split_3d_ws,
-    spgemm_summa_2d_ws, uniform_offsets, AlgoChoice, AutoTuner, CacheConfig, CheckpointStore,
-    DistMat1D, DistMat2D, FetchMode, Plan1D, SessionSnapshot, SessionStats, SpgemmSession,
+    load_agreed, save_wire, spgemm_1d_ws, spgemm_split_3d_ws, spgemm_summa_2d_ws, uniform_offsets,
+    AlgoChoice, AutoTuner, CacheConfig, CheckpointStore, DistMat1D, DistMat2D, FetchMode, Plan1D,
+    SessionSnapshot, SessionStats, SpgemmSession,
 };
 use sa_mpisim::{Comm, CostModel, Grid2D, Grid3D, Wire, WireError};
 use sa_sparse::ewise::{ewise_add, mask_complement};
@@ -381,7 +381,7 @@ pub fn bc_batches_1d_session<C: Comm>(
 ///
 /// Before each batch, every rank saves `(batches done, outcomes so far,
 /// stats so far, forward snapshot, backward snapshot)` under `(rank, tag)`
-/// in `store`; on entry the ranks agree ([`agreed_step`]) on the last batch
+/// in `store`; on entry the ranks agree ([`load_agreed`]) on the last batch
 /// boundary all of them reached and resume there (the adjacency never
 /// changes, so restored cache contents are trivially valid — a restarted
 /// process only re-pays the window exposure). Batches are at-least-once: a
@@ -419,12 +419,8 @@ fn bc_batches<C: Comm>(
         SessionSnapshot,
         SessionSnapshot,
     );
-    let resume = checkpoint.and_then(|(store, tag)| {
-        let loaded: Option<BcCkpt> =
-            load_wire_or_fresh(store, me, tag).expect("readable checkpoint store");
-        let step = agreed_step(comm, loaded.as_ref().map(|(k, ..)| *k));
-        step.and_then(|k| loaded.filter(|(lk, ..)| *lk == k))
-    });
+    let resume =
+        checkpoint.and_then(|(store, tag)| load_agreed(comm, store, tag, |c: &BcCkpt| c.0));
 
     let n = a.nrows();
     let a01 = a.map(|_| 1.0);

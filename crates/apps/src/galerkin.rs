@@ -13,8 +13,8 @@ use sa_dist::spgemm1d::{
     analyze_1d_modes, spgemm_1d, spgemm_1d_ws, FetchMode, Plan1D, SpgemmReport,
 };
 use sa_dist::{
-    agreed_step, load_wire_or_fresh, save_wire, uniform_offsets, CacheConfig, CheckpointStore,
-    DistMat1D, MatSnapshot, SessionSnapshot, SessionStats, SpgemmSession,
+    load_agreed, save_wire, uniform_offsets, CacheConfig, CheckpointStore, DistMat1D, MatSnapshot,
+    SessionSnapshot, SessionStats, SpgemmSession,
 };
 use sa_mpisim::{Comm, CostModel};
 use sa_sparse::{Csc, SpgemmWorkspace};
@@ -254,7 +254,7 @@ impl GalerkinSession {
 ///
 /// Before each product, every rank saves `(products done, coarse slices so
 /// far, session snapshot)` under `(rank, tag)` in `store`; on entry the
-/// ranks agree ([`agreed_step`]) on the last boundary all of them reached
+/// ranks agree ([`load_agreed`]) on the last boundary all of them reached
 /// and resume there. Products are at-least-once: a rank killed mid-product
 /// re-runs it against a cache identical to the fault-free run's at that
 /// boundary, so the recovered coarse operators are bit-identical. Completed
@@ -269,10 +269,12 @@ pub fn galerkin_products_recoverable<C: Comm>(
     tag: &str,
 ) -> (Vec<DistMat1D>, SessionStats) {
     let me = comm.rank();
-    let loaded: Option<(u64, Vec<MatSnapshot>, SessionSnapshot)> =
-        load_wire_or_fresh(store, me, tag).expect("readable checkpoint store");
-    let step = agreed_step(comm, loaded.as_ref().map(|(k, ..)| *k));
-    let resume = step.and_then(|k| loaded.filter(|(lk, ..)| *lk == k));
+    let resume = load_agreed(
+        comm,
+        store,
+        tag,
+        |c: &(u64, Vec<MatSnapshot>, SessionSnapshot)| c.0,
+    );
 
     let offsets = uniform_offsets(a.ncols(), comm.size());
     let da = DistMat1D::from_global(comm, a, &offsets);

@@ -5,9 +5,9 @@
 //! repository.
 
 use sa_dist::{
-    agreed_step, analyze_1d_offline, load_wire_or_fresh, save_wire, AlgoChoice, AutoTuner,
-    CacheConfig, CheckpointStore, DistMat1D, FetchMode, MatSnapshot, Plan1D, SessionSnapshot,
-    SessionStats, SpgemmSession,
+    analyze_1d_offline, load_agreed, save_wire, AlgoChoice, AutoTuner, CacheConfig,
+    CheckpointStore, DistMat1D, FetchMode, MatSnapshot, Plan1D, SessionSnapshot, SessionStats,
+    SpgemmSession,
 };
 use sa_mpisim::{Comm, CostModel};
 use sa_sparse::semiring::PlusTimes;
@@ -279,7 +279,7 @@ pub fn mcl_1d_session<C: Comm>(
 /// on the current operand, so the snapshotted cache is consistent with it —
 /// each rank saves `(iteration, operand slice, session snapshot)` under
 /// `(rank, tag)` in `store`. On entry the ranks agree collectively
-/// ([`agreed_step`]) on the last iteration **all** of them checkpointed:
+/// ([`load_agreed`]) on the last iteration **all** of them checkpointed:
 /// unanimity resumes there (skipping the already-applied re-anchor),
 /// anything ragged starts the whole run fresh. Iterations are therefore
 /// at-least-once: a rank killed mid-iteration re-runs that iteration after
@@ -341,10 +341,12 @@ fn mcl_converge<C: Comm>(
 ) -> (DistMat1D, usize, SessionStats) {
     let me = comm.rank();
     let resume = checkpoint.and_then(|(store, tag)| {
-        let loaded: Option<(u64, MatSnapshot, SessionSnapshot)> =
-            load_wire_or_fresh(store, me, tag).expect("readable checkpoint store");
-        let step = agreed_step(comm, loaded.as_ref().map(|(k, ..)| *k));
-        step.and_then(|k| loaded.filter(|(lk, ..)| *lk == k))
+        load_agreed(
+            comm,
+            store,
+            tag,
+            |c: &(u64, MatSnapshot, SessionSnapshot)| c.0,
+        )
     });
     let (mut current, mut session, mut iters, mut resumed) = match resume {
         Some((k, mat, snap)) => {

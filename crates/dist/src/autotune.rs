@@ -785,9 +785,20 @@ pub fn spgemm_auto<C: Comm>(
     b: &Csc<f64>,
     model: &CostModel,
 ) -> (Option<Csc<f64>>, AutoReport) {
-    if let Err(e) = check_conformal_auto(a, b) {
-        panic!("{e}");
-    }
+    try_spgemm_auto(comm, a, b, model).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// [`spgemm_auto`] with typed shape validation: non-conformal operands
+/// come back as `Err(`[`ShapeError`]`)` on every rank — the operands are
+/// globally replicated, so the check runs before the analysis broadcast
+/// and every rank agrees without communicating.
+pub fn try_spgemm_auto<C: Comm>(
+    comm: &C,
+    a: &Csc<f64>,
+    b: &Csc<f64>,
+    model: &CostModel,
+) -> Result<(Option<Csc<f64>>, AutoReport), ShapeError> {
+    crate::shape::conformal((a.nrows(), a.ncols()), (b.nrows(), b.ncols()))?;
     let payload = (comm.rank() == 0).then(|| {
         let tuner = AutoTuner::analyze(
             a,
@@ -851,25 +862,7 @@ pub fn spgemm_auto<C: Comm>(
         modeled_s,
         comm: comm.stats() - stats0,
     };
-    (c, report)
-}
-
-/// [`spgemm_auto`] with typed shape validation: non-conformal operands
-/// come back as `Err(`[`ShapeError`]`)` on every rank — the operands are
-/// globally replicated, so the check runs before the analysis broadcast
-/// and every rank agrees without communicating.
-pub fn try_spgemm_auto<C: Comm>(
-    comm: &C,
-    a: &Csc<f64>,
-    b: &Csc<f64>,
-    model: &CostModel,
-) -> Result<(Option<Csc<f64>>, AutoReport), ShapeError> {
-    check_conformal_auto(a, b)?;
-    Ok(spgemm_auto(comm, a, b, model))
-}
-
-fn check_conformal_auto(a: &Csc<f64>, b: &Csc<f64>) -> Result<(), ShapeError> {
-    crate::shape::conformal((a.nrows(), a.ncols()), (b.nrows(), b.ncols()))
+    Ok((c, report))
 }
 
 #[cfg(test)]

@@ -526,6 +526,27 @@ pub fn agreed_step<C: Comm>(comm: &C, mine: Option<u64>) -> Option<u64> {
     (min == max && min >= 0).then_some(min as u64)
 }
 
+/// The resume prelude of a checkpointed driver: load this rank's slot
+/// ([`load_wire_or_fresh`]; an unreadable store panics), agree on the step
+/// it names ([`agreed_step`]), and hand the checkpoint back only if it is
+/// the agreed one — `None` on every rank means "start fresh". Collective.
+pub fn load_agreed<C, S, T>(
+    comm: &C,
+    store: &S,
+    key: &str,
+    step_of: impl Fn(&T) -> u64,
+) -> Option<T>
+where
+    C: Comm,
+    S: CheckpointStore + ?Sized,
+    T: Wire,
+{
+    let loaded: Option<T> =
+        load_wire_or_fresh(store, comm.rank(), key).expect("readable checkpoint store");
+    let step = agreed_step(comm, loaded.as_ref().map(&step_of))?;
+    loaded.filter(|c| step_of(c) == step)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -14,9 +14,10 @@
 //! * [`summa2d`] — 2D sparse SUMMA (CombBLAS' default), the
 //!   sparsity-oblivious baseline of Figs. 4/5/9.
 //! * [`summa2d_sa`] — Algorithm 1's needed-set communication on the 2D
-//!   grid: windowed fetches of the needed `A` columns per process row,
-//!   owner-filtered `B` shipping per process column, any `pr × pc` shape
-//!   (`1 × P` degenerates to Algorithm 1 exactly).
+//!   grid: the needed `A` columns fetched per process row by Algorithm 1's
+//!   own expose / plan / assemble core, owner-filtered `B` shipping per
+//!   process column, any `pr × pc` shape (`1 × P` degenerates to
+//!   Algorithm 1 exactly).
 //! * [`mat3d`] — the 3D split algorithm: per-layer SUMMA over a column/row
 //!   split of the operands, with a fiber reduce-scatter of the partials —
 //!   in oblivious ([`spgemm_split_3d`]) and sparsity-aware
@@ -64,13 +65,13 @@ pub use autotune::{
     Analysis2D, Analysis3D, AutoReport, AutoTuner, PhaseCost, Prediction,
 };
 pub use checkpoint::{
-    agreed_step, load_wire, load_wire_or_fresh, save_wire, CheckpointStore, CkptError, FileStore,
-    MatSnapshot, MemStore,
+    agreed_step, load_agreed, load_wire, load_wire_or_fresh, save_wire, CheckpointStore, CkptError,
+    FileStore, MatSnapshot, MemStore,
 };
 pub use dist1d::{uniform_offsets, DistMat1D};
 pub use mat3d::{
-    spgemm_split_3d, spgemm_split_3d_sa, spgemm_split_3d_sa_ws, spgemm_split_3d_sa_ws_cfg,
-    spgemm_split_3d_ws, DistMat3D, LayerSplit, Owned3DBlock, SaSplit3DReport, Split3DReport,
+    spgemm_split_3d, spgemm_split_3d_sa, spgemm_split_3d_sa_ws, spgemm_split_3d_ws, DistMat3D,
+    LayerSplit, Owned3DBlock, SaSplit3DReport, Split3DReport,
 };
 pub use outer1d::{spgemm_outer_1d, OuterReport};
 pub use prepare::{prepare, PrepResult, Strategy};
@@ -84,6 +85,5 @@ pub use spgemm1d::{
 };
 pub use summa2d::{spgemm_summa_2d, spgemm_summa_2d_ws, DistMat2D, SummaReport};
 pub use summa2d_sa::{
-    grid_shapes, spgemm_summa_2d_sa, spgemm_summa_2d_sa_ws, spgemm_summa_2d_sa_ws_cfg,
-    try_spgemm_summa_2d_sa, SaSummaReport,
+    grid_shapes, spgemm_summa_2d_sa, spgemm_summa_2d_sa_ws, try_spgemm_summa_2d_sa, SaSummaReport,
 };

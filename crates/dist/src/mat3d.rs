@@ -9,8 +9,8 @@
 
 use crate::spgemm1d::FetchMode;
 use crate::summa2d::{spgemm_summa_2d_ws, DistMat2D, SummaReport};
-use crate::summa2d_sa::{spgemm_summa_2d_sa_ws_cfg, SaSummaReport};
-use sa_mpisim::{Breakdown, Comm, CommStats, Grid3D, PrefetchConfig};
+use crate::summa2d_sa::{spgemm_summa_2d_sa_ws, SaSummaReport};
+use sa_mpisim::{Breakdown, Comm, CommStats, Grid3D};
 use sa_sparse::semiring::{PlusTimes, Semiring};
 use sa_sparse::spgemm::SpgemmWorkspace;
 use sa_sparse::types::{vidx, Vidx};
@@ -303,7 +303,7 @@ pub fn spgemm_split_3d_sa<C: Comm>(
 
 /// [`spgemm_split_3d_sa`] generic over the semiring, with a caller-held
 /// [`SpgemmWorkspace`] (zero steady-state allocations on the compute and
-/// assembly paths). Overlap follows the `SA_PREFETCH` environment knob.
+/// assembly paths).
 pub fn spgemm_split_3d_sa_ws<C: Comm, S: Semiring<T = f64>>(
     comm: &C,
     grid: &Grid3D<C>,
@@ -312,33 +312,16 @@ pub fn spgemm_split_3d_sa_ws<C: Comm, S: Semiring<T = f64>>(
     mode: FetchMode,
     ws: &SpgemmWorkspace<f64>,
 ) -> (Owned3DBlock, SaSplit3DReport) {
-    spgemm_split_3d_sa_ws_cfg::<C, S>(comm, grid, a, b, mode, PrefetchConfig::from_env(), ws)
-}
-
-/// [`spgemm_split_3d_sa_ws`] with an explicit [`PrefetchConfig`]: each
-/// layer's sparsity-aware SUMMA prefetches its A-side gets behind the B
-/// exchange under `cfg`. Result and traffic are byte-identical with
-/// overlap on or off — the knob only moves wall-clock.
-pub fn spgemm_split_3d_sa_ws_cfg<C: Comm, S: Semiring<T = f64>>(
-    comm: &C,
-    grid: &Grid3D<C>,
-    a: &DistMat3D,
-    b: &DistMat3D,
-    mode: FetchMode,
-    cfg: PrefetchConfig,
-    ws: &SpgemmWorkspace<f64>,
-) -> (Owned3DBlock, SaSplit3DReport) {
     assert_conformal_3d(a, b);
     let stats0 = comm.stats();
     let t_call = Instant::now();
 
-    let (partial, summa_rep) = spgemm_summa_2d_sa_ws_cfg::<_, S>(
+    let (partial, summa_rep) = spgemm_summa_2d_sa_ws::<_, S>(
         &grid.layer_comm,
         &grid.layer_grid,
         &a.within,
         &b.within,
         mode,
-        cfg,
         ws,
     );
     let peak = summa_rep.peak_local_bytes + partial.local().mem_bytes() as u64;

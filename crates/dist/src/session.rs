@@ -445,12 +445,13 @@ pub(crate) struct Symbolic {
 /// Algorithm 1 from the fetch on — assemble `Ã`, multiply, wrap, report —
 /// over a borrowed exposed operand. [`spgemm_1d`](crate::spgemm1d::spgemm_1d)
 /// runs it once against a cache with no budget; [`SpgemmSession::multiply`]
-/// runs it against the session's own.
+/// runs it against the session's own; the sparsity-aware 2D SUMMA stops
+/// after [`assemble`](Pipeline1D::assemble), its block row of `A` exposed
+/// along the process row.
 pub(crate) struct Pipeline1D<'a> {
     pub a: &'a DistMat1D,
     pub metas: &'a [RankMeta],
     pub win: &'a PairedWindow<Vidx, f64>,
-    pub plan: &'a Plan1D,
     pub ws: &'a SpgemmWorkspace<f64>,
     pub cache: &'a mut FetchCache,
 }
@@ -460,6 +461,7 @@ impl Pipeline1D<'_> {
         mut self,
         comm: &C,
         b: &DistMat1D,
+        plan: &Plan1D,
         sym: Symbolic,
         epilogue: Option<&E>,
     ) -> (DistMat1D, SpgemmReport)
@@ -482,7 +484,7 @@ impl Pipeline1D<'_> {
 
         // --- local kernel ---
         let t0 = Instant::now();
-        let (kernel, schedule, ws) = (self.plan.kernel, self.plan.schedule, self.ws);
+        let (kernel, schedule, ws) = (plan.kernel, plan.schedule, self.ws);
         let c_local = comm.install(|| {
             spgemm_with_epilogue::<PlusTimes<f64>, _, _, _>(
                 &atilde,
@@ -517,7 +519,7 @@ impl Pipeline1D<'_> {
         let comm_delta = comm.stats() - stats0;
         let fetched = fplan.fetch_bytes();
         debug_assert_eq!(comm_delta.rdma_get_bytes, fetched, "metered == planned");
-        let (fetched_global, cv) = if self.plan.global_stats {
+        let (fetched_global, cv) = if plan.global_stats {
             let (total, max_fetched, mem_global) = global_volume(comm, fetched, self.a);
             (total, cv_of(max_fetched, mem_global))
         } else {
@@ -562,7 +564,7 @@ impl Pipeline1D<'_> {
     /// around the cached columns and the local slice. A cache with a budget
     /// then takes the fresh columns out of `Ã`. Returns `Ã` and the seconds
     /// spent inside the batched get.
-    fn assemble<C: Comm>(
+    pub(crate) fn assemble<C: Comm>(
         &mut self,
         comm: &C,
         survey: &Survey,
@@ -928,11 +930,10 @@ impl SpgemmSession {
             a: &self.a,
             metas: &self.metas,
             win: &self.win,
-            plan: &self.plan,
             ws: &self.ws,
             cache: &mut self.cache,
         }
-        .multiply(comm, b, sym, epilogue);
+        .multiply(comm, b, &self.plan, sym, epilogue);
         self.stats.multiplies += 1;
         self.stats.fresh_bytes += report.fresh_bytes;
         self.stats.cache_hit_bytes += report.cache_hit_bytes;

@@ -333,7 +333,7 @@ pub fn spgemm_1d<C: Comm>(
     b: &DistMat1D,
     plan: &Plan1D,
 ) -> (DistMat1D, SpgemmReport) {
-    run_1d(comm, a, b, plan, &SpgemmWorkspace::new())
+    try_spgemm_1d(comm, a, b, plan).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// [`spgemm_1d`] with typed shape validation: non-conformal operands come
@@ -346,8 +346,7 @@ pub fn try_spgemm_1d<C: Comm>(
     b: &DistMat1D,
     plan: &Plan1D,
 ) -> Result<(DistMat1D, SpgemmReport), ShapeError> {
-    check_conformal(a, b)?;
-    Ok(run_1d(comm, a, b, plan, &SpgemmWorkspace::new()))
+    run_1d(comm, a, b, plan, &SpgemmWorkspace::new())
 }
 
 /// [`spgemm_1d`] with a caller-held [`SpgemmWorkspace`]: per-thread kernel
@@ -366,20 +365,21 @@ pub fn spgemm_1d_ws<C: Comm>(
     plan: &Plan1D,
     ws: &SpgemmWorkspace<f64>,
 ) -> (DistMat1D, SpgemmReport) {
-    run_1d(comm, a, b, plan, ws)
+    run_1d(comm, a, b, plan, ws).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Algorithm 1 on an operand exposed for this one call: metadata
-/// replication, window exposure, needed-column scan and fetch planning here,
-/// the rest in [`Pipeline1D`] against a cache that keeps nothing.
+/// Algorithm 1 on an operand exposed for this one call: shapes checked
+/// once, then metadata replication, window exposure, needed-column scan and
+/// fetch planning here, the rest in [`Pipeline1D`] against a cache that
+/// keeps nothing.
 fn run_1d<C: Comm>(
     comm: &C,
     a: &DistMat1D,
     b: &DistMat1D,
     plan: &Plan1D,
     ws: &SpgemmWorkspace<f64>,
-) -> (DistMat1D, SpgemmReport) {
-    assert_conformal(a, b);
+) -> Result<(DistMat1D, SpgemmReport), ShapeError> {
+    check_conformal(a, b)?;
     let stats0 = comm.stats();
     let t_call = Instant::now();
     let (metas, win) = expose(comm, a.local());
@@ -391,15 +391,14 @@ fn run_1d<C: Comm>(
         stats0,
         t_call,
     };
-    Pipeline1D {
+    Ok(Pipeline1D {
         a,
         metas: &metas,
         win: &win,
-        plan,
         ws,
         cache: &mut FetchCache::new(CacheConfig::disabled()),
     }
-    .multiply(comm, b, sym, None::<&NoEpilogue<f64>>)
+    .multiply(comm, b, plan, sym, None::<&NoEpilogue<f64>>))
 }
 
 #[cfg(test)]

@@ -5,14 +5,16 @@
 //! every `A_is`/`B_sj` block whole, this variant moves only the sub-blocks
 //! the receiving rank's multiply touches:
 //!
-//! * **A side (one-sided, windowed).** Every rank exposes its local `A`
-//!   block as a [`PairedWindow`] over its process *row* and replicates the
-//!   block's nonzero-column metadata (the same `⃗D`/prefix arrays Algorithm 1
-//!   allgathers in 1D). Each rank learns which global inner indices its
-//!   block *column* of `B` touches from a compact nonzero-row exchange down
-//!   its process column, coalesces the needed columns per
-//!   [`FetchMode`] with the 1D planner, and pulls them with ranged
-//!   `MPI_Get`s — the 2D analogue of `spgemm1d`'s symbolic pass.
+//! * **A side (one-sided, windowed) — the 1D core.** Along its process
+//!   *row* a rank's block row of `A` is a 1D column-distributed matrix, so
+//!   it is exposed, planned and assembled by the functions
+//!   [`spgemm_1d`](crate::spgemm1d::spgemm_1d) runs: the `⃗D`/prefix
+//!   metadata allgather and the
+//!   [`PairedWindow`](sa_mpisim::PairedWindow) exposure over the row, the
+//!   1D planner coalescing the needed columns per [`FetchMode`], one
+//!   batched get landing straight in `Ã`. Only the needed set differs:
+//!   the global inner indices the rank's block *column* of `B` touches,
+//!   learnt from a compact nonzero-row exchange down its process column.
 //! * **B side (request/ship).** A column of `B_sj` contributes to
 //!   `C_ij` only if it intersects the column support of the receiver's
 //!   block row of `A`. That test needs the owner's row ids, so the receiver
@@ -34,14 +36,13 @@
 //! [`analyze_2d`](crate::autotune::analyze_2d) predicts each leg exactly
 //! before any rank is spawned.
 
-use crate::fetch::{exchange_meta, pack_support, plan_fetch, support_bit};
+use crate::dist1d::DistMat1D;
+use crate::fetch::{pack_support, plan_fetch, support_bit};
+use crate::session::{expose, CacheConfig, FetchCache, Pipeline1D, Survey};
 use crate::shape::ShapeError;
 use crate::spgemm1d::FetchMode;
 use crate::summa2d::DistMat2D;
-use sa_mpisim::{
-    Breakdown, Comm, CommStats, Grid2D, PairedGet, PairedWindow, PhaseTimes, PrefetchConfig,
-    Prefetcher,
-};
+use sa_mpisim::{Breakdown, Comm, CommStats, Grid2D, PhaseTimes};
 use sa_sparse::semiring::{PlusTimes, Semiring};
 use sa_sparse::spgemm::{spgemm_with, ChunkBuf, Kernel, Schedule, SpgemmWorkspace};
 use sa_sparse::types::{vidx, Vidx};
@@ -105,7 +106,7 @@ pub fn spgemm_summa_2d_sa<C: Comm>(
     b: &DistMat2D,
     mode: FetchMode,
 ) -> (DistMat2D, SaSummaReport) {
-    spgemm_summa_2d_sa_ws::<_, PlusTimes<f64>>(comm, grid, a, b, mode, &SpgemmWorkspace::new())
+    try_spgemm_summa_2d_sa(comm, grid, a, b, mode).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// [`spgemm_summa_2d_sa`] with typed shape validation: non-conformal
@@ -120,8 +121,7 @@ pub fn try_spgemm_summa_2d_sa<C: Comm>(
     b: &DistMat2D,
     mode: FetchMode,
 ) -> Result<(DistMat2D, SaSummaReport), ShapeError> {
-    check_shapes(grid, a, b)?;
-    Ok(spgemm_summa_2d_sa(comm, grid, a, b, mode))
+    run_2d_sa::<_, PlusTimes<f64>>(comm, grid, a, b, mode, &SpgemmWorkspace::new())
 }
 
 /// Typed validation of the 2D entry-point preconditions.
@@ -136,9 +136,7 @@ fn check_shapes<C: Comm>(grid: &Grid2D<C>, a: &DistMat2D, b: &DistMat2D) -> Resu
 /// [`spgemm_summa_2d_sa`] generic over the semiring, with a caller-held
 /// [`SpgemmWorkspace`]: the `Ã`/`B̃` assembly buffers and all kernel
 /// scratch are borrowed from `ws`, so iterative drivers reach a
-/// zero-allocation steady state on the compute path. Overlap follows the
-/// `SA_PREFETCH` environment knob (off by default); the result and the
-/// traffic counters are byte-identical either way.
+/// zero-allocation steady state on the compute path.
 pub fn spgemm_summa_2d_sa_ws<C: Comm, S: Semiring<T = f64>>(
     comm: &C,
     grid: &Grid2D<C>,
@@ -147,40 +145,37 @@ pub fn spgemm_summa_2d_sa_ws<C: Comm, S: Semiring<T = f64>>(
     mode: FetchMode,
     ws: &SpgemmWorkspace<f64>,
 ) -> (DistMat2D, SaSummaReport) {
-    spgemm_summa_2d_sa_ws_cfg::<C, S>(comm, grid, a, b, mode, PrefetchConfig::from_env(), ws)
+    run_2d_sa::<C, S>(comm, grid, a, b, mode, ws).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// [`spgemm_summa_2d_sa_ws`] with an explicit [`PrefetchConfig`].
-///
-/// The A-side gets are *issued* — validated and metered — up front on the
-/// calling thread in assembly order; a [`Prefetcher`] then either streams
-/// their transport half on a background thread while the B request/ship
-/// exchange and the `Ã`/`B̃` metadata walks run in the foreground
-/// (`cfg.enabled` on an overlap-capable backend), or performs the same
-/// fetches inline afterwards in the same order. Both interleavings write
-/// the same bytes to the same places, so `C`, the report counters, and the
-/// per-rank [`CommStats`] are identical with overlap on or off.
-pub fn spgemm_summa_2d_sa_ws_cfg<C: Comm, S: Semiring<T = f64>>(
+/// The multiply behind every entry point above: shapes checked once, then
+/// symbolic, `Ã` through the 1D core, the B request/ship exchange, `B̃`,
+/// one fused kernel call.
+fn run_2d_sa<C: Comm, S: Semiring<T = f64>>(
     comm: &C,
     grid: &Grid2D<C>,
     a: &DistMat2D,
     b: &DistMat2D,
     mode: FetchMode,
-    cfg: PrefetchConfig,
     ws: &SpgemmWorkspace<f64>,
-) -> (DistMat2D, SaSummaReport) {
-    if let Err(e) = check_shapes(grid, a, b) {
-        panic!("{e}");
-    }
+) -> Result<(DistMat2D, SaSummaReport), ShapeError> {
+    check_shapes(grid, a, b)?;
     let stats0 = comm.stats();
     let t_call = Instant::now();
 
     // --- symbolic: metadata exchange, needed-set scan, fetch planning ---
-    let t_sym = Instant::now();
-    let a_loc = Dcsc::from_csc(a.local());
+    // my block row of A, seen along my process row, is a 1D
+    // column-distributed matrix — Algorithm 1's fetched operand
+    let row = &grid.row_comm;
+    let block_h = a.row_offsets()[grid.myrow + 1] - a.row_offsets()[grid.myrow];
+    let a_row = DistMat1D::from_local(
+        block_h,
+        a.ncols(),
+        a.col_offsets().clone(),
+        Dcsc::from_csc(a.local()),
+    );
     let b_loc = Dcsc::from_csc(b.local());
-    // nonzero-column metadata of every A block in my process row
-    let metas = exchange_meta(&grid.row_comm, &a_loc);
+    let (metas, win) = expose(row, a_row.local());
     // my B block's row support as a fixed-size bitmap, replicated down my
     // process column (⌈height/64⌉ words however dense the block is)
     let my_rows = pack_support(b_loc.row_hit_vector().into_iter(), b_loc.nrows());
@@ -197,220 +192,143 @@ pub fn spgemm_summa_2d_sa_ws_cfg<C: Comm, S: Semiring<T = f64>>(
             }
         }
     }
-    let fplan = plan_fetch(mode, &metas, a.col_offsets(), &needed, grid.mycol);
-    let win = PairedWindow::create(&grid.row_comm, a_loc.ir().to_vec(), a_loc.num().to_vec());
+    let fplan = plan_fetch(mode, &metas, a_row.offsets(), &needed, grid.mycol);
     let meta_delta = comm.stats() - stats0;
-    let symbolic_s = t_sym.elapsed().as_secs_f64();
+    let symbolic_s = t_call.elapsed().as_secs_f64();
 
-    // --- issue the A-side gets: validation and metering happen here, on
-    // the calling thread, before any byte moves — the prefetcher's two
-    // interleavings below cannot differ in what they meter. One segment
-    // of the staged `Ã` entry buffers per get, in assembly order; the
-    // local block rides along as an own-rank get at its owner position
-    // (unmetered, and charged nothing against the prefetch budget) ---
-    let row = &grid.row_comm;
-    let issue = |(owner, range)| {
-        win.start_get_both(row, owner, range)
-            .expect("fetch interval within exposed window")
-    };
-    let mut segs = Vec::with_capacity(fplan.intervals.len() + 1);
-    let mut sizes = Vec::with_capacity(fplan.intervals.len() + 1);
-    {
-        let mut iv_iter = fplan.intervals.iter().peekable();
-        for owner in 0..grid.pc {
-            if owner == grid.mycol {
-                segs.push(issue((owner, 0..a_loc.nnz())));
-                sizes.push(0);
-            }
-            while let Some(iv) = iv_iter.next_if(|iv| iv.owner == owner) {
-                let get = issue(iv.get());
-                sizes.push(get.bytes());
-                segs.push(get);
-            }
+    // --- Ã: my block row of A, needed columns only — fetched and
+    // assembled exactly as a sessionless 1D multiply does it ---
+    let t_asm = Instant::now();
+    let (atilde, fetch_s) = Pipeline1D {
+        a: &a_row,
+        metas: &metas,
+        win: &win,
+        ws,
+        cache: &mut FetchCache::new(CacheConfig::disabled()),
+    }
+    .assemble(row, &Survey::default(), &fplan);
+    let mut assemble_s = (t_asm.elapsed().as_secs_f64() - fetch_s).max(0.0);
+
+    // --- B exchange: request exactly the columns that intersect my A
+    // support; owners ship the filtered sub-blocks ---
+    let t_b = Instant::now();
+    // column support of my whole block row of A, as a global inner bitmap
+    let mut a_support = vec![false; a.ncols()];
+    for (s, meta) in metas.iter().enumerate() {
+        let base = a.col_offsets()[s];
+        for &k in &meta.jc {
+            a_support[base + k as usize] = true;
         }
     }
-    let abuf = ws.take_chunk();
-    let mut a_jc = abuf.lens;
-    let mut acp = ws.take_idx();
-    acp.push(0);
-    // rows/vals are the prefetch staging; jc/cp are built comm-free in the
-    // foreground from the replicated metadata
-    let mut staging = (abuf.rows, abuf.vals, 0.0f64);
+    let col = &grid.col_comm; // my rank within it is `grid.myrow`
+    let me_r = grid.myrow;
+    let pr = grid.pr;
+    let mut b_request_bytes = 0u64;
+    for t in 0..pr {
+        if t == me_r {
+            continue;
+        }
+        let (lo, hi) = (b.row_offsets()[t], b.row_offsets()[t + 1]);
+        let req = pack_support((lo..hi).map(|r| a_support[r]), hi - lo);
+        b_request_bytes += req.len() as u64 * 8;
+        col.send_vec(t, TAG_B_REQ, req);
+    }
+    // serve: ship only the entries whose row is in the requester's support
+    // (the owner-side half of the symbolic test — receivers only know my
+    // column ids, not my row ids); a column drops out entirely when none of
+    // its rows survive
+    let mut b_served_bytes = 0u64;
+    for i in 0..pr {
+        if i == me_r {
+            continue;
+        }
+        let req = col.recv_vec::<u64>(i, TAG_B_REQ);
+        let (mut jc, mut lens) = (Vec::new(), Vec::new());
+        let (mut rows, mut vals) = (Vec::new(), Vec::new());
+        for (c, rs, vs) in b_loc.iter_cols() {
+            let before = rows.len();
+            for (&r, &v) in rs.iter().zip(vs) {
+                if support_bit(&req, r as usize) {
+                    rows.push(r);
+                    vals.push(v);
+                }
+            }
+            if rows.len() > before {
+                jc.push(c);
+                lens.push((rows.len() - before) as u32);
+            }
+        }
+        b_served_bytes += (jc.len() + lens.len() + rows.len()) as u64 * 4 + vals.len() as u64 * 8;
+        col.send_vec(i, TAG_B_SHIP, jc);
+        col.send_vec(i, TAG_B_SHIP, lens);
+        col.send_vec(i, TAG_B_SHIP, rows);
+        col.send_vec(i, TAG_B_SHIP, vals);
+    }
+    // collect the filtered sub-blocks, keyed by owner row
+    let mut b_parts: Vec<Option<BPart>> = (0..pr).map(|_| None).collect();
+    let mut b_shipped_bytes = 0u64;
+    for (t, part) in b_parts.iter_mut().enumerate() {
+        if t == me_r {
+            continue;
+        }
+        let jc = col.recv_vec::<Vidx>(t, TAG_B_SHIP);
+        let lens = col.recv_vec::<u32>(t, TAG_B_SHIP);
+        let rows = col.recv_vec::<Vidx>(t, TAG_B_SHIP);
+        let vals = col.recv_vec::<f64>(t, TAG_B_SHIP);
+        b_shipped_bytes += (jc.len() + lens.len() + rows.len()) as u64 * 4 + vals.len() as u64 * 8;
+        *part = Some((jc, lens, rows, vals));
+    }
+    let b_exchange_s = t_b.elapsed().as_secs_f64();
 
-    let mut pf = Prefetcher::new(comm, cfg);
-    let (b_legs, btilde, assemble_s) = pf.stage(
-        &sizes,
-        &mut staging,
-        |range, st: &mut (Vec<Vidx>, Vec<f64>, f64)| {
-            let t0 = Instant::now();
-            PairedGet::fetch_many_into(&segs[range], &mut st.0, &mut st.1);
-            st.2 += t0.elapsed().as_secs_f64();
-        },
-        || {
-            // --- B exchange: request exactly the columns that intersect my
-            // A support; owners ship the filtered sub-blocks ---
-            let t_b = Instant::now();
-            // column support of my whole block row of A, as a global inner
-            // bitmap
-            let mut a_support = vec![false; a.ncols()];
-            for (s, meta) in metas.iter().enumerate() {
-                let base = a.col_offsets()[s];
-                for &k in &meta.jc {
-                    a_support[base + k as usize] = true;
-                }
+    // --- assemble B̃: my block column of B, filtered rows, owners stacked
+    // in row order so each column's global rows come out ascending ---
+    let t_asm = Instant::now();
+    let mut bbuf = ws.take_chunk();
+    let mut bcp = ws.take_idx();
+    bcp.push(0);
+    let local_lens: Vec<u32> = (0..b_loc.nzc())
+        .map(|q| (b_loc.cp()[q + 1] - b_loc.cp()[q]) as u32)
+        .collect();
+    let mut srcs: Vec<BSrc<'_>> = Vec::with_capacity(pr);
+    for (t, part) in b_parts.iter().enumerate() {
+        let base = b.row_offsets()[t];
+        if t == me_r {
+            srcs.push((b_loc.jc(), &local_lens, b_loc.ir(), b_loc.num(), base));
+        } else {
+            let (jc, lens, rows, vals) = part.as_ref().expect("shipped part");
+            srcs.push((jc, lens, rows, vals, base));
+        }
+    }
+    let mut cur = vec![(0usize, 0usize); pr]; // (column pos, entry offset)
+    loop {
+        let mut next: Option<Vidx> = None;
+        for (t, (jc, ..)) in srcs.iter().enumerate() {
+            if cur[t].0 < jc.len() {
+                let c = jc[cur[t].0];
+                next = Some(match next {
+                    Some(n) => n.min(c),
+                    None => c,
+                });
             }
-            let col = &grid.col_comm; // my rank within it is `grid.myrow`
-            let me_r = grid.myrow;
-            let pr = grid.pr;
-            let mut b_request_bytes = 0u64;
-            for t in 0..pr {
-                if t == me_r {
-                    continue;
+        }
+        let Some(cnext) = next else { break };
+        for (t, (jc, lens, rows, vals, base)) in srcs.iter().enumerate() {
+            let (q, e) = cur[t];
+            if q < jc.len() && jc[q] == cnext {
+                let len = lens[q] as usize;
+                for &r in &rows[e..e + len] {
+                    bbuf.rows.push(vidx(*base + r as usize));
                 }
-                let (lo, hi) = (b.row_offsets()[t], b.row_offsets()[t + 1]);
-                let req = pack_support((lo..hi).map(|r| a_support[r]), hi - lo);
-                b_request_bytes += req.len() as u64 * 8;
-                col.send_vec(t, TAG_B_REQ, req);
+                bbuf.vals.extend_from_slice(&vals[e..e + len]);
+                cur[t] = (q + 1, e + len);
             }
-            // serve: ship only the entries whose row is in the requester's
-            // support (the owner-side half of the symbolic test — receivers
-            // only know my column ids, not my row ids); a column drops out
-            // entirely when none of its rows survive
-            let mut b_served_bytes = 0u64;
-            for i in 0..pr {
-                if i == me_r {
-                    continue;
-                }
-                let req = col.recv_vec::<u64>(i, TAG_B_REQ);
-                let (mut jc, mut lens) = (Vec::new(), Vec::new());
-                let (mut rows, mut vals) = (Vec::new(), Vec::new());
-                for (c, rs, vs) in b_loc.iter_cols() {
-                    let before = rows.len();
-                    for (&r, &v) in rs.iter().zip(vs) {
-                        if support_bit(&req, r as usize) {
-                            rows.push(r);
-                            vals.push(v);
-                        }
-                    }
-                    if rows.len() > before {
-                        jc.push(c);
-                        lens.push((rows.len() - before) as u32);
-                    }
-                }
-                b_served_bytes +=
-                    (jc.len() + lens.len() + rows.len()) as u64 * 4 + vals.len() as u64 * 8;
-                col.send_vec(i, TAG_B_SHIP, jc);
-                col.send_vec(i, TAG_B_SHIP, lens);
-                col.send_vec(i, TAG_B_SHIP, rows);
-                col.send_vec(i, TAG_B_SHIP, vals);
-            }
-            // collect the filtered sub-blocks, keyed by owner row
-            let mut b_parts: Vec<Option<BPart>> = (0..pr).map(|_| None).collect();
-            let mut b_shipped_bytes = 0u64;
-            for (t, part) in b_parts.iter_mut().enumerate() {
-                if t == me_r {
-                    continue;
-                }
-                let jc = col.recv_vec::<Vidx>(t, TAG_B_SHIP);
-                let lens = col.recv_vec::<u32>(t, TAG_B_SHIP);
-                let rows = col.recv_vec::<Vidx>(t, TAG_B_SHIP);
-                let vals = col.recv_vec::<f64>(t, TAG_B_SHIP);
-                b_shipped_bytes +=
-                    (jc.len() + lens.len() + rows.len()) as u64 * 4 + vals.len() as u64 * 8;
-                *part = Some((jc, lens, rows, vals));
-            }
-            let b_exchange_s = t_b.elapsed().as_secs_f64();
-
-            // --- Ã metadata: the jc/cp walk needs only the replicated
-            // metadata, never the fetched bytes — same segment order as the
-            // entry staging above ---
-            let t_asm = Instant::now();
-            let mut iv_iter = fplan.intervals.iter().peekable();
-            for (owner, meta) in metas.iter().enumerate() {
-                let base = a.col_offsets()[owner];
-                if owner == grid.mycol {
-                    for q in 0..a_loc.nzc() {
-                        a_jc.push(vidx(base + a_loc.jc()[q] as usize));
-                        acp.push(acp.last().unwrap() + (a_loc.cp()[q + 1] - a_loc.cp()[q]));
-                    }
-                }
-                while let Some(iv) = iv_iter.peek() {
-                    if iv.owner != owner {
-                        break;
-                    }
-                    let iv = iv_iter.next().unwrap();
-                    for q in iv.pos.clone() {
-                        a_jc.push(vidx(base + meta.jc[q] as usize));
-                        acp.push(acp.last().unwrap() + meta.col_entries(q) as usize);
-                    }
-                }
-            }
-
-            // --- assemble B̃: my block column of B, filtered rows, owners
-            // stacked in row order so each column's global rows come out
-            // ascending ---
-            let mut bbuf = ws.take_chunk();
-            let mut bcp = ws.take_idx();
-            bcp.push(0);
-            let local_lens: Vec<u32> = (0..b_loc.nzc())
-                .map(|q| (b_loc.cp()[q + 1] - b_loc.cp()[q]) as u32)
-                .collect();
-            let mut srcs: Vec<BSrc<'_>> = Vec::with_capacity(pr);
-            for (t, part) in b_parts.iter().enumerate() {
-                let base = b.row_offsets()[t];
-                if t == me_r {
-                    srcs.push((b_loc.jc(), &local_lens, b_loc.ir(), b_loc.num(), base));
-                } else {
-                    let (jc, lens, rows, vals) = part.as_ref().expect("shipped part");
-                    srcs.push((jc, lens, rows, vals, base));
-                }
-            }
-            let mut cur = vec![(0usize, 0usize); pr]; // (column pos, entry offset)
-            loop {
-                let mut next: Option<Vidx> = None;
-                for (t, (jc, ..)) in srcs.iter().enumerate() {
-                    if cur[t].0 < jc.len() {
-                        let c = jc[cur[t].0];
-                        next = Some(match next {
-                            Some(n) => n.min(c),
-                            None => c,
-                        });
-                    }
-                }
-                let Some(cnext) = next else { break };
-                for (t, (jc, lens, rows, vals, base)) in srcs.iter().enumerate() {
-                    let (q, e) = cur[t];
-                    if q < jc.len() && jc[q] == cnext {
-                        let len = lens[q] as usize;
-                        for &r in &rows[e..e + len] {
-                            bbuf.rows.push(vidx(*base + r as usize));
-                        }
-                        bbuf.vals.extend_from_slice(&vals[e..e + len]);
-                        cur[t] = (q + 1, e + len);
-                    }
-                }
-                bbuf.lens.push(cnext);
-                bcp.push(bbuf.rows.len());
-            }
-            let block_w = b.col_offsets()[grid.mycol + 1] - b.col_offsets()[grid.mycol];
-            let btilde = Dcsc::from_parts(b.nrows(), block_w, bbuf.lens, bcp, bbuf.rows, bbuf.vals);
-            let assemble_s = t_asm.elapsed().as_secs_f64();
-            (
-                (
-                    b_request_bytes,
-                    b_shipped_bytes,
-                    b_served_bytes,
-                    b_exchange_s,
-                ),
-                btilde,
-                assemble_s,
-            )
-        },
-    );
-    let (b_request_bytes, b_shipped_bytes, b_served_bytes, b_exchange_s) = b_legs;
-    let (a_rows, a_vals, fetch_s) = staging;
-    let block_h = a.row_offsets()[grid.myrow + 1] - a.row_offsets()[grid.myrow];
-    let atilde = Dcsc::from_parts(block_h, a.ncols(), a_jc, acp, a_rows, a_vals);
+        }
+        bbuf.lens.push(cnext);
+        bcp.push(bbuf.rows.len());
+    }
+    let block_w = b.col_offsets()[grid.mycol + 1] - b.col_offsets()[grid.mycol];
+    let btilde = Dcsc::from_parts(b.nrows(), block_w, bbuf.lens, bcp, bbuf.rows, bbuf.vals);
+    assemble_s += t_asm.elapsed().as_secs_f64();
 
     // --- fused multiply: C_ij = Ã · B̃ over the full inner dimension ---
     let t_comp = Instant::now();
@@ -467,7 +385,7 @@ pub fn spgemm_summa_2d_sa_ws_cfg<C: Comm, S: Semiring<T = f64>>(
             assemble_s,
         },
     };
-    (c, report)
+    Ok((c, report))
 }
 
 /// Grid-shape helper for tests and the autotuner: the `(pr, pc)` pairs a

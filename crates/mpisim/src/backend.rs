@@ -131,25 +131,6 @@ pub trait Comm: Sized {
     #[doc(hidden)]
     fn record_get(&self, bytes: usize);
 
-    /// Whether this backend's one-sided gets may be driven from a
-    /// background thread while the rank's main thread computes — the
-    /// capability the [`Prefetcher`](crate::Prefetcher) consults.
-    ///
-    /// Contract: returning `true` promises that (a) the transport half of a
-    /// window fetch (`RemoteWindow::get_many` or the shared-`Arc` memcpy)
-    /// is safe to call from a helper thread of the rank, and (b) doing so
-    /// cannot change metered traffic (metering is pinned to issue time on
-    /// the main thread — see
-    /// [`PairedWindow::start_get_both`](crate::PairedWindow::start_get_both)).
-    /// The serial simulator answers `false`: its determinism comes from the
-    /// run-permit discipline, so the prefetcher degrades to in-order issue
-    /// rather than spawning a racing helper. Wrapper communicators must
-    /// delegate explicitly (like [`expose`](Comm::expose)); the
-    /// conservative default is `false`.
-    fn overlap_capable(&self) -> bool {
-        false
-    }
-
     /// Collective window exposure (`MPI_Win_create`). The default routes
     /// through [`exchange_arcs`](Comm::exchange_arcs) — zero-copy sharing,
     /// correct for any in-process backend. A cross-process backend overrides

@@ -188,13 +188,6 @@ impl<M: Mode> Comm for RankComm<M> {
         self.stats.record_get(bytes);
     }
 
-    fn overlap_capable(&self) -> bool {
-        // Window gets are Arc-shared memcpys — safe from a helper thread
-        // under the parallel scheduler. The serial simulator stays in-order
-        // so runs remain deterministic (and gets never block there anyway).
-        !M::SERIAL
-    }
-
     fn split(&self, color: usize, key: usize) -> RankComm<M> {
         // Round 1: learn everyone's (color, key).
         let mine = Arc::new((color, key, self.rank));

@@ -506,14 +506,6 @@ impl<C: Comm> Comm for FaultComm<C> {
         self.inner.record_get(bytes);
     }
 
-    fn overlap_capable(&self) -> bool {
-        // Explicit, not inherited: the default answers false, which would
-        // silently serialize prefetch under a fault wrapper and make the
-        // fault matrix test a different code path than production. No
-        // checkpoint — capability queries are not communication ops.
-        self.inner.overlap_capable()
-    }
-
     fn expose(&self, spec: crate::window::WindowSpec) -> crate::window::Exposure {
         // Explicit, not inherited: the default would route through *this*
         // wrapper's `exchange_arcs` (fine in-process, panics on a remote

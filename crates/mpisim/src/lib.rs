@@ -57,7 +57,6 @@ mod error;
 mod fault;
 mod grid;
 mod p2p;
-mod prefetch;
 mod proc;
 mod recover;
 mod scheduler;
@@ -76,7 +75,6 @@ pub use fault::{
     FramePlanGuard, LossyRule,
 };
 pub use grid::{valid_layer_counts, Grid2D, Grid3D};
-pub use prefetch::{PrefetchConfig, PrefetchMeter, Prefetcher};
 pub use proc::{kill_self_with_sigkill, mute_heartbeats, ProcComm};
 pub use recover::{AttemptFailure, RecoverableJob, RecoveryReport, RetryPolicy};
 pub use scheduler::rank_active_seconds;
@@ -84,7 +82,6 @@ pub use stats::CommStats;
 pub use timer::{Breakdown, Phase, PhaseTimes, Timer};
 pub use universe::{RankJob, Universe};
 pub use window::{
-    Exposure, PairedGet, PairedWindow, PartSpec, RemoteWindow, WinElem, Window, WindowError,
-    WindowSpec,
+    Exposure, PairedWindow, PartSpec, RemoteWindow, WinElem, Window, WindowError, WindowSpec,
 };
 pub use wire::{crc32, Frame, Wire, WireError, MAX_FRAME};

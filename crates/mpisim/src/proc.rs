@@ -934,8 +934,7 @@ impl RemoteWindow for ProcRemoteWindow {
             .iter()
             .map(|(_, part, range)| range.len() * self.elem_sizes[*part])
             .collect();
-        // One contiguous id block per batch: request `i` is `first_id + i`,
-        // disjoint from a concurrent batch on a prefetch helper thread.
+        // One contiguous id block per batch: request `i` is `first_id + i`.
         let first_id = node.next_req.fetch_add(gets.len() as u64, Ordering::SeqCst);
         let mut window = GetWindow::default();
         let mut arrived = Vec::new();
@@ -1311,14 +1310,6 @@ impl Comm for ProcComm {
 
     fn record_get(&self, bytes: usize) {
         self.stats.record_get(bytes);
-    }
-
-    fn overlap_capable(&self) -> bool {
-        // GetReq/GetResp round-trips are genuinely asynchronous socket
-        // traffic; ProcRemoteWindow::get_many only touches internally
-        // locked node state and parks under the parallel scheduler, so a
-        // helper thread can drive fetches while the rank thread computes.
-        true
     }
 
     fn expose(&self, spec: WindowSpec) -> Exposure {

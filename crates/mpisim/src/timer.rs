@@ -73,9 +73,7 @@ impl std::ops::Add for Breakdown {
 ///
 /// Relation to [`Breakdown`]: `fetch ≈ comm`, `compute ≈ comp`, and
 /// `symbolic + assemble` make up the bulk of `other` (the breakdown's
-/// `other` also absorbs glue the phases don't attribute). Under
-/// comm/comp overlap the phases are measured per stage and may sum to
-/// more than the call's wall time.
+/// `other` also absorbs glue the phases don't attribute).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct PhaseTimes {
     pub symbolic_s: f64,

@@ -393,23 +393,6 @@ impl<T: WinElem, U: WinElem> PairedWindow<T, U> {
         self.lens[rank]
     }
 
-    /// The issue half of every paired get: validate **all** of `gets`,
-    /// then meter the remote ones — two RDMA messages each (one per array,
-    /// like the two `MPI_Get`s of Algorithm 1 line 7), in request order, on
-    /// the calling thread. A batch with one bad request meters nothing.
-    fn issue<C: Comm>(&self, comm: &C, gets: &[(usize, Range<usize>)]) -> Result<(), WindowError> {
-        for (rank, range) in gets {
-            check_get(*rank, range, self.lens.len(), |r| self.lens[r])?;
-        }
-        for (rank, range) in gets {
-            if *rank != comm.rank() {
-                comm.record_get(range.len() * std::mem::size_of::<T>());
-                comm.record_get(range.len() * std::mem::size_of::<U>());
-            }
-        }
-        Ok(())
-    }
-
     /// One-sided fetch of a whole plan: for each `(rank, range)` of `gets`,
     /// in order, append `range` of both of `rank`'s arrays to
     /// `out_a`/`out_b` — Algorithm 1 line 7's `MPI_Get`s followed by one
@@ -427,13 +410,48 @@ impl<T: WinElem, U: WinElem> PairedWindow<T, U> {
         out_a: &mut Vec<T>,
         out_b: &mut Vec<U>,
     ) -> Result<(), WindowError> {
-        self.issue(comm, gets)?;
-        fetch_pairs(
-            gets.len(),
-            |i| (&self.srcs[gets[i].0], gets[i].0, gets[i].1.clone()),
-            out_a,
-            out_b,
-        );
+        for (rank, range) in gets {
+            check_get(*rank, range, self.lens.len(), |r| self.lens[r])?;
+        }
+        for (rank, range) in gets {
+            if *rank != comm.rank() {
+                comm.record_get(range.len() * std::mem::size_of::<T>());
+                comm.record_get(range.len() * std::mem::size_of::<U>());
+            }
+        }
+        // Local sources are copied; each run of consecutive remote gets
+        // travels as one `RemoteWindow::get_many` batch (both arrays of
+        // every get) through the window's transport.
+        let mut i = 0;
+        while i < gets.len() {
+            let (rank, range) = &gets[i];
+            match &self.srcs[*rank] {
+                GetSrc::Local(buf) => {
+                    out_a.extend_from_slice(&buf.0[range.clone()]);
+                    out_b.extend_from_slice(&buf.1[range.clone()]);
+                    i += 1;
+                }
+                GetSrc::Transport(transport) => {
+                    let mut parts = Vec::new();
+                    while let Some((rank, range)) = gets.get(i) {
+                        if !matches!(self.srcs[*rank], GetSrc::Transport(_)) {
+                            break;
+                        }
+                        parts.push((*rank, 0, range.clone()));
+                        parts.push((*rank, 1, range.clone()));
+                        i += 1;
+                    }
+                    transport.get_many(&parts, &mut |k, bytes| {
+                        let (_, part, range) = &parts[k];
+                        if *part == 0 {
+                            decode_elems(bytes, range.len(), out_a)
+                        } else {
+                            decode_elems(bytes, range.len(), out_b)
+                        }
+                    });
+                }
+            }
+        }
         Ok(())
     }
 
@@ -450,38 +468,6 @@ impl<T: WinElem, U: WinElem> PairedWindow<T, U> {
         out_b: &mut Vec<U>,
     ) -> Result<(), WindowError> {
         self.get_many_into(comm, &[(rank, range)], out_a, out_b)
-    }
-
-    /// Issue a paired get without moving data yet: validate and **meter
-    /// now**, on the calling thread, exactly as [`get_both_into`]
-    /// (two RDMA messages for a remote target, nothing for a local one),
-    /// and return a [`PairedGet`] whose [`fetch_into`](PairedGet::fetch_into)
-    /// performs the pure data movement.
-    ///
-    /// This is the issue/rendezvous split the
-    /// [`Prefetcher`](crate::Prefetcher) builds on: a consumer issues its
-    /// whole fetch plan up front (so per-rank [`CommStats`](crate::CommStats)
-    /// are byte-identical to a sequential fetch loop, and no range can be
-    /// metered twice), then lets background and demand paths move the
-    /// bytes in whatever order overlap dictates. The handle is `Send +
-    /// Sync` — it holds only the target's shared buffer or the byte-fetch
-    /// transport, never the `Comm`.
-    ///
-    /// [`get_both_into`]: PairedWindow::get_both_into
-    pub fn start_get_both<C: Comm>(
-        &self,
-        comm: &C,
-        rank: usize,
-        range: Range<usize>,
-    ) -> Result<PairedGet<T, U>, WindowError> {
-        let get = [(rank, range)];
-        self.issue(comm, &get)?;
-        let [(rank, range)] = get;
-        Ok(PairedGet {
-            rank,
-            range,
-            src: self.srcs[rank].clone(),
-        })
     }
 }
 
@@ -508,112 +494,6 @@ impl<T, U> Clone for GetSrc<T, U> {
             GetSrc::Local(buf) => GetSrc::Local(buf.clone()),
             GetSrc::Transport(transport) => GetSrc::Transport(transport.clone()),
         }
-    }
-}
-
-/// The pure data movement behind every paired get: for `i` in `0..n`, in
-/// order, append the `(source, rank, range)` that `at(i)` names to
-/// `out_a`/`out_b`. Local sources are copied; each run of consecutive gets
-/// through one transport travels as one [`RemoteWindow::get_many`] batch
-/// (both arrays of every get), so the run is pipelined instead of costing
-/// two round trips per get. No `Comm`, no metering.
-fn fetch_pairs<'a, T: WinElem, U: WinElem>(
-    n: usize,
-    at: impl Fn(usize) -> (&'a GetSrc<T, U>, usize, Range<usize>),
-    out_a: &mut Vec<T>,
-    out_b: &mut Vec<U>,
-) {
-    let mut i = 0;
-    while i < n {
-        match at(i) {
-            (GetSrc::Local(buf), _, range) => {
-                out_a.extend_from_slice(&buf.0[range.clone()]);
-                out_b.extend_from_slice(&buf.1[range]);
-                i += 1;
-            }
-            (GetSrc::Transport(transport), ..) => {
-                let mut parts = Vec::new();
-                while i < n {
-                    match at(i) {
-                        (GetSrc::Transport(t), rank, range) if Arc::ptr_eq(t, transport) => {
-                            parts.push((rank, 0, range.clone()));
-                            parts.push((rank, 1, range));
-                            i += 1;
-                        }
-                        _ => break,
-                    }
-                }
-                transport.get_many(&parts, &mut |k, bytes| {
-                    let (_, part, range) = &parts[k];
-                    if *part == 0 {
-                        decode_elems(bytes, range.len(), out_a)
-                    } else {
-                        decode_elems(bytes, range.len(), out_b)
-                    }
-                });
-            }
-        }
-    }
-}
-
-/// An issued-but-not-yet-moved paired get (see
-/// [`PairedWindow::start_get_both`]). Metering already happened at issue
-/// time; [`fetch_into`](PairedGet::fetch_into) is pure data movement and
-/// may run on a background thread.
-pub struct PairedGet<T, U> {
-    rank: usize,
-    range: Range<usize>,
-    src: GetSrc<T, U>,
-}
-
-impl<T, U> std::fmt::Debug for PairedGet<T, U> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PairedGet")
-            .field("rank", &self.rank)
-            .field("range", &self.range)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<T: WinElem, U: WinElem> PairedGet<T, U> {
-    /// Number of elements this get covers.
-    pub fn len(&self) -> usize {
-        self.range.end - self.range.start
-    }
-
-    /// Whether the covered range is empty.
-    pub fn is_empty(&self) -> bool {
-        self.range.is_empty()
-    }
-
-    /// Wire byte size of this get (both arrays) — what the issue-time
-    /// metering charged for a remote target, and the unit the
-    /// [`PrefetchMeter`](crate::PrefetchMeter) budgets in.
-    pub fn bytes(&self) -> u64 {
-        (self.len() * (std::mem::size_of::<T>() + std::mem::size_of::<U>())) as u64
-    }
-
-    /// Move the data: append the covered range of both arrays to
-    /// `out_a`/`out_b`. Involves no `Comm` and no metering; on a
-    /// cross-process backend this is one `GetReq`/`GetResp` round trip with
-    /// both arrays in flight (peer failure unwinds with the typed
-    /// [`CommError`](crate::CommError), like every blocking primitive).
-    pub fn fetch_into(&self, out_a: &mut Vec<T>, out_b: &mut Vec<U>) {
-        Self::fetch_many_into(std::slice::from_ref(self), out_a, out_b)
-    }
-
-    /// [`fetch_into`](PairedGet::fetch_into) for a slice of issued gets, in
-    /// slice order: the data-movement half of
-    /// [`PairedWindow::get_many_into`], for consumers that issue a plan up
-    /// front and move it in stages. On a cross-process backend the slice
-    /// is pipelined under the transport's in-flight window.
-    pub fn fetch_many_into(gets: &[Self], out_a: &mut Vec<T>, out_b: &mut Vec<U>) {
-        fetch_pairs(
-            gets.len(),
-            |i| (&gets[i].src, gets[i].rank, gets[i].range.clone()),
-            out_a,
-            out_b,
-        )
     }
 }
 
@@ -809,101 +689,6 @@ mod tests {
                 }
             ));
             assert_eq!((alen, blen), (0, 0));
-        }
-    }
-
-    #[test]
-    fn start_get_both_meters_at_issue_and_fetches_identically() {
-        let u = Universe::new(2);
-        let got = u.run(|comm| {
-            let ir: Vec<u32> = (0..12).map(|i| comm.rank() as u32 * 100 + i).collect();
-            let num: Vec<f64> = (0..12).map(|i| i as f64 / 3.0).collect();
-            let win = PairedWindow::create(comm, ir, num);
-            let other = 1 - comm.rank();
-            let before = comm.stats();
-            let get = win.start_get_both(comm, other, 4..9).unwrap();
-            let issued = comm.stats() - before;
-            let (mut a, mut b) = (Vec::new(), Vec::new());
-            get.fetch_into(&mut a, &mut b);
-            let moved = comm.stats() - before;
-            let (mut a2, mut b2) = (Vec::new(), Vec::new());
-            win.get_both_into(comm, other, 4..9, &mut a2, &mut b2)
-                .unwrap();
-            let after_demand = comm.stats() - before;
-            // the local deposit is metered as zero either way
-            let local = win.start_get_both(comm, comm.rank(), 0..12).unwrap();
-            let after_local = comm.stats() - before;
-            (
-                a == a2,
-                b == b2,
-                issued,
-                moved,
-                after_demand,
-                after_local,
-                local.bytes(),
-            )
-        });
-        for (ir_same, num_same, issued, moved, after_demand, after_local, local_bytes) in got {
-            assert!(ir_same && num_same);
-            assert_eq!(issued.rdma_gets, 2, "metering happens at issue time");
-            assert_eq!(issued.rdma_get_bytes, 5 * 4 + 5 * 8);
-            assert_eq!(
-                (moved.rdma_gets, moved.rdma_get_bytes),
-                (issued.rdma_gets, issued.rdma_get_bytes),
-                "fetch_into moves data without metering again"
-            );
-            assert_eq!(
-                (after_demand.rdma_gets, after_demand.rdma_get_bytes),
-                (4, 2 * (5 * 4 + 5 * 8)),
-                "a demand get of the same range meters like the issued one"
-            );
-            assert_eq!(after_local.rdma_gets, 4, "local issue is free");
-            assert_eq!(local_bytes, 12 * (4 + 8));
-        }
-    }
-
-    #[test]
-    fn started_get_fetches_from_a_helper_thread() {
-        // The Send+Sync claim the prefetcher's background path relies on:
-        // fetch_into works off the rank's main thread (the Comm stays put).
-        let u = Universe::new(2);
-        let got = u.run_threads(|comm| {
-            let win = PairedWindow::create(
-                comm,
-                vec![comm.rank() as u32; 8],
-                vec![comm.rank() as f64; 8],
-            );
-            let get = win.start_get_both(comm, 1 - comm.rank(), 2..6).unwrap();
-            std::thread::scope(|s| {
-                s.spawn(move || {
-                    let (mut a, mut b) = (Vec::new(), Vec::new());
-                    get.fetch_into(&mut a, &mut b);
-                    (a, b)
-                })
-                .join()
-                .unwrap()
-            })
-        });
-        for (r, (a, b)) in got.into_iter().enumerate() {
-            assert_eq!(a, vec![(1 - r) as u32; 4]);
-            assert_eq!(b, vec![(1 - r) as f64; 4]);
-        }
-    }
-
-    #[test]
-    fn start_get_both_validates_before_metering() {
-        let u = Universe::new(2);
-        let got = u.run(|comm| {
-            let win = PairedWindow::create(comm, vec![1u32; 3], vec![1.0f64; 3]);
-            let before = comm.stats();
-            let bad = win.start_get_both(comm, 5, 0..1).unwrap_err();
-            let oob = win.start_get_both(comm, 0, 0..4).unwrap_err();
-            (bad, oob, comm.stats() - before)
-        });
-        for (bad, oob, delta) in got {
-            assert!(matches!(bad, WindowError::BadRank { rank: 5, size: 2 }));
-            assert!(matches!(oob, WindowError::OutOfRange { .. }));
-            assert_eq!(delta.rdma_gets, 0, "failed issue meters nothing");
         }
     }
 

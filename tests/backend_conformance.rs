@@ -25,14 +25,15 @@
 //! make the sums exact), so equality is exact equality, not tolerance.
 
 use saspgemm::dist::{
-    analyze_1d, spgemm_1d, spgemm_auto, spgemm_split_3d_sa, spgemm_summa_2d_sa, uniform_offsets,
-    CacheConfig, DistMat1D, DistMat2D, DistMat3D, FetchMode, Plan1D, SpgemmSession,
+    analyze_1d, prepare, spgemm_1d, spgemm_auto, spgemm_split_3d_sa, spgemm_summa_2d_sa,
+    uniform_offsets, CacheConfig, DistMat1D, DistMat2D, DistMat3D, FetchMode, Plan1D,
+    SpgemmSession, Strategy,
 };
 use saspgemm::mpisim::{
     arm_frame_plan, Backend, Comm, CommStats, CostModel, FaultPlan, Grid2D, Grid3D, PairedWindow,
     RankJob, Universe, Window, WindowError,
 };
-use saspgemm::sparse::gen::erdos_renyi;
+use saspgemm::sparse::gen::{banded, erdos_renyi};
 use saspgemm::sparse::semiring::MinPlus;
 use saspgemm::sparse::Csc;
 use std::fmt::Write as _;
@@ -370,6 +371,58 @@ fn summa_2d_conforms_across_grids_and_semirings() {
                 let what = format!("2D {pr}x{pc} {mode:?} tropical={tropical}");
                 run_conformance(pr * pc, &job, &what);
             }
+        }
+    }
+}
+
+/// A `1 × P` grid against Algorithm 1 itself: with one process row `B`
+/// never moves and the 2D multiply's `Ã` is the 1D multiply's, so the two
+/// must agree on the product and on every A-side counter.
+struct OneByP<'a> {
+    a: &'a Csc<f64>,
+    mode: FetchMode,
+}
+
+impl RankJob for OneByP<'_> {
+    type Out = Verdict;
+    fn run<C: Comm>(&self, comm: &C) -> Verdict {
+        let before = comm.stats();
+        let offsets = uniform_offsets(self.a.ncols(), comm.size());
+        let da = DistMat1D::from_global(comm, self.a, &offsets);
+        let plan = Plan1D {
+            fetch_mode: self.mode,
+            ..Default::default()
+        };
+        let (c1, r1) = spgemm_1d(comm, &da, &da.clone(), &plan);
+        let grid = Grid2D::new(comm, 1, comm.size());
+        let d2 = DistMat2D::from_global(&grid, self.a);
+        let (c2, r2) = spgemm_summa_2d_sa(comm, &grid, &d2, &d2.clone(), self.mode);
+        let (c1, c2) = (fp_opt(&c1.gather(comm)), fp_opt(&c2.gather(comm, &grid)));
+        assert_eq!(c2, c1, "product");
+        assert_eq!(
+            (r2.a_fetched_bytes, r2.a_needed_bytes, r2.a_rdma_msgs),
+            (r1.fetched_bytes, r1.needed_bytes, r1.rdma_msgs),
+            "fetched / needed / msgs"
+        );
+        assert_eq!(r2.comm.rdma_get_bytes, r1.comm.rdma_get_bytes, "metered");
+        assert_eq!(r2.b_shipped_bytes, 0, "B stays put");
+        let s = format!("{c2}|af={} am={}", r2.a_fetched_bytes, r2.a_rdma_msgs);
+        (s, comm.stats() - before)
+    }
+}
+
+#[test]
+fn one_by_p_summa_2d_is_spgemm_1d() {
+    let natural = banded(60, 5, 0.8, true, 23).map(|v| (v * 7.0).round() + 1.0);
+    let scrambled = prepare(&natural, 4, Strategy::RandomPerm { seed: 24 }).a;
+    for (order, a) in [("natural", &natural), ("scrambled", &scrambled)] {
+        for mode in [
+            FetchMode::FullMatrix,
+            FetchMode::Block(3),
+            FetchMode::ContiguousRuns,
+            FetchMode::ColumnExact,
+        ] {
+            run_conformance(4, &OneByP { a, mode }, &format!("1xP {order} {mode:?}"));
         }
     }
 }

@@ -45,18 +45,16 @@
 
 use saspgemm::dist::{
     agreed_step, load_wire_or_fresh, save_wire, spgemm_1d, spgemm_auto, spgemm_split_3d_sa,
-    spgemm_summa_2d_sa, spgemm_summa_2d_sa_ws_cfg, uniform_offsets, CacheConfig, CheckpointStore,
-    DistMat1D, DistMat2D, DistMat3D, FetchMode, FileStore, MemStore, Plan1D, SessionSnapshot,
-    SpgemmSession,
+    spgemm_summa_2d_sa, uniform_offsets, CacheConfig, CheckpointStore, DistMat1D, DistMat2D,
+    DistMat3D, FetchMode, FileStore, MemStore, Plan1D, SessionSnapshot, SpgemmSession,
 };
 use saspgemm::mpisim::{
     arm_frame_plan, kill_self_with_sigkill, mute_heartbeats, Backend, Comm, CommError, CostModel,
-    FaultComm, FaultPlan, Grid2D, Grid3D, Mode, PrefetchConfig, Primitive, RankError,
-    RecoverableJob, RecoveryReport, RetryPolicy, Serial, Threads, Universe,
+    FaultComm, FaultPlan, Grid2D, Grid3D, Mode, Primitive, RankError, RecoverableJob,
+    RecoveryReport, RetryPolicy, Serial, Threads, Universe,
 };
 use saspgemm::sparse::gen::erdos_renyi;
-use saspgemm::sparse::semiring::PlusTimes;
-use saspgemm::sparse::{Csc, SpgemmWorkspace};
+use saspgemm::sparse::Csc;
 use std::sync::Once;
 use std::time::Duration;
 
@@ -427,26 +425,34 @@ fn straggler_stalls_but_completes_identically_procs() {
 /// `SIGKILL`. Nothing unwinds, no Abort is broadcast — survivors must
 /// detect the dead sockets (EOF without a Bye poisons the job naming the
 /// vanished peer) and the parent must classify the corpse from `waitpid`.
+/// On the 1D job survivors wait on window gets and collectives over the
+/// world; on the 2D job also on two-sided B shipments over
+/// sub-communicators.
 #[test]
 fn sigkill_mid_job_fails_every_survivor_typed_procs() {
     quiet_expected_panics();
-    let out = universe().try_run_procs(|comm| {
-        if comm.rank() == VICTIM {
-            kill_self_with_sigkill();
-        }
-        workload("1d", comm)
-    });
-    assert_eq!(out.len(), NRANKS);
-    for (r, o) in out.iter().enumerate() {
-        match o {
-            Err(RankError::Panic { summary }) if r == VICTIM => assert!(
-                summary.contains("signal 9"),
-                "victim's corpse misclassified: {summary}"
-            ),
-            Err(RankError::Comm(CommError::PeerFailed { rank, .. })) if r != VICTIM => {
-                assert_eq!(*rank, VICTIM, "rank {r} blamed rank {rank} for the SIGKILL");
+    for name in ["1d", "2d"] {
+        let out = universe().try_run_procs(|comm| {
+            if comm.rank() == VICTIM {
+                kill_self_with_sigkill();
             }
-            other => panic!("rank {r}: expected typed SIGKILL fallout, got {other:?}"),
+            workload(name, comm)
+        });
+        assert_eq!(out.len(), NRANKS);
+        for (r, o) in out.iter().enumerate() {
+            match o {
+                Err(RankError::Panic { summary }) if r == VICTIM => assert!(
+                    summary.contains("signal 9"),
+                    "{name}: victim's corpse misclassified: {summary}"
+                ),
+                Err(RankError::Comm(CommError::PeerFailed { rank, .. })) if r != VICTIM => {
+                    assert_eq!(
+                        *rank, VICTIM,
+                        "{name}: rank {r} blamed rank {rank} for the SIGKILL"
+                    );
+                }
+                other => panic!("{name} rank {r}: expected typed SIGKILL fallout, got {other:?}"),
+            }
         }
     }
 }
@@ -1019,7 +1025,7 @@ fn lossy_run_procs(name: &'static str, plan: &FaultPlan) -> Vec<Result<String, R
 #[test]
 fn seeded_lossy_transport_completes_bit_identical_procs() {
     quiet_expected_panics();
-    for name in ["1d", "session"] {
+    for name in ["1d", "session", "2d"] {
         let clean: Vec<String> = universe()
             .try_run_procs(|comm| workload(name, comm))
             .into_iter()
@@ -1227,60 +1233,23 @@ fn corrupt_checkpoint_slot_triggers_unanimous_fresh_start_procs() {
 }
 
 // ---------------------------------------------------------------------------
-// Faults inside an in-flight prefetch (PR 10): the overlap engine stages
-// fetches on a background path while the foreground computes, so a fault
-// can now land while a get is airborne. The matrix below re-runs the
-// abort / SIGKILL / seeded-lossy shapes with the prefetcher forced on:
-// every survivor must still fail typed `PeerFailed` naming the victim (a
-// torn staging buffer would instead surface as a wrong fingerprint, a
-// hang, or an untyped panic out of the fetch thread), and lossy transports
-// must still complete bit-identically.
+// The late abort: the victim of the 2D job dies at `at_op = 8`, late enough
+// that a survivor may need nothing more from it. The inline matrix above
+// stops at `at_op = 5`.
 // ---------------------------------------------------------------------------
 
-/// The staged 2D workload with the prefetch engine forced on (explicit
-/// config — env vars are racy in-process). Same fingerprint discipline as
-/// [`workload`].
-fn overlap_workload<C: Comm>(comm: &C) -> String {
-    let a = int_er(40, 3.0, 102);
-    let b = int_er(40, 2.5, 103);
-    let grid = Grid2D::new(comm, 2, 2);
-    let da = DistMat2D::from_global(&grid, &a);
-    let db = DistMat2D::from_global(&grid, &b);
-    let ws = SpgemmWorkspace::new();
-    let before = comm.stats();
-    let (c, rep) = spgemm_summa_2d_sa_ws_cfg::<_, PlusTimes<f64>>(
-        comm,
-        &grid,
-        &da,
-        &db,
-        FetchMode::Block(4),
-        PrefetchConfig::on(),
-        &ws,
-    );
-    format!(
-        "{} {:?} shipped={}",
-        fp_opt(&c.gather(comm, &grid)),
-        comm.stats() - before,
-        rep.b_shipped_bytes
-    )
-}
-
-/// One cell of the abort matrix with overlap on: a victim dying while
-/// peers have staged gets in flight must produce exactly the same typed
-/// outcome as the inline matrix — victim panics "injected fault", every
-/// survivor fails `PeerFailed` naming it, nobody hangs in the fetch thread
-/// and nobody reports success off a torn buffer.
+/// One cell of the late-abort matrix: victim panics "injected fault", every
+/// survivor fails `PeerFailed` naming it.
 ///
-/// `late` marks the cells whose abort lands near the end of the job on a
-/// concurrent backend (`at_op = 8`): a survivor whose remaining work needs
-/// nothing more from the victim may legitimately finish before the abort
-/// reaches it — the faster the gets, the more often — and the runtime has
-/// no terminal agreement that would turn its `Ok` into a failure (ROADMAP
-/// item 1(a)). Those cells assert what the runtime does keep: the victim
-/// typed, every survivor either finished or failed `PeerFailed` naming the
-/// victim (never a hang converted to `Timeout`, never an untyped panic),
-/// and the job as a whole not all-`Ok`.
-fn assert_overlap_abort_cell(what: &str, out: &[Result<String, RankError>], late: bool) {
+/// `late` marks the cells on a concurrent backend: a survivor whose
+/// remaining work needs nothing more from the victim may legitimately finish
+/// before the abort reaches it — the faster the gets, the more often — and
+/// the runtime has no terminal agreement that would turn its `Ok` into a
+/// failure (ROADMAP item 1(a)). Those cells assert what the runtime does
+/// keep: the victim typed, every survivor either finished or failed
+/// `PeerFailed` naming the victim (never a hang converted to `Timeout`,
+/// never an untyped panic), and the job as a whole not all-`Ok`.
+fn assert_late_abort_cell(what: &str, out: &[Result<String, RankError>], late: bool) {
     assert_eq!(out.len(), NRANKS);
     for (r, o) in out.iter().enumerate() {
         match o {
@@ -1305,111 +1274,28 @@ fn assert_overlap_abort_cell(what: &str, out: &[Result<String, RankError>], late
     }
 }
 
-fn assert_overlap_abort_matrix<M: Mode>(at_op: u64, late: bool) {
+const LATE_OP: u64 = 8;
+
+#[test]
+fn late_abort_is_typed_serial() {
+    // one rank runs at a time, so even the late abort reaches every survivor
     quiet_expected_panics();
-    let plan = FaultPlan::abort_at(VICTIM, at_op);
-    let out = universe().try_launch::<M, _, _>(|comm| {
-        let fc = FaultComm::new(comm.split(0, comm.rank()), plan.clone());
-        overlap_workload(&fc)
-    });
-    if std::env::var("SA_DEBUG_OVERLAP_FAULTS").is_ok() {
-        for (r, o) in out.iter().enumerate() {
-            eprintln!("DEBUG at_op={at_op} rank {r}: {o:?}");
-        }
-    }
-    assert_overlap_abort_cell(&format!("overlap 2d at_op={at_op}"), &out, late);
+    let out = faulted_run::<Serial>("2d", &FaultPlan::abort_at(VICTIM, LATE_OP));
+    assert_late_abort_cell("2d late abort", &out, false);
 }
 
 #[test]
-fn overlap_abort_mid_prefetch_fails_every_survivor_typed_serial() {
-    // serial degradation: the engine issues in order on the main thread,
-    // so even the late abort reaches every survivor
-    assert_overlap_abort_matrix::<Serial>(5, false);
-    assert_overlap_abort_matrix::<Serial>(8, false);
-}
-
-#[test]
-fn overlap_abort_mid_prefetch_fails_every_survivor_typed_threads() {
-    // genuinely concurrent: the abort lands while fetch threads are live
-    assert_overlap_abort_matrix::<Threads>(5, false);
-    assert_overlap_abort_matrix::<Threads>(8, true);
-}
-
-#[test]
-fn overlap_abort_mid_prefetch_fails_every_survivor_typed_procs() {
+fn late_abort_is_typed_threads() {
     quiet_expected_panics();
-    for (at_op, late) in [(5u64, false), (8, true)] {
-        let plan = FaultPlan::abort_at(VICTIM, at_op);
-        let out = universe().try_run_procs(|comm| {
-            let fc = FaultComm::new(comm.split(0, comm.rank()), plan.clone());
-            overlap_workload(&fc)
-        });
-        assert_overlap_abort_cell(&format!("overlap 2d at_op={at_op}"), &out, late);
-    }
+    let out = faulted_run::<Threads>("2d", &FaultPlan::abort_at(VICTIM, LATE_OP));
+    assert_late_abort_cell("2d late abort", &out, true);
 }
 
-/// SIGKILL with GetResp frames potentially airborne: the victim vanishes
-/// without unwinding while peers hold staged gets against its window.
-/// Survivors' fetch threads must be woken by the dead-socket detection and
-/// fail typed, never hang the rendezvous.
 #[test]
-fn overlap_sigkill_mid_prefetch_fails_every_survivor_typed_procs() {
+fn late_abort_is_typed_procs() {
     quiet_expected_panics();
-    let out = universe().try_run_procs(|comm| {
-        if comm.rank() == VICTIM {
-            kill_self_with_sigkill();
-        }
-        overlap_workload(comm)
-    });
-    assert_eq!(out.len(), NRANKS);
-    for (r, o) in out.iter().enumerate() {
-        match o {
-            Err(RankError::Panic { summary }) if r == VICTIM => assert!(
-                summary.contains("signal 9"),
-                "victim's corpse misclassified: {summary}"
-            ),
-            Err(RankError::Comm(CommError::PeerFailed { rank, .. })) if r != VICTIM => {
-                assert_eq!(*rank, VICTIM, "rank {r} blamed rank {rank} for the SIGKILL");
-            }
-            other => panic!("rank {r}: expected typed SIGKILL fallout, got {other:?}"),
-        }
-    }
-}
-
-/// Seeded frame loss under an active prefetcher: drops, corruptions, and
-/// duplicates now hit GetResp frames feeding background staging buffers.
-/// The ack/retransmit layer must still deliver every run bit-identical to
-/// the fault-free overlapped run — a torn or double-filled staging buffer
-/// cannot hide from the fingerprint.
-#[test]
-fn overlap_seeded_lossy_transport_completes_bit_identical_procs() {
-    quiet_expected_panics();
-    let name = "2d";
-    let clean: Vec<String> = universe()
-        .try_run_procs(overlap_workload)
-        .into_iter()
-        .enumerate()
-        .map(|(r, o)| o.unwrap_or_else(|e| panic!("overlap {name}: clean rank {r} failed: {e:?}")))
-        .collect();
-    for seed in fault_seeds().into_iter().take(1) {
-        for (mode, plan) in [
-            ("drop", FaultPlan::seeded_lossy(seed, 50, 0, 0)),
-            ("corrupt", FaultPlan::seeded_lossy(seed, 0, 50, 0)),
-            ("duplicate", FaultPlan::seeded_lossy(seed, 0, 0, 50)),
-        ] {
-            let _armed = arm_frame_plan(&plan);
-            let out = universe().try_run_procs(overlap_workload);
-            for (r, o) in out.iter().enumerate() {
-                let got = o.as_ref().unwrap_or_else(|e| {
-                    panic!("overlap {name}/{mode} seed {seed}: rank {r} failed: {e:?}")
-                });
-                assert_eq!(
-                    got, &clean[r],
-                    "overlap {name}/{mode} seed {seed}: rank {r} diverged from the fault-free run"
-                );
-            }
-        }
-    }
+    let out = faulted_run_procs("2d", &FaultPlan::abort_at(VICTIM, LATE_OP));
+    assert_late_abort_cell("2d late abort", &out, true);
 }
 
 // ---------------------------------------------------------------------------
