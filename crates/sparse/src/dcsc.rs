@@ -47,6 +47,11 @@ impl<T: Copy + Send + Sync> Dcsc<T> {
             "no empty columns stored"
         );
         debug_assert!(ir.iter().all(|&r| (r as usize) < nrows));
+        debug_assert!(
+            cp.windows(2)
+                .all(|c| ir[c[0]..c[1]].windows(2).all(|w| w[0] < w[1])),
+            "row ids strictly ascending within each column"
+        );
         Dcsc {
             nrows,
             ncols,
@@ -321,6 +326,14 @@ mod tests {
         let (rows_at, vals_at) = (c.rowidx().as_ptr(), c.vals().as_ptr());
         let d = Dcsc::from(c);
         assert_eq!((d.ir().as_ptr(), d.num().as_ptr()), (rows_at, vals_at));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "row ids strictly ascending")]
+    fn from_parts_rejects_unsorted_rows() {
+        // sorted across the column boundary, descending inside column 5
+        let _ = Dcsc::from_parts(6, 8, vec![1, 5], vec![0, 1, 3], vec![2, 4, 3], vec![1.0; 3]);
     }
 
     #[test]

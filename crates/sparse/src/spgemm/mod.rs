@@ -43,15 +43,24 @@ pub trait ColSource<T>: Sync {
         self.col(j).0.len()
     }
     /// Ascending ids of the stored columns when `col` has to search for
-    /// them (DCSC); `None` when `col` is O(1) already. [`spgemm_with`]
-    /// reads a source that has one by position, never by search.
+    /// them (DCSC); `None` when `col` is O(1) already. [`spgemm_with`] never
+    /// searches a source that has one: as `B` it is walked by position, as
+    /// `A` it is read through a column-pointer array over
+    /// [`ColSource::entries`].
     fn jc(&self) -> Option<&[Vidx]> {
         None
     }
-    /// Column at position `q` of [`ColSource::jc`]; without a `jc`,
-    /// position and id coincide.
+    /// Column at position `q` of [`ColSource::jc`] — how `B` is walked, and
+    /// where `A`'s pointer array takes each stored column's length from;
+    /// without a `jc`, position and id coincide.
     fn col_by_pos(&self, q: usize) -> (&[Vidx], &[T]) {
         self.col(q)
+    }
+    /// The columns of [`ColSource::col_by_pos`] back to back, position 0
+    /// first: the arrays `A`'s pointer array indexes. Read only from a
+    /// source with a `jc`.
+    fn entries(&self) -> (&[Vidx], &[T]) {
+        (&[], &[])
     }
 }
 
@@ -86,18 +95,22 @@ impl<T: Copy + Send + Sync> ColSource<T> for Dcsc<T> {
     fn col_by_pos(&self, q: usize) -> (&[Vidx], &[T]) {
         Dcsc::col_by_pos(self, q)
     }
+    fn entries(&self) -> (&[Vidx], &[T]) {
+        (self.ir(), self.num())
+    }
 }
 
-/// `A` as the accumulators read it. A source with a `jc` is resolved through
-/// the multiply's position map — `pos[j]` is one past `j`'s position in
-/// `jc`, 0 when `j` is absent — so every B entry costs one load where
+/// `A` as the accumulators read it. A source with a `jc` is read as a CSC:
+/// `csc` is the multiply's column-pointer array over all `ncols + 1` column
+/// ids (an id the source does not store is an empty range) with the entry
+/// arrays it indexes, so every B entry costs two adjacent loads where
 /// `Dcsc::col` costs a binary search.
-struct Mapped<'a, A: ?Sized> {
+struct Mapped<'a, T, A: ?Sized> {
     a: &'a A,
-    pos: Option<&'a [usize]>,
+    csc: Option<(&'a [usize], &'a [Vidx], &'a [T])>,
 }
 
-impl<T, A: ColSource<T> + ?Sized> ColSource<T> for Mapped<'_, A> {
+impl<T: Sync, A: ColSource<T> + ?Sized> ColSource<T> for Mapped<'_, T, A> {
     fn nrows(&self) -> usize {
         self.a.nrows()
     }
@@ -106,12 +119,19 @@ impl<T, A: ColSource<T> + ?Sized> ColSource<T> for Mapped<'_, A> {
     }
     #[inline]
     fn col(&self, j: usize) -> (&[Vidx], &[T]) {
-        match self.pos {
+        match self.csc {
             None => self.a.col(j),
-            Some(pos) => match pos[j] {
-                0 => (&[], &[]),
-                q => self.a.col_by_pos(q - 1),
-            },
+            Some((ptr, rows, vals)) => {
+                let (s, e) = (ptr[j], ptr[j + 1]);
+                (&rows[s..e], &vals[s..e])
+            }
+        }
+    }
+    #[inline]
+    fn col_nnz(&self, j: usize) -> usize {
+        match self.csc {
+            None => self.a.col_nnz(j),
+            Some((ptr, ..)) => ptr[j + 1] - ptr[j],
         }
     }
 }
@@ -142,17 +162,21 @@ pub enum Kernel {
 /// same row count.
 const SPA_RESIDENT_BYTES: usize = 22 << 20;
 
-/// The dense accumulator drops the bitmap — zero-fill, accumulate
-/// unconditionally, keep the non-zeros — once a column's flop bound reaches
-/// `SPA_DENSE_FLOPS × nrows`. Sized on ER squares of rising density (3 000
-/// and 12 000 rows, one thread, docs/PERFORMANCE.md "ISSUE 18"): forced on
-/// every column it took 0.5–0.8× the time wherever the output fills a tenth
-/// of the rows or more, but 1.3–2× on columns of few flops and sparse output
-/// (banded at `ub` = 0.18 × `nrows`, a late MCL iterate at 0.05 ×); from one
-/// flop per row up it was never behind, and forcing MCL's dense columns
-/// through the bitmap instead measured 0.4–0.8× (docs/PERFORMANCE.md
-/// "ISSUE 22"). Every column of the suite's four squaring workloads stays
-/// below it.
+/// The dense accumulator drops the bitmap — accumulate unconditionally,
+/// scan, keep the non-zeros — once a column's flop bound reaches
+/// `SPA_DENSE_FLOPS ×` the rows of its window, first row to last row of the
+/// A columns it names (`spa::dense_window`). Sized against all `nrows` on ER
+/// squares of rising density (3 000 and 12 000 rows, one thread,
+/// docs/PERFORMANCE.md "ISSUE 18"): forced on every column it took 0.5–0.8×
+/// the time wherever the output fills a tenth of the rows or more, but
+/// 1.3–2× on columns of few flops and sparse output (a late MCL iterate at
+/// `ub` = 0.05 × `nrows`); from one flop per row up it was never behind, and
+/// forcing MCL's dense columns through the bitmap instead measured 0.4–0.8×
+/// (docs/PERFORMANCE.md "ISSUE 22"). Applied to the window instead, the same
+/// cut also takes every column of a banded operand in natural order (4 000
+/// flops over a few hundred rows: 2.2× the bitmap's rate, docs/PERFORMANCE.md
+/// "ISSUE 24"); a stencil's columns and every column of a scrambled operand
+/// stay below it.
 const SPA_DENSE_FLOPS: usize = 1;
 
 /// The hybrid's accumulator for one output column with upper-bound flop
@@ -266,17 +290,19 @@ where
 /// [`SpgemmWorkspace`].
 ///
 /// An operand with a compressed column index (DCSC — what every distributed
-/// caller passes) is never searched: A's columns are resolved through a
-/// dense column → position map filled once per multiply, B's are walked by
-/// position. One symbolic pass then computes every stored B column's
-/// upper-bound flop count into a workspace buffer; that single array drives
+/// caller passes) is never searched: A is read as a CSC, through a
+/// column-pointer array over all of its column ids written once per multiply
+/// (a column's length is a subtraction, its entries two adjacent loads and a
+/// slice), B's columns are walked by position. One symbolic pass then
+/// computes every stored B column's upper-bound flop count into a workspace
+/// buffer; that single array drives
 /// (1) the work-item boundaries of the schedule, (2) the hybrid per-column
 /// kernel dispatch, (3) the hash accumulator's table sizing, and (4) the
 /// per-item output pre-sizing (`Σ min(ub, nrows)`), so the accumulators
 /// append each column straight to its item's tail and never reallocate it.
 /// A schedule of one item (any single-thread pool) hands that item's
 /// buffers over as the product; otherwise the items are stitched. Per-thread
-/// scratch, per-item output buffers, the position map and the symbolic
+/// scratch, per-item output buffers, the pointer array and the symbolic
 /// arrays are all borrowed from `ws`: repeated multiplies through one
 /// workspace allocate nothing but the product (see
 /// [`SpgemmWorkspace::counters`]).
@@ -339,24 +365,31 @@ where
     let ncols = b.ncols();
     let nrows = a.nrows();
     let threads = rayon::current_num_threads();
-    // --- column resolution: B by position, A through the position map
-    // (refilled whole, so a pooled buffer's earlier contents cannot leak) ---
+    // --- column resolution: B by position, A through its column-pointer
+    // array (written whole, so a pooled buffer's earlier contents cannot
+    // leak) ---
     let bjc = b.jc();
     let nb = bjc.map_or(ncols, <[Vidx]>::len);
     if nb == 0 {
         return Csc::zeros(nrows, ncols);
     }
-    let apos = a.jc().map(|jc| {
-        let mut pos = ws.take_idx();
-        pos.resize(a.ncols(), 0);
+    let aptr = a.jc().map(|jc| {
+        let mut ptr = ws.take_idx();
+        ptr.reserve(a.ncols() + 1);
+        let mut end = 0;
         for (q, &j) in jc.iter().enumerate() {
-            pos[j as usize] = q + 1;
+            // ids up to and including `j` start where `j`'s entries do
+            ptr.resize(j as usize + 1, end);
+            end += a.col_by_pos(q).0.len();
         }
-        pos
+        ptr.resize(a.ncols() + 1, end);
+        assert_eq!(end, a.entries().0.len(), "entries() is every stored column");
+        ptr
     });
+    let (arows, avals) = a.entries();
     let a = &Mapped {
         a,
-        pos: apos.as_deref(),
+        csc: aptr.as_deref().map(|ptr| (ptr, arows, avals)),
     };
     // --- symbolic pass: one upper-bound flop count per stored B column,
     // parallelized over fixed segments when a pool is installed (a serial
@@ -493,8 +526,8 @@ where
     colptr.resize(ncols + 1, rowidx.len());
     ws.put_idx(ubs);
     ws.put_idx(bounds);
-    if let Some(pos) = apos {
-        ws.put_idx(pos);
+    if let Some(ptr) = aptr {
+        ws.put_idx(ptr);
     }
     Csc::from_parts(nrows, ncols, colptr, rowidx, vals)
 }
@@ -529,7 +562,7 @@ mod tests {
     use super::*;
     use crate::coo::Coo;
     use crate::dense::Dense;
-    use crate::semiring::{OrAnd, PlusTimes};
+    use crate::semiring::{MinPlus, OrAnd, PlusTimes};
     use rand::{Rng, SeedableRng};
 
     fn random_csc(nrows: usize, ncols: usize, nnz: usize, seed: u64) -> Csc<f64> {
@@ -692,54 +725,93 @@ mod tests {
         assert!(steady.chunk_reuses > warm.chunk_reuses);
     }
 
-    /// `Csc` A whose column 20 panics on its second read: the symbolic pass
-    /// sizes it, the accumulator never gets it.
-    struct PanicsMidColumn<'a>(&'a Csc<f64>, std::sync::atomic::AtomicUsize);
+    /// `PlusTimes<f64>` whose ⊗ panics on a NaN entry of A: a flop that
+    /// unwinds out of an accumulate loop.
+    #[derive(Clone, Copy)]
+    struct NanPanics;
 
-    impl ColSource<f64> for PanicsMidColumn<'_> {
-        fn nrows(&self) -> usize {
-            self.0.nrows()
+    impl Semiring for NanPanics {
+        type T = f64;
+        fn zero() -> f64 {
+            0.0
         }
-        fn ncols(&self) -> usize {
-            self.0.ncols()
+        fn add(a: f64, b: f64) -> f64 {
+            a + b
         }
-        fn col(&self, j: usize) -> (&[Vidx], &[f64]) {
-            if j == 20 {
-                let earlier = self.1.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                assert!(earlier == 0, "poisoned column");
-            }
-            self.0.col(j)
+        fn mul(a: f64, b: f64) -> f64 {
+            assert!(!a.is_nan(), "poisoned entry");
+            a * b
         }
     }
 
-    #[test]
-    fn scratch_abandoned_mid_column_yields_a_clean_next_column() {
+    fn on_one_thread<S: Semiring<T = f64>>(
+        a: &Csc<f64>,
+        b: &Csc<f64>,
+        ws: &SpgemmWorkspace<f64>,
+    ) -> Csc<f64> {
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(1)
             .build()
             .expect("test pool");
-        let a = random_csc(3000, 40, 900, 61);
-        // one B column naming A's columns 0..=20: the accumulator has set
-        // bits for twenty of them when the twenty-first panics
-        let mut hub = Coo::new(40, 1);
-        for k in 0..=20 {
-            hub.push(k, 0, 1.0);
+        pool.install(|| spgemm_with::<S, _, _>(a, b, Kernel::Spa, Schedule::FlopBalanced, ws))
+    }
+
+    #[test]
+    fn scratch_abandoned_mid_column_yields_a_clean_next_column() {
+        // ≈ 450 flops per hub column: over 3000 rows the accumulator is
+        // abandoned with bits set, over 60 rows (the scanned window) with
+        // values written and no bit to say so
+        for nrows in [3000, 60] {
+            let a = random_csc(nrows, 40, 900, 61);
+            let (colptr, rowidx, mut vals) = a.clone().into_parts();
+            vals[colptr[21] - 1] = f64::NAN;
+            let poisoned = Csc::from_parts(nrows, 40, colptr, rowidx, vals);
+            // one B column naming A's columns 0..=20: twenty of them are
+            // accumulated when the last entry of the twenty-first panics
+            let mut hub = Coo::new(40, 1);
+            for k in 0..=20 {
+                hub.push(k, 0, 1.0);
+            }
+            let hub = hub.to_csc();
+            let ws = SpgemmWorkspace::new();
+            let abandoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                on_one_thread::<NanPanics>(&poisoned, &hub, &ws)
+            }));
+            assert!(abandoned.is_err(), "the multiply panics mid-column");
+            let b = random_csc(40, 30, 200, 62);
+            let got = on_one_thread::<PlusTimes<f64>>(&a, &b, &ws);
+            assert_eq!(ws.counters().scratch_reuses, 1, "the same scratch");
+            let fresh = on_one_thread::<PlusTimes<f64>>(&a, &b, &SpgemmWorkspace::new());
+            assert_eq!(got, fresh, "{nrows} rows");
         }
-        let hub = hub.to_csc();
-        let ws = SpgemmWorkspace::new();
-        let multiply = |a: &dyn ColSource<f64>, b: &Csc<f64>, ws: &SpgemmWorkspace<f64>| {
-            pool.install(|| {
-                spgemm_with::<PlusTimes<f64>, _, _>(a, b, Kernel::Spa, Schedule::FlopBalanced, ws)
-            })
+    }
+
+    #[test]
+    fn one_workspace_serves_semirings_of_different_zeros() {
+        // the dense accumulator keeps the zero of the last multiply in every
+        // slot: 0.0, then +∞, then 0.0 again through one scratch
+        let a = random_csc(90, 70, 700, 71);
+        let b = random_csc(70, 50, 500, 72);
+        let bits = |c: Csc<f64>| {
+            let (colptr, rowidx, vals) = c.into_parts();
+            let vals: Vec<u64> = vals.into_iter().map(f64::to_bits).collect();
+            (colptr, rowidx, vals)
         };
-        let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            multiply(&PanicsMidColumn(&a, Default::default()), &hub, &ws)
-        }));
-        assert!(poisoned.is_err(), "the multiply panics mid-column");
-        let b = random_csc(40, 30, 200, 62);
-        let got = multiply(&a, &b, &ws);
-        assert_eq!(ws.counters().scratch_reuses, 1, "the same scratch");
-        assert_eq!(got, multiply(&a, &b, &SpgemmWorkspace::new()));
+        let ws = SpgemmWorkspace::new();
+        let fresh = SpgemmWorkspace::new;
+        assert_eq!(
+            bits(on_one_thread::<PlusTimes<f64>>(&a, &b, &ws)),
+            bits(on_one_thread::<PlusTimes<f64>>(&a, &b, &fresh()))
+        );
+        assert_eq!(
+            bits(on_one_thread::<MinPlus>(&a, &b, &ws)),
+            bits(on_one_thread::<MinPlus>(&a, &b, &fresh()))
+        );
+        assert_eq!(
+            bits(on_one_thread::<PlusTimes<f64>>(&a, &b, &ws)),
+            bits(on_one_thread::<PlusTimes<f64>>(&a, &b, &fresh()))
+        );
+        assert_eq!(ws.counters().scratch_allocs, 1, "one scratch throughout");
     }
 
     #[test]

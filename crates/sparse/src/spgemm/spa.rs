@@ -7,10 +7,14 @@
 //! cache-resident, or the column's flop upper bound is a sizable fraction of
 //! `nrows`.
 //!
-//! The bitmap is what orders the output: a column's rows are read back off
-//! the set bits, lowest first, so nothing is listed and nothing is sorted. A
-//! column whose flop bound reaches `nrows` (`SPA_DENSE_FLOPS`) skips the
-//! bitmap as well. Both paths emit the same rows and the same bits.
+//! Every slot of the value array holds the semiring's zero between columns,
+//! so a flop is `vals[r] = vals[r] ⊕ (a ⊗ b)` with no "first touch?" branch
+//! (`0 ⊕ x = x`), and whoever reads a slot back puts the zero back. The
+//! bitmap is what orders the output: a column's rows are read back off the
+//! set bits, lowest first, so nothing is listed and nothing is sorted. A
+//! column whose flop bound reaches the width of its row window
+//! (`SPA_DENSE_FLOPS`, [`dense_window`]) skips the bitmap as well and scans
+//! the window. Both paths emit the same rows and the same bits.
 
 use super::{ColSource, SPA_DENSE_FLOPS};
 use crate::semiring::Semiring;
@@ -28,10 +32,12 @@ use crate::types::Vidx;
 #[derive(Default)]
 pub(crate) struct RowBitmap {
     levels: [Vec<u64>; 3],
-    /// Set while a column is between its first bit and the end of its walk:
-    /// a bitmap that went back to the pool in that state (a panic unwinding
-    /// through the kernel) is cleared by the next [`RowBitmap::ensure`].
-    dirty: bool,
+    /// Set while [`spa_column`] is between its first flop and the end of its
+    /// read-back, on either path: an accumulator that went back to the pool
+    /// in that state (a panic unwinding through the kernel) has its bitmap
+    /// cleared by the next [`RowBitmap::ensure`] and its values re-zeroed by
+    /// the `Scratch::ensure_spa` that calls it.
+    pub(crate) dirty: bool,
 }
 
 impl RowBitmap {
@@ -66,10 +72,39 @@ fn drain_bits(word: &mut u64) -> impl Iterator<Item = usize> {
     })
 }
 
+/// The rows `lo..hi` a product column can touch — A's columns are row-sorted,
+/// so each of the A columns `brows` names spans its first row to its last —
+/// when the column's flop bound `ub` reaches `SPA_DENSE_FLOPS` per row of
+/// them; `None` when the column is too sparse over its window to scan it.
+///
+/// The window of the first and last B entry alone lies inside the whole
+/// one, so a column that fails the rule on those two is turned away before
+/// the other A columns are looked at.
+fn dense_window<T, A: ColSource<T> + ?Sized>(
+    a: &A,
+    brows: &[Vidx],
+    ub: usize,
+) -> Option<(usize, usize)> {
+    const NO_ROWS: (usize, usize) = (usize::MAX, 0);
+    let extent = |k: &Vidx| match a.col(*k as usize).0 {
+        [] => NO_ROWS,
+        [first, .., last] => (*first as usize, *last as usize + 1),
+        [only] => (*only as usize, *only as usize + 1),
+    };
+    let join = |w: (usize, usize), x: (usize, usize)| (w.0.min(x.0), w.1.max(x.1));
+    let dense = |w: (usize, usize)| ub >= SPA_DENSE_FLOPS * w.1.saturating_sub(w.0);
+    let (first, last) = (brows.first()?, brows.last()?);
+    if !dense(join(extent(first), extent(last))) {
+        return None;
+    }
+    let (lo, hi) = brows.iter().map(extent).fold(NO_ROWS, join);
+    dense((lo, hi)).then_some((lo.min(hi), hi))
+}
+
 /// Append `C(:,j)` with a dense accumulator over `vals.len()` rows; `ub` is
-/// the column's upper-bound flop count. `occupied` must cover those rows
-/// ([`RowBitmap::ensure`]); a row's slot in `vals` is live only while its bit
-/// is set.
+/// the column's upper-bound flop count. `occupied` must cover those rows and
+/// every slot of `vals` must hold `S::zero()` (`Scratch::ensure_spa`); both
+/// are left that way.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn spa_column<S: Semiring, A: ColSource<S::T> + ?Sized>(
     a: &A,
@@ -81,12 +116,11 @@ pub(crate) fn spa_column<S: Semiring, A: ColSource<S::T> + ?Sized>(
     rows_out: &mut Vec<Vidx>,
     vals_out: &mut Vec<S::T>,
 ) {
-    let nrows = vals.len();
-    if ub >= SPA_DENSE_FLOPS * nrows {
-        // No bitmap: zero-fill and accumulate unconditionally (`0 ⊕ x = x`).
-        // The rows left non-zero are the ones the bitmap path keeps, since
-        // it drops the touched rows that reduce to zero.
-        vals.fill(S::zero());
+    occupied.dirty = true;
+    if let Some((lo, hi)) = dense_window(a, brows, ub) {
+        // No bitmap: accumulate unconditionally, then scan the window. The
+        // rows left non-zero are the ones the bitmap path keeps, since it
+        // drops the touched rows that reduce to zero.
         for (&k, &bv) in brows.iter().zip(bvals) {
             let (ar, av) = a.col(k as usize);
             for (&r, &x) in ar.iter().zip(av) {
@@ -97,45 +131,44 @@ pub(crate) fn spa_column<S: Semiring, A: ColSource<S::T> + ?Sized>(
         // Every position is stored and the cursor advances by the flag, so
         // the loop has no branch for a half-full column to mispredict.
         let start = rows_out.len();
-        rows_out.resize(start + nrows, 0);
+        rows_out.resize(start + (hi - lo), 0);
         let mut n = start;
-        for (r, v) in vals.iter().enumerate() {
+        for (r, v) in (lo..hi).zip(&vals[lo..hi]) {
             rows_out[n] = r as Vidx;
             n += !S::is_zero(v) as usize;
         }
         rows_out.truncate(n);
         vals_out.extend(rows_out[start..].iter().map(|&r| vals[r as usize]));
-        return;
-    }
-    occupied.dirty = true;
-    let [bits, words, top] = &mut occupied.levels;
-    for (&k, &bv) in brows.iter().zip(bvals) {
-        let (ar, av) = a.col(k as usize);
-        for (&r, &x) in ar.iter().zip(av) {
-            let contrib = S::mul(x, bv);
-            let ri = r as usize;
-            let (w, bit) = (ri / 64, 1u64 << (ri % 64));
-            if bits[w] & bit != 0 {
-                vals[ri] = S::add(vals[ri], contrib);
-            } else {
-                bits[w] |= bit;
-                words[w / 64] |= 1u64 << (w % 64);
-                top[w / 4096] |= 1u64 << (w / 64 % 64);
-                vals[ri] = contrib;
+        vals[lo..hi].fill(S::zero());
+    } else {
+        let [bits, words, top] = &mut occupied.levels;
+        for (&k, &bv) in brows.iter().zip(bvals) {
+            let (ar, av) = a.col(k as usize);
+            for (&r, &x) in ar.iter().zip(av) {
+                let ri = r as usize;
+                vals[ri] = S::add(vals[ri], S::mul(x, bv));
+                let w = ri / 64;
+                // the summary levels hear of a word once, not of every row
+                // in it
+                if bits[w] == 0 {
+                    words[w / 64] |= 1u64 << (w % 64);
+                    top[w / 4096] |= 1u64 << (w / 64 % 64);
+                }
+                bits[w] |= 1u64 << (ri % 64);
             }
         }
-    }
-    for (t, tword) in top.iter_mut().enumerate() {
-        for s in drain_bits(tword) {
-            let s = t * 64 + s;
-            for w in drain_bits(&mut words[s]) {
-                let w = s * 64 + w;
-                for r in drain_bits(&mut bits[w]) {
-                    let ri = w * 64 + r;
-                    let v = vals[ri];
-                    if !S::is_zero(&v) {
-                        rows_out.push(ri as Vidx);
-                        vals_out.push(v);
+        for (t, tword) in top.iter_mut().enumerate() {
+            for s in drain_bits(tword) {
+                let s = t * 64 + s;
+                for w in drain_bits(&mut words[s]) {
+                    let w = s * 64 + w;
+                    for r in drain_bits(&mut bits[w]) {
+                        let ri = w * 64 + r;
+                        let v = std::mem::replace(&mut vals[ri], S::zero());
+                        if !S::is_zero(&v) {
+                            rows_out.push(ri as Vidx);
+                            vals_out.push(v);
+                        }
                     }
                 }
             }
@@ -162,19 +195,20 @@ mod tests {
 
     type ColOut = (Vec<Vidx>, Vec<f64>);
 
-    fn run_twice() -> (ColOut, ColOut) {
+    /// Two columns through one accumulator, the first with flop bound `ub`:
+    /// its 4 flops span all 5 rows, so 4 walks the bitmap and 5 scans.
+    fn run_twice(ub: usize) -> (ColOut, ColOut) {
         let a = a_matrix();
         let mut vals = vec![0.0; 5];
         let mut occupied = RowBitmap::default();
         occupied.ensure(5);
-        let mut run = |brows: &[Vidx], bvals: &[f64]| {
+        let mut run = |brows: &[Vidx], bvals: &[f64], ub: usize| {
             let (mut r, mut v) = (Vec::new(), Vec::new());
-            // ub = 4 flops on 5 rows: the bitmap path
             spa_column::<PlusTimes<f64>, _>(
                 &a,
                 brows,
                 bvals,
-                4,
+                ub,
                 &mut vals,
                 &mut occupied,
                 &mut r,
@@ -185,25 +219,40 @@ mod tests {
                 occupied.levels.iter().flatten().all(|&w| w == 0),
                 "left clear"
             );
+            assert_eq!(vals, [0.0; 5], "left zero");
             (r, v)
         };
-        let first = run(&[0, 1], &[1.0, 1.0]);
-        let second = run(&[1], &[1.0]);
+        let first = run(&[0, 1], &[1.0, 1.0], ub);
+        let second = run(&[1], &[1.0], 2);
         (first, second)
     }
 
     #[test]
     fn accumulates_sorted() {
-        let (first, _) = run_twice();
-        assert_eq!(first.0, vec![0, 2, 4]);
-        assert_eq!(first.1, vec![4.0, 4.0, 2.0]);
+        for ub in [4, 5] {
+            let (first, _) = run_twice(ub);
+            assert_eq!(first.0, vec![0, 2, 4]);
+            assert_eq!(first.1, vec![4.0, 4.0, 2.0]);
+        }
     }
 
     #[test]
     fn cleared_bitmap_isolates_columns() {
-        let (_, second) = run_twice();
-        assert_eq!(second.0, vec![0, 2], "no leakage from prior column");
-        assert_eq!(second.1, vec![3.0, 4.0]);
+        for ub in [4, 5] {
+            let (_, second) = run_twice(ub);
+            assert_eq!(second.0, vec![0, 2], "no leakage from prior column");
+            assert_eq!(second.1, vec![3.0, 4.0]);
+        }
+    }
+
+    #[test]
+    fn window_is_the_span_of_the_named_columns_or_nothing() {
+        // column 0 spans rows 0..5, column 1 rows 0..3
+        let a = a_matrix();
+        assert_eq!(dense_window(&a, &[0, 1], 5), Some((0, 5)));
+        assert_eq!(dense_window(&a, &[0, 1], 4), None);
+        assert_eq!(dense_window(&a, &[1], 3), Some((0, 3)));
+        assert_eq!(dense_window(&a, &[1], 2), None);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! alive between calls: per-thread accumulator state (`Scratch`), the
 //! per-work-item output buffers the accumulators append columns to, and
 //! generic index buffers (the symbolic upper-bound array, work item
-//! boundaries, A's column → position map, DCSC column pointers). Iterative
+//! boundaries, A's column-pointer array, DCSC column pointers). Iterative
 //! workloads — the session drivers in `sa_dist`/`sa_apps` call one multiply
 //! per iteration for tens of iterations — reach steady state after the
 //! first multiply and then allocate nothing on the hot path but each
@@ -32,8 +32,11 @@ use std::sync::Mutex;
 /// lazily — only once a column actually dispatches to the dense kernel), a
 /// growable hash table, and the heap kernel's cursors.
 pub(crate) struct Scratch<T> {
-    /// Dense SPA value array; empty until [`Scratch::ensure_spa`] runs.
+    /// Dense SPA value array; empty until [`Scratch::ensure_spa`] runs, and
+    /// `spa_zero` in every slot between columns.
     pub(crate) spa_vals: Vec<T>,
+    /// The semiring zero `spa_vals` is filled with.
+    spa_zero: Option<T>,
     /// Which rows of `spa_vals` the current column has touched; all clear
     /// between columns.
     pub(crate) spa_rows: RowBitmap,
@@ -52,6 +55,7 @@ impl<T: Copy> Scratch<T> {
     pub(crate) fn new() -> Self {
         Scratch {
             spa_vals: Vec::new(),
+            spa_zero: None,
             spa_rows: RowBitmap::default(),
             hash: HashAcc::new(),
             heap: BinaryHeap::new(),
@@ -61,12 +65,24 @@ impl<T: Copy> Scratch<T> {
         }
     }
 
-    /// Make the SPA arrays cover `nrows` rows, the bitmap all clear. The
-    /// arrays start empty — `O(nrows)` per thread is only paid when a column
-    /// actually dispatches to the dense kernel — and grow monotonically so a
-    /// workspace shared across differently-sized multiplies stays valid. A
-    /// value slot is read only under a set bit, so stale values cannot leak.
-    pub(crate) fn ensure_spa(&mut self, nrows: usize, zero: T) {
+    /// Make the SPA arrays cover `nrows` rows, the bitmap all clear and
+    /// every value slot `zero`. The arrays start empty — `O(nrows)` per
+    /// thread is only paid when a column actually dispatches to the dense
+    /// kernel — and grow monotonically, by `zero`s, so a workspace shared
+    /// across differently-sized multiplies stays valid. The dense kernel
+    /// leaves every slot it wrote at `zero` again, so the values are refilled
+    /// in two cases only: a column abandoned half-way (a panic unwound
+    /// through the kernel), and a caller whose semiring zero is not the one
+    /// they were filled with (one workspace serving `PlusTimes<f64>` and then
+    /// `MinPlus`).
+    pub(crate) fn ensure_spa(&mut self, nrows: usize, zero: T)
+    where
+        T: PartialEq,
+    {
+        if self.spa_rows.dirty || self.spa_zero != Some(zero) {
+            self.spa_vals.fill(zero);
+            self.spa_zero = Some(zero);
+        }
         self.spa_rows.ensure(nrows);
         if self.spa_vals.len() < nrows {
             self.spa_vals.resize(nrows, zero);
@@ -275,6 +291,23 @@ mod tests {
         assert_eq!(s.spa_vals.len(), 100, "never shrinks");
         s.ensure_spa(200, 0.0);
         assert_eq!(s.spa_vals.len(), 200);
+    }
+
+    #[test]
+    fn scratch_spa_is_refilled_after_an_abandoned_column_and_for_a_new_zero() {
+        let mut s: Scratch<f64> = Scratch::new();
+        s.ensure_spa(4, 0.0);
+        // a column that wrote a value and never reached its read-back
+        s.spa_rows.dirty = true;
+        s.spa_vals[2] = 7.0;
+        s.ensure_spa(4, 0.0);
+        assert!(!s.spa_rows.dirty);
+        assert_eq!(s.spa_vals, [0.0; 4]);
+        // a taller multiply under another semiring, then back
+        s.ensure_spa(6, f64::INFINITY);
+        assert_eq!(s.spa_vals, [f64::INFINITY; 6]);
+        s.ensure_spa(3, 0.0);
+        assert_eq!(s.spa_vals, [0.0; 6], "beyond the caller's rows too");
     }
 
     #[test]

@@ -12,11 +12,12 @@
 //! Two further properties ride on the same bits: a column epilogue fused into
 //! the kernel equals the same epilogue run over the finished product, and the
 //! dense accumulator's two ways of finding a column's rows (reading them off
-//! its occupancy bitmap, and bitmap-free accumulation from one flop per row
-//! up) agree with each other, with the hash and with the heap — on columns a
-//! few entries either side of the cut-off, and on columns whose rows sit on
-//! the word boundaries of the bitmap and of its summary levels, and on the
-//! last row.
+//! its occupancy bitmap, and scanning the column's row window once its flop
+//! bound reaches one per row of it) agree with each other, with the hash and
+//! with the heap — on columns a few entries either side of the cut-off, on
+//! windows at either end of the rows, on a window its first and last A column
+//! understate, and on columns whose rows sit on the word boundaries of the
+//! bitmap and of its summary levels, and on the last row.
 
 use proptest::prelude::*;
 use sa_sparse::semiring::{MinPlus, OrAnd, PlusTimes, Semiring};
@@ -319,10 +320,39 @@ fn boundary_columns(nrows: usize) -> Vec<Hits> {
     cols
 }
 
+/// Columns either side of the row-window rule — the accumulator leaves the
+/// bitmap once a column's flops reach the width of the rows it spans: bands
+/// of 40 and of 9 rows at `width − 1`, `width` and `width + 1` flops, one
+/// starting at row 0, one across a bitmap word boundary, one ending at the
+/// last row.
+fn window_columns(nrows: usize) -> Vec<Hits> {
+    let mut cols: Vec<Hits> = Vec::new();
+    for width in [40, 9] {
+        for lo in [0, 64 - width / 2, nrows - width] {
+            // every other row of the band, and both of its ends
+            let rows: Vec<usize> = (lo..lo + width - 1)
+                .step_by(2)
+                .chain([lo + width - 1])
+                .collect();
+            for flops in width - 1..=width + 1 {
+                let hits = |i: usize| flops / rows.len() + (i < flops % rows.len()) as usize;
+                cols.push(
+                    rows.iter()
+                        .enumerate()
+                        .map(|(i, &r)| (r, hits(i)))
+                        .collect(),
+                );
+            }
+        }
+    }
+    cols
+}
+
 /// `A·B` under `S` at each of `heights`, every B column one of
-/// [`boundary_columns`]: every kernel, source format, schedule and thread
+/// `columns(nrows)`: every kernel, source format, schedule and thread
 /// count against the hash, with and without an epilogue fused in, through
-/// one workspace — so each height's bitmap is the one the last height left.
+/// one workspace — so each height's bitmap and value array are the ones the
+/// last height left.
 ///
 /// A's column `copy · nrows + slot` holds the single entry
 /// `(row_of(slot), a_val(copy, row))`; a B column that hits a row `h` times
@@ -330,6 +360,7 @@ fn boundary_columns(nrows: usize) -> Vec<Hits> {
 /// order and the rows of one copy arrive unsorted.
 fn check_boundaries<S: Semiring>(
     heights: &[usize],
+    columns: fn(usize) -> Vec<Hits>,
     a_val: impl Fn(usize, usize) -> S::T,
     b_val: impl Fn(usize) -> S::T,
 ) where
@@ -337,7 +368,7 @@ fn check_boundaries<S: Semiring>(
 {
     let ws = SpgemmWorkspace::new();
     for &nrows in heights {
-        let cols = boundary_columns(nrows);
+        let cols = columns(nrows);
         let copies = cols.iter().flatten().map(|h| h.1).max().unwrap();
         let row_of = |slot: usize| (slot * 37 + 11) % nrows;
         let mut slot_of = vec![usize::MAX; nrows];
@@ -393,39 +424,99 @@ fn keep_even_positions<T: Copy>(
     vals_out.extend(vals.iter().step_by(2));
 }
 
+/// [`check_boundaries`] under the three semirings, on operands that do drop
+/// rows: `PlusTimes<f64>` at every height, `MinPlus` and `OrAnd` at `few`.
+fn check_boundaries_under_each_semiring(
+    heights: &[usize],
+    few: std::ops::Range<usize>,
+    columns: fn(usize) -> Vec<Hits>,
+) {
+    check_boundaries::<PlusTimes<f64>>(heights, columns, cancelling, |j| 0.5 + 0.25 * j as f64);
+    check_boundaries::<MinPlus>(&heights[few.clone()], columns, some_infinite, |j| {
+        0.25 * j as f64
+    });
+    check_boundaries::<OrAnd>(&heights[few], columns, some_false, |_| true);
+}
+
+/// `PlusTimes<f64>` values of A's `copy`-th entry in `row`: rows ≡ 1 (mod 4)
+/// alternate x, −x (cancel exactly when hit an even number of times); rows
+/// ≡ 2 open with a −0.0 contribution (alone, it is dropped; followed by
+/// others, it must not show).
+fn cancelling(copy: usize, row: usize) -> f64 {
+    match row % 4 {
+        1 if copy.is_multiple_of(2) => 0.7,
+        1 => -0.7,
+        2 if copy == 0 => -0.0,
+        _ => 0.1 * (copy + 1) as f64 + 0.003 * (row % 97 + 1) as f64,
+    }
+}
+
+/// `MinPlus` values: rows ≡ 1 (mod 4) contribute only the semiring zero, ∞.
+fn some_infinite(copy: usize, row: usize) -> f64 {
+    match row % 4 {
+        1 => f64::INFINITY,
+        _ => 1.0 + ((copy * 7 + row * 3) % 11) as f64 * 0.3,
+    }
+}
+
+/// `OrAnd` values: rows ≡ 1 (mod 4) contribute only `false`.
+fn some_false(copy: usize, row: usize) -> bool {
+    row % 4 != 1 && !(copy + row).is_multiple_of(3)
+}
+
 #[test]
 fn dense_accumulator_agrees_on_bitmap_boundaries_and_across_its_cutoff() {
     // below one bitmap word, exactly one, a partial last word, partial last
     // words of both summary levels, exact multiples — larger after smaller
     // and smaller after larger
     let heights = [100, 8192, 40, 4133, 64, 262_244];
-    // rows ≡ 1 (mod 4) alternate x, −x (cancel exactly when hit an even
-    // number of times); rows ≡ 2 open with a −0.0 contribution (alone, it is
-    // dropped; followed by others, it must not show)
-    check_boundaries::<PlusTimes<f64>>(
-        &heights,
-        |copy, row| match row % 4 {
-            1 if copy % 2 == 0 => 0.7,
-            1 => -0.7,
-            2 if copy == 0 => -0.0,
-            _ => 0.1 * (copy + 1) as f64 + 0.003 * (row % 97 + 1) as f64,
-        },
-        |j| 0.5 + 0.25 * j as f64,
-    );
-    // rows ≡ 1 (mod 4) contribute only the semiring zero (∞, false): dropped
-    check_boundaries::<MinPlus>(
-        &heights[2..4],
-        |copy, row| match row % 4 {
-            1 => f64::INFINITY,
-            _ => 1.0 + ((copy * 7 + row * 3) % 11) as f64 * 0.3,
-        },
-        |j| 0.25 * j as f64,
-    );
-    check_boundaries::<OrAnd>(
-        &heights[2..4],
-        |copy, row| row % 4 != 1 && (copy + row) % 3 != 0,
-        |_| true,
-    );
+    check_boundaries_under_each_semiring(&heights, 2..4, boundary_columns);
+}
+
+/// An arrow under `S`: A's columns 0 and 2 lie inside rows 50..56, column 1
+/// reaches rows 3 and 199. B's column 0 names all three — its first and last
+/// entry span 6 rows for 9 flops, the whole column 197 — column 1 names the
+/// two short ones (6 flops on 6 rows: scanned), column 2 the first two.
+/// Row 53 cancels between A's columns 1 and 2, rows 50 and 54 are lone −0.0
+/// contributions under [`cancelling`].
+fn check_arrow<S: Semiring>(a_val: impl Fn(usize, usize) -> S::T, b_val: impl Fn(usize) -> S::T)
+where
+    S::T: Bits,
+{
+    let mut a = Coo::new(200, 3);
+    for (col, rows) in [[50, 52, 54], [3, 53, 199], [51, 53, 55]]
+        .iter()
+        .enumerate()
+    {
+        for &row in rows {
+            a.push(row as Vidx, col as Vidx, a_val(col, row));
+        }
+    }
+    let mut b = Coo::new(3, 3);
+    for (j, names) in [&[0, 1, 2][..], &[0, 2], &[0, 1]].iter().enumerate() {
+        for &k in *names {
+            b.push(k, j as Vidx, b_val(j));
+        }
+    }
+    let (a, b) = (a.to_csc_with(|x, _| x), b.to_csc_with(|x, _| x));
+    let ws = SpgemmWorkspace::new();
+    let plain = spgemm_with::<S, _, _>(&a, &b, Kernel::Hash, Schedule::Fixed(256), &ws);
+    assert!(plain.nnz() < 9 + 6 + 6, "the operand does drop rows");
+    check_sources::<S, NoEpilogue<S::T>>(&a, &b, &ws, None, &plain).unwrap();
+    let thinned = post_pass(&plain, keep_even_positions);
+    check_sources::<S, _>(&a, &b, &ws, Some(&keep_even_positions), &thinned).unwrap();
+}
+
+#[test]
+fn dense_accumulator_agrees_on_row_windows_and_across_their_cutoff() {
+    // the last band ends inside a bitmap word, on a word boundary, in the
+    // second word of the first summary level — larger after smaller and
+    // smaller after larger
+    let heights = [300, 128, 5000, 100];
+    check_boundaries_under_each_semiring(&heights, 0..2, window_columns);
+    check_arrow::<PlusTimes<f64>>(cancelling, |j| 0.5 + 0.25 * j as f64);
+    check_arrow::<MinPlus>(some_infinite, |j| 0.25 * j as f64);
+    check_arrow::<OrAnd>(some_false, |_| true);
 }
 
 #[test]

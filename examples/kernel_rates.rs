@@ -1,10 +1,11 @@
 //! Per-operand accumulator rates — the measurement `choose_kernel`'s policy
 //! and the dense accumulator's bitmap cut-off are taken from
-//! (docs/PERFORMANCE.md "ISSUE 16", "ISSUE 18", "ISSUE 22").
+//! (docs/PERFORMANCE.md "ISSUE 16", "ISSUE 18", "ISSUE 22", "ISSUE 24").
 //!
-//! For each of the benchmark suite's operands, for ER squares of sparse and
-//! of fuller product columns, and for the MCL iterate whose square is the
-//! dense-output regime, squares the operand the way a `P`-rank 1D run does —
+//! For each of the benchmark suite's operands, for the banded one once more
+//! under a random permutation, for ER squares of sparse and of fuller product
+//! columns, and for the MCL iterate whose square is the dense-output regime,
+//! squares the operand the way a `P`-rank 1D run does —
 //! `P` column slices `Bᵢ`, one multiply each — on one thread through a warm
 //! workspace, and prints the rate of every [`Kernel`] (best of 5, Mflop/s)
 //! for two A sources: the whole operand as a `Csc`, and a DCSC `Ã` holding
@@ -152,7 +153,17 @@ fn main() {
             &Dataset::StokesLike.build(Scale::Small),
             p,
         );
-        rates("hv15r-like", &banded(n, band, 0.35, false, seed), p);
+        // natural order, every product column is dense over a window of a few
+        // hundred rows and the dense accumulator scans it; scrambled, the
+        // same flops spread over all the rows and go through its bitmap — the
+        // two sides of its row-window cut
+        let hv15r = banded(n, band, 0.35, false, seed);
+        rates("hv15r-like", &hv15r, p);
+        rates(
+            "hv15r-like scrambled",
+            &permute_symmetric(&hv15r, &Perm::random(n, seed)),
+            p,
+        );
         rates("nlpkkt-like", &kkt_arrow(n, n / 9, band / 2, 8, seed), p);
         // ER squares whose product columns fill ≈ 5 % and ≈ 20 % of the rows
         for d in [12.0, 26.0] {
