@@ -7,6 +7,8 @@
 //! level-by-level, again one SpGEMM per level. The paper benchmarks exactly
 //! these two phases per loop iteration (Figs. 13, 14).
 //!
+//! All engines run one level loop; an engine is only its two multiplies.
+//!
 //! **Operand orientation matters for the 1D engine.** Algorithm 1 keeps
 //! `B` and `C` stationary and fetches only `A`; if the n×n adjacency were
 //! the fetched operand, every rank would pull nearly all of it at every
@@ -22,12 +24,13 @@ use sa_dist::mat3d::{DistMat3D, LayerSplit, Owned3DBlock};
 use sa_dist::{
     load_agreed, save_wire, spgemm_1d_ws, spgemm_split_3d_ws, spgemm_summa_2d_ws, uniform_offsets,
     AlgoChoice, AutoTuner, CacheConfig, CheckpointStore, DistMat1D, DistMat2D, FetchMode, Plan1D,
-    SessionSnapshot, SessionStats, SpgemmSession,
+    SessionSnapshot, SessionStats, SpgemmReport, SpgemmSession,
 };
 use sa_mpisim::{Comm, CostModel, Grid2D, Grid3D, Wire, WireError};
 use sa_sparse::ewise::{ewise_add, mask_complement};
 use sa_sparse::semiring::PlusTimes;
 use sa_sparse::{Coo, Csc, Dcsc, SpgemmWorkspace, Vidx};
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -46,7 +49,11 @@ pub struct BcOutcome {
     pub times: BcTimes,
     /// BFS levels explored.
     pub levels: usize,
-    /// Peak local bytes across iterations (the Fig. 14 2D-OOM metric).
+    /// Peak local bytes across iterations (the Fig. 14 2D-OOM metric), by
+    /// one rule in every engine: the multiply's working set + masked + σ +
+    /// visited per forward level, the working set + δ + σ per backward
+    /// level. In the 1D engines at Fig. 14's tiny scale the forward sweep
+    /// sets the peak (0.076 MB with or without the backward term).
     pub peak_local_bytes: u64,
     /// Bytes this rank injected into the network over the whole batch
     /// (point-to-point sends + RDMA gets), excluding the one-time operand
@@ -105,8 +112,64 @@ pub fn pick_sources(n: usize, batch: usize, seed: u64) -> Vec<Vidx> {
 }
 
 // ---------------------------------------------------------------------
-// local block algebra shared by all engines
+// the Brandes loop shared by all engines
 // ---------------------------------------------------------------------
+
+/// Where this rank's frontier block sits: which axis indexes vertices (rows
+/// in the column frontier, columns in the transposed one) and the block's
+/// global vertex and batch-slot ranges.
+#[derive(Clone)]
+struct Layout {
+    vertex_rows: bool,
+    vertices: Range<usize>,
+    batch: Range<usize>,
+}
+
+impl Layout {
+    /// `(vertex, slot)` as the block's `(row, col)`.
+    fn orient<T>(&self, vertex: T, slot: T) -> (T, T) {
+        if self.vertex_rows {
+            (vertex, slot)
+        } else {
+            (slot, vertex)
+        }
+    }
+
+    /// The level-0 fringe: σ = 1 at `(sources[j], j)` where the block holds it.
+    fn sources(&self, sources: &[Vidx]) -> Csc<f64> {
+        let (nr, nc) = self.orient(self.vertices.len(), self.batch.len());
+        let mut coo = Coo::new(nr, nc);
+        for j in self.batch.clone() {
+            let s = sources[j] as usize;
+            if self.vertices.contains(&s) {
+                let (r, c) = self.orient(s - self.vertices.start, j - self.batch.start);
+                coo.push(r as Vidx, c as Vidx, 1.0);
+            }
+        }
+        coo.to_csc_with(|x, _| x)
+    }
+
+    /// Per-vertex sums of a block added into a global score vector.
+    fn add_vertex_sums(&self, block: &Csc<f64>, scores: &mut [f64]) {
+        for (r, c, v) in block.iter() {
+            scores[self.vertices.start + self.orient(r, c).0 as usize] += v;
+        }
+    }
+}
+
+/// `offsets[i]..offsets[i + 1]`.
+fn span(offsets: &[usize], i: usize) -> Range<usize> {
+    offsets[i]..offsets[i + 1]
+}
+
+/// A BC engine's two multiplies. Both return the product in the frontier's
+/// own layout plus the bytes of the multiply's working set on this rank.
+trait BrandesEngine<C: Comm> {
+    /// The next frontier before masking: `Aᵀ·F` (or `F̃·A`).
+    fn forward(&mut self, comm: &C, fringe: &Csc<f64>) -> (Csc<f64>, u64);
+    /// The backward step: `A·W` (or `W̃·Aᵀ`).
+    fn backward(&mut self, comm: &C, weights: Csc<f64>) -> (Csc<f64>, u64);
+}
 
 /// `w = fringe ⊙ (1 + δ) ⊘ σ`: on the fringe's pattern, combine the
 /// dependency and path-count values (both defined on supersets of the
@@ -171,18 +234,66 @@ fn masked_scale(t: &Csc<f64>, mask: &Csc<f64>, nsp: &Csc<f64>) -> Csc<f64> {
     Csc::from_parts(t.nrows(), t.ncols(), colptr, rowidx, vals)
 }
 
-/// Row sums of a local block added into a global score vector at `row0`.
-fn accumulate_row_sums(block: &Csc<f64>, row0: usize, scores: &mut [f64]) {
-    for (r, _c, v) in block.iter() {
-        scores[row0 + r as usize] += v;
-    }
-}
+/// One BC batch over `n` vertices through `engine`'s multiplies: the
+/// forward search, the backward sweep and the score sum. Collective.
+fn brandes<C: Comm>(
+    comm: &C,
+    engine: &mut impl BrandesEngine<C>,
+    layout: &Layout,
+    n: usize,
+    sources: &[Vidx],
+) -> BcOutcome {
+    let stats0 = comm.stats();
+    let first = layout.sources(sources);
+    let mut visited = first.clone();
+    let mut nsp = first.clone();
+    // one frontier per level; the top is the fringe
+    let mut stack = vec![first];
+    let mut times = BcTimes::default();
+    let mut peak = 0u64;
 
-/// Column sums of a local block added into a global score vector at `col0`
-/// (the transposed-frontier counterpart of [`accumulate_row_sums`]).
-fn accumulate_col_sums(block: &Csc<f64>, col0: usize, scores: &mut [f64]) {
-    for (_r, c, v) in block.iter() {
-        scores[col0 + c as usize] += v;
+    // forward search
+    loop {
+        let t0 = Instant::now();
+        let (next, ws) = engine.forward(comm, stack.last().expect("level 0"));
+        times.forward_s.push(t0.elapsed().as_secs_f64());
+        let masked = mask_complement(&next, &visited);
+        peak = peak.max(ws + (masked.mem_bytes() + nsp.mem_bytes() + visited.mem_bytes()) as u64);
+        if comm.allreduce(masked.nnz() as u64, |x, y| x + y) == 0 {
+            break;
+        }
+        visited = ewise_add::<PlusTimes<f64>>(&visited, &masked.map(|_| 1.0));
+        nsp = ewise_add::<PlusTimes<f64>>(&nsp, &masked);
+        stack.push(masked);
+        assert!(stack.len() <= n, "BFS deeper than vertex count");
+    }
+
+    // backward sweep (levels L-1 .. 1; level-0 deltas belong to the
+    // sources themselves and are excluded, as in Brandes)
+    let mut delta = Csc::zeros(stack[0].nrows(), stack[0].ncols());
+    for l in (1..stack.len()).rev() {
+        let w = backward_weights(&stack[l], &delta, &nsp);
+        let t0 = Instant::now();
+        let (t, ws) = engine.backward(comm, w);
+        times.backward_s.push(t0.elapsed().as_secs_f64());
+        peak = peak.max(ws + (delta.mem_bytes() + nsp.mem_bytes()) as u64);
+        if l >= 2 {
+            let contrib = masked_scale(&t, &stack[l - 1], &nsp);
+            delta = ewise_add::<PlusTimes<f64>>(&delta, &contrib);
+        }
+    }
+
+    let mut scores = vec![0.0f64; n];
+    layout.add_vertex_sums(&delta, &mut scores);
+    let scores = comm.allreduce_vec(scores, |x, y| x + y);
+    let spent = comm.stats() - stats0;
+    BcOutcome {
+        scores,
+        times,
+        levels: stack.len(),
+        peak_local_bytes: peak,
+        comm_bytes: spent.injected_bytes(),
+        comm_msgs: spent.injected_msgs(),
     }
 }
 
@@ -199,13 +310,8 @@ fn accumulate_col_sums(block: &Csc<f64>, col0: usize, scores: &mut [f64]) {
 /// (conformal with the adjacency's column split), so masking, σ updates and
 /// dependency accumulation are all rank-local.
 pub fn bc_batch_1d<C: Comm>(comm: &C, a: &Csc<f64>, sources: &[Vidx], plan: &Plan1D) -> BcOutcome {
-    bc_batch_1d_offsets(
-        comm,
-        a,
-        sources,
-        plan,
-        &uniform_offsets(a.nrows(), comm.size()),
-    )
+    let offsets = uniform_offsets(a.nrows(), comm.size());
+    bc_batch_1d_offsets(comm, a, sources, plan, &offsets)
 }
 
 /// [`bc_batch_1d`] with explicit 1D column offsets — pass the partitioner's
@@ -218,93 +324,57 @@ pub fn bc_batch_1d_offsets<C: Comm>(
     plan: &Plan1D,
     offsets: &[usize],
 ) -> BcOutcome {
-    let n = a.nrows();
-    let b = sources.len();
     let a01 = a.map(|_| 1.0);
-    let at01 = a01.transpose();
-    // Per-level multiplies skip the global-volume allreduces (metrics only).
+    // stationary operands: adjacency (forward), its transpose (backward)
+    let adj = DistMat1D::from_global(comm, &a01, offsets);
+    let adj_t = DistMat1D::from_global(comm, &a01.transpose(), offsets);
+    let layout = Layout {
+        vertex_rows: false,
+        vertices: span(offsets, comm.rank()),
+        batch: 0..sources.len(),
+    };
+    // per-level multiplies skip the global-volume allreduces (metrics only)
     let plan = Plan1D {
         global_stats: false,
         ..*plan
     };
-    let plan = &plan;
-    // stationary operands: adjacency (forward), its transpose (backward)
-    let da = DistMat1D::from_global(comm, &a01, offsets);
-    let dat = DistMat1D::from_global(comm, &at01, offsets);
-    let n_offsets = da.offsets().clone();
-    let (c0, c1) = (n_offsets[comm.rank()], n_offsets[comm.rank() + 1]);
-    let stats0 = comm.stats();
-
-    // initial frontier: row j holds source j with σ = 1 at column s_j
-    let mut fringe = {
-        let mut coo = Coo::new(b, c1 - c0);
-        for (j, &s) in sources.iter().enumerate() {
-            let su = s as usize;
-            if su >= c0 && su < c1 {
-                coo.push(j as Vidx, (su - c0) as Vidx, 1.0);
-            }
-        }
-        coo.to_csc_with(|x, _| x)
-    };
-    let mut visited = fringe.clone();
-    let mut nsp = fringe.clone();
-    let mut stack = vec![fringe.clone()];
-    let mut times = BcTimes::default();
-    let mut peak = 0u64;
     // one arena for every per-level multiply of this batch: a BFS runs
     // 2·levels multiplies whose scratch is shape-compatible level to level
     let ws = SpgemmWorkspace::new();
+    let mut engine = Transposed1D {
+        adj,
+        adj_t,
+        plan,
+        ws,
+    };
+    brandes(comm, &mut engine, &layout, a.nrows(), sources)
+}
 
-    // forward search
-    loop {
-        let t0 = Instant::now();
-        let f_dist = DistMat1D::from_local(b, n, n_offsets.clone(), Dcsc::from_csc(&fringe));
-        let (next, rep) = spgemm_1d_ws(comm, &f_dist, &da, plan, &ws);
-        times.forward_s.push(t0.elapsed().as_secs_f64());
-        let masked = mask_complement(&next.into_local_csc(), &visited);
-        let live = comm.allreduce(masked.nnz() as u64, |x, y| x + y);
-        // frontier state + the fetched Ã working set, comparable with the
-        // 2D/3D engines' per-level peaks
-        peak = peak.max(
-            (masked.mem_bytes() + nsp.mem_bytes() + visited.mem_bytes()) as u64 + rep.fetched_bytes,
-        );
-        if live == 0 {
-            break;
-        }
-        visited = ewise_add::<PlusTimes<f64>>(&visited, &masked.map(|_| 1.0));
-        nsp = ewise_add::<PlusTimes<f64>>(&nsp, &masked);
-        stack.push(masked.clone());
-        fringe = masked;
-        if stack.len() > n {
-            unreachable!("BFS deeper than vertex count");
-        }
+/// The transposed-frontier engine: the `b × n` frontier is Algorithm 1's
+/// fetched operand, the adjacency (forward) or its transpose (backward) the
+/// stationary one.
+struct Transposed1D {
+    adj: DistMat1D,
+    adj_t: DistMat1D,
+    plan: Plan1D,
+    ws: SpgemmWorkspace<f64>,
+}
+
+impl Transposed1D {
+    /// `F̃·M`; the working set is the fetched `Ã`.
+    fn multiply<C: Comm>(&self, comm: &C, f: Dcsc<f64>, m: &DistMat1D) -> (Csc<f64>, u64) {
+        let f = DistMat1D::from_local(f.nrows(), m.nrows(), m.offsets().clone(), f);
+        let (out, rep) = spgemm_1d_ws(comm, &f, m, &self.plan, &self.ws);
+        (out.into_local_csc(), rep.fetched_bytes)
     }
+}
 
-    // backward sweep (levels L-1 .. 1; level-0 deltas belong to the
-    // sources themselves and are excluded, as in Brandes)
-    let mut delta: Csc<f64> = Csc::zeros(b, c1 - c0);
-    for l in (1..stack.len()).rev() {
-        let w = backward_weights(&stack[l], &delta, &nsp);
-        let t0 = Instant::now();
-        let w_dist = DistMat1D::from_local(b, n, n_offsets.clone(), Dcsc::from(w));
-        let (t, _rep) = spgemm_1d_ws(comm, &w_dist, &dat, plan, &ws);
-        times.backward_s.push(t0.elapsed().as_secs_f64());
-        if l >= 2 {
-            let contrib = masked_scale(&t.into_local_csc(), &stack[l - 1], &nsp);
-            delta = ewise_add::<PlusTimes<f64>>(&delta, &contrib);
-        }
+impl<C: Comm> BrandesEngine<C> for Transposed1D {
+    fn forward(&mut self, comm: &C, fringe: &Csc<f64>) -> (Csc<f64>, u64) {
+        self.multiply(comm, Dcsc::from_csc(fringe), &self.adj)
     }
-
-    let mut scores = vec![0.0f64; n];
-    accumulate_col_sums(&delta, c0, &mut scores);
-    let scores = comm.allreduce_vec(scores, |x, y| x + y);
-    BcOutcome {
-        scores,
-        levels: stack.len(),
-        times,
-        peak_local_bytes: peak,
-        comm_bytes: (comm.stats() - stats0).injected_bytes(),
-        comm_msgs: (comm.stats() - stats0).injected_msgs(),
+    fn backward(&mut self, comm: &C, weights: Csc<f64>) -> (Csc<f64>, u64) {
+        self.multiply(comm, Dcsc::from(weights), &self.adj_t)
     }
 }
 
@@ -456,7 +526,19 @@ fn bc_batches<C: Comm>(
             )
             .expect("writable checkpoint store");
         }
-        outcomes.push(bc_one_batch_sessions(comm, &mut fwd, &mut bwd, n, sources));
+        // frontier block: rows = vertices (global), columns = my batch slice
+        let cols = Arc::new(uniform_offsets(sources.len(), comm.size()));
+        let layout = Layout {
+            vertex_rows: true,
+            vertices: 0..n,
+            batch: span(&cols, me),
+        };
+        let mut engine = Sessions {
+            fwd: &mut fwd,
+            bwd: &mut bwd,
+            cols,
+        };
+        outcomes.push(brandes(comm, &mut engine, &layout, n, sources));
         snapshots.push(BcSessionStats {
             forward: *fwd.stats(),
             backward: *bwd.stats(),
@@ -468,83 +550,35 @@ fn bc_batches<C: Comm>(
     (outcomes, snapshots)
 }
 
-/// One batch of the session engine: the column-frontier BC algebra of
-/// [`bc_batch_2d`] on a 1D split of the batch dimension, multiplies routed
-/// through the persistent sessions.
-fn bc_one_batch_sessions<C: Comm>(
-    comm: &C,
-    fwd: &mut SpgemmSession,
-    bwd: &mut SpgemmSession,
-    n: usize,
-    sources: &[Vidx],
-) -> BcOutcome {
-    let b = sources.len();
-    let col_offsets = Arc::new(uniform_offsets(b, comm.size()));
-    let (c0, c1) = (col_offsets[comm.rank()], col_offsets[comm.rank() + 1]);
-    let stats0 = comm.stats();
-    let wrap =
-        |local: &Csc<f64>| DistMat1D::from_local(n, b, col_offsets.clone(), Dcsc::from_csc(local));
+/// One batch of the session engine: the column frontier of [`bc_batch_2d`]
+/// on a 1D split of the batch dimension (`cols`), multiplied through the
+/// persistent sessions.
+struct Sessions<'s> {
+    fwd: &'s mut SpgemmSession,
+    bwd: &'s mut SpgemmSession,
+    cols: Arc<Vec<usize>>,
+}
 
-    // frontier block: rows = vertices (global), columns = my batch slice
-    let mut fringe = {
-        let mut coo = Coo::new(n, c1 - c0);
-        for (j, &s) in sources[c0..c1].iter().enumerate() {
-            coo.push(s, j as Vidx, 1.0);
-        }
-        coo.to_csc_with(|x, _| x)
-    };
-    let mut visited = fringe.clone();
-    let mut nsp = fringe.clone();
-    let mut stack = vec![fringe.clone()];
-    let mut times = BcTimes::default();
-    let mut peak = 0u64;
-
-    loop {
-        let t0 = Instant::now();
-        let (next, rep) = fwd.multiply(comm, &wrap(&fringe));
-        times.forward_s.push(t0.elapsed().as_secs_f64());
-        let masked = mask_complement(&next.into_local_csc(), &visited);
-        // frontier state + this level's Ã working set (fresh + cached)
-        peak = peak.max(
-            (masked.mem_bytes() + nsp.mem_bytes() + visited.mem_bytes()) as u64
-                + rep.fresh_bytes
-                + rep.cache_hit_bytes,
-        );
-        let live = comm.allreduce(masked.nnz() as u64, |x, y| x + y);
-        if live == 0 {
-            break;
-        }
-        visited = ewise_add::<PlusTimes<f64>>(&visited, &masked.map(|_| 1.0));
-        nsp = ewise_add::<PlusTimes<f64>>(&nsp, &masked);
-        stack.push(masked.clone());
-        fringe = masked;
-        if stack.len() > n {
-            unreachable!("BFS deeper than vertex count");
-        }
+impl Sessions<'_> {
+    fn wrap(&self, local: Dcsc<f64>) -> DistMat1D {
+        let b = *self.cols.last().expect("offsets");
+        DistMat1D::from_local(local.nrows(), b, self.cols.clone(), local)
     }
+}
 
-    let mut delta: Csc<f64> = Csc::zeros(n, c1 - c0);
-    for l in (1..stack.len()).rev() {
-        let w = backward_weights(&stack[l], &delta, &nsp);
-        let t0 = Instant::now();
-        let (t, _rep) = bwd.multiply(comm, &wrap(&w));
-        times.backward_s.push(t0.elapsed().as_secs_f64());
-        if l >= 2 {
-            let contrib = masked_scale(&t.into_local_csc(), &stack[l - 1], &nsp);
-            delta = ewise_add::<PlusTimes<f64>>(&delta, &contrib);
-        }
+/// A session product; the working set is the fresh plus the cached `Ã`.
+fn session_product((out, rep): (DistMat1D, SpgemmReport)) -> (Csc<f64>, u64) {
+    (out.into_local_csc(), rep.fresh_bytes + rep.cache_hit_bytes)
+}
+
+impl<C: Comm> BrandesEngine<C> for Sessions<'_> {
+    fn forward(&mut self, comm: &C, fringe: &Csc<f64>) -> (Csc<f64>, u64) {
+        let f = self.wrap(Dcsc::from_csc(fringe));
+        session_product(self.fwd.multiply(comm, &f))
     }
-
-    let mut scores = vec![0.0f64; n];
-    accumulate_row_sums(&delta, 0, &mut scores);
-    let scores = comm.allreduce_vec(scores, |x, y| x + y);
-    BcOutcome {
-        scores,
-        levels: stack.len(),
-        times,
-        peak_local_bytes: peak,
-        comm_bytes: (comm.stats() - stats0).injected_bytes(),
-        comm_msgs: (comm.stats() - stats0).injected_msgs(),
+    fn backward(&mut self, comm: &C, weights: Csc<f64>) -> (Csc<f64>, u64) {
+        let w = self.wrap(Dcsc::from(weights));
+        session_product(self.bwd.multiply(comm, &w))
     }
 }
 
@@ -556,85 +590,55 @@ fn bc_one_batch_sessions<C: Comm>(
 /// a perfect square.
 pub fn bc_batch_2d<C: Comm>(comm: &C, a: &Csc<f64>, sources: &[Vidx]) -> BcOutcome {
     let grid = Grid2D::square(comm);
-    let n = a.nrows();
-    let b = sources.len();
     let a01 = a.map(|_| 1.0);
-    let at01 = a01.transpose();
-    let da = DistMat2D::from_global(&grid, &a01);
-    let dat = DistMat2D::from_global(&grid, &at01);
-    let stats0 = comm.stats();
-
+    let adj = DistMat2D::from_global(&grid, &a01);
+    let adj_t = DistMat2D::from_global(&grid, &a01.transpose());
     // frontier blocks share A's row split; columns split b over q
-    let row_offsets = Arc::new(uniform_offsets(n, grid.pr));
-    let col_offsets = Arc::new(uniform_offsets(b, grid.pc));
-    let (r0, r1) = (row_offsets[grid.myrow], row_offsets[grid.myrow + 1]);
-    let (c0, c1) = (col_offsets[grid.mycol], col_offsets[grid.mycol + 1]);
-    let block = |coo: Coo<f64>| coo.to_csc_with(|x, _| x);
-    let mut fringe = {
-        let mut coo = Coo::new(r1 - r0, c1 - c0);
-        for (j, &s) in sources[c0..c1].iter().enumerate() {
-            if (s as usize) >= r0 && (s as usize) < r1 {
-                coo.push(s - r0 as Vidx, j as Vidx, 1.0);
-            }
-        }
-        block(coo)
+    let cols = Arc::new(uniform_offsets(sources.len(), grid.pc));
+    let layout = Layout {
+        vertex_rows: true,
+        vertices: span(adj.row_offsets(), grid.myrow),
+        batch: span(&cols, grid.mycol),
     };
-    let mut visited = fringe.clone();
-    let mut nsp = fringe.clone();
-    let mut stack = vec![fringe.clone()];
-    let mut times = BcTimes::default();
-    let mut peak = 0u64;
     // one arena for every per-level SUMMA of this batch (like the 1D
     // engine's), so the oblivious baseline is also alloc-noise-free
     let ws = SpgemmWorkspace::new();
-
-    let wrap = |local: Csc<f64>| {
-        DistMat2D::from_parts(n, b, row_offsets.clone(), col_offsets.clone(), local)
+    let mut engine = Summa2D {
+        grid,
+        adj,
+        adj_t,
+        cols,
+        ws,
     };
+    brandes(comm, &mut engine, &layout, a.nrows(), sources)
+}
 
-    loop {
-        let t0 = Instant::now();
-        let f2d = wrap(fringe.clone());
-        let (next, rep) = spgemm_summa_2d_ws(comm, &grid, &dat, &f2d, &ws);
-        times.forward_s.push(t0.elapsed().as_secs_f64());
-        let masked = mask_complement(next.local(), &visited);
-        peak = peak.max(
-            rep.peak_local_bytes
-                + (masked.mem_bytes() + nsp.mem_bytes() + visited.mem_bytes()) as u64,
-        );
-        let live = comm.allreduce(masked.nnz() as u64, |x, y| x + y);
-        if live == 0 {
-            break;
-        }
-        visited = ewise_add::<PlusTimes<f64>>(&visited, &masked.map(|_| 1.0));
-        nsp = ewise_add::<PlusTimes<f64>>(&nsp, &masked);
-        stack.push(masked.clone());
-        fringe = masked;
+/// The 2D engine: `Aᵀ·F` forward and `A·W` backward, the frontier blocked
+/// by `A`'s rows and `cols`.
+struct Summa2D<C: Comm> {
+    grid: Grid2D<C>,
+    adj: DistMat2D,
+    adj_t: DistMat2D,
+    cols: Arc<Vec<usize>>,
+    ws: SpgemmWorkspace<f64>,
+}
+
+impl<C: Comm> Summa2D<C> {
+    /// `M·F`; the working set is the SUMMA's peak.
+    fn multiply(&self, comm: &C, m: &DistMat2D, f: Csc<f64>) -> (Csc<f64>, u64) {
+        let (rows, cols) = (self.adj.row_offsets().clone(), self.cols.clone());
+        let f = DistMat2D::from_parts(m.ncols(), *cols.last().expect("offsets"), rows, cols, f);
+        let (out, rep) = spgemm_summa_2d_ws(comm, &self.grid, m, &f, &self.ws);
+        (out.local().clone(), rep.peak_local_bytes)
     }
+}
 
-    let mut delta: Csc<f64> = Csc::zeros(r1 - r0, c1 - c0);
-    for l in (1..stack.len()).rev() {
-        let w = backward_weights(&stack[l], &delta, &nsp);
-        let t0 = Instant::now();
-        let (t, rep) = spgemm_summa_2d_ws(comm, &grid, &da, &wrap(w), &ws);
-        times.backward_s.push(t0.elapsed().as_secs_f64());
-        peak = peak.max(rep.peak_local_bytes + (delta.mem_bytes() + nsp.mem_bytes()) as u64);
-        if l >= 2 {
-            let contrib = masked_scale(t.local(), &stack[l - 1], &nsp);
-            delta = ewise_add::<PlusTimes<f64>>(&delta, &contrib);
-        }
+impl<C: Comm> BrandesEngine<C> for Summa2D<C> {
+    fn forward(&mut self, comm: &C, fringe: &Csc<f64>) -> (Csc<f64>, u64) {
+        self.multiply(comm, &self.adj_t, fringe.clone())
     }
-
-    let mut scores = vec![0.0f64; n];
-    accumulate_row_sums(&delta, r0, &mut scores);
-    let scores = comm.allreduce_vec(scores, |x, y| x + y);
-    BcOutcome {
-        scores,
-        levels: stack.len(),
-        times,
-        peak_local_bytes: peak,
-        comm_bytes: (comm.stats() - stats0).injected_bytes(),
-        comm_msgs: (comm.stats() - stats0).injected_msgs(),
+    fn backward(&mut self, comm: &C, weights: Csc<f64>) -> (Csc<f64>, u64) {
+        self.multiply(comm, &self.adj, weights)
     }
 }
 
@@ -647,128 +651,98 @@ pub fn bc_batch_2d<C: Comm>(comm: &C, a: &Csc<f64>, sources: &[Vidx]) -> BcOutco
 /// frontier layout (CombBLAS' 3D SpGEMM performs the same layout
 /// conversions internally). Collective.
 pub fn bc_batch_3d<C: Comm>(comm: &C, layers: usize, a: &Csc<f64>, sources: &[Vidx]) -> BcOutcome {
-    let q2 = comm.size() / layers;
-    let q = (q2 as f64).sqrt().round() as usize;
+    let q = ((comm.size() / layers) as f64).sqrt().round() as usize;
     let grid = Grid3D::new(comm, q, layers);
-    let n = a.nrows();
-    let b = sources.len();
     let a01 = a.map(|_| 1.0);
-    let at01 = a01.transpose();
-    let da = DistMat3D::from_global_split_cols(&grid, &a01);
-    let dat = DistMat3D::from_global_split_cols(&grid, &at01);
-    let stats0 = comm.stats();
-
+    let adj = DistMat3D::from_global_split_cols(&grid, &a01);
+    let adj_t = DistMat3D::from_global_split_cols(&grid, &a01.transpose());
     // canonical frontier layout: rows layer-split, then 2D within layer
-    let layer_offsets = Arc::new(uniform_offsets(n, layers));
-    let slice_lo = layer_offsets[grid.mylayer];
-    let slice_hi = layer_offsets[grid.mylayer + 1];
-    let within_rows = Arc::new(uniform_offsets(slice_hi - slice_lo, q));
-    let col_offsets = Arc::new(uniform_offsets(b, q));
-    let my_r0 = slice_lo + within_rows[grid.myrow];
-    let my_r1 = slice_lo + within_rows[grid.myrow + 1];
-    let (c0, c1) = (col_offsets[grid.mycol], col_offsets[grid.mycol + 1]);
+    let layer_offsets = Arc::new(uniform_offsets(a.nrows(), layers));
+    let layer_rows: Vec<Arc<Vec<usize>>> = layer_offsets
+        .windows(2)
+        .map(|w| Arc::new(uniform_offsets(w[1] - w[0], q)))
+        .collect();
+    let cols = Arc::new(uniform_offsets(sources.len(), q));
+    let within = span(&layer_rows[grid.mylayer], grid.myrow);
+    let lo = layer_offsets[grid.mylayer];
+    let layout = Layout {
+        vertex_rows: true,
+        vertices: lo + within.start..lo + within.end,
+        batch: span(&cols, grid.mycol),
+    };
+    let mut engine = Split3D {
+        grid,
+        adj,
+        adj_t,
+        layer_offsets,
+        layer_rows,
+        cols,
+        frontier: layout.clone(),
+        ws: SpgemmWorkspace::new(),
+    };
+    brandes(comm, &mut engine, &layout, a.nrows(), sources)
+}
 
-    // ownership: global (r, c) -> world rank in the frontier layout
-    let owner = |r: usize, c: usize| -> usize {
-        let l = layer_offsets.partition_point(|&o| o <= r) - 1;
-        let lr = r - layer_offsets[l];
-        let wr = {
-            let w = uniform_offsets(layer_offsets[l + 1] - layer_offsets[l], q);
-            w.partition_point(|&o| o <= lr) - 1
-        };
-        let wc = col_offsets.partition_point(|&o| o <= c) - 1;
+/// The 3D engine: `Aᵀ·F` forward and `A·W` backward, each product
+/// redistributed back into the `frontier` layout.
+struct Split3D<C: Comm> {
+    grid: Grid3D<C>,
+    adj: DistMat3D,
+    adj_t: DistMat3D,
+    /// Rows of each layer.
+    layer_offsets: Arc<Vec<usize>>,
+    /// Per layer, its rows' split over the `q` grid rows (layer-local).
+    layer_rows: Vec<Arc<Vec<usize>>>,
+    cols: Arc<Vec<usize>>,
+    frontier: Layout,
+    ws: SpgemmWorkspace<f64>,
+}
+
+impl<C: Comm> Split3D<C> {
+    /// `M·F`; the working set is the split-3D report's peak.
+    fn multiply(&self, comm: &C, m: &DistMat3D, f: Csc<f64>) -> (Csc<f64>, u64) {
+        let (l, b) = (self.grid.mylayer, *self.cols.last().expect("offsets"));
+        let rows = self.layer_offsets[l + 1] - self.layer_offsets[l];
+        let f = DistMat2D::from_parts(rows, b, self.layer_rows[l].clone(), self.cols.clone(), f);
+        let offsets = self.layer_offsets.clone();
+        let f = DistMat3D::from_local_parts(m.ncols(), b, LayerSplit::Rows, offsets, f);
+        let (out, rep) = spgemm_split_3d_ws(comm, &self.grid, m, &f, &self.ws);
+        (self.restore(comm, &out), rep.peak_local_bytes)
+    }
+
+    /// World rank owning global `(r, c)` in the frontier layout.
+    fn owner(&self, r: usize, c: usize) -> usize {
+        let q = self.grid.q;
+        let l = self.layer_offsets.partition_point(|&o| o <= r) - 1;
+        let wr = self.layer_rows[l].partition_point(|&o| o <= r - self.layer_offsets[l]) - 1;
+        let wc = self.cols.partition_point(|&o| o <= c) - 1;
         l * q * q + wr * q + wc
-    };
+    }
 
-    let mut fringe = {
-        let mut coo = Coo::new(my_r1 - my_r0, c1 - c0);
-        for (j, &s) in sources[c0..c1].iter().enumerate() {
-            if (s as usize) >= my_r0 && (s as usize) < my_r1 {
-                coo.push(s - my_r0 as Vidx, j as Vidx, 1.0);
-            }
-        }
-        coo.to_csc_with(|x, _| x)
-    };
-    let mut visited = fringe.clone();
-    let mut nsp = fringe.clone();
-    let mut stack = vec![fringe.clone()];
-    let mut times = BcTimes::default();
-    let mut peak = 0u64;
-    let ws = SpgemmWorkspace::new();
-
-    // wrap the local block as a row-split DistMat3D for the multiply
-    let wrap = |local: Csc<f64>| -> DistMat3D {
-        let within = DistMat2D::from_parts(
-            slice_hi - slice_lo,
-            b,
-            within_rows.clone(),
-            col_offsets.clone(),
-            local,
-        );
-        DistMat3D::from_local_parts(n, b, LayerSplit::Rows, layer_offsets.clone(), within)
-    };
-    // redistribute a multiply output back into the frontier layout
-    let restore = |out: &Owned3DBlock, comm: &C| -> Csc<f64> {
+    /// Redistribute a multiply output back into the frontier layout.
+    fn restore(&self, comm: &C, out: &Owned3DBlock) -> Csc<f64> {
         let mut sends: Vec<Vec<(Vidx, Vidx, f64)>> = vec![Vec::new(); comm.size()];
         for (r, c, v) in out.local.iter() {
             let (gr, gc) = (out.row0 + r as usize, out.col0 + c as usize);
-            sends[owner(gr, gc)].push((gr as Vidx, gc as Vidx, v));
+            sends[self.owner(gr, gc)].push((gr as Vidx, gc as Vidx, v));
         }
-        let recvd = comm.alltoallv(sends);
-        let mut coo = Coo::new(my_r1 - my_r0, c1 - c0);
-        for part in recvd {
+        let (r0, c0) = (self.frontier.vertices.start, self.frontier.batch.start);
+        let mut coo = Coo::new(self.frontier.vertices.len(), self.frontier.batch.len());
+        for part in comm.alltoallv(sends) {
             for (gr, gc, v) in part {
-                coo.push(gr - my_r0 as Vidx, gc - c0 as Vidx, v);
+                coo.push(gr - r0 as Vidx, gc - c0 as Vidx, v);
             }
         }
         coo.to_csc_with(|x, y| x + y)
-    };
-
-    loop {
-        let t0 = Instant::now();
-        let f3d = wrap(fringe.clone());
-        let (out, rep) = spgemm_split_3d_ws(comm, &grid, &dat, &f3d, &ws);
-        let next = restore(&out, comm);
-        times.forward_s.push(t0.elapsed().as_secs_f64());
-        let masked = mask_complement(&next, &visited);
-        peak = peak.max(
-            rep.peak_local_bytes
-                + (masked.mem_bytes() + nsp.mem_bytes() + visited.mem_bytes()) as u64,
-        );
-        let live = comm.allreduce(masked.nnz() as u64, |x, y| x + y);
-        if live == 0 {
-            break;
-        }
-        visited = ewise_add::<PlusTimes<f64>>(&visited, &masked.map(|_| 1.0));
-        nsp = ewise_add::<PlusTimes<f64>>(&nsp, &masked);
-        stack.push(masked.clone());
-        fringe = masked;
     }
+}
 
-    let mut delta: Csc<f64> = Csc::zeros(my_r1 - my_r0, c1 - c0);
-    for l in (1..stack.len()).rev() {
-        let w = backward_weights(&stack[l], &delta, &nsp);
-        let t0 = Instant::now();
-        let (out, rep) = spgemm_split_3d_ws(comm, &grid, &da, &wrap(w), &ws);
-        let t = restore(&out, comm);
-        times.backward_s.push(t0.elapsed().as_secs_f64());
-        peak = peak.max(rep.peak_local_bytes + (delta.mem_bytes() + nsp.mem_bytes()) as u64);
-        if l >= 2 {
-            let contrib = masked_scale(&t, &stack[l - 1], &nsp);
-            delta = ewise_add::<PlusTimes<f64>>(&delta, &contrib);
-        }
+impl<C: Comm> BrandesEngine<C> for Split3D<C> {
+    fn forward(&mut self, comm: &C, fringe: &Csc<f64>) -> (Csc<f64>, u64) {
+        self.multiply(comm, &self.adj_t, fringe.clone())
     }
-
-    let mut scores = vec![0.0f64; n];
-    accumulate_row_sums(&delta, my_r0, &mut scores);
-    let scores = comm.allreduce_vec(scores, |x, y| x + y);
-    BcOutcome {
-        scores,
-        levels: stack.len(),
-        times,
-        peak_local_bytes: peak,
-        comm_bytes: (comm.stats() - stats0).injected_bytes(),
-        comm_msgs: (comm.stats() - stats0).injected_msgs(),
+    fn backward(&mut self, comm: &C, weights: Csc<f64>) -> (Csc<f64>, u64) {
+        self.multiply(comm, &self.adj, weights)
     }
 }
 
@@ -787,8 +761,8 @@ pub fn bc_batch_3d<C: Comm>(comm: &C, layers: usize, a: &Csc<f64>, sources: &[Vi
 /// considered (1D aware, 2D/3D oblivious SUMMA): pricing the aware 2D/3D
 /// variants and then running the oblivious engines would let a rejected
 /// configuration's cheap prediction pick an expensive execution. Returns
-/// the outcome plus the choice, so callers (the benches behind the
-/// `SA_AUTO` flag) can report what was picked.
+/// the outcome plus the choice, so a caller can report what was picked;
+/// today the only caller is this module's own unit test.
 pub fn bc_batch_auto<C: Comm>(
     comm: &C,
     a: &Csc<f64>,
@@ -897,6 +871,7 @@ mod tests {
     use super::*;
     use sa_mpisim::Universe;
     use sa_sparse::gen::{banded, rmat, stencil2d_convection};
+    use sa_sparse::spgemm::spgemm;
 
     fn close(a: &[f64], b: &[f64]) -> bool {
         a.len() == b.len() && a.iter().zip(b).all(|(x, y)| (x - y).abs() < 1e-9)
@@ -915,6 +890,61 @@ mod tests {
         // middle vertices lie on (0,2),(0,3),(1,3) paths: bc(1)=bc(2)=4
         // (each direction counted)
         assert!(close(&scores, &[0.0, 4.0, 4.0, 0.0]), "{scores:?}");
+    }
+
+    /// A serial column-frontier engine that reports `backward_ws` bytes of
+    /// working set on its backward multiplies and none on its forward ones.
+    struct Serial {
+        a: Csc<f64>,
+        at: Csc<f64>,
+        backward_ws: u64,
+    }
+
+    impl<C: Comm> BrandesEngine<C> for Serial {
+        fn forward(&mut self, _: &C, fringe: &Csc<f64>) -> (Csc<f64>, u64) {
+            (spgemm::<PlusTimes<f64>, _, _>(&self.at, fringe), 0)
+        }
+        fn backward(&mut self, _: &C, weights: Csc<f64>) -> (Csc<f64>, u64) {
+            let t = spgemm::<PlusTimes<f64>, _, _>(&self.a, &weights);
+            (t, self.backward_ws)
+        }
+    }
+
+    #[test]
+    fn loop_counts_the_backward_working_set_in_the_peak() {
+        let a = rmat(6, 6, (0.57, 0.19, 0.19, 0.05), 3).map(|_| 1.0);
+        let sources = pick_sources(a.nrows(), 8, 4);
+        let expect = bc_serial(&a, &sources);
+        let run = |backward_ws| {
+            let layout = Layout {
+                vertex_rows: true,
+                vertices: 0..a.nrows(),
+                batch: 0..sources.len(),
+            };
+            Universe::new(1)
+                .run(|comm| {
+                    let (at, a) = (a.transpose(), a.clone());
+                    let n = a.nrows();
+                    let mut engine = Serial { a, at, backward_ws };
+                    brandes(comm, &mut engine, &layout, n, &sources)
+                })
+                .remove(0)
+        };
+        let (plain, heavy) = (run(0), run(1 << 40));
+        for o in [&plain, &heavy] {
+            assert!(close(&o.scores, &expect), "stub engine BC mismatch");
+            assert!(
+                o.levels >= 3,
+                "the backward sweep multiplies at least twice"
+            );
+            assert_eq!(o.times.backward_s.len(), o.levels - 1);
+        }
+        assert!(plain.peak_local_bytes < 1 << 40);
+        assert!(
+            heavy.peak_local_bytes >= 1 << 40,
+            "a backward-only working set must reach the peak: {}",
+            heavy.peak_local_bytes
+        );
     }
 
     #[test]

@@ -1,12 +1,15 @@
 //! Integration tests of the evaluation applications against serial oracles.
 
-use saspgemm::apps::bc::{bc_batch_1d, bc_batch_2d, bc_batch_3d, bc_serial, pick_sources};
+use saspgemm::apps::bc::{
+    bc_batch_1d, bc_batch_1d_offsets, bc_batch_2d, bc_batch_3d, bc_batches_1d_session, bc_serial,
+    pick_sources,
+};
 use saspgemm::apps::galerkin::{galerkin_product, RightAlgo};
 use saspgemm::apps::mis2::{mis2, verify_mis2};
 use saspgemm::apps::restriction::restriction_operator;
 use saspgemm::apps::triangle::{triangles_1d, triangles_serial};
 use saspgemm::dist::reference::serial_galerkin;
-use saspgemm::dist::{uniform_offsets, DistMat1D, Plan1D};
+use saspgemm::dist::{uniform_offsets, CacheConfig, DistMat1D, Plan1D};
 use saspgemm::mpisim::Universe;
 use saspgemm::sparse::gen::{erdos_renyi_square, rmat, sbm, stencil3d};
 
@@ -44,24 +47,51 @@ fn bc_engines_agree_with_each_other_and_serial() {
     let sources = pick_sources(g.nrows(), 10, 4);
     let expect = bc_serial(&g, &sources);
     let close = |xs: &[f64]| xs.iter().zip(&expect).all(|(a, b)| (a - b).abs() < 1e-9);
+    let plan = Plan1D::default();
+    // uneven 1D slices, one of them empty
+    let n = g.nrows();
+    let uneven = vec![0, n / 8, n / 8, n / 2, n];
 
-    let u = Universe::new(4);
-    let o1 = u
-        .run(|comm| bc_batch_1d(comm, &g, &sources, &Plan1D::default()))
-        .remove(0);
-    assert!(close(&o1.scores), "1D");
-
-    let u = Universe::new(9);
-    let o2 = u.run(|comm| bc_batch_2d(comm, &g, &sources)).remove(0);
-    assert!(close(&o2.scores), "2D on 3x3");
-
-    let u = Universe::new(8);
-    let o3 = u.run(|comm| bc_batch_3d(comm, 2, &g, &sources)).remove(0);
-    assert!(close(&o3.scores), "3D 2x2x2");
-
-    // level counts agree (same BFS structure regardless of distribution)
-    assert_eq!(o1.levels, o2.levels);
-    assert_eq!(o1.levels, o3.levels);
+    let outcomes = [
+        (
+            "1D",
+            Universe::new(4).run(|c| bc_batch_1d(c, &g, &sources, &plan)),
+        ),
+        (
+            "1D uneven offsets",
+            Universe::new(4).run(|c| bc_batch_1d_offsets(c, &g, &sources, &plan, &uneven)),
+        ),
+        (
+            "1D session, one batch",
+            Universe::new(4)
+                .run(|c| {
+                    let batches = [sources.clone()];
+                    bc_batches_1d_session(c, &g, &batches, &plan, CacheConfig::unlimited()).0
+                })
+                .into_iter()
+                .flatten()
+                .collect(),
+        ),
+        (
+            "2D on 3x3",
+            Universe::new(9).run(|c| bc_batch_2d(c, &g, &sources)),
+        ),
+        (
+            "3D 2x2x2",
+            Universe::new(8).run(|c| bc_batch_3d(c, 2, &g, &sources)),
+        ),
+    ];
+    let levels = outcomes[0].1[0].levels;
+    assert!(levels >= 2);
+    for (label, ranks) in &outcomes {
+        for o in ranks {
+            assert!(close(&o.scores), "{label}");
+            // same BFS structure regardless of distribution
+            assert_eq!(o.levels, levels, "{label}");
+            assert_eq!(o.times.forward_s.len(), levels, "{label}");
+            assert_eq!(o.times.backward_s.len(), levels - 1, "{label}");
+        }
+    }
 }
 
 #[test]
