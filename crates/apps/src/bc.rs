@@ -22,11 +22,11 @@
 
 use sa_dist::mat3d::{DistMat3D, LayerSplit, Owned3DBlock};
 use sa_dist::{
-    load_agreed, save_wire, spgemm_1d_ws, spgemm_split_3d_ws, spgemm_summa_2d_ws, uniform_offsets,
-    AlgoChoice, AutoTuner, CacheConfig, CheckpointStore, DistMat1D, DistMat2D, FetchMode, Plan1D,
-    SessionSnapshot, SessionStats, SpgemmReport, SpgemmSession,
+    load_agreed, save_wire, spgemm_split_3d, spgemm_summa_2d, try_spgemm_1d, uniform_offsets,
+    CacheConfig, CheckpointStore, DistMat1D, DistMat2D, Plan1D, SessionSnapshot, SessionStats,
+    SpgemmReport, SpgemmSession,
 };
-use sa_mpisim::{Comm, CostModel, Grid2D, Grid3D, Wire, WireError};
+use sa_mpisim::{Comm, Grid2D, Grid3D, Wire, WireError};
 use sa_sparse::ewise::{ewise_add, mask_complement};
 use sa_sparse::semiring::PlusTimes;
 use sa_sparse::{Coo, Csc, Dcsc, SpgemmWorkspace, Vidx};
@@ -364,7 +364,8 @@ impl Transposed1D {
     /// `F̃·M`; the working set is the fetched `Ã`.
     fn multiply<C: Comm>(&self, comm: &C, f: Dcsc<f64>, m: &DistMat1D) -> (Csc<f64>, u64) {
         let f = DistMat1D::from_local(f.nrows(), m.nrows(), m.offsets().clone(), f);
-        let (out, rep) = spgemm_1d_ws(comm, &f, m, &self.plan, &self.ws);
+        let (out, rep) =
+            try_spgemm_1d(comm, &f, m, &self.plan, &self.ws).unwrap_or_else(|e| panic!("{e}"));
         (out.into_local_csc(), rep.fetched_bytes)
     }
 }
@@ -628,7 +629,7 @@ impl<C: Comm> Summa2D<C> {
     fn multiply(&self, comm: &C, m: &DistMat2D, f: Csc<f64>) -> (Csc<f64>, u64) {
         let (rows, cols) = (self.adj.row_offsets().clone(), self.cols.clone());
         let f = DistMat2D::from_parts(m.ncols(), *cols.last().expect("offsets"), rows, cols, f);
-        let (out, rep) = spgemm_summa_2d_ws(comm, &self.grid, m, &f, &self.ws);
+        let (out, rep) = spgemm_summa_2d(comm, &self.grid, m, &f, &self.ws);
         (out.local().clone(), rep.peak_local_bytes)
     }
 }
@@ -706,7 +707,7 @@ impl<C: Comm> Split3D<C> {
         let f = DistMat2D::from_parts(rows, b, self.layer_rows[l].clone(), self.cols.clone(), f);
         let offsets = self.layer_offsets.clone();
         let f = DistMat3D::from_local_parts(m.ncols(), b, LayerSplit::Rows, offsets, f);
-        let (out, rep) = spgemm_split_3d_ws(comm, &self.grid, m, &f, &self.ws);
+        let (out, rep) = spgemm_split_3d(comm, &self.grid, m, &f, &self.ws);
         (self.restore(comm, &out), rep.peak_local_bytes)
     }
 
@@ -744,76 +745,6 @@ impl<C: Comm> BrandesEngine<C> for Split3D<C> {
     fn backward(&mut self, comm: &C, weights: Csc<f64>) -> (Csc<f64>, u64) {
         self.multiply(comm, &self.adj, weights)
     }
-}
-
-// ---------------------------------------------------------------------
-// autotuned engine dispatch
-// ---------------------------------------------------------------------
-
-/// Run one BC batch on the engine the [`AutoTuner`] considers cheapest for
-/// this adjacency and rank count. Collective.
-///
-/// The per-level frontier products are too shape-diverse to price one by
-/// one before the traversal exists, so the tuner prices the adjacency
-/// squaring `A·A` — the standard proxy for a graph's SpGEMM communication
-/// structure — and the chosen family (1D / 2D / 3D, Fig. 13/14's axes)
-/// runs the batch. Only candidates a BC engine actually implements are
-/// considered (1D aware, 2D/3D oblivious SUMMA): pricing the aware 2D/3D
-/// variants and then running the oblivious engines would let a rejected
-/// configuration's cheap prediction pick an expensive execution. Returns
-/// the outcome plus the choice, so a caller can report what was picked;
-/// today the only caller is this module's own unit test.
-pub fn bc_batch_auto<C: Comm>(
-    comm: &C,
-    a: &Csc<f64>,
-    sources: &[Vidx],
-    model: &CostModel,
-) -> (BcOutcome, AlgoChoice) {
-    // the analysis is deterministic but not free: rank 0 prices the
-    // runnable candidates once and broadcasts the 40-byte pick
-    let payload = (comm.rank() == 0).then(|| {
-        let a01 = a.map(|_| 1.0);
-        let tuner = AutoTuner::analyze(&a01, &a01, comm.size(), &[FetchMode::default()]);
-        tuner
-            .candidates
-            .iter()
-            .filter(|c| {
-                matches!(
-                    c.algo,
-                    AlgoChoice::OneD { .. }
-                        | AlgoChoice::TwoDOblivious { .. }
-                        | AlgoChoice::ThreeDOblivious { .. }
-                )
-            })
-            .min_by(|x, y| {
-                x.modeled_time_s(model, tuner.flops_per_s)
-                    .total_cmp(&y.modeled_time_s(model, tuner.flops_per_s))
-            })
-            .expect("the 1D candidate always exists")
-            .algo
-            .encode()
-            .to_vec()
-    });
-    let wire = comm.bcast_vec(0, payload);
-    let words: [u64; 5] = wire[..5].try_into().expect("5-word choice");
-    let choice = AlgoChoice::decode(&words);
-    let outcome = match choice {
-        AlgoChoice::OneD { mode } => bc_batch_1d(
-            comm,
-            a,
-            sources,
-            &Plan1D {
-                fetch_mode: mode,
-                ..Default::default()
-            },
-        ),
-        AlgoChoice::TwoDOblivious { .. } => bc_batch_2d(comm, a, sources),
-        AlgoChoice::ThreeDOblivious { layers, .. } => bc_batch_3d(comm, layers, a, sources),
-        AlgoChoice::TwoDSa { .. } | AlgoChoice::ThreeDSa { .. } => {
-            unreachable!("candidates are filtered to the engines BC implements")
-        }
-    };
-    (outcome, choice)
 }
 
 // ---------------------------------------------------------------------
@@ -986,20 +917,6 @@ mod tests {
         let got = u.run(|comm| bc_batch_3d(comm, 2, &a, &sources));
         for o in got {
             assert!(close(&o.scores, &expect), "3D BC mismatch");
-        }
-    }
-
-    #[test]
-    fn auto_engine_matches_serial_and_agrees_across_ranks() {
-        let a = rmat(6, 6, (0.57, 0.19, 0.19, 0.05), 4);
-        let sources = pick_sources(a.nrows(), 8, 2);
-        let expect = bc_serial(&a, &sources);
-        let u = Universe::new(4);
-        let got = u.run(|comm| bc_batch_auto(comm, &a, &sources, &CostModel::default()));
-        let choice0 = got[0].1;
-        for (o, choice) in &got {
-            assert!(close(&o.scores, &expect), "auto BC mismatch ({choice:?})");
-            assert_eq!(choice, &choice0, "all ranks pick the same engine");
         }
     }
 

@@ -10,7 +10,7 @@
 
 use sa_dist::outer1d::{spgemm_outer_1d, OuterReport};
 use sa_dist::spgemm1d::{
-    analyze_1d_modes, spgemm_1d, spgemm_1d_ws, FetchMode, Plan1D, SpgemmReport,
+    analyze_1d_modes, spgemm_1d, try_spgemm_1d, FetchMode, Plan1D, SpgemmReport,
 };
 use sa_dist::{
     load_agreed, save_wire, uniform_offsets, CacheConfig, CheckpointStore, DistMat1D, MatSnapshot,
@@ -62,7 +62,7 @@ pub fn galerkin_product<C: Comm>(
 /// `r_global.transpose()` under `a`'s column offsets) — lets callers that
 /// already built the distribution, like [`galerkin_auto`]'s mode pricing,
 /// skip a second transpose + scatter.
-pub fn galerkin_product_with<C: Comm>(
+fn galerkin_product_with<C: Comm>(
     comm: &C,
     a: &DistMat1D,
     rt_dist: &DistMat1D,
@@ -222,7 +222,8 @@ impl GalerkinSession {
         let rt = r_global.transpose();
         let rt_dist = DistMat1D::from_global(comm, &rt, self.session.a().offsets());
         let plan = *self.session.plan();
-        let (coarse, rap_rep) = spgemm_1d_ws(comm, &rt_dist, &ar, &plan, &self.rap_ws);
+        let (coarse, rap_rep) = try_spgemm_1d(comm, &rt_dist, &ar, &plan, &self.rap_ws)
+            .unwrap_or_else(|e| panic!("{e}"));
         (
             coarse,
             GalerkinSessionReport {

@@ -5,9 +5,8 @@
 //! repository.
 
 use sa_dist::{
-    analyze_1d_offline, load_agreed, save_wire, AlgoChoice, AutoTuner, CacheConfig,
-    CheckpointStore, DistMat1D, FetchMode, MatSnapshot, Plan1D, SessionSnapshot, SessionStats,
-    SpgemmSession,
+    analyze_2d, load_agreed, save_wire, AlgoChoice, AutoTuner, CacheConfig, CheckpointStore,
+    DistMat1D, FetchMode, MatSnapshot, Plan1D, SessionSnapshot, SessionStats, SpgemmSession,
 };
 use sa_mpisim::{Comm, CostModel};
 use sa_sparse::semiring::PlusTimes;
@@ -207,7 +206,9 @@ pub fn mcl_1d_auto<C: Comm>(
         let best = modes
             .into_iter()
             .map(|m| {
-                let t = analyze_1d_offline(&m0, &m0, comm.size(), m)
+                // a 1 × P grid is Algorithm 1's layout
+                let t = analyze_2d(&m0, &m0, 1, comm.size(), m)
+                    .aware
                     .modeled_time_s(model, AutoTuner::DEFAULT_FLOPS_PER_S);
                 (t, m)
             })

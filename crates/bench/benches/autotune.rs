@@ -15,7 +15,7 @@ use sa_dist::{
 };
 use sa_mpisim::{CommStats, Grid2D, Grid3D};
 use sa_sparse::gen::{erdos_renyi_square, rmat, Dataset, Scale};
-use sa_sparse::Csc;
+use sa_sparse::{Csc, PlusTimes, SpgemmWorkspace};
 
 /// One suite row: the operand (already in the layout the aware family
 /// would run it in — METIS-permuted for scale-free graphs, natural order
@@ -103,19 +103,20 @@ fn run_candidate(a: &Csc<f64>, p: usize, algo: AlgoChoice) -> Vec<CommStats> {
                 let grid = Grid2D::new(comm, s, s);
                 let da = DistMat2D::from_global(&grid, a);
                 let db = da.clone();
-                let _ = spgemm_summa_2d(comm, &grid, &da, &db);
+                let _ = spgemm_summa_2d(comm, &grid, &da, &db, &SpgemmWorkspace::new());
             }
             AlgoChoice::ThreeDSa { q, layers, mode } => {
                 let grid = Grid3D::new(comm, q, layers);
                 let da = DistMat3D::from_global_split_cols(&grid, a);
                 let db = DistMat3D::from_global_split_rows(&grid, a);
-                let _ = spgemm_split_3d_sa(comm, &grid, &da, &db, mode);
+                let ws = SpgemmWorkspace::new();
+                let _ = spgemm_split_3d_sa::<_, PlusTimes<f64>>(comm, &grid, &da, &db, mode, &ws);
             }
             AlgoChoice::ThreeDOblivious { q, layers } => {
                 let grid = Grid3D::new(comm, q, layers);
                 let da = DistMat3D::from_global_split_cols(&grid, a);
                 let db = DistMat3D::from_global_split_rows(&grid, a);
-                let _ = spgemm_split_3d(comm, &grid, &da, &db);
+                let _ = spgemm_split_3d(comm, &grid, &da, &db, &SpgemmWorkspace::new());
             }
         }
         comm.stats() - stats0

@@ -12,6 +12,7 @@ use sa_dist::mat3d::DistMat3D;
 use sa_dist::{prepare, spgemm_split_3d, spgemm_summa_2d, DistMat1D, DistMat2D, Strategy};
 use sa_mpisim::{Grid2D, Grid3D};
 use sa_sparse::gen::Dataset;
+use sa_sparse::SpgemmWorkspace;
 use std::time::Instant;
 
 fn main() {
@@ -82,8 +83,8 @@ fn main() {
                 let drt = DistMat2D::from_global(&grid, &rt_perm);
                 let dr = DistMat2D::from_global(&grid, &r_perm);
                 let t0 = Instant::now();
-                let (rta, _) = spgemm_summa_2d(comm, &grid, &drt, &da);
-                let (_c, _) = spgemm_summa_2d(comm, &grid, &rta, &dr);
+                let (rta, _) = spgemm_summa_2d(comm, &grid, &drt, &da, &SpgemmWorkspace::new());
+                let (_c, _) = spgemm_summa_2d(comm, &grid, &rta, &dr, &SpgemmWorkspace::new());
                 t0.elapsed().as_secs_f64()
             })
             .into_iter()
@@ -105,7 +106,8 @@ fn main() {
                     let da = DistMat3D::from_global_split_rows(&grid, &prep.a);
                     let t0 = Instant::now();
                     // left multiplication (dominant per the paper)
-                    let (_rta, _) = spgemm_split_3d(comm, &grid, &drt, &da);
+                    let (_rta, _) =
+                        spgemm_split_3d(comm, &grid, &drt, &da, &SpgemmWorkspace::new());
                     t0.elapsed().as_secs_f64()
                 })
                 .into_iter()

@@ -12,6 +12,7 @@ use sa_dist::mat3d::DistMat3D;
 use sa_dist::{prepare, spgemm_split_3d, spgemm_summa_2d, DistMat2D, Strategy};
 use sa_mpisim::{Grid2D, Grid3D};
 use sa_sparse::gen::Dataset;
+use sa_sparse::SpgemmWorkspace;
 use std::time::Instant;
 
 fn main() {
@@ -53,7 +54,8 @@ fn main() {
                     let da = DistMat2D::from_global(&grid, &prep.a);
                     let db = da.clone();
                     let t0 = Instant::now();
-                    let (_c, _rep) = spgemm_summa_2d(comm, &grid, &da, &db);
+                    let (_c, _rep) =
+                        spgemm_summa_2d(comm, &grid, &da, &db, &SpgemmWorkspace::new());
                     t0.elapsed().as_secs_f64()
                 });
                 times.into_iter().fold(0.0f64, f64::max)
@@ -80,7 +82,8 @@ fn main() {
                     let da = DistMat3D::from_global_split_cols(&grid, &prep.a);
                     let db = DistMat3D::from_global_split_rows(&grid, &prep.a);
                     let t0 = Instant::now();
-                    let (_c, _rep) = spgemm_split_3d(comm, &grid, &da, &db);
+                    let (_c, _rep) =
+                        spgemm_split_3d(comm, &grid, &da, &db, &SpgemmWorkspace::new());
                     t0.elapsed().as_secs_f64()
                 });
                 let t = times.into_iter().fold(0.0f64, f64::max);

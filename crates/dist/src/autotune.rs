@@ -7,12 +7,11 @@
 //! collective-free analyses replay each algorithm's exact symbolic
 //! machinery on the (replicated) global operands —
 //!
-//! * [`analyze_1d_offline`] replays Algorithm 1's per-rank
-//!   `plan_fetch` schedule (the serial counterpart of the collective
-//!   [`analyze_1d`](crate::spgemm1d::analyze_1d)),
 //! * [`analyze_2d`] replays the sparsity-aware SUMMA's A-window plans and
 //!   B request/ship filtering per grid rank, alongside the oblivious
-//!   broadcast volume,
+//!   broadcast volume; on a `1 × P` grid that is Algorithm 1's per-rank
+//!   `plan_fetch` schedule exactly (the serial counterpart of the
+//!   collective [`analyze_1d`](crate::spgemm1d::analyze_1d)),
 //! * [`analyze_3d`] recurses per layer and prices the fiber
 //!   reduce-scatter from the per-layer partial products —
 //!
@@ -32,7 +31,7 @@ use crate::summa2d::{spgemm_summa_2d, DistMat2D};
 use crate::summa2d_sa::spgemm_summa_2d_sa;
 use sa_mpisim::{Comm, CommStats, CostModel, Grid2D, Grid3D};
 use sa_sparse::semiring::PlusTimes;
-use sa_sparse::spgemm::spgemm;
+use sa_sparse::spgemm::{spgemm, SpgemmWorkspace};
 use sa_sparse::types::Vidx;
 use sa_sparse::Csc;
 
@@ -244,66 +243,6 @@ fn allgatherv_injected(lens: &[usize], elem: usize) -> Vec<PhaseCost> {
     out
 }
 
-/// Nonzero-column metadata of the column range `c0..c1` of `m`, exactly as
-/// `Dcsc::from_csc(m.extract_cols(c0, c1))` would expose it.
-fn meta_of_cols(m: &Csc<f64>, c0: usize, c1: usize) -> RankMeta {
-    let mut jc = Vec::new();
-    let mut cp = vec![0u64];
-    for c in c0..c1 {
-        let n = m.col_nnz(c);
-        if n > 0 {
-            jc.push((c - c0) as Vidx);
-            cp.push(cp.last().unwrap() + n as u64);
-        }
-    }
-    RankMeta { jc, cp }
-}
-
-/// Serial replay of the collective
-/// [`analyze_1d`](crate::spgemm1d::analyze_1d) for a uniform 1D layout of
-/// the *global* operands: per rank, the exact `plan_fetch` schedule
-/// `spgemm_1d` would execute, plus the metadata-allgather volume. The
-/// data phase equals what a `global_stats: false` execution meters.
-pub fn analyze_1d_offline(a: &Csc<f64>, b: &Csc<f64>, p: usize, mode: FetchMode) -> Prediction {
-    assert_eq!(a.ncols(), b.nrows(), "A and B must be conformal");
-    let offsets = uniform_offsets(a.ncols(), p);
-    let b_offsets = uniform_offsets(b.ncols(), p);
-    let metas: Vec<RankMeta> = (0..p)
-        .map(|r| meta_of_cols(a, offsets[r], offsets[r + 1]))
-        .collect();
-    // symbolic: the jc + u32-lens allgathers of exchange_meta
-    let jc_lens: Vec<usize> = metas.iter().map(|m| m.jc.len()).collect();
-    let mut rank_meta = allgatherv_injected(&jc_lens, 4);
-    for (rc, extra) in rank_meta.iter_mut().zip(allgatherv_injected(&jc_lens, 4)) {
-        *rc += extra;
-    }
-    // data + flops: per rank, needed columns from its B slice's row support
-    let mut rank_data = vec![PhaseCost::default(); p];
-    let mut rank_flops = vec![0u64; p];
-    let mut needed = vec![false; b.nrows()];
-    for r in 0..p {
-        needed.fill(false);
-        for c in b_offsets[r]..b_offsets[r + 1] {
-            let (rows, _) = b.col(c);
-            for &k in rows {
-                needed[k as usize] = true;
-                rank_flops[r] += a.col_nnz(k as usize) as u64;
-            }
-        }
-        let plan = plan_fetch(mode, &metas, &offsets, &needed, r);
-        rank_data[r] = PhaseCost {
-            bytes: plan.fetch_bytes(),
-            msgs: plan.rdma_msgs(),
-        };
-    }
-    combine(
-        AlgoChoice::OneD { mode },
-        &rank_meta,
-        &rank_data,
-        &rank_flops,
-    )
-}
-
 /// One grid rank's predicted sparsity-aware 2D traffic, field-for-field
 /// comparable with [`SaSummaReport`](crate::summa2d_sa::SaSummaReport).
 #[derive(Clone, Copy, Debug, Default)]
@@ -351,11 +290,24 @@ pub fn analyze_2d(a: &Csc<f64>, b: &Csc<f64>, pr: usize, pc: usize, mode: FetchM
     let b_cols = uniform_offsets(b.ncols(), pc);
 
     // nnz of A's block row i per global column — the one pass that feeds
-    // block metadata, A-side supports, and the flop model
-    let mut cnt = vec![vec![0u32; a.ncols()]; pr];
-    for (r, c, _v) in a.iter() {
-        cnt[block_of(&a_rows, r as usize)][c as usize] += 1;
-    }
+    // block metadata, A-side supports, and the flop model; on a 1 × P grid
+    // the block row is A, whose own column counts serve
+    let cnt: Vec<Vec<u32>> = if pr == 1 {
+        Vec::new()
+    } else {
+        let mut cnt = vec![vec![0u32; a.ncols()]; pr];
+        for (r, c, _v) in a.iter() {
+            cnt[block_of(&a_rows, r as usize)][c as usize] += 1;
+        }
+        cnt
+    };
+    let nnz = |i: usize, k: usize| {
+        if pr == 1 {
+            a.col_nnz(k) as u64
+        } else {
+            cnt[i][k] as u64
+        }
+    };
     // per-block nonzero-column metadata of A, exactly as each rank exposes
     let a_metas: Vec<Vec<RankMeta>> = (0..pr)
         .map(|i| {
@@ -363,10 +315,11 @@ pub fn analyze_2d(a: &Csc<f64>, b: &Csc<f64>, pr: usize, pc: usize, mode: FetchM
                 .map(|s| {
                     let mut jc = Vec::new();
                     let mut cp = vec![0u64];
-                    for (off, &n) in cnt[i][a_cols[s]..a_cols[s + 1]].iter().enumerate() {
+                    for k in a_cols[s]..a_cols[s + 1] {
+                        let n = nnz(i, k);
                         if n > 0 {
-                            jc.push(off as Vidx);
-                            cp.push(cp.last().unwrap() + n as u64);
+                            jc.push((k - a_cols[s]) as Vidx);
+                            cp.push(cp.last().unwrap() + n);
                         }
                     }
                     RankMeta { jc, cp }
@@ -374,69 +327,6 @@ pub fn analyze_2d(a: &Csc<f64>, b: &Csc<f64>, pr: usize, pc: usize, mode: FetchM
                 .collect()
         })
         .collect();
-    let b_blocks: Vec<Vec<Csc<f64>>> = (0..pr)
-        .map(|t| {
-            (0..pc)
-                .map(|j| b.extract_block(b_rows[t], b_rows[t + 1], b_cols[j], b_cols[j + 1]))
-                .collect()
-        })
-        .collect();
-
-    // B-side filtering sizes: ship[t][j][i] = (columns, entries) of block
-    // (t, j) that survive requester row i's A support — entry-level, like
-    // the owner's row filter
-    let mut ship = vec![vec![vec![(0u64, 0u64); pr]; pc]; pr];
-    for t in 0..pr {
-        for j in 0..pc {
-            let blk = &b_blocks[t][j];
-            for c in 0..blk.ncols() {
-                let (rows, _) = blk.col(c);
-                if rows.is_empty() {
-                    continue;
-                }
-                for (i, cnt_i) in cnt.iter().enumerate() {
-                    if i == t {
-                        continue;
-                    }
-                    let kept = rows
-                        .iter()
-                        .filter(|&&r| cnt_i[b_rows[t] + r as usize] > 0)
-                        .count() as u64;
-                    if kept > 0 {
-                        ship[t][j][i].0 += 1;
-                        ship[t][j][i].1 += kept;
-                    }
-                }
-            }
-        }
-    }
-
-    // needed inner indices per column block of B (Algorithm 1's H)
-    let needed_j: Vec<Vec<bool>> = (0..pc)
-        .map(|j| {
-            let mut needed = vec![false; b.nrows()];
-            for c in b_cols[j]..b_cols[j + 1] {
-                let (rows, _) = b.col(c);
-                for &r in rows {
-                    needed[r as usize] = true;
-                }
-            }
-            needed
-        })
-        .collect();
-
-    // per-rank flops: one B entry (k, c) costs nnz(A block-row i, col k)
-    let mut rank_flops = vec![0u64; p];
-    for j in 0..pc {
-        for c in b_cols[j]..b_cols[j + 1] {
-            let (rows, _) = b.col(c);
-            for &k in rows {
-                for i in 0..pr {
-                    rank_flops[i * pc + j] += cnt[i][k as usize] as u64;
-                }
-            }
-        }
-    }
 
     // symbolic exchange: jc + u32-lens allgathers along each process row,
     // fixed-size support bitmaps down each process column
@@ -460,15 +350,52 @@ pub fn analyze_2d(a: &Csc<f64>, b: &Csc<f64>, pr: usize, pc: usize, mode: FetchM
         }
     }
 
-    // per-rank aware data phase
+    // per-rank aware data phase, one block column j of B at a time: its
+    // row support (Algorithm 1's H, in one reused mask), the flops it costs
+    // each block row (one B entry (k, c) costs nnz(A block-row i, col k)),
+    // and the B-side filtering sizes ship[t][i] = (columns, entries) of
+    // block (t, j) that survive requester row i's A support — entry-level,
+    // like the owner's row filter
     let mut per_rank = vec![RankCost2D::default(); p];
     let mut rank_data = vec![PhaseCost::default(); p];
-    for i in 0..pr {
-        for j in 0..pc {
+    let mut rank_flops = vec![0u64; p];
+    let mut b_nnz = vec![vec![0u64; pc]; pr];
+    let mut needed = vec![false; b.nrows()];
+    let mut ship = vec![vec![(0u64, 0u64); pr]; pr];
+    for j in 0..pc {
+        needed.fill(false);
+        ship.iter_mut().for_each(|s| s.fill((0, 0)));
+        for c in b_cols[j]..b_cols[j + 1] {
+            // the column's rows, block (t, j) by block
+            let (mut rows, _) = b.col(c);
+            while let Some(&first) = rows.first() {
+                let t = block_of(&b_rows, first as usize);
+                let end = rows.partition_point(|&r| (r as usize) < b_rows[t + 1]);
+                let (blk, rest) = rows.split_at(end);
+                rows = rest;
+                b_nnz[t][j] += blk.len() as u64;
+                for &k in blk {
+                    needed[k as usize] = true;
+                }
+                for i in 0..pr {
+                    let mut kept = 0u64;
+                    for &k in blk {
+                        let n = nnz(i, k as usize);
+                        rank_flops[i * pc + j] += n;
+                        kept += (n > 0) as u64;
+                    }
+                    if i != t && kept > 0 {
+                        ship[t][i].0 += 1;
+                        ship[t][i].1 += kept;
+                    }
+                }
+            }
+        }
+        for i in 0..pr {
             let rank = i * pc + j;
             let rc = &mut per_rank[rank];
             // A side: ranged window fetches of the needed columns
-            let plan = plan_fetch(mode, &a_metas[i], &a_cols, &needed_j[j], j);
+            let plan = plan_fetch(mode, &a_metas[i], &a_cols, &needed, j);
             rc.a_fetch_bytes = plan.fetch_bytes();
             rc.a_rdma_msgs = plan.rdma_msgs();
             // B side: support requests out, filtered sub-blocks in/out
@@ -484,9 +411,9 @@ pub fn analyze_2d(a: &Csc<f64>, b: &Csc<f64>, pr: usize, pc: usize, mode: FetchM
                 rc.b_request_bytes += req_bytes;
                 data.bytes += req_bytes;
                 data.msgs += 1;
-                let (cols_in, ents_in) = ship[t][j][i];
+                let (cols_in, ents_in) = ship[t][i];
                 rc.b_shipped_bytes += cols_in * 8 + ents_in * 12;
-                let (cols_out, ents_out) = ship[i][j][t];
+                let (cols_out, ents_out) = ship[i][t];
                 rc.b_served_bytes += cols_out * 8 + ents_out * 12;
                 data.bytes += cols_out * 8 + ents_out * 12;
                 data.msgs += 4;
@@ -507,20 +434,20 @@ pub fn analyze_2d(a: &Csc<f64>, b: &Csc<f64>, pr: usize, pc: usize, mode: FetchM
     // oblivious broadcasts, when the stage blockings align
     let per_rank_oblivious = (a_cols == b_rows).then(|| {
         let mut obl_data = vec![PhaseCost::default(); p];
-        for i in 0..pr {
+        for (i, b_nnz_i) in b_nnz.iter().enumerate() {
             for j in 0..pc {
                 let rank = i * pc + j;
                 // as the A-block root of stage s == j, along my process row
                 if pc > 1 {
                     let w = a_cols[j + 1] - a_cols[j];
-                    let n: u64 = (a_cols[j]..a_cols[j + 1]).map(|k| cnt[i][k] as u64).sum();
+                    let n: u64 = (a_cols[j]..a_cols[j + 1]).map(|k| nnz(i, k)).sum();
                     obl_data[rank].bytes += (pc as u64 - 1) * (16 + (w as u64 + 1) * 8 + n * 12);
                     obl_data[rank].msgs += (pc as u64 - 1) * 4;
                 }
                 // as the B-block root of stage s == i, down my process column
                 if pr > 1 {
                     let w = b_cols[j + 1] - b_cols[j];
-                    let n = b_blocks[i][j].nnz() as u64;
+                    let n = b_nnz_i[j];
                     obl_data[rank].bytes += (pr as u64 - 1) * (16 + (w as u64 + 1) * 8 + n * 12);
                     obl_data[rank].msgs += (pr as u64 - 1) * 4;
                 }
@@ -564,7 +491,7 @@ pub struct Analysis3D {
 /// the serial per-layer partial products. This is the expensive half of
 /// the 3D analysis and is independent of the fetch mode, so the tuner
 /// computes it once per `(q, layers)` shape and reuses it across modes.
-pub fn fiber_reduce_costs(a: &Csc<f64>, b: &Csc<f64>, q: usize, layers: usize) -> Vec<PhaseCost> {
+fn fiber_reduce_costs(a: &Csc<f64>, b: &Csc<f64>, q: usize, layers: usize) -> Vec<PhaseCost> {
     let p = q * q * layers;
     let layer_off = uniform_offsets(a.ncols(), layers);
     let triple_bytes = std::mem::size_of::<(Vidx, Vidx, f64)>() as u64; // 16
@@ -614,7 +541,7 @@ pub fn analyze_3d(
 
 /// [`analyze_3d`] with a pre-computed [`fiber_reduce_costs`] vector, so a
 /// mode sweep prices the serial per-layer products once.
-pub fn analyze_3d_with_reduce(
+fn analyze_3d_with_reduce(
     a: &Csc<f64>,
     b: &Csc<f64>,
     q: usize,
@@ -706,26 +633,33 @@ impl AutoTuner {
     pub const DEFAULT_FLOPS_PER_S: f64 = 2e9;
 
     /// Analyze every candidate configuration of a `p`-rank multiply of the
-    /// global operands: 1D per fetch mode, every 2D
+    /// global operands: 1D per fetch mode, every other 2D
     /// [`grid_shape`](crate::summa2d_sa::grid_shapes) (aware per mode, the
     /// oblivious broadcast variant where stages align), and every valid 3D
     /// layer count. Serial and collective-free — callable before any rank
-    /// exists.
+    /// exists. The 1D candidates come first, so they win ties.
     pub fn analyze(a: &Csc<f64>, b: &Csc<f64>, p: usize, modes: &[FetchMode]) -> AutoTuner {
         assert!(!modes.is_empty(), "at least one fetch mode to consider");
         let mut candidates = Vec::new();
-        for &mode in modes {
-            candidates.push(analyze_1d_offline(a, b, p, mode));
-        }
+        let mut two_d = Vec::new();
         for (pr, pc) in crate::summa2d_sa::grid_shapes(p) {
             for (mi, &mode) in modes.iter().enumerate() {
                 let a2 = analyze_2d(a, b, pr, pc, mode);
-                candidates.push(a2.aware);
+                if pr == 1 {
+                    // the 1 × P grid is Algorithm 1 exactly: price it once
+                    candidates.push(Prediction {
+                        algo: AlgoChoice::OneD { mode },
+                        ..a2.aware
+                    });
+                } else {
+                    two_d.push(a2.aware);
+                }
                 if mi == 0 && pr == pc {
-                    candidates.extend(a2.oblivious);
+                    two_d.extend(a2.oblivious);
                 }
             }
         }
+        candidates.append(&mut two_d);
         for layers in sa_mpisim::valid_layer_counts(p) {
             if layers == 1 {
                 continue; // covered by the 2D candidates
@@ -839,21 +773,22 @@ pub fn try_spgemm_auto<C: Comm>(
             let grid = Grid2D::new(comm, s, s);
             let da = DistMat2D::from_global(&grid, a);
             let db = DistMat2D::from_global(&grid, b);
-            let (c, _) = spgemm_summa_2d(comm, &grid, &da, &db);
+            let (c, _) = spgemm_summa_2d(comm, &grid, &da, &db, &SpgemmWorkspace::new());
             c.gather(comm, &grid)
         }
         AlgoChoice::ThreeDSa { q, layers, mode } => {
             let grid = Grid3D::new(comm, q, layers);
             let da = DistMat3D::from_global_split_cols(&grid, a);
             let db = DistMat3D::from_global_split_rows(&grid, b);
-            let (c, _) = spgemm_split_3d_sa(comm, &grid, &da, &db, mode);
+            let ws = &SpgemmWorkspace::new();
+            let (c, _) = spgemm_split_3d_sa::<_, PlusTimes<f64>>(comm, &grid, &da, &db, mode, ws);
             c.gather(comm)
         }
         AlgoChoice::ThreeDOblivious { q, layers } => {
             let grid = Grid3D::new(comm, q, layers);
             let da = DistMat3D::from_global_split_cols(&grid, a);
             let db = DistMat3D::from_global_split_rows(&grid, b);
-            let (c, _) = spgemm_split_3d(comm, &grid, &da, &db);
+            let (c, _) = spgemm_split_3d(comm, &grid, &da, &db, &SpgemmWorkspace::new());
             c.gather(comm)
         }
     };
@@ -881,7 +816,8 @@ mod tests {
             FetchMode::ContiguousRuns,
             FetchMode::ColumnExact,
         ] {
-            let offline = analyze_1d_offline(&a, &a, 3, mode);
+            // the 1 × P grid is Algorithm 1's layout
+            let offline = analyze_2d(&a, &a, 1, 3, mode).aware;
             let u = Universe::new(3);
             let collective = u.run(|comm| {
                 let da = DistMat1D::from_global(comm, &a, &uniform_offsets(90, 3));

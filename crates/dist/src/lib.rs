@@ -45,6 +45,15 @@
 //!   partitioning) packaged as a preprocessing step.
 //! * [`mod@reference`] — serial oracles the integration tests compare
 //!   against.
+//!
+//! Each algorithm has one multiply, and it takes the caller's
+//! [`SpgemmWorkspace`](sa_sparse::SpgemmWorkspace) (a one-off call passes
+//! `&SpgemmWorkspace::new()`): [`try_spgemm_1d`],
+//! [`try_spgemm_summa_2d_sa`] and [`spgemm_split_3d_sa`] (the last two
+//! generic over the semiring), [`spgemm_summa_2d`] and [`spgemm_split_3d`].
+//! [`try_spgemm_auto`] and [`spgemm_outer_1d`] need no workspace.
+//! [`spgemm_1d`], [`spgemm_summa_2d_sa`] and [`spgemm_auto`] are the
+//! panicking one-line wrappers of their `try_*` cores.
 
 pub mod autotune;
 pub mod checkpoint;
@@ -61,8 +70,8 @@ pub mod summa2d;
 pub mod summa2d_sa;
 
 pub use autotune::{
-    analyze_1d_offline, analyze_2d, analyze_3d, spgemm_auto, try_spgemm_auto, AlgoChoice,
-    Analysis2D, Analysis3D, AutoReport, AutoTuner, PhaseCost, Prediction,
+    analyze_2d, analyze_3d, spgemm_auto, try_spgemm_auto, AlgoChoice, Analysis2D, Analysis3D,
+    AutoReport, AutoTuner, PhaseCost, Prediction,
 };
 pub use checkpoint::{
     agreed_step, load_agreed, load_wire, load_wire_or_fresh, save_wire, CheckpointStore, CkptError,
@@ -70,8 +79,8 @@ pub use checkpoint::{
 };
 pub use dist1d::{uniform_offsets, DistMat1D};
 pub use mat3d::{
-    spgemm_split_3d, spgemm_split_3d_sa, spgemm_split_3d_sa_ws, spgemm_split_3d_ws, DistMat3D,
-    LayerSplit, Owned3DBlock, SaSplit3DReport, Split3DReport,
+    spgemm_split_3d, spgemm_split_3d_sa, DistMat3D, LayerSplit, Owned3DBlock, SaSplit3DReport,
+    Split3DReport,
 };
 pub use outer1d::{spgemm_outer_1d, OuterReport};
 pub use prepare::{prepare, PrepResult, Strategy};
@@ -80,10 +89,8 @@ pub use session::{
 };
 pub use shape::ShapeError;
 pub use spgemm1d::{
-    analyze_1d, analyze_1d_modes, spgemm_1d, spgemm_1d_ws, try_spgemm_1d, Analysis1D, FetchMode,
-    Plan1D, SpgemmReport,
+    analyze_1d, analyze_1d_modes, spgemm_1d, try_spgemm_1d, Analysis1D, FetchMode, Plan1D,
+    SpgemmReport,
 };
-pub use summa2d::{spgemm_summa_2d, spgemm_summa_2d_ws, DistMat2D, SummaReport};
-pub use summa2d_sa::{
-    grid_shapes, spgemm_summa_2d_sa, spgemm_summa_2d_sa_ws, try_spgemm_summa_2d_sa, SaSummaReport,
-};
+pub use summa2d::{spgemm_summa_2d, DistMat2D, SummaReport};
+pub use summa2d_sa::{grid_shapes, spgemm_summa_2d_sa, try_spgemm_summa_2d_sa, SaSummaReport};

@@ -8,8 +8,8 @@
 //! the `c` partials and leaves every rank owning a disjoint block of `C`.
 
 use crate::spgemm1d::FetchMode;
-use crate::summa2d::{spgemm_summa_2d_ws, DistMat2D, SummaReport};
-use crate::summa2d_sa::{spgemm_summa_2d_sa_ws, SaSummaReport};
+use crate::summa2d::{spgemm_summa_2d, DistMat2D, SummaReport};
+use crate::summa2d_sa::{try_spgemm_summa_2d_sa, SaSummaReport};
 use sa_mpisim::{Breakdown, Comm, CommStats, Grid3D};
 use sa_sparse::semiring::{PlusTimes, Semiring};
 use sa_sparse::spgemm::SpgemmWorkspace;
@@ -225,20 +225,10 @@ fn fiber_reduce_scatter<C: Comm, S: Semiring<T = f64>>(
 
 /// 3D split SpGEMM `C = A·B` with `A` column-split and `B` row-split
 /// across layers. Collective over `comm` (the communicator `grid` was
-/// built from).
+/// built from). `ws` is threaded through the per-layer SUMMA's stage
+/// multiplies, so iterative drivers keep the oblivious baseline's compute
+/// path allocation-free too.
 pub fn spgemm_split_3d<C: Comm>(
-    comm: &C,
-    grid: &Grid3D<C>,
-    a: &DistMat3D,
-    b: &DistMat3D,
-) -> (Owned3DBlock, Split3DReport) {
-    spgemm_split_3d_ws(comm, grid, a, b, &SpgemmWorkspace::new())
-}
-
-/// [`spgemm_split_3d`] with a caller-held [`SpgemmWorkspace`] threaded
-/// through the per-layer SUMMA's stage multiplies, so iterative drivers
-/// keep the oblivious baseline's compute path allocation-free too.
-pub fn spgemm_split_3d_ws<C: Comm>(
     comm: &C,
     grid: &Grid3D<C>,
     a: &DistMat3D,
@@ -251,7 +241,7 @@ pub fn spgemm_split_3d_ws<C: Comm>(
 
     // --- per-layer partial product (independent SUMMAs) ---
     let (partial, summa_rep) =
-        spgemm_summa_2d_ws(&grid.layer_comm, &grid.layer_grid, &a.within, &b.within, ws);
+        spgemm_summa_2d(&grid.layer_comm, &grid.layer_grid, &a.within, &b.within, ws);
     let peak = summa_rep.peak_local_bytes + partial.local().mem_bytes() as u64;
 
     // --- fiber reduce-scatter: block rows split among the c layers ---
@@ -290,21 +280,10 @@ pub struct SaSplit3DReport {
 /// Sparsity-aware 3D split SpGEMM: each layer runs the needed-set 2D
 /// SUMMA ([`spgemm_summa_2d_sa`](crate::summa2d_sa::spgemm_summa_2d_sa))
 /// on its slice, then the partials are summed with the same fiber
-/// reduce-scatter the oblivious path uses. Collective.
-pub fn spgemm_split_3d_sa<C: Comm>(
-    comm: &C,
-    grid: &Grid3D<C>,
-    a: &DistMat3D,
-    b: &DistMat3D,
-    mode: FetchMode,
-) -> (Owned3DBlock, SaSplit3DReport) {
-    spgemm_split_3d_sa_ws::<_, PlusTimes<f64>>(comm, grid, a, b, mode, &SpgemmWorkspace::new())
-}
-
-/// [`spgemm_split_3d_sa`] generic over the semiring, with a caller-held
-/// [`SpgemmWorkspace`] (zero steady-state allocations on the compute and
-/// assembly paths).
-pub fn spgemm_split_3d_sa_ws<C: Comm, S: Semiring<T = f64>>(
+/// reduce-scatter the oblivious path uses, both over the semiring `S`.
+/// Collective. The caller-held `ws` gives zero steady-state allocations on
+/// the compute and assembly paths.
+pub fn spgemm_split_3d_sa<C: Comm, S: Semiring<T = f64>>(
     comm: &C,
     grid: &Grid3D<C>,
     a: &DistMat3D,
@@ -316,14 +295,15 @@ pub fn spgemm_split_3d_sa_ws<C: Comm, S: Semiring<T = f64>>(
     let stats0 = comm.stats();
     let t_call = Instant::now();
 
-    let (partial, summa_rep) = spgemm_summa_2d_sa_ws::<_, S>(
+    let (partial, summa_rep) = try_spgemm_summa_2d_sa::<_, S>(
         &grid.layer_comm,
         &grid.layer_grid,
         &a.within,
         &b.within,
         mode,
         ws,
-    );
+    )
+    .unwrap_or_else(|e| panic!("{e}"));
     let peak = summa_rep.peak_local_bytes + partial.local().mem_bytes() as u64;
 
     let reduce0 = comm.stats();
@@ -361,7 +341,7 @@ mod tests {
             let grid = Grid3D::new(comm, q, layers);
             let da = DistMat3D::from_global_split_cols(&grid, a);
             let db = DistMat3D::from_global_split_rows(&grid, b);
-            let (c, _rep) = spgemm_split_3d(comm, &grid, &da, &db);
+            let (c, _rep) = spgemm_split_3d(comm, &grid, &da, &db, &SpgemmWorkspace::new());
             c.gather(comm)
         });
         let got = got[0].as_ref().unwrap();
@@ -396,7 +376,7 @@ mod tests {
             let grid = Grid3D::new(comm, 2, 2);
             let da = DistMat3D::from_global_split_cols(&grid, &a);
             let db = DistMat3D::from_global_split_rows(&grid, &a);
-            let (c, rep) = spgemm_split_3d(comm, &grid, &da, &db);
+            let (c, rep) = spgemm_split_3d(comm, &grid, &da, &db, &SpgemmWorkspace::new());
             assert!(rep.peak_local_bytes > 0);
             (c.row0, c.col0, c.local.nrows(), c.local.ncols())
         });

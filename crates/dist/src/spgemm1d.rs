@@ -58,7 +58,6 @@ impl Default for FetchMode {
 ///
 /// ```
 /// use sa_dist::{FetchMode, Plan1D};
-/// use sa_sparse::spgemm::Kernel;
 ///
 /// // defaults: block fetching, hybrid kernel, global volume metrics on
 /// let plan = Plan1D::default();
@@ -67,7 +66,6 @@ impl Default for FetchMode {
 /// // a per-level inner-loop plan: byte-minimal fetches, local stats only
 /// let inner = Plan1D {
 ///     fetch_mode: FetchMode::ColumnExact,
-///     kernel: Kernel::Heap,
 ///     global_stats: false,
 ///     ..Default::default()
 /// };
@@ -308,7 +306,8 @@ pub fn analyze_1d_modes<C: Comm>(
 }
 
 /// The sparsity-aware 1D SpGEMM (Algorithm 1). Returns `C` in `B`'s column
-/// layout plus this rank's [`SpgemmReport`]. Collective.
+/// layout plus this rank's [`SpgemmReport`]. Collective. [`try_spgemm_1d`]
+/// on a fresh workspace, panicking with its [`ShapeError`].
 ///
 /// ```
 /// use sa_dist::{spgemm_1d, uniform_offsets, DistMat1D, Plan1D};
@@ -333,46 +332,25 @@ pub fn spgemm_1d<C: Comm>(
     b: &DistMat1D,
     plan: &Plan1D,
 ) -> (DistMat1D, SpgemmReport) {
-    try_spgemm_1d(comm, a, b, plan).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`spgemm_1d`] with typed shape validation: non-conformal operands come
-/// back as `Err(`[`ShapeError`]`)` on every rank (the check runs before any
-/// communication, on globally-replicated dimensions, so ranks always
-/// agree) instead of an index panic deep in a kernel.
-pub fn try_spgemm_1d<C: Comm>(
-    comm: &C,
-    a: &DistMat1D,
-    b: &DistMat1D,
-    plan: &Plan1D,
-) -> Result<(DistMat1D, SpgemmReport), ShapeError> {
-    run_1d(comm, a, b, plan, &SpgemmWorkspace::new())
-}
-
-/// [`spgemm_1d`] with a caller-held [`SpgemmWorkspace`]: per-thread kernel
-/// scratch, the `Ã` assembly buffers, and the symbolic arrays are borrowed
-/// from (and returned to) `ws`, so a loop of multiplies reuses the
-/// compute-side allocations. For the drivers whose fetched operand changes
-/// between calls (per-batch BC frontiers, the Galerkin `Rᵀ·(AR)` step); a
-/// [`SpgemmSession`] runs the same multiply on an operand it exposes once
-/// and keeps what it fetched.
-///
-/// [`SpgemmSession`]: crate::session::SpgemmSession
-pub fn spgemm_1d_ws<C: Comm>(
-    comm: &C,
-    a: &DistMat1D,
-    b: &DistMat1D,
-    plan: &Plan1D,
-    ws: &SpgemmWorkspace<f64>,
-) -> (DistMat1D, SpgemmReport) {
-    run_1d(comm, a, b, plan, ws).unwrap_or_else(|e| panic!("{e}"))
+    try_spgemm_1d(comm, a, b, plan, &SpgemmWorkspace::new()).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Algorithm 1 on an operand exposed for this one call: shapes checked
 /// once, then metadata replication, window exposure, needed-column scan and
-/// fetch planning here, the rest in [`Pipeline1D`] against a cache that
-/// keeps nothing.
-fn run_1d<C: Comm>(
+/// fetch planning here, the rest in the fetch–assemble–multiply core a
+/// session multiply runs too, against a cache that keeps nothing.
+///
+/// Non-conformal operands come back as `Err(`[`ShapeError`]`)` on every
+/// rank: the check runs before any communication, on globally-replicated
+/// dimensions, so ranks always agree. Per-thread kernel scratch, the `Ã`
+/// assembly buffers and the symbolic arrays are borrowed from (and returned
+/// to) `ws`, so a loop of multiplies whose fetched operand changes between
+/// calls (per-batch BC frontiers, the Galerkin `Rᵀ·(AR)` step) reuses the
+/// compute-side allocations; a [`SpgemmSession`] runs the same multiply on
+/// an operand it exposes once and keeps what it fetched.
+///
+/// [`SpgemmSession`]: crate::session::SpgemmSession
+pub fn try_spgemm_1d<C: Comm>(
     comm: &C,
     a: &DistMat1D,
     b: &DistMat1D,

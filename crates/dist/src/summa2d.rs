@@ -136,22 +136,14 @@ fn bcast_block<C: Comm>(comm: &C, root: usize, mine: Option<&Csc<f64>>) -> Csc<f
 /// blocking (square grids with uniform offsets satisfy this). Returns `C`
 /// blocked by (`A` rows, `B` cols) plus this rank's report. Collective
 /// over `comm` (which must be the communicator `grid` was built from).
+///
+/// Every stage multiply borrows its kernel scratch and output buffers from
+/// `ws` under flop-balanced scheduling, so an iterative driver (one SUMMA
+/// per BFS level, per MCL iteration, …) allocates nothing on the compute
+/// path once the pools are warm — the same steady state the sparsity-aware
+/// variants reach, keeping the oblivious baseline's timings free of alloc
+/// noise. A one-off call passes `&SpgemmWorkspace::new()`.
 pub fn spgemm_summa_2d<C: Comm>(
-    comm: &C,
-    grid: &Grid2D<C>,
-    a: &DistMat2D,
-    b: &DistMat2D,
-) -> (DistMat2D, SummaReport) {
-    spgemm_summa_2d_ws(comm, grid, a, b, &SpgemmWorkspace::new())
-}
-
-/// [`spgemm_summa_2d`] with a caller-held [`SpgemmWorkspace`]: every stage
-/// multiply borrows its kernel scratch and output buffers from `ws` under
-/// flop-balanced scheduling, so an iterative driver (one SUMMA per BFS
-/// level, per MCL iteration, …) allocates nothing on the compute path once
-/// the pools are warm — the same steady state the sparsity-aware variants
-/// reach, keeping the oblivious baseline's timings free of alloc noise.
-pub fn spgemm_summa_2d_ws<C: Comm>(
     comm: &C,
     grid: &Grid2D<C>,
     a: &DistMat2D,
@@ -234,7 +226,7 @@ mod tests {
             let grid = Grid2D::square(comm);
             let da = DistMat2D::from_global(&grid, a);
             let db = DistMat2D::from_global(&grid, b);
-            let (c, _rep) = spgemm_summa_2d(comm, &grid, &da, &db);
+            let (c, _rep) = spgemm_summa_2d(comm, &grid, &da, &db, &SpgemmWorkspace::new());
             c.gather(comm, &grid)
         });
         let got = got[0].as_ref().unwrap();
@@ -268,7 +260,7 @@ mod tests {
             let grid = Grid2D::square(comm);
             let da = DistMat2D::from_global(&grid, &a);
             let db = da.clone();
-            let (_c, rep) = spgemm_summa_2d(comm, &grid, &da, &db);
+            let (_c, rep) = spgemm_summa_2d(comm, &grid, &da, &db, &SpgemmWorkspace::new());
             rep
         });
         for rep in &reps {

@@ -99,6 +99,8 @@ pub struct SaSummaReport {
 /// Sparsity-aware 2D SUMMA `C = A·B` over the arithmetic semiring.
 /// Returns `C` blocked by (`A` rows, `B` cols) plus this rank's report.
 /// Collective over `comm` (the communicator `grid` was built from).
+/// [`try_spgemm_summa_2d_sa`] on a fresh workspace, panicking with its
+/// [`ShapeError`].
 pub fn spgemm_summa_2d_sa<C: Comm>(
     comm: &C,
     grid: &Grid2D<C>,
@@ -106,22 +108,8 @@ pub fn spgemm_summa_2d_sa<C: Comm>(
     b: &DistMat2D,
     mode: FetchMode,
 ) -> (DistMat2D, SaSummaReport) {
-    try_spgemm_summa_2d_sa(comm, grid, a, b, mode).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`spgemm_summa_2d_sa`] with typed shape validation: non-conformal
-/// operands or operand blocking that disagrees with the grid come back as
-/// `Err(`[`ShapeError`]`)` on every rank (the check runs before any
-/// communication, on globally-replicated dimensions, so ranks always
-/// agree) instead of an index panic deep in a kernel.
-pub fn try_spgemm_summa_2d_sa<C: Comm>(
-    comm: &C,
-    grid: &Grid2D<C>,
-    a: &DistMat2D,
-    b: &DistMat2D,
-    mode: FetchMode,
-) -> Result<(DistMat2D, SaSummaReport), ShapeError> {
-    run_2d_sa::<_, PlusTimes<f64>>(comm, grid, a, b, mode, &SpgemmWorkspace::new())
+    try_spgemm_summa_2d_sa::<_, PlusTimes<f64>>(comm, grid, a, b, mode, &SpgemmWorkspace::new())
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Typed validation of the 2D entry-point preconditions.
@@ -133,25 +121,17 @@ fn check_shapes<C: Comm>(grid: &Grid2D<C>, a: &DistMat2D, b: &DistMat2D) -> Resu
     crate::shape::blocking("B", "col", b.col_offsets().len() - 1, grid.pc)
 }
 
-/// [`spgemm_summa_2d_sa`] generic over the semiring, with a caller-held
-/// [`SpgemmWorkspace`]: the `Ã`/`B̃` assembly buffers and all kernel
-/// scratch are borrowed from `ws`, so iterative drivers reach a
-/// zero-allocation steady state on the compute path.
-pub fn spgemm_summa_2d_sa_ws<C: Comm, S: Semiring<T = f64>>(
-    comm: &C,
-    grid: &Grid2D<C>,
-    a: &DistMat2D,
-    b: &DistMat2D,
-    mode: FetchMode,
-    ws: &SpgemmWorkspace<f64>,
-) -> (DistMat2D, SaSummaReport) {
-    run_2d_sa::<C, S>(comm, grid, a, b, mode, ws).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// The multiply behind every entry point above: shapes checked once, then
-/// symbolic, `Ã` through the 1D core, the B request/ship exchange, `B̃`,
-/// one fused kernel call.
-fn run_2d_sa<C: Comm, S: Semiring<T = f64>>(
+/// Sparsity-aware 2D SUMMA over the semiring `S`: shapes checked once,
+/// then symbolic, `Ã` through the 1D core, the B request/ship exchange,
+/// `B̃`, one fused kernel call.
+///
+/// Non-conformal operands, or operand blocking that disagrees with the
+/// grid, come back as `Err(`[`ShapeError`]`)` on every rank (the check runs
+/// before any communication, on globally-replicated dimensions, so ranks
+/// always agree). The `Ã`/`B̃` assembly buffers and all kernel scratch are
+/// borrowed from `ws`, so iterative drivers reach a zero-allocation steady
+/// state on the compute path.
+pub fn try_spgemm_summa_2d_sa<C: Comm, S: Semiring<T = f64>>(
     comm: &C,
     grid: &Grid2D<C>,
     a: &DistMat2D,

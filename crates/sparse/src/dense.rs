@@ -1,5 +1,5 @@
-//! Tiny dense matrix used only as a brute-force oracle in tests and
-//! property checks. Column-major, `f64`-like generic.
+//! Tiny dense matrix, the brute-force oracle of this crate's unit tests
+//! (compiled only for them). Column-major, `f64`-like generic.
 
 use crate::csc::Csc;
 use crate::semiring::Semiring;
@@ -31,14 +31,6 @@ impl<T: Copy> Dense<T> {
     #[inline]
     pub fn set(&mut self, i: usize, j: usize, v: T) {
         self.data[j * self.nrows + i] = v;
-    }
-
-    pub fn nrows(&self) -> usize {
-        self.nrows
-    }
-
-    pub fn ncols(&self) -> usize {
-        self.ncols
     }
 }
 

@@ -10,8 +10,7 @@
 //!
 //! Module map (paper § in parentheses):
 //!
-//! * [`coo`] / [`csc`] / [`csr`] / [`dense`] — construction and baseline
-//!   storage formats.
+//! * [`coo`] / [`csc`] — construction and baseline storage formats.
 //! * [`dcsc`] — the hypersparse format of the 1D slices (§II).
 //! * [`mod@spgemm`] — local kernels and the hybrid dispatcher (§II-B, Fig. 3).
 //! * [`semiring`] — plus-times / min-plus / or-and algebras (§II-A).
@@ -22,9 +21,7 @@
 
 pub mod coo;
 pub mod csc;
-pub mod csr;
 pub mod dcsc;
-pub mod dense;
 pub mod ewise;
 pub mod gen;
 pub mod io;
@@ -36,12 +33,14 @@ pub mod types;
 
 pub use coo::Coo;
 pub use csc::Csc;
-pub use csr::Csr;
 pub use dcsc::Dcsc;
-pub use dense::Dense;
 pub use permute::Perm;
 pub use semiring::{MinPlus, OrAnd, PlusTimes, Semiring};
 pub use spgemm::{
     spgemm, spgemm_kernel, spgemm_with, Kernel, Schedule, SpgemmWorkspace, WorkspaceCounters,
 };
 pub use types::Vidx;
+
+/// The dense brute-force oracle of the unit tests (`stats`, `spgemm`).
+#[cfg(test)]
+mod dense;

@@ -14,7 +14,6 @@
 
 mod hash;
 mod heap;
-pub mod rowwise;
 pub mod schedule;
 mod spa;
 pub mod symbolic;
@@ -27,7 +26,6 @@ use crate::types::Vidx;
 use rayon::prelude::*;
 use workspace::Scratch;
 
-pub use rowwise::spgemm_rowwise;
 pub use schedule::{schedule_items, Schedule};
 pub use symbolic::{upper_bound_flops, upper_bound_flops_per_col};
 pub use workspace::{ChunkBuf, SpgemmWorkspace, WorkspaceCounters};

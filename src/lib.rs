@@ -6,7 +6,7 @@
 //!
 //! This facade crate re-exports the workspace:
 //!
-//! * [`sparse`] — sparse-matrix substrate: COO/CSC/CSR/DCSC storage, heap-,
+//! * [`sparse`] — sparse-matrix substrate: COO/CSC/DCSC storage, heap-,
 //!   hash- and SPA-based local SpGEMM kernels with a hybrid dispatcher,
 //!   semirings, synthetic dataset generators, Matrix Market I/O.
 //! * [`mpisim`] — simulated distributed-memory runtime: rank threads,
@@ -58,7 +58,7 @@ pub use sa_sparse as sparse;
 pub mod prelude {
     pub use sa_apps::{bc, galerkin, mcl, mis2, restriction, triangle};
     pub use sa_dist::{
-        analyze_1d, spgemm_1d, spgemm_1d_ws, spgemm_auto, spgemm_split_3d_sa, spgemm_summa_2d_sa,
+        analyze_1d, spgemm_1d, spgemm_auto, spgemm_split_3d_sa, spgemm_summa_2d_sa, try_spgemm_1d,
         uniform_offsets, AlgoChoice, AutoTuner, CacheConfig, CheckpointStore, CkptError, DistMat1D,
         DistMat2D, DistMat3D, FetchMode, FileStore, MatSnapshot, MemStore, Plan1D, SessionSnapshot,
         SessionStats, SpgemmReport, SpgemmSession,
@@ -71,7 +71,7 @@ pub mod prelude {
     pub use sa_sparse as sparse_crate;
     pub use sa_sparse::{
         semiring::{OrAnd, PlusTimes},
-        Coo, Csc, Csr, Dcsc, Perm, Schedule, SpgemmWorkspace,
+        Coo, Csc, Dcsc, Perm, Schedule, SpgemmWorkspace,
     };
     pub use {sa_dist, sa_mpisim, sa_partition, sa_sparse};
 }

@@ -34,8 +34,8 @@ use saspgemm::mpisim::{
     RankJob, Universe, Window, WindowError,
 };
 use saspgemm::sparse::gen::{banded, erdos_renyi};
-use saspgemm::sparse::semiring::MinPlus;
-use saspgemm::sparse::Csc;
+use saspgemm::sparse::semiring::{MinPlus, PlusTimes};
+use saspgemm::sparse::{Csc, SpgemmWorkspace};
 use std::fmt::Write as _;
 use std::time::Duration;
 
@@ -334,10 +334,11 @@ impl RankJob for Summa2D<'_> {
         let db = DistMat2D::from_global(&grid, self.b);
         let before = comm.stats();
         let s = if self.tropical {
-            let ws = saspgemm::sparse::SpgemmWorkspace::new();
-            let (c, _rep) = saspgemm::dist::spgemm_summa_2d_sa_ws::<_, MinPlus>(
+            let ws = SpgemmWorkspace::new();
+            let (c, _rep) = saspgemm::dist::try_spgemm_summa_2d_sa::<_, MinPlus>(
                 comm, &grid, &da, &db, self.mode, &ws,
-            );
+            )
+            .unwrap();
             fp_opt(&c.gather(comm, &grid))
         } else {
             let (c, rep) = spgemm_summa_2d_sa(comm, &grid, &da, &db, self.mode);
@@ -442,7 +443,14 @@ impl RankJob for Split3D<'_> {
         let da = DistMat3D::from_global_split_cols(&grid, self.a);
         let db = DistMat3D::from_global_split_rows(&grid, self.b);
         let before = comm.stats();
-        let (c, rep) = spgemm_split_3d_sa(comm, &grid, &da, &db, FetchMode::Block(4));
+        let (c, rep) = spgemm_split_3d_sa::<_, PlusTimes<f64>>(
+            comm,
+            &grid,
+            &da,
+            &db,
+            FetchMode::Block(4),
+            &SpgemmWorkspace::new(),
+        );
         let s = format!(
             "{}|af={} rb={} bs={}",
             fp_opt(&c.gather(comm)),

@@ -10,7 +10,7 @@ use saspgemm::dist::{
 };
 use saspgemm::mpisim::{Grid2D, Grid3D, Universe};
 use saspgemm::sparse::gen::{banded, erdos_renyi, rmat, sbm, stencil3d};
-use saspgemm::sparse::Csc;
+use saspgemm::sparse::{Csc, SpgemmWorkspace};
 
 fn check_all_algorithms(a: &Csc<f64>, b: &Csc<f64>, label: &str) {
     let expect = serial_spgemm(a, b);
@@ -62,7 +62,7 @@ fn check_all_algorithms(a: &Csc<f64>, b: &Csc<f64>, label: &str) {
                 let grid = Grid2D::square(comm);
                 let da = DistMat2D::from_global(&grid, a);
                 let db = DistMat2D::from_global(&grid, b);
-                let (c, _) = spgemm_summa_2d(comm, &grid, &da, &db);
+                let (c, _) = spgemm_summa_2d(comm, &grid, &da, &db, &SpgemmWorkspace::new());
                 c.gather(comm, &grid)
             })
             .remove(0)
@@ -78,7 +78,7 @@ fn check_all_algorithms(a: &Csc<f64>, b: &Csc<f64>, label: &str) {
                 let grid = Grid3D::new(comm, q, layers);
                 let da = DistMat3D::from_global_split_cols(&grid, a);
                 let db = DistMat3D::from_global_split_rows(&grid, b);
-                let (c, _) = spgemm_split_3d(comm, &grid, &da, &db);
+                let (c, _) = spgemm_split_3d(comm, &grid, &da, &db, &SpgemmWorkspace::new());
                 c.gather(comm)
             })
             .remove(0)

@@ -54,7 +54,7 @@ use saspgemm::mpisim::{
     RecoveryReport, RetryPolicy, Serial, Threads, Universe,
 };
 use saspgemm::sparse::gen::erdos_renyi;
-use saspgemm::sparse::Csc;
+use saspgemm::sparse::{Csc, PlusTimes, SpgemmWorkspace};
 use std::sync::Once;
 use std::time::Duration;
 
@@ -144,7 +144,14 @@ fn workload<C: Comm>(name: &str, comm: &C) -> String {
             let da = DistMat3D::from_global_split_cols(&grid, &a);
             let db = DistMat3D::from_global_split_rows(&grid, &b);
             let before = comm.stats();
-            let (c, rep) = spgemm_split_3d_sa(comm, &grid, &da, &db, FetchMode::Block(4));
+            let (c, rep) = spgemm_split_3d_sa::<_, PlusTimes<f64>>(
+                comm,
+                &grid,
+                &da,
+                &db,
+                FetchMode::Block(4),
+                &SpgemmWorkspace::new(),
+            );
             format!(
                 "{} {:?} reduced={}",
                 fp_opt(&c.gather(comm)),

@@ -10,10 +10,15 @@
 //! `backend_conformance.rs` and `fault_injection.rs`). See
 //! [`run_in_process`].
 
-use saspgemm::dist::{spgemm_1d, uniform_offsets, DistMat1D, Plan1D};
-use saspgemm::mpisim::{Backend, PairedWindow, Serial, SimComm, Universe, Window};
+use saspgemm::dist::{
+    spgemm_1d, try_spgemm_1d, try_spgemm_auto, try_spgemm_summa_2d_sa, uniform_offsets, DistMat1D,
+    DistMat2D, FetchMode, Plan1D, ShapeError,
+};
+use saspgemm::mpisim::{
+    Backend, CommStats, CostModel, Grid2D, PairedWindow, Serial, SimComm, Universe, Window,
+};
 use saspgemm::sparse::gen::{banded, erdos_renyi};
-use saspgemm::sparse::{Csc, Dcsc};
+use saspgemm::sparse::{Csc, Dcsc, PlusTimes, SpgemmWorkspace};
 use std::sync::Once;
 
 /// The suite's runner: `Universe::run` when `SA_BACKEND` names an
@@ -273,6 +278,63 @@ fn dimension_mismatch_reported_with_shapes() {
         let db = DistMat1D::from_global(comm, &b, &uniform_offsets(12, 2));
         let _ = spgemm_1d(comm, &da, &db, &Plan1D::default());
     });
+}
+
+#[test]
+fn try_entry_points_reject_bad_operands_alike_on_every_rank_before_moving_anything() {
+    let a = erdos_renyi(10, 12, 2.0, 1);
+    let b = erdos_renyi(10, 12, 2.0, 2); // 12 ≠ 10: A·B invalid
+    let sq = erdos_renyi(12, 12, 2.0, 3);
+    let u = Universe::new(4);
+    let got = run_in_process(&u, move |comm| {
+        // operands and grids first: the baseline covers the calls alone
+        let offsets = uniform_offsets(12, 4);
+        let (da, db) = (
+            DistMat1D::from_global(comm, &a, &offsets),
+            DistMat1D::from_global(comm, &b, &offsets),
+        );
+        let (square, flat) = (Grid2D::square(comm), Grid2D::new(comm, 1, 4));
+        let (a2, b2) = (
+            DistMat2D::from_global(&square, &a),
+            DistMat2D::from_global(&square, &b),
+        );
+        // conformal, but blocked for a 1 × 4 grid and multiplied on 2 × 2
+        let (s_flat, s_square) = (
+            DistMat2D::from_global(&flat, &sq),
+            DistMat2D::from_global(&square, &sq),
+        );
+        let ws = SpgemmWorkspace::new();
+        let (stats0, counters0) = (comm.stats(), ws.counters());
+        let mode = FetchMode::default();
+        let errs = [
+            try_spgemm_1d(comm, &da, &db, &Plan1D::default(), &ws).err(),
+            try_spgemm_summa_2d_sa::<_, PlusTimes<f64>>(comm, &square, &a2, &b2, mode, &ws).err(),
+            try_spgemm_summa_2d_sa::<_, PlusTimes<f64>>(
+                comm, &square, &s_flat, &s_square, mode, &ws,
+            )
+            .err(),
+            try_spgemm_auto(comm, &a, &b, &CostModel::default()).err(),
+        ];
+        (errs, comm.stats() - stats0, ws.counters() == counters0)
+    });
+    let not_conformal = ShapeError::NotConformal {
+        a_rows: 10,
+        a_cols: 12,
+        b_rows: 10,
+        b_cols: 12,
+    };
+    let blocking = ShapeError::BlockingMismatch {
+        matrix: "A",
+        axis: "row",
+        blocks: 1,
+        grid: 2,
+    };
+    for (rank, (errs, delta, ws_untouched)) in got.into_iter().enumerate() {
+        let expect = [not_conformal, not_conformal, blocking, not_conformal].map(Some);
+        assert_eq!(errs, expect, "rank {rank}: the same typed error everywhere");
+        assert_eq!(delta, CommStats::default(), "rank {rank}: nothing moved");
+        assert!(ws_untouched, "rank {rank}: the workspace was not touched");
+    }
 }
 
 #[test]

@@ -11,9 +11,8 @@
 //!   allocate nothing (pool counters frozen, as in `workspace_reuse.rs`).
 
 use saspgemm::dist::{
-    analyze_2d, analyze_3d, spgemm_split_3d_sa, spgemm_split_3d_sa_ws, spgemm_split_3d_ws,
-    spgemm_summa_2d, spgemm_summa_2d_sa, spgemm_summa_2d_sa_ws, spgemm_summa_2d_ws, DistMat2D,
-    DistMat3D, FetchMode,
+    analyze_2d, analyze_3d, spgemm_split_3d, spgemm_split_3d_sa, spgemm_summa_2d,
+    spgemm_summa_2d_sa, try_spgemm_summa_2d_sa, DistMat2D, DistMat3D, FetchMode,
 };
 use saspgemm::mpisim::{Grid2D, Grid3D, Universe};
 use saspgemm::sparse::gen::{erdos_renyi, rmat};
@@ -149,14 +148,15 @@ fn aware_2d_and_3d_respect_semirings() {
         let da = DistMat2D::from_global(&grid, &a);
         let db = da.clone();
         let ws = SpgemmWorkspace::new();
-        let (c, _) = spgemm_summa_2d_sa_ws::<_, MinPlus>(
+        let (c, _) = try_spgemm_summa_2d_sa::<_, MinPlus>(
             comm,
             &grid,
             &da,
             &db,
             FetchMode::ContiguousRuns,
             &ws,
-        );
+        )
+        .unwrap();
         c.gather(comm, &grid)
     });
     assert_eq!(got[0].as_ref().unwrap(), &expect, "2D tropical");
@@ -169,7 +169,7 @@ fn aware_2d_and_3d_respect_semirings() {
         let db = DistMat3D::from_global_split_rows(&grid, &a);
         let ws = SpgemmWorkspace::new();
         let (c, _) =
-            spgemm_split_3d_sa_ws::<_, MinPlus>(comm, &grid, &da, &db, FetchMode::Block(4), &ws);
+            spgemm_split_3d_sa::<_, MinPlus>(comm, &grid, &da, &db, FetchMode::Block(4), &ws);
         c.gather(comm)
     });
     assert_eq!(got[0].as_ref().unwrap(), &expect, "3D tropical");
@@ -187,7 +187,9 @@ fn aware_3d_bit_identical_across_layer_counts() {
                 let grid = Grid3D::new(comm, q, layers);
                 let da = DistMat3D::from_global_split_cols(&grid, &a);
                 let db = DistMat3D::from_global_split_rows(&grid, &b);
-                let (c, rep) = spgemm_split_3d_sa(comm, &grid, &da, &db, mode);
+                let ws = SpgemmWorkspace::new();
+                let (c, rep) =
+                    spgemm_split_3d_sa::<_, PlusTimes<f64>>(comm, &grid, &da, &db, mode, &ws);
                 assert!(rep.peak_local_bytes > 0);
                 c.gather(comm)
             });
@@ -250,7 +252,7 @@ fn analyze_2d_predicts_oblivious_summa_exactly() {
         let da = DistMat2D::from_global(&grid, &a);
         let db = da.clone();
         let stats0 = comm.stats();
-        let (_c, _rep) = spgemm_summa_2d(comm, &grid, &da, &db);
+        let (_c, _rep) = spgemm_summa_2d(comm, &grid, &da, &db, &SpgemmWorkspace::new());
         comm.stats() - stats0
     });
     let injected: u64 = deltas.iter().map(|d| d.injected_bytes()).sum();
@@ -275,8 +277,10 @@ fn analyze_3d_predicts_metered_traffic_exactly() {
             let grid = Grid3D::new(comm, q, layers);
             let da = DistMat3D::from_global_split_cols(&grid, &a);
             let db = DistMat3D::from_global_split_rows(&grid, &b);
+            let ws = SpgemmWorkspace::new();
             let stats0 = comm.stats();
-            let (_c, rep) = spgemm_split_3d_sa(comm, &grid, &da, &db, mode);
+            let (_c, rep) =
+                spgemm_split_3d_sa::<_, PlusTimes<f64>>(comm, &grid, &da, &db, mode, &ws);
             (rep, comm.stats() - stats0)
         });
         for (wr, (rep, _)) in reps.iter().enumerate() {
@@ -311,7 +315,7 @@ fn steady_state_2d_multiplies_allocate_nothing() {
         let aware_ws = SpgemmWorkspace::new();
         let obl_ws = SpgemmWorkspace::new();
         let aware = |ws: &SpgemmWorkspace<f64>| {
-            spgemm_summa_2d_sa_ws::<_, saspgemm::sparse::semiring::PlusTimes<f64>>(
+            try_spgemm_summa_2d_sa::<_, PlusTimes<f64>>(
                 comm,
                 &grid,
                 &da,
@@ -319,9 +323,10 @@ fn steady_state_2d_multiplies_allocate_nothing() {
                 FetchMode::default(),
                 ws,
             )
+            .unwrap()
             .0
         };
-        let obl = |ws: &SpgemmWorkspace<f64>| spgemm_summa_2d_ws(comm, &grid, &da, &db, ws).0;
+        let obl = |ws: &SpgemmWorkspace<f64>| spgemm_summa_2d(comm, &grid, &da, &db, ws).0;
         let first_aware = aware(&aware_ws);
         let first_obl = obl(&obl_ws);
         let _ = (aware(&aware_ws), obl(&obl_ws)); // second warm-up settles sizes
@@ -366,7 +371,7 @@ fn steady_state_3d_multiplies_allocate_nothing() {
         let db = DistMat3D::from_global_split_rows(&grid, &a);
         let ws = SpgemmWorkspace::new();
         let run = || {
-            spgemm_split_3d_sa_ws::<_, saspgemm::sparse::semiring::PlusTimes<f64>>(
+            spgemm_split_3d_sa::<_, PlusTimes<f64>>(
                 comm,
                 &grid,
                 &da,
@@ -377,7 +382,7 @@ fn steady_state_3d_multiplies_allocate_nothing() {
             .0
         };
         let obl_ws = SpgemmWorkspace::new();
-        let obl = || spgemm_split_3d_ws(comm, &grid, &da, &db, &obl_ws).0;
+        let obl = || spgemm_split_3d(comm, &grid, &da, &db, &obl_ws).0;
         let first = run();
         let first_obl = obl();
         let _ = (run(), obl());
