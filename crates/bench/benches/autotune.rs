@@ -13,7 +13,7 @@ use sa_dist::{
     prepare, spgemm_1d, spgemm_split_3d, spgemm_split_3d_sa, spgemm_summa_2d, spgemm_summa_2d_sa,
     uniform_offsets, AlgoChoice, AutoTuner, DistMat1D, DistMat2D, DistMat3D, FetchMode, Plan1D,
 };
-use sa_mpisim::{CommStats, Grid2D, Grid3D};
+use sa_mpisim::{Comm, CommStats, Grid2D, Grid3D};
 use sa_sparse::gen::{erdos_renyi_square, rmat, Dataset, Scale};
 use sa_sparse::{Csc, PlusTimes, SpgemmWorkspace};
 

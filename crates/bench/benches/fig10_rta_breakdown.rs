@@ -7,7 +7,7 @@
 use sa_apps::restriction::restriction_operator;
 use sa_bench::*;
 use sa_dist::{prepare, spgemm_1d, DistMat1D, Strategy};
-use sa_mpisim::Breakdown;
+use sa_mpisim::PhaseTimes;
 use sa_sparse::gen::Dataset;
 use sa_sparse::permute::permute;
 
@@ -29,17 +29,18 @@ fn main() {
         };
         let rt = r_used.transpose();
         let u = universe(p);
-        let bds: Vec<Breakdown> = u.run(|comm| {
+        let phases: Vec<PhaseTimes> = u.run(|comm| {
             let da = DistMat1D::from_global(comm, &prep.a, &prep.offsets);
             let drt = DistMat1D::from_global(comm, &rt, &prep.offsets);
             let (_rta, rep) = spgemm_1d(comm, &drt, &da, &plan());
-            rep.breakdown
+            rep.phases
         });
-        print_rank_breakdown(&format!("queen RtA / {}", strat.name()), &bds);
+        print_rank_phases(&format!("queen RtA / {}", strat.name()), &phases);
         println!(
             "## {}: other/total share {:.0}% (paper: other dominates)",
             strat.name(),
-            100.0 * max_phase(&bds, |b| b.other_s) / critical_path(&bds).max(1e-12)
+            100.0 * max_phase(&phases, |p| p.symbolic_s + p.assemble_s)
+                / critical_path(&phases).max(1e-12)
         );
     }
 }

@@ -10,7 +10,7 @@ use sa_apps::restriction::restriction_operator;
 use sa_bench::*;
 use sa_dist::mat3d::DistMat3D;
 use sa_dist::{prepare, spgemm_split_3d, spgemm_summa_2d, DistMat1D, DistMat2D, Strategy};
-use sa_mpisim::{Grid2D, Grid3D};
+use sa_mpisim::{Comm, Grid2D, Grid3D};
 use sa_sparse::gen::Dataset;
 use sa_sparse::SpgemmWorkspace;
 use std::time::Instant;

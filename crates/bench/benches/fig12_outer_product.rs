@@ -6,6 +6,7 @@
 use sa_apps::restriction::restriction_operator;
 use sa_bench::*;
 use sa_dist::{spgemm_1d, spgemm_outer_1d, uniform_offsets, DistMat1D};
+use sa_mpisim::Comm;
 
 use sa_sparse::gen::Dataset;
 use std::time::Instant;

@@ -49,13 +49,13 @@ fn main() {
         let t_orig = {
             let reps = run_square_prepared(&orig, p, plan());
             reps.iter()
-                .map(|r| r.breakdown.total_s())
+                .map(|r| r.phases.total_s())
                 .fold(0.0f64, f64::max)
         };
         let t_metis = {
             let reps = run_square_prepared(&metis, p, plan());
             reps.iter()
-                .map(|r| r.breakdown.total_s())
+                .map(|r| r.phases.total_s())
                 .fold(0.0f64, f64::max)
         };
         let speedup = if recommend {

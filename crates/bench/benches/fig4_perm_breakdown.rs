@@ -8,13 +8,13 @@
 //! (excluding partitioning cost; 1.27× including it).
 //!
 //! Two totals are reported: measured wall time (all phases on this
-//! machine) and the hybrid modeled total (measured comp+other, α–β-modeled
-//! comm) — the latter carries the paper's comm/comp balance, which a
-//! shared-memory interconnect compresses.
+//! machine) and the hybrid modeled total (measured compute, symbolic and
+//! assemble, α–β-modeled fetch) — the latter carries the paper's comm/comp
+//! balance, which a shared-memory interconnect compresses.
 
 use sa_bench::*;
 use sa_dist::SpgemmReport;
-use sa_mpisim::Breakdown;
+use sa_mpisim::PhaseTimes;
 use sa_sparse::gen::Dataset;
 
 fn main() {
@@ -29,8 +29,8 @@ fn main() {
         let mut per_strategy: Vec<(String, Vec<SpgemmReport>, f64)> = Vec::new();
         for strat in strategies_for(d) {
             let (reps, prep_s) = square_1d(&a, p, strat, plan());
-            let bds: Vec<Breakdown> = reps.iter().map(|r| r.breakdown).collect();
-            print_rank_breakdown(&format!("{} / {}", d.name(), strat.name()), &bds);
+            let phases: Vec<PhaseTimes> = reps.iter().map(|r| r.phases).collect();
+            print_rank_phases(&format!("{} / {}", d.name(), strat.name()), &phases);
             if prep_s > 0.0 {
                 println!("# preprocessing time ({}): {} ms", strat.name(), ms(prep_s));
             }
@@ -39,14 +39,11 @@ fn main() {
         let find = |name: &str| per_strategy.iter().find(|(n, _, _)| n == name);
         let measured = |reps: &[SpgemmReport]| {
             reps.iter()
-                .map(|r| r.breakdown.total_s())
+                .map(|r| r.phases.total_s())
                 .fold(0.0f64, f64::max)
         };
-        let comm_measured = |reps: &[SpgemmReport]| {
-            reps.iter()
-                .map(|r| r.breakdown.comm_s)
-                .fold(0.0f64, f64::max)
-        };
+        let comm_measured =
+            |reps: &[SpgemmReport]| reps.iter().map(|r| r.phases.fetch_s).fold(0.0f64, f64::max);
         if let Some((_, rand_reps, _)) = find("random") {
             if d == Dataset::Hv15rLike {
                 let (_, orig_reps, _) = find("original").unwrap();

@@ -45,10 +45,7 @@ fn main() {
         let msgs: u64 = reps.iter().map(|r| r.rdma_msgs).sum();
         let fetched: u64 = reps[0].fetched_bytes_global;
         let needed: u64 = reps.iter().map(|r| r.needed_bytes).sum::<u64>().max(1);
-        let comm_max = reps
-            .iter()
-            .map(|r| r.breakdown.comm_s)
-            .fold(0.0f64, f64::max);
+        let comm_max = reps.iter().map(|r| r.phases.fetch_s).fold(0.0f64, f64::max);
         // modeled time: slowest rank under the α–β model
         let modeled = reps
             .iter()

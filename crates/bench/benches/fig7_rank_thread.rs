@@ -34,16 +34,16 @@ fn main() {
             let da = DistMat1D::from_global(comm, &prep.a, &prep.offsets);
             let db = da.clone();
             let (_c, rep) = spgemm_1d(comm, &da, &db, &plan());
-            rep.breakdown
+            rep.phases
         });
         let total = critical_path(&reps);
         row(&[
             p.to_string(),
             t.to_string(),
             ms(total),
-            ms(max_phase(&reps, |b| b.comm_s)),
-            ms(max_phase(&reps, |b| b.comp_s)),
-            ms(max_phase(&reps, |b| b.other_s)),
+            ms(max_phase(&reps, |p| p.fetch_s)),
+            ms(max_phase(&reps, |p| p.compute_s)),
+            ms(max_phase(&reps, |p| p.symbolic_s + p.assemble_s)),
         ]);
         results.push((p, total));
     }

@@ -4,7 +4,6 @@
 
 use sa_bench::*;
 use sa_dist::Strategy;
-use sa_mpisim::Breakdown;
 use sa_sparse::gen::Dataset;
 use sa_sparse::stats::summarize;
 
@@ -22,11 +21,9 @@ fn main() {
     };
     for p in ps {
         let (reps, _) = square_1d(&a, p, Strategy::Original, plan());
-        let bds: Vec<Breakdown> = reps.iter().map(|r| r.breakdown).collect();
-        print_rank_breakdown(&format!("P={p}"), &bds);
         let phases: Vec<_> = reps.iter().map(|r| r.phases).collect();
         print_rank_phases(&format!("P={p}"), &phases);
-        let totals: Vec<f64> = bds.iter().map(|b| b.total_s()).collect();
+        let totals: Vec<f64> = phases.iter().map(|p| p.total_s()).collect();
         let s = summarize(&totals);
         println!(
             "## P={p}: imbalance (max/mean) {:.2}",

@@ -35,7 +35,7 @@ fn main() {
             let (reps, _) = square_1d(&a, p, Strategy::Original, plan());
             let t1d = reps
                 .iter()
-                .map(|r| r.breakdown.total_s())
+                .map(|r| r.phases.total_s())
                 .fold(0.0f64, f64::max);
             row(&[
                 d.name().into(),

@@ -15,6 +15,7 @@ use sa_apps::mcl::{mcl_1d_session, MclConfig};
 use sa_apps::restriction::restriction_operator;
 use sa_bench::*;
 use sa_dist::{uniform_offsets, CacheConfig, DistMat1D, SpgemmSession};
+use sa_mpisim::Comm;
 
 use sa_sparse::gen::{Dataset, Scale};
 use sa_sparse::{Csc, Vidx};

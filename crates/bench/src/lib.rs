@@ -21,14 +21,16 @@
 //!
 //! Harness map: [`plan`]/[`scale`]/[`load`] configure a run,
 //! [`square_1d`] executes the canonical squaring workload,
-//! [`banner`]/[`row`]/[`mb`]/[`ms`] format the output, and
+//! [`banner`]/[`row`]/[`mb`]/[`ms`]/[`print_rank_phases`] format the
+//! output, [`critical_path`]/[`max_phase`] read the per-rank
+//! [`PhaseTimes`], and
 //! [`model`]/[`modeled_total`]/[`modeled_critical_path`] apply the α–β
 //! network model to the exact metered traffic.
 
 use sa_dist::{
     prepare, spgemm_1d, DistMat1D, FetchMode, Plan1D, PrepResult, SpgemmReport, Strategy,
 };
-use sa_mpisim::{Backend, Breakdown, Comm, CostModel, Universe};
+use sa_mpisim::{Backend, Comm, CostModel, PhaseTimes, Universe};
 use sa_sparse::gen::{Dataset, Scale};
 use sa_sparse::spgemm::Kernel;
 use sa_sparse::stats::summarize;
@@ -148,7 +150,8 @@ pub fn best_of<T>(n: usize, mut f: impl FnMut() -> (f64, T)) -> (f64, T) {
 /// the figure's shape depends on network constants a shared-memory machine
 /// cannot reproduce (see DESIGN.md §"Measurement conventions").
 pub fn modeled_total(rep: &SpgemmReport) -> f64 {
-    rep.breakdown.comp_s + rep.breakdown.other_s + model().time_s(rep.rdma_msgs, rep.fetched_bytes)
+    let p = &rep.phases;
+    p.compute_s + other_s(p) + model().time_s(rep.rdma_msgs, rep.fetched_bytes)
 }
 
 /// Max modeled total across ranks.
@@ -240,52 +243,22 @@ pub fn run_square_prepared(prep: &PrepResult, p: usize, plan: Plan1D) -> Vec<Spg
     reports
 }
 
-/// Print the per-rank breakdown block the paper's Figs. 4/8/10 show:
-/// every rank's comm/comp/other in ms, then a min/median/max summary.
-///
-/// Caveat (see [`sa_mpisim::Breakdown`]): under the default serial
-/// backend the comm column of a rank that *blocked* includes other ranks'
-/// serialized execution — it is "time until the data was ready", not wait
-/// skew. The figure-shape conclusions in the benches therefore rest on
-/// `comp`/modeled columns ([`modeled_total`]), which are
-/// backend-independent.
-pub fn print_rank_breakdown(label: &str, reps: &[Breakdown]) {
-    println!("# per-rank breakdown: {label}");
-    row(&[
-        "rank".into(),
-        "comm_ms".into(),
-        "comp_ms".into(),
-        "other_ms".into(),
-        "total_ms".into(),
-    ]);
-    for (r, b) in reps.iter().enumerate() {
-        row(&[
-            r.to_string(),
-            ms(b.comm_s),
-            ms(b.comp_s),
-            ms(b.other_s),
-            ms(b.total_s()),
-        ]);
-    }
-    let comm: Vec<f64> = reps.iter().map(|b| b.comm_s).collect();
-    let comp: Vec<f64> = reps.iter().map(|b| b.comp_s).collect();
-    let total: Vec<f64> = reps.iter().map(|b| b.total_s()).collect();
-    let (sc, sp, st) = (summarize(&comm), summarize(&comp), summarize(&total));
-    println!(
-        "# summary {label}: comm med {} max {} | comp med {} max {} | total med {} max {} (ms)",
-        ms(sc.median),
-        ms(sc.max),
-        ms(sp.median),
-        ms(sp.max),
-        ms(st.median),
-        ms(st.max)
-    );
+/// The paper's *other* bucket: everything but fetch and compute.
+fn other_s(p: &PhaseTimes) -> f64 {
+    p.symbolic_s + p.assemble_s
 }
 
-/// Print the finer four-phase wall-clock split ([`sa_mpisim::PhaseTimes`])
-/// per rank: symbolic / fetch / compute / assemble in ms. Complements
-/// [`print_rank_breakdown`] — the phases attribute the `other` bucket.
-pub fn print_rank_phases(label: &str, phases: &[sa_mpisim::PhaseTimes]) {
+/// Print the per-rank breakdown block the paper's Figs. 4/8/10 show:
+/// every rank's four phases in ms, the paper's *other* column (symbolic +
+/// assemble; its comm and comp are fetch and compute) and the total, then
+/// a median/max summary of comm / comp / other / total.
+///
+/// Caveat (see [`PhaseTimes`]): under the default serial backend the fetch
+/// column of a rank that *blocked* includes other ranks' serialized
+/// execution — it is "time until the data was ready", not wait skew. The
+/// figure-shape conclusions in the benches therefore rest on compute and
+/// modeled columns ([`modeled_total`]), which are backend-independent.
+pub fn print_rank_phases(label: &str, phases: &[PhaseTimes]) {
     println!("# per-rank phases: {label}");
     row(&[
         "rank".into(),
@@ -293,6 +266,8 @@ pub fn print_rank_phases(label: &str, phases: &[sa_mpisim::PhaseTimes]) {
         "fetch_ms".into(),
         "compute_ms".into(),
         "assemble_ms".into(),
+        "other_ms".into(),
+        "total_ms".into(),
     ]);
     for (r, p) in phases.iter().enumerate() {
         row(&[
@@ -301,17 +276,34 @@ pub fn print_rank_phases(label: &str, phases: &[sa_mpisim::PhaseTimes]) {
             ms(p.fetch_s),
             ms(p.compute_s),
             ms(p.assemble_s),
+            ms(other_s(p)),
+            ms(p.total_s()),
         ]);
     }
+    let column = |f: fn(&PhaseTimes) -> f64| summarize(&phases.iter().map(f).collect::<Vec<_>>());
+    let (sc, sp) = (column(|p| p.fetch_s), column(|p| p.compute_s));
+    let (so, st) = (column(other_s), column(PhaseTimes::total_s));
+    println!(
+        "# summary {label}: comm (fetch) med {} max {} | comp (compute) med {} max {} | \
+         other (symbolic+assemble) med {} max {} | total med {} max {} (ms)",
+        ms(sc.median),
+        ms(sc.max),
+        ms(sp.median),
+        ms(sp.max),
+        ms(so.median),
+        ms(so.max),
+        ms(st.median),
+        ms(st.max)
+    );
 }
 
 /// The slowest rank's total — the paper's time-to-solution for a phase.
-pub fn critical_path(reps: &[Breakdown]) -> f64 {
-    reps.iter().map(|b| b.total_s()).fold(0.0, f64::max)
+pub fn critical_path(reps: &[PhaseTimes]) -> f64 {
+    max_phase(reps, PhaseTimes::total_s)
 }
 
 /// Max across ranks of one phase.
-pub fn max_phase(reps: &[Breakdown], f: impl Fn(&Breakdown) -> f64) -> f64 {
+pub fn max_phase(reps: &[PhaseTimes], f: impl Fn(&PhaseTimes) -> f64) -> f64 {
     reps.iter().map(f).fold(0.0, f64::max)
 }
 
@@ -344,7 +336,7 @@ mod tests {
         let (reps, prep_s) = square_1d(&a, 4, Strategy::Original, Plan1D::default());
         assert_eq!(reps.len(), 4);
         assert_eq!(prep_s, 0.0);
-        let bds: Vec<Breakdown> = reps.iter().map(|r| r.breakdown).collect();
-        assert!(critical_path(&bds) > 0.0);
+        let phases: Vec<PhaseTimes> = reps.iter().map(|r| r.phases).collect();
+        assert!(critical_path(&phases) > 0.0);
     }
 }

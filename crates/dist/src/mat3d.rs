@@ -10,7 +10,7 @@
 use crate::spgemm1d::FetchMode;
 use crate::summa2d::{spgemm_summa_2d, DistMat2D, SummaReport};
 use crate::summa2d_sa::{try_spgemm_summa_2d_sa, SaSummaReport};
-use sa_mpisim::{Breakdown, Comm, CommStats, Grid3D};
+use sa_mpisim::{Comm, CommStats, Grid3D, PhaseTimes};
 use sa_sparse::semiring::{PlusTimes, Semiring};
 use sa_sparse::spgemm::SpgemmWorkspace;
 use sa_sparse::types::{vidx, Vidx};
@@ -164,7 +164,9 @@ pub struct Split3DReport {
     pub summa: SummaReport,
     /// Exact communication-counter delta of this call on this rank.
     pub comm: CommStats,
-    pub breakdown: Breakdown,
+    /// Wall-clock split: the layer SUMMA's, with the fiber reduce-scatter
+    /// added to `fetch_s` and the rest of the call in `assemble_s`.
+    pub phases: PhaseTimes,
 }
 
 fn assert_conformal_3d(a: &DistMat3D, b: &DistMat3D) {
@@ -250,14 +252,17 @@ pub fn spgemm_split_3d<C: Comm>(
 
     let comm_delta = comm.stats() - stats0;
     let total_s = t_call.elapsed().as_secs_f64();
+    let fetch_s = summa_rep.phases.fetch_s + reduce_s;
+    let compute_s = summa_rep.phases.compute_s;
     let report = Split3DReport {
         peak_local_bytes: peak,
         summa: summa_rep,
         comm: comm_delta,
-        breakdown: Breakdown {
-            comm_s: summa_rep.breakdown.comm_s + reduce_s,
-            comp_s: summa_rep.breakdown.comp_s,
-            other_s: (total_s - summa_rep.breakdown.total_s() - reduce_s).max(0.0),
+        phases: PhaseTimes {
+            fetch_s,
+            compute_s,
+            assemble_s: (total_s - fetch_s - compute_s).max(0.0),
+            ..PhaseTimes::default()
         },
     };
     (block, report)
@@ -274,7 +279,9 @@ pub struct SaSplit3DReport {
     pub peak_local_bytes: u64,
     /// Exact communication-counter delta of this call on this rank.
     pub comm: CommStats,
-    pub breakdown: Breakdown,
+    /// Wall-clock split: the layer SUMMA's, with the fiber reduce-scatter
+    /// added to `fetch_s` and the rest of the call in `assemble_s`.
+    pub phases: PhaseTimes,
 }
 
 /// Sparsity-aware 3D split SpGEMM: each layer runs the needed-set 2D
@@ -312,16 +319,17 @@ pub fn spgemm_split_3d_sa<C: Comm, S: Semiring<T = f64>>(
 
     let comm_delta = comm.stats() - stats0;
     let total_s = t_call.elapsed().as_secs_f64();
-    let comm_s = summa_rep.breakdown.comm_s + reduce_s;
+    let summa = summa_rep.phases;
+    let fetch_s = summa.fetch_s + reduce_s;
     let report = SaSplit3DReport {
         summa: summa_rep,
         reduce_bytes,
         peak_local_bytes: peak,
         comm: comm_delta,
-        breakdown: Breakdown {
-            comm_s,
-            comp_s: summa_rep.breakdown.comp_s,
-            other_s: (total_s - comm_s - summa_rep.breakdown.comp_s).max(0.0),
+        phases: PhaseTimes {
+            fetch_s,
+            assemble_s: (total_s - summa.symbolic_s - fetch_s - summa.compute_s).max(0.0),
+            ..summa
         },
     };
     (block, report)

@@ -10,7 +10,7 @@
 //! multiplication, where `B = R` is tall-skinny.
 
 use crate::dist1d::DistMat1D;
-use sa_mpisim::{Breakdown, Comm, CommStats};
+use sa_mpisim::{Comm, CommStats, PhaseTimes};
 use sa_sparse::semiring::PlusTimes;
 use sa_sparse::spgemm::{spgemm_kernel, Kernel};
 use sa_sparse::types::{vidx, Vidx};
@@ -26,9 +26,9 @@ pub struct OuterReport {
     pub reduce_bytes: u64,
     /// Exact communication-counter delta of this call on this rank.
     pub comm: CommStats,
-    /// Wall-clock split (expand/reduce are `comm_s`, the local outer
-    /// product is `comp_s`).
-    pub breakdown: Breakdown,
+    /// Wall-clock split: expand and reduce are `fetch_s`, the local outer
+    /// product `compute_s`, the rest `assemble_s` (no symbolic stage).
+    pub phases: PhaseTimes,
 }
 
 /// Outer-product 1D SpGEMM. Returns `C` in `B`'s column layout plus this
@@ -82,7 +82,7 @@ pub fn spgemm_outer_1d<C: Comm>(
     let t0 = Instant::now();
     let partial =
         comm.install(|| spgemm_kernel::<PlusTimes<f64>, _, _>(a.local(), &b_rows, Kernel::Hybrid));
-    let comp_s = t0.elapsed().as_secs_f64();
+    let compute_s = t0.elapsed().as_secs_f64();
 
     // --- reduce: scatter partial columns to their owners and sum ---
     let t0 = Instant::now();
@@ -110,14 +110,16 @@ pub fn spgemm_outer_1d<C: Comm>(
 
     let c = DistMat1D::from_local(a.nrows(), b.ncols(), bo.clone(), Dcsc::from(c_local));
     let total_s = t_call.elapsed().as_secs_f64();
+    let fetch_s = expand_s + reduce_s;
     let report = OuterReport {
         expand_bytes: stats_expand.sent_bytes,
         reduce_bytes: stats_all.sent_bytes - stats_expand.sent_bytes,
         comm: stats_all,
-        breakdown: Breakdown {
-            comm_s: expand_s + reduce_s,
-            comp_s,
-            other_s: (total_s - expand_s - reduce_s - comp_s).max(0.0),
+        phases: PhaseTimes {
+            fetch_s,
+            compute_s,
+            assemble_s: (total_s - fetch_s - compute_s).max(0.0),
+            ..PhaseTimes::default()
         },
     };
     (c, report)

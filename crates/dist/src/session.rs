@@ -32,7 +32,7 @@
 use crate::dist1d::DistMat1D;
 use crate::fetch::{exchange_meta, plan_fetch, FetchPlan, Interval, RankMeta, ENTRY_BYTES};
 use crate::spgemm1d::{assert_conformal, cv_of, global_volume, FetchMode, Plan1D, SpgemmReport};
-use sa_mpisim::{Breakdown, Comm, CommStats, PairedWindow, PhaseTimes, Wire, WireError};
+use sa_mpisim::{Comm, CommStats, PairedWindow, PhaseTimes, Wire, WireError};
 use sa_sparse::semiring::PlusTimes;
 use sa_sparse::spgemm::{spgemm_with_epilogue, ChunkBuf, NoEpilogue, SpgemmWorkspace};
 use sa_sparse::types::{vidx, Vidx};
@@ -479,8 +479,8 @@ impl Pipeline1D<'_> {
 
         // --- fetch the plan + merge with cache and local slice into Ã ---
         let t_asm = Instant::now();
-        let (atilde, comm_s) = self.assemble(comm, &survey, &fplan);
-        let mut assemble_s = (t_asm.elapsed().as_secs_f64() - comm_s).max(0.0);
+        let (atilde, fetch_s) = self.assemble(comm, &survey, &fplan);
+        let mut assemble_s = (t_asm.elapsed().as_secs_f64() - fetch_s).max(0.0);
 
         // --- local kernel ---
         let t0 = Instant::now();
@@ -495,7 +495,7 @@ impl Pipeline1D<'_> {
                 epilogue,
             )
         });
-        let comp_s = t0.elapsed().as_secs_f64();
+        let compute_s = t0.elapsed().as_secs_f64();
         // hand Ã's buffers back for the next multiply's assembly
         let (jc, cp, ir, num) = atilde.into_parts();
         ws.put_chunk(ChunkBuf {
@@ -528,7 +528,6 @@ impl Pipeline1D<'_> {
             let mem_local = self.a.local().nnz() as u64 * ENTRY_BYTES;
             (fetched, cv_of(fetched, mem_local))
         };
-        let total_s = t_call.elapsed().as_secs_f64();
         let report = SpgemmReport {
             fetched_bytes: fetched,
             fresh_bytes: fetched,
@@ -538,15 +537,10 @@ impl Pipeline1D<'_> {
             rdma_msgs: fplan.rdma_msgs(),
             cv_over_mem: cv,
             comm: comm_delta,
-            breakdown: Breakdown {
-                comm_s,
-                comp_s,
-                other_s: (total_s - comm_s - comp_s).max(0.0),
-            },
             phases: PhaseTimes {
                 symbolic_s,
-                fetch_s: comm_s,
-                compute_s: comp_s,
+                fetch_s,
+                compute_s,
                 assemble_s,
             },
         };
@@ -701,7 +695,7 @@ impl Pipeline1D<'_> {
 ///
 /// ```
 /// use sa_dist::{uniform_offsets, CacheConfig, DistMat1D, Plan1D, SpgemmSession};
-/// use sa_mpisim::Universe;
+/// use sa_mpisim::{Comm, Universe};
 /// use sa_sparse::gen::erdos_renyi;
 ///
 /// let a = erdos_renyi(60, 60, 3.0, 7);

@@ -26,7 +26,7 @@ use crate::dist1d::DistMat1D;
 use crate::fetch::{exchange_meta, plan_fetch, FetchPlan, ENTRY_BYTES};
 use crate::session::{expose, CacheConfig, FetchCache, Pipeline1D, Survey, Symbolic};
 use crate::shape::ShapeError;
-use sa_mpisim::{Breakdown, Comm, CommStats, PhaseTimes, Wire, WireError};
+use sa_mpisim::{Comm, CommStats, PhaseTimes, Wire, WireError};
 use sa_sparse::spgemm::{Kernel, NoEpilogue, Schedule, SpgemmWorkspace};
 use std::time::Instant;
 
@@ -128,10 +128,8 @@ pub struct SpgemmReport {
     pub cv_over_mem: f64,
     /// Exact communication-counter delta of this call on this rank.
     pub comm: CommStats,
-    /// Wall-clock split into the paper's comm/comp/other categories.
-    pub breakdown: Breakdown,
-    /// Finer split of the same call: symbolic / fetch / compute /
-    /// assemble seconds (see [`PhaseTimes`] for the stage definitions).
+    /// Wall-clock split of the call: symbolic / fetch / compute / assemble
+    /// seconds (see [`PhaseTimes`] for the stage definitions).
     pub phases: PhaseTimes,
 }
 
@@ -153,7 +151,6 @@ impl Wire for SpgemmReport {
         }
         self.cv_over_mem.put(out);
         self.comm.put(out);
-        self.breakdown.put(out);
         self.phases.put(out);
     }
     fn get(buf: &mut &[u8]) -> Result<Self, WireError> {
@@ -166,8 +163,6 @@ impl Wire for SpgemmReport {
             rdma_msgs: u64::get(buf)?,
             cv_over_mem: f64::get(buf)?,
             comm: CommStats::get(buf)?,
-            // `<_ as Wire>` sidesteps Breakdown's inherent `get(&self, Phase)`
-            breakdown: <Breakdown as Wire>::get(buf)?,
             phases: PhaseTimes::get(buf)?,
         })
     }
@@ -312,7 +307,7 @@ pub fn analyze_1d_modes<C: Comm>(
 /// ```
 /// use sa_dist::{spgemm_1d, uniform_offsets, DistMat1D, Plan1D};
 /// use sa_dist::reference::serial_spgemm;
-/// use sa_mpisim::Universe;
+/// use sa_mpisim::{Comm, Universe};
 /// use sa_sparse::gen::erdos_renyi;
 ///
 /// let a = erdos_renyi(64, 64, 3.0, 5);

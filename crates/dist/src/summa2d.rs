@@ -7,7 +7,7 @@
 //! block travels whether or not the receiving rank's multiply touches it —
 //! exactly what Figs. 4/5 compare Algorithm 1 against.
 
-use sa_mpisim::{Breakdown, Comm, CommStats, Grid2D};
+use sa_mpisim::{Comm, CommStats, Grid2D, PhaseTimes};
 use sa_sparse::ewise::ewise_add;
 use sa_sparse::semiring::PlusTimes;
 use sa_sparse::spgemm::{spgemm_with, Kernel, Schedule, SpgemmWorkspace};
@@ -110,7 +110,9 @@ pub struct SummaReport {
     pub bcast_bytes: u64,
     /// Exact communication-counter delta of this call on this rank.
     pub comm: CommStats,
-    pub breakdown: Breakdown,
+    /// Wall-clock split: the stage broadcasts are `fetch_s`, the stage
+    /// multiplies and sums `compute_s`, the rest `assemble_s` (no symbolic).
+    pub phases: PhaseTimes,
 }
 
 /// Broadcast a CSC block from `root` (sub-communicator rank) to the whole
@@ -165,8 +167,8 @@ pub fn spgemm_summa_2d<C: Comm>(
     let my_rows = a.row_offsets[grid.myrow + 1] - a.row_offsets[grid.myrow];
     let my_cols = b.col_offsets[grid.mycol + 1] - b.col_offsets[grid.mycol];
     let mut acc: Csc<f64> = Csc::zeros(my_rows, my_cols);
-    let mut comm_s = 0.0f64;
-    let mut comp_s = 0.0f64;
+    let mut fetch_s = 0.0f64;
+    let mut compute_s = 0.0f64;
     let mut peak = 0u64;
     let stages = a.col_offsets.len() - 1;
     for s in 0..stages {
@@ -175,7 +177,7 @@ pub fn spgemm_summa_2d<C: Comm>(
         let a_blk = bcast_block(&grid.row_comm, s, (grid.mycol == s).then_some(&a.local));
         // B_sj travels along my process column (col_comm keyed by myrow)
         let b_blk = bcast_block(&grid.col_comm, s, (grid.myrow == s).then_some(&b.local));
-        comm_s += t0.elapsed().as_secs_f64();
+        fetch_s += t0.elapsed().as_secs_f64();
         let t0 = Instant::now();
         let partial = comm.install(|| {
             spgemm_with::<PlusTimes<f64>, _, _>(
@@ -187,7 +189,7 @@ pub fn spgemm_summa_2d<C: Comm>(
             )
         });
         acc = ewise_add::<PlusTimes<f64>>(&acc, &partial);
-        comp_s += t0.elapsed().as_secs_f64();
+        compute_s += t0.elapsed().as_secs_f64();
         peak = peak.max((a_blk.mem_bytes() + b_blk.mem_bytes() + acc.mem_bytes()) as u64);
     }
     let comm_delta = comm.stats() - stats0;
@@ -203,10 +205,11 @@ pub fn spgemm_summa_2d<C: Comm>(
         peak_local_bytes: peak,
         bcast_bytes: comm_delta.sent_bytes,
         comm: comm_delta,
-        breakdown: Breakdown {
-            comm_s,
-            comp_s,
-            other_s: (total_s - comm_s - comp_s).max(0.0),
+        phases: PhaseTimes {
+            fetch_s,
+            compute_s,
+            assemble_s: (total_s - fetch_s - compute_s).max(0.0),
+            ..PhaseTimes::default()
         },
     };
     (c, report)

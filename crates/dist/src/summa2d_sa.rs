@@ -42,7 +42,7 @@ use crate::session::{expose, CacheConfig, FetchCache, Pipeline1D, Survey};
 use crate::shape::ShapeError;
 use crate::spgemm1d::FetchMode;
 use crate::summa2d::DistMat2D;
-use sa_mpisim::{Breakdown, Comm, CommStats, Grid2D, PhaseTimes};
+use sa_mpisim::{Comm, CommStats, Grid2D, PhaseTimes};
 use sa_sparse::semiring::{PlusTimes, Semiring};
 use sa_sparse::spgemm::{spgemm_with, ChunkBuf, Kernel, Schedule, SpgemmWorkspace};
 use sa_sparse::types::{vidx, Vidx};
@@ -91,8 +91,8 @@ pub struct SaSummaReport {
     pub peak_local_bytes: u64,
     /// Exact communication-counter delta of this call on this rank.
     pub comm: CommStats,
-    pub breakdown: Breakdown,
-    /// Symbolic / fetch / compute / assemble wall-clock split.
+    /// Symbolic / fetch / compute / assemble wall-clock split; `fetch_s`
+    /// covers both the A window gets and the B request/ship exchange.
     pub phases: PhaseTimes,
 }
 
@@ -315,7 +315,7 @@ pub fn try_spgemm_summa_2d_sa<C: Comm, S: Semiring<T = f64>>(
     let c_local = comm.install(|| {
         spgemm_with::<S, _, _>(&atilde, &btilde, Kernel::Hybrid, Schedule::FlopBalanced, ws)
     });
-    let comp_s = t_comp.elapsed().as_secs_f64();
+    let compute_s = t_comp.elapsed().as_secs_f64();
     let peak = (atilde.mem_bytes() + btilde.mem_bytes() + c_local.mem_bytes()) as u64;
     // hand the assembly buffers back for the next multiply
     for m in [atilde, btilde] {
@@ -334,8 +334,6 @@ pub fn try_spgemm_summa_2d_sa<C: Comm, S: Semiring<T = f64>>(
         comm_delta.rdma_get_bytes, fetched,
         "metered A fetch == planned"
     );
-    let total_s = t_call.elapsed().as_secs_f64();
-    let comm_s = fetch_s + b_exchange_s;
     let c = DistMat2D::from_parts(
         a.nrows(),
         b.ncols(),
@@ -353,15 +351,10 @@ pub fn try_spgemm_summa_2d_sa<C: Comm, S: Semiring<T = f64>>(
         meta_bytes: meta_delta.injected_bytes(),
         peak_local_bytes: peak,
         comm: comm_delta,
-        breakdown: Breakdown {
-            comm_s,
-            comp_s,
-            other_s: (total_s - comm_s - comp_s).max(0.0),
-        },
         phases: PhaseTimes {
             symbolic_s,
-            fetch_s: comm_s,
-            compute_s: comp_s,
+            fetch_s: fetch_s + b_exchange_s,
+            compute_s,
             assemble_s,
         },
     };

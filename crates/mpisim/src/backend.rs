@@ -103,9 +103,6 @@ pub trait Comm: Sized {
     /// Blocking receive of a `Vec<T>` from `(src, tag)`.
     fn recv_vec<T: Send + 'static>(&self, src: usize, tag: u64) -> Vec<T>;
 
-    /// Non-blocking: is a message from `(src, tag)` queued?
-    fn probe(&self, src: usize, tag: u64) -> bool;
-
     /// Split into sub-communicators by `color`, ranked by `(key, old
     /// rank)` — the analog of `MPI_Comm_split`. Collective over all ranks.
     /// Traffic on the sub-communicator still charges this rank's counters
@@ -126,8 +123,9 @@ pub trait Comm: Sized {
     fn exchange_arcs(&self, value: Arc<dyn Any + Send + Sync>) -> Vec<Arc<dyn Any + Send + Sync>>;
 
     /// Metering hook for one-sided transfers: charge one RDMA get of
-    /// `bytes` to this rank. Called by [`Window::get`](crate::Window) for
-    /// remote fetches only.
+    /// `bytes` to this rank. Called by
+    /// [`PairedWindow::get_many_into`](crate::PairedWindow::get_many_into)
+    /// for remote fetches only.
     #[doc(hidden)]
     fn record_get(&self, bytes: usize);
 

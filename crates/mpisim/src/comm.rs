@@ -52,9 +52,9 @@ impl Shared {
 /// one, so traffic on a row/column sub-communicator still charges this
 /// rank).
 ///
-/// Use it through the [`Comm`] trait (algorithms) or the inherent mirror
-/// methods (closures handed to [`crate::Universe::run`]); the two are the
-/// same methods.
+/// Use it through the [`Comm`] trait (`use sa_mpisim::Comm`), in
+/// algorithms and in the closures handed to [`crate::Universe::run`]
+/// alike.
 pub struct RankComm<M: Mode> {
     rank: usize,
     size: usize,
@@ -167,10 +167,6 @@ impl<M: Mode> Comm for RankComm<M> {
             .expect("message type mismatch: recv_vec::<T> on a different payload")
     }
 
-    fn probe(&self, src: usize, tag: u64) -> bool {
-        self.shared.hub.probe(self.rank, src, tag)
-    }
-
     fn next_op(&self) -> u64 {
         let id = self.op_counter.get();
         self.op_counter.set(id + 1);
@@ -238,120 +234,5 @@ impl<M: Mode> Comm for RankComm<M> {
             self.pool.clone(),
             self.stats.clone(), // one NIC per rank: sub-comm traffic counts here
         )
-    }
-}
-
-/// Inherent mirrors of the [`Comm`] trait surface, so closures handed to
-/// [`crate::Universe::run`] can call `comm.rank()` etc. without importing
-/// the trait. Each method delegates to the trait implementation above.
-impl<M: Mode> RankComm<M> {
-    /// This rank's id in `0..size()`.
-    pub fn rank(&self) -> usize {
-        Comm::rank(self)
-    }
-
-    /// Number of ranks in this communicator.
-    pub fn size(&self) -> usize {
-        Comm::size(self)
-    }
-
-    /// Cumulative communication counters of this rank (on this
-    /// communicator and windows created from it).
-    pub fn stats(&self) -> CommStats {
-        Comm::stats(self)
-    }
-
-    /// The rank's compute pool ("OpenMP threads"). See [`Comm::pool`].
-    pub fn pool(&self) -> &rayon::ThreadPool {
-        Comm::pool(self)
-    }
-
-    /// Execute `f` on this rank's compute pool.
-    pub fn install<R: Send>(&self, f: impl FnOnce() -> R + Send) -> R {
-        Comm::install(self, f)
-    }
-
-    /// Synchronize all ranks of this communicator.
-    pub fn barrier(&self) {
-        Comm::barrier(self)
-    }
-
-    /// Send a `Vec<T>` to `dst` under `tag` (two-sided, eager, non-blocking).
-    pub fn send_vec<T: Send + 'static>(&self, dst: usize, tag: u64, data: Vec<T>) {
-        Comm::send_vec(self, dst, tag, data)
-    }
-
-    /// Blocking receive of a `Vec<T>` from `(src, tag)`.
-    pub fn recv_vec<T: Send + 'static>(&self, src: usize, tag: u64) -> Vec<T> {
-        Comm::recv_vec(self, src, tag)
-    }
-
-    /// Non-blocking: is a message from `(src, tag)` queued?
-    pub fn probe(&self, src: usize, tag: u64) -> bool {
-        Comm::probe(self, src, tag)
-    }
-
-    /// Split into sub-communicators by `color`, ranked by `(key, old
-    /// rank)`. See [`Comm::split`].
-    pub fn split(&self, color: usize, key: usize) -> RankComm<M> {
-        Comm::split(self, color, key)
-    }
-
-    /// Broadcast from `root`; see [`Comm::bcast_vec`].
-    pub fn bcast_vec<T: Clone + Send + 'static>(
-        &self,
-        root: usize,
-        data: Option<Vec<T>>,
-    ) -> Vec<T> {
-        Comm::bcast_vec(self, root, data)
-    }
-
-    /// Gather at `root`; see [`Comm::gatherv`].
-    pub fn gatherv<T: Send + 'static>(&self, root: usize, data: Vec<T>) -> Option<Vec<Vec<T>>> {
-        Comm::gatherv(self, root, data)
-    }
-
-    /// Scatter from `root`; see [`Comm::scatterv`].
-    pub fn scatterv<T: Send + 'static>(&self, root: usize, data: Option<Vec<Vec<T>>>) -> Vec<T> {
-        Comm::scatterv(self, root, data)
-    }
-
-    /// All ranks receive every rank's vector; see [`Comm::allgatherv`].
-    pub fn allgatherv<T: Clone + Send + 'static>(&self, data: Vec<T>) -> Vec<Vec<T>> {
-        Comm::allgatherv(self, data)
-    }
-
-    /// Personalized all-to-all; see [`Comm::alltoallv`].
-    pub fn alltoallv<T: Send + 'static>(&self, sends: Vec<Vec<T>>) -> Vec<Vec<T>> {
-        Comm::alltoallv(self, sends)
-    }
-
-    /// Reduce to `root`; see [`Comm::reduce`].
-    pub fn reduce<T: Send + 'static>(
-        &self,
-        root: usize,
-        value: T,
-        op_fn: impl Fn(T, T) -> T,
-    ) -> Option<T> {
-        Comm::reduce(self, root, value, op_fn)
-    }
-
-    /// All-reduce single values; see [`Comm::allreduce`].
-    pub fn allreduce<T: Clone + Send + 'static>(&self, value: T, op_fn: impl Fn(T, T) -> T) -> T {
-        Comm::allreduce(self, value, op_fn)
-    }
-
-    /// Elementwise all-reduce; see [`Comm::allreduce_vec`].
-    pub fn allreduce_vec<T: Clone + Send + 'static>(
-        &self,
-        value: Vec<T>,
-        op_fn: impl Fn(&T, &T) -> T,
-    ) -> Vec<T> {
-        Comm::allreduce_vec(self, value, op_fn)
-    }
-
-    /// Exclusive prefix sum + total; see [`Comm::exscan_sum`].
-    pub fn exscan_sum(&self, value: u64) -> (u64, u64) {
-        Comm::exscan_sum(self, value)
     }
 }

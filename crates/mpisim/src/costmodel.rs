@@ -25,22 +25,9 @@ impl CostModel {
         }
     }
 
-    /// A slower commodity cluster (for sensitivity studies).
-    pub fn commodity() -> Self {
-        CostModel {
-            alpha_s: 20e-6,
-            beta_bytes_per_s: 5e9,
-        }
-    }
-
     /// Modeled seconds for `msgs` messages carrying `bytes` total.
     pub fn time_s(&self, msgs: u64, bytes: u64) -> f64 {
         self.alpha_s * msgs as f64 + bytes as f64 / self.beta_bytes_per_s
-    }
-
-    /// Modeled time of a [`crate::CommStats`] snapshot's injected traffic.
-    pub fn time_of(&self, stats: crate::CommStats) -> f64 {
-        self.time_s(stats.injected_msgs(), stats.injected_bytes())
     }
 }
 

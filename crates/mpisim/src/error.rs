@@ -112,9 +112,9 @@ pub enum RankError {
 }
 
 impl RankError {
-    /// Classify a joined thread's panic payload. Consumes the payload; the
-    /// panicking `Universe::run` path keeps the raw payload instead so it
-    /// can `resume_unwind` with the original.
+    /// Classify a joined thread's panic payload. The panicking launchers
+    /// (`Universe::run` and friends) re-raise the classified error: a
+    /// [`CommError`] as itself, a panic as its `summary`.
     pub(crate) fn from_payload(payload: &(dyn std::any::Any + Send)) -> RankError {
         if let Some(err) = payload.downcast_ref::<CommError>() {
             return RankError::Comm(err.clone());

@@ -76,8 +76,6 @@ pub enum FrameFault {
     /// Flip a byte in the encoded frame before writing, so the receiver's
     /// CRC check rejects it (detected corruption, recovered by retransmit).
     Corrupt,
-    /// Write the frame after stalling for the given time.
-    Delay(Duration),
     /// Write the frame twice; the receiver must dedup by sequence number.
     Duplicate,
 }
@@ -222,25 +220,6 @@ impl FaultPlan {
             rank,
             at_frame,
             fault: FrameFault::Corrupt,
-        })
-    }
-
-    /// Stall `rank`'s `at_frame`-th droppable frame for `delay` before
-    /// delivery.
-    pub fn delay_frame_at(rank: usize, at_frame: u64, delay: Duration) -> FaultPlan {
-        FaultPlan::none().with_frame_fault(FrameFaultRule {
-            rank,
-            at_frame,
-            fault: FrameFault::Delay(delay),
-        })
-    }
-
-    /// Deliver `rank`'s `at_frame`-th droppable frame twice.
-    pub fn duplicate_frame_at(rank: usize, at_frame: u64) -> FaultPlan {
-        FaultPlan::none().with_frame_fault(FrameFaultRule {
-            rank,
-            at_frame,
-            fault: FrameFault::Duplicate,
         })
     }
 
@@ -477,10 +456,6 @@ impl<C: Comm> Comm for FaultComm<C> {
     fn recv_vec<T: Send + 'static>(&self, src: usize, tag: u64) -> Vec<T> {
         self.checkpoint();
         self.inner.recv_vec(src, tag)
-    }
-
-    fn probe(&self, src: usize, tag: u64) -> bool {
-        self.inner.probe(src, tag)
     }
 
     fn split(&self, color: usize, key: usize) -> FaultComm<C> {

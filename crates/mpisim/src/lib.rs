@@ -3,8 +3,9 @@
 //! The paper runs on MPI (Cray MPICH) with passive-target RDMA windows.
 //! This crate reproduces that programming model on one machine: every rank
 //! is an OS thread, ranks communicate **only** through this API (two-sided
-//! messages, collectives, and one-sided [`Window::get`]), and every transfer
-//! is metered exactly (message counts and bytes, split by operation class).
+//! messages, collectives, and one-sided [`PairedWindow`] gets), and every
+//! transfer is metered exactly (message counts and bytes, split by
+//! operation class).
 //!
 //! Fidelity notes:
 //! * **Volume and message counts are exact**, not modeled — they are the
@@ -13,22 +14,23 @@
 //!   are provided [`Comm`] methods over the metered two-sided core).
 //! * **Two execution backends** share one data path and differ only in
 //!   scheduling: [`SimComm`] is the serial rank-loop simulator (one rank
-//!   executes at a time — per-rank timings are interference-free, a run's
-//!   wall-clock is the sum of rank work), [`ThreadComm`] runs all rank
-//!   threads concurrently (real parallel wall-clock). See
+//!   executes at a time — per-rank compute timings are interference-free,
+//!   a run's wall-clock is the sum of rank work), [`ThreadComm`] runs all
+//!   rank threads concurrently (real parallel wall-clock). See
 //!   `docs/BACKENDS.md` for the contract and an extension guide.
 //! * A Hockney **α–β model** ([`CostModel`]) converts the metered traffic
 //!   into network-time estimates with Slingshot-like constants, for the
 //!   figures whose shape depends on network latency/bandwidth rather than
 //!   shared-memory copy speed.
-//! * `Window::get` is genuinely one-sided: the target rank's thread is not
+//! * A window get is genuinely one-sided: the target rank's thread is not
 //!   involved — the simulation reads the exposed buffer directly, exactly
 //!   like RDMA bypassing the remote CPU.
 //!
 //! Type map (paper § in parentheses):
 //!
 //! * [`Comm`] — the backend-neutral communicator trait every distributed
-//!   algorithm is written against.
+//!   algorithm, and every closure handed to a [`Universe`], is written
+//!   against (`use sa_mpisim::Comm`).
 //! * [`Universe`] — launches a job on a backend: [`Universe::run`]
 //!   ([`SimComm`]), [`Universe::run_threads`] ([`ThreadComm`]), or the
 //!   generic [`Universe::launch`]; [`Backend`] names them for runtime
@@ -38,16 +40,17 @@
 //!   backoff, `SA_MAX_RESTARTS`), with a [`RecoveryReport`] recording every
 //!   attempt; composes with checkpoint stores (`sa_dist`) so restarted
 //!   iterative jobs resume mid-stream instead of starting over.
-//! * [`Window`] / [`PairedWindow`] — passive-target RDMA exposure and
-//!   ranged `get`s (Algorithm 1 lines 1 and 7); a session keeps one
-//!   `PairedWindow` alive across iterative multiplies. Backend-neutral.
+//! * [`PairedWindow`] — passive-target RDMA exposure of A's two arrays
+//!   and ranged `get`s (Algorithm 1 lines 1 and 7); a session keeps one
+//!   alive across iterative multiplies. Backend-neutral.
 //! * [`CommStats`] — exact per-rank byte/message counters, split two-sided
 //!   vs one-sided (Figs. 5/6).
 //! * [`CostModel`] — the Hockney α–β network model (§IV setup).
 //! * [`Grid2D`] / [`Grid3D`] — process grids for the 2D/3D baselines,
 //!   generic over the backend.
-//! * [`Timer`] / [`Breakdown`] — the comm/comp/other wall-clock split of
-//!   the figure breakdowns.
+//! * [`PhaseTimes`] — the symbolic / fetch / compute / assemble wall-clock
+//!   split of one multiply, from which the figure breakdowns read the
+//!   paper's comm/comp/other.
 
 mod backend;
 mod blackboard;
@@ -77,11 +80,8 @@ pub use fault::{
 pub use grid::{valid_layer_counts, Grid2D, Grid3D};
 pub use proc::{kill_self_with_sigkill, mute_heartbeats, ProcComm};
 pub use recover::{AttemptFailure, RecoverableJob, RecoveryReport, RetryPolicy};
-pub use scheduler::rank_active_seconds;
 pub use stats::CommStats;
-pub use timer::{Breakdown, Phase, PhaseTimes, Timer};
+pub use timer::PhaseTimes;
 pub use universe::{RankJob, Universe};
-pub use window::{
-    Exposure, PairedWindow, PartSpec, RemoteWindow, WinElem, Window, WindowError, WindowSpec,
-};
+pub use window::{Exposure, PairedWindow, RemoteWindow, WinElem, WindowError, WindowSpec};
 pub use wire::{crc32, Frame, Wire, WireError, MAX_FRAME};

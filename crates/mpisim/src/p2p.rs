@@ -91,16 +91,6 @@ impl Hub {
             }
         }
     }
-
-    /// Non-blocking probe: is a message from `(src, tag)` waiting?
-    pub fn probe(&self, me: usize, src: usize, tag: u64) -> bool {
-        let inner = self.boxes[me].inner.lock();
-        inner
-            .queues
-            .get(&(src, tag))
-            .map(|q| !q.is_empty())
-            .unwrap_or(false)
-    }
 }
 
 #[cfg(test)]
@@ -172,15 +162,5 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(30));
         hub.send(0, 1, 5, env("hello", 5));
         assert_eq!(t.join().unwrap(), "hello");
-    }
-
-    #[test]
-    fn probe_reflects_queue() {
-        let hub = Hub::new(2);
-        assert!(!hub.probe(1, 0, 3));
-        hub.send(0, 1, 3, env((), 0));
-        assert!(hub.probe(1, 0, 3));
-        let _ = hub.recv(1, 0, 3, &sched());
-        assert!(!hub.probe(1, 0, 3));
     }
 }

@@ -31,7 +31,7 @@
 //!   dump) work identically. A dead socket poisons the job: the reader
 //!   that sees an unexpected EOF names that peer as the victim.
 //! * **Windows.** [`Comm::expose`] registers the deposit with the local
-//!   progress engine and allgathers `(window id, lengths)`; gets travel as
+//!   progress engine and allgathers `(window id, length)`; gets travel as
 //!   `GetReq`/`GetResp` byte ranges served by the *target's responder
 //!   thread* — the rank's own main thread is never involved, preserving
 //!   the passive-target contract. After its closure finishes, a rank keeps
@@ -56,7 +56,7 @@ use crate::fault::FrameFault;
 use crate::recover::RetryPolicy;
 use crate::scheduler::{self, PoisonGuard, Scheduler, WaitSite};
 use crate::stats::{CommStats, StatsCell};
-use crate::window::{Exposure, PartSpec, RemoteWindow, WindowSpec};
+use crate::window::{Exposure, RemoteWindow, WindowSpec};
 use crate::wire::{vec_codec, Frame, Wire, WireError, MAX_FRAME};
 use parking_lot::{Condvar, Mutex};
 use std::any::Any;
@@ -261,7 +261,7 @@ struct GetRespMap {
 
 struct RegisteredWindow {
     arc: Arc<dyn Any + Send + Sync>,
-    parts: Vec<PartSpec>,
+    len: usize,
     extract: fn(&(dyn Any + Send + Sync), usize, Range<usize>, &mut Vec<u8>),
 }
 
@@ -476,7 +476,6 @@ impl ProcNode {
                 let pos = (idx as usize) % body.len();
                 body[pos] ^= 0x40;
             }
-            Some(FrameFault::Delay(d)) => std::thread::sleep(d),
             Some(FrameFault::Duplicate) => out.extend_from_within(at..),
             None => {}
         }
@@ -689,9 +688,8 @@ impl ProcNode {
         let (arc, extract, range) = {
             let windows = self.windows.lock();
             let win = windows.get(&work.win_id)?;
-            let part = win.parts.get(work.part as usize)?;
             let (start, end) = (work.start as usize, work.end as usize);
-            if start > end || end > part.len {
+            if work.part > 1 || start > end || end > win.len {
                 return None;
             }
             (win.arc.clone(), win.extract, start..end)
@@ -881,7 +879,7 @@ impl GetWindow {
     }
 }
 
-/// The one-sided transport handed to [`Window`](crate::Window) /
+/// The one-sided transport handed to a
 /// [`PairedWindow`](crate::PairedWindow) by [`ProcComm::expose`].
 struct ProcRemoteWindow {
     node: Arc<ProcNode>,
@@ -890,7 +888,7 @@ struct ProcRemoteWindow {
     /// Communicator rank → that rank's window id in *its* registry.
     win_ids: Vec<u64>,
     /// Bytes per element of each part (the same on every rank).
-    elem_sizes: Vec<usize>,
+    elem_sizes: [usize; 2],
 }
 
 impl ProcRemoteWindow {
@@ -1252,16 +1250,6 @@ impl Comm for ProcComm {
         }
     }
 
-    fn probe(&self, src: usize, tag: u64) -> bool {
-        let key = (self.comm_id, src as u64, tag);
-        self.node
-            .inbox
-            .map
-            .lock()
-            .get(&key)
-            .is_some_and(|q| !q.is_empty())
-    }
-
     fn split(&self, color: usize, key: usize) -> ProcComm {
         self.node.sched.check_healthy(Primitive::Exchange);
         let split_seq = self.ctrl_counter.get(); // pre-allgather, aligned across ranks
@@ -1322,26 +1310,18 @@ impl Comm for ProcComm {
             win_id,
             RegisteredWindow {
                 arc: spec.arc,
-                parts: spec.parts.clone(),
+                len: spec.len,
                 extract: spec.extract,
             },
         );
-        let mut mine = vec![win_id];
-        mine.extend(spec.parts.iter().map(|p| p.len as u64));
-        let all = self.ctrl_allgather(mine, || WaitSite::exchange(0));
-        let mut win_ids = Vec::with_capacity(self.size);
-        let mut lens = Vec::with_capacity(self.size);
-        for entry in &all {
-            win_ids.push(entry[0]);
-            lens.push(entry[1..].iter().map(|&l| l as usize).collect::<Vec<_>>());
-        }
+        let all = self.ctrl_allgather(vec![win_id, spec.len as u64], || WaitSite::exchange(0));
         Exposure::Remote {
-            lens,
+            lens: all.iter().map(|entry| entry[1] as usize).collect(),
             transport: Arc::new(ProcRemoteWindow {
                 node: self.node.clone(),
                 members: self.members.clone(),
-                win_ids,
-                elem_sizes: spec.parts.iter().map(|p| p.elem_size).collect(),
+                win_ids: all.iter().map(|entry| entry[0]).collect(),
+                elem_sizes: spec.elem_sizes,
             }),
         }
     }
@@ -1838,34 +1818,34 @@ mod tests {
 
     #[test]
     fn procs_windows_serve_ranged_gets() {
-        use crate::{PairedWindow, Window};
+        use crate::PairedWindow;
         let u = Universe::new(3);
         let got = u.run_procs(|comm| {
-            let data: Vec<u64> = (0..10).map(|i| (comm.rank() * 100 + i) as u64).collect();
-            let win = Window::create(comm, data);
-            let slice = win.get(comm, 1, 2..5);
+            let me = comm.rank();
+            let data: Vec<u64> = (0..10).map(|i| (me * 100 + i) as u64).collect();
+            let win = PairedWindow::create(comm, data, vec![me as f64 + 0.5; 10]);
+            let get = |rank, range| {
+                let (mut a, mut b) = (Vec::new(), Vec::new());
+                win.get_both_into(comm, rank, range, &mut a, &mut b)
+                    .unwrap();
+                (a, b)
+            };
+            let slice = get(1, 2..5).0;
             let before = comm.stats();
-            let _ = win.get(comm, (comm.rank() + 1) % 3, 0..4); // remote: 32 B
-            let _ = win.get(comm, comm.rank(), 0..4); // local: free
-            let empty = win.get(comm, (comm.rank() + 1) % 3, 2..2);
+            let _ = get((me + 1) % 3, 0..4); // remote: 32 + 32 B
+            let _ = get(me, 0..4); // local: free
+            let empty = get((me + 1) % 3, 2..2).0;
             let d = comm.stats() - before;
-            let pw = PairedWindow::create(
-                comm,
-                vec![comm.rank() as u32; 4],
-                vec![comm.rank() as f64 + 0.5; 4],
-            );
-            let (mut a, mut b) = (Vec::new(), Vec::new());
-            pw.get_both_into(comm, (comm.rank() + 2) % 3, 1..3, &mut a, &mut b)
-                .unwrap();
+            let (a, b) = get((me + 2) % 3, 1..3);
             comm.barrier();
             (slice, d, empty.len(), a, b)
         });
         for (r, (slice, d, empty_len, a, b)) in got.iter().enumerate() {
             assert_eq!(slice, &vec![102, 103, 104]);
-            assert_eq!((d.rdma_gets, d.rdma_get_bytes), (2, 32), "rank {r}");
+            assert_eq!((d.rdma_gets, d.rdma_get_bytes), (4, 64), "rank {r}");
             assert_eq!(*empty_len, 0);
             let src = (r + 2) % 3;
-            assert_eq!(a, &vec![src as u32; 2]);
+            assert_eq!(a, &vec![(src * 100 + 1) as u64, (src * 100 + 2) as u64]);
             assert_eq!(b, &vec![src as f64 + 0.5; 2]);
         }
     }

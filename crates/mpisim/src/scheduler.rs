@@ -22,11 +22,11 @@
 //!
 //! The permit is cooperative, not preemptive: ranks only yield at blocking
 //! communication points. That is safe here because the runtime has no
-//! busy-wait loops — one-sided [`Window`](crate::Window) gets never block
-//! (they read `Arc`-shared buffers directly), and every blocking primitive
-//! in this crate ([`Hub::recv`](crate::p2p::Hub), blackboard exchange,
-//! barrier) parks through [`Scheduler::park_until`], which releases the
-//! permit before sleeping and reacquires it on wake.
+//! busy-wait loops — one-sided [`PairedWindow`](crate::PairedWindow) gets
+//! never block in-process (they read `Arc`-shared buffers directly), and
+//! every blocking primitive in this crate ([`Hub::recv`](crate::p2p::Hub),
+//! blackboard exchange, barrier) parks through [`Scheduler::park_until`],
+//! which releases the permit before sleeping and reacquires it on wake.
 //!
 //! # Failure propagation
 //!
@@ -56,10 +56,6 @@ use std::time::{Duration, Instant};
 const POLL: Duration = Duration::from_millis(25);
 
 thread_local! {
-    /// Seconds this thread has held the serial run permit (accumulated at
-    /// each release), plus the start of the current holding span.
-    static ACTIVE_S: Cell<f64> = const { Cell::new(0.0) };
-    static ACTIVE_SINCE: Cell<Option<Instant>> = const { Cell::new(None) };
     /// World rank of the `Universe` rank thread running on this OS thread
     /// (set at launch); used to index the wait table and name poison
     /// victims.
@@ -80,25 +76,6 @@ pub(crate) fn set_world_rank(rank: usize) {
 /// The world rank of the current thread, if it is a `Universe` rank thread.
 pub(crate) fn world_rank() -> Option<usize> {
     WORLD_RANK.with(|c| c.get())
-}
-
-/// Seconds this rank thread has spent *runnable* — holding the serial
-/// backend's run permit — since it started. Under `SimComm` exactly one
-/// rank runs at a time, so this is the rank's own work (compute, copies,
-/// its side of communication calls), measured with zero interference:
-/// time blocked in receives, barriers or collective rendezvous is *not*
-/// counted. The max over ranks is the critical path a dedicated-core
-/// `ThreadComm` deployment approaches.
-///
-/// Under the parallel backend the permit does not exist and this returns
-/// `0.0` — use wall-clock there; concurrency makes "own time" unmeasurable
-/// from inside anyway.
-pub fn rank_active_seconds() -> f64 {
-    let mut s = ACTIVE_S.with(|c| c.get());
-    if let Some(t0) = ACTIVE_SINCE.with(|c| c.get()) {
-        s += t0.elapsed().as_secs_f64(); // mid-span query
-    }
-    s
 }
 
 /// Where a rank is parked, for the watchdog's who-waits-on-whom dump.
@@ -212,7 +189,6 @@ impl Scheduler {
             }
             *held = true;
             HOLDS_PERMIT.with(|c| c.set(true));
-            ACTIVE_SINCE.with(|c| c.set(Some(Instant::now())));
         }
     }
 
@@ -223,9 +199,6 @@ impl Scheduler {
         if let SchedMode::Serial(p) = &self.mode {
             if !HOLDS_PERMIT.with(|c| c.get()) {
                 return;
-            }
-            if let Some(t0) = ACTIVE_SINCE.with(|c| c.take()) {
-                ACTIVE_S.with(|c| c.set(c.get() + t0.elapsed().as_secs_f64()));
             }
             let mut held = p.held.lock();
             *held = false;
@@ -560,37 +533,6 @@ mod tests {
             }
         });
         assert_eq!(count.load(Ordering::SeqCst), 12);
-    }
-
-    #[test]
-    fn active_seconds_accumulate_only_while_permit_held() {
-        let sched = Scheduler::serial(1, None);
-        let t = {
-            let sched = sched.clone();
-            std::thread::spawn(move || {
-                assert_eq!(rank_active_seconds(), 0.0, "fresh thread starts at 0");
-                {
-                    let _g = sched.runner();
-                    std::thread::sleep(std::time::Duration::from_millis(5));
-                }
-                let held = rank_active_seconds();
-                assert!(held >= 0.004, "held span must be counted: {held}");
-                // blocked time (permit released) must NOT count
-                std::thread::sleep(std::time::Duration::from_millis(10));
-                let after = rank_active_seconds();
-                assert_eq!(held, after, "time without the permit is not active");
-                held
-            })
-        };
-        t.join().unwrap();
-        // parallel scheduler: no permit, no accounting
-        let par = Scheduler::parallel(1, None);
-        let t2 = std::thread::spawn(move || {
-            let _g = par.runner();
-            std::thread::sleep(std::time::Duration::from_millis(3));
-            rank_active_seconds()
-        });
-        assert_eq!(t2.join().unwrap(), 0.0);
     }
 
     #[test]

@@ -6,8 +6,8 @@ use std::ops::{Add, Sub};
 /// A snapshot of one rank's cumulative communication counters.
 ///
 /// `sent_*` counts two-sided sends (collectives decompose into these),
-/// `rdma_*` counts one-sided [`crate::Window::get`] traffic — the paper
-/// reports the two classes separately (Fig. 5 vs Fig. 6).
+/// `rdma_*` counts one-sided [`crate::PairedWindow`] get traffic — the
+/// paper reports the two classes separately (Fig. 5 vs Fig. 6).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CommStats {
     pub sent_msgs: u64,

@@ -1,79 +1,29 @@
-//! Per-phase wall-clock timing, matching the paper's breakdown legend
-//! (Figures 4, 8, 10): *communication* (RDMA fetches), *computation*
-//! (local SpGEMM), and *other* (metadata exchange, auxiliary structure
-//! construction such as building the local DCSC and the compacted Ã).
+//! Per-stage wall-clock timing of one multiply, from which the paper's
+//! breakdown legend (Figures 4, 8, 10) is read: *communication* is the
+//! fetch stage, *computation* the local kernel, and *other* the symbolic
+//! and assembly stages (metadata exchange, building the local DCSC and the
+//! compacted `Ã`).
 
-use std::cell::RefCell;
-use std::time::Instant;
-
-/// The paper's three time-breakdown categories.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Phase {
-    /// RDMA requests fetching remote A data.
-    Comm,
-    /// Local SpGEMM computation.
-    Comp,
-    /// Auxiliary array/data-structure creation and metadata exchange.
-    Other,
-}
-
-/// Accumulated seconds per phase.
+/// Wall-clock split of one SpGEMM call into four stages. `symbolic` is the
+/// metadata / needed-column / fetch-planning work plus window exposure,
+/// `fetch` the data movement (one-sided window gets, and on the grid
+/// algorithms the broadcasts, B shipments, expand/reduce and fiber
+/// reduce-scatter), `assemble` the `Ã` (and output) structure builds
+/// excluding the gets, and `compute` the local kernel. A stage an algorithm
+/// does not have reads 0. The paper's comm/comp/other columns are
+/// `fetch` / `compute` / `symbolic + assemble`.
 ///
-/// These are wall-clock spans, so the *blocking* phases' meaning depends
-/// on the backend executing the ranks: under `ThreadComm` on dedicated
-/// cores, a span wrapping a blocking call (a receive, a broadcast leg)
-/// measures genuine wait skew; under the serial `SimComm` scheduler the
-/// same span also contains whatever other ranks executed while this rank
-/// held no run permit — up to the whole job, so per-rank `comm_s`/`other_s`
-/// around blocking calls are **not** comparable across backends and are
-/// not a wait-skew measure under `SimComm`. Compute spans (`comp_s`) never
-/// block and are interference-free under `SimComm`. For backend-honest
-/// quantities use `rank_active_seconds` (own work) and the α–β model over
-/// the exact metered traffic (network time) — the convention the benches
-/// print (`sa_bench::modeled_total`).
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct Breakdown {
-    pub comm_s: f64,
-    pub comp_s: f64,
-    pub other_s: f64,
-}
-
-impl Breakdown {
-    pub fn total_s(&self) -> f64 {
-        self.comm_s + self.comp_s + self.other_s
-    }
-
-    pub fn get(&self, phase: Phase) -> f64 {
-        match phase {
-            Phase::Comm => self.comm_s,
-            Phase::Comp => self.comp_s,
-            Phase::Other => self.other_s,
-        }
-    }
-}
-
-impl std::ops::Add for Breakdown {
-    type Output = Breakdown;
-    fn add(self, o: Breakdown) -> Breakdown {
-        Breakdown {
-            comm_s: self.comm_s + o.comm_s,
-            comp_s: self.comp_s + o.comp_s,
-            other_s: self.other_s + o.other_s,
-        }
-    }
-}
-
-/// Finer wall-clock split of one SpGEMM call than [`Breakdown`]: the four
-/// stages of the sparsity-aware pipeline. `symbolic` is the metadata /
-/// needed-column / fetch-planning work plus window exposure, `fetch` the
-/// one-sided window gets, `assemble` the `Ã` (and output) structure
-/// builds excluding the gets, and `compute` the local kernel. Benches
-/// report these as millis to show where a scheduling or caching change
-/// moved the time.
-///
-/// Relation to [`Breakdown`]: `fetch ≈ comm`, `compute ≈ comp`, and
-/// `symbolic + assemble` make up the bulk of `other` (the breakdown's
-/// `other` also absorbs glue the phases don't attribute).
+/// These are wall-clock spans, so the meaning of a span that wraps a
+/// *blocking* call depends on the backend executing the ranks. Under
+/// `ThreadComm` on dedicated cores it measures genuine wait skew. Under the
+/// serial `SimComm` scheduler the same span also contains whatever other
+/// ranks executed while this rank held no run permit — up to the whole job:
+/// `fetch_s` around a broadcast leg, `symbolic_s` around the metadata
+/// allgather. Those stages are therefore **not** comparable across backends
+/// and are not a wait-skew measure under `SimComm`. Only `compute_s` never
+/// blocks and is interference-free on every backend. For backend-honest
+/// network time, apply the α–β model to the exact metered traffic — the
+/// convention the benches print (`sa_bench::modeled_total`).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct PhaseTimes {
     pub symbolic_s: f64,
@@ -101,59 +51,9 @@ impl std::ops::Add for PhaseTimes {
     }
 }
 
-/// Phase accumulator with interior mutability (single-threaded per rank).
-#[derive(Default)]
-pub struct Timer {
-    acc: RefCell<Breakdown>,
-}
-
-impl Timer {
-    pub fn new() -> Self {
-        Timer::default()
-    }
-
-    /// Run `f`, charging its wall time to `phase`.
-    pub fn time<R>(&self, phase: Phase, f: impl FnOnce() -> R) -> R {
-        let t0 = Instant::now();
-        let r = f();
-        self.add(phase, t0.elapsed().as_secs_f64());
-        r
-    }
-
-    /// Charge `secs` to `phase` directly.
-    pub fn add(&self, phase: Phase, secs: f64) {
-        let mut acc = self.acc.borrow_mut();
-        match phase {
-            Phase::Comm => acc.comm_s += secs,
-            Phase::Comp => acc.comp_s += secs,
-            Phase::Other => acc.other_s += secs,
-        }
-    }
-
-    /// Current accumulated breakdown.
-    pub fn breakdown(&self) -> Breakdown {
-        *self.acc.borrow()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn accumulates_phases() {
-        let t = Timer::new();
-        let v = t.time(Phase::Comp, || 42);
-        assert_eq!(v, 42);
-        t.add(Phase::Comm, 0.25);
-        t.add(Phase::Comm, 0.25);
-        t.add(Phase::Other, 0.1);
-        let b = t.breakdown();
-        assert!((b.comm_s - 0.5).abs() < 1e-12);
-        assert!((b.other_s - 0.1).abs() < 1e-12);
-        assert!(b.comp_s >= 0.0);
-        assert!(b.total_s() >= 0.6);
-    }
 
     #[test]
     fn phase_times_add_and_total() {
@@ -167,17 +67,5 @@ mod tests {
         assert_eq!(s.total_s(), 8.0);
         assert_eq!(s.fetch_s, 2.0);
         assert_eq!(PhaseTimes::default().total_s(), 0.0);
-    }
-
-    #[test]
-    fn breakdown_add() {
-        let a = Breakdown {
-            comm_s: 1.0,
-            comp_s: 2.0,
-            other_s: 3.0,
-        };
-        let s = a + a;
-        assert_eq!(s.total_s(), 12.0);
-        assert_eq!(s.get(Phase::Comp), 4.0);
     }
 }

@@ -48,7 +48,7 @@ pub trait RankJob: Sync {
 /// and metered traffic are identical across the two; only time differs.
 ///
 /// ```
-/// use sa_mpisim::Universe;
+/// use sa_mpisim::{Comm, Universe};
 ///
 /// let u = Universe::new(4);
 /// // every rank runs the closure; results come back in rank order
@@ -141,14 +141,14 @@ impl Universe {
     /// backend-identical by contract, which is exactly what makes the
     /// override safe). CI uses this to re-run the dist integration suites
     /// under the threaded scheduler. Code that must pin serial execution
-    /// regardless of the environment (the `backends` bench's baseline leg)
-    /// uses [`Universe::launch`], which never consults the environment.
+    /// regardless of the environment uses [`Universe::launch`], which never
+    /// consults the environment.
     pub fn run<F, R>(&self, f: F) -> Vec<R>
     where
         F: Fn(&SimComm) -> R + Send + Sync,
         R: Send,
     {
-        Self::unwrap_outcomes(self.launch_raw(self.sched_from_env(), f))
+        join_or_panic(self.try_run(f))
     }
 
     /// Run `f` once per rank on the **truly-parallel threads backend**
@@ -174,7 +174,7 @@ impl Universe {
         F: Fn(&RankComm<M>) -> R + Send + Sync,
         R: Send,
     {
-        Self::unwrap_outcomes(self.launch_raw(self.sched_for_mode::<M>(), f))
+        join_or_panic(self.try_launch(f))
     }
 
     /// Fault-tolerant variant of [`Universe::run`]: joins **all** rank
@@ -190,7 +190,7 @@ impl Universe {
     /// checkpointing job resumes where the dying attempt left off.
     ///
     /// ```
-    /// use sa_mpisim::{CommError, RankError, Universe};
+    /// use sa_mpisim::{Comm, CommError, RankError, Universe};
     ///
     /// let u = Universe::new(3);
     /// let out = u.try_run(|comm| {
@@ -213,17 +213,7 @@ impl Universe {
         F: Fn(&SimComm) -> R + Send + Sync,
         R: Send,
     {
-        Self::classify_outcomes(self.launch_raw(self.sched_from_env(), f))
-    }
-
-    /// Fault-tolerant variant of [`Universe::run_threads`]; see
-    /// [`Universe::try_run`].
-    pub fn try_run_threads<F, R>(&self, f: F) -> Vec<RankOutcome<R>>
-    where
-        F: Fn(&ThreadComm) -> R + Send + Sync,
-        R: Send,
-    {
-        self.try_launch(f)
+        self.launch_raw(self.sched_from_env(), f)
     }
 
     /// Fault-tolerant variant of [`Universe::launch`]; see
@@ -234,7 +224,7 @@ impl Universe {
         F: Fn(&RankComm<M>) -> R + Send + Sync,
         R: Send,
     {
-        Self::classify_outcomes(self.launch_raw(self.sched_for_mode::<M>(), f))
+        self.launch_raw(self.sched_for_mode::<M>(), f)
     }
 
     /// Run `f` once per rank on the **process-per-rank socket backend**
@@ -248,32 +238,7 @@ impl Universe {
         F: Fn(&ProcComm) -> R + Send + Sync,
         R: Wire + Send,
     {
-        let outcomes = self.try_run_procs(f);
-        if outcomes.iter().all(|o| o.is_ok()) {
-            return outcomes
-                .into_iter()
-                .map(|o| match o {
-                    Ok(v) => v,
-                    Err(_) => unreachable!("checked ok"),
-                })
-                .collect();
-        }
-        let mut first: Option<RankError> = None;
-        for (rank, o) in outcomes.into_iter().enumerate() {
-            if let Err(e) = o {
-                eprintln!("[sa_mpisim] rank {rank} failed: {e}");
-                if first.is_none() {
-                    first = Some(e);
-                }
-            }
-        }
-        // Re-raise like `unwrap_outcomes`: a typed CommError travels as the
-        // panic payload itself, a plain panic as its summary string — so
-        // `#[should_panic(expected = ...)]` matches the rank's own message.
-        match first.expect("at least one failure") {
-            RankError::Comm(e) => std::panic::panic_any(e),
-            RankError::Panic { summary } => std::panic::panic_any(summary),
-        }
+        join_or_panic(self.try_run_procs(f))
     }
 
     /// Fault-tolerant variant of [`Universe::run_procs`]: one
@@ -340,16 +305,12 @@ impl Universe {
         }
     }
 
-    /// Spawn, run and join **all** rank threads, returning each rank's raw
-    /// result or panic payload in rank order. Joining everyone (rather than
-    /// bailing at the first failed join) is what the poison machinery
+    /// Spawn, run and join **all** rank threads, returning each rank's
+    /// result or classified panic in rank order. Joining everyone (rather
+    /// than bailing at the first failed join) is what the poison machinery
     /// guarantees is safe: a failed rank wakes every parked peer, so no
     /// join can hang.
-    fn launch_raw<M, F, R>(
-        &self,
-        sched: Arc<Scheduler>,
-        f: F,
-    ) -> Vec<Result<R, Box<dyn std::any::Any + Send>>>
+    fn launch_raw<M, F, R>(&self, sched: Arc<Scheduler>, f: F) -> Vec<RankOutcome<R>>
     where
         M: Mode,
         F: Fn(&RankComm<M>) -> R + Send + Sync,
@@ -387,78 +348,69 @@ impl Universe {
                         .expect("spawn rank thread")
                 })
                 .collect();
-            handles.into_iter().map(|h| h.join()).collect()
-        })
-    }
-
-    fn classify_outcomes<R>(
-        raw: Vec<Result<R, Box<dyn std::any::Any + Send>>>,
-    ) -> Vec<RankOutcome<R>> {
-        raw.into_iter()
-            .map(|r| r.map_err(|payload| RankError::from_payload(payload.as_ref())))
-            .collect()
-    }
-
-    /// The panicking join: log **every** failed rank (a multi-rank failure
-    /// is debuggable only if the secondary outcomes are not swallowed),
-    /// then re-raise the first failure with its original payload so callers
-    /// (and `#[should_panic(expected = ...)]` tests) see the rank's own
-    /// message, not a generic wrapper.
-    fn unwrap_outcomes<R>(raw: Vec<Result<R, Box<dyn std::any::Any + Send>>>) -> Vec<R> {
-        if raw.iter().all(|r| r.is_ok()) {
-            return raw
+            handles
                 .into_iter()
-                .map(|r| match r {
-                    Ok(v) => v,
-                    Err(_) => unreachable!("checked ok"),
-                })
-                .collect();
-        }
-        let mut first: Option<Box<dyn std::any::Any + Send>> = None;
-        for (rank, r) in raw.into_iter().enumerate() {
-            if let Err(payload) = r {
-                eprintln!(
-                    "[sa_mpisim] rank {rank} failed: {}",
-                    RankError::from_payload(payload.as_ref())
-                );
-                if first.is_none() {
-                    first = Some(payload);
-                }
-            }
-        }
-        std::panic::resume_unwind(first.expect("at least one failure"))
+                .map(|h| h.join().map_err(|p| RankError::from_payload(p.as_ref())))
+                .collect()
+        })
     }
 }
 
-/// `SA_WATCHDOG_SECS` from the environment: fractional seconds accepted,
-/// unset / unparsable / `<= 0` = off. Always off when the `watchdog`
-/// feature is compiled out.
+/// The panicking join of every launcher: log **every** failed rank (a
+/// multi-rank failure is debuggable only if the secondary outcomes are not
+/// swallowed), then re-raise the first. A typed
+/// [`CommError`](crate::CommError) travels as
+/// the panic payload itself, a plain panic as its message, so callers (and
+/// `#[should_panic(expected = ...)]` tests) see the rank's own message,
+/// not a generic wrapper.
+fn join_or_panic<R>(outcomes: Vec<RankOutcome<R>>) -> Vec<R> {
+    let mut first = None;
+    let mut values = Vec::with_capacity(outcomes.len());
+    for (rank, outcome) in outcomes.into_iter().enumerate() {
+        match outcome {
+            Ok(v) => values.push(v),
+            Err(e) => {
+                eprintln!("[sa_mpisim] rank {rank} failed: {e}");
+                first.get_or_insert(e);
+            }
+        }
+    }
+    match first {
+        None => values,
+        Some(RankError::Comm(e)) => std::panic::panic_any(e),
+        Some(RankError::Panic { summary }) => std::panic::panic_any(summary),
+    }
+}
+
+/// `SA_WATCHDOG_SECS` from the environment (see [`parse_heartbeat_secs`]).
+/// Always off when the `watchdog` feature is compiled out.
 fn watchdog_from_env() -> Option<Duration> {
     if !cfg!(feature = "watchdog") {
         return None;
     }
-    let raw = std::env::var("SA_WATCHDOG_SECS").ok()?;
-    let secs: f64 = raw.trim().parse().ok()?;
-    (secs > 0.0).then(|| Duration::from_secs_f64(secs))
+    let var = "SA_WATCHDOG_SECS";
+    parse_heartbeat_secs(var, std::env::var(var).ok().as_deref())
 }
 
-/// `SA_HEARTBEAT_SECS` from the environment: fractional seconds accepted,
-/// unset / `0` = off. Unlike the watchdog knob, an unparseable value is
-/// *logged* before falling back to off — a liveness deadline that was asked
-/// for but silently ignored would look exactly like a hung detector.
+/// `SA_HEARTBEAT_SECS` from the environment (see [`parse_heartbeat_secs`]).
 fn heartbeat_from_env() -> Option<Duration> {
-    parse_heartbeat_secs(std::env::var("SA_HEARTBEAT_SECS").ok().as_deref())
+    let var = "SA_HEARTBEAT_SECS";
+    parse_heartbeat_secs(var, std::env::var(var).ok().as_deref())
 }
 
-fn parse_heartbeat_secs(raw: Option<&str>) -> Option<Duration> {
+/// A deadline knob's value `raw` (of variable `var`): fractional seconds
+/// accepted, unset / `0` = off. An unparseable value is *logged* before
+/// falling back to off — a deadline that was asked for but silently
+/// ignored would look exactly like a hung detector.
+fn parse_heartbeat_secs(var: &str, raw: Option<&str>) -> Option<Duration> {
     let raw = raw?;
     match raw.trim().parse::<f64>() {
         Ok(secs) if secs > 0.0 => Some(Duration::from_secs_f64(secs)),
         Ok(_) => None, // explicit 0 (or negative) = off, as documented
         Err(_) => {
             eprintln!(
-                "[sa_mpisim] ignoring unparseable SA_HEARTBEAT_SECS={raw:?} \
-                 (want fractional seconds, e.g. 0.5); heartbeat monitoring off"
+                "[sa_mpisim] ignoring unparseable {var}={raw:?} \
+                 (want fractional seconds, e.g. 0.5); deadline off"
             );
             None
         }
@@ -723,20 +675,24 @@ mod tests {
 
     #[test]
     fn threads_backend_p2p_and_windows() {
-        use crate::Window;
+        use crate::PairedWindow;
         let u = Universe::new(5);
         let got = u.run_threads(|comm| {
             let next = (comm.rank() + 1) % comm.size();
             let prev = (comm.rank() + comm.size() - 1) % comm.size();
             comm.send_vec(next, 0, vec![comm.rank() as u64]);
             let from_prev = comm.recv_vec::<u64>(prev, 0)[0];
-            let win = Window::create(comm, vec![comm.rank() as u32; 4]);
-            let fetched = win.get(comm, next, 1..3);
-            (from_prev, fetched)
+            let r = comm.rank();
+            let win = PairedWindow::create(comm, vec![r as u32; 4], vec![r as f64; 4]);
+            let (mut ids, mut vals) = (Vec::new(), Vec::new());
+            win.get_both_into(comm, next, 1..3, &mut ids, &mut vals)
+                .unwrap();
+            (from_prev, ids, vals)
         });
-        for (r, (from_prev, fetched)) in got.iter().enumerate() {
+        for (r, (from_prev, ids, vals)) in got.iter().enumerate() {
             assert_eq!(*from_prev as usize, (r + 4) % 5);
-            assert_eq!(*fetched, vec![((r + 1) % 5) as u32; 2]);
+            assert_eq!(*ids, vec![((r + 1) % 5) as u32; 2]);
+            assert_eq!(*vals, vec![((r + 1) % 5) as f64; 2]);
         }
     }
 
@@ -839,18 +795,16 @@ mod tests {
     fn heartbeat_secs_parsing_accepts_and_rejects_explicitly() {
         // Parsing only — the env var is process-global, so exercise the
         // pure parser; with_heartbeat covers the wiring.
-        assert_eq!(parse_heartbeat_secs(None), None);
-        assert_eq!(
-            parse_heartbeat_secs(Some("0.5")),
-            Some(Duration::from_millis(500))
-        );
-        assert_eq!(
-            parse_heartbeat_secs(Some(" 2 ")),
-            Some(Duration::from_secs(2))
-        );
-        assert_eq!(parse_heartbeat_secs(Some("0")), None, "0 disables");
-        assert_eq!(parse_heartbeat_secs(Some("-1")), None);
-        assert_eq!(parse_heartbeat_secs(Some("soon")), None, "logged, off");
+        for var in ["SA_HEARTBEAT_SECS", "SA_WATCHDOG_SECS"] {
+            let parse = |raw| parse_heartbeat_secs(var, raw);
+            assert_eq!(parse(None), None);
+            assert_eq!(parse(Some("0.5")), Some(Duration::from_millis(500)));
+            assert_eq!(parse(Some(" 2 ")), Some(Duration::from_secs(2)));
+            assert_eq!(parse(Some("0")), None, "0 disables");
+            assert_eq!(parse(Some("-1")), None);
+            assert_eq!(parse(Some("soon")), None, "logged, off");
+            assert_eq!(parse(Some("5s")), None, "logged, off");
+        }
         let u = Universe::new(2).with_heartbeat(Some(Duration::from_millis(250)));
         assert_eq!(u.heartbeat(), Some(Duration::from_millis(250)));
         assert_eq!(u.with_heartbeat(None).heartbeat(), None);

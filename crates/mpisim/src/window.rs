@@ -2,10 +2,12 @@
 //!
 //! Algorithm 1 line 1: "Create two MPI Windows for row id and numeric
 //! values of A"; line 7: "Use passive-target RDMA Calls (MPI_Get) to fetch
-//! the remote column block data". [`Window::create`] is the collective
-//! exposure (`MPI_Win_create`), [`Window::get`] the one-sided fetch. The
-//! target rank's thread never participates in a `get` — faithful to RDMA
-//! semantics where the NIC serves remote reads.
+//! the remote column block data". A [`PairedWindow`] is those two windows
+//! exposed in one collective round: [`PairedWindow::create`] is the
+//! exposure (`MPI_Win_create`), [`PairedWindow::get_many_into`] the
+//! one-sided fetch of a whole plan. The target rank's thread never
+//! participates in a get — faithful to RDMA semantics where the NIC serves
+//! remote reads.
 
 use crate::backend::Comm;
 use crate::wire::Wire;
@@ -30,28 +32,21 @@ impl WinElem for i64 {}
 impl WinElem for f32 {}
 impl WinElem for f64 {}
 
-/// One exposed array of a window: element count and size, plus enough for
-/// a remote backend to compute byte offsets. A plain [`Window`] has one
-/// part, a [`PairedWindow`] two.
-#[derive(Clone, Copy, Debug)]
-pub struct PartSpec {
-    /// Elements in this rank's exposed array.
-    pub len: usize,
-    /// Bytes per element on the wire (= `size_of::<T>()` for all `WinElem`s).
-    pub elem_size: usize,
-}
-
 /// What one rank contributes to a collective window exposure — the typed
-/// deposit (for in-process sharing) plus untyped byte extractors (for a
+/// deposit (for in-process sharing) plus an untyped byte extractor (for a
 /// backend that must serve ranged gets over a socket).
 pub struct WindowSpec {
     /// The deposit the in-process backends exchange zero-copy.
     pub arc: Arc<dyn Any + Send + Sync>,
-    /// Shape of each exposed array.
-    pub parts: Vec<PartSpec>,
-    /// Serialize elements `range` of part `part` of `arc` as little-endian
-    /// bytes appended to `out`. Monomorphized per window element type; a
-    /// remote backend's progress engine calls this to answer peers' gets.
+    /// Elements in each of this rank's two (parallel) exposed arrays.
+    pub len: usize,
+    /// Bytes per element of part 0 and part 1 on the wire (= `size_of` for
+    /// all `WinElem`s).
+    pub elem_sizes: [usize; 2],
+    /// Serialize elements `range` of part `part` (0 or 1) of `arc` as
+    /// little-endian bytes appended to `out`. Monomorphized per element
+    /// type pair; a remote backend's progress engine calls this to answer
+    /// peers' gets.
     pub extract: fn(&(dyn Any + Send + Sync), usize, Range<usize>, &mut Vec<u8>),
 }
 
@@ -63,14 +58,14 @@ pub struct WindowSpec {
 /// unwinding, like every blocking primitive — it does not return errors.
 pub trait RemoteWindow: Send + Sync {
     /// Fetch every `(rank, part, range)` of `gets` — elements `range` of
-    /// `rank`'s part `part` — and hand response `i`'s little-endian bytes
-    /// to `sink(i, bytes)` in issue order (`i` ascending, each exactly
-    /// once). Nonblocking inside the call, like `MPI_Get`s under one
-    /// `MPI_Win_flush`: an implementation keeps a bounded window of
-    /// requests in flight rather than one round trip per get, so a plan
-    /// costs its bytes, not its message count. The single get is the batch
-    /// of one. A failure mid-batch unwinds after a prefix of the responses
-    /// was delivered.
+    /// `rank`'s array `part` (0 or 1) — and hand response `i`'s
+    /// little-endian bytes to `sink(i, bytes)` in issue order (`i`
+    /// ascending, each exactly once). Nonblocking inside the call, like
+    /// `MPI_Get`s under one `MPI_Win_flush`: an implementation keeps a
+    /// bounded window of requests in flight rather than one round trip per
+    /// get, so a plan costs its bytes, not its message count. The single
+    /// get is the batch of one. A failure mid-batch unwinds after a prefix
+    /// of the responses was delivered.
     fn get_many(&self, gets: &[(usize, usize, Range<usize>)], sink: &mut dyn FnMut(usize, &[u8]));
 }
 
@@ -80,23 +75,12 @@ pub trait RemoteWindow: Send + Sync {
 pub enum Exposure {
     /// Zero-copy: deposit `r` is rank `r`'s exposed data.
     Shared(Vec<Arc<dyn Any + Send + Sync>>),
-    /// One-sided transport: `lens[r][p]` is the element count of rank `r`'s
-    /// part `p`; `transport` fetches the bytes.
+    /// One-sided transport: `lens[r]` is the element count of each of rank
+    /// `r`'s arrays; `transport` fetches the bytes.
     Remote {
-        lens: Vec<Vec<usize>>,
+        lens: Vec<usize>,
         transport: Arc<dyn RemoteWindow>,
     },
-}
-
-fn extract_vec<T: WinElem>(
-    any: &(dyn Any + Send + Sync),
-    part: usize,
-    range: Range<usize>,
-    out: &mut Vec<u8>,
-) {
-    debug_assert_eq!(part, 0);
-    let v = any.downcast_ref::<Vec<T>>().expect("window deposit type");
-    T::put_slice(&v[range], out);
 }
 
 fn extract_pair<T: WinElem, U: WinElem>(
@@ -155,182 +139,14 @@ impl std::fmt::Display for WindowError {
 
 impl std::error::Error for WindowError {}
 
-/// The validation every get passes before it is metered or moved: `rank`
-/// exists among `nranks`, and `range` ends inside its exposed buffer.
-fn check_get(
-    rank: usize,
-    range: &Range<usize>,
-    nranks: usize,
-    len_of: impl Fn(usize) -> usize,
-) -> Result<(), WindowError> {
-    if rank >= nranks {
-        return Err(WindowError::BadRank { rank, size: nranks });
-    }
-    if range.end > len_of(rank) {
-        return Err(WindowError::OutOfRange {
-            rank,
-            requested_end: range.end,
-            exposed_len: len_of(rank),
-        });
-    }
-    Ok(())
-}
-
-enum WinInner<T> {
-    /// In-process: every rank's exposed buffer shared zero-copy.
-    Shared { bufs: Vec<Arc<Vec<T>>> },
-    /// Cross-process: own buffer held locally, peers' served over a
-    /// byte-fetch transport.
-    Remote {
-        me: usize,
-        local: Arc<Vec<T>>,
-        lens: Vec<usize>,
-        transport: Arc<dyn RemoteWindow>,
-    },
-}
-
-impl<T> Clone for WinInner<T> {
-    fn clone(&self) -> Self {
-        match self {
-            WinInner::Shared { bufs } => WinInner::Shared { bufs: bufs.clone() },
-            WinInner::Remote {
-                me,
-                local,
-                lens,
-                transport,
-            } => WinInner::Remote {
-                me: *me,
-                local: local.clone(),
-                lens: lens.clone(),
-                transport: transport.clone(),
-            },
-        }
-    }
-}
-
-/// A window over per-rank exposed buffers of `T`.
-///
-/// The handle is cheap to clone (it holds `Arc`s of the exposed buffers).
-pub struct Window<T> {
-    inner: WinInner<T>,
-}
-
-impl<T: WinElem> Window<T> {
-    /// Collectively expose `local` from every rank. The data is frozen for
-    /// the window's lifetime (passive-target exposure epoch). Works on any
-    /// backend; the window handle itself is backend-neutral.
-    pub fn create<C: Comm>(comm: &C, local: Vec<T>) -> Window<T> {
-        let len = local.len();
-        let arc: Arc<dyn Any + Send + Sync> = Arc::new(local);
-        let spec = WindowSpec {
-            arc: arc.clone(),
-            parts: vec![PartSpec {
-                len,
-                elem_size: std::mem::size_of::<T>(),
-            }],
-            extract: extract_vec::<T>,
-        };
-        let inner = match comm.expose(spec) {
-            Exposure::Shared(deposits) => WinInner::Shared {
-                bufs: deposits
-                    .into_iter()
-                    .map(|a| a.downcast::<Vec<T>>().expect("window type mismatch"))
-                    .collect(),
-            },
-            Exposure::Remote { lens, transport } => WinInner::Remote {
-                me: comm.rank(),
-                local: arc.downcast::<Vec<T>>().expect("window type mismatch"),
-                lens: lens.into_iter().map(|l| l[0]).collect(),
-                transport,
-            },
-        };
-        Window { inner }
-    }
-
-    /// Length of `rank`'s exposed buffer.
-    pub fn len_of(&self, rank: usize) -> usize {
-        match &self.inner {
-            WinInner::Shared { bufs } => bufs[rank].len(),
-            WinInner::Remote { lens, .. } => lens[rank],
-        }
-    }
-
-    fn nranks(&self) -> usize {
-        match &self.inner {
-            WinInner::Shared { bufs } => bufs.len(),
-            WinInner::Remote { lens, .. } => lens.len(),
-        }
-    }
-
-    /// This rank's own exposed buffer (no traffic).
-    pub fn local<'a, C: Comm>(&'a self, comm: &C) -> &'a [T] {
-        match &self.inner {
-            WinInner::Shared { bufs } => &bufs[comm.rank()],
-            WinInner::Remote { me, local, .. } => {
-                debug_assert_eq!(*me, comm.rank());
-                local
-            }
-        }
-    }
-
-    /// One-sided fetch of `range` from `rank`'s buffer into a fresh vector,
-    /// metered as one RDMA message. Local gets are free (the paper's ranks
-    /// read their own slice directly).
-    pub fn get<C: Comm>(&self, comm: &C, rank: usize, range: Range<usize>) -> Vec<T> {
-        let mut out = Vec::new();
-        self.get_into(comm, rank, range, &mut out).unwrap();
-        out
-    }
-
-    /// As [`Window::get`], appending into `out`; returns errors instead of
-    /// panicking (failure-injection friendly).
-    pub fn get_into<C: Comm>(
-        &self,
-        comm: &C,
-        rank: usize,
-        range: Range<usize>,
-        out: &mut Vec<T>,
-    ) -> Result<(), WindowError> {
-        check_get(rank, &range, self.nranks(), |r| self.len_of(r))?;
-        if rank != comm.rank() {
-            comm.record_get((range.end - range.start) * std::mem::size_of::<T>());
-        }
-        match &self.inner {
-            WinInner::Shared { bufs } => out.extend_from_slice(&bufs[rank][range]),
-            WinInner::Remote {
-                me,
-                local,
-                transport,
-                ..
-            } => {
-                if rank == *me {
-                    out.extend_from_slice(&local[range]);
-                } else {
-                    let count = range.end - range.start;
-                    transport.get_many(&[(rank, 0, range)], &mut |_, bytes| {
-                        decode_elems(bytes, count, out)
-                    });
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
-impl<T> Clone for Window<T> {
-    fn clone(&self) -> Self {
-        Window {
-            inner: self.inner.clone(),
-        }
-    }
-}
-
 /// Two parallel arrays exposed in a **single** collective round.
 ///
 /// Algorithm 1 exposes both the row-id and the numeric-value array of the
 /// local `A`; creating them as one paired window halves the per-multiply
 /// rendezvous count, which matters when a multiply is issued per BFS level
-/// (betweenness centrality) rather than once per application run.
+/// (betweenness centrality) rather than once per application run. The
+/// handle is cheap to clone (it holds `Arc`s of the exposed buffers) and
+/// backend-neutral.
 pub struct PairedWindow<T, U> {
     /// Where a get against each rank reads from: the rank's shared deposit
     /// (every rank in-process; this rank's own across processes) or the
@@ -342,23 +158,16 @@ pub struct PairedWindow<T, U> {
 
 impl<T: WinElem, U: WinElem> PairedWindow<T, U> {
     /// Collectively expose `(a, b)` from every rank. The arrays must be
-    /// parallel (same length); they are frozen for the window's lifetime.
+    /// parallel (same length); they are frozen for the window's lifetime
+    /// (passive-target exposure epoch).
     pub fn create<C: Comm>(comm: &C, a: Vec<T>, b: Vec<U>) -> PairedWindow<T, U> {
         assert_eq!(a.len(), b.len(), "paired window arrays must be parallel");
         let len = a.len();
         let arc: Arc<dyn Any + Send + Sync> = Arc::new((a, b));
         let spec = WindowSpec {
             arc: arc.clone(),
-            parts: vec![
-                PartSpec {
-                    len,
-                    elem_size: std::mem::size_of::<T>(),
-                },
-                PartSpec {
-                    len,
-                    elem_size: std::mem::size_of::<U>(),
-                },
-            ],
+            len,
+            elem_sizes: [std::mem::size_of::<T>(), std::mem::size_of::<U>()],
             extract: extract_pair::<T, U>,
         };
         let pair = |d: Arc<dyn Any + Send + Sync>| {
@@ -383,7 +192,7 @@ impl<T: WinElem, U: WinElem> PairedWindow<T, U> {
                         }
                     })
                     .collect(),
-                lens: lens.into_iter().map(|l| l[0]).collect(),
+                lens,
             },
         }
     }
@@ -411,7 +220,18 @@ impl<T: WinElem, U: WinElem> PairedWindow<T, U> {
         out_b: &mut Vec<U>,
     ) -> Result<(), WindowError> {
         for (rank, range) in gets {
-            check_get(*rank, range, self.lens.len(), |r| self.lens[r])?;
+            let size = self.lens.len();
+            let exposed_len = *self
+                .lens
+                .get(*rank)
+                .ok_or(WindowError::BadRank { rank: *rank, size })?;
+            if range.end > exposed_len {
+                return Err(WindowError::OutOfRange {
+                    rank: *rank,
+                    requested_end: range.end,
+                    exposed_len,
+                });
+            }
         }
         for (rank, range) in gets {
             if *rank != comm.rank() {
@@ -502,18 +322,32 @@ mod tests {
     use super::*;
     use crate::universe::Universe;
 
+    /// Fetch `range` of both of `rank`'s arrays into fresh vectors.
+    fn get<C: Comm, T: WinElem, U: WinElem>(
+        win: &PairedWindow<T, U>,
+        comm: &C,
+        rank: usize,
+        range: Range<usize>,
+    ) -> (Vec<T>, Vec<U>) {
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        win.get_both_into(comm, rank, range, &mut a, &mut b)
+            .unwrap();
+        (a, b)
+    }
+
     #[test]
     fn exposes_and_fetches() {
         let u = Universe::new(3);
         let got = u.run(|comm| {
-            let data: Vec<u64> = (0..10).map(|i| (comm.rank() * 100 + i) as u64).collect();
-            let win = Window::create(comm, data);
+            let ids: Vec<u64> = (0..10).map(|i| (comm.rank() * 100 + i) as u64).collect();
+            let vals: Vec<f64> = ids.iter().map(|&i| i as f64 / 2.0).collect();
+            let win = PairedWindow::create(comm, ids, vals);
             // every rank reads a slice of rank 1
-
-            win.get(comm, 1, 2..5)
+            get(&win, comm, 1, 2..5)
         });
-        for p in got {
-            assert_eq!(p, vec![102, 103, 104]);
+        for (ids, vals) in got {
+            assert_eq!(ids, vec![102, 103, 104]);
+            assert_eq!(vals, vec![51.0, 51.5, 52.0]);
         }
     }
 
@@ -521,16 +355,15 @@ mod tests {
     fn gets_are_metered_and_local_reads_free() {
         let u = Universe::new(2);
         let got = u.run(|comm| {
-            let win = Window::create(comm, vec![1.0f64; 50]);
+            let win = PairedWindow::create(comm, vec![1.0f64; 50], vec![1u32; 50]);
             let before = comm.stats();
-            let _ = win.get(comm, 1 - comm.rank(), 0..50); // remote: 400 B
-            let _ = win.get(comm, comm.rank(), 0..50); // local: free
-            let _ = win.local(comm);
+            let _ = get(&win, comm, 1 - comm.rank(), 0..50); // remote: 400 + 200 B
+            let _ = get(&win, comm, comm.rank(), 0..50); // local: free
             comm.stats() - before
         });
         for s in got {
-            assert_eq!(s.rdma_gets, 1);
-            assert_eq!(s.rdma_get_bytes, 400);
+            assert_eq!(s.rdma_gets, 2, "one message per exposed array");
+            assert_eq!(s.rdma_get_bytes, 600);
         }
     }
 
@@ -538,9 +371,10 @@ mod tests {
     fn out_of_range_is_reported() {
         let u = Universe::new(2);
         let got = u.run(|comm| {
-            let win = Window::create(comm, vec![0u32; comm.rank() * 4]);
-            let mut out = Vec::new();
-            win.get_into(comm, 0, 0..10, &mut out).err()
+            let n = comm.rank() * 4;
+            let win = PairedWindow::create(comm, vec![0u32; n], vec![0u8; n]);
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            win.get_both_into(comm, 0, 0..10, &mut a, &mut b).err()
         });
         assert_eq!(
             got[1],
@@ -556,9 +390,9 @@ mod tests {
     fn bad_rank_is_reported() {
         let u = Universe::new(2);
         let got = u.run(|comm| {
-            let win = Window::create(comm, vec![0u8; 1]);
-            let mut out = Vec::new();
-            win.get_into(comm, 7, 0..1, &mut out).err()
+            let win = PairedWindow::create(comm, vec![0u8; 1], vec![0u8; 1]);
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            win.get_both_into(comm, 7, 0..1, &mut a, &mut b).err()
         });
         assert_eq!(got[0], Some(WindowError::BadRank { rank: 7, size: 2 }));
     }
@@ -567,7 +401,8 @@ mod tests {
     fn uneven_buffer_sizes() {
         let u = Universe::new(4);
         let got = u.run(|comm| {
-            let win = Window::create(comm, vec![comm.rank() as u8; comm.rank() * 3]);
+            let n = comm.rank() * 3;
+            let win = PairedWindow::create(comm, vec![comm.rank() as u8; n], vec![0f32; n]);
             (0..4).map(|r| win.len_of(r)).collect::<Vec<_>>()
         });
         for lens in got {
@@ -578,22 +413,26 @@ mod tests {
     #[test]
     fn ranged_fetches_meter_exact_bytes_per_rank() {
         // The fetch path's accounting contract: every ranged remote get
-        // charges exactly range_len * size_of::<T>() to the *issuing* rank,
-        // and nothing to the target.
+        // charges exactly range_len * size_of of each array to the
+        // *issuing* rank, and nothing to the target.
         let u = Universe::new(3);
         let got = u.run(|comm| {
-            let win = Window::create(comm, vec![comm.rank() as u64; 16]);
+            let win = PairedWindow::create(
+                comm,
+                vec![comm.rank() as u64; 16],
+                vec![comm.rank() as u32; 16],
+            );
             let before = comm.stats();
             if comm.rank() == 0 {
-                let _ = win.get(comm, 1, 2..7); // 5 * 8 B
-                let _ = win.get(comm, 2, 0..16); // 16 * 8 B
-                let _ = win.get(comm, 1, 10..10); // empty range: 1 msg, 0 B
+                let _ = get(&win, comm, 1, 2..7); // 5 * (8 + 4) B
+                let _ = get(&win, comm, 2, 0..16); // 16 * (8 + 4) B
+                let _ = get(&win, comm, 1, 10..10); // empty range: 2 msgs, 0 B
             }
             comm.barrier();
             comm.stats() - before
         });
-        assert_eq!(got[0].rdma_gets, 3);
-        assert_eq!(got[0].rdma_get_bytes, (5 + 16) * 8);
+        assert_eq!(got[0].rdma_gets, 6);
+        assert_eq!(got[0].rdma_get_bytes, (5 + 16) * 12);
         // targets of one-sided gets stay idle and uncharged
         assert_eq!(got[1].rdma_gets, 0);
         assert_eq!(got[1].rdma_get_bytes, 0);
@@ -604,14 +443,16 @@ mod tests {
     fn get_into_appends_preserving_existing_contents() {
         let u = Universe::new(2);
         let got = u.run(|comm| {
-            let win = Window::create(comm, vec![comm.rank() as u32 + 10; 4]);
-            let mut out = vec![99u32];
-            win.get_into(comm, 0, 0..2, &mut out).unwrap();
-            win.get_into(comm, 1, 1..3, &mut out).unwrap();
-            out
+            let r = comm.rank() as u32;
+            let win = PairedWindow::create(comm, vec![r + 10; 4], vec![r as f64; 4]);
+            let (mut a, mut b) = (vec![99u32], vec![-1.0f64]);
+            win.get_many_into(comm, &[(0, 0..2), (1, 1..3)], &mut a, &mut b)
+                .unwrap();
+            (a, b)
         });
-        for o in got {
-            assert_eq!(o, vec![99, 10, 10, 11, 11]);
+        for (a, b) in got {
+            assert_eq!(a, vec![99, 10, 10, 11, 11]);
+            assert_eq!(b, vec![-1.0, 0.0, 0.0, 1.0, 1.0]);
         }
     }
 
@@ -619,10 +460,12 @@ mod tests {
     fn out_of_range_error_carries_request_and_exposure() {
         let u = Universe::new(2);
         let got = u.run(|comm| {
-            let win = Window::create(comm, vec![0u8; 6]);
-            let mut out = Vec::new();
-            let err = win.get_into(comm, 1, 3..9, &mut out).unwrap_err();
-            (err, out.len())
+            let win = PairedWindow::create(comm, vec![0u8; 6], vec![0u64; 6]);
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            let err = win
+                .get_both_into(comm, 1, 3..9, &mut a, &mut b)
+                .unwrap_err();
+            (err, a.len() + b.len())
         });
         for (err, len) in got {
             assert_eq!(
@@ -633,32 +476,28 @@ mod tests {
                     exposed_len: 6
                 }
             );
-            assert_eq!(len, 0, "failed get must not touch the output buffer");
+            assert_eq!(len, 0, "failed get must not touch the output buffers");
         }
     }
 
     #[test]
-    fn paired_window_matches_two_plain_windows_and_meters_both_arrays() {
+    fn paired_window_returns_the_exposed_arrays_and_meters_both() {
         let u = Universe::new(2);
         let got = u.run(|comm| {
             let ir: Vec<u32> = (0..12).map(|i| comm.rank() as u32 * 100 + i).collect();
-            let num: Vec<f64> = (0..12).map(|i| i as f64 / 3.0).collect();
-            let paired = PairedWindow::create(comm, ir.clone(), num.clone());
-            let w_ir = Window::create(comm, ir);
-            let w_num = Window::create(comm, num);
+            let num: Vec<f64> = (0..12)
+                .map(|i| (comm.rank() * 12 + i) as f64 / 3.0)
+                .collect();
+            let paired = PairedWindow::create(comm, ir, num);
             let other = 1 - comm.rank();
             let before = comm.stats();
-            let (mut a, mut b) = (Vec::new(), Vec::new());
-            paired
-                .get_both_into(comm, other, 4..9, &mut a, &mut b)
-                .unwrap();
-            let delta = comm.stats() - before;
-            let a2 = w_ir.get(comm, other, 4..9);
-            let b2 = w_num.get(comm, other, 4..9);
-            (a == a2, b == b2, delta)
+            let (a, b) = get(&paired, comm, other, 4..9);
+            (other, a, b, comm.stats() - before)
         });
-        for (ir_same, num_same, delta) in got {
-            assert!(ir_same && num_same);
+        for (other, a, b, delta) in got {
+            let ir: Vec<u32> = (4..9).map(|i| other as u32 * 100 + i).collect();
+            let num: Vec<f64> = (4..9).map(|i| (other * 12 + i) as f64 / 3.0).collect();
+            assert_eq!((a, b), (ir, num));
             assert_eq!(delta.rdma_gets, 2, "one message per exposed array");
             assert_eq!(delta.rdma_get_bytes, 5 * 4 + 5 * 8);
         }
@@ -694,20 +533,23 @@ mod tests {
 
     #[test]
     fn two_windows_coexist() {
-        // Algorithm 1 uses two windows (row ids + values).
+        // A session keeps its window open while a sessionless multiply
+        // exposes another: the two must not alias.
         let u = Universe::new(2);
         let got = u.run(|comm| {
-            let win_ir = Window::create(comm, vec![comm.rank() as u32; 4]);
-            let win_num = Window::create(comm, vec![comm.rank() as f64 + 0.5; 4]);
-            let other = 1 - comm.rank();
-            (
-                win_ir.get(comm, other, 0..1),
-                win_num.get(comm, other, 3..4),
-            )
+            let r = comm.rank();
+            let w1 = PairedWindow::create(comm, vec![r as u32; 4], vec![r as f64 + 0.5; 4]);
+            let w2 = PairedWindow::create(comm, vec![r as u64 + 7; 2], vec![r as u8; 2]);
+            let other = 1 - r;
+            (get(&w1, comm, other, 3..4), get(&w2, comm, other, 0..1))
         });
-        assert_eq!(got[0].0, vec![1u32]);
-        assert_eq!(got[0].1, vec![1.5f64]);
-        assert_eq!(got[1].0, vec![0u32]);
-        assert_eq!(got[1].1, vec![0.5f64]);
+        assert_eq!(
+            got[0],
+            ((vec![1u32], vec![1.5f64]), (vec![8u64], vec![1u8]))
+        );
+        assert_eq!(
+            got[1],
+            ((vec![0u32], vec![0.5f64]), (vec![7u64], vec![0u8]))
+        );
     }
 }

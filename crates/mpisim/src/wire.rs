@@ -27,7 +27,7 @@
 
 use crate::error::{CommError, Primitive, RankError};
 use crate::stats::CommStats;
-use crate::timer::{Breakdown, PhaseTimes};
+use crate::timer::PhaseTimes;
 use std::any::{Any, TypeId};
 use std::collections::HashMap;
 use std::sync::OnceLock;
@@ -420,21 +420,6 @@ impl Wire for CommStats {
             recv_bytes: u64::get(buf)?,
             rdma_gets: u64::get(buf)?,
             rdma_get_bytes: u64::get(buf)?,
-        })
-    }
-}
-
-impl Wire for Breakdown {
-    fn put(&self, out: &mut Vec<u8>) {
-        self.comm_s.put(out);
-        self.comp_s.put(out);
-        self.other_s.put(out);
-    }
-    fn get(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(Breakdown {
-            comm_s: f64::get(buf)?,
-            comp_s: f64::get(buf)?,
-            other_s: f64::get(buf)?,
         })
     }
 }
@@ -1060,11 +1045,6 @@ mod tests {
             recv_bytes: 4,
             rdma_gets: 5,
             rdma_get_bytes: 6,
-        });
-        round_trip(Breakdown {
-            comm_s: 0.25,
-            comp_s: 1.5,
-            other_s: 0.0,
         });
         round_trip(PhaseTimes {
             symbolic_s: 1.0,

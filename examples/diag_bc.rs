@@ -3,7 +3,7 @@
 //! RDMA, local SpGEMM and metadata phases when tuning the BC engine.
 
 use saspgemm::dist::{prepare, spgemm_1d, uniform_offsets, DistMat1D, Plan1D, Strategy};
-use saspgemm::mpisim::Universe;
+use saspgemm::mpisim::{Comm, Universe};
 use saspgemm::sparse::ewise::mask_complement;
 use saspgemm::sparse::gen::{Dataset, Scale};
 use saspgemm::sparse::semiring::PlusTimes;
@@ -64,7 +64,7 @@ fn main() {
                 fringe.nnz(),
                 spgemm_s,
                 mask_s,
-                rep.breakdown,
+                rep.phases,
                 rep.fetched_bytes,
                 rep.rdma_msgs,
             ));
@@ -90,9 +90,9 @@ fn main() {
                 r.1,
                 r.2 * 1e3,
                 r.3 * 1e3,
-                r.4.comm_s * 1e3,
-                r.4.comp_s * 1e3,
-                r.4.other_s * 1e3,
+                r.4.fetch_s * 1e3,
+                r.4.compute_s * 1e3,
+                (r.4.symbolic_s + r.4.assemble_s) * 1e3,
                 r.5 as f64 / 1e6,
                 r.6
             );

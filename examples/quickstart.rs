@@ -89,12 +89,12 @@ fn main() {
         r0.cv_over_mem
     );
     for (rank, (_, rep)) in reports.iter().enumerate() {
-        let b = rep.breakdown;
+        let p = rep.phases;
         println!(
             "rank {rank}: comm {:.2} ms | comp {:.2} ms | other {:.2} ms | fetched {:.1} KB in {} RDMA msgs",
-            b.comm_s * 1e3,
-            b.comp_s * 1e3,
-            b.other_s * 1e3,
+            p.fetch_s * 1e3,
+            p.compute_s * 1e3,
+            (p.symbolic_s + p.assemble_s) * 1e3,
             rep.fetched_bytes as f64 / 1e3,
             rep.rdma_msgs
         );

@@ -64,7 +64,7 @@ pub mod prelude {
         SessionStats, SpgemmReport, SpgemmSession,
     };
     pub use sa_mpisim::{
-        Backend, Comm, CommError, CostModel, FaultComm, FaultPlan, Phase, PhaseTimes, RankError,
+        Backend, Comm, CommError, CostModel, FaultComm, FaultPlan, PhaseTimes, RankError,
         RankOutcome, RecoverableJob, RecoveryReport, RetryPolicy, SimComm, ThreadComm, Universe,
     };
     pub use sa_partition::{partition_kway, random_symmetric_perm, Graph, PartitionConfig};

@@ -10,7 +10,7 @@ use saspgemm::apps::restriction::restriction_operator;
 use saspgemm::apps::triangle::{triangles_1d, triangles_serial};
 use saspgemm::dist::reference::serial_galerkin;
 use saspgemm::dist::{uniform_offsets, CacheConfig, DistMat1D, Plan1D};
-use saspgemm::mpisim::Universe;
+use saspgemm::mpisim::{Comm, Universe};
 use saspgemm::sparse::gen::{erdos_renyi_square, rmat, sbm, stencil3d};
 
 #[test]

@@ -31,7 +31,7 @@ use saspgemm::dist::{
 };
 use saspgemm::mpisim::{
     arm_frame_plan, Backend, Comm, CommStats, CostModel, FaultPlan, Grid2D, Grid3D, PairedWindow,
-    RankJob, Universe, Window, WindowError,
+    RankJob, Universe, WindowError,
 };
 use saspgemm::sparse::gen::{banded, erdos_renyi};
 use saspgemm::sparse::semiring::{MinPlus, PlusTimes};
@@ -104,8 +104,8 @@ fn run_conformance<J: RankJob<Out = Verdict>>(nranks: usize, job: &J, what: &str
 // Cells
 // ---------------------------------------------------------------------------
 
-/// Pure-runtime cell: every provided collective, p2p rings, windows
-/// (plain + ranged), and a split sub-communicator — no algorithm on top,
+/// Pure-runtime cell: every provided collective, p2p rings, a paired
+/// window's ranged gets, and a split sub-communicator — no algorithm on top,
 /// so a conformance failure here localizes to the runtime itself.
 struct RuntimeChurn;
 
@@ -150,11 +150,13 @@ impl RankJob for RuntimeChurn {
         .unwrap();
         comm.barrier();
 
-        // windows: whole-slice and ranged one-sided gets
-        let win = Window::create(comm, vec![me as u64; 6]);
+        // windows: ranged one-sided gets of both arrays
+        let win = PairedWindow::create(comm, vec![me as u64; 6], vec![me as f64 + 0.5; 6]);
         let peer = (me + n / 2) % n;
-        let got = win.get(comm, peer, 1..4);
-        write!(s, "win:{got:?};").unwrap();
+        let (mut ids, mut vals) = (Vec::new(), Vec::new());
+        win.get_both_into(comm, peer, 1..4, &mut ids, &mut vals)
+            .unwrap();
+        write!(s, "win:{ids:?}:{vals:?};").unwrap();
         comm.barrier();
 
         // split into even/odd and reduce within
@@ -605,10 +607,12 @@ fn threads_backend_concurrency_smoke() {
         let got = u.launch::<saspgemm::mpisim::Threads, _, _>(|comm| {
             let me = comm.rank() as u64;
             for _ in 0..2 {
-                let win = Window::create(comm, vec![me + round; 8]);
+                let win = PairedWindow::create(comm, vec![me + round; 8], vec![me as u32; 8]);
                 let peer = (comm.rank() + 3) % comm.size();
-                let v = win.get(comm, peer, 2..6);
+                let (mut v, mut w) = (Vec::new(), Vec::new());
+                win.get_both_into(comm, peer, 2..6, &mut v, &mut w).unwrap();
                 assert_eq!(v, vec![peer as u64 + round; 4]);
+                assert_eq!(w, vec![peer as u32; 4]);
                 comm.barrier();
             }
             let sub = comm.split(comm.rank() % 2, comm.rank());

@@ -141,13 +141,13 @@ fn self_contained_slices_communicate_nothing() {
 
 #[test]
 fn window_errors_are_reported_not_panics() {
-    use saspgemm::mpisim::{Window, WindowError};
+    use saspgemm::mpisim::{PairedWindow, WindowError};
     let u = Universe::new(2);
     let errs = u.run(|comm| {
-        let win = Window::create(comm, vec![1u64; 8]);
-        let mut out = Vec::new();
-        let oob = win.get_into(comm, 0, 4..20, &mut out).err();
-        let bad = win.get_into(comm, 5, 0..1, &mut out).err();
+        let win = PairedWindow::create(comm, vec![1u32; 8], vec![1.0f64; 8]);
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        let oob = win.get_both_into(comm, 0, 4..20, &mut a, &mut b).err();
+        let bad = win.get_both_into(comm, 5, 0..1, &mut a, &mut b).err();
         (oob, bad)
     });
     for (oob, bad) in errs {

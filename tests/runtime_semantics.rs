@@ -11,15 +11,18 @@
 //! [`run_in_process`].
 
 use saspgemm::dist::{
-    spgemm_1d, try_spgemm_1d, try_spgemm_auto, try_spgemm_summa_2d_sa, uniform_offsets, DistMat1D,
-    DistMat2D, FetchMode, Plan1D, ShapeError,
+    spgemm_1d, spgemm_outer_1d, spgemm_split_3d, spgemm_split_3d_sa, spgemm_summa_2d,
+    try_spgemm_1d, try_spgemm_auto, try_spgemm_summa_2d_sa, uniform_offsets, DistMat1D, DistMat2D,
+    DistMat3D, FetchMode, Plan1D, ShapeError,
 };
 use saspgemm::mpisim::{
-    Backend, CommStats, CostModel, Grid2D, PairedWindow, Serial, SimComm, Universe, Window,
+    Backend, Comm, CommStats, CostModel, Grid2D, Grid3D, PairedWindow, PhaseTimes, Serial, SimComm,
+    Universe,
 };
 use saspgemm::sparse::gen::{banded, erdos_renyi};
 use saspgemm::sparse::{Csc, Dcsc, PlusTimes, SpgemmWorkspace};
 use std::sync::Once;
+use std::time::Instant;
 
 /// The suite's runner: `Universe::run` when `SA_BACKEND` names an
 /// in-process backend (unset, `sim`, or the `threads` upgrade), otherwise
@@ -49,20 +52,24 @@ fn run_in_process<R: Send>(u: &Universe, f: impl Fn(&SimComm) -> R + Send + Sync
 
 #[test]
 fn paired_window_matches_two_plain_windows() {
+    // Both arrays come back exactly as rank 2 exposed them, as two plain
+    // windows over the same arrays would return them.
+    let ir_of = |rank: usize| (0..20).map(move |i| (rank * 1000 + i) as u32);
+    let num_of = |rank: usize| (0..20).map(move |i| (rank * 10 + i) as f64);
     let u = Universe::new(3);
     let got = run_in_process(&u, |comm| {
-        let ir: Vec<u32> = (0..20).map(|i| (comm.rank() * 1000 + i) as u32).collect();
-        let num: Vec<f64> = (0..20).map(|i| (comm.rank() * 10 + i) as f64).collect();
-        let paired = PairedWindow::create(comm, ir.clone(), num.clone());
-        let w_ir = Window::create(comm, ir);
-        let w_num = Window::create(comm, num);
+        let paired = PairedWindow::create(
+            comm,
+            ir_of(comm.rank()).collect(),
+            num_of(comm.rank()).collect(),
+        );
         let (mut a, mut b) = (Vec::new(), Vec::new());
         paired.get_both_into(comm, 2, 3..9, &mut a, &mut b).unwrap();
-        let a2 = w_ir.get(comm, 2, 3..9);
-        let b2 = w_num.get(comm, 2, 3..9);
-        (a == a2, b == b2)
+        (a, b)
     });
-    assert!(got.iter().all(|&(x, y)| x && y));
+    let want_ir: Vec<u32> = ir_of(2).skip(3).take(6).collect();
+    let want_num: Vec<f64> = num_of(2).skip(3).take(6).collect();
+    assert!(got.iter().all(|(a, b)| *a == want_ir && *b == want_num));
 }
 
 #[test]
@@ -231,6 +238,75 @@ fn stats_deltas_are_monotone_and_additive() {
         assert_eq!(f1, f2);
         assert_eq!(d1, d2);
         assert_eq!(d1, f1, "metered == planned");
+    }
+}
+
+// ---------------------------------------------------------------------
+// multiply reports
+// ---------------------------------------------------------------------
+
+/// One rank's reported phases, its traffic, and the wall time the caller
+/// measured around the multiply.
+type Timed = (PhaseTimes, CommStats, f64);
+
+fn timed<C: Comm>(comm: &C, multiply: impl FnOnce() -> PhaseTimes) -> Timed {
+    let (stats0, t0) = (comm.stats(), Instant::now());
+    let phases = multiply();
+    let wall = t0.elapsed().as_secs_f64();
+    (phases, comm.stats() - stats0, wall)
+}
+
+#[test]
+fn grid_and_outer_reports_split_their_time_into_phases() {
+    let a = erdos_renyi(48, 48, 4.0, 21);
+    let (u4, u8) = (Universe::new(4), Universe::new(8));
+    let summa = run_in_process(&u4, |comm| {
+        let grid = Grid2D::square(comm);
+        let da = DistMat2D::from_global(&grid, &a);
+        let ws = SpgemmWorkspace::new();
+        timed(comm, || {
+            spgemm_summa_2d(comm, &grid, &da, &da, &ws).1.phases
+        })
+    });
+    let outer = run_in_process(&u4, |comm| {
+        let da = DistMat1D::from_global(comm, &a, &uniform_offsets(48, 4));
+        timed(comm, || spgemm_outer_1d(comm, &da, &da).1.phases)
+    });
+    let split_3d = |aware: bool| {
+        run_in_process(&u8, |comm| {
+            let grid = Grid3D::new(comm, 2, 2);
+            let da = DistMat3D::from_global_split_cols(&grid, &a);
+            let db = DistMat3D::from_global_split_rows(&grid, &a);
+            let (ws, mode) = (SpgemmWorkspace::new(), FetchMode::default());
+            timed(comm, || {
+                if aware {
+                    spgemm_split_3d_sa::<_, PlusTimes<f64>>(comm, &grid, &da, &db, mode, &ws)
+                        .1
+                        .phases
+                } else {
+                    spgemm_split_3d(comm, &grid, &da, &db, &ws).1.phases
+                }
+            })
+        })
+    };
+    let runs = [
+        ("summa_2d", summa),
+        ("outer_1d", outer),
+        ("split_3d", split_3d(false)),
+        ("split_3d_sa", split_3d(true)),
+    ];
+    for (what, ranks) in runs {
+        assert!(ranks.iter().any(|(_, d, _)| *d != CommStats::default()));
+        for (rank, (p, delta, wall)) in ranks.into_iter().enumerate() {
+            assert!(p.compute_s > 0.0, "{what} rank {rank}: {p:?}");
+            if delta != CommStats::default() {
+                assert!(p.fetch_s > 0.0, "{what} rank {rank} moved data: {p:?}");
+            }
+            assert!(
+                p.total_s() <= wall,
+                "{what} rank {rank}: phases {p:?} exceed the wall {wall}"
+            );
+        }
     }
 }
 

@@ -6,11 +6,11 @@ use saspgemm::apps::bc::{bc_batches_1d_session, bc_serial, pick_sources};
 use saspgemm::dist::{
     spgemm_1d, uniform_offsets, CacheConfig, DistMat1D, FetchMode, Plan1D, SpgemmSession,
 };
-use saspgemm::mpisim::Universe;
+use saspgemm::mpisim::{Comm, Universe};
 use saspgemm::sparse::gen::{erdos_renyi, rmat};
 use saspgemm::sparse::{Coo, Csc, Vidx};
 
-fn dist<C: saspgemm::mpisim::Comm>(comm: &C, a: &Csc<f64>) -> DistMat1D {
+fn dist<C: Comm>(comm: &C, a: &Csc<f64>) -> DistMat1D {
     DistMat1D::from_global(comm, a, &uniform_offsets(a.ncols(), comm.size()))
 }
 

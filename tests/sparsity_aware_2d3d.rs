@@ -14,7 +14,7 @@ use saspgemm::dist::{
     analyze_2d, analyze_3d, spgemm_split_3d, spgemm_split_3d_sa, spgemm_summa_2d,
     spgemm_summa_2d_sa, try_spgemm_summa_2d_sa, DistMat2D, DistMat3D, FetchMode,
 };
-use saspgemm::mpisim::{Grid2D, Grid3D, Universe};
+use saspgemm::mpisim::{Comm, Grid2D, Grid3D, Universe};
 use saspgemm::sparse::gen::{erdos_renyi, rmat};
 use saspgemm::sparse::semiring::{MinPlus, PlusTimes};
 use saspgemm::sparse::spgemm::spgemm;

@@ -7,7 +7,7 @@
 //! the allocator's own calls.
 
 use saspgemm::dist::{uniform_offsets, CacheConfig, DistMat1D, Plan1D, SpgemmSession};
-use saspgemm::mpisim::Universe;
+use saspgemm::mpisim::{Comm, Universe};
 use saspgemm::sparse::gen::erdos_renyi;
 use saspgemm::sparse::semiring::PlusTimes;
 use saspgemm::sparse::spgemm::{
