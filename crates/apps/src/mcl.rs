@@ -234,7 +234,7 @@ pub fn mcl_1d_auto<C: Comm>(
 /// inflation locally. Returns the converged matrix slice's clusters
 /// (identical on all ranks) and the number of iterations. Collective.
 ///
-/// Expansion runs through a cached [`SpgemmSession`] (unlimited budget) —
+/// Expansion runs through a cached [`SpgemmSession`] ([`CacheConfig::unlimited`]) —
 /// see [`mcl_1d_session`] for the cache-aware entry point and its
 /// per-iteration delta semantics.
 pub fn mcl_1d<C: Comm>(
@@ -247,7 +247,7 @@ pub fn mcl_1d<C: Comm>(
     (clusters, iters)
 }
 
-/// [`mcl_1d`] with an explicit fetch-cache budget, returning the session
+/// [`mcl_1d`] with an explicit [`CacheConfig`], returning the session
 /// counters. Collective.
 ///
 /// The expansion `M ← M²` multiplies a *changing* operand, which a naive

@@ -13,10 +13,10 @@
 //! * `SA_REPS=n` — repetitions per measurement (best kept);
 //! * `SA_BACKEND` = `sim` (default) | `threads` | `procs`, or the
 //!   `--backend <name>` bench argument — which communicator backend
-//!   executes the simulated ranks ([`SimComm`](sa_mpisim::SimComm) serial
-//!   rank-loop, [`ThreadComm`](sa_mpisim::ThreadComm) truly-parallel
-//!   threads, or [`ProcComm`](sa_mpisim::ProcComm) one OS process per rank
-//!   over localhost sockets). Metered traffic is byte-identical across all
+//!   executes the simulated ranks (the serial rank-loop or truly-parallel
+//!   threads, both on [`RankComm`](sa_mpisim::RankComm), or
+//!   [`ProcComm`](sa_mpisim::ProcComm) one OS process per rank over
+//!   localhost sockets). Metered traffic is byte-identical across all
 //!   three; only wall-clock changes.
 //!
 //! Harness map: [`plan`]/[`scale`]/[`load`] configure a run,
@@ -226,17 +226,12 @@ pub fn run_square_prepared(prep: &PrepResult, p: usize, plan: Plan1D) -> Vec<Spg
     let (_wall, reports) = best_of(reps(), || {
         let u = universe(p);
         let t0 = std::time::Instant::now();
-        // launch::<M> pins the scheduler: a `--backend` argument must win
+        // launch(be, ..) pins the scheduler: a `--backend` argument must win
         // over any SA_BACKEND in the environment
         let reports = match be {
-            Backend::Sim => {
-                u.launch::<sa_mpisim::Serial, _, _>(|comm| square_rank(comm, prep, &plan))
-            }
-            Backend::Threads => {
-                u.launch::<sa_mpisim::Threads, _, _>(|comm| square_rank(comm, prep, &plan))
-            }
             // one OS process per rank; the report crosses back over a socket
             Backend::Procs => u.run_procs(|comm| square_rank(comm, prep, &plan)),
+            in_process => u.launch(in_process, |comm| square_rank(comm, prep, &plan)),
         };
         (t0.elapsed().as_secs_f64(), reports)
     });

@@ -15,7 +15,7 @@
 //!   forked children inherit the directory path, and a write is
 //!   tmp-then-rename so a rank SIGKILLed mid-checkpoint leaves the previous
 //!   complete checkpoint intact, never a torn one. Every slot is framed
-//!   with a versioned header (magic, version, operand fingerprint, payload
+//!   with a versioned header (magic, version, payload length, payload
 //!   CRC32); damage loads as a typed [`CkptError`] and the file is
 //!   quarantined (`.quarantine`) for forensics.
 //! * [`save_wire`] / [`load_wire`] — typed helpers over the repo's
@@ -243,13 +243,14 @@ impl CheckpointStore for MemStore {
 const CKPT_MAGIC: u32 = 0x5341_434B;
 /// Current slot-file format version.
 const CKPT_VERSION: u32 = 1;
-/// Header layout: `[magic u32][version u32][fingerprint u64][payload_len
-/// u64][payload_crc u32]`, all little-endian.
+/// Header layout: `[magic u32][version u32][reserved u64][payload_len
+/// u64][payload_crc u32]`, all little-endian. The reserved word is written
+/// as 0 and not read.
 const CKPT_HEADER_LEN: usize = 28;
 
-/// Parse and verify a framed slot file: returns the operand fingerprint and
-/// the borrowed payload, or the typed reason the slot is unusable.
-fn parse_slot(raw: &[u8]) -> Result<(u64, &[u8]), CkptError> {
+/// Parse and verify a framed slot file: returns the borrowed payload, or
+/// the typed reason the slot is unusable.
+fn parse_slot(raw: &[u8]) -> Result<&[u8], CkptError> {
     if raw.len() < CKPT_HEADER_LEN {
         return Err(CkptError::Torn {
             needed: CKPT_HEADER_LEN as u64,
@@ -272,7 +273,6 @@ fn parse_slot(raw: &[u8]) -> Result<(u64, &[u8]), CkptError> {
             supported: CKPT_VERSION,
         });
     }
-    let fingerprint = word64(8);
     let payload_len = word64(16);
     let stored_crc = word32(24);
     let payload = &raw[CKPT_HEADER_LEN..];
@@ -289,7 +289,7 @@ fn parse_slot(raw: &[u8]) -> Result<(u64, &[u8]), CkptError> {
             got,
         });
     }
-    Ok((fingerprint, payload))
+    Ok(payload)
 }
 
 /// File-backed [`CheckpointStore`] for the `Procs` backend: one file per
@@ -300,47 +300,28 @@ fn parse_slot(raw: &[u8]) -> Result<(u64, &[u8]), CkptError> {
 /// previous complete checkpoint, never a torn one.
 ///
 /// Every slot is framed with a versioned header (magic, format version,
-/// operand fingerprint, payload length, payload CRC32). `load` verifies the
-/// frame and returns typed [`CkptError`]s for damage; a damaged file is
-/// renamed to `.quarantine` for forensics so the next attempt does not trip
-/// over it. The fingerprint keys slots to one operand/configuration:
-/// [`FileStore::keyed`] stores see foreign-fingerprint slots as absent, and
-/// [`FileStore::gc_stale`] reclaims them.
+/// payload length, payload CRC32). `load` verifies the frame and returns
+/// typed [`CkptError`]s for damage; a damaged file is renamed to
+/// `.quarantine` for forensics so the next attempt does not trip over it.
 ///
 /// `key` becomes part of the file name and must be file-name safe (the
 /// drivers use short alphanumeric keys like `"mcl.state"`).
 #[derive(Clone, Debug)]
 pub struct FileStore {
     dir: PathBuf,
-    fingerprint: u64,
 }
 
 impl FileStore {
-    /// Open (creating if needed) a store rooted at `dir`, with the default
-    /// (zero) operand fingerprint.
+    /// Open (creating if needed) a store rooted at `dir`.
     pub fn new(dir: impl Into<PathBuf>) -> io::Result<FileStore> {
-        FileStore::keyed(dir, 0)
-    }
-
-    /// Open (creating if needed) a store rooted at `dir` whose slots are
-    /// keyed to operand `fingerprint` — slots written under a different
-    /// fingerprint (an earlier run's different operand, a failed attempt of
-    /// another configuration) load as absent and are reclaimable via
-    /// [`FileStore::gc_stale`].
-    pub fn keyed(dir: impl Into<PathBuf>, fingerprint: u64) -> io::Result<FileStore> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
-        Ok(FileStore { dir, fingerprint })
+        Ok(FileStore { dir })
     }
 
     /// The store's root directory.
     pub fn dir(&self) -> &Path {
         &self.dir
-    }
-
-    /// The operand fingerprint this store's slots are keyed to.
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
     }
 
     fn slot_path(&self, rank: usize, key: &str) -> PathBuf {
@@ -363,37 +344,6 @@ impl FileStore {
             ),
         }
     }
-
-    /// Garbage-collect stale slots: checkpoint files whose fingerprint does
-    /// not match this store's (failed attempts of other operands /
-    /// configurations sharing the directory) and leftover `.tmp` files from
-    /// saves cut down mid-write. Returns how many files were removed.
-    /// Damaged files are left for `load` to quarantine — GC only reclaims
-    /// what it can positively identify as foreign.
-    pub fn gc_stale(&self) -> io::Result<usize> {
-        let mut removed = 0;
-        for entry in std::fs::read_dir(&self.dir)? {
-            let path = entry?.path();
-            let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-                continue;
-            };
-            let stale = if name.ends_with(".tmp") {
-                true
-            } else if name.ends_with(".ckpt") {
-                match std::fs::read(&path) {
-                    Ok(raw) => matches!(parse_slot(&raw), Ok((fp, _)) if fp != self.fingerprint),
-                    Err(_) => false,
-                }
-            } else {
-                false
-            };
-            if stale {
-                std::fs::remove_file(&path)?;
-                removed += 1;
-            }
-        }
-        Ok(removed)
-    }
 }
 
 impl CheckpointStore for FileStore {
@@ -403,7 +353,7 @@ impl CheckpointStore for FileStore {
         let mut framed = Vec::with_capacity(CKPT_HEADER_LEN + bytes.len());
         framed.extend_from_slice(&CKPT_MAGIC.to_le_bytes());
         framed.extend_from_slice(&CKPT_VERSION.to_le_bytes());
-        framed.extend_from_slice(&self.fingerprint.to_le_bytes());
+        framed.extend_from_slice(&0u64.to_le_bytes()); // reserved
         framed.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
         framed.extend_from_slice(&crc32(&bytes).to_le_bytes());
         framed.extend_from_slice(&bytes);
@@ -420,8 +370,7 @@ impl CheckpointStore for FileStore {
             Err(e) => return Err(e.into()),
         };
         match parse_slot(&raw) {
-            Ok((fp, _)) if fp != self.fingerprint => Ok(None), // foreign slot
-            Ok((_, payload)) => Ok(Some(payload.to_vec())),
+            Ok(payload) => Ok(Some(payload.to_vec())),
             Err(why) => {
                 FileStore::quarantine(&path, &why);
                 Err(why)
@@ -636,31 +585,6 @@ mod tests {
                 supported: 1
             }
         ));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn stale_slots_are_gc_keyed_by_fingerprint() {
-        let dir = std::env::temp_dir().join(format!("sa_ckpt_gc_{}", std::process::id()));
-        let old = FileStore::keyed(&dir, 0xA1).unwrap();
-        save_wire(&old, 0, "state", &1u64).unwrap();
-        save_wire(&old, 1, "state", &2u64).unwrap();
-        let new = FileStore::keyed(&dir, 0xB2).unwrap();
-        save_wire(&new, 0, "state", &3u64).unwrap();
-        // a save cut down mid-write leaves a .tmp behind
-        std::fs::write(dir.join("state.r9.tmp"), b"partial").unwrap();
-
-        // foreign-fingerprint slots read as absent, own slots verify
-        assert_eq!(load_wire::<_, u64>(&new, 1, "state").unwrap(), None);
-        assert_eq!(load_wire::<_, u64>(&new, 0, "state").unwrap(), Some(3));
-
-        // GC reclaims the surviving stale slot (r0's was overwritten by the
-        // new store's save) and the tmp, and keeps the live slot
-        assert_eq!(new.gc_stale().unwrap(), 2);
-        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
-        assert_eq!(load_wire::<_, u64>(&new, 0, "state").unwrap(), Some(3));
-        // idempotent
-        assert_eq!(new.gc_stale().unwrap(), 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -30,7 +30,8 @@
 //!   [`spgemm_auto`] runs the winner.
 //! * [`session`] — cross-iteration extension of Algorithm 1: a persistent
 //!   [`SpgemmSession`] pins the fetched operand (metadata + window exposure
-//!   once), and its [`FetchCache`] keeps remote columns across multiplies so
+//!   once), and its [`FetchCache`] keeps every remote column it fetches
+//!   across multiplies (or, under [`CacheConfig::disabled`], none) so
 //!   iterative workloads (§II-C batched BC / MCL / Galerkin) fetch only the
 //!   per-iteration miss set. [`SessionAnalysis`] is the incremental,
 //!   collective-free counterpart of [`analyze_1d`].
@@ -39,7 +40,7 @@
 //!   capture/restore, the durability layer under
 //!   [`run_recoverable`](sa_mpisim::Universe::run_recoverable): restarted
 //!   iterative jobs resume at the last agreed iteration with their fetch
-//!   caches intact.
+//!   caches intact, bit-identical to an uninterrupted run.
 //! * [`prepare`](crate::prepare::prepare) — the permutation strategies the
 //!   paper compares (natural order, random symmetric, METIS-style
 //!   partitioning) packaged as a preprocessing step.

@@ -10,8 +10,8 @@
 //!
 //! * [`FetchCache`] — a per-rank cache of remote `A` columns, keyed by
 //!   `(owner rank, global column)`, stored as mergeable DCSC column
-//!   segments under a configurable byte budget ([`CacheConfig`]) with
-//!   LRU-ish eviction.
+//!   segments. It keeps every column it fetches, or — under
+//!   [`CacheConfig::disabled`] — none.
 //! * [`SpgemmSession`] — pins the fetched operand: the metadata allgather
 //!   and the [`PairedWindow`] exposure happen **once** at
 //!   [`SpgemmSession::create`], and every [`SpgemmSession::multiply`] runs
@@ -25,7 +25,7 @@
 //! Metering stays exact: a session multiply's
 //! [`SpgemmReport::fresh_bytes`](crate::spgemm1d::SpgemmReport::fresh_bytes)
 //! equals the metered window traffic to the byte (the integration tests
-//! assert this across iterations and eviction), while
+//! assert this across iterations, cached and uncached), while
 //! [`SpgemmReport::cache_hit_bytes`](crate::spgemm1d::SpgemmReport::cache_hit_bytes)
 //! accounts for the needed bytes the cache served instead of the wire.
 
@@ -37,30 +37,20 @@ use sa_sparse::semiring::PlusTimes;
 use sa_sparse::spgemm::{spgemm_with_epilogue, ChunkBuf, NoEpilogue, SpgemmWorkspace};
 use sa_sparse::types::{vidx, Vidx};
 use sa_sparse::Dcsc;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::time::Instant;
 
-/// Byte budget for a session's [`FetchCache`].
+/// Whether a session's [`FetchCache`] keeps the columns it fetches.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CacheConfig {
-    /// Maximum resident bytes of cached column segments (index + value
-    /// arrays, 12 B per stored entry — the same `u32` + `f64` wire cost the
-    /// reports meter). `0` disables caching entirely; `u64::MAX` (the
-    /// default) never evicts.
-    pub budget_bytes: u64,
+    enabled: bool,
 }
 
 impl CacheConfig {
     /// Cache every fetched column, never evict.
     pub fn unlimited() -> CacheConfig {
-        CacheConfig {
-            budget_bytes: u64::MAX,
-        }
-    }
-
-    /// Cache under a byte budget with LRU-ish eviction.
-    pub fn budget(budget_bytes: u64) -> CacheConfig {
-        CacheConfig { budget_bytes }
+        CacheConfig { enabled: true }
     }
 
     /// No caching: every multiply fetches its full needed set fresh. For
@@ -71,23 +61,22 @@ impl CacheConfig {
     /// sessionless baseline replicates them unconditionally — see
     /// [`SpgemmSession`]'s planner note.)
     pub fn disabled() -> CacheConfig {
-        CacheConfig { budget_bytes: 0 }
+        CacheConfig { enabled: false }
     }
 }
 
 impl Default for CacheConfig {
-    /// Unlimited — callers opt *into* a budget, not out of caching.
+    /// Unlimited — callers opt *out* of caching, not into it.
     fn default() -> CacheConfig {
         CacheConfig::unlimited()
     }
 }
 
 /// One cached remote column: a DCSC segment (parallel row-id / value
-/// arrays) plus its LRU stamp.
+/// arrays).
 struct CachedCol {
     ir: Vec<Vidx>,
     num: Vec<f64>,
-    last_used: u64,
 }
 
 impl CachedCol {
@@ -97,47 +86,27 @@ impl CachedCol {
 }
 
 /// Per-rank persistent cache of remote `A` columns (see the module docs).
-///
-/// Eviction is LRU-ish: when an insert would exceed the byte budget,
-/// columns not touched by the current multiply are dropped oldest-first
-/// (ties broken by key for determinism). Columns the current multiply
-/// touched are never evicted mid-iteration, so an assembly can always read
-/// the hits its symbolic pass promised.
+/// An enabled cache keeps every column it is handed until
+/// [`SpgemmSession::update_a`] invalidates it; a disabled one holds
+/// nothing.
 pub struct FetchCache {
-    budget: u64,
+    enabled: bool,
     cols: HashMap<(u32, Vidx), CachedCol>,
     resident_bytes: u64,
-    /// Monotone multiply counter; entries stamped with the current value
-    /// are immune to eviction.
-    clock: u64,
-    /// Eviction candidates of the current multiply, oldest first, built
-    /// lazily on the first over-budget insert and drained by `cursor` —
-    /// one sort per multiply instead of one per inserted column.
-    victims: Vec<(u64, u32, Vidx)>,
-    victims_clock: u64,
-    victims_cursor: usize,
-    evicted_cols: u64,
-    evicted_bytes: u64,
-    skipped_inserts: u64,
 }
 
 impl FetchCache {
     pub(crate) fn new(cfg: CacheConfig) -> FetchCache {
         FetchCache {
-            budget: cfg.budget_bytes,
+            enabled: cfg.enabled,
             cols: HashMap::new(),
             resident_bytes: 0,
-            clock: 0,
-            victims: Vec::new(),
-            victims_clock: 0,
-            victims_cursor: 0,
-            evicted_cols: 0,
-            evicted_bytes: 0,
-            skipped_inserts: 0,
         }
     }
 
-    /// Bytes of column segments currently resident.
+    /// Bytes of column segments currently resident (index + value arrays,
+    /// 12 B per stored entry — the same `u32` + `f64` wire cost the reports
+    /// meter).
     pub fn resident_bytes(&self) -> u64 {
         self.resident_bytes
     }
@@ -147,111 +116,31 @@ impl FetchCache {
         self.cols.len()
     }
 
-    /// Columns evicted over the cache's lifetime.
-    pub fn evicted_cols(&self) -> u64 {
-        self.evicted_cols
-    }
-
-    /// Bytes evicted over the cache's lifetime.
-    pub fn evicted_bytes(&self) -> u64 {
-        self.evicted_bytes
-    }
-
-    /// Inserts skipped because the budget could not accommodate them even
-    /// after evicting every stale entry.
-    pub fn skipped_inserts(&self) -> u64 {
-        self.skipped_inserts
-    }
-
-    /// The configured byte budget.
-    pub fn budget_bytes(&self) -> u64 {
-        self.budget
-    }
-
-    fn tick(&mut self) {
-        self.clock += 1;
-    }
-
     fn contains(&self, owner: usize, col: Vidx) -> bool {
         self.cols.contains_key(&(owner as u32, col))
     }
 
-    /// Refresh the LRU stamp of a resident column.
-    fn touch(&mut self, owner: usize, col: Vidx) {
-        if let Some(c) = self.cols.get_mut(&(owner as u32, col)) {
-            c.last_used = self.clock;
-        }
-    }
-
-    /// Borrow a resident column's segment without touching its stamp.
+    /// Borrow a resident column's segment.
     fn peek(&self, owner: usize, col: Vidx) -> Option<(&[Vidx], &[f64])> {
         self.cols
             .get(&(owner as u32, col))
             .map(|c| (c.ir.as_slice(), c.num.as_slice()))
     }
 
-    /// Insert a freshly fetched column, evicting stale entries if the
-    /// budget demands it. No-op if the column is already resident (block
-    /// over-fetch can re-deliver cached columns) or can never fit.
+    /// Keep a freshly fetched column. No-op when the cache is disabled or
+    /// the column is already resident (block over-fetch can re-deliver
+    /// cached columns).
     fn insert(&mut self, owner: usize, col: Vidx, rows: &[Vidx], vals: &[f64]) {
-        let key = (owner as u32, col);
-        if self.cols.contains_key(&key) {
+        if !self.enabled {
             return;
         }
-        let sz = rows.len() as u64 * ENTRY_BYTES;
-        if sz > self.budget {
-            self.skipped_inserts += 1;
-            return;
-        }
-        if self.resident_bytes + sz > self.budget {
-            // LRU-ish eviction: everything not touched this multiply is a
-            // candidate, oldest (then smallest key) first. The sorted
-            // candidate list is built once per multiply and drained across
-            // inserts; columns inserted this multiply carry the current
-            // stamp and never enter it.
-            if self.victims_clock != self.clock {
-                self.victims = self
-                    .cols
-                    .iter()
-                    .filter(|(_, c)| c.last_used < self.clock)
-                    .map(|(&(o, j), c)| (c.last_used, o, j))
-                    .collect();
-                self.victims.sort_unstable();
-                self.victims_clock = self.clock;
-                self.victims_cursor = 0;
-            }
-            while self.resident_bytes + sz > self.budget {
-                let Some(&(_, o, j)) = self.victims.get(self.victims_cursor) else {
-                    break;
-                };
-                self.victims_cursor += 1;
-                // an entry may have been touched (pinned) after the list
-                // was built; re-check before dropping it
-                if self
-                    .cols
-                    .get(&(o, j))
-                    .is_some_and(|c| c.last_used < self.clock)
-                {
-                    let c = self.cols.remove(&(o, j)).unwrap();
-                    self.resident_bytes -= c.bytes();
-                    self.evicted_cols += 1;
-                    self.evicted_bytes += c.bytes();
-                }
-            }
-            if self.resident_bytes + sz > self.budget {
-                self.skipped_inserts += 1;
-                return;
-            }
-        }
-        self.resident_bytes += sz;
-        self.cols.insert(
-            key,
-            CachedCol {
+        if let Entry::Vacant(slot) = self.cols.entry((owner as u32, col)) {
+            self.resident_bytes += rows.len() as u64 * ENTRY_BYTES;
+            slot.insert(CachedCol {
                 ir: rows.to_vec(),
                 num: vals.to_vec(),
-                last_used: self.clock,
-            },
-        );
+            });
+        }
     }
 
     /// Drop a column (its owner's content changed). Returns whether it was
@@ -444,7 +333,7 @@ pub(crate) struct Symbolic {
 
 /// Algorithm 1 from the fetch on — assemble `Ã`, multiply, wrap, report —
 /// over a borrowed exposed operand. [`spgemm_1d`](crate::spgemm1d::spgemm_1d)
-/// runs it once against a cache with no budget; [`SpgemmSession::multiply`]
+/// runs it once against a disabled cache; [`SpgemmSession::multiply`]
 /// runs it against the session's own; the sparsity-aware 2D SUMMA stops
 /// after [`assemble`](Pipeline1D::assemble), its block row of `A` exposed
 /// along the process row.
@@ -555,7 +444,7 @@ impl Pipeline1D<'_> {
     /// which move as one batch. With no hit to interleave, the batch (the
     /// local slice riding as a free own-rank get) lands straight in `Ã`'s
     /// `ir`/`num`; otherwise it lands in a staging chunk and is stitched
-    /// around the cached columns and the local slice. A cache with a budget
+    /// around the cached columns and the local slice. An enabled cache
     /// then takes the fresh columns out of `Ã`. Returns `Ã` and the seconds
     /// spent inside the batched get.
     pub(crate) fn assemble<C: Comm>(
@@ -582,7 +471,7 @@ impl Pipeline1D<'_> {
 
         let mut gets = Vec::with_capacity(fplan.intervals.len() + 1);
         // Ã column at which each interval starts, for a cache that keeps them
-        let caching = self.cache.budget > 0;
+        let caching = self.cache.enabled;
         let mut fresh_at = Vec::with_capacity(if caching { fplan.intervals.len() } else { 0 });
         // what the stitch splices between staged runs: (Ã column, owner of
         // a cached column | None for the local slice)
@@ -664,7 +553,7 @@ impl Pipeline1D<'_> {
                     Some(owner) => self
                         .cache
                         .peek(owner, jc[k])
-                        .expect("surveyed hit still resident (pinned at current clock)"),
+                        .expect("surveyed hit still resident"),
                 };
                 ir.extend_from_slice(rows);
                 num.extend_from_slice(vals);
@@ -766,7 +655,7 @@ impl SpgemmSession {
         &self.stats
     }
 
-    /// The cache (resident/evicted byte counters).
+    /// The cache (resident byte and column counters).
     pub fn cache(&self) -> &FetchCache {
         &self.cache
     }
@@ -904,14 +793,7 @@ impl SpgemmSession {
         let me = comm.rank();
 
         // --- incremental symbolic pass ---
-        self.cache.tick();
         let survey = self.survey(me, &b.local().row_hit_vector());
-        // Pin the hits: entries touched at the current clock are immune to
-        // eviction, so inserting fresh columns cannot drop a column the
-        // assembly is about to read.
-        for &(owner, g, _q, _bytes) in &survey.hits {
-            self.cache.touch(owner, g);
-        }
         let fplan = self.plan_misses(me, &survey.miss);
 
         let sym = Symbolic {
@@ -1003,10 +885,7 @@ impl SpgemmSession {
     ///
     /// The snapshot's operand fingerprint must match the session's pinned
     /// operand (panics otherwise — restoring cached columns of a different
-    /// `A` would silently corrupt results). Restored columns carry a fresh
-    /// LRU stamp, so a *budgeted* cache may subsequently evict in a
-    /// different order than the uninterrupted run would have; byte-identity
-    /// guarantees therefore assume an unlimited (or disabled) budget.
+    /// `A` would silently corrupt results). A disabled cache stays empty.
     pub fn restore(&mut self, snap: &SessionSnapshot) {
         assert_eq!(snap.nrows, self.a.nrows() as u64, "restore: operand nrows");
         assert_eq!(snap.ncols, self.a.ncols() as u64, "restore: operand ncols");
@@ -1186,75 +1065,6 @@ mod tests {
             true
         });
         assert!(ok.into_iter().all(|x| x));
-    }
-
-    #[test]
-    fn budget_forces_eviction_and_refetch() {
-        // Alternate two operands with disjoint row supports (lower vs upper
-        // half): a budget that holds only one working set must evict the
-        // other's columns and refetch them when they come back.
-        let a = erdos_renyi(80, 80, 4.0, 5);
-        // supports interleave across rank boundaries (even vs odd rows) so
-        // each rank's remote working set really alternates
-        let half = |parity: u32| {
-            let mut coo = sa_sparse::Coo::new(80, 80);
-            for j in 0..80u32 {
-                coo.push(2 * (j % 40) + parity, j, 1.0);
-            }
-            coo.to_csc_with(|x: f64, _| x)
-        };
-        let (b_low, b_high) = (half(0), half(1));
-        let u = sa_mpisim::Universe::new(2);
-        let got = u.run(|comm| {
-            let da = dist(comm, &a);
-            let db_low = dist(comm, &b_low);
-            let db_high = dist(comm, &b_high);
-            let plan = Plan1D {
-                fetch_mode: FetchMode::ColumnExact,
-                global_stats: false,
-                ..Default::default()
-            };
-            let (_c, cold) = {
-                let mut probe =
-                    SpgemmSession::create(comm, da.clone(), plan, CacheConfig::disabled());
-                probe.multiply(comm, &db_low)
-            };
-            // room for roughly one working set, not two
-            let mut s = SpgemmSession::create(
-                comm,
-                da.clone(),
-                plan,
-                CacheConfig::budget(cold.needed_bytes.max(ENTRY_BYTES)),
-            );
-            let mut capped = Vec::new();
-            for b in [&db_low, &db_high, &db_low] {
-                capped.push(s.multiply(comm, b).1.fresh_bytes);
-            }
-            // same schedule, unlimited budget: the third iteration is free
-            let mut u = SpgemmSession::create(comm, da, plan, CacheConfig::unlimited());
-            let mut unlimited = Vec::new();
-            for b in [&db_low, &db_high, &db_low] {
-                unlimited.push(u.multiply(comm, b).1.fresh_bytes);
-            }
-            (
-                cold.needed_bytes,
-                capped,
-                unlimited,
-                s.cache().evicted_cols(),
-            )
-        });
-        for (needed, capped, unlimited, evicted) in got {
-            if needed == 0 {
-                continue; // a rank with a self-contained slice
-            }
-            assert_eq!(capped[0], needed, "cold start fetches everything");
-            assert_eq!(unlimited[2], 0, "unlimited cache keeps both working sets");
-            assert!(evicted > 0, "undersized budget must evict");
-            assert!(
-                capped[2] > 0,
-                "evicted columns must be refetched when they return: {capped:?}"
-            );
-        }
     }
 
     #[test]

@@ -7,18 +7,23 @@
 //! core, so their byte and message accounting is identical across backends
 //! by construction — the property the equivalence suite asserts per rank.
 //!
-//! Two in-process backends ship with the crate (see `docs/BACKENDS.md` for
-//! the full contract and an extension guide):
+//! Three backends ship with the crate, chosen at launch time by a
+//! [`Backend`] value (see `docs/BACKENDS.md` for the full contract and an
+//! extension guide). Two run in-process on one
+//! [`RankComm`](crate::RankComm) and differ only in scheduling:
 //!
-//! * [`SimComm`](crate::SimComm) — the serial rank-loop **simulator**: one
-//!   rank executes at a time (a global run permit is handed over at
-//!   blocking calls), so per-rank timings are measured interference-free
-//!   and a run's wall-clock is the *sum* of rank work. The default.
-//! * [`ThreadComm`](crate::ThreadComm) — **threads as ranks**: all rank
-//!   threads run concurrently; wall-clock is real parallel execution.
+//! * [`Backend::Sim`] — the serial rank-loop **simulator**: one rank
+//!   executes at a time (a global run permit is handed over at blocking
+//!   calls), so per-rank timings are measured interference-free and a
+//!   run's wall-clock is the *sum* of rank work. The default.
+//! * [`Backend::Threads`] — **threads as ranks**: all rank threads run
+//!   concurrently; wall-clock is real parallel execution.
+//!
+//! The third, [`Backend::Procs`], forks one process per rank
+//! ([`ProcComm`](crate::ProcComm)).
 //!
 //! ```
-//! use sa_mpisim::{Comm, Universe};
+//! use sa_mpisim::{Backend, Comm, Universe};
 //!
 //! // An algorithm written once against the trait ...
 //! fn ring_sum<C: Comm>(comm: &C) -> u64 {
@@ -28,8 +33,8 @@
 //! // ... runs on the serial simulator and the threaded backend alike,
 //! // with identical results and identical metered traffic.
 //! let u = Universe::new(4);
-//! let serial = u.run(|comm| (ring_sum(comm), comm.stats()));
-//! let threaded = u.run_threads(|comm| (ring_sum(comm), comm.stats()));
+//! let serial = u.launch(Backend::Sim, |comm| (ring_sum(comm), comm.stats()));
+//! let threaded = u.launch(Backend::Threads, |comm| (ring_sum(comm), comm.stats()));
 //! assert_eq!(serial, threaded);
 //! ```
 
@@ -312,52 +317,17 @@ pub trait Comm: Sized {
     }
 }
 
-mod sealed {
-    pub trait Sealed {}
-    impl Sealed for super::Serial {}
-    impl Sealed for super::Threads {}
-}
-
-/// Type-level scheduling mode of the in-process backends: [`Serial`] (the
-/// `SimComm` simulator) or [`Threads`] (the `ThreadComm` parallel backend).
-/// Sealed — a *new* backend implements [`Comm`] directly instead (see
-/// `docs/BACKENDS.md`).
-pub trait Mode: sealed::Sealed + Send + Sync + 'static {
-    /// Backend name as the benches' `--backend` switch spells it.
-    const NAME: &'static str;
-    /// Whether rank execution is serialized by the global run permit.
-    #[doc(hidden)]
-    const SERIAL: bool;
-}
-
-/// Marker for the serial rank-loop simulator ([`SimComm`](crate::SimComm)).
-pub enum Serial {}
-
-/// Marker for the truly-parallel threads-as-ranks backend
-/// ([`ThreadComm`](crate::ThreadComm)).
-pub enum Threads {}
-
-impl Mode for Serial {
-    const NAME: &'static str = "sim";
-    const SERIAL: bool = true;
-}
-
-impl Mode for Threads {
-    const NAME: &'static str = "threads";
-    const SERIAL: bool = false;
-}
-
-/// Runtime backend selector for benches and CLIs (`--backend threads`,
-/// `SA_BACKEND=threads`). The typed entry points are
-/// [`Universe::run`](crate::Universe::run) (sim) and
-/// [`Universe::run_threads`](crate::Universe::run_threads); this enum only
-/// names them for dispatch.
+/// The backend a job runs on, chosen at launch time (`--backend threads`,
+/// `SA_BACKEND=threads`): [`Universe::launch`](crate::Universe::launch)
+/// takes one of the two in-process values,
+/// [`Universe::run_backend`](crate::Universe::run_backend) any of the three.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Backend {
-    /// Serial rank-loop simulator (`SimComm`) — the default.
+    /// Serial rank-loop simulator on [`RankComm`](crate::RankComm) — the
+    /// default.
     #[default]
     Sim,
-    /// Truly-parallel threads-as-ranks backend (`ThreadComm`).
+    /// Truly-parallel threads-as-ranks on [`RankComm`](crate::RankComm).
     Threads,
     /// Process-per-rank localhost-socket backend
     /// ([`ProcComm`](crate::ProcComm)).
@@ -390,8 +360,8 @@ impl Backend {
     /// The backend's canonical name (`"sim"` / `"threads"` / `"procs"`).
     pub fn name(self) -> &'static str {
         match self {
-            Backend::Sim => Serial::NAME,
-            Backend::Threads => Threads::NAME,
+            Backend::Sim => "sim",
+            Backend::Threads => "threads",
             Backend::Procs => "procs",
         }
     }

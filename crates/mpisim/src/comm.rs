@@ -1,24 +1,30 @@
-//! The per-rank communicator handles of the two in-process backends.
+//! The per-rank communicator handle of the two in-process backends.
 //!
-//! [`RankComm<M>`] is one implementation shared by both backends — the
-//! transport (mailbox hub), collective rendezvous (blackboard) and window
-//! machinery are identical; the [`Mode`] parameter only selects how rank
-//! *execution* is scheduled (see [`crate::scheduler`]):
+//! [`RankComm`] is one implementation shared by
+//! [`Backend::Sim`](crate::Backend::Sim) and
+//! [`Backend::Threads`](crate::Backend::Threads) — the transport (mailbox
+//! hub), collective rendezvous (blackboard) and window machinery are
+//! identical; the job's [`Scheduler`] alone decides how rank *execution* is
+//! scheduled (see [`crate::scheduler`]):
 //!
-//! * [`SimComm`] (= `RankComm<Serial>`) — the serial rank-loop simulator.
-//! * [`ThreadComm`] (= `RankComm<Threads>`) — truly-parallel threads.
+//! * `sim` — the serial rank-loop simulator: exactly one rank executes at
+//!   any instant; the run permit is handed over at blocking communication
+//!   calls. Wall-clock is the *sum* of rank work — fiction as a
+//!   time-to-solution, but per-rank timings are interference-free.
+//! * `threads` — truly-parallel threads: P OS threads sharing one process,
+//!   windows as `Arc`-shared read-only slices (gets are memcpys).
+//!   Wall-clock is real concurrent execution.
 //!
 //! Because the data path is shared, the two backends are byte-identical in
 //! everything the paper measures; they differ only in wall-clock.
 
-use crate::backend::{Comm, Mode, Serial, Threads};
+use crate::backend::Comm;
 use crate::blackboard::Blackboard;
 use crate::p2p::{Envelope, Hub};
 use crate::scheduler::{RankBarrier, Scheduler};
 use crate::stats::{CommStats, StatsCell};
 use std::any::Any;
 use std::cell::Cell;
-use std::marker::PhantomData;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -54,56 +60,26 @@ impl Shared {
 ///
 /// Use it through the [`Comm`] trait (`use sa_mpisim::Comm`), in
 /// algorithms and in the closures handed to [`crate::Universe::run`]
-/// alike.
-pub struct RankComm<M: Mode> {
+/// alike. Created by [`crate::Universe::launch`] for
+/// [`Backend::Sim`](crate::Backend::Sim) and
+/// [`Backend::Threads`](crate::Backend::Threads).
+pub struct RankComm {
     rank: usize,
     size: usize,
     pub(crate) shared: Arc<Shared>,
     pub(crate) stats: Rc<StatsCell>,
     pub(crate) op_counter: Cell<u64>,
     pool: Arc<rayon::ThreadPool>,
-    _mode: PhantomData<M>,
 }
 
-/// The serial rank-loop **simulator** backend (the default): exactly one
-/// rank executes at any instant; the run permit is handed over at blocking
-/// communication calls. Wall-clock is the *sum* of rank work — fiction as
-/// a time-to-solution, but per-rank timings are interference-free and all
-/// metering is exact. Created by [`crate::Universe::run`].
-pub type SimComm = RankComm<Serial>;
-
-/// The truly-parallel **threads-as-ranks** backend: P OS threads sharing
-/// one process, windows as `Arc`-shared read-only slices (gets are
-/// memcpys), collectives on the same metered transport as [`SimComm`].
-/// Wall-clock is real concurrent execution. Created by
-/// [`crate::Universe::run_threads`].
-pub type ThreadComm = RankComm<Threads>;
-
-impl<M: Mode> RankComm<M> {
+impl RankComm {
     pub(crate) fn new(
         rank: usize,
         size: usize,
         shared: Arc<Shared>,
         pool: Arc<rayon::ThreadPool>,
-    ) -> RankComm<M> {
-        RankComm {
-            rank,
-            size,
-            shared,
-            stats: Rc::new(StatsCell::default()),
-            op_counter: Cell::new(0),
-            pool,
-            _mode: PhantomData,
-        }
-    }
-
-    fn with_stats(
-        rank: usize,
-        size: usize,
-        shared: Arc<Shared>,
-        pool: Arc<rayon::ThreadPool>,
         stats: Rc<StatsCell>,
-    ) -> RankComm<M> {
+    ) -> RankComm {
         RankComm {
             rank,
             size,
@@ -111,12 +87,11 @@ impl<M: Mode> RankComm<M> {
             stats,
             op_counter: Cell::new(0),
             pool,
-            _mode: PhantomData,
         }
     }
 }
 
-impl<M: Mode> Comm for RankComm<M> {
+impl Comm for RankComm {
     fn rank(&self) -> usize {
         self.rank
     }
@@ -184,7 +159,7 @@ impl<M: Mode> Comm for RankComm<M> {
         self.stats.record_get(bytes);
     }
 
-    fn split(&self, color: usize, key: usize) -> RankComm<M> {
+    fn split(&self, color: usize, key: usize) -> RankComm {
         // Round 1: learn everyone's (color, key).
         let mine = Arc::new((color, key, self.rank));
         let all = Comm::exchange_arcs(self, mine);
@@ -227,7 +202,7 @@ impl<M: Mode> Comm for RankComm<M> {
                 }
             }
         }
-        RankComm::with_stats(
+        RankComm::new(
             new_rank,
             group_size,
             my_shared.expect("leader published shared state"),

@@ -12,12 +12,13 @@
 //!   quantities the paper's analysis (Figures 5 and 6) is about, and they
 //!   are byte-identical across backends by construction (the collectives
 //!   are provided [`Comm`] methods over the metered two-sided core).
-//! * **Two execution backends** share one data path and differ only in
-//!   scheduling: [`SimComm`] is the serial rank-loop simulator (one rank
-//!   executes at a time — per-rank compute timings are interference-free,
-//!   a run's wall-clock is the sum of rank work), [`ThreadComm`] runs all
-//!   rank threads concurrently (real parallel wall-clock). See
-//!   `docs/BACKENDS.md` for the contract and an extension guide.
+//! * **Two in-process backends** share one communicator, [`RankComm`], and
+//!   differ only in scheduling: [`Backend::Sim`] is the serial rank-loop
+//!   simulator (one rank executes at a time — per-rank compute timings are
+//!   interference-free, a run's wall-clock is the sum of rank work),
+//!   [`Backend::Threads`] runs all rank threads concurrently (real parallel
+//!   wall-clock). See `docs/BACKENDS.md` for the contract and an extension
+//!   guide.
 //! * A Hockney **α–β model** ([`CostModel`]) converts the metered traffic
 //!   into network-time estimates with Slingshot-like constants, for the
 //!   figures whose shape depends on network latency/bandwidth rather than
@@ -31,13 +32,14 @@
 //! * [`Comm`] — the backend-neutral communicator trait every distributed
 //!   algorithm, and every closure handed to a [`Universe`], is written
 //!   against (`use sa_mpisim::Comm`).
-//! * [`Universe`] — launches a job on a backend: [`Universe::run`]
-//!   ([`SimComm`]), [`Universe::run_threads`] ([`ThreadComm`]), or the
-//!   generic [`Universe::launch`]; [`Backend`] names them for runtime
-//!   dispatch (`--backend threads`, `SA_BACKEND`).
+//! * [`Universe`] — launches a job on the [`Backend`] chosen at run time
+//!   (`--backend threads`, `SA_BACKEND`): [`Universe::launch`] runs a
+//!   closure on an in-process backend, [`Universe::run`] on the one
+//!   `SA_BACKEND` names, [`Universe::run_backend`] a [`RankJob`] on any of
+//!   the three.
 //! * [`Universe::run_recoverable`] — restart-on-failure execution of a
 //!   [`RecoverableJob`] under a [`RetryPolicy`] (bounded exponential
-//!   backoff, `SA_MAX_RESTARTS`), with a [`RecoveryReport`] recording every
+//!   backoff), with a [`RecoveryReport`] recording every
 //!   attempt; composes with checkpoint stores (`sa_dist`) so restarted
 //!   iterative jobs resume mid-stream instead of starting over.
 //! * [`PairedWindow`] — passive-target RDMA exposure of A's two arrays
@@ -69,8 +71,8 @@ mod universe;
 mod window;
 mod wire;
 
-pub use backend::{Backend, Comm, Mode, Serial, Threads};
-pub use comm::{RankComm, SimComm, ThreadComm};
+pub use backend::{Backend, Comm};
+pub use comm::RankComm;
 pub use costmodel::CostModel;
 pub use error::{CommError, Primitive, RankError, RankOutcome};
 pub use fault::{

@@ -39,10 +39,6 @@ impl Hub {
         }
     }
 
-    pub fn size(&self) -> usize {
-        self.boxes.len()
-    }
-
     /// Deposit a message for `dst`.
     pub fn send(&self, src: usize, dst: usize, tag: u64, env: Envelope) {
         let mbox = &self.boxes[dst];

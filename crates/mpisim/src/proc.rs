@@ -1,7 +1,7 @@
 //! Process-per-rank backend: one OS process per rank over localhost TCP.
 //!
-//! The in-process backends ([`SimComm`](crate::SimComm),
-//! [`ThreadComm`](crate::ThreadComm)) share one address space, which makes
+//! The in-process backends (`sim` and `threads`, both on
+//! [`RankComm`](crate::RankComm)) share one address space, which makes
 //! wall-clock numbers thread-shared and window gets zero-copy. `ProcComm`
 //! is the backend that makes multi-core measurements honest: every rank is
 //! a forked OS process with its own heap, and all communication crosses a
@@ -42,7 +42,7 @@
 //!   socket and `_exit`s. A child that dies without reporting (e.g.
 //!   `kill -9`) is classified from its `waitpid` status.
 //!
-//! Accounting is byte-identical to `SimComm` by construction: `send_vec` /
+//! Accounting is byte-identical to the in-process backends by construction: `send_vec` /
 //! `recv_vec` meter `len * size_of::<T>()` exactly like
 //! [`RankComm`](crate::RankComm) (self-sends free, control-plane frames
 //! unmetered, window gets charged to the issuer only), and all nine

@@ -68,15 +68,6 @@ impl RetryPolicy {
         self
     }
 
-    /// The policy from the environment: `SA_MAX_RESTARTS` sets
-    /// `max_restarts` (unset = 2; unparsable = 2, **logged**, so a typo'd
-    /// knob never silently reverts to the default), with a 10 ms base
-    /// backoff. `SA_MAX_RESTARTS=0` disables recovery.
-    pub fn from_env() -> RetryPolicy {
-        let max_restarts = parse_max_restarts(std::env::var("SA_MAX_RESTARTS").ok().as_deref());
-        RetryPolicy::new(max_restarts, Duration::from_millis(10))
-    }
-
     /// The transport preset used on the ProcComm mesh-bootstrap path: a
     /// freshly forked sibling may not have bound its listener yet, so dials
     /// retry through transient `ECONNREFUSED`/`EINTR` with short backoff
@@ -95,27 +86,8 @@ impl RetryPolicy {
     }
 }
 
-/// Parse an `SA_MAX_RESTARTS` value. Unset → the default (2); a value
-/// that does not parse as a `u32` also falls back, but *logs the rejected
-/// value* — separated from [`RetryPolicy::from_env`] so the rejection
-/// path is unit-testable without touching the process-global environment.
-fn parse_max_restarts(raw: Option<&str>) -> u32 {
-    const DEFAULT: u32 = 2;
-    match raw {
-        None => DEFAULT,
-        Some(raw) => raw.trim().parse().unwrap_or_else(|_| {
-            eprintln!(
-                "sa-mpisim: ignoring unparseable SA_MAX_RESTARTS={raw:?} (want a u32); \
-                 using default {DEFAULT}"
-            );
-            DEFAULT
-        }),
-    }
-}
-
 impl Default for RetryPolicy {
-    /// The [`RetryPolicy::from_env`] defaults without consulting the
-    /// environment: 2 restarts, 10 ms base backoff, 1 s cap.
+    /// 2 restarts, 10 ms base backoff, 1 s cap.
     fn default() -> RetryPolicy {
         RetryPolicy::new(2, Duration::from_millis(10))
     }
@@ -359,26 +331,5 @@ mod tests {
         assert!(out.iter().all(|o| o.as_ref() == Ok(&6)));
         assert!(report.recovered);
         assert_eq!(report.restarts, 1);
-    }
-
-    #[test]
-    fn env_policy_defaults_are_sane() {
-        // Parsing only — the env var is process-global, so don't set it here.
-        let p = RetryPolicy::from_env();
-        assert!(p.max_restarts <= 10_000, "default must be small: {p:?}");
-        assert!(p.backoff <= p.max_backoff);
-    }
-
-    #[test]
-    fn max_restarts_parsing_accepts_and_rejects_explicitly() {
-        // The pure parser, so no process-global env mutation is needed.
-        assert_eq!(parse_max_restarts(None), 2);
-        assert_eq!(parse_max_restarts(Some("0")), 0);
-        assert_eq!(parse_max_restarts(Some(" 7 ")), 7);
-        // Rejections fall back to the default (and log — not asserted here).
-        assert_eq!(parse_max_restarts(Some("")), 2);
-        assert_eq!(parse_max_restarts(Some("three")), 2);
-        assert_eq!(parse_max_restarts(Some("-1")), 2);
-        assert_eq!(parse_max_restarts(Some("4294967296")), 2); // > u32::MAX
     }
 }

@@ -4,14 +4,14 @@
 //!
 //! # Scheduling
 //!
-//! Both [`SimComm`](crate::SimComm) and [`ThreadComm`](crate::ThreadComm)
-//! run every rank on its own OS thread — what differs is whether those
-//! threads may *run concurrently*:
+//! Both in-process backends run every rank's [`RankComm`](crate::RankComm)
+//! on its own OS thread — what differs is whether those threads may *run
+//! concurrently*:
 //!
-//! * **Parallel** (the `ThreadComm` backend) never gates execution: all
+//! * **Parallel** (the `threads` backend) never gates execution: all
 //!   rank threads run whenever the OS lets them, so wall-clock reflects
 //!   real parallel execution.
-//! * **Serial** (the `SimComm` backend) holds a single global **run
+//! * **Serial** (the `sim` backend) holds a single global **run
 //!   permit**: exactly one rank executes at any instant, and a rank hands
 //!   the permit over only while it is blocked in a communication call
 //!   (receive, barrier, collective rendezvous). This is the classic serial
@@ -134,9 +134,9 @@ impl std::fmt::Display for WaitSite {
 const HEALTHY: usize = usize::MAX;
 
 enum SchedMode {
-    /// All rank threads run concurrently (`ThreadComm`).
+    /// All rank threads run concurrently (`Backend::Threads`).
     Parallel,
-    /// A single run permit serializes rank execution (`SimComm`).
+    /// A single run permit serializes rank execution (`Backend::Sim`).
     Serial(Permit),
 }
 
@@ -167,14 +167,7 @@ impl Scheduler {
         Arc::new(Scheduler {
             mode,
             nranks,
-            // With the `watchdog` feature off the deadline checks are
-            // constant-folded away; force the config off too so behavior
-            // matches what the code can express.
-            watchdog: if cfg!(feature = "watchdog") {
-                watchdog
-            } else {
-                None
-            },
+            watchdog,
             poison: AtomicUsize::new(HEALTHY),
             waits: Mutex::new(vec![None; nranks]),
         })
@@ -285,19 +278,17 @@ impl Scheduler {
                     }
                 });
             }
-            if cfg!(feature = "watchdog") {
-                if let Some(deadline) = self.watchdog {
-                    let waited = parked_at.elapsed();
-                    if waited > deadline {
-                        self.dump_waits(waited);
-                        // A timed-out rank is the job's (first) victim: its
-                        // peers unwind with PeerFailed naming it.
-                        self.poison(me.unwrap_or(self.nranks));
-                        break Err(CommError::Timeout {
-                            primitive: site.primitive,
-                            waited,
-                        });
-                    }
+            if let Some(deadline) = self.watchdog {
+                let waited = parked_at.elapsed();
+                if waited > deadline {
+                    self.dump_waits(waited);
+                    // A timed-out rank is the job's (first) victim: its
+                    // peers unwind with PeerFailed naming it.
+                    self.poison(me.unwrap_or(self.nranks));
+                    break Err(CommError::Timeout {
+                        primitive: site.primitive,
+                        waited,
+                    });
                 }
             }
             let mut guard = mutex.lock();
@@ -680,7 +671,6 @@ mod tests {
         assert_eq!(sched.poison_victim(), Some(2));
     }
 
-    #[cfg(feature = "watchdog")]
     #[test]
     fn watchdog_times_out_a_stuck_wait() {
         // One rank parks on a barrier nobody else ever reaches: the

@@ -15,12 +15,12 @@
 ///
 /// These are wall-clock spans, so the meaning of a span that wraps a
 /// *blocking* call depends on the backend executing the ranks. Under
-/// `ThreadComm` on dedicated cores it measures genuine wait skew. Under the
-/// serial `SimComm` scheduler the same span also contains whatever other
+/// `threads` on dedicated cores it measures genuine wait skew. Under the
+/// serial `sim` scheduler the same span also contains whatever other
 /// ranks executed while this rank held no run permit — up to the whole job:
 /// `fetch_s` around a broadcast leg, `symbolic_s` around the metadata
 /// allgather. Those stages are therefore **not** comparable across backends
-/// and are not a wait-skew measure under `SimComm`. Only `compute_s` never
+/// and are not a wait-skew measure under `sim`. Only `compute_s` never
 /// blocks and is interference-free on every backend. For backend-honest
 /// network time, apply the α–β model to the exact metered traffic — the
 /// convention the benches print (`sa_bench::modeled_total`).

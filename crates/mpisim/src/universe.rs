@@ -1,19 +1,21 @@
 //! Launching a simulated job: one thread per rank, one Rayon pool per rank.
 
-use crate::backend::{Backend, Comm, Mode};
-use crate::comm::{RankComm, Shared, SimComm, ThreadComm};
+use crate::backend::{Backend, Comm};
+use crate::comm::{RankComm, Shared};
 use crate::error::{RankError, RankOutcome};
 use crate::proc::ProcComm;
 use crate::scheduler::{self, PoisonGuard, Scheduler};
+use crate::stats::StatsCell;
 use crate::wire::Wire;
+use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
 
 /// A backend-generic per-rank workload: the same job can run on any
 /// [`Backend`] via [`Universe::run_backend`]. This is a trait rather than a
 /// closure because the rank body must be generic over the communicator type
-/// (`SimComm`, `ThreadComm`, and [`ProcComm`] are distinct types), which a
-/// closure cannot express. The output crosses a process boundary under the
+/// ([`RankComm`] and [`ProcComm`] are distinct types), which a closure
+/// cannot express. The output crosses a process boundary under the
 /// `procs` backend, hence `Out: Wire`.
 ///
 /// ```
@@ -40,22 +42,23 @@ pub trait RankJob: Sync {
 /// `threads_per_rank` compute threads (the paper's `c = p · t` Figure 7
 /// configuration space).
 ///
-/// The same allocation can be executed by either in-process backend:
-/// [`Universe::run`] uses the serial rank-loop simulator ([`SimComm`] —
-/// exact metering, interference-free per-rank timings, wall-clock = sum of
-/// rank work), [`Universe::run_threads`] the truly-parallel backend
-/// ([`ThreadComm`] — same metering, real concurrent wall-clock). Outputs
-/// and metered traffic are identical across the two; only time differs.
+/// The same allocation can be executed by either in-process backend
+/// through [`Universe::launch`]: [`Backend::Sim`], the serial rank-loop
+/// simulator (exact metering, interference-free per-rank timings,
+/// wall-clock = sum of rank work), or [`Backend::Threads`], the
+/// truly-parallel backend (same metering, real concurrent wall-clock).
+/// Outputs and metered traffic are identical across the two; only time
+/// differs.
 ///
 /// ```
-/// use sa_mpisim::{Comm, Universe};
+/// use sa_mpisim::{Backend, Comm, Universe};
 ///
 /// let u = Universe::new(4);
 /// // every rank runs the closure; results come back in rank order
-/// let sums = u.run(|comm| comm.allreduce(comm.rank() as u64, |a, b| a + b));
+/// let sums = u.launch(Backend::Sim, |comm| comm.allreduce(comm.rank() as u64, |a, b| a + b));
 /// assert_eq!(sums, vec![6, 6, 6, 6]);
 /// // the threaded backend computes the same thing, in parallel
-/// let t = u.run_threads(|comm| comm.allreduce(comm.rank() as u64, |a, b| a + b));
+/// let t = u.launch(Backend::Threads, |comm| comm.allreduce(comm.rank() as u64, |a, b| a + b));
 /// assert_eq!(t, sums);
 /// ```
 #[derive(Clone, Copy, Debug)]
@@ -91,7 +94,6 @@ impl Universe {
     /// for longer than `deadline` fails the whole job with a typed
     /// [`CommError::Timeout`](crate::CommError::Timeout) (after printing a
     /// who-waits-on-whom diagnostic) instead of hanging. `None` disables it.
-    /// No effect when the `watchdog` feature is compiled out.
     pub fn with_watchdog(mut self, deadline: Option<Duration>) -> Universe {
         self.watchdog = deadline;
         self
@@ -129,52 +131,36 @@ impl Universe {
         self.heartbeat
     }
 
-    /// Run `f` once per rank on the **serial simulator backend**
-    /// ([`SimComm`]) and collect the per-rank results in rank order. Panics
-    /// in any rank propagate. This is the default backend: deterministic
-    /// metering, one rank executing at a time.
+    /// Run `f` once per rank on the in-process backend named by
+    /// `SA_BACKEND` ([`Backend::from_env`]: `sim` when unset) and collect
+    /// the per-rank results in rank order. Panics in any rank propagate.
     ///
-    /// One escape hatch, for exercising existing `run`-based suites under
-    /// concurrency without rewriting them: `SA_BACKEND=threads` in the
-    /// environment upgrades the *scheduling* to free-running (the handle
-    /// type and all metering are unchanged — outputs and traffic are
-    /// backend-identical by contract, which is exactly what makes the
-    /// override safe). CI uses this to re-run the dist integration suites
-    /// under the threaded scheduler. Code that must pin serial execution
-    /// regardless of the environment uses [`Universe::launch`], which never
-    /// consults the environment.
+    /// This is how the existing suites are re-run under concurrency without
+    /// rewriting them: outputs and traffic are backend-identical by
+    /// contract, so CI re-runs the dist integration suites with
+    /// `SA_BACKEND=threads`. Code that must pin a backend regardless of the
+    /// environment uses [`Universe::launch`].
     pub fn run<F, R>(&self, f: F) -> Vec<R>
     where
-        F: Fn(&SimComm) -> R + Send + Sync,
+        F: Fn(&RankComm) -> R + Send + Sync,
         R: Send,
     {
-        join_or_panic(self.try_run(f))
+        self.launch(Backend::from_env(), f)
     }
 
-    /// Run `f` once per rank on the **truly-parallel threads backend**
-    /// ([`ThreadComm`]) and collect the per-rank results in rank order.
-    /// Same outputs and metered traffic as [`Universe::run`]; wall-clock is
-    /// real concurrent execution.
-    pub fn run_threads<F, R>(&self, f: F) -> Vec<R>
+    /// Run `f` once per rank on the in-process `backend` —
+    /// [`Backend::Sim`] (serial run permit) or [`Backend::Threads`]
+    /// (free-running) — and collect the per-rank results in rank order.
+    /// Spawns one OS thread per rank (named `sa-rank-{r}` for readable
+    /// backtraces) with its own compute pool; the environment is never
+    /// consulted. [`Backend::Procs`] panics: use [`Universe::run_procs`] or
+    /// [`Universe::run_backend`].
+    pub fn launch<F, R>(&self, backend: Backend, f: F) -> Vec<R>
     where
-        F: Fn(&ThreadComm) -> R + Send + Sync,
+        F: Fn(&RankComm) -> R + Send + Sync,
         R: Send,
     {
-        self.launch(f)
-    }
-
-    /// Backend-generic launcher: spawns one OS thread per rank (named
-    /// `sa-rank-{r}` for readable backtraces), builds the rank's compute
-    /// pool and communicator handle, and schedules execution strictly
-    /// according to the mode `M` (serial run permit or free-running) —
-    /// unlike [`Universe::run`], the environment is never consulted.
-    pub fn launch<M, F, R>(&self, f: F) -> Vec<R>
-    where
-        M: Mode,
-        F: Fn(&RankComm<M>) -> R + Send + Sync,
-        R: Send,
-    {
-        join_or_panic(self.try_launch(f))
+        join_or_panic(self.try_launch(backend, f))
     }
 
     /// Fault-tolerant variant of [`Universe::run`]: joins **all** rank
@@ -210,21 +196,10 @@ impl Universe {
     /// ```
     pub fn try_run<F, R>(&self, f: F) -> Vec<RankOutcome<R>>
     where
-        F: Fn(&SimComm) -> R + Send + Sync,
+        F: Fn(&RankComm) -> R + Send + Sync,
         R: Send,
     {
-        self.launch_raw(self.sched_from_env(), f)
-    }
-
-    /// Fault-tolerant variant of [`Universe::launch`]; see
-    /// [`Universe::try_run`].
-    pub fn try_launch<M, F, R>(&self, f: F) -> Vec<RankOutcome<R>>
-    where
-        M: Mode,
-        F: Fn(&RankComm<M>) -> R + Send + Sync,
-        R: Send,
-    {
-        self.launch_raw(self.sched_for_mode::<M>(), f)
+        self.try_launch(Backend::from_env(), f)
     }
 
     /// Run `f` once per rank on the **process-per-rank socket backend**
@@ -264,11 +239,7 @@ impl Universe {
     /// panicking join. This is the dispatch point suites use to execute
     /// one workload identically on `sim`, `threads`, and `procs`.
     pub fn run_backend<J: RankJob>(&self, backend: Backend, job: &J) -> Vec<J::Out> {
-        match backend {
-            Backend::Sim => self.launch::<crate::Serial, _, _>(|c| job.run(c)),
-            Backend::Threads => self.launch::<crate::Threads, _, _>(|c| job.run(c)),
-            Backend::Procs => self.run_procs(|c| job.run(c)),
-        }
+        join_or_panic(self.try_run_backend(backend, job))
     }
 
     /// Fault-tolerant variant of [`Universe::run_backend`].
@@ -278,49 +249,39 @@ impl Universe {
         job: &J,
     ) -> Vec<RankOutcome<J::Out>> {
         match backend {
-            Backend::Sim => self.try_launch::<crate::Serial, _, _>(|c| job.run(c)),
-            Backend::Threads => self.try_launch::<crate::Threads, _, _>(|c| job.run(c)),
             Backend::Procs => self.try_run_procs(|c| job.run(c)),
+            in_process => self.try_launch(in_process, |c| job.run(c)),
         }
     }
 
-    fn sched_from_env(&self) -> Arc<Scheduler> {
-        match Backend::from_env() {
+    fn sched(&self, backend: Backend) -> Arc<Scheduler> {
+        match backend {
             Backend::Sim => Scheduler::serial(self.nranks, self.watchdog),
             Backend::Threads => Scheduler::parallel(self.nranks, self.watchdog),
             Backend::Procs => panic!(
-                "SA_BACKEND=procs: Universe::run/try_run execute the in-process \
-                 backends only; this entry point takes a `SimComm` closure that \
-                 cannot cross a process boundary. Use Universe::run_procs (or the \
-                 backend-generic Universe::run_backend with a RankJob) instead."
+                "Backend::Procs: Universe::launch/run (and their try_ forms) execute \
+                 the in-process backends only; this entry point takes a `RankComm` \
+                 closure that cannot cross a process boundary. Use Universe::run_procs \
+                 (or the backend-generic Universe::run_backend with a RankJob) instead."
             ),
         }
     }
 
-    fn sched_for_mode<M: Mode>(&self) -> Arc<Scheduler> {
-        if M::SERIAL {
-            Scheduler::serial(self.nranks, self.watchdog)
-        } else {
-            Scheduler::parallel(self.nranks, self.watchdog)
-        }
-    }
-
-    /// Spawn, run and join **all** rank threads, returning each rank's
-    /// result or classified panic in rank order. Joining everyone (rather
-    /// than bailing at the first failed join) is what the poison machinery
-    /// guarantees is safe: a failed rank wakes every parked peer, so no
-    /// join can hang.
-    fn launch_raw<M, F, R>(&self, sched: Arc<Scheduler>, f: F) -> Vec<RankOutcome<R>>
+    /// Fault-tolerant variant of [`Universe::launch`]: spawn, run and join
+    /// **all** rank threads, returning each rank's result or classified
+    /// panic in rank order. Joining everyone (rather than bailing at the
+    /// first failed join) is what the poison machinery guarantees is safe:
+    /// a failed rank wakes every parked peer, so no join can hang.
+    pub fn try_launch<F, R>(&self, backend: Backend, f: F) -> Vec<RankOutcome<R>>
     where
-        M: Mode,
-        F: Fn(&RankComm<M>) -> R + Send + Sync,
+        F: Fn(&RankComm) -> R + Send + Sync,
         R: Send,
     {
-        let shared = Shared::new(self.nranks, sched);
-        let tpr = self.threads_per_rank;
+        let shared = Shared::new(self.nranks, self.sched(backend));
+        let (nranks, tpr) = (self.nranks, self.threads_per_rank);
         let f = &f;
         std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..self.nranks)
+            let handles: Vec<_> = (0..nranks)
                 .map(|rank| {
                     let shared = shared.clone();
                     std::thread::Builder::new()
@@ -335,7 +296,8 @@ impl Universe {
                                     .expect("rank pool"),
                             );
                             let sched = shared.sched.clone();
-                            let comm = RankComm::new(rank, shared.hub_size(), shared, pool);
+                            let stats = Rc::new(StatsCell::default());
+                            let comm = RankComm::new(rank, nranks, shared, pool, stats);
                             // Serial mode: hold the run permit whenever this
                             // rank executes; the guard releases it on return
                             // or panic. The poison guard is declared second
@@ -383,11 +345,7 @@ fn join_or_panic<R>(outcomes: Vec<RankOutcome<R>>) -> Vec<R> {
 }
 
 /// `SA_WATCHDOG_SECS` from the environment (see [`parse_heartbeat_secs`]).
-/// Always off when the `watchdog` feature is compiled out.
 fn watchdog_from_env() -> Option<Duration> {
-    if !cfg!(feature = "watchdog") {
-        return None;
-    }
     let var = "SA_WATCHDOG_SECS";
     parse_heartbeat_secs(var, std::env::var(var).ok().as_deref())
 }
@@ -414,12 +372,6 @@ fn parse_heartbeat_secs(var: &str, raw: Option<&str>) -> Option<Duration> {
             );
             None
         }
-    }
-}
-
-impl Shared {
-    fn hub_size(&self) -> usize {
-        self.hub.size()
     }
 }
 
@@ -629,7 +581,7 @@ mod tests {
             (s, parts, comm.stats())
         }
         let sim = u.run(job);
-        let thr = u.run_threads(job);
+        let thr = u.launch(Backend::Threads, job);
         assert_eq!(sim, thr);
     }
 
@@ -639,8 +591,8 @@ mod tests {
         let inside = AtomicUsize::new(0);
         let peak = AtomicUsize::new(0);
         let u = Universe::new(8);
-        // launch::<Serial> pins serial scheduling regardless of SA_BACKEND
-        u.launch::<crate::Serial, _, _>(|comm| {
+        // launch(Backend::Sim) pins serial scheduling regardless of SA_BACKEND
+        u.launch(Backend::Sim, |comm| {
             for _ in 0..5 {
                 let now = inside.fetch_add(1, Ordering::SeqCst) + 1;
                 peak.fetch_max(now, Ordering::SeqCst);
@@ -652,7 +604,7 @@ mod tests {
         assert_eq!(
             peak.load(Ordering::SeqCst),
             1,
-            "SimComm must serialize ranks"
+            "the sim backend must serialize ranks"
         );
     }
 
@@ -664,7 +616,7 @@ mod tests {
         use std::sync::atomic::{AtomicUsize, Ordering};
         let inside = AtomicUsize::new(0);
         let u = Universe::new(4);
-        u.run_threads(|_comm| {
+        u.launch(Backend::Threads, |_comm| {
             inside.fetch_add(1, Ordering::SeqCst);
             while inside.load(Ordering::SeqCst) < 4 {
                 std::thread::yield_now();
@@ -677,7 +629,7 @@ mod tests {
     fn threads_backend_p2p_and_windows() {
         use crate::PairedWindow;
         let u = Universe::new(5);
-        let got = u.run_threads(|comm| {
+        let got = u.launch(Backend::Threads, |comm| {
             let next = (comm.rank() + 1) % comm.size();
             let prev = (comm.rank() + comm.size() - 1) % comm.size();
             comm.send_vec(next, 0, vec![comm.rank() as u64]);
@@ -710,20 +662,15 @@ mod tests {
         use crate::{CommError, RankError};
         // Rank 2 dies mid-job on both backends; the others must terminate
         // with PeerFailed naming it, and ranks are joined in order.
-        fn job<M: Mode>(comm: &RankComm<M>) -> usize {
+        fn job(comm: &RankComm) -> usize {
             if comm.rank() == 2 {
                 panic!("rank 2 gives up");
             }
             comm.barrier();
             comm.rank() * 10
         }
-        for backend_threads in [false, true] {
-            let u = Universe::new(4);
-            let out = if backend_threads {
-                u.try_launch::<crate::Threads, _, _>(job)
-            } else {
-                u.try_launch::<crate::Serial, _, _>(job)
-            };
+        for backend in [Backend::Threads, Backend::Sim] {
+            let out = Universe::new(4).try_launch(backend, job);
             assert_eq!(out.len(), 4);
             assert!(matches!(
                 &out[2],
@@ -741,6 +688,12 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "Use Universe::run_procs")]
+    fn launch_refuses_the_procs_backend() {
+        Universe::new(2).launch(Backend::Procs, |comm| comm.rank());
+    }
+
+    #[test]
     fn try_run_is_all_ok_on_success() {
         let u = Universe::new(3);
         let out = u.try_run(|comm| comm.allreduce(1u64, |a, b| a + b));
@@ -750,7 +703,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "watchdog")]
     #[test]
     fn watchdog_converts_deadlock_into_typed_failure() {
         use crate::{CommError, RankError};
@@ -785,9 +737,7 @@ mod tests {
         // Parsing only — the env var itself is process-global, so don't set
         // it here; with_watchdog covers the wiring.
         let u = Universe::new(2).with_watchdog(Some(Duration::from_secs(7)));
-        if cfg!(feature = "watchdog") {
-            assert_eq!(u.watchdog(), Some(Duration::from_secs(7)));
-        }
+        assert_eq!(u.watchdog(), Some(Duration::from_secs(7)));
         assert_eq!(u.with_watchdog(None).watchdog(), None);
     }
 

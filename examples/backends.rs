@@ -1,6 +1,7 @@
 //! The same autotuned multiply on all three communicator backends, with
-//! matching reports: `SimComm` (serial rank-loop simulator, the default)
-//! vs `ThreadComm` (threads as ranks, truly parallel) vs `ProcComm` (one
+//! matching reports: `Backend::Sim` (serial rank-loop simulator, the
+//! default) vs `Backend::Threads` (threads as ranks, truly parallel) —
+//! both on one in-process `RankComm` — vs `Backend::Procs` (`ProcComm`, one
 //! OS process per rank over localhost sockets).
 //!
 //! Run with: `cargo run --release --example backends`
@@ -55,11 +56,11 @@ fn main() {
     println!("== spgemm_auto on {p} ranks, all three backends ==");
 
     let t0 = std::time::Instant::now();
-    let sim = universe.run(|comm| rank_job(comm, &a));
+    let sim = universe.launch(Backend::Sim, |comm| rank_job(comm, &a));
     let wall_sim = t0.elapsed();
 
     let t0 = std::time::Instant::now();
-    let thr = universe.run_threads(|comm| rank_job(comm, &a));
+    let thr = universe.launch(Backend::Threads, |comm| rank_job(comm, &a));
     let wall_thr = t0.elapsed();
 
     // The procs leg returns over a socket, so the product travels as a
@@ -95,7 +96,7 @@ fn main() {
         println!("rank {r} injected      : {bytes} B in {msgs} msgs  (identical on both backends)");
     }
     println!(
-        "wall: SimComm {:.1} ms (sum of rank work)  vs  ThreadComm {:.1} ms (concurrent)  vs  ProcComm {:.1} ms (fork + TCP mesh + multiply)",
+        "wall: sim {:.1} ms (sum of rank work)  vs  threads {:.1} ms (concurrent)  vs  procs {:.1} ms (fork + TCP mesh + multiply)",
         wall_sim.as_secs_f64() * 1e3,
         wall_thr.as_secs_f64() * 1e3,
         wall_procs.as_secs_f64() * 1e3

@@ -64,8 +64,8 @@ pub mod prelude {
         SessionStats, SpgemmReport, SpgemmSession,
     };
     pub use sa_mpisim::{
-        Backend, Comm, CommError, CostModel, FaultComm, FaultPlan, PhaseTimes, RankError,
-        RankOutcome, RecoverableJob, RecoveryReport, RetryPolicy, SimComm, ThreadComm, Universe,
+        Backend, Comm, CommError, CostModel, FaultComm, FaultPlan, PhaseTimes, RankComm, RankError,
+        RankOutcome, RecoverableJob, RecoveryReport, RetryPolicy, Universe,
     };
     pub use sa_partition::{partition_kway, random_symmetric_perm, Graph, PartitionConfig};
     pub use sa_sparse as sparse_crate;

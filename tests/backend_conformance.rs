@@ -1,7 +1,7 @@
 //! Backend conformance suite (PR 7): every [`Comm`] backend must be
 //! *indistinguishable* from the serial simulator in everything but
 //! wall-clock. The suite is backend-parametric — each cell is a
-//! [`RankJob`] run twice, once on the pinned `SimComm` baseline and once
+//! [`RankJob`] run twice, once on the pinned `sim` baseline and once
 //! on the backend `SA_BACKEND` selects — so the same binary proves:
 //!
 //! * `SA_BACKEND` unset / `sim`: the simulator is deterministic (two
@@ -604,7 +604,7 @@ fn threads_backend_concurrency_smoke() {
     // lightweight barrier and the scheduler-aware mailbox waits.
     let u = Universe::new(8);
     for round in 0..20u64 {
-        let got = u.launch::<saspgemm::mpisim::Threads, _, _>(|comm| {
+        let got = u.launch(Backend::Threads, |comm| {
             let me = comm.rank() as u64;
             for _ in 0..2 {
                 let win = PairedWindow::create(comm, vec![me + round; 8], vec![me as u32; 8]);
@@ -661,13 +661,13 @@ fn procs_backend_conforms_under_seeded_frame_loss() {
 
 #[test]
 fn serial_backend_is_deterministic_across_runs() {
-    // Two identical pinned-SimComm runs must produce identical traffic
+    // Two identical pinned-sim runs must produce identical traffic
     // *and* identical per-rank results — the property that makes the
     // simulator the byte-exact baseline every conformance cell diffs
     // against.
     let a = int_er(44, 44, 3.0, 61);
     let job = |u: &Universe| {
-        u.launch::<saspgemm::mpisim::Serial, _, _>(|comm| {
+        u.launch(Backend::Sim, |comm| {
             let offsets = uniform_offsets(a.ncols(), comm.size());
             let da = DistMat1D::from_global(comm, &a, &offsets);
             let db = da.clone();

@@ -6,8 +6,8 @@
 //! `spgemm_auto` tuner pick) × every fault shape (abort at the victim's
 //! first communication call, abort mid-stream inside a collective's
 //! constituent point-to-point calls, and a straggler delay) × all three
-//! backends (`launch::<Serial>` / `launch::<Threads>` /
-//! `try_run_procs`). In every abort cell the job must terminate within
+//! backends (`Backend::Sim` / `Backend::Threads` / `Backend::Procs`, one
+//! `try_run_backend` each). In every abort cell the job must terminate within
 //! the watchdog deadline with the victim reporting its own panic and
 //! **every** survivor reporting [`CommError::PeerFailed`] naming the
 //! victim.
@@ -50,8 +50,8 @@ use saspgemm::dist::{
 };
 use saspgemm::mpisim::{
     arm_frame_plan, kill_self_with_sigkill, mute_heartbeats, Backend, Comm, CommError, CostModel,
-    FaultComm, FaultPlan, Grid2D, Grid3D, Mode, Primitive, RankError, RecoverableJob,
-    RecoveryReport, RetryPolicy, Serial, Threads, Universe,
+    FaultComm, FaultPlan, Grid2D, Grid3D, Primitive, RankError, RankJob, RecoverableJob,
+    RecoveryReport, RetryPolicy, Universe,
 };
 use saspgemm::sparse::gen::erdos_renyi;
 use saspgemm::sparse::{Csc, PlusTimes, SpgemmWorkspace};
@@ -207,22 +207,40 @@ fn universe() -> Universe {
     Universe::new(NRANKS).with_watchdog(Some(Duration::from_secs(60)))
 }
 
-/// Run `name` with `plan` injected on every rank; return the per-rank
-/// outcomes.
-fn faulted_run<M: Mode>(name: &'static str, plan: &FaultPlan) -> Vec<Result<String, RankError>> {
-    universe().try_launch::<M, _, _>(|comm| {
-        let fc = FaultComm::new(comm.split(0, comm.rank()), plan.clone());
-        workload(name, &fc)
-    })
+/// `name` with `plan` injected on every rank.
+struct Faulted<'a> {
+    name: &'static str,
+    plan: &'a FaultPlan,
+}
+
+impl RankJob for Faulted<'_> {
+    type Out = String;
+    fn run<C: Comm>(&self, comm: &C) -> String {
+        let fc = FaultComm::new(comm.split(0, comm.rank()), self.plan.clone());
+        workload(self.name, &fc)
+    }
+}
+
+/// Run `name` with `plan` injected on every rank of `backend`; return the
+/// per-rank outcomes. Under procs every rank is a forked OS process, the
+/// injected panic unwinds inside the child, and the typed outcome crosses
+/// back over a socket.
+fn faulted_run(
+    backend: Backend,
+    name: &'static str,
+    plan: &FaultPlan,
+) -> Vec<Result<String, RankError>> {
+    universe().try_run_backend(backend, &Faulted { name, plan })
 }
 
 /// The abort half of the matrix: victim dies at `at_op`, every survivor
-/// must fail typed, naming the victim.
-fn assert_abort_matrix<M: Mode>(at_op: u64) {
+/// must fail typed, naming the victim. On procs the victim's Abort
+/// broadcast, not a guessed-at socket EOF, carries the attribution.
+fn assert_abort_matrix(backend: Backend, at_op: u64) {
     quiet_expected_panics();
     for name in WORKLOADS {
         let plan = FaultPlan::abort_at(VICTIM, at_op);
-        let out = faulted_run::<M>(name, &plan);
+        let out = faulted_run(backend, name, &plan);
         assert_eq!(out.len(), NRANKS);
         for (r, o) in out.iter().enumerate() {
             match o {
@@ -254,32 +272,33 @@ fn assert_abort_matrix<M: Mode>(at_op: u64) {
 
 #[test]
 fn abort_at_first_op_fails_every_survivor_typed_serial() {
-    assert_abort_matrix::<Serial>(0);
+    assert_abort_matrix(Backend::Sim, 0);
 }
 
 #[test]
 fn abort_at_first_op_fails_every_survivor_typed_threads() {
-    assert_abort_matrix::<Threads>(0);
+    assert_abort_matrix(Backend::Threads, 0);
 }
 
 #[test]
 fn abort_mid_collective_fails_every_survivor_typed_serial() {
-    assert_abort_matrix::<Serial>(5);
+    assert_abort_matrix(Backend::Sim, 5);
 }
 
 #[test]
 fn abort_mid_collective_fails_every_survivor_typed_threads() {
-    assert_abort_matrix::<Threads>(5);
+    assert_abort_matrix(Backend::Threads, 5);
 }
 
 /// The straggler half of the matrix: a delayed rank stalls the job but
 /// every rank still completes, with results and metered traffic identical
 /// to a clean run.
-fn assert_straggler_matrix<M: Mode>() {
+fn assert_straggler_matrix(backend: Backend) {
     quiet_expected_panics();
     for name in WORKLOADS {
-        let clean = faulted_run::<M>(name, &FaultPlan::none());
-        let slow = faulted_run::<M>(
+        let clean = faulted_run(backend, name, &FaultPlan::none());
+        let slow = faulted_run(
+            backend,
             name,
             &FaultPlan::delay_at(VICTIM, 3, Duration::from_millis(30)),
         );
@@ -300,12 +319,12 @@ fn assert_straggler_matrix<M: Mode>() {
 
 #[test]
 fn straggler_stalls_but_completes_identically_serial() {
-    assert_straggler_matrix::<Serial>();
+    assert_straggler_matrix(Backend::Sim);
 }
 
 #[test]
 fn straggler_stalls_but_completes_identically_threads() {
-    assert_straggler_matrix::<Threads>();
+    assert_straggler_matrix(Backend::Threads);
 }
 
 /// Wrapper neutrality: a zero-fault `FaultComm` must be indistinguishable
@@ -315,8 +334,8 @@ fn straggler_stalls_but_completes_identically_threads() {
 fn zero_fault_wrapper_is_byte_identical_to_bare_backend() {
     for name in WORKLOADS {
         let u = universe();
-        let bare = u.launch::<Serial, _, _>(|comm| workload(name, comm));
-        let wrapped = u.launch::<Serial, _, _>(|comm| {
+        let bare = u.launch(Backend::Sim, |comm| workload(name, comm));
+        let wrapped = u.launch(Backend::Sim, |comm| {
             workload(
                 name,
                 &FaultComm::new(comm.split(0, comm.rank()), FaultPlan::none()),
@@ -326,8 +345,8 @@ fn zero_fault_wrapper_is_byte_identical_to_bare_backend() {
             bare, wrapped,
             "{name}: wrapper perturbed the serial backend"
         );
-        let bare_t = u.launch::<Threads, _, _>(|comm| workload(name, comm));
-        let wrapped_t = u.launch::<Threads, _, _>(|comm| {
+        let bare_t = u.launch(Backend::Threads, |comm| workload(name, comm));
+        let wrapped_t = u.launch(Backend::Threads, |comm| {
             workload(
                 name,
                 &FaultComm::new(comm.split(0, comm.rank()), FaultPlan::none()),
@@ -346,86 +365,19 @@ fn zero_fault_wrapper_is_byte_identical_to_bare_backend() {
 // the fault shapes only OS processes can exhibit.
 // ---------------------------------------------------------------------------
 
-/// [`faulted_run`] on the process-per-rank backend: every rank is a forked
-/// OS process, the injected panic unwinds inside the child, and the typed
-/// outcome crosses back over a socket.
-fn faulted_run_procs(name: &'static str, plan: &FaultPlan) -> Vec<Result<String, RankError>> {
-    universe().try_run_procs(|comm| {
-        let fc = FaultComm::new(comm.split(0, comm.rank()), plan.clone());
-        workload(name, &fc)
-    })
-}
-
-/// The abort matrix on procs: identical acceptance to the in-process
-/// backends — victim panics "injected fault", every survivor fails
-/// `PeerFailed` naming the victim (the victim's Abort broadcast, not a
-/// guessed-at socket EOF, carries the attribution).
-fn assert_abort_matrix_procs(at_op: u64) {
-    quiet_expected_panics();
-    for name in WORKLOADS {
-        let plan = FaultPlan::abort_at(VICTIM, at_op);
-        let out = faulted_run_procs(name, &plan);
-        assert_eq!(out.len(), NRANKS);
-        for (r, o) in out.iter().enumerate() {
-            match o {
-                Ok(res) => panic!(
-                    "{name} at_op={at_op}: rank {r} finished ({res}) despite the injected fault"
-                ),
-                Err(RankError::Panic { summary }) => {
-                    assert_eq!(
-                        r, VICTIM,
-                        "{name} at_op={at_op}: non-victim rank {r} panicked: {summary}"
-                    );
-                    assert!(
-                        summary.contains("injected fault"),
-                        "{name} at_op={at_op}: victim died of something else: {summary}"
-                    );
-                }
-                Err(RankError::Comm(CommError::PeerFailed { rank, primitive })) => {
-                    assert_ne!(r, VICTIM, "{name} at_op={at_op}: victim saw a peer failure");
-                    assert_eq!(
-                        *rank, VICTIM,
-                        "{name} at_op={at_op}: rank {r} blamed rank {rank} (in {primitive}) instead of the victim"
-                    );
-                }
-                Err(e) => panic!("{name} at_op={at_op}: rank {r} failed untyped: {e:?}"),
-            }
-        }
-    }
-}
-
 #[test]
 fn abort_at_first_op_fails_every_survivor_typed_procs() {
-    assert_abort_matrix_procs(0);
+    assert_abort_matrix(Backend::Procs, 0);
 }
 
 #[test]
 fn abort_mid_collective_fails_every_survivor_typed_procs() {
-    assert_abort_matrix_procs(5);
+    assert_abort_matrix(Backend::Procs, 5);
 }
 
 #[test]
 fn straggler_stalls_but_completes_identically_procs() {
-    quiet_expected_panics();
-    for name in WORKLOADS {
-        let clean = faulted_run_procs(name, &FaultPlan::none());
-        let slow = faulted_run_procs(
-            name,
-            &FaultPlan::delay_at(VICTIM, 3, Duration::from_millis(30)),
-        );
-        for (r, (c, s)) in clean.iter().zip(&slow).enumerate() {
-            let c = c
-                .as_ref()
-                .unwrap_or_else(|e| panic!("{name}: clean procs run failed on rank {r}: {e:?}"));
-            let s = s.as_ref().unwrap_or_else(|e| {
-                panic!("{name}: straggler procs run failed on rank {r}: {e:?}")
-            });
-            assert_eq!(
-                c, s,
-                "{name}: a straggler changed rank {r}'s results/traffic"
-            );
-        }
-    }
+    assert_straggler_matrix(Backend::Procs);
 }
 
 /// The fault no in-process backend can model: a rank destroyed by
@@ -525,8 +477,8 @@ fn seeded_fault_runs_are_replayable() {
                 })
                 .collect()
         };
-        let first = shape(&faulted_run::<Serial>("1d", &plan));
-        let second = shape(&faulted_run::<Serial>("1d", &plan));
+        let first = shape(&faulted_run(Backend::Sim, "1d", &plan));
+        let second = shape(&faulted_run(Backend::Sim, "1d", &plan));
         assert_eq!(first, second, "seed {seed}: fault run not replayable");
         assert_eq!(
             first[victim], "panic",
@@ -947,14 +899,14 @@ fn zero_fault_run_recoverable_is_byte_identical_to_try_run() {
     };
     for name in WORKLOADS {
         let (rec, report) = u.run_recoverable(Backend::Sim, &policy, &PlainJob(name));
-        let bare = u.try_launch::<Serial, _, _>(|comm| workload(name, comm));
+        let bare = u.try_launch(Backend::Sim, |comm| workload(name, comm));
         assert_eq!(
             rec, bare,
             "{name}: run_recoverable perturbed the serial backend"
         );
         assert_eq!(report, trivial, "{name}: zero-fault report not trivial");
         let (rec_t, report_t) = u.run_recoverable(Backend::Threads, &policy, &PlainJob(name));
-        let bare_t = u.try_launch::<Threads, _, _>(|comm| workload(name, comm));
+        let bare_t = u.try_launch(Backend::Threads, |comm| workload(name, comm));
         assert_eq!(
             rec_t, bare_t,
             "{name}: run_recoverable perturbed the threads backend"
@@ -1287,21 +1239,25 @@ const LATE_OP: u64 = 8;
 fn late_abort_is_typed_serial() {
     // one rank runs at a time, so even the late abort reaches every survivor
     quiet_expected_panics();
-    let out = faulted_run::<Serial>("2d", &FaultPlan::abort_at(VICTIM, LATE_OP));
+    let out = faulted_run(Backend::Sim, "2d", &FaultPlan::abort_at(VICTIM, LATE_OP));
     assert_late_abort_cell("2d late abort", &out, false);
 }
 
 #[test]
 fn late_abort_is_typed_threads() {
     quiet_expected_panics();
-    let out = faulted_run::<Threads>("2d", &FaultPlan::abort_at(VICTIM, LATE_OP));
+    let out = faulted_run(
+        Backend::Threads,
+        "2d",
+        &FaultPlan::abort_at(VICTIM, LATE_OP),
+    );
     assert_late_abort_cell("2d late abort", &out, true);
 }
 
 #[test]
 fn late_abort_is_typed_procs() {
     quiet_expected_panics();
-    let out = faulted_run_procs("2d", &FaultPlan::abort_at(VICTIM, LATE_OP));
+    let out = faulted_run(Backend::Procs, "2d", &FaultPlan::abort_at(VICTIM, LATE_OP));
     assert_late_abort_cell("2d late abort", &out, true);
 }
 
@@ -1325,7 +1281,7 @@ enum Death {
 /// i.e. while each of them has a full window in flight.
 struct FullWindowJob(Death);
 
-impl saspgemm::mpisim::RankJob for FullWindowJob {
+impl RankJob for FullWindowJob {
     type Out = usize;
     fn run<C: Comm>(&self, comm: &C) -> usize {
         const GO: u64 = 0x60;

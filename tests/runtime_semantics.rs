@@ -16,7 +16,7 @@ use saspgemm::dist::{
     DistMat3D, FetchMode, Plan1D, ShapeError,
 };
 use saspgemm::mpisim::{
-    Backend, Comm, CommStats, CostModel, Grid2D, Grid3D, PairedWindow, PhaseTimes, Serial, SimComm,
+    Backend, Comm, CommStats, CostModel, Grid2D, Grid3D, PairedWindow, PhaseTimes, RankComm,
     Universe,
 };
 use saspgemm::sparse::gen::{banded, erdos_renyi};
@@ -24,14 +24,14 @@ use saspgemm::sparse::{Csc, Dcsc, PlusTimes, SpgemmWorkspace};
 use std::sync::Once;
 use std::time::Instant;
 
-/// The suite's runner: `Universe::run` when `SA_BACKEND` names an
-/// in-process backend (unset, `sim`, or the `threads` upgrade), otherwise
-/// a pinned `launch::<Serial>` with a one-time notice — never a silent
-/// fallback, and never a panic inside the launcher.
-fn run_in_process<R: Send>(u: &Universe, f: impl Fn(&SimComm) -> R + Send + Sync) -> Vec<R> {
+/// The suite's runner: the backend `SA_BACKEND` names when it is an
+/// in-process one (unset, `sim`, or the `threads` upgrade), otherwise a
+/// pinned `launch(Backend::Sim, ..)` with a one-time notice — never a
+/// silent fallback, and never a panic inside the launcher.
+fn run_in_process<R: Send>(u: &Universe, f: impl Fn(&RankComm) -> R + Send + Sync) -> Vec<R> {
     let be = Backend::from_env();
     if be.in_process() {
-        return u.run(f);
+        return u.launch(be, f);
     }
     static NOTE: Once = Once::new();
     NOTE.call_once(|| {
@@ -43,7 +43,7 @@ fn run_in_process<R: Send>(u: &Universe, f: impl Fn(&SimComm) -> R + Send + Sync
             be.name()
         );
     });
-    u.launch::<Serial, _, _>(f)
+    u.launch(Backend::Sim, f)
 }
 
 // ---------------------------------------------------------------------

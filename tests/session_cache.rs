@@ -1,6 +1,7 @@
 //! Integration tests of the session/fetch-cache subsystem's accounting
 //! contract: metered window traffic equals the *planned misses* to the
-//! byte, across iterations, eviction, and the batched-BC workload.
+//! byte, across iterations, cached and uncached, and the batched-BC
+//! workload.
 
 use saspgemm::apps::bc::{bc_batches_1d_session, bc_serial, pick_sources};
 use saspgemm::dist::{
@@ -63,10 +64,11 @@ fn metered_equals_planned_misses_across_iterations() {
     }
 }
 
-/// The invariant survives an undersized budget: evictions force refetches,
-/// and those refetches are planned (and metered) exactly like cold misses.
+/// A disabled cache keeps nothing: every multiply refetches its whole
+/// needed set, planned and metered exactly like a cold miss, and restoring
+/// a snapshot of a warm session does not seed it.
 #[test]
-fn eviction_forced_refetch_is_planned_exactly() {
+fn disabled_cache_refetches_every_multiply_as_planned() {
     // alternating working sets with supports interleaved across ranks
     let a = erdos_renyi(96, 96, 4.0, 7);
     let half = |parity: u32| {
@@ -86,12 +88,19 @@ fn eviction_forced_refetch_is_planned_exactly() {
             global_stats: false,
             ..Default::default()
         };
-        let need = {
-            let mut probe = SpgemmSession::create(comm, da.clone(), plan, CacheConfig::disabled());
-            probe.multiply(comm, &db_even).1.needed_bytes
+        let (warm_cols, snap) = {
+            let mut warm = SpgemmSession::create(comm, da.clone(), plan, CacheConfig::unlimited());
+            warm.multiply(comm, &db_even);
+            (warm.cache().resident_cols(), warm.snapshot())
         };
-        let mut s = SpgemmSession::create(comm, da, plan, CacheConfig::budget(need.max(12)));
-        let mut refetched = 0u64;
+        let mut s = SpgemmSession::create(comm, da, plan, CacheConfig::disabled());
+        s.restore(&snap);
+        assert_eq!(
+            s.cache().resident_cols(),
+            0,
+            "restore seeds no disabled cache"
+        );
+        let mut fetched = Vec::new();
         for b in [&db_even, &db_odd, &db_even, &db_odd, &db_even] {
             let pre = s.analyze(comm, b);
             let before = comm.stats();
@@ -99,19 +108,20 @@ fn eviction_forced_refetch_is_planned_exactly() {
             let metered = comm.stats() - before;
             assert_eq!(metered.rdma_get_bytes, pre.planned_fresh_bytes);
             assert_eq!(rep.fresh_bytes, pre.planned_fresh_bytes);
-            refetched = rep.fresh_bytes; // last iteration's fresh volume
+            assert_eq!(rep.fresh_bytes, rep.needed_bytes, "the whole needed set");
+            assert_eq!(rep.cache_hit_bytes, 0);
+            assert_eq!(s.cache().resident_cols(), 0);
+            fetched.push(rep.fresh_bytes);
         }
-        (need, refetched, s.cache().evicted_cols())
+        (warm_cols, fetched)
     });
-    // at least one rank must have a nonempty remote working set, evict, and
-    // pay a planned refetch on the final (previously seen) operand
-    assert!(got.iter().any(|&(need, _, _)| need > 0));
-    for (need, refetched, evicted) in got {
-        if need == 0 {
-            continue;
-        }
-        assert!(evicted > 0, "undersized budget must evict");
-        assert!(refetched > 0, "evicted columns must be refetched");
+    // some rank had columns to restore and a nonempty remote working set
+    assert!(got.iter().any(|(warm_cols, _)| *warm_cols > 0));
+    for (_, fetched) in got {
+        // a returning operand costs what it cost the first time
+        assert_eq!(fetched[0], fetched[2]);
+        assert_eq!(fetched[0], fetched[4]);
+        assert_eq!(fetched[1], fetched[3]);
     }
 }
 
