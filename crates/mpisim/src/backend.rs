@@ -2,10 +2,18 @@
 //!
 //! Every distributed algorithm in this workspace is written against the
 //! [`Comm`] trait, not a concrete runtime. A backend supplies the small
-//! **core surface** (identity, two-sided transport, barrier, split, and the
-//! metering hooks); the collectives are *provided methods* built on that
-//! core, so their byte and message accounting is identical across backends
-//! by construction — the property the equivalence suite asserts per rank.
+//! **core surface** (identity, two-sided transport, split, window exposure
+//! and the metering hooks); the collectives are *provided methods* built on
+//! that core, so their byte and message accounting is identical across
+//! backends by construction — the property the equivalence suite asserts
+//! per rank.
+//!
+//! The control plane — [`Comm::barrier`], [`Comm::split`] and window
+//! exposure — is one unmetered allgather on every backend,
+//! [`Comm::control_allgather`]: ordinary `send_vec`/`recv_vec` traffic under
+//! a reserved tag range (bit 62) that no backend meters. One classifier,
+//! `control_primitive`, tells a backend whether a tag is metered and which
+//! [`Primitive`] a wait on it reports.
 //!
 //! Three backends ship with the crate, chosen at launch time by a
 //! [`Backend`] value (see `docs/BACKENDS.md` for the full contract and an
@@ -38,10 +46,9 @@
 //! assert_eq!(serial, threaded);
 //! ```
 
+use crate::error::Primitive;
 use crate::stats::CommStats;
 use crate::window::{Exposure, WindowSpec};
-use std::any::Any;
-use std::sync::Arc;
 
 /// Internal tag namespace for collectives: high bit set, op id in the middle,
 /// op kind in the low byte. User tags must stay below 2^48.
@@ -54,6 +61,52 @@ const K_GATHER: u64 = 2;
 const K_SCATTER: u64 = 3;
 const K_ALLTOALL: u64 = 4;
 const K_REDUCE: u64 = 5;
+
+const K_BARRIER: u64 = 1;
+const K_EXCHANGE: u64 = 2;
+
+/// The reserved control tag range: bit 62 set and bit 63 clear, op id in
+/// the middle, the primitive a wait reports in the low byte.
+fn control_tag(op: u64, primitive: Primitive) -> u64 {
+    let kind = if primitive == Primitive::Barrier {
+        K_BARRIER
+    } else {
+        K_EXCHANGE
+    };
+    (1 << 62) | (op << 8) | kind
+}
+
+/// The one tag classifier. `Some(primitive)` for a tag in the reserved
+/// control range: no backend meters a transfer under it, and a wait on it
+/// reports `primitive`. `None` for every other tag: metered, and a wait on
+/// it reports [`Primitive::Recv`].
+pub(crate) fn control_primitive(tag: u64) -> Option<Primitive> {
+    match (tag >> 62, tag & 0xff) {
+        (1, K_BARRIER) => Some(Primitive::Barrier),
+        (1, _) => Some(Primitive::Exchange),
+        _ => None,
+    }
+}
+
+/// A split's group, shared by every backend's [`Comm::split`]: one control
+/// allgather of each rank's `[color, key]`, then this rank's new rank and
+/// the old ranks of its color ordered by `(key, old rank)`.
+pub(crate) fn split_group<C: Comm>(comm: &C, color: usize, key: usize) -> (usize, Vec<usize>) {
+    let all = comm.control_allgather(Primitive::Exchange, vec![color as u64, key as u64]);
+    let mut group: Vec<(u64, usize)> = all
+        .chunks(2)
+        .enumerate()
+        .filter(|(_, ck)| ck[0] == color as u64)
+        .map(|(r, ck)| (ck[1], r))
+        .collect();
+    group.sort_unstable();
+    let members: Vec<usize> = group.into_iter().map(|(_, r)| r).collect();
+    let new_rank = members
+        .iter()
+        .position(|&r| r == comm.rank())
+        .expect("own rank in own color group");
+    (new_rank, members)
+}
 
 /// One rank's handle to a communicator — the backend-neutral analog of an
 /// `MPI_Comm` plus the rank's compute ("OpenMP") pool.
@@ -76,6 +129,9 @@ const K_REDUCE: u64 = 5;
 /// * **Metering.** Every remote transfer is counted exactly once, on the
 ///   initiating side as sent and on the receiving side as received, with
 ///   `len * size_of::<T>()` bytes; rank-local transfers are free. The
+///   control tag range (bit 62 set, bit 63 clear) is reserved for
+///   [`control_allgather`](Comm::control_allgather) and no backend meters
+///   it: barrier, split and window exposure move no counted bytes. The
 ///   one-sided hook [`record_get`](Comm::record_get) charges the issuing
 ///   rank only. Counters are monotone; [`stats`](Comm::stats) snapshots
 ///   them without synchronizing.
@@ -99,9 +155,6 @@ pub trait Comm: Sized {
     /// [`Comm::install`] so they use this pool, not the global one.
     fn pool(&self) -> &rayon::ThreadPool;
 
-    /// Synchronize all ranks of this communicator.
-    fn barrier(&self);
-
     /// Send a `Vec<T>` to `dst` under `tag` (two-sided, eager, non-blocking).
     fn send_vec<T: Send + 'static>(&self, dst: usize, tag: u64, data: Vec<T>);
 
@@ -109,23 +162,17 @@ pub trait Comm: Sized {
     fn recv_vec<T: Send + 'static>(&self, src: usize, tag: u64) -> Vec<T>;
 
     /// Split into sub-communicators by `color`, ranked by `(key, old
-    /// rank)` — the analog of `MPI_Comm_split`. Collective over all ranks.
-    /// Traffic on the sub-communicator still charges this rank's counters
-    /// (one NIC per rank).
+    /// rank)` — the analog of `MPI_Comm_split`. Collective over all ranks,
+    /// over the unmetered [`control_allgather`](Comm::control_allgather); a
+    /// wait in it reports [`Primitive::Exchange`]. Traffic on the
+    /// sub-communicator still charges this rank's counters (one NIC per
+    /// rank).
     fn split(&self, color: usize, key: usize) -> Self;
 
     /// Fresh collective-operation id; identical across ranks because MPI
     /// semantics require every rank to call collectives in the same order.
     #[doc(hidden)]
     fn next_op(&self) -> u64;
-
-    /// Simulation-internal zero-copy all-exchange of `Arc`s (not metered —
-    /// used for window exposure and communicator splits, which move no
-    /// payload bytes; the subsequent `get`s are what's metered). In-process
-    /// backends share the `Arc` directly; a cross-process backend would
-    /// implement window exposure natively instead (see `docs/BACKENDS.md`).
-    #[doc(hidden)]
-    fn exchange_arcs(&self, value: Arc<dyn Any + Send + Sync>) -> Vec<Arc<dyn Any + Send + Sync>>;
 
     /// Metering hook for one-sided transfers: charge one RDMA get of
     /// `bytes` to this rank. Called by
@@ -134,16 +181,48 @@ pub trait Comm: Sized {
     #[doc(hidden)]
     fn record_get(&self, bytes: usize);
 
-    /// Collective window exposure (`MPI_Win_create`). The default routes
-    /// through [`exchange_arcs`](Comm::exchange_arcs) — zero-copy sharing,
-    /// correct for any in-process backend. A cross-process backend overrides
-    /// this to register the deposit with its progress engine and return an
-    /// [`Exposure::Remote`] transport instead; like `exchange_arcs`, the
-    /// exposure itself is unmetered (the subsequent `get`s are what's
-    /// metered).
+    /// Collective window exposure (`MPI_Win_create`), built on the
+    /// unmetered [`control_allgather`](Comm::control_allgather) (the
+    /// subsequent `get`s are what's metered); a wait in it reports
+    /// [`Primitive::Exchange`]. An in-process backend allgathers the
+    /// `Arc` deposits and returns [`Exposure::Shared`]; a cross-process
+    /// backend registers the deposit with its progress engine and returns
+    /// an [`Exposure::Remote`] transport.
     #[doc(hidden)]
-    fn expose(&self, spec: WindowSpec) -> Exposure {
-        Exposure::Shared(self.exchange_arcs(spec.arc))
+    fn expose(&self, spec: WindowSpec) -> Exposure;
+
+    /// The control plane's one collective: every rank contributes `mine`
+    /// (the same length on every rank) and receives all contributions
+    /// concatenated in rank order. Linear through rank 0 under the reserved
+    /// control tag range, so no backend meters it; a wait in it reports
+    /// `primitive` ([`Primitive::Barrier`] or [`Primitive::Exchange`]).
+    #[doc(hidden)]
+    fn control_allgather<T: Clone + Send + 'static>(
+        &self,
+        primitive: Primitive,
+        mine: Vec<T>,
+    ) -> Vec<T> {
+        let t = control_tag(self.next_op(), primitive);
+        if self.rank() == 0 {
+            let mut all = mine;
+            for src in 1..self.size() {
+                all.extend(self.recv_vec::<T>(src, t));
+            }
+            for dst in 1..self.size() {
+                self.send_vec(dst, t, all.clone());
+            }
+            all
+        } else {
+            self.send_vec(0, t, mine);
+            self.recv_vec(0, t)
+        }
+    }
+
+    /// Synchronize all ranks of this communicator: a
+    /// [`control_allgather`](Comm::control_allgather) of nothing, so it
+    /// moves no metered bytes; a wait in it reports [`Primitive::Barrier`].
+    fn barrier(&self) {
+        self.control_allgather::<u64>(Primitive::Barrier, Vec::new());
     }
 
     /// Execute `f` on this rank's compute pool.
@@ -390,6 +469,21 @@ mod tests {
         assert_eq!(Backend::parse("Process"), Some(Backend::Procs));
         assert_eq!(Backend::parse("mpi"), None);
         assert_eq!(Backend::default(), Backend::Sim);
+    }
+
+    #[test]
+    fn one_classifier_separates_control_from_metered_tags() {
+        assert_eq!(
+            control_primitive(control_tag(9, Primitive::Barrier)),
+            Some(Primitive::Barrier)
+        );
+        assert_eq!(
+            control_primitive(control_tag(9, Primitive::Exchange)),
+            Some(Primitive::Exchange)
+        );
+        for metered in [0, 7, (1 << 48) - 1, tag(9, K_BCAST), tag(9, K_REDUCE)] {
+            assert_eq!(control_primitive(metered), None, "tag {metered:#x}");
+        }
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! [`RankComm`] is one implementation shared by
 //! [`Backend::Sim`](crate::Backend::Sim) and
 //! [`Backend::Threads`](crate::Backend::Threads) — the transport (mailbox
-//! hub), collective rendezvous (blackboard) and window machinery are
-//! identical; the job's [`Scheduler`] alone decides how rank *execution* is
-//! scheduled (see [`crate::scheduler`]):
+//! hub) and the control plane over it are identical; the job's
+//! [`Scheduler`] alone decides how rank *execution* is scheduled (see
+//! [`crate::scheduler`]):
 //!
 //! * `sim` — the serial rank-loop simulator: exactly one rank executes at
 //!   any instant; the run permit is handed over at blocking communication
@@ -15,15 +15,20 @@
 //!   windows as `Arc`-shared read-only slices (gets are memcpys).
 //!   Wall-clock is real concurrent execution.
 //!
+//! Barrier, split and window exposure are the trait's one unmetered
+//! control allgather over the hub, exactly as on the socket backend: a
+//! split allgathers `[color, key]` and then the group's new hub, an
+//! exposure allgathers the `Arc` deposits.
+//!
 //! Because the data path is shared, the two backends are byte-identical in
 //! everything the paper measures; they differ only in wall-clock.
 
-use crate::backend::Comm;
-use crate::blackboard::Blackboard;
+use crate::backend::{control_primitive, split_group, Comm};
+use crate::error::Primitive;
 use crate::p2p::{Envelope, Hub};
-use crate::scheduler::{RankBarrier, Scheduler};
+use crate::scheduler::Scheduler;
 use crate::stats::{CommStats, StatsCell};
-use std::any::Any;
+use crate::window::{Exposure, WindowSpec};
 use std::cell::Cell;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -31,8 +36,6 @@ use std::sync::Arc;
 /// State shared by all ranks of one communicator.
 pub(crate) struct Shared {
     pub hub: Hub,
-    pub barrier: RankBarrier,
-    pub board: Blackboard,
     /// The job-wide execution scheduler: one per [`crate::Universe`] launch,
     /// shared by every communicator split from the world (the serial run
     /// permit must be global, or two sub-communicators could run two ranks
@@ -44,8 +47,6 @@ impl Shared {
     pub fn new(n: usize, sched: Arc<Scheduler>) -> Arc<Shared> {
         Arc::new(Shared {
             hub: Hub::new(n),
-            barrier: RankBarrier::new(n),
-            board: Blackboard::new(),
             sched,
         })
     }
@@ -66,9 +67,9 @@ impl Shared {
 pub struct RankComm {
     rank: usize,
     size: usize,
-    pub(crate) shared: Arc<Shared>,
-    pub(crate) stats: Rc<StatsCell>,
-    pub(crate) op_counter: Cell<u64>,
+    shared: Arc<Shared>,
+    stats: Rc<StatsCell>,
+    op_counter: Cell<u64>,
     pool: Arc<rayon::ThreadPool>,
 }
 
@@ -108,14 +109,10 @@ impl Comm for RankComm {
         &self.pool
     }
 
-    fn barrier(&self) {
-        self.shared.barrier.wait(&self.shared.sched);
-    }
-
     fn send_vec<T: Send + 'static>(&self, dst: usize, tag: u64, data: Vec<T>) {
         assert!(dst < self.size, "send to rank {dst} of {}", self.size);
         let bytes = data.len() * std::mem::size_of::<T>();
-        if dst != self.rank {
+        if dst != self.rank && control_primitive(tag).is_none() {
             self.stats.record_send(bytes);
         }
         self.shared.hub.send(
@@ -134,7 +131,7 @@ impl Comm for RankComm {
             .shared
             .hub
             .recv(self.rank, src, tag, &self.shared.sched);
-        if src != self.rank {
+        if src != self.rank && control_primitive(tag).is_none() {
             self.stats.record_recv(env.bytes);
         }
         *env.payload
@@ -148,64 +145,29 @@ impl Comm for RankComm {
         id
     }
 
-    fn exchange_arcs(&self, value: Arc<dyn Any + Send + Sync>) -> Vec<Arc<dyn Any + Send + Sync>> {
-        let op = self.next_op() | (1 << 62); // namespace apart from p2p tags
-        self.shared
-            .board
-            .exchange(op, self.size, self.rank, value, &self.shared.sched)
-    }
-
     fn record_get(&self, bytes: usize) {
         self.stats.record_get(bytes);
     }
 
-    fn split(&self, color: usize, key: usize) -> RankComm {
-        // Round 1: learn everyone's (color, key).
-        let mine = Arc::new((color, key, self.rank));
-        let all = Comm::exchange_arcs(self, mine);
-        let infos: Vec<(usize, usize, usize)> = all
-            .into_iter()
-            .map(|a| *a.downcast::<(usize, usize, usize)>().unwrap())
-            .collect();
-        let mut group: Vec<(usize, usize, usize)> = infos
-            .iter()
-            .copied()
-            .filter(|&(c, _, _)| c == color)
-            .collect();
-        group.sort_by_key(|&(_, k, r)| (k, r));
-        let new_rank = group
-            .iter()
-            .position(|&(_, _, r)| r == self.rank)
-            .expect("self in own color group");
-        let group_size = group.len();
-        let leader = group[0].2;
+    fn expose(&self, spec: WindowSpec) -> Exposure {
+        Exposure::Shared(self.control_allgather(Primitive::Exchange, vec![spec.arc]))
+    }
 
-        // Round 2: each color's leader publishes the new Shared.
-        let deposit: Arc<dyn Any + Send + Sync> = if self.rank == leader {
-            Arc::new(Some((
-                color,
-                Shared::new(group_size, self.shared.sched.clone()),
-            )))
-        } else {
-            Arc::new(None::<(usize, Arc<Shared>)>)
-        };
-        let published = Comm::exchange_arcs(self, deposit);
-        let mut my_shared: Option<Arc<Shared>> = None;
-        for p in published {
-            if let Some((c, s)) = p
-                .downcast::<Option<(usize, Arc<Shared>)>>()
-                .unwrap()
-                .as_ref()
-            {
-                if *c == color {
-                    my_shared = Some(s.clone());
-                }
-            }
-        }
+    fn split(&self, color: usize, key: usize) -> RankComm {
+        let (new_rank, group) = split_group(self, color, key);
+        // Each color's leader (its first member) builds the group's hub; one
+        // more control round hands it to the members.
+        let leader = group[0];
+        let mine =
+            (self.rank == leader).then(|| Shared::new(group.len(), self.shared.sched.clone()));
+        let shared = self
+            .control_allgather(Primitive::Exchange, vec![mine])
+            .swap_remove(leader)
+            .expect("leader published its group's hub");
         RankComm::new(
             new_rank,
-            group_size,
-            my_shared.expect("leader published shared state"),
+            group.len(),
+            shared,
             self.pool.clone(),
             self.stats.clone(), // one NIC per rank: sub-comm traffic counts here
         )

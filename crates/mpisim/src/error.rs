@@ -2,7 +2,7 @@
 //!
 //! A distributed job fails as a *job*, not as a single thread: when one rank
 //! dies, every peer that is parked in a blocking primitive (a receive, a
-//! barrier, a collective rendezvous) would otherwise wait forever for a
+//! barrier, a split or window exposure) would otherwise wait forever for a
 //! message that can no longer arrive. The runtime therefore **poisons** the
 //! job on the first rank failure (see [`crate::scheduler`]): every parked
 //! rank wakes and unwinds with a [`CommError::PeerFailed`] naming the victim,
@@ -20,12 +20,13 @@ use std::time::Duration;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Primitive {
     /// A two-sided receive ([`Comm::recv_vec`](crate::Comm::recv_vec) or a
-    /// provided collective built on it).
+    /// provided collective built on it), or a window get's response.
     Recv,
     /// [`Comm::barrier`](crate::Comm::barrier).
     Barrier,
-    /// The zero-copy rendezvous behind window exposure and communicator
-    /// splits ([`Comm::exchange_arcs`](crate::Comm::exchange_arcs)).
+    /// The control allgather behind communicator splits
+    /// ([`Comm::split`](crate::Comm::split)) and window exposure
+    /// ([`PairedWindow::create`](crate::PairedWindow::create)).
     Exchange,
 }
 

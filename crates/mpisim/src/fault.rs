@@ -32,11 +32,13 @@
 //! so a zero-fault `FaultComm` produces byte-identical traffic to the bare
 //! backend (wrapper neutrality, asserted by `tests/fault_injection.rs`),
 //! and an injected fault can land *inside* a collective, between its
-//! constituent point-to-point calls.
+//! constituent point-to-point calls. The control plane is the exception:
+//! `barrier`, `split` and `expose` each take one fault-op checkpoint and
+//! forward to the inner communicator, so their control traffic never
+//! passes through the wrapper's `send_vec`/`recv_vec`.
 
 use crate::backend::Comm;
 use crate::stats::CommStats;
-use std::any::Any;
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 use std::sync::Arc;
@@ -323,43 +325,62 @@ pub(crate) fn armed_frame_plan() -> Option<Arc<FaultPlan>> {
     ARMED_FRAME_PLAN.with(|slot| slot.borrow().clone())
 }
 
-/// A lossy-transport plan from the environment, for the CI soak jobs:
-/// `SA_LOSSY_RATE` (permille of droppable frames injured, 0/unset =
-/// clean), `SA_LOSSY_MODE` (`drop` | `corrupt` | `duplicate`, default
-/// `drop`), seeded by `SA_FAULT_SEED` (default 1). Unparseable values are
-/// logged, never silently ignored.
+/// A lossy-transport plan from the environment, for the CI soak jobs (see
+/// [`parse_frame_plan`]).
 pub(crate) fn frame_plan_from_env() -> Option<FaultPlan> {
-    let raw = std::env::var("SA_LOSSY_RATE").ok()?;
-    let rate: u16 = match raw.trim().parse() {
-        Ok(r) => r,
-        Err(_) => {
-            eprintln!(
-                "sa-mpisim: ignoring unparseable SA_LOSSY_RATE={raw:?} \
-                 (want permille as a u16); transport runs clean"
-            );
-            return None;
-        }
+    let var = |name| std::env::var(name).ok();
+    parse_frame_plan(
+        var("SA_LOSSY_RATE").as_deref(),
+        var("SA_LOSSY_MODE").as_deref(),
+        var("SA_FAULT_SEED").as_deref(),
+    )
+}
+
+/// The lossy plan the raw values of `SA_LOSSY_RATE` (permille of droppable
+/// frames injured, `0..=1000`; unset or 0 = clean), `SA_LOSSY_MODE`
+/// (`drop` | `corrupt` | `duplicate`, default `drop`) and `SA_FAULT_SEED`
+/// (a u64, default 1) name. Every unparseable value is logged and the
+/// transport runs clean: a soak must never run under a plan it did not ask
+/// for.
+fn parse_frame_plan(
+    rate: Option<&str>,
+    mode: Option<&str>,
+    seed: Option<&str>,
+) -> Option<FaultPlan> {
+    let raw_rate = rate?;
+    let reject = |var: &str, raw: &str, want: &str| {
+        eprintln!(
+            "[sa_mpisim] ignoring unparseable {var}={raw:?} (want {want}); transport runs clean"
+        );
     };
+    let rate = raw_rate.trim().parse::<u16>().ok().filter(|&r| r <= 1000);
+    if rate.is_none() {
+        reject("SA_LOSSY_RATE", raw_rate, "permille, 0..=1000");
+    }
+    let kind = match mode.map_or("drop", str::trim) {
+        "drop" => Some(0),
+        "corrupt" => Some(1),
+        "duplicate" => Some(2),
+        _ => None,
+    };
+    if let (None, Some(raw)) = (kind, mode) {
+        reject("SA_LOSSY_MODE", raw, "drop|corrupt|duplicate");
+    }
+    let seed = seed.map_or(Some(1), |raw| {
+        let parsed = raw.trim().parse::<u64>().ok();
+        if parsed.is_none() {
+            reject("SA_FAULT_SEED", raw, "a u64");
+        }
+        parsed
+    });
+    let (rate, kind, seed) = (rate?, kind?, seed?);
     if rate == 0 {
         return None;
     }
-    let seed = std::env::var("SA_FAULT_SEED")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(1);
-    let mode = std::env::var("SA_LOSSY_MODE").unwrap_or_else(|_| "drop".to_string());
-    match mode.trim() {
-        "drop" => Some(FaultPlan::seeded_lossy(seed, rate, 0, 0)),
-        "corrupt" => Some(FaultPlan::seeded_lossy(seed, 0, rate, 0)),
-        "duplicate" => Some(FaultPlan::seeded_lossy(seed, 0, 0, rate)),
-        other => {
-            eprintln!(
-                "sa-mpisim: ignoring unknown SA_LOSSY_MODE={other:?} \
-                 (want drop|corrupt|duplicate); transport runs clean"
-            );
-            None
-        }
-    }
+    let mut permille = [0; 3];
+    permille[kind] = rate;
+    let [drop, corrupt, duplicate] = permille;
+    Some(FaultPlan::seeded_lossy(seed, drop, corrupt, duplicate))
 }
 
 /// SplitMix64 step — a tiny, dependency-free PRNG, plenty for picking
@@ -472,21 +493,11 @@ impl<C: Comm> Comm for FaultComm<C> {
         self.inner.next_op()
     }
 
-    fn exchange_arcs(&self, value: Arc<dyn Any + Send + Sync>) -> Vec<Arc<dyn Any + Send + Sync>> {
-        self.checkpoint();
-        self.inner.exchange_arcs(value)
-    }
-
     fn record_get(&self, bytes: usize) {
         self.inner.record_get(bytes);
     }
 
     fn expose(&self, spec: crate::window::WindowSpec) -> crate::window::Exposure {
-        // Explicit, not inherited: the default would route through *this*
-        // wrapper's `exchange_arcs` (fine in-process, panics on a remote
-        // backend). One checkpoint here keeps the fault-op numbering of a
-        // window exposure identical to the pre-`expose` era, so existing
-        // plans' injection coordinates don't shift.
         self.checkpoint();
         self.inner.expose(spec)
     }
@@ -587,6 +598,37 @@ mod tests {
         assert!(armed_frame_plan().is_none(), "guard did not disarm");
         let _g = arm_frame_plan(&FaultPlan::abort_at(0, 0));
         assert!(armed_frame_plan().is_none(), "op-level plan armed frames");
+    }
+
+    #[test]
+    fn frame_plan_parsing_rejects_every_bad_value_and_runs_clean() {
+        let parse = parse_frame_plan;
+        assert_eq!(
+            parse(None, Some("corrupt"), Some("7")),
+            None,
+            "no rate, clean"
+        );
+        assert_eq!(parse(Some("0"), None, None), None, "0 = clean");
+        assert_eq!(
+            parse(Some(" 50 "), None, None),
+            Some(FaultPlan::seeded_lossy(1, 50, 0, 0))
+        );
+        assert_eq!(
+            parse(Some("10"), Some("corrupt"), Some(" 7 ")),
+            Some(FaultPlan::seeded_lossy(7, 0, 10, 0))
+        );
+        assert_eq!(
+            parse(Some("1000"), Some("duplicate"), Some("99")),
+            Some(FaultPlan::seeded_lossy(99, 0, 0, 1000))
+        );
+        // each rejection is logged and leaves the transport clean
+        for rate in ["lots", "-1", "1001", "70000"] {
+            assert_eq!(parse(Some(rate), None, None), None, "rate {rate:?}");
+        }
+        assert_eq!(parse(Some("50"), Some("loss"), None), None, "mode");
+        for seed in ["seven", "-7", "1.5", ""] {
+            assert_eq!(parse(Some("50"), None, Some(seed)), None, "seed {seed:?}");
+        }
     }
 
     #[test]

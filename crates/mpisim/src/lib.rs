@@ -55,7 +55,6 @@
 //!   paper's comm/comp/other.
 
 mod backend;
-mod blackboard;
 mod comm;
 mod costmodel;
 mod error;

@@ -4,7 +4,7 @@
 //! message arrives — MPI's eager-protocol semantics, which is what the
 //! linear collective algorithms built on top assume for deadlock freedom.
 
-use crate::error::{raise, Primitive};
+use crate::error::raise;
 use crate::scheduler::{Scheduler, WaitSite};
 use parking_lot::{Condvar, Mutex};
 use std::any::Any;
@@ -58,10 +58,13 @@ impl Hub {
     /// message is popped. Only rank `me`'s own thread receives from its
     /// mailbox, so a message observed before the reacquisition is still
     /// there after it. Unwinds with a typed [`CommError`](crate::CommError)
-    /// if a peer dies or the watchdog expires while waiting.
+    /// if a peer dies or the watchdog expires while waiting — attributed to
+    /// the primitive the tag's class names (a control-tagged receive is a
+    /// barrier, split or exposure).
     pub fn recv(&self, me: usize, src: usize, tag: u64, sched: &Scheduler) -> Envelope {
         let mbox = &self.boxes[me];
-        sched.check_healthy(Primitive::Recv);
+        let site = WaitSite::recv(src, tag);
+        sched.check_healthy(site.primitive);
         loop {
             {
                 let mut inner = mbox.inner.lock();
@@ -74,15 +77,13 @@ impl Hub {
                     }
                 }
             }
-            if let Err(e) =
-                sched.park_until(&mbox.inner, &mbox.cv, WaitSite::recv(src, tag), |inner| {
-                    inner
-                        .queues
-                        .get(&(src, tag))
-                        .map(|q| !q.is_empty())
-                        .unwrap_or(false)
-                })
-            {
+            if let Err(e) = sched.park_until(&mbox.inner, &mbox.cv, site, |inner| {
+                inner
+                    .queues
+                    .get(&(src, tag))
+                    .map(|q| !q.is_empty())
+                    .unwrap_or(false)
+            }) {
                 raise(e);
             }
         }

@@ -31,7 +31,8 @@
 //!   dump) work identically. A dead socket poisons the job: the reader
 //!   that sees an unexpected EOF names that peer as the victim.
 //! * **Windows.** [`Comm::expose`] registers the deposit with the local
-//!   progress engine and allgathers `(window id, length)`; gets travel as
+//!   progress engine and allgathers `(window id, length)` over the
+//!   unmetered control plane; gets travel as
 //!   `GetReq`/`GetResp` byte ranges served by the *target's responder
 //!   thread* — the rank's own main thread is never involved, preserving
 //!   the passive-target contract. After its closure finishes, a rank keeps
@@ -44,18 +45,20 @@
 //!
 //! Accounting is byte-identical to the in-process backends by construction: `send_vec` /
 //! `recv_vec` meter `len * size_of::<T>()` exactly like
-//! [`RankComm`](crate::RankComm) (self-sends free, control-plane frames
-//! unmetered, window gets charged to the issuer only), and all nine
-//! collectives are provided [`Comm`] methods over that metered core. The
-//! backend-conformance suite asserts the identity per rank.
+//! [`RankComm`](crate::RankComm) (self-sends free, the control tag range
+//! unmetered, window gets charged to the issuer only), and the collectives
+//! and the control plane (barrier, split, exposure) are provided [`Comm`]
+//! methods over that core. The backend-conformance suite asserts the
+//! identity per rank.
 
-use crate::backend::Comm;
+use crate::backend::{control_primitive, split_group, Comm};
 use crate::error::{raise, CommError, Primitive, RankError, RankOutcome};
 use crate::fault::FaultPlan;
 use crate::fault::FrameFault;
 use crate::recover::RetryPolicy;
 use crate::scheduler::{self, PoisonGuard, Scheduler, WaitSite};
 use crate::stats::{CommStats, StatsCell};
+use crate::universe::Universe;
 use crate::window::{Exposure, RemoteWindow, WindowSpec};
 use crate::wire::{vec_codec, Frame, Wire, WireError, MAX_FRAME};
 use parking_lot::{Condvar, Mutex};
@@ -965,11 +968,6 @@ impl RemoteWindow for ProcRemoteWindow {
 // The communicator
 // ---------------------------------------------------------------------------
 
-/// Control-plane tag namespace: bit 62 set, sequence number below. User
-/// tags stay under 2^48 and collective tags set bit 63, so the spaces are
-/// disjoint.
-const CTRL: u64 = 1 << 62;
-
 fn mix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -984,9 +982,8 @@ fn mix64(mut z: u64) -> u64 {
 /// [`Universe::run_backend`](crate::Universe::run_backend)); cannot be
 /// constructed directly. Implements the full [`Comm`] contract with
 /// byte-identical accounting to the in-process backends; window exposure
-/// goes through [`Comm::expose`] (this backend has no shared memory, so
-/// [`Comm::exchange_arcs`] panics — no caller outside the in-process
-/// internals uses it).
+/// registers the deposit with this process's progress engine and
+/// allgathers `(window id, length)` over the unmetered control plane.
 pub struct ProcComm {
     rank: usize,
     size: usize,
@@ -998,7 +995,6 @@ pub struct ProcComm {
     /// rank"), like [`RankComm`](crate::RankComm).
     stats: Rc<StatsCell>,
     op_counter: Cell<u64>,
-    ctrl_counter: Cell<u64>,
     pool: Arc<rayon::ThreadPool>,
 }
 
@@ -1014,12 +1010,6 @@ impl ProcComm {
     /// the same frames").
     pub fn retransmit_log(&self) -> Vec<(u64, u64)> {
         self.node.retransmits.lock().clone()
-    }
-
-    fn next_ctrl(&self) -> u64 {
-        let v = self.ctrl_counter.get();
-        self.ctrl_counter.set(v + 1);
-        v
     }
 
     fn push_local(&self, tag: u64, payload: Box<dyn Any + Send>) {
@@ -1094,78 +1084,8 @@ impl ProcComm {
             let victim = self.node.sched.poison_victim().unwrap_or(world);
             raise(CommError::PeerFailed {
                 rank: victim,
-                primitive: Primitive::Recv,
+                primitive: WaitSite::recv(world, tag).primitive,
             });
-        }
-    }
-
-    /// Unmetered control-plane send of a `u64` vector (collective
-    /// bookkeeping: barrier, split, expose). Not visible in [`CommStats`] —
-    /// the in-process backends' rendezvous (`exchange_arcs`, barrier
-    /// generations) is equally invisible, which is what keeps the
-    /// accounting byte-identical across backends.
-    fn ctrl_send(&self, dst: usize, seq: u64, data: Vec<u64>) {
-        let tag = CTRL | seq;
-        if dst == self.rank {
-            self.push_local(tag, Box::new(data));
-        } else {
-            self.send_wire_frame(dst, tag, data, false, 0);
-        }
-    }
-
-    fn ctrl_recv(&self, src: usize, seq: u64, site: WaitSite) -> Vec<u64> {
-        let key = (self.comm_id, src as u64, CTRL | seq);
-        match self.pop_message(key, site) {
-            InPayload::Local(any) => *any.downcast::<Vec<u64>>().expect("ctrl payload type"),
-            InPayload::Remote {
-                type_fp,
-                count,
-                bytes,
-                ..
-            } => {
-                let codec = vec_codec::<u64>().expect("u64 codec registered");
-                assert_eq!(type_fp, codec.fp, "ctrl payload type mismatch");
-                *(codec.decode)(count, &bytes)
-                    .expect("ctrl payload decode")
-                    .downcast::<Vec<u64>>()
-                    .expect("ctrl payload type")
-            }
-        }
-    }
-
-    /// Control-plane allgather (linear through communicator rank 0), used
-    /// by `barrier`/`split`/`expose`. Collective: every rank calls it in
-    /// the same order, so one `next_ctrl` pair stays aligned.
-    fn ctrl_allgather(&self, mine: Vec<u64>, site: fn() -> WaitSite) -> Vec<Vec<u64>> {
-        let gather_seq = self.next_ctrl();
-        let release_seq = self.next_ctrl();
-        if self.rank == 0 {
-            let mut all = vec![mine];
-            for src in 1..self.size {
-                all.push(self.ctrl_recv(src, gather_seq, site()));
-            }
-            // Flatten as [len, vals...] per rank for the release broadcast.
-            let mut flat = Vec::new();
-            for v in &all {
-                flat.push(v.len() as u64);
-                flat.extend_from_slice(v);
-            }
-            for dst in 1..self.size {
-                self.ctrl_send(dst, release_seq, flat.clone());
-            }
-            all
-        } else {
-            self.ctrl_send(0, gather_seq, mine);
-            let flat = self.ctrl_recv(0, release_seq, site());
-            let mut all = Vec::with_capacity(self.size);
-            let mut i = 0usize;
-            while i < flat.len() {
-                let len = flat[i] as usize;
-                all.push(flat[i + 1..i + 1 + len].to_vec());
-                i += 1 + len;
-            }
-            assert_eq!(all.len(), self.size, "ctrl allgather shape");
-            all
         }
     }
 }
@@ -1187,14 +1107,6 @@ impl Comm for ProcComm {
         &self.pool
     }
 
-    fn barrier(&self) {
-        self.node.sched.check_healthy(Primitive::Barrier);
-        // Linear rendezvous through communicator rank 0, all control-plane
-        // (unmetered), parking under the barrier wait-site so failures
-        // surface as PeerFailed{primitive: Barrier} like in-process.
-        self.ctrl_allgather(Vec::new(), WaitSite::barrier);
-    }
-
     fn send_vec<T: Send + 'static>(&self, dst: usize, tag: u64, data: Vec<T>) {
         assert!(
             dst < self.size,
@@ -1207,8 +1119,11 @@ impl Comm for ProcComm {
             return;
         }
         let bytes = (data.len() * std::mem::size_of::<T>()) as u64;
-        self.stats.record_send(bytes as usize);
-        self.send_wire_frame(dst, tag, data, true, bytes);
+        let metered = control_primitive(tag).is_none();
+        if metered {
+            self.stats.record_send(bytes as usize);
+        }
+        self.send_wire_frame(dst, tag, data, metered, bytes);
     }
 
     fn recv_vec<T: Send + 'static>(&self, src: usize, tag: u64) -> Vec<T> {
@@ -1251,23 +1166,11 @@ impl Comm for ProcComm {
     }
 
     fn split(&self, color: usize, key: usize) -> ProcComm {
-        self.node.sched.check_healthy(Primitive::Exchange);
-        let split_seq = self.ctrl_counter.get(); // pre-allgather, aligned across ranks
-        let all = self.ctrl_allgather(vec![color as u64, key as u64], || WaitSite::exchange(0));
-        let mut group: Vec<(u64, usize)> = all
-            .iter()
-            .enumerate()
-            .filter(|(_, ck)| ck[0] == color as u64)
-            .map(|(r, ck)| (ck[1], r))
-            .collect();
-        group.sort(); // by (key, old rank)
-        let new_rank = group
-            .iter()
-            .position(|&(_, r)| r == self.rank)
-            .expect("own rank in own color group");
-        let members: Vec<usize> = group.iter().map(|&(_, r)| self.world_of(r)).collect();
+        let split_op = self.op_counter.get(); // pre-allgather, aligned across ranks
+        let (new_rank, group) = split_group(self, color, key);
+        let members: Vec<usize> = group.into_iter().map(|r| self.world_of(r)).collect();
         let comm_id = mix64(
-            self.comm_id ^ (split_seq << 20) ^ (color as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
+            self.comm_id ^ (split_op << 20) ^ (color as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
         );
         ProcComm {
             rank: new_rank,
@@ -1277,7 +1180,6 @@ impl Comm for ProcComm {
             node: self.node.clone(),
             stats: self.stats.clone(),
             op_counter: Cell::new(0),
-            ctrl_counter: Cell::new(0),
             pool: self.pool.clone(),
         }
     }
@@ -1288,20 +1190,11 @@ impl Comm for ProcComm {
         v
     }
 
-    fn exchange_arcs(&self, _value: Arc<dyn Any + Send + Sync>) -> Vec<Arc<dyn Any + Send + Sync>> {
-        panic!(
-            "ProcComm::exchange_arcs: ranks are separate OS processes and cannot \
-             share Arcs; window exposure goes through Comm::expose (which this \
-             backend implements natively) — nothing else should call exchange_arcs"
-        );
-    }
-
     fn record_get(&self, bytes: usize) {
         self.stats.record_get(bytes);
     }
 
     fn expose(&self, spec: WindowSpec) -> Exposure {
-        self.node.sched.check_healthy(Primitive::Exchange);
         // Register the deposit with the local progress engine first, so a
         // fast peer's get (issued right after the allgather releases it)
         // always finds the window.
@@ -1314,13 +1207,13 @@ impl Comm for ProcComm {
                 extract: spec.extract,
             },
         );
-        let all = self.ctrl_allgather(vec![win_id, spec.len as u64], || WaitSite::exchange(0));
+        let all = self.control_allgather(Primitive::Exchange, vec![win_id, spec.len as u64]);
         Exposure::Remote {
-            lens: all.iter().map(|entry| entry[1] as usize).collect(),
+            lens: all.chunks(2).map(|entry| entry[1] as usize).collect(),
             transport: Arc::new(ProcRemoteWindow {
                 node: self.node.clone(),
                 members: self.members.clone(),
-                win_ids: all.iter().map(|entry| entry[0]).collect(),
+                win_ids: all.chunks(2).map(|entry| entry[0]).collect(),
                 elem_sizes: spec.elem_sizes,
             }),
         }
@@ -1333,13 +1226,9 @@ impl Comm for ProcComm {
 
 /// Build the mesh, run the rank closure, rendezvous, report, `_exit`.
 /// Never returns; never unwinds past this frame.
-#[allow(clippy::too_many_arguments)]
 fn child_main<F, R>(
     rank: usize,
-    nranks: usize,
-    threads_per_rank: usize,
-    watchdog: Option<Duration>,
-    heartbeat: Option<Duration>,
+    u: Universe,
     lossy: Option<Arc<FaultPlan>>,
     parent_addr: SocketAddr,
     f: &F,
@@ -1350,16 +1239,7 @@ where
 {
     IN_FORKED_CHILD.store(true, Ordering::Relaxed);
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        child_body(
-            rank,
-            nranks,
-            threads_per_rank,
-            watchdog,
-            heartbeat,
-            lossy,
-            parent_addr,
-            f,
-        )
+        child_body(rank, u, lossy, parent_addr, f)
     }));
     // A panic escaping child_body means bootstrap itself failed (sockets,
     // fork siblings dead, ...) — nothing to report on, just die nonzero so
@@ -1370,13 +1250,9 @@ where
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn child_body<F, R>(
     rank: usize,
-    nranks: usize,
-    threads_per_rank: usize,
-    watchdog: Option<Duration>,
-    heartbeat: Option<Duration>,
+    u: Universe,
     lossy: Option<Arc<FaultPlan>>,
     parent_addr: SocketAddr,
     f: &F,
@@ -1385,6 +1261,7 @@ where
     F: Fn(&ProcComm) -> R + Send + Sync,
     R: Wire + Send,
 {
+    let nranks = u.nranks();
     // --- bootstrap: announce our mesh port, learn everyone's ---
     // Transient dial/accept failures (a sibling's listener not bound yet,
     // EINTR) get a bounded-backoff second chance instead of failing the
@@ -1439,7 +1316,7 @@ where
     }
 
     // --- progress engine ---
-    let sched = Scheduler::parallel(nranks, watchdog);
+    let sched = Scheduler::parallel(nranks, u.watchdog());
     scheduler::set_world_rank(rank);
     let mut read_halves: Vec<Option<TcpStream>> = (0..nranks).map(|_| None).collect();
     let mut links: Vec<Option<Mutex<TcpStream>>> = Vec::with_capacity(nranks);
@@ -1490,7 +1367,7 @@ where
             .spawn(move || n.sweeper_loop())
             .expect("spawn sweeper");
     }
-    if let Some(deadline) = heartbeat {
+    if let Some(deadline) = u.heartbeat() {
         let n = node.clone();
         std::thread::Builder::new()
             .name(format!("sa-proc{rank}-hb"))
@@ -1520,7 +1397,7 @@ where
     // --- run the rank closure ---
     let pool = Arc::new(
         rayon::ThreadPoolBuilder::new()
-            .num_threads(threads_per_rank)
+            .num_threads(u.threads_per_rank())
             .thread_name(move |i| format!("rank{rank}-w{i}"))
             .build()
             .expect("rank pool"),
@@ -1533,7 +1410,6 @@ where
         node: node.clone(),
         stats: Rc::new(StatsCell::default()),
         op_counter: Cell::new(0),
-        ctrl_counter: Cell::new(0),
         pool,
     };
     let result: Result<R, RankError> =
@@ -1584,17 +1460,12 @@ where
 /// Fork one process per rank, run `f` in each, and collect every rank's
 /// typed outcome. Called by
 /// [`Universe::try_run_procs`](crate::Universe::try_run_procs).
-pub(crate) fn launch_procs<F, R>(
-    nranks: usize,
-    threads_per_rank: usize,
-    watchdog: Option<Duration>,
-    heartbeat: Option<Duration>,
-    f: F,
-) -> Vec<RankOutcome<R>>
+pub(crate) fn launch_procs<F, R>(u: Universe, f: F) -> Vec<RankOutcome<R>>
 where
     F: Fn(&ProcComm) -> R + Send + Sync,
     R: Wire + Send,
 {
+    let nranks = u.nranks();
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind rendezvous listener");
     let addr = listener.local_addr().expect("rendezvous addr");
 
@@ -1608,16 +1479,7 @@ where
     let mut pids = Vec::with_capacity(nranks);
     for rank in 0..nranks {
         match unsafe { sys::fork() } {
-            0 => child_main(
-                rank,
-                nranks,
-                threads_per_rank,
-                watchdog,
-                heartbeat,
-                lossy.clone(),
-                addr,
-                &f,
-            ),
+            0 => child_main(rank, u, lossy.clone(), addr, &f),
             pid if pid > 0 => pids.push(pid),
             _ => panic!("fork failed (rank {rank})"),
         }

@@ -13,20 +13,22 @@
 //!   real parallel execution.
 //! * **Serial** (the `sim` backend) holds a single global **run
 //!   permit**: exactly one rank executes at any instant, and a rank hands
-//!   the permit over only while it is blocked in a communication call
-//!   (receive, barrier, collective rendezvous). This is the classic serial
-//!   rank-loop simulator — wall-clock is the *sum* of per-rank work
-//!   (fiction as a time-to-solution, but per-rank timings are measured
-//!   interference-free), while bytes and message counts are exact and
-//!   byte-identical to the parallel backend.
+//!   the permit over only while it is blocked in a receive. This is the
+//!   classic serial rank-loop simulator — wall-clock is the *sum* of
+//!   per-rank work (fiction as a time-to-solution, but per-rank timings are
+//!   measured interference-free), while bytes and message counts are exact
+//!   and byte-identical to the parallel backend.
 //!
 //! The permit is cooperative, not preemptive: ranks only yield at blocking
 //! communication points. That is safe here because the runtime has no
 //! busy-wait loops — one-sided [`PairedWindow`](crate::PairedWindow) gets
 //! never block in-process (they read `Arc`-shared buffers directly), and
-//! every blocking primitive in this crate ([`Hub::recv`](crate::p2p::Hub),
-//! blackboard exchange, barrier) parks through [`Scheduler::park_until`],
-//! which releases the permit before sleeping and reacquires it on wake.
+//! the one blocking wait in-process is a receive
+//! ([`Hub::recv`](crate::p2p::Hub)): barrier, split and window exposure are
+//! the control allgather's control-tagged receives. It parks through
+//! [`Scheduler::park_until`], which releases the permit before sleeping
+//! and reacquires it on wake; the tag's class names the [`Primitive`] a
+//! failure in the wait reports.
 //!
 //! # Failure propagation
 //!
@@ -42,6 +44,7 @@
 //! serial scheduling, "all ranks parked" is a *proven* deadlock — no rank
 //! is runnable) and fails the job with [`CommError::Timeout`].
 
+use crate::backend::control_primitive;
 use crate::error::{raise, CommError, Primitive};
 use parking_lot::{Condvar, Mutex};
 use std::cell::Cell;
@@ -78,55 +81,30 @@ pub(crate) fn world_rank() -> Option<usize> {
     WORLD_RANK.with(|c| c.get())
 }
 
-/// Where a rank is parked, for the watchdog's who-waits-on-whom dump.
+/// Where a rank is parked, for the watchdog's who-waits-on-whom dump: the
+/// `(src, tag)` message it waits for, and the primitive that wait reports.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct WaitSite {
     pub primitive: Primitive,
-    pub detail: WaitDetail,
-}
-
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum WaitDetail {
-    /// Barrier: no further coordinates (everyone waits on everyone).
-    None,
-    /// Receive: which `(src, tag)` mailbox key never filled.
-    SrcTag { src: usize, tag: u64 },
-    /// Blackboard rendezvous: which operation id never completed.
-    Op(u64),
+    src: usize,
+    tag: u64,
 }
 
 impl WaitSite {
-    pub fn barrier() -> WaitSite {
-        WaitSite {
-            primitive: Primitive::Barrier,
-            detail: WaitDetail::None,
-        }
-    }
-
+    /// A wait for message `(src, tag)`; the tag's class names the primitive.
     pub fn recv(src: usize, tag: u64) -> WaitSite {
         WaitSite {
-            primitive: Primitive::Recv,
-            detail: WaitDetail::SrcTag { src, tag },
-        }
-    }
-
-    pub fn exchange(op: u64) -> WaitSite {
-        WaitSite {
-            primitive: Primitive::Exchange,
-            detail: WaitDetail::Op(op),
+            primitive: control_primitive(tag).unwrap_or(Primitive::Recv),
+            src,
+            tag,
         }
     }
 }
 
 impl std::fmt::Display for WaitSite {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self.detail {
-            WaitDetail::None => write!(f, "{}", self.primitive),
-            WaitDetail::SrcTag { src, tag } => {
-                write!(f, "{}(src={src}, tag={tag:#x})", self.primitive)
-            }
-            WaitDetail::Op(op) => write!(f, "{}(op={op:#x})", self.primitive),
-        }
+        let (primitive, src, tag) = (self.primitive, self.src, self.tag);
+        write!(f, "{primitive}(src={src}, tag={tag:#x})")
     }
 }
 
@@ -208,12 +186,13 @@ impl Scheduler {
         RunGuard(self)
     }
 
-    /// Record that `victim` failed. First writer wins: cascading secondary
-    /// failures keep naming the original victim.
-    pub fn poison(&self, victim: usize) {
-        let _ = self
-            .poison
-            .compare_exchange(HEALTHY, victim, Ordering::SeqCst, Ordering::SeqCst);
+    /// Record that `victim` failed; returns whether this call named it.
+    /// First writer wins: cascading secondary failures keep naming the
+    /// original victim.
+    pub fn poison(&self, victim: usize) -> bool {
+        self.poison
+            .compare_exchange(HEALTHY, victim, Ordering::SeqCst, Ordering::SeqCst)
+            .is_ok()
     }
 
     /// The first failed rank, if the job is poisoned.
@@ -248,9 +227,8 @@ impl Scheduler {
     /// reacquires it with no locks held, so a permit-holding peer can never
     /// deadlock against `mutex`. `Ok(())` guarantees `ready` was observed
     /// true; the caller re-locks and consumes (safe because every awaited
-    /// condition here is sticky for this rank: a queued message is popped
-    /// only by its owner, a completed blackboard entry stays until all read,
-    /// a barrier generation only advances).
+    /// condition here is sticky for this rank: a queued message or get
+    /// response is popped only by its owner).
     ///
     /// `Err` means the job failed while parked — a peer died
     /// ([`CommError::PeerFailed`]) or the watchdog deadline expired
@@ -281,10 +259,16 @@ impl Scheduler {
             if let Some(deadline) = self.watchdog {
                 let waited = parked_at.elapsed();
                 if waited > deadline {
-                    self.dump_waits(waited);
                     // A timed-out rank is the job's (first) victim: its
-                    // peers unwind with PeerFailed naming it.
-                    self.poison(me.unwrap_or(self.nranks));
+                    // peers unwind with PeerFailed naming it. Only the rank
+                    // whose poison lands reports Timeout (a peer expiring in
+                    // the same instant loops back and fails PeerFailed), and
+                    // the table is read before the poison unparks anyone.
+                    let waits = self.waits.lock().clone();
+                    if !self.poison(me.unwrap_or(self.nranks)) {
+                        continue;
+                    }
+                    self.dump_waits(&waits, waited);
                     break Err(CommError::Timeout {
                         primitive: site.primitive,
                         waited,
@@ -316,8 +300,7 @@ impl Scheduler {
     }
 
     /// Who-waits-on-whom diagnostic, printed once when a watchdog expires.
-    fn dump_waits(&self, waited: Duration) {
-        let waits = self.waits.lock();
+    fn dump_waits(&self, waits: &[Option<(WaitSite, Instant)>], waited: Duration) {
         eprintln!(
             "[sa_mpisim] watchdog: rank {:?} parked for {:.3}s past the deadline; wait table:",
             world_rank(),
@@ -386,66 +369,12 @@ impl Drop for PoisonGuard<'_> {
     }
 }
 
-/// A reusable sense-reversing barrier that integrates with the scheduler:
-/// waiters park through [`Scheduler::park_until`], so a serial universe
-/// cannot deadlock on its own barrier and a dead peer's survivors unwind
-/// instead of waiting forever.
-///
-/// (`std::sync::Barrier` cannot be used here: its `wait` offers no hook to
-/// release the permit, so under serial scheduling the first arriver would
-/// sleep while still holding the only permit.)
-pub(crate) struct RankBarrier {
-    state: Mutex<BarrierState>,
-    cv: Condvar,
-    n: usize,
-}
-
-struct BarrierState {
-    arrived: usize,
-    generation: u64,
-}
-
-impl RankBarrier {
-    pub fn new(n: usize) -> RankBarrier {
-        RankBarrier {
-            state: Mutex::new(BarrierState {
-                arrived: 0,
-                generation: 0,
-            }),
-            cv: Condvar::new(),
-            n,
-        }
-    }
-
-    /// Block until all `n` ranks have arrived at this barrier generation.
-    /// Unwinds with a [`CommError`] if the job is poisoned or the watchdog
-    /// expires while waiting.
-    pub fn wait(&self, sched: &Scheduler) {
-        sched.check_healthy(Primitive::Barrier);
-        let gen = {
-            let mut s = self.state.lock();
-            s.arrived += 1;
-            if s.arrived == self.n {
-                // Last arriver trips the barrier and keeps the permit.
-                s.arrived = 0;
-                s.generation += 1;
-                self.cv.notify_all();
-                return;
-            }
-            s.generation
-        };
-        if let Err(e) = sched.park_until(&self.state, &self.cv, WaitSite::barrier(), |s| {
-            s.generation != gen
-        }) {
-            raise(e);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::{RankError, RankOutcome};
     use crate::p2p::Hub;
+    use crate::{Comm, RankComm, Universe};
     use std::panic::AssertUnwindSafe;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -505,42 +434,43 @@ mod tests {
         t.join().unwrap();
     }
 
+    /// Launch `body` on one in-process [`RankComm`] per rank of `sched` —
+    /// a launch whose scheduler the test holds (to poison it up front, or
+    /// to read the victim after).
+    fn launch(
+        sched: &Arc<Scheduler>,
+        body: impl Fn(&RankComm) + Send + Sync,
+    ) -> Vec<RankOutcome<()>> {
+        Universe::new(sched.nranks).launch_on(sched.clone(), body)
+    }
+
     #[test]
     fn barrier_trips_for_all_generations() {
-        let sched = Scheduler::parallel(4, None);
-        let bar = Arc::new(RankBarrier::new(4));
-        let count = Arc::new(AtomicUsize::new(0));
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                let (bar, sched, count) = (bar.clone(), sched.clone(), count.clone());
-                scope.spawn(move || {
-                    for round in 1..=3 {
-                        count.fetch_add(1, Ordering::SeqCst);
-                        bar.wait(&sched);
-                        assert!(count.load(Ordering::SeqCst) >= 4 * round);
-                        bar.wait(&sched);
-                    }
-                });
-            }
-        });
-        assert_eq!(count.load(Ordering::SeqCst), 12);
+        for sched in both_modes(4) {
+            let count = AtomicUsize::new(0);
+            let out = launch(&sched, |comm| {
+                for round in 1..=3 {
+                    count.fetch_add(1, Ordering::SeqCst);
+                    comm.barrier();
+                    assert!(count.load(Ordering::SeqCst) >= 4 * round);
+                    comm.barrier();
+                }
+            });
+            assert!(out.iter().all(Result::is_ok), "{out:?}");
+            assert_eq!(count.load(Ordering::SeqCst), 12);
+        }
     }
 
     #[test]
     fn barrier_under_serial_scheduler_does_not_deadlock() {
-        let sched = Scheduler::serial(3, None);
-        let bar = Arc::new(RankBarrier::new(3));
-        std::thread::scope(|scope| {
-            for _ in 0..3 {
-                let (bar, sched) = (bar.clone(), sched.clone());
-                scope.spawn(move || {
-                    let _g = sched.runner();
-                    for _ in 0..20 {
-                        bar.wait(&sched);
-                    }
-                });
-            }
-        });
+        for sched in both_modes(3) {
+            let out = launch(&sched, |comm| {
+                for _ in 0..20 {
+                    comm.barrier();
+                }
+            });
+            assert!(out.iter().all(Result::is_ok), "{out:?}");
+        }
     }
 
     /// Expect `f` to unwind with exactly `want` as its typed payload.
@@ -562,34 +492,21 @@ mod tests {
         // barrier, must wake with PeerFailed naming rank 1 — under both the
         // serial and the parallel scheduler.
         for sched in both_modes(2) {
-            let bar = Arc::new(RankBarrier::new(2));
-            std::thread::scope(|scope| {
-                let waiter = {
-                    let (bar, sched) = (bar.clone(), sched.clone());
-                    scope.spawn(move || {
-                        set_world_rank(0);
-                        let _run = sched.runner();
-                        expect_comm_error(
-                            AssertUnwindSafe(|| bar.wait(&sched)),
-                            CommError::PeerFailed {
-                                rank: 1,
-                                primitive: Primitive::Barrier,
-                            },
-                        );
-                    })
-                };
-                let killer = {
-                    let sched = sched.clone();
-                    scope.spawn(move || {
-                        set_world_rank(1);
-                        let _run = sched.runner();
-                        let _poison = PoisonGuard::new(&sched, 1);
-                        panic!("rank 1 dies");
-                    })
-                };
-                assert!(killer.join().is_err());
-                waiter.join().unwrap();
+            let out = launch(&sched, |comm| {
+                if comm.rank() == 0 {
+                    comm.send_vec(1, 7, vec![0u8]);
+                    comm.barrier();
+                } else {
+                    let _ = comm.recv_vec::<u8>(0, 7);
+                    panic!("rank 1 dies");
+                }
             });
+            assert!(matches!(&out[1], Err(RankError::Panic { .. })), "{out:?}");
+            let want = CommError::PeerFailed {
+                rank: 1,
+                primitive: Primitive::Barrier,
+            };
+            assert_eq!(out[0], Err(RankError::Comm(want)));
         }
     }
 
@@ -633,34 +550,17 @@ mod tests {
 
     #[test]
     fn poisoned_job_fails_fast_at_primitive_entry() {
-        let sched = Scheduler::serial(2, None);
-        sched.poison(1);
-        let bar = RankBarrier::new(2);
-        std::thread::scope(|scope| {
-            let sched = &sched;
-            let bar = &bar;
-            scope
-                .spawn(move || {
-                    set_world_rank(0);
-                    expect_comm_error(
-                        AssertUnwindSafe(|| bar.wait(sched)),
-                        CommError::PeerFailed {
-                            rank: 1,
-                            primitive: Primitive::Barrier,
-                        },
-                    );
-                })
-                .join()
-                .unwrap();
+        for sched in both_modes(2) {
+            sched.poison(1);
+            let out = launch(&sched, |comm| comm.barrier());
+            let want = CommError::PeerFailed {
+                rank: 1,
+                primitive: Primitive::Barrier,
+            };
+            assert_eq!(out[0], Err(RankError::Comm(want)));
             // ... and the victim itself sees Poisoned, not PeerFailed.
-            scope
-                .spawn(move || {
-                    set_world_rank(1);
-                    expect_comm_error(AssertUnwindSafe(|| bar.wait(sched)), CommError::Poisoned);
-                })
-                .join()
-                .unwrap();
-        });
+            assert_eq!(out[1], Err(RankError::Comm(CommError::Poisoned)));
+        }
     }
 
     #[test]
@@ -675,28 +575,26 @@ mod tests {
     fn watchdog_times_out_a_stuck_wait() {
         // One rank parks on a barrier nobody else ever reaches: the
         // watchdog must convert the hang into a typed Timeout.
-        let sched = Scheduler::parallel(2, Some(Duration::from_millis(100)));
-        let bar = RankBarrier::new(2);
-        std::thread::scope(|scope| {
-            let sched = &sched;
-            let bar = &bar;
-            scope
-                .spawn(move || {
-                    set_world_rank(0);
-                    let payload = std::panic::catch_unwind(AssertUnwindSafe(|| bar.wait(sched)))
-                        .expect_err("must time out");
-                    match payload.downcast_ref::<CommError>() {
-                        Some(CommError::Timeout { primitive, waited }) => {
-                            assert_eq!(*primitive, Primitive::Barrier);
-                            assert!(*waited >= Duration::from_millis(100));
-                        }
-                        other => panic!("expected Timeout, got {other:?}"),
-                    }
-                })
-                .join()
-                .unwrap();
-        });
-        // the timed-out rank poisoned the job for its peers
-        assert_eq!(sched.poison_victim(), Some(0));
+        let deadline = Some(Duration::from_millis(100));
+        for sched in [
+            Scheduler::serial(2, deadline),
+            Scheduler::parallel(2, deadline),
+        ] {
+            let out = launch(&sched, |comm| {
+                if comm.rank() == 0 {
+                    comm.barrier();
+                }
+            });
+            match &out[0] {
+                Err(RankError::Comm(CommError::Timeout { primitive, waited })) => {
+                    assert_eq!(*primitive, Primitive::Barrier);
+                    assert!(*waited >= Duration::from_millis(100));
+                }
+                other => panic!("expected Timeout, got {other:?}"),
+            }
+            assert!(out[1].is_ok(), "{out:?}");
+            // the timed-out rank poisoned the job for its peers
+            assert_eq!(sched.poison_victim(), Some(0));
+        }
     }
 }

@@ -226,13 +226,7 @@ impl Universe {
         F: Fn(&ProcComm) -> R + Send + Sync,
         R: Wire + Send,
     {
-        crate::proc::launch_procs(
-            self.nranks,
-            self.threads_per_rank,
-            self.watchdog,
-            self.heartbeat,
-            f,
-        )
+        crate::proc::launch_procs(*self, f)
     }
 
     /// Run a backend-generic [`RankJob`] on the given [`Backend`] —
@@ -277,7 +271,16 @@ impl Universe {
         F: Fn(&RankComm) -> R + Send + Sync,
         R: Send,
     {
-        let shared = Shared::new(self.nranks, self.sched(backend));
+        self.launch_on(self.sched(backend), f)
+    }
+
+    /// [`Universe::try_launch`] under a given scheduler.
+    pub(crate) fn launch_on<F, R>(&self, sched: Arc<Scheduler>, f: F) -> Vec<RankOutcome<R>>
+    where
+        F: Fn(&RankComm) -> R + Send + Sync,
+        R: Send,
+    {
+        let shared = Shared::new(self.nranks, sched);
         let (nranks, tpr) = (self.nranks, self.threads_per_rank);
         let f = &f;
         std::thread::scope(|scope| {

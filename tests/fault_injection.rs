@@ -49,9 +49,9 @@ use saspgemm::dist::{
     DistMat3D, FetchMode, FileStore, MemStore, Plan1D, SessionSnapshot, SpgemmSession,
 };
 use saspgemm::mpisim::{
-    arm_frame_plan, kill_self_with_sigkill, mute_heartbeats, Backend, Comm, CommError, CostModel,
-    FaultComm, FaultPlan, Grid2D, Grid3D, Primitive, RankError, RankJob, RecoverableJob,
-    RecoveryReport, RetryPolicy, Universe,
+    arm_frame_plan, kill_self_with_sigkill, mute_heartbeats, Backend, Comm, CommError, CommStats,
+    CostModel, FaultComm, FaultPlan, Grid2D, Grid3D, PairedWindow, Primitive, RankError, RankJob,
+    RecoverableJob, RecoveryReport, RetryPolicy, Universe,
 };
 use saspgemm::sparse::gen::erdos_renyi;
 use saspgemm::sparse::{Csc, PlusTimes, SpgemmWorkspace};
@@ -191,6 +191,16 @@ fn workload<C: Comm>(name: &str, comm: &C) -> String {
             let (c, rep) = spgemm_auto(comm, &a, &b, &CostModel::slingshot());
             format!("{} {:?} {:?}", fp_opt(&c), rep.choice, rep.comm)
         }
+        // One control-plane call each, fingerprinted by the traffic it metered.
+        "barrier" | "split" | "window" => {
+            let before = comm.stats();
+            match name {
+                "barrier" => comm.barrier(),
+                "split" => drop(comm.split(comm.rank() % 2, comm.rank())),
+                _ => drop(PairedWindow::create(comm, vec![1u64; 3], vec![0.5f64; 3])),
+            }
+            format!("{:?}", comm.stats() - before)
+        }
         other => panic!("unknown workload {other}"),
     }
 }
@@ -231,6 +241,55 @@ fn faulted_run(
     plan: &FaultPlan,
 ) -> Vec<Result<String, RankError>> {
     universe().try_run_backend(backend, &Faulted { name, plan })
+}
+
+/// `name` on the bare communicator, no wrapper.
+struct Bare(&'static str);
+
+impl RankJob for Bare {
+    type Out = String;
+    fn run<C: Comm>(&self, comm: &C) -> String {
+        workload(self.0, comm)
+    }
+}
+
+/// The control plane — barrier, split and window exposure — is one
+/// unmetered allgather on every backend: each call moves zero `CommStats`,
+/// and a victim that dies entering it leaves every survivor failing typed,
+/// naming the victim and the primitive of the call it waits in.
+#[test]
+fn control_plane_is_silent_and_attributed_on_every_backend() {
+    quiet_expected_panics();
+    let silent = format!("{:?}", CommStats::default());
+    let calls = [
+        ("barrier", Primitive::Barrier),
+        ("split", Primitive::Exchange),
+        ("window", Primitive::Exchange),
+    ];
+    for backend in [Backend::Sim, Backend::Threads, Backend::Procs] {
+        for (call, primitive) in calls {
+            let out = universe().run_backend(backend, &Bare(call));
+            for (r, stats) in out.iter().enumerate() {
+                assert_eq!(stats, &silent, "{backend:?} {call}: rank {r} metered it");
+            }
+            let out = faulted_run(backend, call, &FaultPlan::abort_at(VICTIM, 0));
+            let want = CommError::PeerFailed {
+                rank: VICTIM,
+                primitive,
+            };
+            for (r, o) in out.iter().enumerate() {
+                match o {
+                    Err(RankError::Panic { summary }) if r == VICTIM => {
+                        assert!(summary.contains("injected fault"), "{summary}")
+                    }
+                    Err(RankError::Comm(e)) if r != VICTIM => {
+                        assert_eq!(e, &want, "{backend:?} {call}: rank {r}")
+                    }
+                    other => panic!("{backend:?} {call}: rank {r} ended {other:?}"),
+                }
+            }
+        }
+    }
 }
 
 /// The abort half of the matrix: victim dies at `at_op`, every survivor
