@@ -56,9 +56,8 @@ pub enum CommError {
     ///
     /// On the `procs` backend this is also how every *transport-level*
     /// detection surfaces: a socket EOF (peer process exited), an abort
-    /// broadcast, a CRC-corrupt frame on a clean (un-injected) link, missed
-    /// heartbeats past `SA_HEARTBEAT_SECS`, and retransmit exhaustion under
-    /// an injected lossy plan all poison the job naming the peer — the
+    /// broadcast, a CRC-corrupt frame on any link and missed heartbeats
+    /// past `SA_HEARTBEAT_SECS` all poison the job naming the peer — the
     /// failure is always typed, never a silent wrong answer.
     PeerFailed { rank: usize, primitive: Primitive },
     /// The watchdog deadline expired while this rank was parked in

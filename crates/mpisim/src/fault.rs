@@ -39,7 +39,7 @@
 
 use crate::backend::Comm;
 use crate::stats::CommStats;
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
@@ -66,53 +66,11 @@ pub struct Fault {
     pub action: FaultAction,
 }
 
-/// What a lossy-transport shim does to one outgoing frame. Unlike
-/// [`FaultAction`] (which fires at a rank's *communication-call* index),
-/// frame faults fire at a rank's *droppable-frame* index — the n-th
-/// `Data`/`GetReq`/`GetResp` frame that rank writes to any peer socket
-/// under the procs backend.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FrameFault {
-    /// Never write the frame; the ack/retransmit layer must recover it.
-    Drop,
-    /// Flip a byte in the encoded frame before writing, so the receiver's
-    /// CRC check rejects it (detected corruption, recovered by retransmit).
-    Corrupt,
-    /// Write the frame twice; the receiver must dedup by sequence number.
-    Duplicate,
-}
-
-/// One planned frame fault: `rank`'s `at_frame`-th droppable frame
-/// (0-based, counted across all its peer links) suffers `fault`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FrameFaultRule {
-    pub rank: usize,
-    pub at_frame: u64,
-    pub fault: FrameFault,
-}
-
-/// A procedurally-generated lossy network: each droppable frame is
-/// independently dropped / corrupted / duplicated with the given
-/// per-mille probabilities, keyed by (`seed`, rank, frame index) — the
-/// same seed always injures the same frames, so lossy runs replay.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct LossyRule {
-    pub seed: u64,
-    pub drop_permille: u16,
-    pub corrupt_permille: u16,
-    pub duplicate_permille: u16,
-}
-
 /// A deterministic schedule of injected faults, shared by all ranks of a
 /// job (each rank consults only its own entries).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     faults: Vec<Fault>,
-    /// Frame-level (transport) faults; only the procs backend has frames,
-    /// so these are inert on the in-process backends.
-    frame_faults: Vec<FrameFaultRule>,
-    /// Procedural background loss on top of the explicit rules.
-    lossy: Option<LossyRule>,
     /// Which [`run_recoverable`](crate::Universe::run_recoverable) attempt
     /// the plan fires on (see [`FaultPlan::for_attempt`]); 0 — the first
     /// attempt — unless overridden, so non-recovery uses are unaffected.
@@ -206,181 +164,6 @@ impl FaultPlan {
             .find(|f| f.rank == rank && f.at_op == op)
             .map(|f| f.action)
     }
-
-    /// Drop `rank`'s `at_frame`-th droppable frame on the floor.
-    pub fn drop_frame_at(rank: usize, at_frame: u64) -> FaultPlan {
-        FaultPlan::none().with_frame_fault(FrameFaultRule {
-            rank,
-            at_frame,
-            fault: FrameFault::Drop,
-        })
-    }
-
-    /// Corrupt a byte of `rank`'s `at_frame`-th droppable frame in flight.
-    pub fn corrupt_frame_at(rank: usize, at_frame: u64) -> FaultPlan {
-        FaultPlan::none().with_frame_fault(FrameFaultRule {
-            rank,
-            at_frame,
-            fault: FrameFault::Corrupt,
-        })
-    }
-
-    /// Append one more frame fault to the plan.
-    pub fn with_frame_fault(mut self, rule: FrameFaultRule) -> FaultPlan {
-        self.frame_faults.push(rule);
-        self
-    }
-
-    /// A procedurally lossy network: every droppable frame of every rank is
-    /// independently dropped / corrupted / duplicated with the given
-    /// per-mille rates, reproducibly keyed by `seed`.
-    pub fn seeded_lossy(
-        seed: u64,
-        drop_permille: u16,
-        corrupt_permille: u16,
-        duplicate_permille: u16,
-    ) -> FaultPlan {
-        assert!(
-            (drop_permille + corrupt_permille + duplicate_permille) <= 1000,
-            "lossy rates sum above 1000 permille"
-        );
-        FaultPlan {
-            lossy: Some(LossyRule {
-                seed,
-                drop_permille,
-                corrupt_permille,
-                duplicate_permille,
-            }),
-            ..FaultPlan::none()
-        }
-    }
-
-    /// Whether the plan injects any transport-level faults at all — the
-    /// procs backend only arms its reliability layer when this is true, so
-    /// clean runs pay nothing beyond the frame CRC.
-    pub fn has_frame_faults(&self) -> bool {
-        !self.frame_faults.is_empty() || self.lossy.is_some()
-    }
-
-    /// The fault (if any) for `rank`'s `idx`-th droppable frame: explicit
-    /// rules win, then the procedural lossy hash. Pure data in, pure data
-    /// out — the same (plan, rank, idx) always answers the same, which is
-    /// what makes lossy runs replayable under `SA_FAULT_SEED`.
-    pub fn frame_lookup(&self, rank: usize, idx: u64) -> Option<FrameFault> {
-        if let Some(rule) = self
-            .frame_faults
-            .iter()
-            .find(|r| r.rank == rank && r.at_frame == idx)
-        {
-            return Some(rule.fault);
-        }
-        let lossy = self.lossy?;
-        let mut state = lossy.seed ^ (rank as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ idx;
-        let roll = splitmix64(&mut state) % 1000;
-        let drop_to = lossy.drop_permille as u64;
-        let corrupt_to = drop_to + lossy.corrupt_permille as u64;
-        let dup_to = corrupt_to + lossy.duplicate_permille as u64;
-        if roll < drop_to {
-            Some(FrameFault::Drop)
-        } else if roll < corrupt_to {
-            Some(FrameFault::Corrupt)
-        } else if roll < dup_to {
-            Some(FrameFault::Duplicate)
-        } else {
-            None
-        }
-    }
-}
-
-thread_local! {
-    /// The frame-fault plan the *next* procs launch on this thread runs
-    /// under. Thread-local (not an env var) so parallel tests cannot race
-    /// each other's arming; forked children inherit it because `fork`
-    /// happens on the arming thread.
-    static ARMED_FRAME_PLAN: RefCell<Option<Arc<FaultPlan>>> = const { RefCell::new(None) };
-}
-
-/// Arm `plan`'s frame faults for procs launches started from this thread,
-/// until the returned guard drops. Plans with no frame faults arm nothing.
-pub fn arm_frame_plan(plan: &FaultPlan) -> FramePlanGuard {
-    let armed = plan.has_frame_faults().then(|| Arc::new(plan.clone()));
-    ARMED_FRAME_PLAN.with(|slot| *slot.borrow_mut() = armed);
-    FramePlanGuard { _private: () }
-}
-
-/// RAII guard from [`arm_frame_plan`]: dropping it disarms the thread.
-pub struct FramePlanGuard {
-    _private: (),
-}
-
-impl Drop for FramePlanGuard {
-    fn drop(&mut self) {
-        ARMED_FRAME_PLAN.with(|slot| *slot.borrow_mut() = None);
-    }
-}
-
-/// The plan armed on this thread, if any (consulted by the procs backend
-/// at launch time, on the thread that is about to fork the children).
-pub(crate) fn armed_frame_plan() -> Option<Arc<FaultPlan>> {
-    ARMED_FRAME_PLAN.with(|slot| slot.borrow().clone())
-}
-
-/// A lossy-transport plan from the environment, for the CI soak jobs (see
-/// [`parse_frame_plan`]).
-pub(crate) fn frame_plan_from_env() -> Option<FaultPlan> {
-    let var = |name| std::env::var(name).ok();
-    parse_frame_plan(
-        var("SA_LOSSY_RATE").as_deref(),
-        var("SA_LOSSY_MODE").as_deref(),
-        var("SA_FAULT_SEED").as_deref(),
-    )
-}
-
-/// The lossy plan the raw values of `SA_LOSSY_RATE` (permille of droppable
-/// frames injured, `0..=1000`; unset or 0 = clean), `SA_LOSSY_MODE`
-/// (`drop` | `corrupt` | `duplicate`, default `drop`) and `SA_FAULT_SEED`
-/// (a u64, default 1) name. Every unparseable value is logged and the
-/// transport runs clean: a soak must never run under a plan it did not ask
-/// for.
-fn parse_frame_plan(
-    rate: Option<&str>,
-    mode: Option<&str>,
-    seed: Option<&str>,
-) -> Option<FaultPlan> {
-    let raw_rate = rate?;
-    let reject = |var: &str, raw: &str, want: &str| {
-        eprintln!(
-            "[sa_mpisim] ignoring unparseable {var}={raw:?} (want {want}); transport runs clean"
-        );
-    };
-    let rate = raw_rate.trim().parse::<u16>().ok().filter(|&r| r <= 1000);
-    if rate.is_none() {
-        reject("SA_LOSSY_RATE", raw_rate, "permille, 0..=1000");
-    }
-    let kind = match mode.map_or("drop", str::trim) {
-        "drop" => Some(0),
-        "corrupt" => Some(1),
-        "duplicate" => Some(2),
-        _ => None,
-    };
-    if let (None, Some(raw)) = (kind, mode) {
-        reject("SA_LOSSY_MODE", raw, "drop|corrupt|duplicate");
-    }
-    let seed = seed.map_or(Some(1), |raw| {
-        let parsed = raw.trim().parse::<u64>().ok();
-        if parsed.is_none() {
-            reject("SA_FAULT_SEED", raw, "a u64");
-        }
-        parsed
-    });
-    let (rate, kind, seed) = (rate?, kind?, seed?);
-    if rate == 0 {
-        return None;
-    }
-    let mut permille = [0; 3];
-    permille[kind] = rate;
-    let [drop, corrupt, duplicate] = permille;
-    Some(FaultPlan::seeded_lossy(seed, drop, corrupt, duplicate))
 }
 
 /// SplitMix64 step — a tiny, dependency-free PRNG, plenty for picking
@@ -542,93 +325,6 @@ mod tests {
         assert_eq!(plan.lookup(0, 5), None);
         assert_eq!(plan.victim(), Some(2));
         assert_eq!(FaultPlan::none().victim(), None);
-    }
-
-    #[test]
-    fn frame_lookup_matches_rank_and_index() {
-        let plan = FaultPlan::drop_frame_at(2, 5).with_frame_fault(FrameFaultRule {
-            rank: 1,
-            at_frame: 3,
-            fault: FrameFault::Duplicate,
-        });
-        assert!(plan.has_frame_faults());
-        assert_eq!(plan.frame_lookup(2, 5), Some(FrameFault::Drop));
-        assert_eq!(plan.frame_lookup(1, 3), Some(FrameFault::Duplicate));
-        assert_eq!(plan.frame_lookup(2, 4), None);
-        assert_eq!(plan.frame_lookup(0, 5), None);
-        assert!(!FaultPlan::none().has_frame_faults());
-        assert!(!FaultPlan::abort_at(0, 0).has_frame_faults());
-    }
-
-    #[test]
-    fn seeded_lossy_is_reproducible_and_spreads() {
-        let plan = FaultPlan::seeded_lossy(42, 50, 20, 10);
-        assert!(plan.has_frame_faults());
-        let sweep = |p: &FaultPlan| -> Vec<Option<FrameFault>> {
-            (0..2000).map(|i| p.frame_lookup(1, i)).collect()
-        };
-        assert_eq!(sweep(&plan), sweep(&plan.clone()));
-        let hits = sweep(&plan).iter().filter(|f| f.is_some()).count();
-        // 80 permille over 2000 frames: expect ~160, allow wide slack.
-        assert!((40..500).contains(&hits), "lossy rate off: {hits}");
-        // Different seeds injure different frames.
-        assert_ne!(
-            sweep(&plan),
-            sweep(&FaultPlan::seeded_lossy(43, 50, 20, 10))
-        );
-        // Different ranks are injured independently.
-        let r0: Vec<_> = (0..2000).map(|i| plan.frame_lookup(0, i)).collect();
-        assert_ne!(r0, sweep(&plan));
-    }
-
-    #[test]
-    fn arming_is_thread_local_and_guard_scoped() {
-        assert!(armed_frame_plan().is_none());
-        {
-            let _g = arm_frame_plan(&FaultPlan::drop_frame_at(0, 1));
-            let armed = armed_frame_plan().expect("armed inside the guard");
-            assert_eq!(armed.frame_lookup(0, 1), Some(FrameFault::Drop));
-            // A plan with no frame faults arms nothing.
-            std::thread::spawn(|| {
-                assert!(armed_frame_plan().is_none(), "arming leaked across threads");
-            })
-            .join()
-            .unwrap();
-        }
-        assert!(armed_frame_plan().is_none(), "guard did not disarm");
-        let _g = arm_frame_plan(&FaultPlan::abort_at(0, 0));
-        assert!(armed_frame_plan().is_none(), "op-level plan armed frames");
-    }
-
-    #[test]
-    fn frame_plan_parsing_rejects_every_bad_value_and_runs_clean() {
-        let parse = parse_frame_plan;
-        assert_eq!(
-            parse(None, Some("corrupt"), Some("7")),
-            None,
-            "no rate, clean"
-        );
-        assert_eq!(parse(Some("0"), None, None), None, "0 = clean");
-        assert_eq!(
-            parse(Some(" 50 "), None, None),
-            Some(FaultPlan::seeded_lossy(1, 50, 0, 0))
-        );
-        assert_eq!(
-            parse(Some("10"), Some("corrupt"), Some(" 7 ")),
-            Some(FaultPlan::seeded_lossy(7, 0, 10, 0))
-        );
-        assert_eq!(
-            parse(Some("1000"), Some("duplicate"), Some("99")),
-            Some(FaultPlan::seeded_lossy(99, 0, 0, 1000))
-        );
-        // each rejection is logged and leaves the transport clean
-        for rate in ["lots", "-1", "1001", "70000"] {
-            assert_eq!(parse(Some(rate), None, None), None, "rate {rate:?}");
-        }
-        assert_eq!(parse(Some("50"), Some("loss"), None), None, "mode");
-        for seed in ["seven", "-7", "1.5", ""] {
-            assert_eq!(parse(Some("50"), None, Some(seed)), None, "seed {seed:?}");
-        }
     }
 
     #[test]

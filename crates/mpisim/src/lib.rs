@@ -74,12 +74,9 @@ pub use backend::{Backend, Comm};
 pub use comm::RankComm;
 pub use costmodel::CostModel;
 pub use error::{CommError, Primitive, RankError, RankOutcome};
-pub use fault::{
-    arm_frame_plan, Fault, FaultAction, FaultComm, FaultPlan, FrameFault, FrameFaultRule,
-    FramePlanGuard, LossyRule,
-};
+pub use fault::{Fault, FaultAction, FaultComm, FaultPlan};
 pub use grid::{valid_layer_counts, Grid2D, Grid3D};
-pub use proc::{kill_self_with_sigkill, mute_heartbeats, ProcComm};
+pub use proc::{corrupt_next_frame, kill_self_with_sigkill, mute_heartbeats, ProcComm};
 pub use recover::{AttemptFailure, RecoverableJob, RecoveryReport, RetryPolicy};
 pub use stats::CommStats;
 pub use timer::PhaseTimes;

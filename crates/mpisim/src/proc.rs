@@ -28,8 +28,10 @@
 //!   [`Scheduler::park_until`], the same single parking point as the
 //!   in-process backends — so poison wake-ups ([`CommError::PeerFailed`])
 //!   and the stall watchdog ([`CommError::Timeout`] plus the wait-table
-//!   dump) work identically. A dead socket poisons the job: the reader
-//!   that sees an unexpected EOF names that peer as the victim.
+//!   dump) work identically. A dead socket or a damaged frame poisons the
+//!   job: the reader that sees an unexpected EOF or a CRC rejection names
+//!   that peer as the victim. TCP already delivers every frame once and in
+//!   order, so there is no acknowledgement or retransmission layer.
 //! * **Windows.** [`Comm::expose`] registers the deposit with the local
 //!   progress engine and allgathers `(window id, length)` over the
 //!   unmetered control plane; gets travel as
@@ -53,8 +55,6 @@
 
 use crate::backend::{control_primitive, split_group, Comm};
 use crate::error::{raise, CommError, Primitive, RankError, RankOutcome};
-use crate::fault::FaultPlan;
-use crate::fault::FrameFault;
 use crate::recover::RetryPolicy;
 use crate::scheduler::{self, PoisonGuard, Scheduler, WaitSite};
 use crate::stats::{CommStats, StatsCell};
@@ -64,7 +64,7 @@ use crate::wire::{vec_codec, Frame, Wire, WireError, MAX_FRAME};
 use parking_lot::{Condvar, Mutex};
 use std::any::Any;
 use std::cell::Cell;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::ops::Range;
@@ -189,9 +189,9 @@ enum RecvFailure {
     /// length-delimited framing is gone and the link is dead.
     Io(std::io::Error),
     /// The frame arrived intact as a byte string but its CRC (or its
-    /// structure) rejected it. We read exactly the advertised length, so
-    /// the framing is still aligned and the link can keep going — which is
-    /// what lets a lossy-plan run treat detected corruption as loss.
+    /// structure) rejected it. TCP delivers every byte once and in order,
+    /// so damage is never line noise: the sender is broken, and the link
+    /// poisons naming it — even after its `Bye`, unlike a clean EOF.
     Corrupt(WireError),
 }
 
@@ -277,25 +277,10 @@ struct GetWork {
     end: u64,
 }
 
-/// Work for a peer's responder thread. Readers never write to a socket
-/// (the deadlock-freedom invariant), so acknowledgements of reliable
-/// frames are queued here and written by the responder alongside
-/// `GetResp`s.
-enum RespWork {
-    Get(GetWork),
-    Ack { seq: u64 },
-}
-
 struct GetQueue {
-    q: Mutex<VecDeque<RespWork>>,
+    q: Mutex<VecDeque<GetWork>>,
     cv: Condvar,
 }
-
-/// How long a reliable frame waits for its ack before the first
-/// retransmission. Deliberately generous for localhost so an un-dropped
-/// frame is essentially never retransmitted spuriously — which keeps the
-/// retransmit log of a seeded drop plan replayable.
-const RETRANSMIT_AFTER: Duration = Duration::from_millis(50);
 
 /// The in-flight window of one [`RemoteWindow::get_many`] batch: at most
 /// this many requests and this many response bytes outstanding at once (a
@@ -309,31 +294,6 @@ const GET_WINDOW_BYTES: usize = 4 << 20;
 /// many bytes, so a drain of large responses does not build the whole
 /// window in memory before the first byte leaves.
 const RESP_FLUSH_BYTES: usize = 256 << 10;
-
-/// One sent-but-unacknowledged reliable frame (the clean, uninjured
-/// socket encoding, length prefix included — retransmissions bypass the
-/// fault shim so a lossy run always converges).
-struct Unacked {
-    bytes: Vec<u8>,
-    due: Instant,
-    tries: u32,
-}
-
-/// Send half of one mesh link's reliability state.
-#[derive(Default)]
-struct SendLink {
-    next_seq: u64,
-    unacked: BTreeMap<u64, Unacked>,
-}
-
-/// Receive half: in-order delivery with dedup. Retransmissions can reorder
-/// frames on a link; MPI guarantees same-(src, tag, comm) message order,
-/// so released frames are held until their sequence gap closes.
-#[derive(Default)]
-struct RecvLink {
-    next_expected: u64,
-    held: BTreeMap<u64, Frame>,
-}
 
 /// What a reader does after dispatching one frame.
 enum Flow {
@@ -352,6 +312,19 @@ static HEARTBEATS_MUTED: AtomicBool = AtomicBool::new(false);
 /// own process, so muting inside a rank closure wedges that rank only.
 pub fn mute_heartbeats() {
     HEARTBEATS_MUTED.store(true, Ordering::Relaxed);
+}
+
+/// Process-local one-shot corruption for tests: models a sender whose
+/// bytes go bad between encode and socket. Armed by
+/// [`corrupt_next_frame`], consumed by the next data-plane write.
+static CORRUPT_NEXT_FRAME: AtomicBool = AtomicBool::new(false);
+
+/// Flip one bit past the length prefix of the next `Data` / `GetReq` /
+/// `GetResp` frame this process writes (test hook; see
+/// `CORRUPT_NEXT_FRAME` above). The receiver's CRC check rejects it, and
+/// the receiver fails the job naming this rank.
+pub fn corrupt_next_frame() {
+    CORRUPT_NEXT_FRAME.store(true, Ordering::Relaxed);
 }
 
 /// Everything one rank *process* shares between its main thread and its
@@ -373,21 +346,6 @@ struct ProcNode {
     /// rendezvous waits for all of them so our windows outlive their gets.
     peers_done: Mutex<Vec<bool>>,
     peers_done_cv: Condvar,
-    /// The armed lossy-transport plan, if any. `None` on clean runs: the
-    /// whole reliability layer (sequence numbers, acks, the sweeper) is
-    /// bypassed and droppable frames travel bare, so clean runs pay only
-    /// the frame CRC.
-    lossy: Option<Arc<FaultPlan>>,
-    /// This rank's droppable-frame counter — the coordinate
-    /// [`FaultPlan::frame_lookup`] is keyed on.
-    frames_sent: AtomicU64,
-    /// Per-peer send/recv reliability state, indexed by world rank (the
-    /// own-rank slots are never touched).
-    send_links: Vec<Mutex<SendLink>>,
-    recv_links: Vec<Mutex<RecvLink>>,
-    /// `(peer world rank, seq)` of every retransmission, in order — the
-    /// observable surface of the seeded-replay tests.
-    retransmits: Mutex<Vec<(u64, u64)>>,
     /// Per-peer last-seen clocks, refreshed on every received frame; the
     /// heartbeat monitor converts a stale clock into a typed peer failure.
     last_seen: Vec<Mutex<Instant>>,
@@ -416,98 +374,20 @@ impl ProcNode {
         self.peers_done_cv.notify_all();
     }
 
-    /// Write pre-encoded frames (socket form, length prefixes included) to
-    /// `world`'s link in one `write_all` — the raw path bursts, the fault
-    /// shim and the sweeper use, so injured bytes and retransmissions skip
-    /// re-encoding.
+    /// Write pre-encoded `Data` / `GetReq` / `GetResp` frames (socket
+    /// form, length prefixes included, starting at a frame boundary) to
+    /// `world`'s link in one `write_all` — the data plane's one write path.
     fn write_raw(&self, world: usize, bytes: &[u8]) -> std::io::Result<()> {
         let link = self.links[world]
             .as_ref()
             .expect("no link to self — caller handles self-sends locally");
+        if !bytes.is_empty() && CORRUPT_NEXT_FRAME.swap(false, Ordering::Relaxed) {
+            let len = u32::from_le_bytes(bytes[..4].try_into().expect("length prefix"));
+            let mut bad = bytes.to_vec();
+            bad[4 + len as usize / 2] ^= 0x40;
+            return link.lock().write_all(&bad);
+        }
         link.lock().write_all(bytes)
-    }
-
-    /// Append droppable frame `frame` (`Data`/`GetReq`/`GetResp`) for
-    /// `world` to `out` in socket form, its payload continued in place by
-    /// `fill` (see [`Frame::put_framed_with`]); the caller writes `out`
-    /// with [`ProcNode::write_raw`]. With no lossy plan armed the frame
-    /// travels bare. Under an armed plan the same encoding is wrapped in
-    /// [`Frame::Reliable`] with a per-link sequence number, recorded for
-    /// retransmission until acked, and the plan gets one chance to drop /
-    /// corrupt / delay / duplicate the wire bytes — frame by frame,
-    /// however many share the buffer.
-    fn put_droppable(
-        &self,
-        world: usize,
-        frame: &Frame,
-        out: &mut Vec<u8>,
-        fill: impl FnOnce(&mut Vec<u8>),
-    ) {
-        let Some(plan) = &self.lossy else {
-            return frame.put_framed_with(out, fill);
-        };
-        let idx = self.frames_sent.fetch_add(1, Ordering::SeqCst);
-        let at = out.len();
-        {
-            let mut link = self.send_links[world].lock();
-            let seq = link.next_seq;
-            link.next_seq += 1;
-            let inner = Vec::new();
-            Frame::Reliable { seq, inner }
-                .put_framed_with(out, |out| frame.put_checked_with(out, fill));
-            link.unacked.insert(
-                seq,
-                Unacked {
-                    bytes: out[at..].to_vec(),
-                    due: Instant::now() + RETRANSMIT_AFTER,
-                    tries: 0,
-                },
-            );
-        }
-        match plan.frame_lookup(self.world_rank, idx) {
-            Some(FrameFault::Drop) => {
-                eprintln!(
-                    "[sa_mpisim] rank {}: fault plan dropped frame {idx} to peer {world}",
-                    self.world_rank
-                );
-                out.truncate(at); // never written; the sweeper retransmits it
-            }
-            Some(FrameFault::Corrupt) => {
-                // one flipped bit past the length prefix: CRC-detectable,
-                // framing intact
-                let body = &mut out[at + 4..];
-                let pos = (idx as usize) % body.len();
-                body[pos] ^= 0x40;
-            }
-            Some(FrameFault::Duplicate) => out.extend_from_within(at..),
-            None => {}
-        }
-    }
-
-    /// Peer `world` acknowledged reliable frame `seq`: stop retransmitting.
-    fn ack(&self, world: usize, seq: u64) {
-        self.send_links[world].lock().unacked.remove(&seq);
-    }
-
-    /// Admit reliable frame `seq` from `world`: dedup by sequence number
-    /// and release frames in order. Returns the (possibly empty) run of
-    /// frames whose sequence gap just closed, oldest first.
-    fn admit(&self, world: usize, seq: u64, frame: Frame) -> Vec<Frame> {
-        let mut link = self.recv_links[world].lock();
-        if seq < link.next_expected || link.held.contains_key(&seq) {
-            return Vec::new(); // duplicate: already delivered or queued
-        }
-        link.held.insert(seq, frame);
-        let mut out = Vec::new();
-        loop {
-            let next = link.next_expected;
-            let Some(f) = link.held.remove(&next) else {
-                break;
-            };
-            out.push(f);
-            link.next_expected += 1;
-        }
-        out
     }
 
     /// Refresh `world`'s last-seen clock (called on every received frame).
@@ -516,8 +396,7 @@ impl ProcNode {
     }
 
     /// Reader thread body for the link to `peer`: drain frames forever.
-    /// Never writes to any socket (deadlock-freedom invariant) — reliable
-    /// frames are acknowledged via the responder's queue.
+    /// Never writes to any socket (deadlock-freedom invariant).
     fn reader_loop(self: &Arc<Self>, peer: usize, stream: TcpStream, getq: Arc<GetQueue>) {
         let mut stream = std::io::BufReader::new(stream);
         let mut clean = false;
@@ -530,19 +409,8 @@ impl ProcNode {
                     }
                 }
                 Err(RecvFailure::Corrupt(e)) => {
-                    // Detected, typed, never a silent wrong answer. Under an
-                    // armed lossy plan the injured frame is equivalent to a
-                    // lost one — it is never acked, so the sender
-                    // retransmits the clean bytes and the run completes
-                    // bit-identical. Without a plan armed, corruption on a
-                    // real link is a failed peer.
-                    if self.lossy.is_some() {
-                        eprintln!(
-                            "[sa_mpisim] rank {}: dropping corrupt frame from peer {peer}: {e}",
-                            self.world_rank
-                        );
-                        continue;
-                    }
+                    // Detected, typed, never a silent wrong answer: a
+                    // damaged frame is a failed peer.
                     eprintln!(
                         "[sa_mpisim] rank {}: corrupt frame from peer {peer}: {e}",
                         self.world_rank
@@ -566,15 +434,8 @@ impl ProcNode {
         }
     }
 
-    /// Act on one frame from `peer` (possibly released from the reliable
-    /// in-order buffer). Shared by the direct and reliable delivery paths.
-    fn dispatch(
-        self: &Arc<Self>,
-        peer: usize,
-        frame: Frame,
-        getq: &Arc<GetQueue>,
-        clean: &mut bool,
-    ) -> Flow {
+    /// Act on one frame from `peer`.
+    fn dispatch(&self, peer: usize, frame: Frame, getq: &GetQueue, clean: &mut bool) -> Flow {
         match frame {
             Frame::Data {
                 comm_id,
@@ -607,13 +468,13 @@ impl ProcNode {
                 end,
             } => {
                 let mut q = getq.q.lock();
-                q.push_back(RespWork::Get(GetWork {
+                q.push_back(GetWork {
                     req_id,
                     win_id,
                     part,
                     start,
                     end,
-                }));
+                });
                 drop(q);
                 getq.cv.notify_all();
                 Flow::Continue
@@ -634,41 +495,6 @@ impl ProcNode {
                 Flow::Continue
             }
             Frame::Heartbeat => Flow::Continue, // note_alive already ran
-            Frame::Ack { seq } => {
-                self.ack(peer, seq);
-                Flow::Continue
-            }
-            Frame::Reliable { seq, inner } => {
-                let inner = match Frame::from_vec(inner) {
-                    Ok(f) => f,
-                    Err(e) => {
-                        // The outer CRC passed but the inner frame is bad:
-                        // sender-side corruption, not line noise. Typed
-                        // failure, not a retransmit case.
-                        eprintln!(
-                            "[sa_mpisim] rank {}: undecodable reliable frame from \
-                             peer {peer}: {e}",
-                            self.world_rank
-                        );
-                        self.sched.poison(peer);
-                        self.mark_peer_done(peer);
-                        return Flow::Stop;
-                    }
-                };
-                // Ack every arrival (duplicates included — their ack may
-                // have been the casualty), through the responder so readers
-                // never write.
-                let mut q = getq.q.lock();
-                q.push_back(RespWork::Ack { seq });
-                drop(q);
-                getq.cv.notify_all();
-                for released in self.admit(peer, seq, inner) {
-                    if let Flow::Stop = self.dispatch(peer, released, getq, clean) {
-                        return Flow::Stop;
-                    }
-                }
-                Flow::Continue
-            }
             Frame::Hello { .. }
             | Frame::Table { .. }
             | Frame::Peer { .. }
@@ -687,7 +513,7 @@ impl ProcNode {
     /// Only the lookup runs under the registry lock: the deposit is
     /// extracted outside it, so one peer's large get blocks neither
     /// `expose` nor the other peers' responders.
-    fn serve_get(&self, peer: usize, work: &GetWork, out: &mut Vec<u8>) -> Option<()> {
+    fn serve_get(&self, work: &GetWork, out: &mut Vec<u8>) -> Option<()> {
         let (arc, extract, range) = {
             let windows = self.windows.lock();
             let win = windows.get(&work.win_id)?;
@@ -701,17 +527,17 @@ impl ProcNode {
             req_id: work.req_id,
             payload: Vec::new(),
         };
-        self.put_droppable(peer, &frame, out, |out| {
+        frame.put_framed_with(out, |out| {
             extract(arc.as_ref(), work.part as usize, range, out)
         });
         Some(())
     }
 
     /// Responder thread body: service `peer`'s get-requests against the
-    /// window registry, and write the acks the reader queued. Writes only
-    /// to `peer`. Each wake-up takes everything queued under one lock and
-    /// answers it back-to-back — one `write_all` per drain (flushed early
-    /// past [`RESP_FLUSH_BYTES`]), not one per frame.
+    /// window registry. Writes only to `peer`. Each wake-up takes
+    /// everything queued under one lock and answers it back-to-back — one
+    /// `write_all` per drain (flushed early past [`RESP_FLUSH_BYTES`]), not
+    /// one per frame.
     fn responder_loop(self: &Arc<Self>, peer: usize, getq: Arc<GetQueue>) {
         let mut batch = VecDeque::new();
         let mut out = Vec::new();
@@ -724,18 +550,10 @@ impl ProcNode {
                 std::mem::swap(&mut batch, &mut *q);
             }
             for work in batch.drain(..) {
-                match work {
-                    // Acks travel bare (never wrapped, never injected
-                    // against): the reliability layer must not depend on
-                    // itself.
-                    RespWork::Ack { seq } => Frame::Ack { seq }.put_framed(&mut out),
-                    RespWork::Get(work) => {
-                        if self.serve_get(peer, &work, &mut out).is_none() {
-                            // Protocol corruption — fail the job rather than
-                            // leave the requester parked until its watchdog.
-                            self.sched.poison(self.world_rank);
-                        }
-                    }
+                if self.serve_get(&work, &mut out).is_none() {
+                    // Protocol corruption — fail the job rather than leave
+                    // the requester parked until its watchdog.
+                    self.sched.poison(self.world_rank);
                 }
                 if out.len() >= RESP_FLUSH_BYTES {
                     // A failed write means the requester died; its own
@@ -746,55 +564,6 @@ impl ProcNode {
             }
             let _ = self.write_raw(peer, &out);
             out.clear();
-        }
-    }
-
-    /// Sweeper thread body (spawned only when a lossy plan is armed):
-    /// retransmit overdue unacked frames under [`RetryPolicy::transport`]'s
-    /// bounded backoff; a peer that exhausts the budget is a failed peer.
-    /// Retransmissions bypass the fault shim, so a seeded lossy run always
-    /// converges to the fault-free result.
-    fn sweeper_loop(self: &Arc<Self>) {
-        let policy = RetryPolicy::transport();
-        loop {
-            std::thread::sleep(Duration::from_millis(5));
-            let now = Instant::now();
-            for world in 0..self.world_size {
-                if world == self.world_rank {
-                    continue;
-                }
-                let mut resend: Vec<(u64, Vec<u8>)> = Vec::new();
-                let mut exhausted = false;
-                {
-                    let mut link = self.send_links[world].lock();
-                    for (seq, u) in link.unacked.iter_mut() {
-                        if u.due > now {
-                            continue;
-                        }
-                        if u.tries >= policy.max_restarts {
-                            exhausted = true;
-                            break;
-                        }
-                        u.tries += 1;
-                        u.due = now + policy.backoff_for(u.tries);
-                        resend.push((*seq, u.bytes.clone()));
-                    }
-                }
-                if exhausted {
-                    eprintln!(
-                        "[sa_mpisim] rank {}: peer {world} never acked after \
-                         {} retransmits — giving it up",
-                        self.world_rank, policy.max_restarts
-                    );
-                    self.sched.poison(world);
-                    self.mark_peer_done(world);
-                    continue;
-                }
-                for (seq, bytes) in resend {
-                    self.retransmits.lock().push((world as u64, seq));
-                    let _ = self.write_raw(world, &bytes);
-                }
-            }
         }
     }
 
@@ -922,7 +691,7 @@ impl ProcRemoteWindow {
                 start: range.start as u64,
                 end: range.end as u64,
             };
-            self.node.put_droppable(world, &frame, &mut out, |_| {});
+            frame.put_framed(&mut out);
         }
         flush(dest, &mut out);
     }
@@ -1003,15 +772,6 @@ impl ProcComm {
         self.members[comm_rank]
     }
 
-    /// The `(peer world rank, sequence number)` of every frame this rank's
-    /// reliability layer retransmitted so far, in retransmission order.
-    /// Always empty unless a lossy fault plan is armed — the observable
-    /// surface of the seeded-replay tests ("the same drop plan retransmits
-    /// the same frames").
-    pub fn retransmit_log(&self) -> Vec<(u64, u64)> {
-        self.node.retransmits.lock().clone()
-    }
-
     fn push_local(&self, tag: u64, payload: Box<dyn Any + Send>) {
         let mut map = self.node.inbox.map.lock();
         map.entry((self.comm_id, self.rank as u64, tag))
@@ -1072,7 +832,7 @@ impl ProcComm {
         // The elements are encoded once, into the buffer the socket write
         // reads — sized for fixed-width elements plus header and suffixes.
         let mut msg = Vec::with_capacity(std::mem::size_of_val(data.as_slice()) + 128);
-        self.node.put_droppable(world, &frame, &mut msg, |out| {
+        frame.put_framed_with(&mut msg, |out| {
             let encoded = (codec.encode)(&data as &(dyn Any + Send), out);
             debug_assert_eq!(encoded, count);
         });
@@ -1226,20 +986,14 @@ impl Comm for ProcComm {
 
 /// Build the mesh, run the rank closure, rendezvous, report, `_exit`.
 /// Never returns; never unwinds past this frame.
-fn child_main<F, R>(
-    rank: usize,
-    u: Universe,
-    lossy: Option<Arc<FaultPlan>>,
-    parent_addr: SocketAddr,
-    f: &F,
-) -> !
+fn child_main<F, R>(rank: usize, u: Universe, parent_addr: SocketAddr, f: &F) -> !
 where
     F: Fn(&ProcComm) -> R + Send + Sync,
     R: Wire + Send,
 {
     IN_FORKED_CHILD.store(true, Ordering::Relaxed);
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        child_body(rank, u, lossy, parent_addr, f)
+        child_body(rank, u, parent_addr, f)
     }));
     // A panic escaping child_body means bootstrap itself failed (sockets,
     // fork siblings dead, ...) — nothing to report on, just die nonzero so
@@ -1250,13 +1004,7 @@ where
     }
 }
 
-fn child_body<F, R>(
-    rank: usize,
-    u: Universe,
-    lossy: Option<Arc<FaultPlan>>,
-    parent_addr: SocketAddr,
-    f: &F,
-) -> i32
+fn child_body<F, R>(rank: usize, u: Universe, parent_addr: SocketAddr, f: &F) -> i32
 where
     F: Fn(&ProcComm) -> R + Send + Sync,
     R: Wire + Send,
@@ -1349,24 +1097,8 @@ where
         next_req: AtomicU64::new(0),
         peers_done: Mutex::new(peers_done),
         peers_done_cv: Condvar::new(),
-        lossy,
-        frames_sent: AtomicU64::new(0),
-        send_links: (0..nranks)
-            .map(|_| Mutex::new(SendLink::default()))
-            .collect(),
-        recv_links: (0..nranks)
-            .map(|_| Mutex::new(RecvLink::default()))
-            .collect(),
-        retransmits: Mutex::new(Vec::new()),
         last_seen: (0..nranks).map(|_| Mutex::new(Instant::now())).collect(),
     });
-    if node.lossy.is_some() {
-        let n = node.clone();
-        std::thread::Builder::new()
-            .name(format!("sa-proc{rank}-sw"))
-            .spawn(move || n.sweeper_loop())
-            .expect("spawn sweeper");
-    }
     if let Some(deadline) = u.heartbeat() {
         let n = node.clone();
         std::thread::Builder::new()
@@ -1469,17 +1201,10 @@ where
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind rendezvous listener");
     let addr = listener.local_addr().expect("rendezvous addr");
 
-    // The lossy-transport plan the children run under: what this thread
-    // armed (tests), else the environment (CI soak jobs). Resolved before
-    // the fork so every child inherits the same plan through its memory
-    // snapshot.
-    let lossy = crate::fault::armed_frame_plan()
-        .or_else(|| crate::fault::frame_plan_from_env().map(Arc::new));
-
     let mut pids = Vec::with_capacity(nranks);
     for rank in 0..nranks {
         match unsafe { sys::fork() } {
-            0 => child_main(rank, u, lossy.clone(), addr, &f),
+            0 => child_main(rank, u, addr, &f),
             pid if pid > 0 => pids.push(pid),
             _ => panic!("fork failed (rank {rank})"),
         }

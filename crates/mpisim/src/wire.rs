@@ -708,12 +708,6 @@ pub enum Frame {
     /// Reader threads refresh the peer's last-seen clock on *every* frame,
     /// heartbeats only guarantee the clock advances on an idle link.
     Heartbeat,
-    /// Reliable-delivery envelope used when a lossy-transport fault plan is
-    /// armed: `inner` is a complete encoded frame (with its own CRC),
-    /// `seq` a per-link sequence number the receiver acks and dedups by.
-    Reliable { seq: u64, inner: Vec<u8> },
-    /// Receiver → sender acknowledgement of [`Frame::Reliable`] `seq`.
-    Ack { seq: u64 },
 }
 
 const K_HELLO: u8 = 1;
@@ -726,8 +720,6 @@ const K_ABORT: u8 = 7;
 const K_BYE: u8 = 8;
 const K_OUTCOME: u8 = 9;
 const K_HEARTBEAT: u8 = 10;
-const K_RELIABLE: u8 = 11;
-const K_ACK: u8 = 12;
 
 /// Append a byte-string field — `[u64 LE length][bytes]`, the encoding of a
 /// `Vec<u8>` — whose bytes are `head` followed by whatever `fill` appends;
@@ -762,9 +754,9 @@ impl Frame {
         self.put_framed_with(out, |_| {});
     }
 
-    /// [`Frame::put_framed`] with the frame's byte-string field (`payload`
-    /// / `inner`) continued in place: the field travels as its own bytes
-    /// followed by whatever `fill` appends to `out`. A sender of bulk data
+    /// [`Frame::put_framed`] with the frame's byte-string field (`payload`)
+    /// continued in place: the field travels as its own bytes followed by
+    /// whatever `fill` appends to `out`. A sender of bulk data
     /// passes an empty field and lets `fill` write the bytes straight into
     /// the buffer they leave from — length and checksum are patched in
     /// around them, and the result is byte-identical to encoding a frame
@@ -781,7 +773,7 @@ impl Frame {
     /// Append `[kind][body][crc32 LE]` to `out` (`fill` as in
     /// [`Frame::put_framed_with`]); the CRC covers only the bytes appended
     /// here.
-    pub(crate) fn put_checked_with(&self, out: &mut Vec<u8>, fill: impl FnOnce(&mut Vec<u8>)) {
+    fn put_checked_with(&self, out: &mut Vec<u8>, fill: impl FnOnce(&mut Vec<u8>)) {
         let at = out.len();
         self.put_body_with(out, fill);
         let crc = crc32(&out[at..]);
@@ -854,15 +846,6 @@ impl Frame {
                 put_bulk(out, payload, fill);
             }
             Frame::Heartbeat => out.push(K_HEARTBEAT),
-            Frame::Reliable { seq, inner } => {
-                out.push(K_RELIABLE);
-                seq.put(out);
-                put_bulk(out, inner, fill);
-            }
-            Frame::Ack { seq } => {
-                out.push(K_ACK);
-                seq.put(out);
-            }
         }
     }
 
@@ -897,7 +880,6 @@ impl Frame {
             Frame::Data { payload, .. }
             | Frame::GetResp { payload, .. }
             | Frame::Outcome { payload } => Some(payload),
-            Frame::Reliable { inner, .. } => Some(inner),
             _ => None,
         }
     }
@@ -973,13 +955,6 @@ impl Frame {
                 payload: take_bulk(&mut buf)?,
             },
             K_HEARTBEAT => Frame::Heartbeat,
-            K_RELIABLE => Frame::Reliable {
-                seq: u64::get(&mut buf)?,
-                inner: take_bulk(&mut buf)?,
-            },
-            K_ACK => Frame::Ack {
-                seq: u64::get(&mut buf)?,
-            },
             t => {
                 return Err(WireError::BadTag {
                     what: "Frame",
@@ -1166,11 +1141,6 @@ mod tests {
                 payload: Ok::<u64, RankError>(5).to_bytes(),
             },
             Frame::Heartbeat,
-            Frame::Reliable {
-                seq: 17,
-                inner: Frame::Bye.to_bytes(),
-            },
-            Frame::Ack { seq: 17 },
         ];
         // a burst: every frame appended to one buffer in socket form
         let mut burst = Vec::new();
@@ -1243,19 +1213,13 @@ mod tests {
             count: 3,
             payload: vec![9, 8, 7],
         };
-        let reliable = Frame::Reliable {
-            seq: 17,
-            inner: resp.to_bytes(),
-        };
         let golden = [
             "1a0000000608070605040302010500000000000000aabbccddee1d0b5b0e",
             "4100000004070000000000000001000000000000002a00000000000080\
              011800000000000000efbeadde000000000300000000000000\
              0300000000000000090807fd68425b",
-            "2f0000000b11000000000000001a00000000000000\
-             0608070605040302010500000000000000aabbccddee1d0b5b0eb7b5c7cb",
         ];
-        for (frame, golden) in [&resp, &data, &reliable].into_iter().zip(golden) {
+        for (frame, golden) in [&resp, &data].into_iter().zip(golden) {
             let mut socket = Vec::new();
             frame.put_framed(&mut socket);
             assert_eq!(hex(&socket), golden, "{frame:?}");
@@ -1266,8 +1230,7 @@ mod tests {
     }
 
     /// Encoding a bulk frame in place — empty field, bytes appended by the
-    /// fill, `Reliable` wrapped around the very same bytes — is
-    /// byte-identical to encoding frames that own their payloads.
+    /// fill — is byte-identical to encoding frames that own their payloads.
     #[test]
     fn in_place_encoding_equals_owning_encoding() {
         let payload: Vec<u8> = (0..=255u8).cycle().take(1000).collect();
@@ -1288,13 +1251,6 @@ mod tests {
             let owning = make(payload.clone());
             owning.put_framed(&mut expect);
             make(Vec::new()).put_framed_with(&mut burst, |o| o.extend_from_slice(&payload));
-            assert_eq!(burst, expect);
-
-            let wrap = |inner| Frame::Reliable { seq: 3, inner };
-            wrap(owning.to_bytes()).put_framed(&mut expect);
-            wrap(Vec::new()).put_framed_with(&mut burst, |o| {
-                make(Vec::new()).put_checked_with(o, |o| o.extend_from_slice(&payload))
-            });
             assert_eq!(burst, expect);
         }
     }

@@ -48,21 +48,6 @@ fn build_frames(a: u64, b: u64, port: u16, bytes: &[u8], flag: bool) -> Vec<Fram
             payload: bytes.to_vec(),
         },
         Frame::Heartbeat,
-        Frame::Reliable {
-            seq: a ^ b,
-            inner: (Frame::Data {
-                comm_id: a,
-                src: b % 64,
-                tag: b,
-                metered: flag,
-                meter_bytes: a % 4096,
-                type_fp: a ^ b,
-                count: bytes.len() as u64,
-                payload: bytes.to_vec(),
-            })
-            .to_bytes(),
-        },
-        Frame::Ack { seq: b },
     ]
 }
 
@@ -151,15 +136,18 @@ proptest! {
 
     #[test]
     fn hostile_length_claims_fail_fast_without_allocating(
-        kind in 2u8..8, // length-carrying kinds (7 stands in for 11 = Reliable)
+        which in 0usize..4, // the length-carrying kinds
         len in 0u64..u64::MAX,
     ) {
-        // [kind][huge length]... with no matching body: must be a typed
-        // error, and must not try to reserve `len` elements first. The
-        // checksum is made valid so the decode *reaches* the length guard
-        // instead of bouncing off the CRC check.
-        let kind = if kind == 7 { 11 } else { kind };
+        // [kind][zeroed header][huge length]... with no matching body: must
+        // be a typed error, and must not try to reserve `len` elements
+        // first. The checksum is made valid so the decode *reaches* the
+        // length guard instead of bouncing off the CRC check, and the
+        // header puts the claim where the kind's decoder reads its length.
+        // Table, Data (seven fixed fields), GetResp (req_id), Outcome:
+        let (kind, header) = [(2u8, 0usize), (4, 49), (6, 8), (9, 0)][which];
         let mut enc = vec![kind];
+        enc.resize(1 + header, 0);
         len.put(&mut enc);
         enc.extend_from_slice(&[0; 16]);
         let crc = crc32(&enc);
