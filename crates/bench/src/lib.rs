@@ -16,7 +16,7 @@
 //!   executes the simulated ranks (the serial rank-loop or truly-parallel
 //!   threads, both on [`RankComm`](sa_mpisim::RankComm), or
 //!   [`ProcComm`](sa_mpisim::ProcComm) one OS process per rank over
-//!   localhost sockets). Metered traffic is byte-identical across all
+//!   Unix socket pairs). Metered traffic is byte-identical across all
 //!   three; only wall-clock changes.
 //!
 //! Harness map: [`plan`]/[`scale`]/[`load`] configure a run,

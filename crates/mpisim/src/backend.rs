@@ -408,7 +408,7 @@ pub enum Backend {
     Sim,
     /// Truly-parallel threads-as-ranks on [`RankComm`](crate::RankComm).
     Threads,
-    /// Process-per-rank localhost-socket backend
+    /// Process-per-rank socket-pair backend
     /// ([`ProcComm`](crate::ProcComm)).
     Procs,
 }

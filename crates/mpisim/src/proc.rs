@@ -1,4 +1,4 @@
-//! Process-per-rank backend: one OS process per rank over localhost TCP.
+//! Process-per-rank backend: one OS process per rank over Unix socket pairs.
 //!
 //! The in-process backends (`sim` and `threads`, both on
 //! [`RankComm`](crate::RankComm)) share one address space, which makes
@@ -9,13 +9,15 @@
 //!
 //! # Architecture
 //!
-//! * **Bootstrap.** The parent binds a rendezvous listener, forks `n`
-//!   children, then accepts one connection per child. Each child binds its
-//!   own mesh listener, connects to the parent, and sends
-//!   [`Frame::Hello`] with its rank and mesh port; the parent answers with
-//!   [`Frame::Table`] (every rank's port). Children then build a full
-//!   peer-to-peer mesh: rank `r` dials every `s < r` (announcing itself
-//!   with [`Frame::Peer`]) and accepts from every `s > r`.
+//! * **Bootstrap: socket pairs made before fork.** The parent creates one
+//!   `UnixStream` pair per unordered rank pair and one per rank for its
+//!   outcome link, then forks `n` children. Rank `r` keeps its `n − 1`
+//!   mesh ends and its outcome end and closes every other inherited end;
+//!   the parent closes every mesh end and every child-side outcome end.
+//!   No address, port or handshake is involved. Launches in one process
+//!   are serialized from the first pair until the parent has closed its
+//!   copies, so no child inherits another job's mesh ends (which would
+//!   hide a dead peer's EOF from that job's survivors).
 //! * **Progress engine.** Per peer, each child runs a *reader* thread
 //!   (drains the socket: data into the inbox, get-responses into the
 //!   response map, get-requests onto a service queue, failure frames into
@@ -23,15 +25,16 @@
 //!   [`Frame::GetReq`]s against the window registry and writes
 //!   [`Frame::GetResp`]). Readers never write and responders never read,
 //!   so every socket always has an active drain — the classic two-sided
-//!   TCP flow-control deadlock cannot form.
+//!   flow-control deadlock cannot form.
 //! * **Blocking.** The rank's main thread blocks only through
 //!   [`Scheduler::park_until`], the same single parking point as the
 //!   in-process backends — so poison wake-ups ([`CommError::PeerFailed`])
 //!   and the stall watchdog ([`CommError::Timeout`] plus the wait-table
 //!   dump) work identically. A dead socket or a damaged frame poisons the
 //!   job: the reader that sees an unexpected EOF or a CRC rejection names
-//!   that peer as the victim. TCP already delivers every frame once and in
-//!   order, so there is no acknowledgement or retransmission layer.
+//!   that peer as the victim. A stream socket already delivers every frame
+//!   once and in order, so there is no acknowledgement or retransmission
+//!   layer.
 //! * **Windows.** [`Comm::expose`] registers the deposit with the local
 //!   progress engine and allgathers `(window id, length)` over the
 //!   unmetered control plane; gets travel as
@@ -41,9 +44,10 @@
 //!   serving gets until every peer has sent [`Frame::Bye`] (the shutdown
 //!   rendezvous), so no get can race a peer's exit.
 //! * **Outcomes.** Each child reports a serialized
-//!   [`RankOutcome`](crate::RankOutcome) to the parent over its bootstrap
-//!   socket and `_exit`s. A child that dies without reporting (e.g.
-//!   `kill -9`) is classified from its `waitpid` status.
+//!   [`RankOutcome`](crate::RankOutcome) to the parent over its outcome
+//!   link and `_exit`s; the parent reads the outcomes in rank order. A
+//!   child that dies without reporting (e.g. `kill -9`) is classified from
+//!   its `waitpid` status.
 //!
 //! Accounting is byte-identical to the in-process backends by construction: `send_vec` /
 //! `recv_vec` meter `len * size_of::<T>()` exactly like
@@ -55,7 +59,6 @@
 
 use crate::backend::{control_primitive, split_group, Comm};
 use crate::error::{raise, CommError, Primitive, RankError, RankOutcome};
-use crate::recover::RetryPolicy;
 use crate::scheduler::{self, PoisonGuard, Scheduler, WaitSite};
 use crate::stats::{CommStats, StatsCell};
 use crate::universe::Universe;
@@ -66,11 +69,11 @@ use std::any::Any;
 use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::ops::Range;
+use std::os::unix::net::UnixStream;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Minimal libc surface for process management — declared directly so the
@@ -122,64 +125,10 @@ pub fn kill_self_with_sigkill() -> ! {
 // Socket framing helpers
 // ---------------------------------------------------------------------------
 
-fn write_frame(stream: &mut TcpStream, frame: &Frame) -> std::io::Result<()> {
+fn write_frame(stream: &mut UnixStream, frame: &Frame) -> std::io::Result<()> {
     let mut msg = Vec::new();
     frame.put_framed(&mut msg);
     stream.write_all(&msg)
-}
-
-/// Whether a dial/accept error is worth retrying during mesh bootstrap: a
-/// freshly forked sibling may not have bound its listener yet (refused /
-/// reset), and a signal can interrupt the syscall (`EINTR`). Anything else
-/// is a real failure.
-fn transient_bootstrap_error(e: &std::io::Error) -> bool {
-    matches!(
-        e.kind(),
-        std::io::ErrorKind::ConnectionRefused
-            | std::io::ErrorKind::ConnectionReset
-            | std::io::ErrorKind::AddrNotAvailable
-            | std::io::ErrorKind::Interrupted
-    )
-}
-
-/// Dial `addr`, retrying transient refusals under `policy`'s bounded
-/// exponential backoff. Returns the stream and how many retries it took —
-/// surfaced in the bootstrap log line so a flaky mesh formation is visible.
-fn connect_with_retry<A: std::net::ToSocketAddrs>(
-    addr: A,
-    policy: &RetryPolicy,
-) -> std::io::Result<(TcpStream, u32)> {
-    let mut retries = 0u32;
-    loop {
-        match TcpStream::connect(&addr) {
-            Ok(s) => return Ok((s, retries)),
-            Err(e) if transient_bootstrap_error(&e) && retries < policy.max_restarts => {
-                std::thread::sleep(policy.backoff_for(retries));
-                retries += 1;
-            }
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-/// `accept` tolerating `EINTR` (bounded by `policy` against a signal
-/// storm). No backoff: an interrupted accept just re-enters the syscall.
-fn accept_with_retry(
-    listener: &TcpListener,
-    policy: &RetryPolicy,
-) -> std::io::Result<(TcpStream, u32)> {
-    let mut retries = 0u32;
-    loop {
-        match listener.accept() {
-            Ok((s, _)) => return Ok((s, retries)),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::Interrupted && retries < policy.max_restarts =>
-            {
-                retries += 1;
-            }
-            Err(e) => return Err(e),
-        }
-    }
 }
 
 /// Why reading one frame off a link failed — the distinction the mesh
@@ -187,11 +136,11 @@ fn accept_with_retry(
 enum RecvFailure {
     /// The socket itself failed (EOF, reset, short read): the
     /// length-delimited framing is gone and the link is dead.
-    Io(std::io::Error),
+    Io,
     /// The frame arrived intact as a byte string but its CRC (or its
-    /// structure) rejected it. TCP delivers every byte once and in order,
-    /// so damage is never line noise: the sender is broken, and the link
-    /// poisons naming it — even after its `Bye`, unlike a clean EOF.
+    /// structure) rejected it. The socket delivers every byte once and in
+    /// order, so damage is never line noise: the sender is broken, and the
+    /// link poisons naming it — even after its `Bye`, unlike a clean EOF.
     Corrupt(WireError),
 }
 
@@ -199,13 +148,10 @@ enum RecvFailure {
 /// failure mode (see [`RecvFailure`]).
 fn read_frame_raw(stream: &mut impl Read) -> Result<Frame, RecvFailure> {
     let mut len4 = [0u8; 4];
-    stream.read_exact(&mut len4).map_err(RecvFailure::Io)?;
+    stream.read_exact(&mut len4).map_err(|_| RecvFailure::Io)?;
     let len = u32::from_le_bytes(len4) as usize;
     if len > MAX_FRAME {
-        return Err(RecvFailure::Io(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("frame length {len} exceeds cap"),
-        )));
+        return Err(RecvFailure::Io);
     }
     // Straight into uninitialised capacity (no zero-fill pass over a
     // multi-MB body); the frame then keeps this allocation as its payload.
@@ -214,22 +160,11 @@ fn read_frame_raw(stream: &mut impl Read) -> Result<Frame, RecvFailure> {
         .by_ref()
         .take(len as u64)
         .read_to_end(&mut body)
-        .map_err(RecvFailure::Io)?;
+        .map_err(|_| RecvFailure::Io)?;
     if got < len {
-        return Err(RecvFailure::Io(std::io::ErrorKind::UnexpectedEof.into()));
+        return Err(RecvFailure::Io);
     }
     Frame::from_vec(body).map_err(RecvFailure::Corrupt)
-}
-
-/// [`read_frame_raw`] flattened to `io::Result` for the bootstrap and
-/// parent paths, where corruption and a dead socket end the same way.
-fn read_frame(stream: &mut impl Read) -> std::io::Result<Frame> {
-    read_frame_raw(stream).map_err(|e| match e {
-        RecvFailure::Io(e) => e,
-        RecvFailure::Corrupt(w) => {
-            std::io::Error::new(std::io::ErrorKind::InvalidData, w.to_string())
-        }
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -302,7 +237,7 @@ enum Flow {
 }
 
 /// Process-local heartbeat mute for tests: models a peer that is wedged —
-/// alive enough to keep its TCP links open, too stuck to prove liveness.
+/// alive enough to keep its links open, too stuck to prove liveness.
 /// Affects only the calling process, i.e. exactly one rank under the
 /// procs backend.
 static HEARTBEATS_MUTED: AtomicBool = AtomicBool::new(false);
@@ -336,7 +271,7 @@ struct ProcNode {
     /// Write halves of the mesh links, indexed by world rank (`None` at
     /// our own slot). Locked per write; whole frames per `write_all` (one,
     /// or a burst of gets / get-responses).
-    links: Vec<Option<Mutex<TcpStream>>>,
+    links: Vec<Option<Mutex<UnixStream>>>,
     inbox: Inbox,
     getresp: GetRespMap,
     windows: Mutex<HashMap<u64, RegisteredWindow>>,
@@ -374,6 +309,19 @@ impl ProcNode {
         self.peers_done_cv.notify_all();
     }
 
+    /// A write to `world` failed: the peer has closed its end. Its reader
+    /// first drains what the peer sent before closing — an `Abort` there
+    /// names the job's real victim — so wait for it, then poison naming
+    /// the peer if nothing else did.
+    fn peer_gone(&self, world: usize) {
+        let mut done = self.peers_done.lock();
+        while !done[world] {
+            self.peers_done_cv.wait(&mut done);
+        }
+        drop(done);
+        self.sched.poison(world);
+    }
+
     /// Write pre-encoded `Data` / `GetReq` / `GetResp` frames (socket
     /// form, length prefixes included, starting at a frame boundary) to
     /// `world`'s link in one `write_all` — the data plane's one write path.
@@ -397,7 +345,7 @@ impl ProcNode {
 
     /// Reader thread body for the link to `peer`: drain frames forever.
     /// Never writes to any socket (deadlock-freedom invariant).
-    fn reader_loop(self: &Arc<Self>, peer: usize, stream: TcpStream, getq: Arc<GetQueue>) {
+    fn reader_loop(self: &Arc<Self>, peer: usize, stream: UnixStream, getq: Arc<GetQueue>) {
         let mut stream = std::io::BufReader::new(stream);
         let mut clean = false;
         loop {
@@ -419,7 +367,7 @@ impl ProcNode {
                     self.mark_peer_done(peer);
                     return;
                 }
-                Err(RecvFailure::Io(_)) => {
+                Err(RecvFailure::Io) => {
                     // EOF or a dead socket. After a Bye this is the peer's
                     // normal exit; before one it is a crash (e.g. kill -9)
                     // — the dead socket is the failure signal, poison the
@@ -495,11 +443,8 @@ impl ProcNode {
                 Flow::Continue
             }
             Frame::Heartbeat => Flow::Continue, // note_alive already ran
-            Frame::Hello { .. }
-            | Frame::Table { .. }
-            | Frame::Peer { .. }
-            | Frame::Outcome { .. } => {
-                // Bootstrap frame after bootstrap: protocol corruption.
+            Frame::Outcome { .. } => {
+                // A child-to-parent frame on a mesh link: protocol corruption.
                 self.sched.poison(peer);
                 self.mark_peer_done(peer);
                 Flow::Stop
@@ -672,7 +617,7 @@ impl ProcRemoteWindow {
         let flush = |dest: Option<usize>, out: &mut Vec<u8>| {
             if let Some(world) = dest {
                 if self.node.write_raw(world, out).is_err() {
-                    self.node.sched.poison(world);
+                    self.node.peer_gone(world);
                 }
                 out.clear();
             }
@@ -840,7 +785,7 @@ impl ProcComm {
             // Dead socket: the peer is gone. Name the job's victim and
             // unwind — a send can no longer be "eager and never blocks"
             // when the destination no longer exists.
-            self.node.sched.poison(world);
+            self.node.peer_gone(world);
             let victim = self.node.sched.poison_victim().unwrap_or(world);
             raise(CommError::PeerFailed {
                 rank: victim,
@@ -984,99 +929,54 @@ impl Comm for ProcComm {
 // Child-side launch
 // ---------------------------------------------------------------------------
 
-/// Build the mesh, run the rank closure, rendezvous, report, `_exit`.
-/// Never returns; never unwinds past this frame.
-fn child_main<F, R>(rank: usize, u: Universe, parent_addr: SocketAddr, f: &F) -> !
+/// Run the rank closure over the inherited mesh ends, rendezvous, report
+/// on `outcome`, `_exit`. Never returns; never unwinds past this frame.
+fn child_main<F, R>(
+    rank: usize,
+    u: Universe,
+    streams: Vec<Option<UnixStream>>,
+    outcome: UnixStream,
+    f: &F,
+) -> !
 where
     F: Fn(&ProcComm) -> R + Send + Sync,
     R: Wire + Send,
 {
     IN_FORKED_CHILD.store(true, Ordering::Relaxed);
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        child_body(rank, u, parent_addr, f)
+        child_body(rank, u, streams, outcome, f)
     }));
-    // A panic escaping child_body means bootstrap itself failed (sockets,
-    // fork siblings dead, ...) — nothing to report on, just die nonzero so
-    // the parent classifies us from waitpid.
+    // A panic escaping child_body means the progress engine itself failed
+    // to start (threads, pools, ...) — nothing to report on, just die
+    // nonzero so the parent classifies us from waitpid.
     match outcome {
         Ok(code) => unsafe { sys::_exit(code) },
         Err(_) => unsafe { sys::_exit(101) },
     }
 }
 
-fn child_body<F, R>(rank: usize, u: Universe, parent_addr: SocketAddr, f: &F) -> i32
+/// `streams[s]` is this rank's end of its link to rank `s` (`None` at its
+/// own slot); `parent` is its end of the outcome link.
+fn child_body<F, R>(
+    rank: usize,
+    u: Universe,
+    streams: Vec<Option<UnixStream>>,
+    mut parent: UnixStream,
+    f: &F,
+) -> i32
 where
     F: Fn(&ProcComm) -> R + Send + Sync,
     R: Wire + Send,
 {
     let nranks = u.nranks();
-    // --- bootstrap: announce our mesh port, learn everyone's ---
-    // Transient dial/accept failures (a sibling's listener not bound yet,
-    // EINTR) get a bounded-backoff second chance instead of failing the
-    // whole bootstrap; the total retry count is surfaced below.
-    let transport = RetryPolicy::transport();
-    let mut boot_retries = 0u32;
-    let mesh_listener = TcpListener::bind("127.0.0.1:0").expect("bind mesh listener");
-    let mesh_port = mesh_listener.local_addr().expect("mesh addr").port();
-    let (mut parent, r) = connect_with_retry(parent_addr, &transport).expect("connect to parent");
-    boot_retries += r;
-    parent.set_nodelay(true).ok();
-    write_frame(
-        &mut parent,
-        &Frame::Hello {
-            rank: rank as u64,
-            port: mesh_port,
-        },
-    )
-    .expect("send hello");
-    let ports = match read_frame(&mut parent) {
-        Ok(Frame::Table { ports }) => ports,
-        other => panic!("expected port table from parent, got {other:?}"),
-    };
-    assert_eq!(ports.len(), nranks, "port table size");
-
-    // --- mesh: dial lower ranks, accept higher ranks ---
-    let mut streams: Vec<Option<TcpStream>> = (0..nranks).map(|_| None).collect();
-    for peer in 0..rank {
-        let (mut s, r) = connect_with_retry(("127.0.0.1", ports[peer]), &transport)
-            .unwrap_or_else(|e| panic!("dial peer {peer}: {e}"));
-        boot_retries += r;
-        s.set_nodelay(true).ok();
-        write_frame(&mut s, &Frame::Peer { rank: rank as u64 }).expect("announce to peer");
-        streams[peer] = Some(s);
-    }
-    for _ in rank + 1..nranks {
-        let (mut s, r) = accept_with_retry(&mesh_listener, &transport).expect("accept peer");
-        boot_retries += r;
-        s.set_nodelay(true).ok();
-        let peer = match read_frame(&mut s) {
-            Ok(Frame::Peer { rank }) => rank as usize,
-            other => panic!("expected peer announcement, got {other:?}"),
-        };
-        assert!(peer > rank && peer < nranks && streams[peer].is_none());
-        streams[peer] = Some(s);
-    }
-    if boot_retries > 0 {
-        eprintln!(
-            "[sa_mpisim] rank {rank}: mesh bootstrap completed after \
-             {boot_retries} transport retries"
-        );
-    }
-
     // --- progress engine ---
     let sched = Scheduler::parallel(nranks, u.watchdog());
     scheduler::set_world_rank(rank);
-    let mut read_halves: Vec<Option<TcpStream>> = (0..nranks).map(|_| None).collect();
-    let mut links: Vec<Option<Mutex<TcpStream>>> = Vec::with_capacity(nranks);
-    for (peer, s) in streams.into_iter().enumerate() {
-        match s {
-            Some(s) => {
-                read_halves[peer] = Some(s.try_clone().expect("clone link"));
-                links.push(Some(Mutex::new(s)));
-            }
-            None => links.push(None),
-        }
-    }
+    let read_halves: Vec<Option<UnixStream>> = streams
+        .iter()
+        .map(|s| s.as_ref().map(|s| s.try_clone().expect("clone link")))
+        .collect();
+    let links = streams.into_iter().map(|s| s.map(Mutex::new)).collect();
     let mut peers_done = vec![false; nranks];
     peers_done[rank] = true;
     let node = Arc::new(ProcNode {
@@ -1189,6 +1089,13 @@ where
 // Parent-side launch
 // ---------------------------------------------------------------------------
 
+/// Held by a launch from its first socket pair until the parent has
+/// closed its copies of the children's ends. `fork` copies every open
+/// descriptor, so a launch forking while another launch's ends are open in
+/// this process would hand them to its own children — and a SIGKILLed rank
+/// of the other job would then never read as EOF to that job's survivors.
+static LAUNCH: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 /// Fork one process per rank, run `f` in each, and collect every rank's
 /// typed outcome. Called by
 /// [`Universe::try_run_procs`](crate::Universe::try_run_procs).
@@ -1198,93 +1105,53 @@ where
     R: Wire + Send,
 {
     let nranks = u.nranks();
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind rendezvous listener");
-    let addr = listener.local_addr().expect("rendezvous addr");
+    let launch = LAUNCH.lock().unwrap_or_else(PoisonError::into_inner);
+    // mesh[r][s]: rank r's end of its link to rank s.
+    let mut mesh: Vec<Vec<Option<UnixStream>>> = (0..nranks)
+        .map(|_| (0..nranks).map(|_| None).collect())
+        .collect();
+    for (r, s) in (0..nranks).flat_map(|r| (r + 1..nranks).map(move |s| (r, s))) {
+        let (a, b) = UnixStream::pair().expect("mesh socket pair");
+        mesh[r][s] = Some(a);
+        mesh[s][r] = Some(b);
+    }
+    let (reports, mut child_ends): (Vec<UnixStream>, Vec<UnixStream>) = (0..nranks)
+        .map(|_| UnixStream::pair().expect("outcome socket pair"))
+        .unzip();
 
     let mut pids = Vec::with_capacity(nranks);
     for rank in 0..nranks {
         match unsafe { sys::fork() } {
-            0 => child_main(rank, u, addr, &f),
+            0 => {
+                // Keep this rank's ends; close every other inherited one
+                // before any thread starts, and release this copy of the
+                // launch lock.
+                let streams = std::mem::take(&mut mesh[rank]);
+                let outcome = child_ends.swap_remove(rank);
+                drop((launch, mesh, reports, child_ends));
+                child_main(rank, u, streams, outcome, &f)
+            }
             pid if pid > 0 => pids.push(pid),
             _ => panic!("fork failed (rank {rank})"),
         }
     }
+    drop((mesh, child_ends));
+    drop(launch);
 
-    // Rendezvous: collect every child's Hello, answer with the port table.
-    let mut conns: Vec<Option<TcpStream>> = (0..nranks).map(|_| None).collect();
-    let mut ports = vec![0u16; nranks];
-    for _ in 0..nranks {
-        let (mut s, _) =
-            accept_with_retry(&listener, &RetryPolicy::transport()).expect("accept child");
-        s.set_nodelay(true).ok();
-        match read_frame(&mut s) {
-            Ok(Frame::Hello { rank, port }) => {
-                let rank = rank as usize;
-                assert!(rank < nranks && conns[rank].is_none(), "duplicate hello");
-                ports[rank] = port;
-                conns[rank] = Some(s);
-            }
-            other => {
-                // A child that connected but died (or spoke garbage) before
-                // finishing its Hello. The parent must stay alive for the
-                // survivors — drop the connection; the corpse is classified
-                // from waitpid, and siblings dialing its unset (zero) port
-                // exhaust their transport retries and die typed too.
-                eprintln!(
-                    "[sa_mpisim] bootstrap: dropping a connection with a bad hello: {other:?}"
-                );
-            }
-        }
-    }
-    let table = Frame::Table {
-        ports: ports.clone(),
-    };
-    for (rank, c) in conns.iter_mut().enumerate() {
-        // A failed table send means that child is already gone; recovery
-        // needs the parent intact, so propagate by emptying the slot (the
-        // outcome collector then reports `None` and waitpid classifies the
-        // corpse) instead of panicking the parent.
-        let alive = match c.as_mut() {
-            Some(s) => write_frame(s, &table).is_ok(),
-            None => false,
-        };
-        if !alive && c.take().is_some() {
-            eprintln!(
-                "[sa_mpisim] bootstrap: table send to rank {rank} failed; child presumed dead"
-            );
-        }
-    }
-
-    // Collect outcomes concurrently (ranks finish in any order), then reap.
-    let payloads: Vec<Option<Vec<u8>>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = conns
-            .into_iter()
-            .map(|c| {
-                scope.spawn(move || -> Option<Vec<u8>> {
-                    // `None` (no connection, EOF, or garbage) defers to the
-                    // waitpid classification below — never a parent panic.
-                    let mut c = c?;
-                    loop {
-                        match read_frame(&mut c) {
-                            Ok(Frame::Outcome { payload }) => break Some(payload),
-                            Ok(_) => continue, // tolerate stray frames
-                            Err(_) => break None,
-                        }
-                    }
-                })
-            })
-            .collect();
-        // A panicked collector thread (it has no panicking path, but the
-        // parent must outlive a recovery attempt regardless) degrades to
-        // `None` → typed waitpid classification, same as a dead socket.
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or(None))
-            .collect()
-    });
+    // Outcomes in rank order on this thread. Every child says Bye or Abort
+    // to its peers before it reports and needs nothing from the parent to
+    // finish, so a rank blocked writing its report holds nobody up. `None`
+    // (EOF or bytes that do not decode) defers to the waitpid
+    // classification below — never a parent panic.
+    let payloads = reports
+        .into_iter()
+        .map(|mut c| match read_frame_raw(&mut c) {
+            Ok(Frame::Outcome { payload }) => Some(payload),
+            _ => None,
+        });
 
     let mut outcomes = Vec::with_capacity(nranks);
-    for (rank, (payload, pid)) in payloads.into_iter().zip(pids).enumerate() {
+    for (rank, (payload, pid)) in payloads.zip(pids).enumerate() {
         let mut status = 0i32;
         let r = unsafe { sys::waitpid(pid, &mut status, 0) };
         outcomes.push(match payload {
@@ -1334,7 +1201,7 @@ mod tests {
         // a stream that ends anywhere inside a frame is a dead link
         for cut in 0..first {
             let got = read_frame_raw(&mut &wire[..cut]);
-            assert!(matches!(got, Err(RecvFailure::Io(_))), "cut at {cut}");
+            assert!(matches!(got, Err(RecvFailure::Io)), "cut at {cut}");
         }
         // a flipped bit anywhere past the length prefix is caught by the
         // checksum before any field is used, and — exactly the advertised

@@ -10,11 +10,7 @@
 //! [`Backend::Procs`], re-launched rank threads under `Sim`/`Threads`.
 //!
 //! Restarts are governed by a [`RetryPolicy`]: at most `max_restarts`
-//! re-entries, separated by bounded exponential backoff. The same policy
-//! shape also drives the transport-level retry on the ProcComm bootstrap
-//! dial/accept path ([`RetryPolicy::transport`]), where a transient
-//! `ECONNREFUSED`/`EINTR` during mesh formation previously had no second
-//! chance.
+//! re-entries, separated by bounded exponential backoff.
 //!
 //! The job sees its attempt number, which is how checkpoint/restart
 //! composes: attempt 0 starts fresh (or from a prior run's store), attempt
@@ -60,21 +56,6 @@ impl RetryPolicy {
     /// One attempt, no recovery.
     pub fn no_restarts() -> RetryPolicy {
         RetryPolicy::new(0, Duration::ZERO)
-    }
-
-    /// Override the backoff cap.
-    pub fn with_max_backoff(mut self, cap: Duration) -> RetryPolicy {
-        self.max_backoff = cap;
-        self
-    }
-
-    /// The transport preset used on the ProcComm mesh-bootstrap path: a
-    /// freshly forked sibling may not have bound its listener yet, so dials
-    /// retry through transient `ECONNREFUSED`/`EINTR` with short backoff
-    /// (8 retries, 2 ms base, 200 ms cap) instead of failing the bootstrap
-    /// on the first refused connection.
-    pub fn transport() -> RetryPolicy {
-        RetryPolicy::new(8, Duration::from_millis(2)).with_max_backoff(Duration::from_millis(200))
     }
 
     /// The sleep before restart number `restart` (0-based): bounded
@@ -251,8 +232,10 @@ mod tests {
 
     #[test]
     fn backoff_is_bounded_exponential() {
-        let p = RetryPolicy::new(10, Duration::from_millis(2))
-            .with_max_backoff(Duration::from_millis(9));
+        let p = RetryPolicy {
+            max_backoff: Duration::from_millis(9),
+            ..RetryPolicy::new(10, Duration::from_millis(2))
+        };
         assert_eq!(p.backoff_for(0), Duration::from_millis(2));
         assert_eq!(p.backoff_for(1), Duration::from_millis(4));
         assert_eq!(p.backoff_for(2), Duration::from_millis(8));

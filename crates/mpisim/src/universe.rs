@@ -204,7 +204,7 @@ impl Universe {
 
     /// Run `f` once per rank on the **process-per-rank socket backend**
     /// ([`ProcComm`]): every rank is a forked OS process, all communication
-    /// crosses localhost TCP. Results come back in rank order; any rank
+    /// crosses a Unix socket pair. Results come back in rank order; any rank
     /// failure panics (survivor `PeerFailed` payloads stay typed). Unlike
     /// the in-process backends the closure's result must be wire-encodable
     /// (`R: Wire`) — it crosses a process boundary.

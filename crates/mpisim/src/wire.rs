@@ -10,9 +10,9 @@
 //!   pattern, so outputs stay *bit-identical* across backends). Decoding
 //!   **never panics**: every malformed input returns a typed
 //!   [`WireError`], a property `tests/wire_props.rs` fuzzes.
-//! * [`Frame`] — the framed messages of the socket protocol (bootstrap
-//!   handshake, two-sided data, one-sided window gets, failure
-//!   notifications, per-rank results). On the socket every frame is
+//! * [`Frame`] — the framed messages of the socket protocol (two-sided
+//!   data, one-sided window gets, failure and liveness notifications,
+//!   per-rank results). On the socket every frame is
 //!   `[u32 little-endian length][kind byte][body][crc32]`.
 //! * A `TypeId → codec` registry ([`vec_codec`]) so the untyped transport
 //!   can serialize `Comm::send_vec::<T>` payloads for every element type
@@ -665,12 +665,6 @@ pub(crate) fn vec_codec<T: Send + 'static>() -> Option<&'static VecCodec> {
 /// cover the part after the length prefix.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Frame {
-    /// Child → parent bootstrap: "rank `rank` listens on `port`".
-    Hello { rank: u64, port: u16 },
-    /// Parent → child bootstrap: every rank's listen port, in rank order.
-    Table { ports: Vec<u16> },
-    /// First frame on a freshly connected mesh link: who is calling.
-    Peer { rank: u64 },
     /// A two-sided `send_vec` payload (or an unmetered control-plane
     /// message when `metered` is false). `src` is the sender's rank *in
     /// the communicator* `comm_id`; `count` elements of the type
@@ -710,9 +704,7 @@ pub enum Frame {
     Heartbeat,
 }
 
-const K_HELLO: u8 = 1;
-const K_TABLE: u8 = 2;
-const K_PEER: u8 = 3;
+// Kinds 1–3 are retired and stay unassigned: the others keep their bytes.
 const K_DATA: u8 = 4;
 const K_GETREQ: u8 = 5;
 const K_GETRESP: u8 = 6;
@@ -784,19 +776,6 @@ impl Frame {
     /// ignore `fill`.
     fn put_body_with(&self, out: &mut Vec<u8>, fill: impl FnOnce(&mut Vec<u8>)) {
         match self {
-            Frame::Hello { rank, port } => {
-                out.push(K_HELLO);
-                rank.put(out);
-                port.put(out);
-            }
-            Frame::Table { ports } => {
-                out.push(K_TABLE);
-                ports.put(out);
-            }
-            Frame::Peer { rank } => {
-                out.push(K_PEER);
-                rank.put(out);
-            }
             Frame::Data {
                 comm_id,
                 src,
@@ -916,16 +895,6 @@ impl Frame {
         };
         let kind = u8::get(&mut buf)?;
         let frame = match kind {
-            K_HELLO => Frame::Hello {
-                rank: u64::get(&mut buf)?,
-                port: u16::get(&mut buf)?,
-            },
-            K_TABLE => Frame::Table {
-                ports: Vec::<u16>::get(&mut buf)?,
-            },
-            K_PEER => Frame::Peer {
-                rank: u64::get(&mut buf)?,
-            },
             K_DATA => Frame::Data {
                 comm_id: u64::get(&mut buf)?,
                 src: u64::get(&mut buf)?,
@@ -1106,14 +1075,6 @@ mod tests {
     #[test]
     fn frames_round_trip() {
         let frames = vec![
-            Frame::Hello {
-                rank: 3,
-                port: 40111,
-            },
-            Frame::Table {
-                ports: vec![1000, 2000, 3000],
-            },
-            Frame::Peer { rank: 2 },
             Frame::Data {
                 comm_id: 7,
                 src: 1,
@@ -1313,7 +1274,7 @@ mod tests {
         assert!(vec_codec::<u64>().is_some());
         assert!(vec_codec::<(u32, u32, f64)>().is_some());
         assert!(vec_codec::<Vec<f64>>().is_some());
-        assert!(vec_codec::<std::net::TcpStream>().is_none());
+        assert!(vec_codec::<std::fs::File>().is_none());
 
         let v: Vec<u64> = vec![10, 20, 30];
         let codec = vec_codec::<u64>().unwrap();

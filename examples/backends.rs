@@ -2,7 +2,7 @@
 //! matching reports: `Backend::Sim` (serial rank-loop simulator, the
 //! default) vs `Backend::Threads` (threads as ranks, truly parallel) —
 //! both on one in-process `RankComm` — vs `Backend::Procs` (`ProcComm`, one
-//! OS process per rank over localhost sockets).
+//! OS process per rank over Unix socket pairs).
 //!
 //! Run with: `cargo run --release --example backends`
 //!
@@ -96,7 +96,7 @@ fn main() {
         println!("rank {r} injected      : {bytes} B in {msgs} msgs  (identical on both backends)");
     }
     println!(
-        "wall: sim {:.1} ms (sum of rank work)  vs  threads {:.1} ms (concurrent)  vs  procs {:.1} ms (fork + TCP mesh + multiply)",
+        "wall: sim {:.1} ms (sum of rank work)  vs  threads {:.1} ms (concurrent)  vs  procs {:.1} ms (fork + socket mesh + multiply)",
         wall_sim.as_secs_f64() * 1e3,
         wall_thr.as_secs_f64() * 1e3,
         wall_procs.as_secs_f64() * 1e3

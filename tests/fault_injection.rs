@@ -475,6 +475,58 @@ fn sigkill_mid_job_fails_every_survivor_typed_procs() {
     }
 }
 
+/// `fork` copies every open descriptor, so two procs jobs launched at once
+/// must not hand each other's mesh ends to their children. Job A loses a
+/// rank to `SIGKILL` on entry; its survivors must see the dead socket at
+/// once — not two seconds later, when job B's healthy, sleeping ranks exit
+/// and close copies of A's ends they should never have held. A forks more
+/// ranks than B, so an unserialized launch of B would fork inside A's
+/// launch nearly every run.
+#[test]
+fn concurrent_launches_do_not_leak_mesh_ends_procs() {
+    quiet_expected_panics();
+    let start = std::sync::Barrier::new(2);
+    let ((killed, elapsed), slow) = std::thread::scope(|scope| {
+        let killed = scope.spawn(|| {
+            let u = Universe::new(12)
+                .with_watchdog(Some(Duration::from_secs(60)))
+                .with_heartbeat(None);
+            start.wait();
+            let started = std::time::Instant::now();
+            let out = u.try_run_procs(|comm| {
+                if comm.rank() == VICTIM {
+                    kill_self_with_sigkill();
+                }
+                comm.barrier();
+            });
+            (out, started.elapsed())
+        });
+        let slow = scope.spawn(|| {
+            let u = Universe::new(8).with_watchdog(Some(Duration::from_secs(60)));
+            start.wait();
+            u.try_run_procs(|comm| {
+                std::thread::sleep(Duration::from_secs(2));
+                comm.barrier();
+            })
+        });
+        (killed.join().unwrap(), slow.join().unwrap())
+    });
+    for (r, o) in killed.iter().enumerate().filter(|&(r, _)| r != VICTIM) {
+        assert!(
+            matches!(
+                o,
+                Err(RankError::Comm(CommError::PeerFailed { rank: VICTIM, .. }))
+            ),
+            "job A rank {r}: expected PeerFailed naming rank {VICTIM}, got {o:?}"
+        );
+    }
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "job A took {elapsed:?}: its survivors waited for job B to exit"
+    );
+    assert!(slow.iter().all(|o| o.is_ok()), "job B: {slow:?}");
+}
+
 /// Cross-process stall detection: every process deadlocks in a circular
 /// recv that no one serves; each process's own watchdog must fire and
 /// convert the stall into a typed `Timeout` (or `PeerFailed`, if a peer's

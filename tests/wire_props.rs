@@ -11,16 +11,8 @@ use std::time::Duration;
 
 /// One instance of every frame kind, parameterized by the generated
 /// inputs so the property sweeps the full wire surface each case.
-fn build_frames(a: u64, b: u64, port: u16, bytes: &[u8], flag: bool) -> Vec<Frame> {
+fn build_frames(a: u64, b: u64, bytes: &[u8], flag: bool) -> Vec<Frame> {
     vec![
-        Frame::Hello {
-            rank: a % 1024,
-            port,
-        },
-        Frame::Table {
-            ports: vec![port, port ^ 1, 9],
-        },
-        Frame::Peer { rank: b % 1024 },
         Frame::Data {
             comm_id: a,
             src: b % 64,
@@ -58,11 +50,10 @@ proptest! {
     fn every_frame_kind_round_trips_with_valid_checksum(
         a in 0u64..u64::MAX,
         b in 0u64..u64::MAX,
-        port in 0u64..65536,
         bytes in proptest::collection::vec(0u8..=255u8, 0..48),
         flag in 0u8..2,
     ) {
-        for f in build_frames(a, b, port as u16, &bytes, flag == 1) {
+        for f in build_frames(a, b, &bytes, flag == 1) {
             let enc = f.to_bytes();
             let back = Frame::from_bytes(&enc);
             prop_assert_eq!(back.as_ref().ok(), Some(&f));
@@ -76,11 +67,10 @@ proptest! {
     fn every_truncation_of_every_frame_is_a_typed_error(
         a in 0u64..u64::MAX,
         b in 0u64..u64::MAX,
-        port in 0u64..65536,
         bytes in proptest::collection::vec(0u8..=255u8, 0..24),
         flag in 0u8..2,
     ) {
-        for f in build_frames(a, b, port as u16, &bytes, flag == 1) {
+        for f in build_frames(a, b, &bytes, flag == 1) {
             let enc = f.to_bytes();
             for cut in 0..enc.len() {
                 // every strict prefix must decode to Err, never panic and
@@ -98,12 +88,11 @@ proptest! {
     fn bit_flipped_frames_are_always_typed_corrupt(
         a in 0u64..u64::MAX,
         b in 0u64..u64::MAX,
-        port in 0u64..65536,
         bytes in proptest::collection::vec(0u8..=255u8, 0..24),
         pos in 0usize..4096,
         xor in 1u8..=255,
     ) {
-        for f in build_frames(a, b, port as u16, &bytes, true) {
+        for f in build_frames(a, b, &bytes, true) {
             let mut enc = f.to_bytes();
             let i = pos % enc.len();
             enc[i] ^= xor;
@@ -136,7 +125,7 @@ proptest! {
 
     #[test]
     fn hostile_length_claims_fail_fast_without_allocating(
-        which in 0usize..4, // the length-carrying kinds
+        which in 0usize..3, // the length-carrying kinds
         len in 0u64..u64::MAX,
     ) {
         // [kind][zeroed header][huge length]... with no matching body: must
@@ -144,8 +133,8 @@ proptest! {
         // first. The checksum is made valid so the decode *reaches* the
         // length guard instead of bouncing off the CRC check, and the
         // header puts the claim where the kind's decoder reads its length.
-        // Table, Data (seven fixed fields), GetResp (req_id), Outcome:
-        let (kind, header) = [(2u8, 0usize), (4, 49), (6, 8), (9, 0)][which];
+        // Data (seven fixed fields), GetResp (req_id), Outcome:
+        let (kind, header) = [(4u8, 49usize), (6, 8), (9, 0)][which];
         let mut enc = vec![kind];
         enc.resize(1 + header, 0);
         len.put(&mut enc);
