@@ -21,7 +21,8 @@
 //! * **Progress engine.** Per peer, each child runs a *reader* thread
 //!   (drains the socket: data into the inbox, get-responses into the
 //!   response map, get-requests onto a service queue, failure frames into
-//!   the scheduler poison) and a *responder* thread (services queued
+//!   the scheduler poison — each consumer once per read, not once per
+//!   frame) and a *responder* thread (services queued
 //!   [`Frame::GetReq`]s against the window registry and writes
 //!   [`Frame::GetResp`]). Readers never write and responders never read,
 //!   so every socket always has an active drain — the classic two-sided
@@ -68,7 +69,7 @@ use parking_lot::{Condvar, Mutex};
 use std::any::Any;
 use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::ops::Range;
 use std::os::unix::net::UnixStream;
 use std::rc::Rc;
@@ -137,10 +138,11 @@ enum RecvFailure {
     /// The socket itself failed (EOF, reset, short read): the
     /// length-delimited framing is gone and the link is dead.
     Io,
-    /// The frame arrived intact as a byte string but its CRC (or its
-    /// structure) rejected it. The socket delivers every byte once and in
-    /// order, so damage is never line noise: the sender is broken, and the
-    /// link poisons naming it — even after its `Bye`, unlike a clean EOF.
+    /// The frame arrived intact as a byte string but its length prefix,
+    /// its CRC or its structure rejected it. The socket delivers every
+    /// byte once and in order, so damage is never line noise: the sender
+    /// is broken, and the link poisons naming it — even after its `Bye`,
+    /// unlike a clean EOF.
     Corrupt(WireError),
 }
 
@@ -151,7 +153,7 @@ fn read_frame_raw(stream: &mut impl Read) -> Result<Frame, RecvFailure> {
     stream.read_exact(&mut len4).map_err(|_| RecvFailure::Io)?;
     let len = u32::from_le_bytes(len4) as usize;
     if len > MAX_FRAME {
-        return Err(RecvFailure::Io);
+        return Err(RecvFailure::Corrupt(WireError::FrameTooLarge { len }));
     }
     // Straight into uninitialised capacity (no zero-fill pass over a
     // multi-MB body); the frame then keeps this allocation as its payload.
@@ -230,10 +232,88 @@ const GET_WINDOW_BYTES: usize = 4 << 20;
 /// window in memory before the first byte leaves.
 const RESP_FLUSH_BYTES: usize = 256 << 10;
 
-/// What a reader does after dispatching one frame.
-enum Flow {
-    Continue,
-    Stop,
+/// The data-plane frames one pass of a link reader collected, per
+/// consumer, in arrival order.
+#[derive(Default)]
+struct Batch {
+    data: Vec<(MsgKey, InPayload)>,
+    reqs: Vec<GetWork>,
+    resps: Vec<(u64, Vec<u8>)>,
+}
+
+/// How one pass of a link reader ended.
+enum PassEnd {
+    /// The buffer holds no whole frame, so the next read may block.
+    Drained,
+    Bye,
+    Abort {
+        victim: u64,
+    },
+    /// A child-to-parent frame on a mesh link.
+    Outcome,
+    Failed(RecvFailure),
+}
+
+/// Whether `buf` starts with a whole frame, length prefix included.
+fn holds_whole_frame(buf: &[u8]) -> bool {
+    buf.get(..4).is_some_and(|len4| {
+        let len = u32::from_le_bytes(len4.try_into().expect("length prefix"));
+        buf.len() - 4 >= len as usize
+    })
+}
+
+/// One pass of a link reader: read frames into `batch` until the buffer
+/// no longer holds a whole frame, a control frame arrives or the link
+/// fails. Only the pass's first read may block, so the caller can hand on
+/// what the pass collected before it waits for more.
+fn read_pass(stream: &mut BufReader<impl Read>, batch: &mut Batch) -> PassEnd {
+    loop {
+        let frame = match read_frame_raw(stream) {
+            Ok(frame) => frame,
+            Err(e) => return PassEnd::Failed(e),
+        };
+        match frame {
+            Frame::Data {
+                comm_id,
+                src,
+                tag,
+                metered,
+                meter_bytes,
+                type_fp,
+                count,
+                payload,
+            } => batch.data.push((
+                (comm_id, src, tag),
+                InPayload::Remote {
+                    type_fp,
+                    count,
+                    bytes: payload,
+                    meter_bytes: metered.then_some(meter_bytes),
+                },
+            )),
+            Frame::GetReq {
+                req_id,
+                win_id,
+                part,
+                start,
+                end,
+            } => batch.reqs.push(GetWork {
+                req_id,
+                win_id,
+                part,
+                start,
+                end,
+            }),
+            Frame::GetResp { req_id, payload } => batch.resps.push((req_id, payload)),
+            Frame::Heartbeat => {} // the read it arrived in proves liveness
+            Frame::Bye => return PassEnd::Bye,
+            Frame::Abort { victim } => return PassEnd::Abort { victim },
+            Frame::Outcome { .. } => return PassEnd::Outcome,
+        }
+        if !holds_whole_frame(stream.buffer()) {
+            return PassEnd::Drained;
+        }
+    }
 }
 
 /// Process-local heartbeat mute for tests: models a peer that is wedged —
@@ -281,12 +361,47 @@ struct ProcNode {
     /// rendezvous waits for all of them so our windows outlive their gets.
     peers_done: Mutex<Vec<bool>>,
     peers_done_cv: Condvar,
-    /// Per-peer last-seen clocks, refreshed on every received frame; the
-    /// heartbeat monitor converts a stale clock into a typed peer failure.
+    /// Per-peer last-seen clocks, refreshed on every read that delivered
+    /// frames; the heartbeat monitor converts a stale clock into a typed
+    /// peer failure.
     last_seen: Vec<Mutex<Instant>>,
 }
 
 impl ProcNode {
+    /// Rank `world_rank`'s node over the write halves `links` (one slot per
+    /// world rank, `None` at its own).
+    fn new(
+        world_rank: usize,
+        sched: Arc<Scheduler>,
+        links: Vec<Option<Mutex<UnixStream>>>,
+    ) -> Self {
+        let world_size = links.len();
+        let mut peers_done = vec![false; world_size];
+        peers_done[world_rank] = true;
+        ProcNode {
+            world_rank,
+            world_size,
+            sched,
+            links,
+            inbox: Inbox {
+                map: Mutex::new(HashMap::new()),
+                cv: Condvar::new(),
+            },
+            getresp: GetRespMap {
+                map: Mutex::new(HashMap::new()),
+                cv: Condvar::new(),
+            },
+            windows: Mutex::new(HashMap::new()),
+            next_win: AtomicU64::new(0),
+            next_req: AtomicU64::new(0),
+            peers_done: Mutex::new(peers_done),
+            peers_done_cv: Condvar::new(),
+            last_seen: (0..world_size)
+                .map(|_| Mutex::new(Instant::now()))
+                .collect(),
+        }
+    }
+
     fn send_frame(&self, world: usize, frame: &Frame) -> std::io::Result<()> {
         let link = self.links[world]
             .as_ref()
@@ -338,25 +453,64 @@ impl ProcNode {
         link.lock().write_all(bytes)
     }
 
-    /// Refresh `world`'s last-seen clock (called on every received frame).
+    /// Refresh `world`'s last-seen clock (called once per read that
+    /// delivered frames).
     fn note_alive(&self, world: usize) {
         *self.last_seen[world].lock() = Instant::now();
     }
 
-    /// Reader thread body for the link to `peer`: drain frames forever.
-    /// Never writes to any socket (deadlock-freedom invariant).
-    fn reader_loop(self: &Arc<Self>, peer: usize, stream: UnixStream, getq: Arc<GetQueue>) {
-        let mut stream = std::io::BufReader::new(stream);
+    /// Hand `batch` on: each consumer takes its frames in arrival order
+    /// under one lock and one wake-up.
+    fn publish(&self, batch: &mut Batch, getq: &GetQueue) {
+        if !batch.data.is_empty() {
+            let mut map = self.inbox.map.lock();
+            for (key, msg) in batch.data.drain(..) {
+                map.entry(key).or_default().push_back(msg);
+            }
+            drop(map);
+            self.inbox.cv.notify_all();
+        }
+        if !batch.reqs.is_empty() {
+            getq.q.lock().extend(batch.reqs.drain(..));
+            getq.cv.notify_all();
+        }
+        if !batch.resps.is_empty() {
+            self.getresp.map.lock().extend(batch.resps.drain(..));
+            self.getresp.cv.notify_all();
+        }
+    }
+
+    /// Reader thread body for the link to `peer`, in passes of
+    /// [`read_pass`]. What a pass collected is handed on before the reader
+    /// acts on the frame or failure that ended it, and before its next read
+    /// that may block — so no frame waits behind a read, and no `Bye` or
+    /// `Abort` overtakes the data sent before it. Never writes to any
+    /// socket (deadlock-freedom invariant).
+    fn reader_loop(self: &Arc<Self>, peer: usize, stream: impl Read, getq: Arc<GetQueue>) {
+        let mut stream = BufReader::new(stream);
+        let mut batch = Batch::default();
         let mut clean = false;
         loop {
-            match read_frame_raw(&mut stream) {
-                Ok(frame) => {
-                    self.note_alive(peer);
-                    if let Flow::Stop = self.dispatch(peer, frame, &getq, &mut clean) {
-                        return;
-                    }
+            let end = read_pass(&mut stream, &mut batch);
+            self.publish(&mut batch, &getq);
+            match end {
+                PassEnd::Drained => {}
+                PassEnd::Bye => {
+                    clean = true;
+                    self.mark_peer_done(peer);
                 }
-                Err(RecvFailure::Corrupt(e)) => {
+                PassEnd::Abort { victim } => {
+                    self.sched.poison(victim as usize);
+                    self.mark_peer_done(peer);
+                }
+                PassEnd::Outcome => {
+                    // A child-to-parent frame on a mesh link: protocol
+                    // corruption.
+                    self.sched.poison(peer);
+                    self.mark_peer_done(peer);
+                    return;
+                }
+                PassEnd::Failed(RecvFailure::Corrupt(e)) => {
                     // Detected, typed, never a silent wrong answer: a
                     // damaged frame is a failed peer.
                     eprintln!(
@@ -367,7 +521,7 @@ impl ProcNode {
                     self.mark_peer_done(peer);
                     return;
                 }
-                Err(RecvFailure::Io) => {
+                PassEnd::Failed(RecvFailure::Io) => {
                     // EOF or a dead socket. After a Bye this is the peer's
                     // normal exit; before one it is a crash (e.g. kill -9)
                     // — the dead socket is the failure signal, poison the
@@ -379,76 +533,7 @@ impl ProcNode {
                     return;
                 }
             }
-        }
-    }
-
-    /// Act on one frame from `peer`.
-    fn dispatch(&self, peer: usize, frame: Frame, getq: &GetQueue, clean: &mut bool) -> Flow {
-        match frame {
-            Frame::Data {
-                comm_id,
-                src,
-                tag,
-                metered,
-                meter_bytes,
-                type_fp,
-                count,
-                payload,
-            } => {
-                let mut map = self.inbox.map.lock();
-                map.entry((comm_id, src, tag))
-                    .or_default()
-                    .push_back(InPayload::Remote {
-                        type_fp,
-                        count,
-                        bytes: payload,
-                        meter_bytes: metered.then_some(meter_bytes),
-                    });
-                drop(map);
-                self.inbox.cv.notify_all();
-                Flow::Continue
-            }
-            Frame::GetReq {
-                req_id,
-                win_id,
-                part,
-                start,
-                end,
-            } => {
-                let mut q = getq.q.lock();
-                q.push_back(GetWork {
-                    req_id,
-                    win_id,
-                    part,
-                    start,
-                    end,
-                });
-                drop(q);
-                getq.cv.notify_all();
-                Flow::Continue
-            }
-            Frame::GetResp { req_id, payload } => {
-                self.getresp.map.lock().insert(req_id, payload);
-                self.getresp.cv.notify_all();
-                Flow::Continue
-            }
-            Frame::Abort { victim } => {
-                self.sched.poison(victim as usize);
-                self.mark_peer_done(peer);
-                Flow::Continue
-            }
-            Frame::Bye => {
-                *clean = true;
-                self.mark_peer_done(peer);
-                Flow::Continue
-            }
-            Frame::Heartbeat => Flow::Continue, // note_alive already ran
-            Frame::Outcome { .. } => {
-                // A child-to-parent frame on a mesh link: protocol corruption.
-                self.sched.poison(peer);
-                self.mark_peer_done(peer);
-                Flow::Stop
-            }
+            self.note_alive(peer);
         }
     }
 
@@ -977,28 +1062,7 @@ where
         .map(|s| s.as_ref().map(|s| s.try_clone().expect("clone link")))
         .collect();
     let links = streams.into_iter().map(|s| s.map(Mutex::new)).collect();
-    let mut peers_done = vec![false; nranks];
-    peers_done[rank] = true;
-    let node = Arc::new(ProcNode {
-        world_rank: rank,
-        world_size: nranks,
-        sched: sched.clone(),
-        links,
-        inbox: Inbox {
-            map: Mutex::new(HashMap::new()),
-            cv: Condvar::new(),
-        },
-        getresp: GetRespMap {
-            map: Mutex::new(HashMap::new()),
-            cv: Condvar::new(),
-        },
-        windows: Mutex::new(HashMap::new()),
-        next_win: AtomicU64::new(0),
-        next_req: AtomicU64::new(0),
-        peers_done: Mutex::new(peers_done),
-        peers_done_cv: Condvar::new(),
-        last_seen: (0..nranks).map(|_| Mutex::new(Instant::now())).collect(),
-    });
+    let node = Arc::new(ProcNode::new(rank, sched.clone(), links));
     if let Some(deadline) = u.heartbeat() {
         let n = node.clone();
         std::thread::Builder::new()
@@ -1217,6 +1281,169 @@ mod tests {
             );
             assert!(matches!(read_frame_raw(&mut stream), Ok(Frame::Bye)));
         }
+        // a length prefix past the cap is a damaged frame, not a dead link:
+        // after a peer's Bye it must still poison naming that peer
+        let mut over = wire[..first].to_vec();
+        over.extend_from_slice(&(MAX_FRAME as u32 + 1).to_le_bytes());
+        let mut stream = over.as_slice();
+        assert!(matches!(read_frame_raw(&mut stream), Ok(f) if f == bulk));
+        let got = read_frame_raw(&mut stream);
+        assert!(
+            matches!(got, Err(RecvFailure::Corrupt(WireError::FrameTooLarge { len })) if len == MAX_FRAME + 1),
+            "over-cap length prefix"
+        );
+    }
+
+    /// Interleaved `GetResp`s, `GetReq`s and `Data` frames (and
+    /// heartbeats), a `Bye`, one more `GetResp` (a peer serves gets after
+    /// its `Bye`) and a last `Data` frame at `wire[last..]`, cut at `tail`.
+    fn mixed_link_bytes() -> (Vec<u8>, usize, usize) {
+        let mut wire = Vec::new();
+        for i in 0..6u64 {
+            Frame::GetResp {
+                req_id: 100 + i,
+                payload: vec![i as u8; 16],
+            }
+            .put_framed(&mut wire);
+            if i % 2 == 0 {
+                Frame::GetReq {
+                    req_id: i,
+                    win_id: 7,
+                    part: 0,
+                    start: i,
+                    end: i + 1,
+                }
+                .put_framed(&mut wire);
+            }
+            if i % 3 == 0 {
+                Frame::Heartbeat.put_framed(&mut wire);
+                link_data(i).put_framed(&mut wire);
+            }
+        }
+        Frame::Bye.put_framed(&mut wire);
+        Frame::GetResp {
+            req_id: 106,
+            payload: vec![6; 16],
+        }
+        .put_framed(&mut wire);
+        let last = wire.len();
+        link_data(9).put_framed(&mut wire);
+        let tail = last + (wire.len() - last) / 2;
+        (wire, last, tail)
+    }
+
+    fn link_data(i: u64) -> Frame {
+        Frame::Data {
+            comm_id: 0,
+            src: 1,
+            tag: 5,
+            metered: true,
+            meter_bytes: 8,
+            type_fp: 3,
+            count: 1,
+            payload: i.to_le_bytes().to_vec(),
+        }
+    }
+
+    /// The payloads of link messages, in order.
+    fn data_bytes<'a>(msgs: impl IntoIterator<Item = &'a InPayload>) -> Vec<Vec<u8>> {
+        msgs.into_iter()
+            .map(|m| match m {
+                InPayload::Remote { bytes, .. } => bytes.clone(),
+                InPayload::Local(_) => panic!("a link delivers wire bytes"),
+            })
+            .collect()
+    }
+
+    fn payloads(of: &[u64]) -> Vec<Vec<u8>> {
+        of.iter().map(|i| i.to_le_bytes().to_vec()).collect()
+    }
+
+    #[test]
+    fn a_reader_pass_hands_on_a_whole_read_before_the_next_may_block() {
+        let (wire, last, tail) = mixed_link_bytes();
+        let mut stream = BufReader::new(&wire[..tail]);
+        let mut batch = Batch::default();
+        // everything before the Bye, in one batch, each consumer's frames
+        // in arrival order; the frames after it stay buffered
+        assert!(matches!(read_pass(&mut stream, &mut batch), PassEnd::Bye));
+        let resps: Vec<u64> = batch.resps.iter().map(|(id, _)| *id).collect();
+        assert_eq!(resps, (100..106).collect::<Vec<_>>());
+        let reqs: Vec<u64> = batch.reqs.iter().map(|w| w.req_id).collect();
+        assert_eq!(reqs, vec![0, 2, 4]);
+        let keys: Vec<MsgKey> = batch.data.iter().map(|(key, _)| *key).collect();
+        assert_eq!(keys, vec![(0, 1, 5); 2]);
+        let got = data_bytes(batch.data.iter().map(|(_, m)| m));
+        assert_eq!(got, payloads(&[0, 3]));
+        // the next pass ends where the buffer runs out of whole frames: the
+        // half frame stays buffered, unread past
+        let mut batch = Batch::default();
+        assert!(matches!(
+            read_pass(&mut stream, &mut batch),
+            PassEnd::Drained
+        ));
+        assert_eq!(batch.resps.len(), 1);
+        assert!(batch.reqs.is_empty() && batch.data.is_empty());
+        assert_eq!(stream.buffer(), &wire[last..tail]);
+    }
+
+    /// Serves `chunks` one per read, then EOF; before each read it records
+    /// what the node has handed on so far: inbox messages, queued gets,
+    /// landed responses, and whether peer 1 is done.
+    struct Probe {
+        chunks: VecDeque<Vec<u8>>,
+        node: Arc<ProcNode>,
+        getq: Arc<GetQueue>,
+        seen: Vec<(usize, usize, usize, bool)>,
+    }
+
+    impl Read for Probe {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let inbox = self.node.inbox.map.lock().values().map(VecDeque::len).sum();
+            let reqs = self.getq.q.lock().len();
+            let resps = self.node.getresp.map.lock().len();
+            let done = self.node.peers_done.lock()[1];
+            self.seen.push((inbox, reqs, resps, done));
+            let Some(chunk) = self.chunks.pop_front() else {
+                return Ok(0);
+            };
+            assert!(chunk.len() <= buf.len(), "one chunk per read");
+            buf[..chunk.len()].copy_from_slice(&chunk);
+            Ok(chunk.len())
+        }
+    }
+
+    #[test]
+    fn a_link_reader_publishes_before_every_read_that_may_block() {
+        let (wire, _, tail) = mixed_link_bytes();
+        let node = Arc::new(ProcNode::new(
+            0,
+            Scheduler::parallel(2, None),
+            vec![None, None],
+        ));
+        let getq = Arc::new(GetQueue {
+            q: Mutex::new(VecDeque::new()),
+            cv: Condvar::new(),
+        });
+        let mut probe = Probe {
+            chunks: VecDeque::from([wire[..tail].to_vec(), wire[tail..].to_vec()]),
+            node: node.clone(),
+            getq: getq.clone(),
+            seen: Vec::new(),
+        };
+        node.reader_loop(1, &mut probe, getq.clone());
+        // the read that completes the cut frame finds everything before
+        // it handed on and the Bye acted on; the read that hits EOF finds
+        // the completed frame handed on too
+        assert_eq!(
+            probe.seen,
+            vec![(0, 0, 0, false), (2, 3, 7, true), (3, 3, 7, true)]
+        );
+        assert_eq!(node.sched.poison_victim(), None, "EOF after a Bye is clean");
+        let reqs: Vec<u64> = getq.q.lock().iter().map(|w| w.req_id).collect();
+        assert_eq!(reqs, vec![0, 2, 4]);
+        let got = data_bytes(&node.inbox.map.lock()[&(0, 1, 5)]);
+        assert_eq!(got, payloads(&[0, 3, 9]));
     }
 
     #[test]

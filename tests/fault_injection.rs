@@ -1545,3 +1545,57 @@ fn large_frame_fetch_is_bit_identical_procs() {
         assert_eq!(got, want, "rank {r} diverged from the simulator");
     }
 }
+
+/// Gets and sends sharing one link: rank 0 pipelines a ≥ 2 000-get
+/// `ColumnExact` plan from rank 1 (a block lower-triangular operand, as in
+/// [`ColumnExactJob`]) while rank 1, which needs no remote column and so
+/// leaves the multiply first, sends rank 0 [`SHARED_LINK_SENDS`] small
+/// messages under one tag — `GetResp` and `Data` frames interleave on the
+/// link from rank 1 to rank 0.
+struct SharedLinkJob(Csc<f64>);
+
+const SHARED_LINK_SENDS: u64 = 1_000;
+const SHARED_LINK_TAG: u64 = 41;
+
+impl RankJob for SharedLinkJob {
+    type Out = (String, Vec<u64>, u64);
+    fn run<C: Comm>(&self, comm: &C) -> (String, Vec<u64>, u64) {
+        let a = &self.0;
+        let da = DistMat1D::from_global(comm, a, &uniform_offsets(a.ncols(), comm.size()));
+        let plan = Plan1D {
+            fetch_mode: FetchMode::ColumnExact,
+            global_stats: false,
+            ..Default::default()
+        };
+        let before = comm.stats();
+        let (c, rep) = spgemm_1d(comm, &da, &da.clone(), &plan);
+        let mut received = Vec::new();
+        for i in 0..SHARED_LINK_SENDS {
+            match comm.rank() {
+                1 => comm.send_vec(0, SHARED_LINK_TAG, vec![i, i * i]),
+                _ => received.extend(comm.recv_vec::<u64>(1, SHARED_LINK_TAG)),
+            }
+        }
+        let fingerprint = format!("{} {:?}", fp(&c.into_local_csc()), comm.stats() - before);
+        (fingerprint, received, rep.rdma_msgs)
+    }
+}
+
+/// [`SharedLinkJob`] over real sockets: product, received sequence and
+/// metered traffic bit-identical to the simulator's, per rank.
+#[test]
+fn gets_and_sends_sharing_a_link_are_bit_identical_procs() {
+    const N: usize = 2_800;
+    let a = int_er(N, 6.0, 223).filter(|r, c, _| (r as usize) >= N / 2 || (c as usize) < N / 2);
+    let job = SharedLinkJob(a);
+    let u = Universe::new(2).with_watchdog(Some(Duration::from_secs(60)));
+    let sim = u.run_backend(Backend::Sim, &job);
+    assert!(sim[0].2 >= 2_000, "plan too short: {} gets", sim[0].2);
+    assert_eq!(sim[1].2, 0, "rank 1 must only serve");
+    let want: Vec<u64> = (0..SHARED_LINK_SENDS).flat_map(|i| [i, i * i]).collect();
+    assert_eq!(sim[0].1, want, "rank 0 receives every send, in order");
+    let procs = u.run_backend(Backend::Procs, &job);
+    for (r, (got, want)) in procs.iter().zip(&sim).enumerate() {
+        assert_eq!(got, want, "rank {r} diverged from the simulator");
+    }
+}
