@@ -184,12 +184,12 @@ pub trait Comm: Sized {
     /// Collective window exposure (`MPI_Win_create`), built on the
     /// unmetered [`control_allgather`](Comm::control_allgather) (the
     /// subsequent `get`s are what's metered); a wait in it reports
-    /// [`Primitive::Exchange`]. An in-process backend allgathers the
-    /// `Arc` deposits and returns [`Exposure::Shared`]; a cross-process
-    /// backend registers the deposit with its progress engine and returns
-    /// an [`Exposure::Remote`] transport.
+    /// [`Primitive::Exchange`]. Returns every rank's deposit, in rank
+    /// order: an in-process backend allgathers the `Arc` deposits
+    /// ([`Exposure::Shared`]); a cross-process backend shares the deposit's
+    /// bytes and maps its peers' read-only ([`Exposure::Mapped`]).
     #[doc(hidden)]
-    fn expose(&self, spec: WindowSpec) -> Exposure;
+    fn expose(&self, spec: WindowSpec) -> Vec<Exposure>;
 
     /// The control plane's one collective: every rank contributes `mine`
     /// (the same length on every rank) and receives all contributions

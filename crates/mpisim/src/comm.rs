@@ -149,8 +149,9 @@ impl Comm for RankComm {
         self.stats.record_get(bytes);
     }
 
-    fn expose(&self, spec: WindowSpec) -> Exposure {
-        Exposure::Shared(self.control_allgather(Primitive::Exchange, vec![spec.arc]))
+    fn expose(&self, spec: WindowSpec) -> Vec<Exposure> {
+        let deposits = self.control_allgather(Primitive::Exchange, vec![spec.arc]);
+        deposits.into_iter().map(Exposure::Shared).collect()
     }
 
     fn split(&self, color: usize, key: usize) -> RankComm {

@@ -20,7 +20,7 @@ use std::time::Duration;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Primitive {
     /// A two-sided receive ([`Comm::recv_vec`](crate::Comm::recv_vec) or a
-    /// provided collective built on it), or a window get's response.
+    /// provided collective built on it).
     Recv,
     /// [`Comm::barrier`](crate::Comm::barrier).
     Barrier,

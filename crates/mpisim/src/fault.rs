@@ -280,7 +280,7 @@ impl<C: Comm> Comm for FaultComm<C> {
         self.inner.record_get(bytes);
     }
 
-    fn expose(&self, spec: crate::window::WindowSpec) -> crate::window::Exposure {
+    fn expose(&self, spec: crate::window::WindowSpec) -> Vec<crate::window::Exposure> {
         self.checkpoint();
         self.inner.expose(spec)
     }

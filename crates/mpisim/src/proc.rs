@@ -4,8 +4,9 @@
 //! [`RankComm`](crate::RankComm)) share one address space, which makes
 //! wall-clock numbers thread-shared and window gets zero-copy. `ProcComm`
 //! is the backend that makes multi-core measurements honest: every rank is
-//! a forked OS process with its own heap, and all communication crosses a
-//! real socket using the [`wire`](crate::wire) framing.
+//! a forked OS process with its own heap, two-sided messages cross a real
+//! socket using the [`wire`](crate::wire) framing, and a window get copies
+//! out of the target's read-only mapping.
 //!
 //! # Architecture
 //!
@@ -19,14 +20,10 @@
 //!   copies, so no child inherits another job's mesh ends (which would
 //!   hide a dead peer's EOF from that job's survivors).
 //! * **Progress engine.** Per peer, each child runs a *reader* thread
-//!   (drains the socket: data into the inbox, get-responses into the
-//!   response map, get-requests onto a service queue, failure frames into
-//!   the scheduler poison — each consumer once per read, not once per
-//!   frame) and a *responder* thread (services queued
-//!   [`Frame::GetReq`]s against the window registry and writes
-//!   [`Frame::GetResp`]). Readers never write and responders never read,
-//!   so every socket always has an active drain — the classic two-sided
-//!   flow-control deadlock cannot form.
+//!   that drains the socket: data into the inbox, failure frames into the
+//!   scheduler poison — each consumer once per read, not once per frame.
+//!   Readers never write, so every socket always has an active drain —
+//!   the classic two-sided flow-control deadlock cannot form.
 //! * **Blocking.** The rank's main thread blocks only through
 //!   [`Scheduler::park_until`], the same single parking point as the
 //!   in-process backends — so poison wake-ups ([`CommError::PeerFailed`])
@@ -36,14 +33,21 @@
 //!   that peer as the victim. A stream socket already delivers every frame
 //!   once and in order, so there is no acknowledgement or retransmission
 //!   layer.
-//! * **Windows.** [`Comm::expose`] registers the deposit with the local
-//!   progress engine and allgathers `(window id, length)` over the
-//!   unmetered control plane; gets travel as
-//!   `GetReq`/`GetResp` byte ranges served by the *target's responder
-//!   thread* — the rank's own main thread is never involved, preserving
-//!   the passive-target contract. After its closure finishes, a rank keeps
-//!   serving gets until every peer has sent [`Frame::Bye`] (the shutdown
-//!   rendezvous), so no get can race a peer's exit.
+//! * **Windows.** [`Comm::expose`] writes the deposit into an unnamed
+//!   tmpfs file (`O_TMPFILE` under `/dev/shm`), allgathers `(pid, fd,
+//!   bytes)` over the unmetered control plane, and maps every peer's file
+//!   read-only through `/proc/<pid>/fd/<fd>` (`MPI_Win_allocate_shared`:
+//!   every rank is a fork on one host). A get is a copy out of the
+//!   target's mapping on the issuing thread — no frame, and the target
+//!   takes no part, preserving the passive-target contract. A mapping
+//!   outlives its owner, so a dead target's window stays readable; a
+//!   survivor learns of the death at its next two-sided call or at the
+//!   terminal barrier.
+//! * **Terminal barrier.** A rank whose closure returns enters one
+//!   unmetered barrier on the world communicator before it reports, then
+//!   says [`Frame::Bye`] and exits. A rank that died anywhere in the job
+//!   turns every survivor's `Ok` into
+//!   [`PeerFailed`](CommError::PeerFailed) naming it.
 //! * **Outcomes.** Each child reports a serialized
 //!   [`RankOutcome`](crate::RankOutcome) to the parent over its outcome
 //!   link and `_exit`s; the parent reads the outcomes in rank order. A
@@ -63,17 +67,19 @@ use crate::error::{raise, CommError, Primitive, RankError, RankOutcome};
 use crate::scheduler::{self, PoisonGuard, Scheduler, WaitSite};
 use crate::stats::{CommStats, StatsCell};
 use crate::universe::Universe;
-use crate::window::{Exposure, RemoteWindow, WindowSpec};
+use crate::window::{Exposure, WindowSpec};
 use crate::wire::{vec_codec, Frame, Wire, WireError, MAX_FRAME};
 use parking_lot::{Condvar, Mutex};
 use std::any::Any;
 use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
+use std::fs::{File, OpenOptions};
 use std::io::{BufReader, Read, Write};
-use std::ops::Range;
+use std::os::fd::AsRawFd;
+use std::os::unix::fs::OpenOptionsExt;
 use std::os::unix::net::UnixStream;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -86,6 +92,15 @@ pub(crate) mod sys {
         pub fn kill(pid: i32, sig: i32) -> i32;
         pub fn getpid() -> i32;
         pub fn _exit(code: i32) -> !;
+        pub fn mmap(
+            addr: *mut u8,
+            len: usize,
+            prot: i32,
+            flags: i32,
+            fd: i32,
+            offset: i64,
+        ) -> *mut u8;
+        pub fn munmap(addr: *mut u8, len: usize) -> i32;
     }
 
     /// `WIFEXITED`/`WEXITSTATUS`: normal exit code, if any.
@@ -194,52 +209,8 @@ struct Inbox {
     cv: Condvar,
 }
 
-struct GetRespMap {
-    map: Mutex<HashMap<u64, Vec<u8>>>,
-    cv: Condvar,
-}
-
-struct RegisteredWindow {
-    arc: Arc<dyn Any + Send + Sync>,
-    len: usize,
-    extract: fn(&(dyn Any + Send + Sync), usize, Range<usize>, &mut Vec<u8>),
-}
-
-/// One queued get-request from a specific peer.
-struct GetWork {
-    req_id: u64,
-    win_id: u64,
-    part: u32,
-    start: u64,
-    end: u64,
-}
-
-struct GetQueue {
-    q: Mutex<VecDeque<GetWork>>,
-    cv: Condvar,
-}
-
-/// The in-flight window of one [`RemoteWindow::get_many`] batch: at most
-/// this many requests and this many response bytes outstanding at once (a
-/// lone request larger than the byte budget is admitted alone). Bounds
-/// what a batch can park in the requester's response map and in the
-/// target's service queue, however long the plan.
-const GET_WINDOW_REQS: usize = 256;
-const GET_WINDOW_BYTES: usize = 4 << 20;
-
-/// A responder flushes its reply buffer to the socket once it holds this
-/// many bytes, so a drain of large responses does not build the whole
-/// window in memory before the first byte leaves.
-const RESP_FLUSH_BYTES: usize = 256 << 10;
-
-/// The data-plane frames one pass of a link reader collected, per
-/// consumer, in arrival order.
-#[derive(Default)]
-struct Batch {
-    data: Vec<(MsgKey, InPayload)>,
-    reqs: Vec<GetWork>,
-    resps: Vec<(u64, Vec<u8>)>,
-}
+/// The data frames one pass of a link reader collected, in arrival order.
+type Batch = Vec<(MsgKey, InPayload)>;
 
 /// How one pass of a link reader ended.
 enum PassEnd {
@@ -249,8 +220,9 @@ enum PassEnd {
     Abort {
         victim: u64,
     },
-    /// A child-to-parent frame on a mesh link.
-    Outcome,
+    /// A frame no mesh link carries: a child-to-parent `Outcome`, or a
+    /// `GetResp`, which no runtime path sends.
+    Stray,
     Failed(RecvFailure),
 }
 
@@ -282,7 +254,7 @@ fn read_pass(stream: &mut BufReader<impl Read>, batch: &mut Batch) -> PassEnd {
                 type_fp,
                 count,
                 payload,
-            } => batch.data.push((
+            } => batch.push((
                 (comm_id, src, tag),
                 InPayload::Remote {
                     type_fp,
@@ -291,24 +263,10 @@ fn read_pass(stream: &mut BufReader<impl Read>, batch: &mut Batch) -> PassEnd {
                     meter_bytes: metered.then_some(meter_bytes),
                 },
             )),
-            Frame::GetReq {
-                req_id,
-                win_id,
-                part,
-                start,
-                end,
-            } => batch.reqs.push(GetWork {
-                req_id,
-                win_id,
-                part,
-                start,
-                end,
-            }),
-            Frame::GetResp { req_id, payload } => batch.resps.push((req_id, payload)),
             Frame::Heartbeat => {} // the read it arrived in proves liveness
             Frame::Bye => return PassEnd::Bye,
             Frame::Abort { victim } => return PassEnd::Abort { victim },
-            Frame::Outcome { .. } => return PassEnd::Outcome,
+            Frame::GetResp { .. } | Frame::Outcome { .. } => return PassEnd::Stray,
         }
         if !holds_whole_frame(stream.buffer()) {
             return PassEnd::Drained;
@@ -334,8 +292,8 @@ pub fn mute_heartbeats() {
 /// [`corrupt_next_frame`], consumed by the next data-plane write.
 static CORRUPT_NEXT_FRAME: AtomicBool = AtomicBool::new(false);
 
-/// Flip one bit past the length prefix of the next `Data` / `GetReq` /
-/// `GetResp` frame this process writes (test hook; see
+/// Flip one bit past the length prefix of the next `Data` frame this
+/// process writes (test hook; see
 /// `CORRUPT_NEXT_FRAME` above). The receiver's CRC check rejects it, and
 /// the receiver fails the job naming this rank.
 pub fn corrupt_next_frame() {
@@ -343,22 +301,17 @@ pub fn corrupt_next_frame() {
 }
 
 /// Everything one rank *process* shares between its main thread and its
-/// per-peer reader/responder threads.
+/// per-peer reader threads.
 struct ProcNode {
     world_rank: usize,
     world_size: usize,
     sched: Arc<Scheduler>,
     /// Write halves of the mesh links, indexed by world rank (`None` at
-    /// our own slot). Locked per write; whole frames per `write_all` (one,
-    /// or a burst of gets / get-responses).
+    /// our own slot). Locked per write; one whole frame per `write_all`.
     links: Vec<Option<Mutex<UnixStream>>>,
     inbox: Inbox,
-    getresp: GetRespMap,
-    windows: Mutex<HashMap<u64, RegisteredWindow>>,
-    next_win: AtomicU64,
-    next_req: AtomicU64,
-    /// Which peers have finished (Bye, Abort, or EOF) — the shutdown
-    /// rendezvous waits for all of them so our windows outlive their gets.
+    /// Which peers have finished (Bye, Abort, or EOF): a failed write waits
+    /// for its link's reader here, the heartbeat monitor stops beaconing.
     peers_done: Mutex<Vec<bool>>,
     peers_done_cv: Condvar,
     /// Per-peer last-seen clocks, refreshed on every read that delivered
@@ -387,13 +340,6 @@ impl ProcNode {
                 map: Mutex::new(HashMap::new()),
                 cv: Condvar::new(),
             },
-            getresp: GetRespMap {
-                map: Mutex::new(HashMap::new()),
-                cv: Condvar::new(),
-            },
-            windows: Mutex::new(HashMap::new()),
-            next_win: AtomicU64::new(0),
-            next_req: AtomicU64::new(0),
             peers_done: Mutex::new(peers_done),
             peers_done_cv: Condvar::new(),
             last_seen: (0..world_size)
@@ -424,10 +370,10 @@ impl ProcNode {
         self.peers_done_cv.notify_all();
     }
 
-    /// A write to `world` failed: the peer has closed its end. Its reader
-    /// first drains what the peer sent before closing — an `Abort` there
-    /// names the job's real victim — so wait for it, then poison naming
-    /// the peer if nothing else did.
+    /// `world` is gone: a write to it failed, or its window file could not
+    /// be opened. Its reader first drains what the peer sent before
+    /// closing — an `Abort` there names the job's real victim — so wait
+    /// for it, then poison naming the peer if nothing else did.
     fn peer_gone(&self, world: usize) {
         let mut done = self.peers_done.lock();
         while !done[world] {
@@ -437,9 +383,9 @@ impl ProcNode {
         self.sched.poison(world);
     }
 
-    /// Write pre-encoded `Data` / `GetReq` / `GetResp` frames (socket
-    /// form, length prefixes included, starting at a frame boundary) to
-    /// `world`'s link in one `write_all` — the data plane's one write path.
+    /// Write a pre-encoded `Data` frame (socket form, length prefix
+    /// included) to `world`'s link in one `write_all` — the data plane's
+    /// one write path.
     fn write_raw(&self, world: usize, bytes: &[u8]) -> std::io::Result<()> {
         let link = self.links[world]
             .as_ref()
@@ -459,24 +405,16 @@ impl ProcNode {
         *self.last_seen[world].lock() = Instant::now();
     }
 
-    /// Hand `batch` on: each consumer takes its frames in arrival order
-    /// under one lock and one wake-up.
-    fn publish(&self, batch: &mut Batch, getq: &GetQueue) {
-        if !batch.data.is_empty() {
+    /// Hand `batch` on to the inbox in arrival order, under one lock and
+    /// one wake-up.
+    fn publish(&self, batch: &mut Batch) {
+        if !batch.is_empty() {
             let mut map = self.inbox.map.lock();
-            for (key, msg) in batch.data.drain(..) {
+            for (key, msg) in batch.drain(..) {
                 map.entry(key).or_default().push_back(msg);
             }
             drop(map);
             self.inbox.cv.notify_all();
-        }
-        if !batch.reqs.is_empty() {
-            getq.q.lock().extend(batch.reqs.drain(..));
-            getq.cv.notify_all();
-        }
-        if !batch.resps.is_empty() {
-            self.getresp.map.lock().extend(batch.resps.drain(..));
-            self.getresp.cv.notify_all();
         }
     }
 
@@ -486,13 +424,13 @@ impl ProcNode {
     /// that may block — so no frame waits behind a read, and no `Bye` or
     /// `Abort` overtakes the data sent before it. Never writes to any
     /// socket (deadlock-freedom invariant).
-    fn reader_loop(self: &Arc<Self>, peer: usize, stream: impl Read, getq: Arc<GetQueue>) {
+    fn reader_loop(self: &Arc<Self>, peer: usize, stream: impl Read) {
         let mut stream = BufReader::new(stream);
-        let mut batch = Batch::default();
+        let mut batch = Batch::new();
         let mut clean = false;
         loop {
             let end = read_pass(&mut stream, &mut batch);
-            self.publish(&mut batch, &getq);
+            self.publish(&mut batch);
             match end {
                 PassEnd::Drained => {}
                 PassEnd::Bye => {
@@ -503,9 +441,8 @@ impl ProcNode {
                     self.sched.poison(victim as usize);
                     self.mark_peer_done(peer);
                 }
-                PassEnd::Outcome => {
-                    // A child-to-parent frame on a mesh link: protocol
-                    // corruption.
+                PassEnd::Stray => {
+                    // Protocol corruption: the sender is broken.
                     self.sched.poison(peer);
                     self.mark_peer_done(peer);
                     return;
@@ -534,66 +471,6 @@ impl ProcNode {
                 }
             }
             self.note_alive(peer);
-        }
-    }
-
-    /// Append the `GetResp` answering get-request `work` to `out` — header,
-    /// then the deposit extracted straight behind it — or `None` if it
-    /// names a window this rank never exposed or a range out of bounds.
-    /// Only the lookup runs under the registry lock: the deposit is
-    /// extracted outside it, so one peer's large get blocks neither
-    /// `expose` nor the other peers' responders.
-    fn serve_get(&self, work: &GetWork, out: &mut Vec<u8>) -> Option<()> {
-        let (arc, extract, range) = {
-            let windows = self.windows.lock();
-            let win = windows.get(&work.win_id)?;
-            let (start, end) = (work.start as usize, work.end as usize);
-            if work.part > 1 || start > end || end > win.len {
-                return None;
-            }
-            (win.arc.clone(), win.extract, start..end)
-        };
-        let frame = Frame::GetResp {
-            req_id: work.req_id,
-            payload: Vec::new(),
-        };
-        frame.put_framed_with(out, |out| {
-            extract(arc.as_ref(), work.part as usize, range, out)
-        });
-        Some(())
-    }
-
-    /// Responder thread body: service `peer`'s get-requests against the
-    /// window registry. Writes only to `peer`. Each wake-up takes
-    /// everything queued under one lock and answers it back-to-back — one
-    /// `write_all` per drain (flushed early past [`RESP_FLUSH_BYTES`]), not
-    /// one per frame.
-    fn responder_loop(self: &Arc<Self>, peer: usize, getq: Arc<GetQueue>) {
-        let mut batch = VecDeque::new();
-        let mut out = Vec::new();
-        loop {
-            {
-                let mut q = getq.q.lock();
-                while q.is_empty() {
-                    getq.cv.wait(&mut q);
-                }
-                std::mem::swap(&mut batch, &mut *q);
-            }
-            for work in batch.drain(..) {
-                if self.serve_get(&work, &mut out).is_none() {
-                    // Protocol corruption — fail the job rather than leave
-                    // the requester parked until its watchdog.
-                    self.sched.poison(self.world_rank);
-                }
-                if out.len() >= RESP_FLUSH_BYTES {
-                    // A failed write means the requester died; its own
-                    // machinery (EOF reader → poison) handles it.
-                    let _ = self.write_raw(peer, &out);
-                    out.clear();
-                }
-            }
-            let _ = self.write_raw(peer, &out);
-            out.clear();
         }
     }
 
@@ -634,133 +511,72 @@ impl ProcNode {
     }
 }
 
-/// Admission state of one get batch's in-flight window — which requests
-/// of the plan are issued, which completed, how many response bytes are
-/// outstanding. Pure bookkeeping, so the caps are testable without a
-/// socket: requests are issued in plan order exactly once, complete in
-/// issue order, and the in-flight set never exceeds [`GET_WINDOW_REQS`]
-/// requests or [`GET_WINDOW_BYTES`] bytes except by a single request
-/// larger than the byte budget, admitted alone.
-#[derive(Default)]
-struct GetWindow {
-    issued: usize,
-    done: usize,
-    bytes: usize,
+/// A peer's window file, mapped read-only; unmapped on drop.
+struct Mapping {
+    ptr: *mut u8,
+    len: usize,
 }
 
-impl GetWindow {
-    /// Admit the longest prefix of the not-yet-issued requests that fits
-    /// (`sizes[i]` is request `i`'s response size) and return their index
-    /// range. Empty while more than half of either cap is still in flight:
-    /// topping up in half-window bursts keeps the request side at a write
-    /// per burst too.
-    fn top_up(&mut self, sizes: &[usize]) -> Range<usize> {
-        let start = self.issued;
-        if (self.issued - self.done) * 2 > GET_WINDOW_REQS || self.bytes * 2 > GET_WINDOW_BYTES {
-            return start..start;
-        }
-        while self.issued < sizes.len() {
-            let inflight = self.issued - self.done;
-            let fits =
-                inflight < GET_WINDOW_REQS && self.bytes + sizes[self.issued] <= GET_WINDOW_BYTES;
-            if inflight > 0 && !fits {
-                break;
-            }
-            self.bytes += sizes[self.issued];
-            self.issued += 1;
-        }
-        start..self.issued
-    }
+// SAFETY: `ptr..ptr + len` is a read-only shared mapping, valid until
+// `drop` unmaps it; nothing writes through it, and its owner never
+// rewrites or truncates the file, so any thread may read it.
+unsafe impl Send for Mapping {}
+unsafe impl Sync for Mapping {}
 
-    /// The oldest in-flight request completed; returns its index.
-    fn complete(&mut self, sizes: &[usize]) -> usize {
-        debug_assert!(self.done < self.issued);
-        self.bytes -= sizes[self.done];
-        self.done += 1;
-        self.done - 1
+impl Mapping {
+    /// Map the first `len > 0` bytes of `file` read-only.
+    fn new(file: &File, len: usize) -> std::io::Result<Mapping> {
+        // PROT_READ = 1, MAP_SHARED = 1; MAP_FAILED is (void *) -1.
+        // SAFETY: a new mapping at an address the kernel picks, of an open
+        // file; a bad length or descriptor is an error return, not UB.
+        let ptr = unsafe { sys::mmap(std::ptr::null_mut(), len, 1, 1, file.as_raw_fd(), 0) };
+        if ptr as isize == -1 {
+            return Err(std::io::Error::last_os_error());
+        }
+        Ok(Mapping { ptr, len })
     }
 }
 
-/// The one-sided transport handed to a
-/// [`PairedWindow`](crate::PairedWindow) by [`ProcComm::expose`].
-struct ProcRemoteWindow {
-    node: Arc<ProcNode>,
-    /// Communicator rank → world rank.
-    members: Arc<Vec<usize>>,
-    /// Communicator rank → that rank's window id in *its* registry.
-    win_ids: Vec<u64>,
-    /// Bytes per element of each part (the same on every rank).
-    elem_sizes: [usize; 2],
-}
-
-impl ProcRemoteWindow {
-    /// Write the `GetReq` frames of requests `batch` (ids `first_id +
-    /// index`), one `write_all` per run of requests to the same peer.
-    fn issue(&self, gets: &[(usize, usize, Range<usize>)], batch: Range<usize>, first_id: u64) {
-        let mut out = Vec::new();
-        let mut dest = None;
-        let flush = |dest: Option<usize>, out: &mut Vec<u8>| {
-            if let Some(world) = dest {
-                if self.node.write_raw(world, out).is_err() {
-                    self.node.peer_gone(world);
-                }
-                out.clear();
-            }
-        };
-        for i in batch {
-            let (rank, part, range) = &gets[i];
-            let world = self.members[*rank];
-            if dest != Some(world) {
-                flush(dest, &mut out);
-                dest = Some(world);
-            }
-            let frame = Frame::GetReq {
-                req_id: first_id + i as u64,
-                win_id: self.win_ids[*rank],
-                part: *part as u32,
-                start: range.start as u64,
-                end: range.end as u64,
-            };
-            frame.put_framed(&mut out);
-        }
-        flush(dest, &mut out);
+impl AsRef<[u8]> for Mapping {
+    fn as_ref(&self) -> &[u8] {
+        // SAFETY: `new` mapped `len` readable bytes at `ptr`, and they stay
+        // mapped while `self` lives.
+        unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
     }
 }
 
-impl RemoteWindow for ProcRemoteWindow {
-    fn get_many(&self, gets: &[(usize, usize, Range<usize>)], sink: &mut dyn FnMut(usize, &[u8])) {
-        let node = &self.node;
-        let sizes: Vec<usize> = gets
-            .iter()
-            .map(|(_, part, range)| range.len() * self.elem_sizes[*part])
-            .collect();
-        // One contiguous id block per batch: request `i` is `first_id + i`.
-        let first_id = node.next_req.fetch_add(gets.len() as u64, Ordering::SeqCst);
-        let mut window = GetWindow::default();
-        let mut arrived = Vec::new();
-        while window.done < gets.len() {
-            self.issue(gets, window.top_up(&sizes), first_id);
-            // Park only if the oldest outstanding response has not landed,
-            // then take every response that has, in issue order.
-            let next = first_id + window.done as u64;
-            let landed = |map: &HashMap<u64, Vec<u8>>| map.contains_key(&next);
-            if !landed(&node.getresp.map.lock()) {
-                let site = WaitSite::recv(self.members[gets[window.done].0], next);
-                let (map, cv) = (&node.getresp.map, &node.getresp.cv);
-                if let Err(e) = node.sched.park_until(map, cv, site, landed) {
-                    raise(e);
-                }
-            }
-            {
-                let mut map = node.getresp.map.lock();
-                let issued = next..first_id + window.issued as u64;
-                arrived.extend(issued.map_while(|id| map.remove(&id)));
-            }
-            for bytes in arrived.drain(..) {
-                sink(window.complete(&sizes), &bytes);
-            }
-        }
+impl Drop for Mapping {
+    fn drop(&mut self) {
+        // SAFETY: exactly the region `new` mapped; no slice of it outlives
+        // `self`. An error leaves it mapped, which is harmless.
+        unsafe { sys::munmap(self.ptr, self.len) };
     }
+}
+
+/// Write `spec`'s deposit — part 0's little-endian bytes, then part 1's —
+/// into a new unnamed file on `/dev/shm` (`O_TMPFILE`): it has no name to
+/// leave behind, whoever dies. Returns the file and its length in bytes.
+fn window_file(spec: &WindowSpec) -> std::io::Result<(File, usize)> {
+    let mut file = OpenOptions::new()
+        .read(true)
+        .write(true)
+        .mode(0o600)
+        // O_TMPFILE: __O_TMPFILE | O_DIRECTORY, whose bit differs on arm64
+        .custom_flags(if cfg!(target_arch = "aarch64") {
+            0o20040000
+        } else {
+            0o20200000
+        })
+        .open("/dev/shm")?;
+    let mut bytes = Vec::new();
+    let mut total = 0;
+    for part in 0..2 {
+        bytes.clear();
+        (spec.extract)(spec.arc.as_ref(), part, 0..spec.len, &mut bytes);
+        file.write_all(&bytes)?;
+        total += bytes.len();
+    }
+    Ok((file, total))
 }
 
 // ---------------------------------------------------------------------------
@@ -781,8 +597,7 @@ fn mix64(mut z: u64) -> u64 {
 /// [`Universe::run_backend`](crate::Universe::run_backend)); cannot be
 /// constructed directly. Implements the full [`Comm`] contract with
 /// byte-identical accounting to the in-process backends; window exposure
-/// registers the deposit with this process's progress engine and
-/// allgathers `(window id, length)` over the unmetered control plane.
+/// shares the deposit as a read-only mapping (see the module docs).
 pub struct ProcComm {
     rank: usize,
     size: usize,
@@ -800,6 +615,32 @@ pub struct ProcComm {
 impl ProcComm {
     fn world_of(&self, comm_rank: usize) -> usize {
         self.members[comm_rank]
+    }
+
+    /// Map the window file `rank` announced as `[pid, fd, bytes]`. A file
+    /// that cannot be opened or mapped means its owner is gone — it closes
+    /// the file early only by unwinding — so fail typed, naming the job's
+    /// victim once the owner's reader has seen its last frame: the owner
+    /// itself, or the victim its `Abort` names.
+    fn map_window(&self, rank: usize, entry: &[u64]) -> Arc<dyn AsRef<[u8]> + Send + Sync> {
+        let [pid, fd, bytes] = entry else {
+            unreachable!("three words per rank")
+        };
+        if *bytes == 0 {
+            return Arc::new(Vec::new());
+        }
+        let file = File::open(format!("/proc/{pid}/fd/{fd}"));
+        match file.and_then(|file| Mapping::new(&file, *bytes as usize)) {
+            Ok(mapping) => Arc::new(mapping),
+            Err(_) => {
+                let world = self.world_of(rank);
+                self.node.peer_gone(world);
+                raise(CommError::PeerFailed {
+                    rank: self.node.sched.poison_victim().unwrap_or(world),
+                    primitive: Primitive::Exchange,
+                })
+            }
+        }
     }
 
     fn push_local(&self, tag: u64, payload: Box<dyn Any + Send>) {
@@ -984,29 +825,34 @@ impl Comm for ProcComm {
         self.stats.record_get(bytes);
     }
 
-    fn expose(&self, spec: WindowSpec) -> Exposure {
-        // Register the deposit with the local progress engine first, so a
-        // fast peer's get (issued right after the allgather releases it)
-        // always finds the window.
-        let win_id = self.node.next_win.fetch_add(1, Ordering::SeqCst);
-        self.node.windows.lock().insert(
-            win_id,
-            RegisteredWindow {
-                arc: spec.arc,
-                len: spec.len,
-                extract: spec.extract,
-            },
-        );
-        let all = self.control_allgather(Primitive::Exchange, vec![win_id, spec.len as u64]);
-        Exposure::Remote {
-            lens: all.chunks(2).map(|entry| entry[1] as usize).collect(),
-            transport: Arc::new(ProcRemoteWindow {
-                node: self.node.clone(),
-                members: self.members.clone(),
-                win_ids: all.chunks(2).map(|entry| entry[0]).collect(),
-                elem_sizes: spec.elem_sizes,
-            }),
-        }
+    fn expose(&self, spec: WindowSpec) -> Vec<Exposure> {
+        let file = (spec.len > 0).then(|| {
+            window_file(&spec).unwrap_or_else(|e| {
+                panic!("ProcComm::expose: cannot write the window file under /dev/shm: {e}")
+            })
+        });
+        let (fd, bytes) = file.as_ref().map_or((0, 0), |(file, bytes)| {
+            (file.as_raw_fd() as u64, *bytes as u64)
+        });
+        // SAFETY: `getpid` has no preconditions.
+        let pid = unsafe { sys::getpid() } as u64;
+        let all = self.control_allgather(Primitive::Exchange, vec![pid, fd, bytes]);
+        let exposure = all
+            .chunks(3)
+            .enumerate()
+            .map(|(rank, entry)| {
+                if rank == self.rank {
+                    Exposure::Shared(spec.arc.clone())
+                } else {
+                    Exposure::Mapped(self.map_window(rank, entry))
+                }
+            })
+            .collect();
+        // Every peer has mapped this rank's file once this round completes;
+        // closing it earlier could hand a slow peer's open a reused number.
+        self.control_allgather::<u64>(Primitive::Exchange, Vec::new());
+        drop(file);
+        exposure
     }
 }
 
@@ -1014,8 +860,9 @@ impl Comm for ProcComm {
 // Child-side launch
 // ---------------------------------------------------------------------------
 
-/// Run the rank closure over the inherited mesh ends, rendezvous, report
-/// on `outcome`, `_exit`. Never returns; never unwinds past this frame.
+/// Run the rank closure over the inherited mesh ends, pass the terminal
+/// barrier, report on `outcome`, `_exit`. Never returns; never unwinds
+/// past this frame.
 fn child_main<F, R>(
     rank: usize,
     u: Universe,
@@ -1072,21 +919,11 @@ where
     }
     for (peer, read) in read_halves.into_iter().enumerate() {
         if let Some(stream) = read {
-            let getq = Arc::new(GetQueue {
-                q: Mutex::new(VecDeque::new()),
-                cv: Condvar::new(),
-            });
-            let n1 = node.clone();
-            let gq1 = getq.clone();
+            let n = node.clone();
             std::thread::Builder::new()
                 .name(format!("sa-proc{rank}-rd{peer}"))
-                .spawn(move || n1.reader_loop(peer, stream, gq1))
+                .spawn(move || n.reader_loop(peer, stream))
                 .expect("spawn reader");
-            let n2 = node.clone();
-            std::thread::Builder::new()
-                .name(format!("sa-proc{rank}-rs{peer}"))
-                .spawn(move || n2.responder_loop(peer, getq))
-                .expect("spawn responder");
         }
     }
 
@@ -1114,7 +951,10 @@ where
             // broadcast below always names a victim — same guard, same
             // ordering as the in-process rank threads.
             let _poison = PoisonGuard::new(&sched, rank);
-            f(&comm)
+            let out = f(&comm);
+            // The terminal barrier: `Ok` only if every rank finished.
+            comm.barrier();
+            out
         })) {
             Ok(v) => Ok(v),
             Err(payload) => Err(RankError::from_payload(payload.as_ref())),
@@ -1122,18 +962,9 @@ where
 
     // --- shutdown ---
     match &result {
-        Ok(_) => {
-            // Clean finish: say Bye, then keep serving window gets until
-            // every peer has finished too (a rank must not exit while a
-            // peer may still get from its exposed windows; FIFO sockets
-            // guarantee no request follows a peer's Bye).
-            node.send_frame_all(&Frame::Bye);
-            let mut done = node.peers_done.lock();
-            while !done.iter().all(|&d| d) && sched.poison_victim().is_none() {
-                node.peers_done_cv
-                    .wait_for(&mut done, Duration::from_millis(50));
-            }
-        }
+        // Every rank passed the terminal barrier: nothing more will be
+        // asked of this one, so its EOF after the Bye is clean.
+        Ok(_) => node.send_frame_all(&Frame::Bye),
         Err(_) => {
             // Tell everyone who the victim is (poison already set by the
             // guard; cascading failures keep naming the original). A peer
@@ -1250,10 +1081,10 @@ mod tests {
 
     #[test]
     fn read_frame_raw_tells_a_dead_stream_from_a_damaged_frame() {
-        let bulk = Frame::GetResp {
-            req_id: 3,
-            payload: (0..=255).cycle().take(1000).collect(),
-        };
+        let mut bulk = link_data(3);
+        if let Frame::Data { payload, .. } = &mut bulk {
+            *payload = (0..=255).cycle().take(1000).collect();
+        }
         let mut wire = Vec::new();
         bulk.put_framed(&mut wire);
         let first = wire.len();
@@ -1294,38 +1125,19 @@ mod tests {
         );
     }
 
-    /// Interleaved `GetResp`s, `GetReq`s and `Data` frames (and
-    /// heartbeats), a `Bye`, one more `GetResp` (a peer serves gets after
-    /// its `Bye`) and a last `Data` frame at `wire[last..]`, cut at `tail`.
+    /// `Data` frames and heartbeats, a `Bye`, one more `Data` frame (the
+    /// reader reads on to EOF) and a last one at `wire[last..]`, cut at
+    /// `tail`.
     fn mixed_link_bytes() -> (Vec<u8>, usize, usize) {
         let mut wire = Vec::new();
         for i in 0..6u64 {
-            Frame::GetResp {
-                req_id: 100 + i,
-                payload: vec![i as u8; 16],
-            }
-            .put_framed(&mut wire);
-            if i % 2 == 0 {
-                Frame::GetReq {
-                    req_id: i,
-                    win_id: 7,
-                    part: 0,
-                    start: i,
-                    end: i + 1,
-                }
-                .put_framed(&mut wire);
-            }
+            link_data(i).put_framed(&mut wire);
             if i % 3 == 0 {
                 Frame::Heartbeat.put_framed(&mut wire);
-                link_data(i).put_framed(&mut wire);
             }
         }
         Frame::Bye.put_framed(&mut wire);
-        Frame::GetResp {
-            req_id: 106,
-            payload: vec![6; 16],
-        }
-        .put_framed(&mut wire);
+        link_data(6).put_framed(&mut wire);
         let last = wire.len();
         link_data(9).put_framed(&mut wire);
         let tail = last + (wire.len() - last) / 2;
@@ -1363,47 +1175,39 @@ mod tests {
     fn a_reader_pass_hands_on_a_whole_read_before_the_next_may_block() {
         let (wire, last, tail) = mixed_link_bytes();
         let mut stream = BufReader::new(&wire[..tail]);
-        let mut batch = Batch::default();
-        // everything before the Bye, in one batch, each consumer's frames
-        // in arrival order; the frames after it stay buffered
+        let mut batch = Batch::new();
+        // everything before the Bye, in one batch, in arrival order; the
+        // frames after it stay buffered
         assert!(matches!(read_pass(&mut stream, &mut batch), PassEnd::Bye));
-        let resps: Vec<u64> = batch.resps.iter().map(|(id, _)| *id).collect();
-        assert_eq!(resps, (100..106).collect::<Vec<_>>());
-        let reqs: Vec<u64> = batch.reqs.iter().map(|w| w.req_id).collect();
-        assert_eq!(reqs, vec![0, 2, 4]);
-        let keys: Vec<MsgKey> = batch.data.iter().map(|(key, _)| *key).collect();
-        assert_eq!(keys, vec![(0, 1, 5); 2]);
-        let got = data_bytes(batch.data.iter().map(|(_, m)| m));
-        assert_eq!(got, payloads(&[0, 3]));
+        let keys: Vec<MsgKey> = batch.iter().map(|(key, _)| *key).collect();
+        assert_eq!(keys, vec![(0, 1, 5); 6]);
+        let got = data_bytes(batch.iter().map(|(_, m)| m));
+        assert_eq!(got, payloads(&[0, 1, 2, 3, 4, 5]));
         // the next pass ends where the buffer runs out of whole frames: the
         // half frame stays buffered, unread past
-        let mut batch = Batch::default();
+        let mut batch = Batch::new();
         assert!(matches!(
             read_pass(&mut stream, &mut batch),
             PassEnd::Drained
         ));
-        assert_eq!(batch.resps.len(), 1);
-        assert!(batch.reqs.is_empty() && batch.data.is_empty());
+        assert_eq!(data_bytes(batch.iter().map(|(_, m)| m)), payloads(&[6]));
         assert_eq!(stream.buffer(), &wire[last..tail]);
     }
 
     /// Serves `chunks` one per read, then EOF; before each read it records
-    /// what the node has handed on so far: inbox messages, queued gets,
-    /// landed responses, and whether peer 1 is done.
+    /// what the node has handed on so far: inbox messages, and whether
+    /// peer 1 is done.
     struct Probe {
         chunks: VecDeque<Vec<u8>>,
         node: Arc<ProcNode>,
-        getq: Arc<GetQueue>,
-        seen: Vec<(usize, usize, usize, bool)>,
+        seen: Vec<(usize, bool)>,
     }
 
     impl Read for Probe {
         fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
             let inbox = self.node.inbox.map.lock().values().map(VecDeque::len).sum();
-            let reqs = self.getq.q.lock().len();
-            let resps = self.node.getresp.map.lock().len();
             let done = self.node.peers_done.lock()[1];
-            self.seen.push((inbox, reqs, resps, done));
+            self.seen.push((inbox, done));
             let Some(chunk) = self.chunks.pop_front() else {
                 return Ok(0);
             };
@@ -1413,37 +1217,50 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_link_reader_publishes_before_every_read_that_may_block() {
-        let (wire, _, tail) = mixed_link_bytes();
-        let node = Arc::new(ProcNode::new(
+    fn test_node() -> Arc<ProcNode> {
+        Arc::new(ProcNode::new(
             0,
             Scheduler::parallel(2, None),
             vec![None, None],
-        ));
-        let getq = Arc::new(GetQueue {
-            q: Mutex::new(VecDeque::new()),
-            cv: Condvar::new(),
-        });
+        ))
+    }
+
+    #[test]
+    fn a_link_reader_publishes_before_every_read_that_may_block() {
+        let (wire, _, tail) = mixed_link_bytes();
+        let node = test_node();
         let mut probe = Probe {
             chunks: VecDeque::from([wire[..tail].to_vec(), wire[tail..].to_vec()]),
             node: node.clone(),
-            getq: getq.clone(),
             seen: Vec::new(),
         };
-        node.reader_loop(1, &mut probe, getq.clone());
+        node.reader_loop(1, &mut probe);
         // the read that completes the cut frame finds everything before
         // it handed on and the Bye acted on; the read that hits EOF finds
         // the completed frame handed on too
-        assert_eq!(
-            probe.seen,
-            vec![(0, 0, 0, false), (2, 3, 7, true), (3, 3, 7, true)]
-        );
+        assert_eq!(probe.seen, vec![(0, false), (7, true), (8, true)]);
         assert_eq!(node.sched.poison_victim(), None, "EOF after a Bye is clean");
-        let reqs: Vec<u64> = getq.q.lock().iter().map(|w| w.req_id).collect();
-        assert_eq!(reqs, vec![0, 2, 4]);
         let got = data_bytes(&node.inbox.map.lock()[&(0, 1, 5)]);
-        assert_eq!(got, payloads(&[0, 3, 9]));
+        assert_eq!(got, payloads(&[0, 1, 2, 3, 4, 5, 6, 9]));
+    }
+
+    #[test]
+    fn a_get_response_on_a_mesh_link_poisons_naming_the_sender() {
+        let mut wire = Vec::new();
+        link_data(0).put_framed(&mut wire);
+        Frame::GetResp {
+            req_id: 0,
+            payload: vec![0; 16],
+        }
+        .put_framed(&mut wire);
+        link_data(1).put_framed(&mut wire);
+        let node = test_node();
+        node.reader_loop(1, wire.as_slice());
+        assert_eq!(node.sched.poison_victim(), Some(1));
+        assert!(node.peers_done.lock()[1]);
+        // what arrived before it is handed on, nothing after it is read
+        let got = data_bytes(&node.inbox.map.lock()[&(0, 1, 5)]);
+        assert_eq!(got, payloads(&[0]));
     }
 
     #[test]
@@ -1529,74 +1346,6 @@ mod tests {
             assert_eq!(a, &vec![(src * 100 + 1) as u64, (src * 100 + 2) as u64]);
             assert_eq!(b, &vec![src as f64 + 0.5; 2]);
         }
-    }
-
-    #[test]
-    fn get_window_admission_keeps_caps_order_and_progress() {
-        // Seeded plans mixing empty, tiny and oversized requests; completions
-        // arrive in bursts of seeded length. Whatever the interleaving:
-        // requests are issued in plan order exactly once, complete in issue
-        // order, something is always in flight while work remains, and the
-        // caps hold except for a lone oversized request.
-        let mut state = 0x9e37_79b9_7f4a_7c15u64;
-        let mut roll = move |n: usize| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state % n as u64) as usize
-        };
-        for plan in 0..200 {
-            let n = 1 + roll(3 * GET_WINDOW_REQS);
-            let sizes: Vec<usize> = (0..n)
-                .map(|_| match roll(if plan % 2 == 0 { 50 } else { 4 }) {
-                    0 => GET_WINDOW_BYTES + 1 + roll(GET_WINDOW_BYTES),
-                    1 => GET_WINDOW_BYTES / 3,
-                    2 => 0,
-                    _ => 8 * (1 + roll(64)),
-                })
-                .collect();
-            let mut window = GetWindow::default();
-            let mut issued = Vec::new();
-            let mut completed = Vec::new();
-            while window.done < n {
-                let batch = window.top_up(&sizes);
-                assert_eq!(batch.start, issued.len(), "issued in plan order, once");
-                issued.extend(batch);
-                let inflight = window.issued - window.done;
-                assert!(inflight > 0, "work left but nothing in flight");
-                assert!(inflight <= GET_WINDOW_REQS);
-                let bytes: usize = sizes[window.done..window.issued].iter().sum();
-                assert_eq!(bytes, window.bytes);
-                assert!(
-                    bytes <= GET_WINDOW_BYTES || inflight == 1,
-                    "byte budget exceeded by more than a lone oversized request"
-                );
-                for _ in 0..1 + roll(inflight) {
-                    completed.push(window.complete(&sizes));
-                }
-            }
-            assert_eq!(issued, (0..n).collect::<Vec<_>>());
-            assert_eq!(completed, issued, "completion in issue order");
-            assert_eq!(window.bytes, 0);
-        }
-    }
-
-    #[test]
-    fn get_window_tops_up_in_half_window_bursts() {
-        let sizes = vec![8usize; 4 * GET_WINDOW_REQS];
-        let mut window = GetWindow::default();
-        assert_eq!(window.top_up(&sizes), 0..GET_WINDOW_REQS);
-        // draining less than half the window issues nothing...
-        for _ in 0..GET_WINDOW_REQS / 2 - 1 {
-            window.complete(&sizes);
-            assert!(window.top_up(&sizes).is_empty());
-        }
-        // ...the completion that reaches half refills it in one burst
-        window.complete(&sizes);
-        assert_eq!(
-            window.top_up(&sizes),
-            GET_WINDOW_REQS..GET_WINDOW_REQS + GET_WINDOW_REQS / 2
-        );
     }
 
     #[test]

@@ -168,7 +168,10 @@ impl Universe {
     /// instead of re-raising the first panic. A rank that fails poisons the
     /// job, so its surviving peers unwind out of their blocking primitives
     /// with [`PeerFailed`](crate::CommError::PeerFailed) naming the victim —
-    /// every rank terminates, none hangs.
+    /// every rank terminates, none hangs. A rank whose closure returns
+    /// enters one unmetered terminal barrier on the world communicator
+    /// first, so the outcome is all-or-nothing: a survivor that needed
+    /// nothing more from the victim fails `PeerFailed` too.
     ///
     /// To *complete* such a job instead of merely observing its typed
     /// failures, see [`Universe::run_recoverable`], which restarts the
@@ -219,8 +222,8 @@ impl Universe {
     /// Fault-tolerant variant of [`Universe::run_procs`]: one
     /// [`RankOutcome`] per rank. A child process that dies without
     /// reporting (crash, `kill -9`) is classified from its exit status;
-    /// survivors terminate typed via the poison/watchdog machinery exactly
-    /// as in-process.
+    /// survivors terminate typed via the poison/watchdog machinery and the
+    /// terminal barrier exactly as in-process.
     pub fn try_run_procs<F, R>(&self, f: F) -> Vec<RankOutcome<R>>
     where
         F: Fn(&ProcComm) -> R + Send + Sync,
@@ -308,7 +311,11 @@ impl Universe {
                             // the failure before the permit recirculates.
                             let _run = sched.runner();
                             let _poison = PoisonGuard::new(&sched, rank);
-                            f(&comm)
+                            let out = f(&comm);
+                            // The terminal barrier: `Ok` only if every rank
+                            // finished.
+                            comm.barrier();
+                            out
                         })
                         .expect("spawn rank thread")
                 })

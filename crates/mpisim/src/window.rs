@@ -18,9 +18,10 @@ use std::sync::Arc;
 /// An element type a window can expose: fixed-size, byte-serializable.
 ///
 /// In-process backends never serialize (they share the exposed `Arc`), but
-/// a cross-process backend serves ranged gets as little-endian bytes, so
-/// window elements must have a wire form. The set of implementors mirrors
-/// the primitive types windows actually carry in this workspace.
+/// a cross-process backend exposes the deposit as little-endian bytes its
+/// peers map, so window elements must have a wire form. The set of
+/// implementors mirrors the primitive types windows actually carry in this
+/// workspace.
 pub trait WinElem: Wire + Copy + Send + Sync + 'static {}
 
 impl WinElem for u8 {}
@@ -34,53 +35,28 @@ impl WinElem for f64 {}
 
 /// What one rank contributes to a collective window exposure — the typed
 /// deposit (for in-process sharing) plus an untyped byte extractor (for a
-/// backend that must serve ranged gets over a socket).
+/// backend whose peers read the deposit as bytes).
 pub struct WindowSpec {
     /// The deposit the in-process backends exchange zero-copy.
     pub arc: Arc<dyn Any + Send + Sync>,
     /// Elements in each of this rank's two (parallel) exposed arrays.
     pub len: usize,
-    /// Bytes per element of part 0 and part 1 on the wire (= `size_of` for
-    /// all `WinElem`s).
-    pub elem_sizes: [usize; 2],
     /// Serialize elements `range` of part `part` (0 or 1) of `arc` as
     /// little-endian bytes appended to `out`. Monomorphized per element
-    /// type pair; a remote backend's progress engine calls this to answer
-    /// peers' gets.
+    /// type pair; a cross-process backend calls this to write the deposit
+    /// where its peers map it.
     pub extract: fn(&(dyn Any + Send + Sync), usize, Range<usize>, &mut Vec<u8>),
 }
 
-/// The one-sided fetch transport a non-shared-memory backend returns from
-/// [`Comm::expose`]: fetches raw bytes from peers' exposed arrays. Called
-/// only for remote ranks (local reads never leave the process) and only
-/// with in-bounds ranges (the window validates first). On peer failure the
-/// implementation raises the typed [`CommError`](crate::CommError) by
-/// unwinding, like every blocking primitive — it does not return errors.
-pub trait RemoteWindow: Send + Sync {
-    /// Fetch every `(rank, part, range)` of `gets` — elements `range` of
-    /// `rank`'s array `part` (0 or 1) — and hand response `i`'s
-    /// little-endian bytes to `sink(i, bytes)` in issue order (`i`
-    /// ascending, each exactly once). Nonblocking inside the call, like
-    /// `MPI_Get`s under one `MPI_Win_flush`: an implementation keeps a
-    /// bounded window of requests in flight rather than one round trip per
-    /// get, so a plan costs its bytes, not its message count. The single
-    /// get is the batch of one. A failure mid-batch unwinds after a prefix
-    /// of the responses was delivered.
-    fn get_many(&self, gets: &[(usize, usize, Range<usize>)], sink: &mut dyn FnMut(usize, &[u8]));
-}
-
-/// Result of [`Comm::expose`]: either every rank's deposit shared directly
-/// (in-process backends) or per-rank lengths plus a byte-fetch transport
-/// (cross-process backends).
+/// One rank's deposit as [`Comm::expose`] hands it to every rank — one
+/// entry per rank of the communicator.
 pub enum Exposure {
-    /// Zero-copy: deposit `r` is rank `r`'s exposed data.
-    Shared(Vec<Arc<dyn Any + Send + Sync>>),
-    /// One-sided transport: `lens[r]` is the element count of each of rank
-    /// `r`'s arrays; `transport` fetches the bytes.
-    Remote {
-        lens: Vec<usize>,
-        transport: Arc<dyn RemoteWindow>,
-    },
+    /// Zero-copy: the rank's deposit itself (every rank in-process; the
+    /// calling rank's own across processes).
+    Shared(Arc<dyn Any + Send + Sync>),
+    /// A peer process's deposit, mapped read-only: part 0's little-endian
+    /// bytes, then part 1's (empty for an empty deposit).
+    Mapped(Arc<dyn AsRef<[u8]> + Send + Sync>),
 }
 
 fn extract_pair<T: WinElem, U: WinElem>(
@@ -149,8 +125,7 @@ impl std::error::Error for WindowError {}
 /// backend-neutral.
 pub struct PairedWindow<T, U> {
     /// Where a get against each rank reads from: the rank's shared deposit
-    /// (every rank in-process; this rank's own across processes) or the
-    /// byte-fetch transport.
+    /// or its mapped bytes.
     srcs: Vec<GetSrc<T, U>>,
     /// Length of each rank's exposed arrays.
     lens: Vec<usize>,
@@ -162,39 +137,30 @@ impl<T: WinElem, U: WinElem> PairedWindow<T, U> {
     /// (passive-target exposure epoch).
     pub fn create<C: Comm>(comm: &C, a: Vec<T>, b: Vec<U>) -> PairedWindow<T, U> {
         assert_eq!(a.len(), b.len(), "paired window arrays must be parallel");
-        let len = a.len();
-        let arc: Arc<dyn Any + Send + Sync> = Arc::new((a, b));
         let spec = WindowSpec {
-            arc: arc.clone(),
-            len,
-            elem_sizes: [std::mem::size_of::<T>(), std::mem::size_of::<U>()],
+            len: a.len(),
+            arc: Arc::new((a, b)),
             extract: extract_pair::<T, U>,
         };
-        let pair = |d: Arc<dyn Any + Send + Sync>| {
-            d.downcast::<(Vec<T>, Vec<U>)>()
-                .expect("paired window type")
-        };
-        match comm.expose(spec) {
-            Exposure::Shared(deposits) => {
-                let bufs: Vec<_> = deposits.into_iter().map(pair).collect();
-                PairedWindow {
-                    lens: bufs.iter().map(|buf| buf.0.len()).collect(),
-                    srcs: bufs.into_iter().map(GetSrc::Local).collect(),
+        let elem_bytes = std::mem::size_of::<T>() + std::mem::size_of::<U>();
+        let (srcs, lens) = comm
+            .expose(spec)
+            .into_iter()
+            .map(|exposed| match exposed {
+                Exposure::Shared(deposit) => {
+                    let buf = deposit
+                        .downcast::<(Vec<T>, Vec<U>)>()
+                        .expect("paired window type");
+                    let len = buf.0.len();
+                    (GetSrc::Local(buf), len)
                 }
-            }
-            Exposure::Remote { lens, transport } => PairedWindow {
-                srcs: (0..lens.len())
-                    .map(|rank| {
-                        if rank == comm.rank() {
-                            GetSrc::Local(pair(arc.clone()))
-                        } else {
-                            GetSrc::Transport(transport.clone())
-                        }
-                    })
-                    .collect(),
-                lens,
-            },
-        }
+                Exposure::Mapped(bytes) => {
+                    let len = (*bytes).as_ref().len() / elem_bytes;
+                    (GetSrc::Mapped(bytes), len)
+                }
+            })
+            .unzip();
+        PairedWindow { srcs, lens }
     }
 
     /// Length of `rank`'s exposed arrays.
@@ -206,12 +172,11 @@ impl<T: WinElem, U: WinElem> PairedWindow<T, U> {
     /// in order, append `range` of both of `rank`'s arrays to
     /// `out_a`/`out_b` — Algorithm 1 line 7's `MPI_Get`s followed by one
     /// `MPI_Win_flush`. Validated as a whole first (a failed batch meters
-    /// nothing and leaves the outputs untouched), then metered exactly as
-    /// the same gets issued one by one (two RDMA messages per remote
-    /// request, nothing for own-rank entries, in plan order on the calling
-    /// thread), then moved: in-process backends copy, a cross-process
-    /// backend pipelines the requests under its bounded in-flight window
-    /// instead of paying one round trip each.
+    /// nothing and leaves the outputs untouched), then each get is metered
+    /// (two RDMA messages per remote request, nothing for own-rank
+    /// entries) and copied, in plan order on the calling thread: from the
+    /// target's deposit in-process, decoded from its mapped bytes across
+    /// processes.
     pub fn get_many_into<C: Comm>(
         &self,
         comm: &C,
@@ -233,42 +198,22 @@ impl<T: WinElem, U: WinElem> PairedWindow<T, U> {
                 });
             }
         }
+        let (ta, tb) = (std::mem::size_of::<T>(), std::mem::size_of::<U>());
         for (rank, range) in gets {
             if *rank != comm.rank() {
-                comm.record_get(range.len() * std::mem::size_of::<T>());
-                comm.record_get(range.len() * std::mem::size_of::<U>());
+                comm.record_get(range.len() * ta);
+                comm.record_get(range.len() * tb);
             }
-        }
-        // Local sources are copied; each run of consecutive remote gets
-        // travels as one `RemoteWindow::get_many` batch (both arrays of
-        // every get) through the window's transport.
-        let mut i = 0;
-        while i < gets.len() {
-            let (rank, range) = &gets[i];
             match &self.srcs[*rank] {
                 GetSrc::Local(buf) => {
                     out_a.extend_from_slice(&buf.0[range.clone()]);
                     out_b.extend_from_slice(&buf.1[range.clone()]);
-                    i += 1;
                 }
-                GetSrc::Transport(transport) => {
-                    let mut parts = Vec::new();
-                    while let Some((rank, range)) = gets.get(i) {
-                        if !matches!(self.srcs[*rank], GetSrc::Transport(_)) {
-                            break;
-                        }
-                        parts.push((*rank, 0, range.clone()));
-                        parts.push((*rank, 1, range.clone()));
-                        i += 1;
-                    }
-                    transport.get_many(&parts, &mut |k, bytes| {
-                        let (_, part, range) = &parts[k];
-                        if *part == 0 {
-                            decode_elems(bytes, range.len(), out_a)
-                        } else {
-                            decode_elems(bytes, range.len(), out_b)
-                        }
-                    });
+                GetSrc::Mapped(bytes) => {
+                    let (a, b) = (**bytes).as_ref().split_at(self.lens[*rank] * ta);
+                    let part = |elem: usize| range.start * elem..range.end * elem;
+                    decode_elems(&a[part(ta)], range.len(), out_a);
+                    decode_elems(&b[part(tb)], range.len(), out_b);
                 }
             }
         }
@@ -277,8 +222,7 @@ impl<T: WinElem, U: WinElem> PairedWindow<T, U> {
 
     /// One-sided fetch of `range` from both of `rank`'s arrays, appended to
     /// `out_a`/`out_b`: [`get_many_into`](PairedWindow::get_many_into) of
-    /// one request (both arrays in flight together on a cross-process
-    /// backend — one round trip, not two).
+    /// one request.
     pub fn get_both_into<C: Comm>(
         &self,
         comm: &C,
@@ -301,18 +245,17 @@ impl<T, U> Clone for PairedWindow<T, U> {
 }
 
 /// Where a paired get reads from: the target's shared buffer pair
-/// (in-process, or the issuing rank's own deposit) or the cross-process
-/// byte-fetch transport.
+/// (in-process, or the issuing rank's own deposit) or its mapped bytes.
 enum GetSrc<T, U> {
     Local(Arc<(Vec<T>, Vec<U>)>),
-    Transport(Arc<dyn RemoteWindow>),
+    Mapped(Arc<dyn AsRef<[u8]> + Send + Sync>),
 }
 
 impl<T, U> Clone for GetSrc<T, U> {
     fn clone(&self) -> Self {
         match self {
             GetSrc::Local(buf) => GetSrc::Local(buf.clone()),
-            GetSrc::Transport(transport) => GetSrc::Transport(transport.clone()),
+            GetSrc::Mapped(bytes) => GetSrc::Mapped(bytes.clone()),
         }
     }
 }

@@ -679,21 +679,15 @@ pub enum Frame {
         count: u64,
         payload: Vec<u8>,
     },
-    /// One-sided ranged get against part `part` of exposed window
-    /// `win_id`, element range `start..end`.
-    GetReq {
-        req_id: u64,
-        win_id: u64,
-        part: u32,
-        start: u64,
-        end: u64,
-    },
-    /// Raw bytes answering [`Frame::GetReq`] `req_id`.
+    /// Raw bytes answering a ranged window get. No runtime path sends it;
+    /// the suite's codec probe is its only user until a suite-only PR
+    /// (ROADMAP item 2) moves the probe to `Data`. On a mesh link it is
+    /// protocol corruption.
     GetResp { req_id: u64, payload: Vec<u8> },
     /// "Rank `victim` failed" — poisons the receiver's job.
     Abort { victim: u64 },
-    /// Clean goodbye: the sender's rank closure has finished; it will keep
-    /// serving window gets until every peer has said the same.
+    /// Clean goodbye: the sender passed the terminal barrier and exits;
+    /// its EOF after this frame is not a failure.
     Bye,
     /// Child → parent: the rank's final [`RankOutcome`](crate::RankOutcome),
     /// pre-encoded (the result type is generic, so the frame carries bytes).
@@ -704,9 +698,9 @@ pub enum Frame {
     Heartbeat,
 }
 
-// Kinds 1–3 are retired and stay unassigned: the others keep their bytes.
+// Kinds 1–3 and 5 are retired and stay unassigned: the others keep their
+// bytes.
 const K_DATA: u8 = 4;
-const K_GETREQ: u8 = 5;
 const K_GETRESP: u8 = 6;
 const K_ABORT: u8 = 7;
 const K_BYE: u8 = 8;
@@ -795,20 +789,6 @@ impl Frame {
                 type_fp.put(out);
                 count.put(out);
                 put_bulk(out, payload, fill);
-            }
-            Frame::GetReq {
-                req_id,
-                win_id,
-                part,
-                start,
-                end,
-            } => {
-                out.push(K_GETREQ);
-                req_id.put(out);
-                win_id.put(out);
-                part.put(out);
-                start.put(out);
-                end.put(out);
             }
             Frame::GetResp { req_id, payload } => {
                 out.push(K_GETRESP);
@@ -904,13 +884,6 @@ impl Frame {
                 type_fp: u64::get(&mut buf)?,
                 count: u64::get(&mut buf)?,
                 payload: take_bulk(&mut buf)?,
-            },
-            K_GETREQ => Frame::GetReq {
-                req_id: u64::get(&mut buf)?,
-                win_id: u64::get(&mut buf)?,
-                part: u32::get(&mut buf)?,
-                start: u64::get(&mut buf)?,
-                end: u64::get(&mut buf)?,
             },
             K_GETRESP => Frame::GetResp {
                 req_id: u64::get(&mut buf)?,
@@ -1084,13 +1057,6 @@ mod tests {
                 type_fp: 0xdead_beef,
                 count: 100,
                 payload: vec![1, 2, 3, 4],
-            },
-            Frame::GetReq {
-                req_id: 9,
-                win_id: 2,
-                part: 1,
-                start: 10,
-                end: 20,
             },
             Frame::GetResp {
                 req_id: 9,

@@ -178,11 +178,11 @@ fn runtime_churn_conforms() {
 
 /// `PairedWindow::get_many_into` against the same gets issued one by one:
 /// same data, same per-rank `CommStats`, on every backend. The plan covers
-/// what a batching transport could get wrong — empty ranges, own-rank
-/// entries between remote ones, several owners in one call, more requests
-/// than the procs transport keeps in flight (256), one request larger than
-/// its in-flight byte budget (4 MiB) — and a batch with one bad request
-/// must fail as a whole: nothing metered, outputs untouched.
+/// what a copy loop over shared or mapped windows could get wrong — empty
+/// ranges, own-rank entries between remote ones, several owners in one
+/// call, hundreds of requests, one request of more than 4 MiB, windows of
+/// uneven length — and a batch with one bad request must fail as a whole:
+/// nothing metered, outputs untouched.
 struct BatchedGets;
 
 impl RankJob for BatchedGets {
@@ -191,7 +191,7 @@ impl RankJob for BatchedGets {
         let me = comm.rank();
         let n = comm.size();
         let before = comm.stats();
-        // uneven exposures, each f64 array above the 4 MiB budget
+        // uneven exposures, each f64 array above 4 MiB
         let len_of = |r: usize| 600_000 + 1_000 * r;
         let win = PairedWindow::create(
             comm,

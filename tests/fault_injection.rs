@@ -443,8 +443,8 @@ fn straggler_stalls_but_completes_identically_procs() {
 /// `SIGKILL`. Nothing unwinds, no Abort is broadcast — survivors must
 /// detect the dead sockets (EOF without a Bye poisons the job naming the
 /// vanished peer) and the parent must classify the corpse from `waitpid`.
-/// On the 1D job survivors wait on window gets and collectives over the
-/// world; on the 2D job also on two-sided B shipments over
+/// On the 1D job survivors wait in collectives over the world (a window
+/// get never waits); on the 2D job also on two-sided B shipments over
 /// sub-communicators.
 #[test]
 fn sigkill_mid_job_fails_every_survivor_typed_procs() {
@@ -1257,21 +1257,13 @@ fn corrupt_checkpoint_slot_triggers_unanimous_fresh_start_procs() {
 // ---------------------------------------------------------------------------
 
 /// One cell of the late-abort matrix: victim panics "injected fault", every
-/// survivor fails `PeerFailed` naming it.
-///
-/// `late` marks the cells on a concurrent backend: a survivor whose
-/// remaining work needs nothing more from the victim may legitimately finish
-/// before the abort reaches it — the faster the gets, the more often — and
-/// the runtime has no terminal agreement that would turn its `Ok` into a
-/// failure (ROADMAP item 1(a)). Those cells assert what the runtime does
-/// keep: the victim typed, every survivor either finished or failed
-/// `PeerFailed` naming the victim (never a hang converted to `Timeout`,
-/// never an untyped panic), and the job as a whole not all-`Ok`.
-fn assert_late_abort_cell(what: &str, out: &[Result<String, RankError>], late: bool) {
+/// survivor fails `PeerFailed` naming it — also a survivor whose remaining
+/// work needed nothing more from the victim: the launcher's terminal
+/// barrier turns its `Ok` into the failure.
+fn assert_late_abort_cell(what: &str, out: &[Result<String, RankError>]) {
     assert_eq!(out.len(), NRANKS);
     for (r, o) in out.iter().enumerate() {
         match o {
-            Ok(_) if late && r != VICTIM => {}
             Ok(res) => panic!("{what}: rank {r} finished ({res}) despite the injected fault"),
             Err(RankError::Panic { summary }) => {
                 assert_eq!(r, VICTIM, "{what}: non-victim rank {r} panicked: {summary}");
@@ -1299,7 +1291,7 @@ fn late_abort_is_typed_serial() {
     // one rank runs at a time, so even the late abort reaches every survivor
     quiet_expected_panics();
     let out = faulted_run(Backend::Sim, "2d", &FaultPlan::abort_at(VICTIM, LATE_OP));
-    assert_late_abort_cell("2d late abort", &out, false);
+    assert_late_abort_cell("2d late abort", &out);
 }
 
 #[test]
@@ -1310,21 +1302,21 @@ fn late_abort_is_typed_threads() {
         "2d",
         &FaultPlan::abort_at(VICTIM, LATE_OP),
     );
-    assert_late_abort_cell("2d late abort", &out, true);
+    assert_late_abort_cell("2d late abort", &out);
 }
 
 #[test]
 fn late_abort_is_typed_procs() {
     quiet_expected_panics();
     let out = faulted_run(Backend::Procs, "2d", &FaultPlan::abort_at(VICTIM, LATE_OP));
-    assert_late_abort_cell("2d late abort", &out, true);
+    assert_late_abort_cell("2d late abort", &out);
 }
 
 // ---------------------------------------------------------------------------
-// Faults under batched window gets: `get_many_into` keeps a bounded window
-// of `GetReq`s in flight instead of one blocking round trip per get, so a
-// target can now die — or a link can lose frames — with hundreds of
-// requests airborne at once.
+// Faults under window gets: a get is a copy out of the target's exposed
+// deposit — in-process its `Arc`, across processes its read-only mapping —
+// so a target can die while its peers are reading its window, and the
+// peers learn of it at their next two-sided call or the terminal barrier.
 // ---------------------------------------------------------------------------
 
 /// How the target of [`FullWindowJob`] dies.
@@ -1334,10 +1326,9 @@ enum Death {
     Sigkill,
 }
 
-/// Every survivor pulls a plan far longer than the transport's in-flight
-/// window from the victim in one `get_many_into`; the victim dies as soon
-/// as every survivor has announced (tag `GO`) that its batch is starting,
-/// i.e. while each of them has a full window in flight.
+/// Every survivor pulls a long plan from the victim in one
+/// `get_many_into`; the victim dies as soon as every survivor has announced
+/// (tag `GO`) that its batch is starting, i.e. while each of them reads.
 struct FullWindowJob(Death);
 
 impl RankJob for FullWindowJob {
@@ -1364,17 +1355,15 @@ impl RankJob for FullWindowJob {
         let (mut a, mut b) = (Vec::new(), Vec::new());
         win.get_many_into(comm, &plan, &mut a, &mut b)
             .expect("plan within the exposed window");
-        // an in-process get is a memcpy and cannot fail: there the barrier
-        // is where a survivor learns of the death
+        // a get is a copy out of the target's deposit or mapping and cannot
+        // fail: the barrier is where a survivor learns of the death
         comm.barrier();
         a.len()
     }
 }
 
 /// The victim must be typed, and every survivor must fail `PeerFailed`
-/// naming it well inside the watchdog. Across a process boundary the
-/// failure must unwind the batch itself (the get's wait site is a `recv`),
-/// not surface later at the barrier.
+/// naming it well inside the watchdog.
 fn assert_full_window_death(backend: Backend, death: Death) {
     quiet_expected_panics();
     let started = std::time::Instant::now();
@@ -1390,15 +1379,8 @@ fn assert_full_window_death(backend: Backend, death: Death) {
                 };
                 assert!(summary.contains(cause), "victim mistyped: {summary}");
             }
-            Err(RankError::Comm(CommError::PeerFailed { rank, primitive })) if r != VICTIM => {
+            Err(RankError::Comm(CommError::PeerFailed { rank, .. })) if r != VICTIM => {
                 assert_eq!(*rank, VICTIM, "rank {r} blamed rank {rank}");
-                if backend == Backend::Procs {
-                    assert_eq!(
-                        *primitive,
-                        Primitive::Recv,
-                        "rank {r}: the batch finished against a dead target"
-                    );
-                }
             }
             other => panic!(
                 "{}: rank {r} expected typed mid-batch fallout, got {other:?}",
@@ -1424,16 +1406,77 @@ fn target_abort_with_a_full_get_window_in_flight_fails_typed_procs() {
 }
 
 /// `SIGKILL` exists only where ranks are processes: no Abort broadcast, the
-/// survivors' parked batches are woken by the dead socket alone.
+/// survivors learn of the death from the dead socket alone.
 #[test]
 fn target_sigkill_with_a_full_get_window_in_flight_fails_typed_procs() {
     assert_full_window_death(Backend::Procs, Death::Sigkill);
 }
 
+/// A dead target's mapped window stays readable: the victim exposes a
+/// window and `SIGKILL`s itself; each survivor waits for the death (a recv
+/// the victim never answers fails `PeerFailed`), then gets the victim's
+/// whole window, which must equal what it exposed bit for bit (a mismatch
+/// panics the survivor). Every survivor must still end `PeerFailed` naming
+/// the victim — at the terminal barrier — within 30 s.
+#[test]
+fn a_dead_targets_mapped_window_stays_readable_procs() {
+    const LEN: usize = 50_000;
+    const NEVER: u64 = 0x61;
+    let ids = |rank: usize| -> Vec<u32> { (0..LEN).map(|i| (rank * LEN + i) as u32).collect() };
+    let vals = |rank: usize| -> Vec<f64> {
+        let bits = |i: usize| 0x7ff8_0000_0000_0001 ^ ((rank * LEN + i) as u64).rotate_left(13);
+        (0..LEN).map(|i| f64::from_bits(bits(i))).collect()
+    };
+    quiet_expected_panics();
+    let started = std::time::Instant::now();
+    let out = universe().try_run_procs(|comm| {
+        let me = comm.rank();
+        let win = PairedWindow::create(comm, ids(me), vals(me));
+        if me == VICTIM {
+            kill_self_with_sigkill();
+        }
+        let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            comm.recv_vec::<u64>(VICTIM, NEVER)
+        }));
+        let died = died.expect_err("the victim never sends");
+        assert!(
+            matches!(
+                died.downcast_ref::<CommError>(),
+                Some(CommError::PeerFailed { rank: VICTIM, .. })
+            ),
+            "the wait for the victim's death ended otherwise"
+        );
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        win.get_many_into(comm, &[(VICTIM, 0..LEN)], &mut a, &mut b)
+            .expect("the whole window is in range");
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert!(
+            a == ids(VICTIM) && bits(&b) == bits(&vals(VICTIM)),
+            "the dead target's window read back different bytes"
+        );
+        a.len()
+    });
+    let elapsed = started.elapsed();
+    for (r, o) in out.iter().enumerate() {
+        match o {
+            Err(RankError::Panic { summary }) if r == VICTIM => {
+                assert!(summary.contains("signal 9"), "victim mistyped: {summary}")
+            }
+            Err(RankError::Comm(CommError::PeerFailed { rank, .. })) if r != VICTIM => {
+                assert_eq!(*rank, VICTIM, "rank {r} blamed rank {rank}")
+            }
+            other => panic!("rank {r}: expected a read window and PeerFailed, got {other:?}"),
+        }
+    }
+    assert!(
+        elapsed < Duration::from_secs(30),
+        "took {elapsed:?}: the watchdog, not the barrier, ended the job"
+    );
+}
+
 /// A message-bound fetch: a `ColumnExact` multiply whose plan is ≥ 1 000
-/// gets, pipelined through the procs transport's in-flight window. Two
-/// ranks and a block lower-triangular operand: rank 1 needs no remote
-/// column, so rank 0 only requests and rank 1 only serves.
+/// gets. Two ranks and a block lower-triangular operand: rank 1 needs no
+/// remote column, so rank 0 only reads and rank 1 only exposes.
 struct ColumnExactJob(Csc<f64>);
 
 impl RankJob for ColumnExactJob {
@@ -1454,8 +1497,9 @@ impl RankJob for ColumnExactJob {
     }
 }
 
-/// The ≥ 1 000-get plan of [`ColumnExactJob`] over real sockets: product
-/// and metered traffic bit-identical to the simulator's, per rank.
+/// The ≥ 1 000-get plan of [`ColumnExactJob`] across processes, read from
+/// the target's mapping: product and metered traffic bit-identical to the
+/// simulator's, per rank.
 #[test]
 fn column_exact_fetch_of_a_thousand_gets_is_bit_identical_procs() {
     const N: usize = 1_400;
@@ -1471,8 +1515,7 @@ fn column_exact_fetch_of_a_thousand_gets_is_bit_identical_procs() {
     }
 }
 
-/// Large frames: every bulk `GetResp` is ≥ 1 MiB, encoded in place into
-/// the responder's burst buffer and served past its flush threshold.
+/// Large gets: every fetched range is ≥ 1 MiB of the target's mapping.
 /// A: rank 0 owns `2·RUN + 1` single-entry columns, rank 1 as many dense
 /// ones. B: one column per rank — rank 0's needs both runs of rank 1's
 /// columns but not the one between them (two gets per array), rank 1's
@@ -1501,8 +1544,8 @@ impl RankJob for LargeFrameJob {
     }
 }
 
-/// [`LargeFrameJob`] over real sockets: four ≥ 1 MiB responses, product
-/// and metered traffic bit-identical to the simulator's, per rank.
+/// [`LargeFrameJob`] across processes: four ≥ 1 MiB gets, product and
+/// metered traffic bit-identical to the simulator's, per rank.
 #[test]
 fn large_frame_fetch_is_bit_identical_procs() {
     const ROWS: usize = 4_200; // entries per served column
@@ -1546,12 +1589,11 @@ fn large_frame_fetch_is_bit_identical_procs() {
     }
 }
 
-/// Gets and sends sharing one link: rank 0 pipelines a ≥ 2 000-get
-/// `ColumnExact` plan from rank 1 (a block lower-triangular operand, as in
+/// Gets and sends to one peer: rank 0 reads a ≥ 2 000-get `ColumnExact`
+/// plan from rank 1's mapping (a block lower-triangular operand, as in
 /// [`ColumnExactJob`]) while rank 1, which needs no remote column and so
 /// leaves the multiply first, sends rank 0 [`SHARED_LINK_SENDS`] small
-/// messages under one tag — `GetResp` and `Data` frames interleave on the
-/// link from rank 1 to rank 0.
+/// messages under one tag.
 struct SharedLinkJob(Csc<f64>);
 
 const SHARED_LINK_SENDS: u64 = 1_000;
@@ -1581,7 +1623,7 @@ impl RankJob for SharedLinkJob {
     }
 }
 
-/// [`SharedLinkJob`] over real sockets: product, received sequence and
+/// [`SharedLinkJob`] across processes: product, received sequence and
 /// metered traffic bit-identical to the simulator's, per rank.
 #[test]
 fn gets_and_sends_sharing_a_link_are_bit_identical_procs() {

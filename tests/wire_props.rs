@@ -23,13 +23,6 @@ fn build_frames(a: u64, b: u64, bytes: &[u8], flag: bool) -> Vec<Frame> {
             count: bytes.len() as u64,
             payload: bytes.to_vec(),
         },
-        Frame::GetReq {
-            req_id: a,
-            win_id: b,
-            part: (a % 7) as u32,
-            start: b % 100,
-            end: b % 100 + a % 50,
-        },
         Frame::GetResp {
             req_id: a,
             payload: bytes.to_vec(),
