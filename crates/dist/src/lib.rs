@@ -30,10 +30,11 @@
 //!   [`spgemm_auto`] runs the winner.
 //! * [`session`] — cross-iteration extension of Algorithm 1: a persistent
 //!   [`SpgemmSession`] pins the fetched operand (metadata + window exposure
-//!   once), and its [`FetchCache`] keeps every remote column it fetches
-//!   across multiplies (or, under [`CacheConfig::disabled`], none) so
-//!   iterative workloads (§II-C batched BC / MCL / Galerkin) fetch only the
-//!   per-iteration miss set. [`SessionAnalysis`] is the incremental,
+//!   once), and its resident copy of that operand
+//!   ([`FetchCache`](session::FetchCache)) keeps every remote column it
+//!   fetches across multiplies (or, under [`CacheConfig::disabled`], none)
+//!   so iterative workloads (§II-C batched BC / MCL / Galerkin) fetch only
+//!   the per-iteration miss set. [`SessionAnalysis`] is the incremental,
 //!   collective-free counterpart of [`analyze_1d`].
 //! * [`checkpoint`] — per-rank checkpoint stores ([`MemStore`] for
 //!   threads, [`FileStore`] for processes) and [`SessionSnapshot`]
@@ -85,9 +86,7 @@ pub use mat3d::{
 };
 pub use outer1d::{spgemm_outer_1d, OuterReport};
 pub use prepare::{prepare, PrepResult, Strategy};
-pub use session::{
-    CacheConfig, FetchCache, SessionAnalysis, SessionSnapshot, SessionStats, SpgemmSession,
-};
+pub use session::{CacheConfig, SessionAnalysis, SessionSnapshot, SessionStats, SpgemmSession};
 pub use shape::ShapeError;
 pub use spgemm1d::{
     analyze_1d, analyze_1d_modes, spgemm_1d, try_spgemm_1d, Analysis1D, FetchMode, Plan1D,

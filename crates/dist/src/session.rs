@@ -8,19 +8,25 @@
 //! `A` column from scratch. This module makes the needed-column set of
 //! Algorithm 1 a *persistent* object:
 //!
-//! * [`FetchCache`] — a per-rank cache of remote `A` columns, keyed by
-//!   `(owner rank, global column)`, stored as mergeable DCSC column
-//!   segments. It keeps every column it fetches, or — under
-//!   [`CacheConfig::disabled`] — none.
 //! * [`SpgemmSession`] — pins the fetched operand: the metadata allgather
 //!   and the [`PairedWindow`] exposure happen **once** at
 //!   [`SpgemmSession::create`], and every [`SpgemmSession::multiply`] runs
-//!   an *incremental* symbolic pass that diffs the current needed-column
-//!   set against cache contents and issues coalesced gets only for the
-//!   misses. [`SpgemmSession::update_a`] re-anchors the session on a
+//!   an *incremental* symbolic pass that tests the current needed-column
+//!   set against the resident columns and issues coalesced gets only for
+//!   the misses. [`SpgemmSession::update_a`] re-anchors the session on a
 //!   changed operand, invalidating exactly the columns whose content
 //!   changed — iterative solvers that converge (MCL) communicate only the
 //!   per-iteration delta.
+//! * [`FetchCache`] — the session's resident copy of the fetched operand,
+//!   laid out as the operand itself is: one pair of entry arrays in global
+//!   column order (each owner's part at the offset of its first column,
+//!   each stored column at its owner's entry offset within it), one
+//!   column-offset array built from the replicated metadata, and one
+//!   resident bit per global column. The local slice is copied in at
+//!   `create` and `update_a`; a planned get lands at its columns' home
+//!   offsets; the kernel reads the arrays in place as `Ã`. So a fetched
+//!   byte moves once, and a resident one never again. Under
+//!   [`CacheConfig::disabled`] no bit is ever set.
 //!
 //! Metering stays exact: a session multiply's
 //! [`SpgemmReport::fresh_bytes`](crate::spgemm1d::SpgemmReport::fresh_bytes)
@@ -30,15 +36,14 @@
 //! accounts for the needed bytes the cache served instead of the wire.
 
 use crate::dist1d::DistMat1D;
-use crate::fetch::{exchange_meta, plan_fetch, FetchPlan, Interval, RankMeta, ENTRY_BYTES};
-use crate::spgemm1d::{assert_conformal, cv_of, global_volume, FetchMode, Plan1D, SpgemmReport};
-use sa_mpisim::{Comm, CommStats, PairedWindow, PhaseTimes, Wire, WireError};
-use sa_sparse::semiring::PlusTimes;
-use sa_sparse::spgemm::{spgemm_with_epilogue, ChunkBuf, NoEpilogue, SpgemmWorkspace};
+use crate::fetch::{plan_fetch, support_bit, FetchPlan, Interval, RankMeta, ENTRY_BYTES};
+use crate::spgemm1d::{
+    assert_conformal, expose, FetchMode, Fetched, Multiply1D, Plan1D, SpgemmReport,
+};
+use sa_mpisim::{Comm, PairedWindow, PhaseTimes, Wire, WireError};
+use sa_sparse::spgemm::{ColSource, NoEpilogue, SpgemmWorkspace};
 use sa_sparse::types::{vidx, Vidx};
 use sa_sparse::Dcsc;
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::time::Instant;
 
 /// Whether a session's [`FetchCache`] keeps the columns it fetches.
@@ -72,87 +77,178 @@ impl Default for CacheConfig {
     }
 }
 
-/// One cached remote column: a DCSC segment (parallel row-id / value
-/// arrays).
-struct CachedCol {
-    ir: Vec<Vidx>,
-    num: Vec<f64>,
-}
-
-impl CachedCol {
-    fn bytes(&self) -> u64 {
-        self.ir.len() as u64 * ENTRY_BYTES
-    }
-}
-
-/// Per-rank persistent cache of remote `A` columns (see the module docs).
-/// An enabled cache keeps every column it is handed until
-/// [`SpgemmSession::update_a`] invalidates it; a disabled one holds
-/// nothing.
+/// A session's resident copy of its fetched operand (see the module docs).
+/// An enabled cache keeps every remote column a get delivers until
+/// [`SpgemmSession::update_a`] invalidates it; a disabled one keeps none.
 pub struct FetchCache {
     enabled: bool,
-    cols: HashMap<(u32, Vidx), CachedCol>,
+    nrows: usize,
+    /// Where each global column's entries start in `ir`/`num` (`ncols + 1`
+    /// offsets): owner `o`'s part begins at `ptr[offsets[o]]`, its stored
+    /// column `q` at that plus `metas[o].cp[q]`.
+    ptr: Vec<usize>,
+    ir: Vec<Vidx>,
+    num: Vec<f64>,
+    /// One bit per global column: set for a remote column whose entries
+    /// are home.
+    resident: Vec<u64>,
+    resident_cols: usize,
     resident_bytes: u64,
 }
 
 impl FetchCache {
-    pub(crate) fn new(cfg: CacheConfig) -> FetchCache {
-        FetchCache {
+    /// `a` laid out with its local slice home and nothing remote resident.
+    fn new(cfg: CacheConfig, a: &DistMat1D, metas: &[RankMeta], me: usize) -> FetchCache {
+        let mut cache = FetchCache {
             enabled: cfg.enabled,
-            cols: HashMap::new(),
+            nrows: a.nrows(),
+            ptr: Vec::new(),
+            ir: Vec::new(),
+            num: Vec::new(),
+            resident: vec![0; a.ncols().div_ceil(64)],
+            resident_cols: 0,
             resident_bytes: 0,
-        }
+        };
+        cache.lay_out(a, metas, me);
+        cache
     }
 
-    /// Bytes of column segments currently resident (index + value arrays,
+    /// Bytes of remote columns currently resident (index + value arrays,
     /// 12 B per stored entry — the same `u32` + `f64` wire cost the reports
     /// meter).
     pub fn resident_bytes(&self) -> u64 {
         self.resident_bytes
     }
 
-    /// Columns currently resident.
+    /// Remote columns currently resident.
     pub fn resident_cols(&self) -> usize {
-        self.cols.len()
+        self.resident_cols
     }
 
-    fn contains(&self, owner: usize, col: Vidx) -> bool {
-        self.cols.contains_key(&(owner as u32, col))
+    fn contains(&self, g: usize) -> bool {
+        support_bit(&self.resident, g)
     }
 
-    /// Borrow a resident column's segment.
-    fn peek(&self, owner: usize, col: Vidx) -> Option<(&[Vidx], &[f64])> {
-        self.cols
-            .get(&(owner as u32, col))
-            .map(|c| (c.ir.as_slice(), c.num.as_slice()))
+    /// Global ids of the resident columns, ascending.
+    fn resident_ids(&self) -> impl Iterator<Item = usize> + '_ {
+        self.resident.iter().enumerate().flat_map(|(w, &word)| {
+            let mut bits = word;
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let b = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    64 * w + b
+                })
+            })
+        })
     }
 
-    /// Keep a freshly fetched column. No-op when the cache is disabled or
-    /// the column is already resident (block over-fetch can re-deliver
-    /// cached columns).
-    fn insert(&mut self, owner: usize, col: Vidx, rows: &[Vidx], vals: &[f64]) {
-        if !self.enabled {
-            return;
+    /// Mark column `g` resident (its entries are home).
+    fn keep(&mut self, g: usize) {
+        let bit = 1u64 << (g % 64);
+        if self.resident[g / 64] & bit == 0 {
+            self.resident[g / 64] |= bit;
+            self.resident_cols += 1;
+            self.resident_bytes += (self.ptr[g + 1] - self.ptr[g]) as u64 * ENTRY_BYTES;
         }
-        if let Entry::Vacant(slot) = self.cols.entry((owner as u32, col)) {
-            self.resident_bytes += rows.len() as u64 * ENTRY_BYTES;
-            slot.insert(CachedCol {
-                ir: rows.to_vec(),
-                num: vals.to_vec(),
-            });
-        }
     }
 
-    /// Drop a column (its owner's content changed). Returns whether it was
-    /// resident.
-    fn invalidate(&mut self, owner: usize, col: Vidx) -> bool {
-        match self.cols.remove(&(owner as u32, col)) {
-            Some(c) => {
-                self.resident_bytes -= c.bytes();
-                true
+    /// Drop column `g` (its owner's content changed). Returns whether it
+    /// was resident.
+    fn clear(&mut self, g: usize) -> bool {
+        let bit = 1u64 << (g % 64);
+        let was = self.resident[g / 64] & bit != 0;
+        if was {
+            self.resident[g / 64] &= !bit;
+            self.resident_cols -= 1;
+            self.resident_bytes -= (self.ptr[g + 1] - self.ptr[g]) as u64 * ENTRY_BYTES;
+        }
+        was
+    }
+
+    /// Lay the arrays out for `a` and its replicated metadata `metas`: the
+    /// local slice copied home, every resident column moved to its new
+    /// home (an unchanged column keeps its length), nothing else written.
+    fn lay_out(&mut self, a: &DistMat1D, metas: &[RankMeta], me: usize) {
+        let mut ptr = Vec::with_capacity(a.ncols() + 1);
+        let mut end = 0usize;
+        for (meta, &base) in metas.iter().zip(a.offsets().iter()) {
+            for q in 0..meta.nzc() {
+                // ids up to and including this column start where it does
+                ptr.resize(base + meta.jc[q] as usize + 1, end);
+                end += meta.col_entries(q) as usize;
             }
-            None => false,
         }
+        ptr.resize(a.ncols() + 1, end);
+        let (mut ir, mut num) = (vec![0; end], vec![0.0; end]);
+        let (local, home) = (a.local(), ptr[a.offsets()[me]]);
+        ir[home..home + local.nnz()].copy_from_slice(local.ir());
+        num[home..home + local.nnz()].copy_from_slice(local.num());
+        for g in self.resident_ids() {
+            let (old, new) = (self.ptr[g]..self.ptr[g + 1], ptr[g]..ptr[g + 1]);
+            ir[new.clone()].copy_from_slice(&self.ir[old.clone()]);
+            num[new].copy_from_slice(&self.num[old]);
+        }
+        (self.ptr, self.ir, self.num) = (ptr, ir, num);
+    }
+
+    /// Move `fplan` with one batched get, each interval straight to its
+    /// columns' home offsets, and keep every column it delivered (block
+    /// over-fetch included; a re-delivered resident column is rewritten
+    /// with the same bytes). Returns the seconds spent inside the get.
+    fn land<C: Comm>(
+        &mut self,
+        comm: &C,
+        win: &PairedWindow<Vidx, f64>,
+        metas: &[RankMeta],
+        offsets: &[usize],
+        fplan: &FetchPlan,
+    ) -> f64 {
+        let gets: Vec<_> = fplan
+            .intervals
+            .iter()
+            .map(|iv| {
+                let (owner, range) = iv.get();
+                let at = self.ptr[offsets[owner]] + range.start;
+                (owner, range, at)
+            })
+            .collect();
+        let t0 = Instant::now();
+        win.get_many_at(comm, &gets, &mut self.ir, &mut self.num)
+            .expect("fetch interval within exposed window");
+        let fetch_s = t0.elapsed().as_secs_f64();
+        if self.enabled {
+            for iv in &fplan.intervals {
+                let (base, meta) = (offsets[iv.owner], &metas[iv.owner]);
+                for q in iv.pos.clone() {
+                    self.keep(base + meta.jc[q] as usize);
+                }
+            }
+        }
+        fetch_s
+    }
+}
+
+/// The resident arrays as the kernel's `Ã`, column `j` at
+/// `ptr[j]..ptr[j + 1]`. The kernel reads only the columns the multiply
+/// needs, and every one of them is home: local, resident, or just landed.
+struct Resident<'c>(&'c FetchCache);
+
+impl ColSource<f64> for Resident<'_> {
+    fn nrows(&self) -> usize {
+        self.0.nrows
+    }
+    fn ncols(&self) -> usize {
+        self.0.ptr.len() - 1
+    }
+    #[inline]
+    fn col(&self, j: usize) -> (&[Vidx], &[f64]) {
+        let e = self.0.ptr[j]..self.0.ptr[j + 1];
+        (&self.0.ir[e.clone()], &self.0.num[e])
+    }
+    #[inline]
+    fn col_nnz(&self, j: usize) -> usize {
+        self.0.ptr[j + 1] - self.0.ptr[j]
     }
 }
 
@@ -198,8 +294,8 @@ impl Wire for SessionStats {
 /// Wire-encodable image of one rank's session state, for checkpointing
 /// iterative jobs run under
 /// [`run_recoverable`](sa_mpisim::Universe::run_recoverable): an operand
-/// fingerprint, the cumulative [`SessionStats`], and the [`FetchCache`]
-/// contents. Taken with [`SpgemmSession::snapshot`] and re-applied with
+/// fingerprint, the cumulative [`SessionStats`], and the [`FetchCache`]'s
+/// resident columns. Taken with [`SpgemmSession::snapshot`] and re-applied with
 /// [`SpgemmSession::restore`] after a fresh collective
 /// [`SpgemmSession::create`] on the same operand (a restarted process must
 /// re-expose its windows — only the cache and counters carry over).
@@ -210,9 +306,7 @@ pub struct SessionSnapshot {
     ncols: u64,
     local_nnz: u64,
     stats: SessionStats,
-    /// Cached column segments, ascending by `(owner, global column)` so
-    /// snapshot bytes are deterministic (the cache map itself iterates in
-    /// arbitrary order).
+    /// Resident column segments, ascending by `(owner, global column)`.
     cols: Vec<(u32, Vidx, Vec<Vidx>, Vec<f64>)>,
 }
 
@@ -266,29 +360,27 @@ pub struct SessionAnalysis {
     pub needed_bytes: u64,
 }
 
-/// Outcome of the incremental symbolic pass: which needed columns the cache
-/// already holds, and the mask of those that must travel. The default (no
-/// hits) is the sessionless multiply's.
-#[derive(Default)]
-pub(crate) struct Survey {
-    /// Global-column mask of needed-but-uncached columns.
+/// Outcome of the incremental symbolic pass: which needed columns are
+/// resident, and the mask of those that must travel.
+struct Survey {
+    /// Global-column mask of needed-but-absent columns.
     miss: Vec<bool>,
-    /// Resident needed columns: (owner, global column, owner-storage
-    /// position, entry bytes), ascending by (owner, position).
-    hits: Vec<(usize, Vidx, usize, u64)>,
+    /// Resident needed columns: (owner, owner-storage position, entry
+    /// bytes), ascending.
+    hits: Vec<(usize, usize, u64)>,
     /// Σ entry bytes of `hits`.
     hit_bytes: u64,
 }
 
 /// Σ bytes of surveyed hits that the miss plan does *not* re-deliver:
-/// block/full-matrix over-fetch can pull a cached column back over the wire
-/// anyway (the assembly then reads the fresh copy), and such columns must
-/// not be reported as traffic the cache avoided. Both lists are ascending
-/// by (owner, position), so one merge walk suffices.
+/// block/full-matrix over-fetch can pull a resident column back over the
+/// wire anyway, and such columns must not be reported as traffic the cache
+/// avoided. Both lists are ascending by (owner, position), so one merge
+/// walk suffices.
 fn served_hit_bytes(survey: &Survey, fplan: &FetchPlan) -> u64 {
     let mut iv_iter = fplan.intervals.iter().peekable();
     let mut served = 0u64;
-    for &(owner, _g, q, bytes) in &survey.hits {
+    for &(owner, q, bytes) in &survey.hits {
         // skip intervals entirely before position q (pos.end is exclusive:
         // an interval with pos.end == q + 1 still covers q)
         while iv_iter
@@ -305,272 +397,6 @@ fn served_hit_bytes(survey: &Survey, fplan: &FetchPlan) -> u64 {
         }
     }
     served
-}
-
-/// Expose a fetched operand: replicate its nonzero-column metadata and open
-/// a paired window over its entry arrays. Collective.
-pub(crate) fn expose<C: Comm>(
-    comm: &C,
-    local: &Dcsc<f64>,
-) -> (Vec<RankMeta>, PairedWindow<Vidx, f64>) {
-    let metas = exchange_meta(comm, local);
-    let win = PairedWindow::create(comm, local.ir().to_vec(), local.num().to_vec());
-    (metas, win)
-}
-
-/// What a caller's symbolic phase hands [`Pipeline1D::multiply`]. Planning
-/// stays with the caller because it is where the two callers differ: the
-/// sessionless multiply plans every needed column ([`plan_fetch`], an empty
-/// survey), a session plans only what its cache misses.
-pub(crate) struct Symbolic {
-    pub survey: Survey,
-    pub fplan: FetchPlan,
-    /// Counters and clock read before the symbolic phase began, so the
-    /// report covers the whole call.
-    pub stats0: CommStats,
-    pub t_call: Instant,
-}
-
-/// Algorithm 1 from the fetch on — assemble `Ã`, multiply, wrap, report —
-/// over a borrowed exposed operand. [`spgemm_1d`](crate::spgemm1d::spgemm_1d)
-/// runs it once against a disabled cache; [`SpgemmSession::multiply`]
-/// runs it against the session's own; the sparsity-aware 2D SUMMA stops
-/// after [`assemble`](Pipeline1D::assemble), its block row of `A` exposed
-/// along the process row.
-pub(crate) struct Pipeline1D<'a> {
-    pub a: &'a DistMat1D,
-    pub metas: &'a [RankMeta],
-    pub win: &'a PairedWindow<Vidx, f64>,
-    pub ws: &'a SpgemmWorkspace<f64>,
-    pub cache: &'a mut FetchCache,
-}
-
-impl Pipeline1D<'_> {
-    pub(crate) fn multiply<C, E>(
-        mut self,
-        comm: &C,
-        b: &DistMat1D,
-        plan: &Plan1D,
-        sym: Symbolic,
-        epilogue: Option<&E>,
-    ) -> (DistMat1D, SpgemmReport)
-    where
-        C: Comm,
-        E: Fn(&[Vidx], &mut [f64], &mut Vec<Vidx>, &mut Vec<f64>) + Sync,
-    {
-        let Symbolic {
-            survey,
-            fplan,
-            stats0,
-            t_call,
-        } = sym;
-        let symbolic_s = t_call.elapsed().as_secs_f64();
-
-        // --- fetch the plan + merge with cache and local slice into Ã ---
-        let t_asm = Instant::now();
-        let (atilde, fetch_s) = self.assemble(comm, &survey, &fplan);
-        let mut assemble_s = (t_asm.elapsed().as_secs_f64() - fetch_s).max(0.0);
-
-        // --- local kernel ---
-        let t0 = Instant::now();
-        let (kernel, schedule, ws) = (plan.kernel, plan.schedule, self.ws);
-        let c_local = comm.install(|| {
-            spgemm_with_epilogue::<PlusTimes<f64>, _, _, _>(
-                &atilde,
-                b.local(),
-                kernel,
-                schedule,
-                ws,
-                epilogue,
-            )
-        });
-        let compute_s = t0.elapsed().as_secs_f64();
-        // hand Ã's buffers back for the next multiply's assembly
-        let (jc, cp, ir, num) = atilde.into_parts();
-        ws.put_chunk(ChunkBuf {
-            lens: jc,
-            rows: ir,
-            vals: num,
-        });
-        ws.put_idx(cp);
-
-        // --- wrap the output in B's layout ---
-        let t_wrap = Instant::now();
-        let c = DistMat1D::from_local(
-            self.a.nrows(),
-            b.ncols(),
-            b.offsets().clone(),
-            Dcsc::from(c_local),
-        );
-        assemble_s += t_wrap.elapsed().as_secs_f64();
-
-        // --- exact accounting ---
-        let comm_delta = comm.stats() - stats0;
-        let fetched = fplan.fetch_bytes();
-        debug_assert_eq!(comm_delta.rdma_get_bytes, fetched, "metered == planned");
-        let (fetched_global, cv) = if plan.global_stats {
-            let (total, max_fetched, mem_global) = global_volume(comm, fetched, self.a);
-            (total, cv_of(max_fetched, mem_global))
-        } else {
-            // local-only variant of the criterion: this rank's volume over
-            // its own slice footprint
-            let mem_local = self.a.local().nnz() as u64 * ENTRY_BYTES;
-            (fetched, cv_of(fetched, mem_local))
-        };
-        let report = SpgemmReport {
-            fetched_bytes: fetched,
-            fresh_bytes: fetched,
-            cache_hit_bytes: served_hit_bytes(&survey, &fplan),
-            needed_bytes: survey.hit_bytes + fplan.needed_bytes(),
-            fetched_bytes_global: fetched_global,
-            rdma_msgs: fplan.rdma_msgs(),
-            cv_over_mem: cv,
-            comm: comm_delta,
-            phases: PhaseTimes {
-                symbolic_s,
-                fetch_s,
-                compute_s,
-                assemble_s,
-            },
-        };
-        (c, report)
-    }
-
-    /// Assemble `Ã` in ascending global-column order — every planned
-    /// interval (over-fetched columns included), the surveyed hits no
-    /// interval re-delivers, and the local slice at its owner position —
-    /// into buffers recycled through the workspace. One owner/position walk
-    /// fills `jc`/`cp` from the replicated metadata and lists the gets,
-    /// which move as one batch. With no hit to interleave, the batch (the
-    /// local slice riding as a free own-rank get) lands straight in `Ã`'s
-    /// `ir`/`num`; otherwise it lands in a staging chunk and is stitched
-    /// around the cached columns and the local slice. An enabled cache
-    /// then takes the fresh columns out of `Ã`. Returns `Ã` and the seconds
-    /// spent inside the batched get.
-    pub(crate) fn assemble<C: Comm>(
-        &mut self,
-        comm: &C,
-        survey: &Survey,
-        fplan: &FetchPlan,
-    ) -> (Dcsc<f64>, f64) {
-        let me = comm.rank();
-        let (local, offsets) = (self.a.local(), self.a.offsets());
-        let direct = survey.hits.is_empty();
-        let ChunkBuf {
-            lens: mut jc,
-            rows: mut ir,
-            vals: mut num,
-        } = self.ws.take_chunk();
-        let mut cp = self.ws.take_idx();
-        let nzc_estimate = local.nzc()
-            + survey.hits.len()
-            + fplan.intervals.iter().map(|iv| iv.pos.len()).sum::<usize>();
-        jc.reserve(nzc_estimate);
-        cp.reserve(nzc_estimate + 1);
-        cp.push(0);
-
-        let mut gets = Vec::with_capacity(fplan.intervals.len() + 1);
-        // Ã column at which each interval starts, for a cache that keeps them
-        let caching = self.cache.enabled;
-        let mut fresh_at = Vec::with_capacity(if caching { fplan.intervals.len() } else { 0 });
-        // what the stitch splices between staged runs: (Ã column, owner of
-        // a cached column | None for the local slice)
-        let mut spliced: Vec<(usize, Option<usize>)> =
-            Vec::with_capacity(if direct { 0 } else { survey.hits.len() + 1 });
-        let mut ivs = fplan.intervals.iter().peekable();
-        let mut hits = survey.hits.iter().peekable();
-        for owner in 0..comm.size() {
-            if owner == me {
-                if direct {
-                    gets.push((me, 0..local.nnz()));
-                } else {
-                    spliced.push((jc.len(), None));
-                }
-                let base = offsets[me];
-                for q in 0..local.nzc() {
-                    jc.push(vidx(base + local.jc()[q] as usize));
-                    cp.push(cp.last().unwrap() + (local.cp()[q + 1] - local.cp()[q]));
-                }
-                continue;
-            }
-            let base = offsets[owner];
-            let meta = &self.metas[owner];
-            let push_col = |jc: &mut Vec<Vidx>, cp: &mut Vec<usize>, q: usize| {
-                jc.push(vidx(base + meta.jc[q] as usize));
-                cp.push(cp.last().unwrap() + meta.col_entries(q) as usize);
-            };
-            loop {
-                let iv = ivs.next_if(|iv| iv.owner == owner);
-                // the cached columns stored before this interval (after the
-                // owner's last: all it has left); a hit stored inside an
-                // interval arrives fresh with it
-                let (start, end) =
-                    iv.map_or((usize::MAX, usize::MAX), |iv| (iv.pos.start, iv.pos.end));
-                while let Some(&(_, _, q, _)) = hits.next_if(|h| h.0 == owner && h.2 < end) {
-                    if q < start {
-                        spliced.push((jc.len(), Some(owner)));
-                        push_col(&mut jc, &mut cp, q);
-                    }
-                }
-                let Some(iv) = iv else { break };
-                gets.push(iv.get());
-                if caching {
-                    fresh_at.push(jc.len());
-                }
-                for q in iv.pos.clone() {
-                    push_col(&mut jc, &mut cp, q);
-                }
-            }
-        }
-        let nnz = *cp.last().unwrap();
-        ir.reserve(nnz);
-        num.reserve(nnz);
-
-        let mut stage = (!direct).then(|| self.ws.take_chunk());
-        let (land_ir, land_num) = match &mut stage {
-            Some(stage) => (&mut stage.rows, &mut stage.vals),
-            None => (&mut ir, &mut num),
-        };
-        let t0 = Instant::now();
-        self.win
-            .get_many_into(comm, &gets, land_ir, land_num)
-            .expect("fetch interval within exposed window");
-        let comm_s = t0.elapsed().as_secs_f64();
-
-        if let Some(stage) = stage {
-            // the staged entries are Ã's minus the spliced pieces, in order
-            let mut staged = 0usize;
-            let mut run = |upto: usize, ir: &mut Vec<Vidx>, num: &mut Vec<f64>| {
-                let n = upto - ir.len();
-                ir.extend_from_slice(&stage.rows[staged..staged + n]);
-                num.extend_from_slice(&stage.vals[staged..staged + n]);
-                staged += n;
-            };
-            for &(k, src) in &spliced {
-                run(cp[k], &mut ir, &mut num);
-                let (rows, vals) = match src {
-                    None => (local.ir(), local.num()),
-                    Some(owner) => self
-                        .cache
-                        .peek(owner, jc[k])
-                        .expect("surveyed hit still resident"),
-                };
-                ir.extend_from_slice(rows);
-                num.extend_from_slice(vals);
-            }
-            run(nnz, &mut ir, &mut num);
-            self.ws.put_chunk(stage);
-        }
-
-        for (iv, &k0) in fplan.intervals.iter().zip(&fresh_at) {
-            for k in k0..k0 + iv.pos.len() {
-                let e = cp[k]..cp[k + 1];
-                self.cache.insert(iv.owner, jc[k], &ir[e.clone()], &num[e]);
-            }
-        }
-        let atilde = Dcsc::from_parts(self.a.nrows(), self.a.ncols(), jc, cp, ir, num);
-        (atilde, comm_s)
-    }
 }
 
 /// A pinned fetched operand for repeated [`spgemm_1d`]-style multiplies.
@@ -612,16 +438,16 @@ pub struct SpgemmSession {
     cache: FetchCache,
     stats: SessionStats,
     /// Allocation arena shared by every multiply of this session: kernel
-    /// scratch, fetch staging, and the `Ã` builder's buffers all live
-    /// here, so steady-state iterations allocate nothing on the hot path
-    /// beyond output growth.
+    /// scratch and output buffers live here, so steady-state iterations
+    /// allocate nothing on the hot path beyond output growth.
     ws: SpgemmWorkspace<f64>,
 }
 
 impl SpgemmSession {
     /// Pin `a` as the session's fetched operand: replicate its nonzero-column
     /// metadata and expose its entry arrays through a paired window, both
-    /// kept for the session's lifetime. Collective.
+    /// kept for the session's lifetime, and lay out the resident copy with
+    /// the local slice home. Collective.
     pub fn create<C: Comm>(
         comm: &C,
         a: DistMat1D,
@@ -629,12 +455,13 @@ impl SpgemmSession {
         cache: CacheConfig,
     ) -> SpgemmSession {
         let (metas, win) = expose(comm, a.local());
+        let cache = FetchCache::new(cache, &a, &metas, comm.rank());
         SpgemmSession {
             a,
             metas,
             win,
             plan,
-            cache: FetchCache::new(cache),
+            cache,
             stats: SessionStats::default(),
             ws: SpgemmWorkspace::new(),
         }
@@ -666,8 +493,8 @@ impl SpgemmSession {
         &self.ws
     }
 
-    /// Incremental symbolic pass: classify every needed remote column as a
-    /// cache hit or a miss.
+    /// Incremental symbolic pass: classify every needed remote column as
+    /// resident (a hit) or a miss.
     fn survey(&self, me: usize, needed: &[bool]) -> Survey {
         let offsets = self.a.offsets();
         let mut miss = vec![false; self.a.ncols()];
@@ -683,9 +510,9 @@ impl SpgemmSession {
                 if !needed[g] {
                     continue;
                 }
-                if self.cache.contains(owner, vidx(g)) {
+                if self.cache.contains(g) {
                     let bytes = meta.col_entries(q) * ENTRY_BYTES;
-                    hits.push((owner, vidx(g), q, bytes));
+                    hits.push((owner, q, bytes));
                     hit_bytes += bytes;
                 } else {
                     miss[g] = true;
@@ -761,11 +588,10 @@ impl SpgemmSession {
         }
     }
 
-    /// One session multiply: `C = Ã·B_loc` where `Ã` is assembled from the
-    /// local slice, cache hits, and coalesced fetches of the misses (which
-    /// are inserted into the cache for later iterations). Returns `C` in
-    /// `B`'s column layout plus this rank's report. Collective only through
-    /// the window fetches (plus two allreduces when
+    /// One session multiply: `C = Ã·B_loc` where `Ã` is the resident copy,
+    /// its misses fetched home first (and kept for later iterations).
+    /// Returns `C` in `B`'s column layout plus this rank's report.
+    /// Collective only through the window fetches (plus two allreduces when
     /// [`Plan1D::global_stats`] is set).
     pub fn multiply<C: Comm>(&mut self, comm: &C, b: &DistMat1D) -> (DistMat1D, SpgemmReport) {
         self.multiply_with(comm, b, None::<&NoEpilogue<f64>>)
@@ -773,10 +599,11 @@ impl SpgemmSession {
 
     /// [`multiply`](SpgemmSession::multiply) with a per-column epilogue
     /// fused into the local kernel (see
-    /// [`spgemm_with_epilogue`]): each rank gets the epilogue's image of its
-    /// product slice without ever holding the slice itself — how MCL
-    /// inflates and prunes `M²` as it is computed. Traffic, cache transcript
-    /// and report are those of the plain multiply.
+    /// [`spgemm_with_epilogue`](sa_sparse::spgemm::spgemm_with_epilogue)):
+    /// each rank gets the epilogue's image of its product slice without
+    /// ever holding the slice itself — how MCL inflates and prunes `M²` as
+    /// it is computed. Traffic, cache transcript and report are those of
+    /// the plain multiply.
     pub fn multiply_with<C, E>(
         &mut self,
         comm: &C,
@@ -795,21 +622,33 @@ impl SpgemmSession {
         // --- incremental symbolic pass ---
         let survey = self.survey(me, &b.local().row_hit_vector());
         let fplan = self.plan_misses(me, &survey.miss);
+        let symbolic_s = t_call.elapsed().as_secs_f64();
 
-        let sym = Symbolic {
-            survey,
-            fplan,
+        // --- the misses home; Ã is then the resident copy itself ---
+        let t_land = Instant::now();
+        let fetch_s = self
+            .cache
+            .land(comm, &self.win, &self.metas, self.a.offsets(), &fplan);
+        let assemble_s = (t_land.elapsed().as_secs_f64() - fetch_s).max(0.0);
+        let fetched = Fetched {
+            fplan: &fplan,
+            hit_bytes: survey.hit_bytes,
+            served_hit_bytes: served_hit_bytes(&survey, &fplan),
             stats0,
-            t_call,
+            phases: PhaseTimes {
+                symbolic_s,
+                fetch_s,
+                compute_s: 0.0,
+                assemble_s,
+            },
         };
-        let (c, report) = Pipeline1D {
+        let (c, report) = Multiply1D {
             a: &self.a,
-            metas: &self.metas,
-            win: &self.win,
+            b,
+            plan: &self.plan,
             ws: &self.ws,
-            cache: &mut self.cache,
         }
-        .multiply(comm, b, &self.plan, sym, epilogue);
+        .finish(comm, &Resident(&self.cache), fetched, epilogue);
         self.stats.multiplies += 1;
         self.stats.fresh_bytes += report.fresh_bytes;
         self.stats.cache_hit_bytes += report.cache_hit_bytes;
@@ -822,7 +661,9 @@ impl SpgemmSession {
     /// column, the changed global-column lists are allgathered (metadata
     /// traffic, like the symbolic pass), and exactly those columns are
     /// invalidated everywhere. The metadata and window exposure are
-    /// refreshed. Layout (dimensions and offsets) must be unchanged.
+    /// refreshed, and the resident copy is laid out anew: the new local
+    /// slice and the surviving resident columns, moved to their new
+    /// offsets. Layout (dimensions and offsets) must be unchanged.
     /// Collective. Returns the number of globally changed columns.
     pub fn update_a<C: Comm>(&mut self, comm: &C, new_a: DistMat1D) -> u64 {
         assert_eq!(self.a.nrows(), new_a.nrows(), "update_a cannot resize");
@@ -844,12 +685,13 @@ impl SpgemmSession {
             }
             let base = self.a.offsets()[owner];
             for &lc in list {
-                if self.cache.invalidate(owner, vidx(base + lc as usize)) {
+                if self.cache.clear(base + lc as usize) {
                     invalidated += 1;
                 }
             }
         }
         (self.metas, self.win) = expose(comm, new_a.local());
+        self.cache.lay_out(&new_a, &self.metas, me);
         self.a = new_a;
         self.stats.a_updates += 1;
         self.stats.invalidated_cols += invalidated;
@@ -857,17 +699,23 @@ impl SpgemmSession {
     }
 
     /// Capture this rank's session state for a checkpoint: operand
-    /// fingerprint, cumulative [`SessionStats`], and every cached column
-    /// segment (in deterministic `(owner, column)` order). Purely local —
-    /// no communication.
+    /// fingerprint, cumulative [`SessionStats`], and every resident column
+    /// segment, in `(owner, column)` order. Purely local — no
+    /// communication.
     pub fn snapshot(&self) -> SessionSnapshot {
-        let mut cols: Vec<(u32, Vidx, Vec<Vidx>, Vec<f64>)> = self
-            .cache
-            .cols
-            .iter()
-            .map(|(&(o, j), c)| (o, j, c.ir.clone(), c.num.clone()))
+        let (offsets, cache) = (self.a.offsets(), &self.cache);
+        let mut owner = 0;
+        let cols = cache
+            .resident_ids()
+            .map(|g| {
+                while offsets[owner + 1] <= g {
+                    owner += 1;
+                }
+                let e = cache.ptr[g]..cache.ptr[g + 1];
+                let (ir, num) = (cache.ir[e.clone()].to_vec(), cache.num[e].to_vec());
+                (owner as u32, vidx(g), ir, num)
+            })
             .collect();
-        cols.sort_unstable_by_key(|t| (t.0, t.1));
         SessionSnapshot {
             nrows: self.a.nrows() as u64,
             ncols: self.a.ncols() as u64,
@@ -879,13 +727,14 @@ impl SpgemmSession {
 
     /// Re-apply a snapshot to a freshly [`create`](SpgemmSession::create)d
     /// session on the *same* operand: restores the cumulative counters and
-    /// re-seeds the cache with the snapshotted columns, so the first
-    /// post-restart multiply fetches only what the checkpoint had not yet
-    /// seen. Purely local.
+    /// copies the snapshotted columns home, so the first post-restart
+    /// multiply fetches only what the checkpoint had not yet seen. Purely
+    /// local.
     ///
-    /// The snapshot's operand fingerprint must match the session's pinned
-    /// operand (panics otherwise — restoring cached columns of a different
-    /// `A` would silently corrupt results). A disabled cache stays empty.
+    /// The snapshot's operand fingerprint, and the length of every column
+    /// it holds, must match the session's pinned operand (panics otherwise
+    /// — restoring cached columns of a different `A` would silently corrupt
+    /// results). A disabled cache stays empty.
     pub fn restore(&mut self, snap: &SessionSnapshot) {
         assert_eq!(snap.nrows, self.a.nrows() as u64, "restore: operand nrows");
         assert_eq!(snap.ncols, self.a.ncols() as u64, "restore: operand ncols");
@@ -895,8 +744,20 @@ impl SpgemmSession {
             "restore: operand local nnz"
         );
         self.stats = snap.stats;
-        for (owner, col, ir, num) in &snap.cols {
-            self.cache.insert(*owner as usize, *col, ir, num);
+        if !self.cache.enabled {
+            return;
+        }
+        let cache = &mut self.cache;
+        for (_, col, ir, num) in &snap.cols {
+            let g = *col as usize;
+            if cache.contains(g) {
+                continue;
+            }
+            let e = cache.ptr[g]..cache.ptr[g + 1];
+            assert_eq!(e.len(), ir.len(), "restore: length of column {g}");
+            cache.ir[e.clone()].copy_from_slice(ir);
+            cache.num[e].copy_from_slice(num);
+            cache.keep(g);
         }
     }
 }
@@ -976,8 +837,8 @@ mod tests {
                 let mut s = SpgemmSession::create(comm, da.clone(), plan, CacheConfig::unlimited());
                 let (c1, r1) = s.multiply(comm, &db);
                 let (c2, r2) = s.multiply(comm, &db);
-                // a partly warm cache: `b_cold` meets an empty one (no hit,
-                // the batch lands in Ã directly), `b_warm` then finds cached
+                // a partly warm cache: `b_cold` meets an empty one (every
+                // needed column lands home), `b_warm` then finds resident
                 // columns between the intervals it still has to fetch
                 let (db_cold, db_warm) = (dist(comm, &b_cold), dist(comm, &b_warm));
                 let mut t = SpgemmSession::create(comm, da.clone(), plan, CacheConfig::unlimited());
@@ -1013,7 +874,7 @@ mod tests {
             for (rank, (.., (bit_equal, _, pre, r3, metered))) in got.iter().enumerate() {
                 assert!(
                     bit_equal,
-                    "{mode:?} rank {rank}: stitched Ã multiplies like spgemm_1d"
+                    "{mode:?} rank {rank}: resident Ã multiplies like spgemm_1d"
                 );
                 assert_eq!(r3.fresh_bytes, *metered, "{mode:?} rank {rank}");
                 assert_eq!(
@@ -1025,12 +886,12 @@ mod tests {
             if matches!(mode, FetchMode::Block(4) | FetchMode::ContiguousRuns) {
                 assert!(interleaved, "{mode:?}: hits and fresh intervals in one Ã");
             }
-            // the literals are what the parent's stage-and-stitch assembly
-            // left resident after the same no-hit multiply
+            // the literals are what the hash-map cache the resident copy
+            // replaced held after the same no-hit multiply
             let resident: u64 = got.iter().map(|g| g.6 .1).sum();
             assert_eq!(
                 resident, want_resident,
-                "{mode:?}: cache after a direct landing"
+                "{mode:?}: cache after a cold multiply"
             );
         }
     }

@@ -9,7 +9,7 @@
 //!    `A` columns the multiply touches,
 //! 3. coalesces them into ranged one-sided fetches per [`FetchMode`]
 //!    (§III-A block fetching), pulling row ids and values through a single
-//!    [`PairedWindow`](sa_mpisim::PairedWindow) — two RDMA messages per
+//!    [`PairedWindow`] — two RDMA messages per
 //!    interval, appended straight into the compacted `Ã` arrays with no
 //!    per-column allocation,
 //! 4. multiplies `Ã · B_loc` with the local hybrid kernel on the rank's
@@ -17,17 +17,22 @@
 //!
 //! [`analyze_1d`] runs steps 1–2 (plus the pricing of step 3) without
 //! moving numeric data — the §V `CV/memA` criterion is available *before*
-//! committing to a layout. Steps 3–4 are shared with
-//! [`SpgemmSession::multiply`](crate::session::SpgemmSession::multiply);
-//! like the paper's implementation (§III-A) they do not overlap the fetch
+//! committing to a layout. Step 4 is shared with
+//! [`SpgemmSession::multiply`](crate::session::SpgemmSession::multiply),
+//! whose fetches land in its resident copy of `A` instead of a compact
+//! `Ã`; like the paper's implementation (§III-A) neither overlaps the fetch
 //! with the multiply.
 
 use crate::dist1d::DistMat1D;
-use crate::fetch::{exchange_meta, plan_fetch, FetchPlan, ENTRY_BYTES};
-use crate::session::{expose, CacheConfig, FetchCache, Pipeline1D, Survey, Symbolic};
+use crate::fetch::{exchange_meta, plan_fetch, FetchPlan, RankMeta, ENTRY_BYTES};
 use crate::shape::ShapeError;
-use sa_mpisim::{Comm, CommStats, PhaseTimes, Wire, WireError};
-use sa_sparse::spgemm::{Kernel, NoEpilogue, Schedule, SpgemmWorkspace};
+use sa_mpisim::{Comm, CommStats, PairedWindow, PhaseTimes, Wire, WireError};
+use sa_sparse::semiring::PlusTimes;
+use sa_sparse::spgemm::{
+    spgemm_with_epilogue, ChunkBuf, ColSource, Kernel, NoEpilogue, Schedule, SpgemmWorkspace,
+};
+use sa_sparse::types::{vidx, Vidx};
+use sa_sparse::Dcsc;
 use std::time::Instant;
 
 /// How needed remote columns are coalesced into window fetches.
@@ -332,8 +337,8 @@ pub fn spgemm_1d<C: Comm>(
 
 /// Algorithm 1 on an operand exposed for this one call: shapes checked
 /// once, then metadata replication, window exposure, needed-column scan and
-/// fetch planning here, the rest in the fetch–assemble–multiply core a
-/// session multiply runs too, against a cache that keeps nothing.
+/// fetch planning, a compact `Ã` of the local slice and the fetched
+/// columns, and the kernel–wrap–report tail a session multiply runs too.
 ///
 /// Non-conformal operands come back as `Err(`[`ShapeError`]`)` on every
 /// rank: the check runs before any communication, on globally-replicated
@@ -358,20 +363,203 @@ pub fn try_spgemm_1d<C: Comm>(
     let (metas, win) = expose(comm, a.local());
     let needed = needed_columns(b);
     let fplan = plan_fetch(plan.fetch_mode, &metas, a.offsets(), &needed, comm.rank());
-    let sym = Symbolic {
-        survey: Survey::default(),
-        fplan,
+    let symbolic_s = t_call.elapsed().as_secs_f64();
+    let t_asm = Instant::now();
+    let (atilde, fetch_s) = assemble(comm, a, &metas, &win, ws, &fplan);
+    let assemble_s = (t_asm.elapsed().as_secs_f64() - fetch_s).max(0.0);
+    let fetched = Fetched {
+        fplan: &fplan,
+        hit_bytes: 0,
+        served_hit_bytes: 0,
         stats0,
-        t_call,
+        phases: PhaseTimes {
+            symbolic_s,
+            fetch_s,
+            compute_s: 0.0,
+            assemble_s,
+        },
     };
-    Ok(Pipeline1D {
-        a,
-        metas: &metas,
-        win: &win,
-        ws,
-        cache: &mut FetchCache::new(CacheConfig::disabled()),
+    let out =
+        Multiply1D { a, b, plan, ws }.finish(comm, &atilde, fetched, None::<&NoEpilogue<f64>>);
+    // hand Ã's buffers back for the next call's assembly
+    let (jc, cp, ir, num) = atilde.into_parts();
+    ws.put_chunk(ChunkBuf {
+        lens: jc,
+        rows: ir,
+        vals: num,
+    });
+    ws.put_idx(cp);
+    Ok(out)
+}
+
+/// Expose a fetched operand: replicate its nonzero-column metadata and open
+/// a paired window over its entry arrays. Collective.
+pub(crate) fn expose<C: Comm>(
+    comm: &C,
+    local: &Dcsc<f64>,
+) -> (Vec<RankMeta>, PairedWindow<Vidx, f64>) {
+    let metas = exchange_meta(comm, local);
+    let win = PairedWindow::create(comm, local.ir().to_vec(), local.num().to_vec());
+    (metas, win)
+}
+
+/// Assemble a compact `Ã` — every planned interval (over-fetched columns
+/// included) and the local slice at its owner position, in ascending
+/// global-column order — into buffers recycled through `ws`. One
+/// owner/position walk fills `jc`/`cp` from the replicated metadata and
+/// lists the gets, which move as one batch straight into `ir`/`num` (the
+/// local slice rides along as a free own-rank get). Returns `Ã` and the
+/// seconds spent inside the batched get. The sessionless multiply and the
+/// sparsity-aware 2D SUMMA (its block row of `A` exposed along the process
+/// row) build their `Ã` here; a session reads its resident copy instead.
+pub(crate) fn assemble<C: Comm>(
+    comm: &C,
+    a: &DistMat1D,
+    metas: &[RankMeta],
+    win: &PairedWindow<Vidx, f64>,
+    ws: &SpgemmWorkspace<f64>,
+    fplan: &FetchPlan,
+) -> (Dcsc<f64>, f64) {
+    let ChunkBuf {
+        lens: mut jc,
+        rows: mut ir,
+        vals: mut num,
+    } = ws.take_chunk();
+    let mut cp = ws.take_idx();
+    let nzc_estimate =
+        a.local().nzc() + fplan.intervals.iter().map(|iv| iv.pos.len()).sum::<usize>();
+    jc.reserve(nzc_estimate);
+    cp.reserve(nzc_estimate + 1);
+    cp.push(0);
+    let mut gets = Vec::with_capacity(fplan.intervals.len() + 1);
+    let mut ivs = fplan.intervals.iter().peekable();
+    let me = comm.rank();
+    for (owner, meta) in metas.iter().enumerate() {
+        let base = a.offsets()[owner];
+        let mut push = |pos: std::ops::Range<usize>| {
+            for q in pos {
+                jc.push(vidx(base + meta.jc[q] as usize));
+                cp.push(cp.last().unwrap() + meta.col_entries(q) as usize);
+            }
+        };
+        if owner == me {
+            gets.push((me, 0..a.local().nnz()));
+            push(0..meta.nzc());
+        }
+        while let Some(iv) = ivs.next_if(|iv| iv.owner == owner) {
+            gets.push(iv.get());
+            push(iv.pos.clone());
+        }
     }
-    .multiply(comm, b, plan, sym, None::<&NoEpilogue<f64>>))
+    let nnz = *cp.last().unwrap();
+    ir.reserve(nnz);
+    num.reserve(nnz);
+    let t0 = Instant::now();
+    win.get_many_into(comm, &gets, &mut ir, &mut num)
+        .expect("fetch interval within exposed window");
+    let fetch_s = t0.elapsed().as_secs_f64();
+    (
+        Dcsc::from_parts(a.nrows(), a.ncols(), jc, cp, ir, num),
+        fetch_s,
+    )
+}
+
+/// What the front half of a 1D multiply — symbolic pass, fetch, `Ã` —
+/// hands [`Multiply1D::finish`].
+pub(crate) struct Fetched<'p> {
+    pub fplan: &'p FetchPlan,
+    /// Needed bytes a session already held (0 sessionless).
+    pub hit_bytes: u64,
+    /// The part of `hit_bytes` no planned get re-delivered.
+    pub served_hit_bytes: u64,
+    /// Counters read before the call began, so the report covers it whole.
+    pub stats0: CommStats,
+    /// The phases so far; `finish` adds the kernel and the wrap.
+    pub phases: PhaseTimes,
+}
+
+/// One 1D multiply's operands, plan and arena.
+pub(crate) struct Multiply1D<'a> {
+    pub a: &'a DistMat1D,
+    pub b: &'a DistMat1D,
+    pub plan: &'a Plan1D,
+    pub ws: &'a SpgemmWorkspace<f64>,
+}
+
+impl Multiply1D<'_> {
+    /// The back half of Algorithm 1, shared by [`try_spgemm_1d`] and a
+    /// session multiply: `Ã·B_loc` on the rank's compute pool (through
+    /// `epilogue`, if any), the product wrapped in `B`'s layout, and the
+    /// exact report.
+    pub(crate) fn finish<C, A, E>(
+        self,
+        comm: &C,
+        atilde: &A,
+        fetched: Fetched<'_>,
+        epilogue: Option<&E>,
+    ) -> (DistMat1D, SpgemmReport)
+    where
+        C: Comm,
+        A: ColSource<f64> + ?Sized,
+        E: Fn(&[Vidx], &mut [f64], &mut Vec<Vidx>, &mut Vec<f64>) + Sync,
+    {
+        let Multiply1D { a, b, plan, ws } = self;
+        let Fetched {
+            fplan,
+            hit_bytes,
+            served_hit_bytes,
+            stats0,
+            mut phases,
+        } = fetched;
+        let t0 = Instant::now();
+        let (kernel, schedule) = (plan.kernel, plan.schedule);
+        let c_local = comm.install(|| {
+            spgemm_with_epilogue::<PlusTimes<f64>, _, _, _>(
+                atilde,
+                b.local(),
+                kernel,
+                schedule,
+                ws,
+                epilogue,
+            )
+        });
+        phases.compute_s = t0.elapsed().as_secs_f64();
+
+        let t_wrap = Instant::now();
+        let c = DistMat1D::from_local(
+            a.nrows(),
+            b.ncols(),
+            b.offsets().clone(),
+            Dcsc::from(c_local),
+        );
+        phases.assemble_s += t_wrap.elapsed().as_secs_f64();
+
+        // --- exact accounting ---
+        let comm_delta = comm.stats() - stats0;
+        let fetched = fplan.fetch_bytes();
+        debug_assert_eq!(comm_delta.rdma_get_bytes, fetched, "metered == planned");
+        let (fetched_global, cv) = if plan.global_stats {
+            let (total, max_fetched, mem_global) = global_volume(comm, fetched, a);
+            (total, cv_of(max_fetched, mem_global))
+        } else {
+            // local-only variant of the criterion: this rank's volume over
+            // its own slice footprint
+            let mem_local = a.local().nnz() as u64 * ENTRY_BYTES;
+            (fetched, cv_of(fetched, mem_local))
+        };
+        let report = SpgemmReport {
+            fetched_bytes: fetched,
+            fresh_bytes: fetched,
+            cache_hit_bytes: served_hit_bytes,
+            needed_bytes: hit_bytes + fplan.needed_bytes(),
+            fetched_bytes_global: fetched_global,
+            rdma_msgs: fplan.rdma_msgs(),
+            cv_over_mem: cv,
+            comm: comm_delta,
+            phases,
+        };
+        (c, report)
+    }
 }
 
 #[cfg(test)]

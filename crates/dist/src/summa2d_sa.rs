@@ -38,9 +38,8 @@
 
 use crate::dist1d::DistMat1D;
 use crate::fetch::{pack_support, plan_fetch, support_bit};
-use crate::session::{expose, CacheConfig, FetchCache, Pipeline1D, Survey};
 use crate::shape::ShapeError;
-use crate::spgemm1d::FetchMode;
+use crate::spgemm1d::{assemble, expose, FetchMode};
 use crate::summa2d::DistMat2D;
 use sa_mpisim::{Comm, CommStats, Grid2D, PhaseTimes};
 use sa_sparse::semiring::{PlusTimes, Semiring};
@@ -179,14 +178,7 @@ pub fn try_spgemm_summa_2d_sa<C: Comm, S: Semiring<T = f64>>(
     // --- Ã: my block row of A, needed columns only — fetched and
     // assembled exactly as a sessionless 1D multiply does it ---
     let t_asm = Instant::now();
-    let (atilde, fetch_s) = Pipeline1D {
-        a: &a_row,
-        metas: &metas,
-        win: &win,
-        ws,
-        cache: &mut FetchCache::new(CacheConfig::disabled()),
-    }
-    .assemble(row, &Survey::default(), &fplan);
+    let (atilde, fetch_s) = assemble(row, &a_row, &metas, &win, ws, &fplan);
     let mut assemble_s = (t_asm.elapsed().as_secs_f64() - fetch_s).max(0.0);
 
     // --- B exchange: request exactly the columns that intersect my A

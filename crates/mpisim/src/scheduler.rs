@@ -230,10 +230,11 @@ impl Scheduler {
     /// condition here is sticky for this rank: a queued message or get
     /// response is popped only by its owner).
     ///
-    /// `Err` means the job failed while parked — a peer died
-    /// ([`CommError::PeerFailed`]) or the watchdog deadline expired
-    /// ([`CommError::Timeout`], after dumping the wait table). The permit is
-    /// *not* reacquired on this path; the caller must unwind.
+    /// `Err` means the job failed while parked and `ready` still did not
+    /// hold — a peer died ([`CommError::PeerFailed`]) or the watchdog
+    /// deadline expired ([`CommError::Timeout`], after dumping the wait
+    /// table). The permit is *not* reacquired on this path; the caller must
+    /// unwind.
     pub fn park_until<T>(
         &self,
         mutex: &Mutex<T>,
@@ -246,6 +247,14 @@ impl Scheduler {
         self.set_wait(me, Some((site, Instant::now())));
         let parked_at = Instant::now();
         let out = loop {
+            // Readiness first: a rank whose awaited message already sits in
+            // its inbox completes this primitive even if the job was
+            // poisoned meanwhile, and fails typed at the next one's entry —
+            // so a failure is always charged to the primitive still waiting.
+            let mut guard = mutex.lock();
+            if ready(&guard) {
+                break Ok(());
+            }
             if let Some(victim) = self.poison_victim() {
                 break Err(if me == Some(victim) {
                     CommError::Poisoned
@@ -259,6 +268,7 @@ impl Scheduler {
             if let Some(deadline) = self.watchdog {
                 let waited = parked_at.elapsed();
                 if waited > deadline {
+                    drop(guard);
                     // A timed-out rank is the job's (first) victim: its
                     // peers unwind with PeerFailed naming it. Only the rank
                     // whose poison lands reports Timeout (a peer expiring in
@@ -275,14 +285,7 @@ impl Scheduler {
                     });
                 }
             }
-            let mut guard = mutex.lock();
-            if ready(&guard) {
-                break Ok(());
-            }
             cv.wait_for(&mut guard, POLL);
-            if ready(&guard) {
-                break Ok(());
-            }
         };
         self.set_wait(me, None);
         if out.is_ok() {
@@ -544,6 +547,43 @@ mod tests {
                 };
                 assert!(killer.join().is_err());
                 waiter.join().unwrap();
+            });
+        }
+    }
+
+    #[test]
+    fn a_delivered_message_wins_over_a_poison_seen_in_the_same_park() {
+        // Both conditions hold before the park looks: the awaited message is
+        // there and the job is poisoned. The wait completes, and the rank
+        // fails typed at its next primitive's entry instead, so a failure is
+        // charged to the primitive still waiting, never to one whose
+        // message had arrived.
+        for sched in both_modes(2) {
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    set_world_rank(0);
+                    let _run = sched.runner();
+                    let site = WaitSite::recv(1, 7);
+                    sched.poison(1);
+                    let delivered = Mutex::new(true);
+                    let cv = Condvar::new();
+                    assert_eq!(sched.park_until(&delivered, &cv, site, |d| *d), Ok(()));
+                    expect_comm_error(
+                        AssertUnwindSafe(|| sched.check_healthy(Primitive::Barrier)),
+                        CommError::PeerFailed {
+                            rank: 1,
+                            primitive: Primitive::Barrier,
+                        },
+                    );
+                    let missing = Mutex::new(false);
+                    assert_eq!(
+                        sched.park_until(&missing, &cv, site, |d| *d),
+                        Err(CommError::PeerFailed {
+                            rank: 1,
+                            primitive: Primitive::Recv,
+                        })
+                    );
+                });
             });
         }
     }

@@ -82,6 +82,15 @@ fn decode_elems<T: WinElem>(bytes: &[u8], count: usize, out: &mut Vec<T>) {
     assert!(buf.is_empty(), "window payload had trailing bytes");
 }
 
+/// Decode `bytes` (little-endian, exactly `out.len()` elements) over `out`.
+fn decode_in_place<T: WinElem>(bytes: &[u8], out: &mut [T]) {
+    let mut buf = bytes;
+    for x in out {
+        *x = T::get(&mut buf).expect("window payload decode");
+    }
+    assert!(buf.is_empty(), "window payload had trailing bytes");
+}
+
 /// Errors a one-sided access can produce.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum WindowError {
@@ -185,39 +194,94 @@ impl<T: WinElem, U: WinElem> PairedWindow<T, U> {
         out_b: &mut Vec<U>,
     ) -> Result<(), WindowError> {
         for (rank, range) in gets {
-            let size = self.lens.len();
-            let exposed_len = *self
-                .lens
-                .get(*rank)
-                .ok_or(WindowError::BadRank { rank: *rank, size })?;
-            if range.end > exposed_len {
-                return Err(WindowError::OutOfRange {
-                    rank: *rank,
-                    requested_end: range.end,
-                    exposed_len,
-                });
-            }
+            self.check(*rank, range)?;
         }
-        let (ta, tb) = (std::mem::size_of::<T>(), std::mem::size_of::<U>());
         for (rank, range) in gets {
-            if *rank != comm.rank() {
-                comm.record_get(range.len() * ta);
-                comm.record_get(range.len() * tb);
-            }
-            match &self.srcs[*rank] {
-                GetSrc::Local(buf) => {
-                    out_a.extend_from_slice(&buf.0[range.clone()]);
-                    out_b.extend_from_slice(&buf.1[range.clone()]);
+            match self.read(comm, *rank, range) {
+                Read::Typed(a, b) => {
+                    out_a.extend_from_slice(a);
+                    out_b.extend_from_slice(b);
                 }
-                GetSrc::Mapped(bytes) => {
-                    let (a, b) = (**bytes).as_ref().split_at(self.lens[*rank] * ta);
-                    let part = |elem: usize| range.start * elem..range.end * elem;
-                    decode_elems(&a[part(ta)], range.len(), out_a);
-                    decode_elems(&b[part(tb)], range.len(), out_b);
+                Read::Bytes(a, b) => {
+                    decode_elems(a, range.len(), out_a);
+                    decode_elems(b, range.len(), out_b);
                 }
             }
         }
         Ok(())
+    }
+
+    /// [`get_many_into`](PairedWindow::get_many_into) landing each get in
+    /// place: for each `(rank, range, at)` of `gets`, `range` of both of
+    /// `rank`'s arrays overwrites `out_a[at..]`/`out_b[at..]`. Metered and
+    /// validated the same way; a destination past the end of the outputs
+    /// panics before anything is read.
+    pub fn get_many_at<C: Comm>(
+        &self,
+        comm: &C,
+        gets: &[(usize, Range<usize>, usize)],
+        out_a: &mut [T],
+        out_b: &mut [U],
+    ) -> Result<(), WindowError> {
+        for (rank, range, at) in gets {
+            self.check(*rank, range)?;
+            assert!(
+                at + range.len() <= out_a.len().min(out_b.len()),
+                "window get lands past the end of its destination"
+            );
+        }
+        for (rank, range, at) in gets {
+            let (dst_a, dst_b) = (
+                &mut out_a[*at..at + range.len()],
+                &mut out_b[*at..at + range.len()],
+            );
+            match self.read(comm, *rank, range) {
+                Read::Typed(a, b) => {
+                    dst_a.copy_from_slice(a);
+                    dst_b.copy_from_slice(b);
+                }
+                Read::Bytes(a, b) => {
+                    decode_in_place(a, dst_a);
+                    decode_in_place(b, dst_b);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Whether `range` of `rank`'s arrays is exposed.
+    fn check(&self, rank: usize, range: &Range<usize>) -> Result<(), WindowError> {
+        let size = self.lens.len();
+        let exposed_len = *self
+            .lens
+            .get(rank)
+            .ok_or(WindowError::BadRank { rank, size })?;
+        if range.end > exposed_len {
+            return Err(WindowError::OutOfRange {
+                rank,
+                requested_end: range.end,
+                exposed_len,
+            });
+        }
+        Ok(())
+    }
+
+    /// Meter one checked get and borrow what it reads: the target's arrays
+    /// in-process, their mapped bytes across processes.
+    fn read<C: Comm>(&self, comm: &C, rank: usize, range: &Range<usize>) -> Read<'_, T, U> {
+        let (ta, tb) = (std::mem::size_of::<T>(), std::mem::size_of::<U>());
+        if rank != comm.rank() {
+            comm.record_get(range.len() * ta);
+            comm.record_get(range.len() * tb);
+        }
+        match &self.srcs[rank] {
+            GetSrc::Local(buf) => Read::Typed(&buf.0[range.clone()], &buf.1[range.clone()]),
+            GetSrc::Mapped(bytes) => {
+                let (a, b) = (**bytes).as_ref().split_at(self.lens[rank] * ta);
+                let part = |elem: usize| range.start * elem..range.end * elem;
+                Read::Bytes(&a[part(ta)], &b[part(tb)])
+            }
+        }
     }
 
     /// One-sided fetch of `range` from both of `rank`'s arrays, appended to
@@ -242,6 +306,13 @@ impl<T, U> Clone for PairedWindow<T, U> {
             lens: self.lens.clone(),
         }
     }
+}
+
+/// What one get reads: slices of the target's arrays, or their
+/// little-endian bytes.
+enum Read<'w, T, U> {
+    Typed(&'w [T], &'w [U]),
+    Bytes(&'w [u8], &'w [u8]),
 }
 
 /// Where a paired get reads from: the target's shared buffer pair
@@ -396,6 +467,34 @@ mod tests {
         for (a, b) in got {
             assert_eq!(a, vec![99, 10, 10, 11, 11]);
             assert_eq!(b, vec![-1.0, 0.0, 0.0, 1.0, 1.0]);
+        }
+    }
+
+    #[test]
+    fn get_at_lands_in_place_and_meters_like_appending() {
+        let u = Universe::new(2);
+        let got = u.run(|comm| {
+            let r = comm.rank() as u32;
+            let win = PairedWindow::create(comm, vec![r + 10; 4], vec![r as f64; 4]);
+            let (mut a, mut b) = (vec![99u32; 6], vec![-1.0f64; 6]);
+            let before = comm.stats();
+            win.get_many_at(comm, &[(1, 1..3, 3), (0, 0..1, 0)], &mut a, &mut b)
+                .unwrap();
+            let at = comm.stats() - before;
+            let before = comm.stats();
+            win.get_many_into(
+                comm,
+                &[(1, 1..3), (0, 0..1)],
+                &mut Vec::new(),
+                &mut Vec::new(),
+            )
+            .unwrap();
+            (a, b, at, comm.stats() - before)
+        });
+        for (a, b, at, into) in got {
+            assert_eq!(a, vec![10, 99, 99, 11, 11, 99]);
+            assert_eq!(b, vec![0.0, -1.0, -1.0, 1.0, 1.0, -1.0]);
+            assert_eq!(at, into);
         }
     }
 
