@@ -11,9 +11,12 @@
 //! The control plane — [`Comm::barrier`], [`Comm::split`] and window
 //! exposure — is one unmetered allgather on every backend,
 //! [`Comm::control_allgather`]: ordinary `send_vec`/`recv_vec` traffic under
-//! a reserved tag range (bit 62) that no backend meters. One classifier,
-//! `control_primitive`, tells a backend whether a tag is metered and which
-//! [`Primitive`] a wait on it reports.
+//! a reserved tag range (bit 62) that no backend meters. (The two payloads
+//! no wire can carry — an in-process exposure's `Arc` deposits and a
+//! split's new hub — take the same shape, `gather_release`, straight over
+//! the in-process mailboxes.) One classifier, `control_primitive`, tells a
+//! backend whether a tag is metered and which [`Primitive`] a wait on it
+//! reports.
 //!
 //! Three backends ship with the crate, chosen at launch time by a
 //! [`Backend`] value (see `docs/BACKENDS.md` for the full contract and an
@@ -49,6 +52,7 @@
 use crate::error::Primitive;
 use crate::stats::CommStats;
 use crate::window::{Exposure, WindowSpec};
+use crate::wire::Wire;
 
 /// Internal tag namespace for collectives: high bit set, op id in the middle,
 /// op kind in the low byte. User tags must stay below 2^48.
@@ -67,7 +71,7 @@ const K_EXCHANGE: u64 = 2;
 
 /// The reserved control tag range: bit 62 set and bit 63 clear, op id in
 /// the middle, the primitive a wait reports in the low byte.
-fn control_tag(op: u64, primitive: Primitive) -> u64 {
+pub(crate) fn control_tag(op: u64, primitive: Primitive) -> u64 {
     let kind = if primitive == Primitive::Barrier {
         K_BARRIER
     } else {
@@ -85,6 +89,32 @@ pub(crate) fn control_primitive(tag: u64) -> Option<Primitive> {
         (1, K_BARRIER) => Some(Primitive::Barrier),
         (1, _) => Some(Primitive::Exchange),
         _ => None,
+    }
+}
+
+/// The control plane's one shape, linear through rank 0: rank 0 gathers
+/// every rank's `mine`, then releases all of them, concatenated in rank
+/// order, to every rank. `send(dst, v)` and `recv(src)` move one
+/// contribution under the caller's control tag.
+pub(crate) fn gather_release<T: Clone>(
+    rank: usize,
+    size: usize,
+    mine: Vec<T>,
+    send: impl Fn(usize, Vec<T>),
+    recv: impl Fn(usize) -> Vec<T>,
+) -> Vec<T> {
+    if rank == 0 {
+        let mut all = mine;
+        for src in 1..size {
+            all.extend(recv(src));
+        }
+        for dst in 1..size {
+            send(dst, all.clone());
+        }
+        all
+    } else {
+        send(0, mine);
+        recv(0)
     }
 }
 
@@ -115,6 +145,11 @@ pub(crate) fn split_group<C: Comm>(comm: &C, color: usize, key: usize) -> (usize
 ///
 /// A conforming backend must guarantee, for the required methods:
 ///
+/// * **Payloads.** Everything that crosses ranks is a `Vec<T>` of a
+///   [`Wire`] type, checked at compile time: a program that compiles runs
+///   on every backend. The in-process backends move the vector as it is;
+///   a cross-process backend encodes it with `T`'s codec and checks the
+///   receiver's `T` against the type fingerprint the sender stamped.
 /// * **Identity.** [`rank`](Comm::rank) is stable and unique in
 ///   `0..size()`; every rank of the communicator observes the same
 ///   [`size`](Comm::size).
@@ -156,10 +191,10 @@ pub trait Comm: Sized {
     fn pool(&self) -> &rayon::ThreadPool;
 
     /// Send a `Vec<T>` to `dst` under `tag` (two-sided, eager, non-blocking).
-    fn send_vec<T: Send + 'static>(&self, dst: usize, tag: u64, data: Vec<T>);
+    fn send_vec<T: Wire + Send + 'static>(&self, dst: usize, tag: u64, data: Vec<T>);
 
     /// Blocking receive of a `Vec<T>` from `(src, tag)`.
-    fn recv_vec<T: Send + 'static>(&self, src: usize, tag: u64) -> Vec<T>;
+    fn recv_vec<T: Wire + Send + 'static>(&self, src: usize, tag: u64) -> Vec<T>;
 
     /// Split into sub-communicators by `color`, ranked by `(key, old
     /// rank)` — the analog of `MPI_Comm_split`. Collective over all ranks,
@@ -197,25 +232,19 @@ pub trait Comm: Sized {
     /// control tag range, so no backend meters it; a wait in it reports
     /// `primitive` ([`Primitive::Barrier`] or [`Primitive::Exchange`]).
     #[doc(hidden)]
-    fn control_allgather<T: Clone + Send + 'static>(
+    fn control_allgather<T: Wire + Clone + Send + 'static>(
         &self,
         primitive: Primitive,
         mine: Vec<T>,
     ) -> Vec<T> {
         let t = control_tag(self.next_op(), primitive);
-        if self.rank() == 0 {
-            let mut all = mine;
-            for src in 1..self.size() {
-                all.extend(self.recv_vec::<T>(src, t));
-            }
-            for dst in 1..self.size() {
-                self.send_vec(dst, t, all.clone());
-            }
-            all
-        } else {
-            self.send_vec(0, t, mine);
-            self.recv_vec(0, t)
-        }
+        gather_release(
+            self.rank(),
+            self.size(),
+            mine,
+            |dst, v| self.send_vec(dst, t, v),
+            |src| self.recv_vec(src, t),
+        )
     }
 
     /// Synchronize all ranks of this communicator: a
@@ -232,7 +261,11 @@ pub trait Comm: Sized {
 
     /// Broadcast `data` from `root` to every rank; all ranks return the
     /// payload. Non-roots pass `None`.
-    fn bcast_vec<T: Clone + Send + 'static>(&self, root: usize, data: Option<Vec<T>>) -> Vec<T> {
+    fn bcast_vec<T: Wire + Clone + Send + 'static>(
+        &self,
+        root: usize,
+        data: Option<Vec<T>>,
+    ) -> Vec<T> {
         let op = self.next_op();
         let t = tag(op, K_BCAST);
         if self.rank() == root {
@@ -250,7 +283,7 @@ pub trait Comm: Sized {
 
     /// Gather each rank's vector at `root`; returns `Some(per-rank vectors)`
     /// on the root, `None` elsewhere.
-    fn gatherv<T: Send + 'static>(&self, root: usize, data: Vec<T>) -> Option<Vec<Vec<T>>> {
+    fn gatherv<T: Wire + Send + 'static>(&self, root: usize, data: Vec<T>) -> Option<Vec<Vec<T>>> {
         let op = self.next_op();
         let t = tag(op, K_GATHER);
         if self.rank() == root {
@@ -270,7 +303,7 @@ pub trait Comm: Sized {
 
     /// Scatter per-destination vectors from `root`; every rank returns its
     /// piece. Non-roots pass `None`.
-    fn scatterv<T: Send + 'static>(&self, root: usize, data: Option<Vec<Vec<T>>>) -> Vec<T> {
+    fn scatterv<T: Wire + Send + 'static>(&self, root: usize, data: Option<Vec<Vec<T>>>) -> Vec<T> {
         let op = self.next_op();
         let t = tag(op, K_SCATTER);
         if self.rank() == root {
@@ -289,7 +322,7 @@ pub trait Comm: Sized {
     }
 
     /// All ranks receive every rank's vector (gather + bcast volume).
-    fn allgatherv<T: Clone + Send + 'static>(&self, data: Vec<T>) -> Vec<Vec<T>> {
+    fn allgatherv<T: Wire + Clone + Send + 'static>(&self, data: Vec<T>) -> Vec<Vec<T>> {
         // gather to 0, then broadcast lengths+flat data
         let gathered = self.gatherv(0, data);
         let (flat, lens) = if self.rank() == 0 {
@@ -316,7 +349,7 @@ pub trait Comm: Sized {
 
     /// Personalized all-to-all: `sends[d]` goes to rank `d`; returns what
     /// each source sent here.
-    fn alltoallv<T: Send + 'static>(&self, mut sends: Vec<Vec<T>>) -> Vec<Vec<T>> {
+    fn alltoallv<T: Wire + Send + 'static>(&self, mut sends: Vec<Vec<T>>) -> Vec<Vec<T>> {
         assert_eq!(sends.len(), self.size());
         let op = self.next_op();
         let t = tag(op, K_ALLTOALL);
@@ -339,7 +372,7 @@ pub trait Comm: Sized {
     }
 
     /// Reduce single values to `root` with `op_fn`; `Some` on root only.
-    fn reduce<T: Send + 'static>(
+    fn reduce<T: Wire + Send + 'static>(
         &self,
         root: usize,
         value: T,
@@ -363,13 +396,17 @@ pub trait Comm: Sized {
     }
 
     /// All-reduce single values (reduce at 0, then broadcast).
-    fn allreduce<T: Clone + Send + 'static>(&self, value: T, op_fn: impl Fn(T, T) -> T) -> T {
+    fn allreduce<T: Wire + Clone + Send + 'static>(
+        &self,
+        value: T,
+        op_fn: impl Fn(T, T) -> T,
+    ) -> T {
         let reduced = self.reduce(0, value, op_fn);
         self.bcast_vec(0, reduced.map(|v| vec![v])).pop().unwrap()
     }
 
     /// Elementwise all-reduce of equal-length vectors.
-    fn allreduce_vec<T: Clone + Send + 'static>(
+    fn allreduce_vec<T: Wire + Clone + Send + 'static>(
         &self,
         value: Vec<T>,
         op_fn: impl Fn(&T, &T) -> T,

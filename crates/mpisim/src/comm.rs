@@ -18,17 +18,19 @@
 //! Barrier, split and window exposure are the trait's one unmetered
 //! control allgather over the hub, exactly as on the socket backend: a
 //! split allgathers `[color, key]` and then the group's new hub, an
-//! exposure allgathers the `Arc` deposits.
+//! exposure allgathers the `Arc` deposits. Those two values are no `Wire`
+//! payload, so they take the allgather's shape straight over the hub.
 //!
 //! Because the data path is shared, the two backends are byte-identical in
 //! everything the paper measures; they differ only in wall-clock.
 
-use crate::backend::{control_primitive, split_group, Comm};
+use crate::backend::{control_primitive, control_tag, gather_release, split_group, Comm};
 use crate::error::Primitive;
 use crate::p2p::{Envelope, Hub};
 use crate::scheduler::Scheduler;
 use crate::stats::{CommStats, StatsCell};
 use crate::window::{Exposure, WindowSpec};
+use crate::wire::Wire;
 use std::cell::Cell;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -90,6 +92,27 @@ impl RankComm {
             pool,
         }
     }
+
+    /// [`Comm::control_allgather`] of one value no wire carries (`expose`'s
+    /// deposit, `split`'s hub): the same op id, control tag and shape,
+    /// straight over the hub.
+    fn hub_allgather<T: Clone + Send + 'static>(&self, mine: T) -> Vec<T> {
+        let t = control_tag(self.next_op(), Primitive::Exchange);
+        let hub = &self.shared.hub;
+        gather_release(
+            self.rank,
+            self.size,
+            vec![mine],
+            |dst, v: Vec<T>| {
+                let payload = Box::new(v);
+                hub.send(self.rank, dst, t, Envelope { bytes: 0, payload })
+            },
+            |src| {
+                let env = hub.recv(self.rank, src, t, &self.shared.sched);
+                *env.payload.downcast().expect("a control round's own type")
+            },
+        )
+    }
 }
 
 impl Comm for RankComm {
@@ -109,7 +132,7 @@ impl Comm for RankComm {
         &self.pool
     }
 
-    fn send_vec<T: Send + 'static>(&self, dst: usize, tag: u64, data: Vec<T>) {
+    fn send_vec<T: Wire + Send + 'static>(&self, dst: usize, tag: u64, data: Vec<T>) {
         assert!(dst < self.size, "send to rank {dst} of {}", self.size);
         let bytes = data.len() * std::mem::size_of::<T>();
         if dst != self.rank && control_primitive(tag).is_none() {
@@ -126,7 +149,7 @@ impl Comm for RankComm {
         );
     }
 
-    fn recv_vec<T: Send + 'static>(&self, src: usize, tag: u64) -> Vec<T> {
+    fn recv_vec<T: Wire + Send + 'static>(&self, src: usize, tag: u64) -> Vec<T> {
         let env = self
             .shared
             .hub
@@ -150,7 +173,7 @@ impl Comm for RankComm {
     }
 
     fn expose(&self, spec: WindowSpec) -> Vec<Exposure> {
-        let deposits = self.control_allgather(Primitive::Exchange, vec![spec.arc]);
+        let deposits = self.hub_allgather(spec.arc);
         deposits.into_iter().map(Exposure::Shared).collect()
     }
 
@@ -162,7 +185,7 @@ impl Comm for RankComm {
         let mine =
             (self.rank == leader).then(|| Shared::new(group.len(), self.shared.sched.clone()));
         let shared = self
-            .control_allgather(Primitive::Exchange, vec![mine])
+            .hub_allgather(mine)
             .swap_remove(leader)
             .expect("leader published its group's hub");
         RankComm::new(

@@ -39,6 +39,7 @@
 
 use crate::backend::Comm;
 use crate::stats::CommStats;
+use crate::wire::Wire;
 use std::cell::Cell;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -252,12 +253,12 @@ impl<C: Comm> Comm for FaultComm<C> {
         self.inner.barrier();
     }
 
-    fn send_vec<T: Send + 'static>(&self, dst: usize, tag: u64, data: Vec<T>) {
+    fn send_vec<T: Wire + Send + 'static>(&self, dst: usize, tag: u64, data: Vec<T>) {
         self.checkpoint();
         self.inner.send_vec(dst, tag, data);
     }
 
-    fn recv_vec<T: Send + 'static>(&self, src: usize, tag: u64) -> Vec<T> {
+    fn recv_vec<T: Wire + Send + 'static>(&self, src: usize, tag: u64) -> Vec<T> {
         self.checkpoint();
         self.inner.recv_vec(src, tag)
     }

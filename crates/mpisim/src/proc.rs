@@ -68,7 +68,7 @@ use crate::scheduler::{self, PoisonGuard, Scheduler, WaitSite};
 use crate::stats::{CommStats, StatsCell};
 use crate::universe::Universe;
 use crate::window::{Exposure, WindowSpec};
-use crate::wire::{vec_codec, Frame, Wire, WireError, MAX_FRAME};
+use crate::wire::{get_payload, type_fp, Frame, Wire, WireError, MAX_FRAME};
 use parking_lot::{Condvar, Mutex};
 use std::any::Any;
 use std::cell::Cell;
@@ -671,54 +671,6 @@ impl ProcComm {
             .and_then(|q| q.pop_front())
             .expect("park_until observed a queued message")
     }
-
-    fn send_wire_frame<T: Send + 'static>(
-        &self,
-        dst: usize,
-        tag: u64,
-        data: Vec<T>,
-        metered: bool,
-        meter_bytes: u64,
-    ) {
-        let codec = vec_codec::<T>().unwrap_or_else(|| {
-            panic!(
-                "ProcComm::send_vec::<{}>: element type not in the wire codec \
-                 registry (crates/mpisim/src/wire.rs) — register it there to \
-                 send it across a process boundary",
-                std::any::type_name::<T>()
-            )
-        });
-        let count = data.len() as u64;
-        let frame = Frame::Data {
-            comm_id: self.comm_id,
-            src: self.rank as u64,
-            tag,
-            metered,
-            meter_bytes,
-            type_fp: codec.fp,
-            count,
-            payload: Vec::new(),
-        };
-        let world = self.world_of(dst);
-        // The elements are encoded once, into the buffer the socket write
-        // reads — sized for fixed-width elements plus header and suffixes.
-        let mut msg = Vec::with_capacity(std::mem::size_of_val(data.as_slice()) + 128);
-        frame.put_framed_with(&mut msg, |out| {
-            let encoded = (codec.encode)(&data as &(dyn Any + Send), out);
-            debug_assert_eq!(encoded, count);
-        });
-        if self.node.write_raw(world, &msg).is_err() {
-            // Dead socket: the peer is gone. Name the job's victim and
-            // unwind — a send can no longer be "eager and never blocks"
-            // when the destination no longer exists.
-            self.node.peer_gone(world);
-            let victim = self.node.sched.poison_victim().unwrap_or(world);
-            raise(CommError::PeerFailed {
-                rank: victim,
-                primitive: WaitSite::recv(world, tag).primitive,
-            });
-        }
-    }
 }
 
 impl Comm for ProcComm {
@@ -738,7 +690,7 @@ impl Comm for ProcComm {
         &self.pool
     }
 
-    fn send_vec<T: Send + 'static>(&self, dst: usize, tag: u64, data: Vec<T>) {
+    fn send_vec<T: Wire + Send + 'static>(&self, dst: usize, tag: u64, data: Vec<T>) {
         assert!(
             dst < self.size,
             "send_vec to rank {dst}, communicator has {}",
@@ -754,10 +706,35 @@ impl Comm for ProcComm {
         if metered {
             self.stats.record_send(bytes as usize);
         }
-        self.send_wire_frame(dst, tag, data, metered, bytes);
+        let frame = Frame::Data {
+            comm_id: self.comm_id,
+            src: self.rank as u64,
+            tag,
+            metered,
+            meter_bytes: bytes,
+            type_fp: type_fp::<T>(),
+            count: data.len() as u64,
+            payload: Vec::new(),
+        };
+        let world = self.world_of(dst);
+        // The elements are encoded once, into the buffer the socket write
+        // reads — sized for fixed-width elements plus header and suffixes.
+        let mut msg = Vec::with_capacity(std::mem::size_of_val(data.as_slice()) + 128);
+        frame.put_framed_with(&mut msg, |out| T::put_slice(&data, out));
+        if self.node.write_raw(world, &msg).is_err() {
+            // Dead socket: the peer is gone. Name the job's victim and
+            // unwind — a send can no longer be "eager and never blocks"
+            // when the destination no longer exists.
+            self.node.peer_gone(world);
+            let victim = self.node.sched.poison_victim().unwrap_or(world);
+            raise(CommError::PeerFailed {
+                rank: victim,
+                primitive: WaitSite::recv(world, tag).primitive,
+            });
+        }
     }
 
-    fn recv_vec<T: Send + 'static>(&self, src: usize, tag: u64) -> Vec<T> {
+    fn recv_vec<T: Wire + Send + 'static>(&self, src: usize, tag: u64) -> Vec<T> {
         assert!(
             src < self.size,
             "recv_vec from rank {src}, communicator has {}",
@@ -768,7 +745,7 @@ impl Comm for ProcComm {
         match self.pop_message(key, site) {
             InPayload::Local(any) => *any.downcast::<Vec<T>>().expect("message type mismatch"),
             InPayload::Remote {
-                type_fp,
+                type_fp: sent,
                 count,
                 bytes,
                 meter_bytes,
@@ -776,22 +753,13 @@ impl Comm for ProcComm {
                 if let Some(b) = meter_bytes {
                     self.stats.record_recv(b as usize);
                 }
-                let codec = vec_codec::<T>().unwrap_or_else(|| {
-                    panic!(
-                        "ProcComm::recv_vec::<{}>: element type not in the wire \
-                         codec registry",
-                        std::any::type_name::<T>()
-                    )
-                });
                 assert_eq!(
-                    type_fp, codec.fp,
+                    sent,
+                    type_fp::<T>(),
                     "message type mismatch: receiver expects {}",
-                    codec.type_name
+                    std::any::type_name::<T>()
                 );
-                *(codec.decode)(count, &bytes)
-                    .expect("peer sent an undecodable payload")
-                    .downcast::<Vec<T>>()
-                    .expect("message type mismatch")
+                get_payload(count, &bytes).expect("peer sent an undecodable payload")
             }
         }
     }
@@ -1282,7 +1250,12 @@ mod tests {
 
     #[test]
     fn procs_collectives_and_stats_match_sim() {
-        fn workload<C: Comm>(comm: &C) -> (Vec<u64>, Vec<f64>, u64, (u64, u64), CommStats) {
+        type Out = (
+            (Vec<u64>, Vec<f64>, u64, (u64, u64)),
+            (Vec<Vec<String>>, Vec<Vec<(u8, i64, bool)>>),
+            CommStats,
+        );
+        fn workload<C: Comm>(comm: &C) -> Out {
             let r = comm.rank() as u64;
             let bcast = comm.bcast_vec(0, (comm.rank() == 0).then(|| vec![5u64, 6, 7]));
             comm.barrier();
@@ -1292,7 +1265,14 @@ mod tests {
             let scan = comm.exscan_sum(r + 1);
             let a2a = comm.alltoallv((0..comm.size()).map(|d| vec![r * 10 + d as u64]).collect());
             let a2a_sum: u64 = a2a.iter().flatten().sum();
-            (bcast, reduced, flat + a2a_sum, scan, comm.stats())
+            // any `Wire` payload crosses: strings and mixed-width tuples too
+            let names = comm.allgatherv(vec![format!("rank {r}"); comm.rank()]);
+            let tuples = comm.allgatherv(vec![(r as u8, -(r as i64), r.is_multiple_of(2)); 2]);
+            (
+                (bcast, reduced, flat + a2a_sum, scan),
+                (names, tuples),
+                comm.stats(),
+            )
         }
         let u = Universe::new(4);
         let sim = u.run(workload);
@@ -1300,12 +1280,41 @@ mod tests {
         assert_eq!(sim, procs, "outputs and per-rank stats must be identical");
     }
 
+    /// `f64` and `u64` are both 8 bytes wide, so only the type fingerprint
+    /// tells the receiver it asked for the wrong type.
+    #[test]
+    fn procs_receiver_of_the_wrong_type_panics_on_the_fingerprint() {
+        let u = Universe::new(2).with_watchdog(Some(Duration::from_secs(30)));
+        let got = u.try_run_procs(|comm| {
+            std::panic::set_hook(Box::new(|_| {}));
+            if comm.rank() == 0 {
+                comm.send_vec(1, 4, vec![1.5f64, -0.0]);
+            } else {
+                comm.recv_vec::<u64>(0, 4);
+            }
+        });
+        match &got[1] {
+            Err(RankError::Panic { summary }) => {
+                assert!(summary.contains("message type mismatch"), "{summary}")
+            }
+            other => panic!("receiver: expected the fingerprint panic, got {other:?}"),
+        }
+        assert!(
+            matches!(
+                got[0],
+                Err(RankError::Comm(CommError::PeerFailed { rank: 1, .. }))
+            ),
+            "the sender fails naming the receiver: {:?}",
+            got[0]
+        );
+    }
+
     #[test]
     fn procs_self_send_is_free_and_unserialized() {
         let u = Universe::new(2);
         let got = u.run_procs(|comm| {
             let before = comm.stats();
-            // A type with no wire codec: must still work rank-locally.
+            // A self-send never meets the codec: the vector is queued as is.
             comm.send_vec(comm.rank(), 3, vec![(1u8, String::from("x"))]);
             let v = comm.recv_vec::<(u8, String)>(comm.rank(), 3);
             let d = comm.stats() - before;

@@ -4,21 +4,18 @@
 //! process-per-rank backend ([`ProcComm`](crate::ProcComm)) has to put the
 //! same values on a socket. This module is the whole wire story:
 //!
-//! * [`Wire`] — put/get of the closed set of value types the runtime
-//!   ships (primitives, tuples, `Vec`s, the error/stats/timing types).
-//!   Encoding is little-endian and bit-exact (`f64` travels as its bit
-//!   pattern, so outputs stay *bit-identical* across backends). Decoding
-//!   **never panics**: every malformed input returns a typed
-//!   [`WireError`], a property `tests/wire_props.rs` fuzzes.
+//! * [`Wire`] — put/get of the value types the runtime ships (primitives,
+//!   tuples, `String`s, `Vec`s, the error/stats/timing types). It is the
+//!   bound on every [`Comm`](crate::Comm) payload, so a message type that
+//!   compiles crosses every backend. Encoding is little-endian and
+//!   bit-exact (`f64` travels as its bit pattern, so outputs stay
+//!   *bit-identical* across backends). Decoding **never panics**: every
+//!   malformed input returns a typed [`WireError`], a property
+//!   `tests/wire_props.rs` fuzzes.
 //! * [`Frame`] — the framed messages of the socket protocol (two-sided
 //!   data, one-sided window gets, failure and liveness notifications,
 //!   per-rank results). On the socket every frame is
 //!   `[u32 little-endian length][kind byte][body][crc32]`.
-//! * A `TypeId → codec` registry ([`vec_codec`]) so the untyped transport
-//!   can serialize `Comm::send_vec::<T>` payloads for every element type
-//!   that actually crosses rank boundaries in this workspace. Sending an
-//!   unregistered type panics with instructions, at the send site, rather
-//!   than corrupting a stream.
 //!
 //! Everything here is deliberately dependency-free (no serde/bincode: the
 //! build container is offline) and endian-pinned so the format does not
@@ -28,9 +25,6 @@
 use crate::error::{CommError, Primitive, RankError};
 use crate::stats::CommStats;
 use crate::timer::PhaseTimes;
-use std::any::{Any, TypeId};
-use std::collections::HashMap;
-use std::sync::OnceLock;
 use std::time::Duration;
 
 /// Hard cap on one frame's encoded size (body + kind byte). Large enough
@@ -550,12 +544,10 @@ impl<T: Wire, E: Wire> Wire for Result<T, E> {
 }
 
 // ---------------------------------------------------------------------------
-// Typed payload codecs for the untyped transport
+// Two-sided payloads
 // ---------------------------------------------------------------------------
 
-/// FNV-1a of a type name: the fingerprint stamped on every data frame so a
-/// `recv_vec::<T>` against a differently-typed message fails loudly instead
-/// of reinterpreting bytes.
+/// FNV-1a of a type name.
 fn fnv1a(s: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in s.as_bytes() {
@@ -565,94 +557,27 @@ fn fnv1a(s: &str) -> u64 {
     h
 }
 
-/// Serializer/deserializer for `Vec<T>` payloads of one concrete `T`,
-/// stored behind `dyn Any` so [`ProcComm`](crate::ProcComm)'s untyped
-/// transport can dispatch on [`TypeId`].
-pub(crate) type DecodeFn = fn(u64, &[u8]) -> Result<Box<dyn Any + Send>, WireError>;
-
-pub(crate) struct VecCodec {
-    pub fp: u64,
-    pub type_name: &'static str,
-    /// Append the elements' encodings (no length prefix) to the buffer —
-    /// the frame being built — and return the element count.
-    pub encode: fn(&(dyn Any + Send), &mut Vec<u8>) -> u64,
-    pub decode: DecodeFn,
+/// The fingerprint stamped on every data frame carrying `Vec<T>`: FNV-1a
+/// of `T`'s type name, so a `recv_vec::<U>` against a differently-typed
+/// message fails loudly instead of reinterpreting bytes.
+pub(crate) fn type_fp<T>() -> u64 {
+    fnv1a(std::any::type_name::<T>())
 }
 
-fn enc_vec<T: Wire + Send + 'static>(any: &(dyn Any + Send), out: &mut Vec<u8>) -> u64 {
-    let v = any
-        .downcast_ref::<Vec<T>>()
-        .expect("codec invoked on matching TypeId");
-    T::put_slice(v, out);
-    v.len() as u64
-}
-
-fn dec_vec<T: Wire + Send + 'static>(
-    count: u64,
-    bytes: &[u8],
-) -> Result<Box<dyn Any + Send>, WireError> {
-    let mut buf = bytes;
+/// Decode a data frame's payload: `count` elements that must span exactly
+/// `bytes`. Total like [`Wire::get`].
+pub(crate) fn get_payload<T: Wire>(count: u64, mut bytes: &[u8]) -> Result<Vec<T>, WireError> {
     let n = usize::try_from(count).map_err(|_| WireError::Malformed {
         what: "element count",
     })?;
-    let mut v: Vec<T> = Vec::new();
-    T::get_into(&mut buf, n, &mut v)?;
-    if !buf.is_empty() {
+    let mut v = Vec::new();
+    T::get_into(&mut bytes, n, &mut v)?;
+    if !bytes.is_empty() {
         return Err(WireError::Malformed {
             what: "trailing bytes after payload",
         });
     }
-    Ok(Box::new(v))
-}
-
-macro_rules! register_codecs {
-    ($map:ident, $($t:ty),* $(,)?) => {$(
-        $map.insert(TypeId::of::<$t>(), VecCodec {
-            fp: fnv1a(std::any::type_name::<$t>()),
-            type_name: std::any::type_name::<$t>(),
-            encode: enc_vec::<$t>,
-            decode: dec_vec::<$t>,
-        });
-    )*};
-}
-
-fn registry() -> &'static HashMap<TypeId, VecCodec> {
-    static REGISTRY: OnceLock<HashMap<TypeId, VecCodec>> = OnceLock::new();
-    REGISTRY.get_or_init(|| {
-        let mut m = HashMap::new();
-        // The closed set of element types that cross rank boundaries in
-        // this workspace (audited over crates/dist, crates/apps, the test
-        // tree, and the benches). `Vec<u64>`/`Vec<f64>` appear because the
-        // provided reduce/allreduce_vec collectives send vectors-of-vectors.
-        register_codecs!(
-            m,
-            u8,
-            u16,
-            u32,
-            u64,
-            usize,
-            i32,
-            i64,
-            f32,
-            f64,
-            (u32, u32),
-            (u64, u64),
-            (u32, u32, f64),
-            (u64, u64, u64),
-            (f64, u64),
-            Vec<u8>,
-            Vec<u32>,
-            Vec<u64>,
-            Vec<f32>,
-            Vec<f64>,
-        );
-        m
-    })
-}
-
-/// The codec for element type `T`, if `T` is in the registered wire set.
-pub(crate) fn vec_codec<T: Send + 'static>() -> Option<&'static VecCodec> {
-    registry().get(&TypeId::of::<T>())
+    Ok(v)
 }
 
 // ---------------------------------------------------------------------------
@@ -1236,21 +1161,20 @@ mod tests {
     }
 
     #[test]
-    fn codec_registry_covers_the_audited_set_and_rejects_strangers() {
-        assert!(vec_codec::<u64>().is_some());
-        assert!(vec_codec::<(u32, u32, f64)>().is_some());
-        assert!(vec_codec::<Vec<f64>>().is_some());
-        assert!(vec_codec::<std::fs::File>().is_none());
-
-        let v: Vec<u64> = vec![10, 20, 30];
-        let codec = vec_codec::<u64>().unwrap();
+    fn payloads_round_trip_and_reject_damage_typed() {
+        let v: Vec<(u8, i64, bool)> = vec![(1, -2, true), (0, i64::MAX, false)];
         let mut bytes = Vec::new();
-        let count = (codec.encode)(&v as &(dyn Any + Send), &mut bytes);
-        assert_eq!(count, 3);
-        let back = (codec.decode)(count, &bytes).unwrap();
-        assert_eq!(*back.downcast::<Vec<u64>>().unwrap(), v);
-        // corrupt payload: typed error, not a panic
-        assert!((codec.decode)(count, &bytes[..bytes.len() - 1]).is_err());
-        assert!((codec.decode)(count + 1, &bytes).is_err());
+        <(u8, i64, bool)>::put_slice(&v, &mut bytes);
+        assert_eq!(get_payload::<(u8, i64, bool)>(2, &bytes), Ok(v));
+        // a truncated payload, a count one too long or one too short, a
+        // count no input could hold: typed errors, never a panic
+        assert!(get_payload::<(u8, i64, bool)>(2, &bytes[..bytes.len() - 1]).is_err());
+        assert!(get_payload::<(u8, i64, bool)>(3, &bytes).is_err());
+        assert!(get_payload::<(u8, i64, bool)>(1, &bytes).is_err());
+        assert!(get_payload::<u64>(u64::MAX, &bytes).is_err());
+        assert!(get_payload::<String>(u64::MAX, &bytes).is_err());
+        // the fingerprint is the type name's, so equal widths do not collide
+        assert_ne!(type_fp::<f64>(), type_fp::<u64>());
+        assert_eq!(type_fp::<u64>(), fnv1a("u64"));
     }
 }
