@@ -51,8 +51,9 @@
 
 use crate::error::Primitive;
 use crate::stats::CommStats;
-use crate::window::{Exposure, WindowSpec};
+use crate::window::{Exposure, WinElem};
 use crate::wire::Wire;
+use std::sync::Arc;
 
 /// Internal tag namespace for collectives: high bit set, op id in the middle,
 /// op kind in the low byte. User tags must stay below 2^48.
@@ -90,6 +91,15 @@ pub(crate) fn control_primitive(tag: u64) -> Option<Primitive> {
         (1, _) => Some(Primitive::Exchange),
         _ => None,
     }
+}
+
+/// The one metering rule, applied by every backend at both ends of a
+/// `send_vec`/`recv_vec`: a transfer of `data` between `rank` and `peer`
+/// under `tag` counts `size_of_val(data)` bytes, unless it is rank-local or
+/// under a control tag. Each side meters from the vector in its hand, so no
+/// message carries its size.
+pub(crate) fn metered_bytes<T>(rank: usize, peer: usize, tag: u64, data: &[T]) -> Option<usize> {
+    (peer != rank && control_primitive(tag).is_none()).then(|| std::mem::size_of_val(data))
 }
 
 /// The control plane's one shape, linear through rank 0: rank 0 gathers
@@ -163,7 +173,8 @@ pub(crate) fn split_group<C: Comm>(comm: &C, color: usize, key: usize) -> (usize
 ///   rank blocks — blocking a rank must never block the *job*.
 /// * **Metering.** Every remote transfer is counted exactly once, on the
 ///   initiating side as sent and on the receiving side as received, with
-///   `len * size_of::<T>()` bytes; rank-local transfers are free. The
+///   `len * size_of::<T>()` bytes that each side reads off the vector in its
+///   hand (no message carries its size); rank-local transfers are free. The
 ///   control tag range (bit 62 set, bit 63 clear) is reserved for
 ///   [`control_allgather`](Comm::control_allgather) and no backend meters
 ///   it: barrier, split and window exposure move no counted bytes. The
@@ -216,15 +227,18 @@ pub trait Comm: Sized {
     #[doc(hidden)]
     fn record_get(&self, bytes: usize);
 
-    /// Collective window exposure (`MPI_Win_create`), built on the
-    /// unmetered [`control_allgather`](Comm::control_allgather) (the
-    /// subsequent `get`s are what's metered); a wait in it reports
+    /// Collective window exposure (`MPI_Win_create`) of this rank's typed
+    /// deposit, two parallel arrays; built on the unmetered
+    /// [`control_allgather`](Comm::control_allgather) (the subsequent
+    /// `get`s are what's metered); a wait in it reports
     /// [`Primitive::Exchange`]. Returns every rank's deposit, in rank
-    /// order: an in-process backend allgathers the `Arc` deposits
-    /// ([`Exposure::Shared`]); a cross-process backend shares the deposit's
-    /// bytes and maps its peers' read-only ([`Exposure::Mapped`]).
+    /// order: an in-process backend allgathers the `Arc`s
+    /// ([`Exposure::Shared`]); a cross-process backend writes the arrays'
+    /// little-endian bytes (`T::put_slice`, then `U::put_slice`) where its
+    /// peers map them read-only ([`Exposure::Mapped`]).
     #[doc(hidden)]
-    fn expose(&self, spec: WindowSpec) -> Vec<Exposure>;
+    fn expose<T: WinElem, U: WinElem>(&self, deposit: Arc<(Vec<T>, Vec<U>)>)
+        -> Vec<Exposure<T, U>>;
 
     /// The control plane's one collective: every rank contributes `mine`
     /// (the same length on every rank) and receives all contributions

@@ -24,12 +24,12 @@
 //! Because the data path is shared, the two backends are byte-identical in
 //! everything the paper measures; they differ only in wall-clock.
 
-use crate::backend::{control_primitive, control_tag, gather_release, split_group, Comm};
+use crate::backend::{control_tag, gather_release, metered_bytes, split_group, Comm};
 use crate::error::Primitive;
-use crate::p2p::{Envelope, Hub};
+use crate::p2p::Hub;
 use crate::scheduler::Scheduler;
 use crate::stats::{CommStats, StatsCell};
-use crate::window::{Exposure, WindowSpec};
+use crate::window::{Exposure, WinElem};
 use crate::wire::Wire;
 use std::cell::Cell;
 use std::rc::Rc;
@@ -103,13 +103,10 @@ impl RankComm {
             self.rank,
             self.size,
             vec![mine],
-            |dst, v: Vec<T>| {
-                let payload = Box::new(v);
-                hub.send(self.rank, dst, t, Envelope { bytes: 0, payload })
-            },
+            |dst, v: Vec<T>| hub.send(self.rank, dst, t, Box::new(v)),
             |src| {
                 let env = hub.recv(self.rank, src, t, &self.shared.sched);
-                *env.payload.downcast().expect("a control round's own type")
+                *env.downcast().expect("a control round's own type")
             },
         )
     }
@@ -133,33 +130,34 @@ impl Comm for RankComm {
     }
 
     fn send_vec<T: Wire + Send + 'static>(&self, dst: usize, tag: u64, data: Vec<T>) {
-        assert!(dst < self.size, "send to rank {dst} of {}", self.size);
-        let bytes = data.len() * std::mem::size_of::<T>();
-        if dst != self.rank && control_primitive(tag).is_none() {
+        assert!(
+            dst < self.size,
+            "send_vec to rank {dst}, communicator has {}",
+            self.size
+        );
+        if let Some(bytes) = metered_bytes(self.rank, dst, tag, &data) {
             self.stats.record_send(bytes);
         }
-        self.shared.hub.send(
-            self.rank,
-            dst,
-            tag,
-            Envelope {
-                bytes,
-                payload: Box::new(data),
-            },
-        );
+        self.shared.hub.send(self.rank, dst, tag, Box::new(data));
     }
 
     fn recv_vec<T: Wire + Send + 'static>(&self, src: usize, tag: u64) -> Vec<T> {
+        assert!(
+            src < self.size,
+            "recv_vec from rank {src}, communicator has {}",
+            self.size
+        );
         let env = self
             .shared
             .hub
             .recv(self.rank, src, tag, &self.shared.sched);
-        if src != self.rank && control_primitive(tag).is_none() {
-            self.stats.record_recv(env.bytes);
-        }
-        *env.payload
+        let data = *env
             .downcast::<Vec<T>>()
-            .expect("message type mismatch: recv_vec::<T> on a different payload")
+            .expect("message type mismatch: recv_vec::<T> on a different payload");
+        if let Some(bytes) = metered_bytes(self.rank, src, tag, &data) {
+            self.stats.record_recv(bytes);
+        }
+        data
     }
 
     fn next_op(&self) -> u64 {
@@ -172,8 +170,11 @@ impl Comm for RankComm {
         self.stats.record_get(bytes);
     }
 
-    fn expose(&self, spec: WindowSpec) -> Vec<Exposure> {
-        let deposits = self.hub_allgather(spec.arc);
+    fn expose<T: WinElem, U: WinElem>(
+        &self,
+        deposit: Arc<(Vec<T>, Vec<U>)>,
+    ) -> Vec<Exposure<T, U>> {
+        let deposits = self.hub_allgather(deposit);
         deposits.into_iter().map(Exposure::Shared).collect()
     }
 

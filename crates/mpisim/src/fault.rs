@@ -39,6 +39,7 @@
 
 use crate::backend::Comm;
 use crate::stats::CommStats;
+use crate::window::{Exposure, WinElem};
 use crate::wire::Wire;
 use std::cell::Cell;
 use std::rc::Rc;
@@ -281,9 +282,12 @@ impl<C: Comm> Comm for FaultComm<C> {
         self.inner.record_get(bytes);
     }
 
-    fn expose(&self, spec: crate::window::WindowSpec) -> Vec<crate::window::Exposure> {
+    fn expose<T: WinElem, U: WinElem>(
+        &self,
+        deposit: Arc<(Vec<T>, Vec<U>)>,
+    ) -> Vec<Exposure<T, U>> {
         self.checkpoint();
-        self.inner.expose(spec)
+        self.inner.expose(deposit)
     }
 }
 

@@ -81,5 +81,5 @@ pub use recover::{AttemptFailure, RecoverableJob, RecoveryReport, RetryPolicy};
 pub use stats::CommStats;
 pub use timer::PhaseTimes;
 pub use universe::{RankJob, Universe};
-pub use window::{Exposure, PairedWindow, WinElem, WindowError, WindowSpec};
+pub use window::{Exposure, PairedWindow, WinElem, WindowError};
 pub use wire::{crc32, Frame, Wire, WireError, MAX_FRAME};

@@ -10,11 +10,10 @@ use parking_lot::{Condvar, Mutex};
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 
-/// A type-erased message with its accounted size.
-pub(crate) struct Envelope {
-    pub bytes: usize,
-    pub payload: Box<dyn Any + Send>,
-}
+/// A type-erased message: the boxed `Vec<T>` a `send_vec` moved (the
+/// receiver downcasts it and meters from it), or a control round's value.
+/// The in-process mailbox is the one place a payload's type is erased.
+pub(crate) type Envelope = Box<dyn Any + Send>;
 
 #[derive(Default)]
 struct MailboxInner {
@@ -99,53 +98,33 @@ mod tests {
         Scheduler::parallel(2, None)
     }
 
-    fn env<T: Send + 'static>(v: T, bytes: usize) -> Envelope {
-        Envelope {
-            bytes,
-            payload: Box::new(v),
-        }
-    }
-
     #[test]
     fn send_then_recv_same_thread() {
         let hub = Hub::new(2);
-        hub.send(0, 1, 7, env(vec![1u64, 2, 3], 24));
+        hub.send(0, 1, 7, Box::new(vec![1u64, 2, 3]));
         let got = hub.recv(1, 0, 7, &sched());
-        assert_eq!(got.bytes, 24);
-        let v = got.payload.downcast::<Vec<u64>>().unwrap();
+        let v = got.downcast::<Vec<u64>>().unwrap();
         assert_eq!(*v, vec![1, 2, 3]);
     }
 
     #[test]
     fn tags_do_not_cross() {
         let hub = Hub::new(2);
-        hub.send(0, 1, 1, env(10i32, 4));
-        hub.send(0, 1, 2, env(20i32, 4));
+        hub.send(0, 1, 1, Box::new(10i32));
+        hub.send(0, 1, 2, Box::new(20i32));
         let b = hub.recv(1, 0, 2, &sched());
-        assert_eq!(*b.payload.downcast::<i32>().unwrap(), 20);
+        assert_eq!(*b.downcast::<i32>().unwrap(), 20);
         let a = hub.recv(1, 0, 1, &sched());
-        assert_eq!(*a.payload.downcast::<i32>().unwrap(), 10);
+        assert_eq!(*a.downcast::<i32>().unwrap(), 10);
     }
 
     #[test]
     fn fifo_within_tag() {
         let hub = Hub::new(1);
-        hub.send(0, 0, 0, env(1i32, 4));
-        hub.send(0, 0, 0, env(2i32, 4));
-        assert_eq!(
-            *hub.recv(0, 0, 0, &sched())
-                .payload
-                .downcast::<i32>()
-                .unwrap(),
-            1
-        );
-        assert_eq!(
-            *hub.recv(0, 0, 0, &sched())
-                .payload
-                .downcast::<i32>()
-                .unwrap(),
-            2
-        );
+        hub.send(0, 0, 0, Box::new(1i32));
+        hub.send(0, 0, 0, Box::new(2i32));
+        assert_eq!(*hub.recv(0, 0, 0, &sched()).downcast::<i32>().unwrap(), 1);
+        assert_eq!(*hub.recv(0, 0, 0, &sched()).downcast::<i32>().unwrap(), 2);
     }
 
     #[test]
@@ -154,10 +133,10 @@ mod tests {
         let h2 = hub.clone();
         let t = std::thread::spawn(move || {
             let e = h2.recv(1, 0, 5, &sched());
-            *e.payload.downcast::<&'static str>().unwrap()
+            *e.downcast::<&'static str>().unwrap()
         });
         std::thread::sleep(std::time::Duration::from_millis(30));
-        hub.send(0, 1, 5, env("hello", 5));
+        hub.send(0, 1, 5, Box::new("hello"));
         assert_eq!(t.join().unwrap(), "hello");
     }
 }

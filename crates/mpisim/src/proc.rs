@@ -55,22 +55,21 @@
 //!   its `waitpid` status.
 //!
 //! Accounting is byte-identical to the in-process backends by construction: `send_vec` /
-//! `recv_vec` meter `len * size_of::<T>()` exactly like
+//! `recv_vec` meter the vector in hand by the same rule as
 //! [`RankComm`](crate::RankComm) (self-sends free, the control tag range
 //! unmetered, window gets charged to the issuer only), and the collectives
 //! and the control plane (barrier, split, exposure) are provided [`Comm`]
 //! methods over that core. The backend-conformance suite asserts the
 //! identity per rank.
 
-use crate::backend::{control_primitive, split_group, Comm};
+use crate::backend::{metered_bytes, split_group, Comm};
 use crate::error::{raise, CommError, Primitive, RankError, RankOutcome};
 use crate::scheduler::{self, PoisonGuard, Scheduler, WaitSite};
 use crate::stats::{CommStats, StatsCell};
 use crate::universe::Universe;
-use crate::window::{Exposure, WindowSpec};
+use crate::window::{Exposure, WinElem};
 use crate::wire::{get_payload, type_fp, Frame, Wire, WireError, MAX_FRAME};
 use parking_lot::{Condvar, Mutex};
-use std::any::Any;
 use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 use std::fs::{File, OpenOptions};
@@ -191,17 +190,13 @@ fn read_frame_raw(stream: &mut impl Read) -> Result<Frame, RecvFailure> {
 /// Inbox key: (communicator id, sender's rank *in that communicator*, tag).
 type MsgKey = (u64, u64, u64);
 
-/// A queued two-sided message: self-sends stay as their live `Vec<T>` (no
-/// serialization inside one process), peer messages arrive as wire bytes.
-enum InPayload {
-    Local(Box<dyn Any + Send>),
-    Remote {
-        type_fp: u64,
-        count: u64,
-        bytes: Vec<u8>,
-        /// What the receiver must meter, or `None` for control frames.
-        meter_bytes: Option<u64>,
-    },
+/// A queued two-sided message in wire form: a peer's `Data` frame, or a
+/// self-send encoded the same way. The receiver checks `type_fp` against
+/// its `T` and decodes `count` elements from `bytes`.
+struct InPayload {
+    type_fp: u64,
+    count: u64,
+    bytes: Vec<u8>,
 }
 
 struct Inbox {
@@ -249,18 +244,15 @@ fn read_pass(stream: &mut BufReader<impl Read>, batch: &mut Batch) -> PassEnd {
                 comm_id,
                 src,
                 tag,
-                metered,
-                meter_bytes,
                 type_fp,
                 count,
                 payload,
             } => batch.push((
                 (comm_id, src, tag),
-                InPayload::Remote {
+                InPayload {
                     type_fp,
                     count,
                     bytes: payload,
-                    meter_bytes: metered.then_some(meter_bytes),
                 },
             )),
             Frame::Heartbeat => {} // the read it arrived in proves liveness
@@ -553,10 +545,10 @@ impl Drop for Mapping {
     }
 }
 
-/// Write `spec`'s deposit — part 0's little-endian bytes, then part 1's —
-/// into a new unnamed file on `/dev/shm` (`O_TMPFILE`): it has no name to
-/// leave behind, whoever dies. Returns the file and its length in bytes.
-fn window_file(spec: &WindowSpec) -> std::io::Result<(File, usize)> {
+/// Write a deposit — `a`'s little-endian bytes, then `b`'s — into a new
+/// unnamed file on `/dev/shm` (`O_TMPFILE`): it has no name to leave
+/// behind, whoever dies. Returns the file and its length in bytes.
+fn window_file<T: WinElem, U: WinElem>(a: &[T], b: &[U]) -> std::io::Result<(File, usize)> {
     let mut file = OpenOptions::new()
         .read(true)
         .write(true)
@@ -569,14 +561,13 @@ fn window_file(spec: &WindowSpec) -> std::io::Result<(File, usize)> {
         })
         .open("/dev/shm")?;
     let mut bytes = Vec::new();
-    let mut total = 0;
-    for part in 0..2 {
-        bytes.clear();
-        (spec.extract)(spec.arc.as_ref(), part, 0..spec.len, &mut bytes);
-        file.write_all(&bytes)?;
-        total += bytes.len();
-    }
-    Ok((file, total))
+    T::put_slice(a, &mut bytes);
+    file.write_all(&bytes)?;
+    let total = bytes.len();
+    bytes.clear();
+    U::put_slice(b, &mut bytes);
+    file.write_all(&bytes)?;
+    Ok((file, total + bytes.len()))
 }
 
 // ---------------------------------------------------------------------------
@@ -643,13 +634,6 @@ impl ProcComm {
         }
     }
 
-    fn push_local(&self, tag: u64, payload: Box<dyn Any + Send>) {
-        let mut map = self.node.inbox.map.lock();
-        map.entry((self.comm_id, self.rank as u64, tag))
-            .or_default()
-            .push_back(InPayload::Local(payload));
-    }
-
     /// Park until a message under `key` is queued, then pop it. The only
     /// blocking point of the two-sided path — poison and watchdog flow
     /// through [`Scheduler::park_until`] exactly as in-process.
@@ -696,22 +680,28 @@ impl Comm for ProcComm {
             "send_vec to rank {dst}, communicator has {}",
             self.size
         );
-        if dst == self.rank {
-            // Self-sends are free and never serialized (matching RankComm).
-            self.push_local(tag, Box::new(data));
-            return;
+        if let Some(bytes) = metered_bytes(self.rank, dst, tag, &data) {
+            self.stats.record_send(bytes);
         }
-        let bytes = (data.len() * std::mem::size_of::<T>()) as u64;
-        let metered = control_primitive(tag).is_none();
-        if metered {
-            self.stats.record_send(bytes as usize);
+        if dst == self.rank {
+            // A self-send is encoded and queued in the form a peer's frame
+            // arrives in, so one decode path (and one type check) serves
+            // every message; the metering rule leaves it free.
+            let mut bytes = Vec::with_capacity(std::mem::size_of_val(data.as_slice()));
+            T::put_slice(&data, &mut bytes);
+            let msg = InPayload {
+                type_fp: type_fp::<T>(),
+                count: data.len() as u64,
+                bytes,
+            };
+            self.node
+                .publish(&mut vec![((self.comm_id, self.rank as u64, tag), msg)]);
+            return;
         }
         let frame = Frame::Data {
             comm_id: self.comm_id,
             src: self.rank as u64,
             tag,
-            metered,
-            meter_bytes: bytes,
             type_fp: type_fp::<T>(),
             count: data.len() as u64,
             payload: Vec::new(),
@@ -742,26 +732,18 @@ impl Comm for ProcComm {
         );
         let key = (self.comm_id, src as u64, tag);
         let site = WaitSite::recv(self.world_of(src), tag);
-        match self.pop_message(key, site) {
-            InPayload::Local(any) => *any.downcast::<Vec<T>>().expect("message type mismatch"),
-            InPayload::Remote {
-                type_fp: sent,
-                count,
-                bytes,
-                meter_bytes,
-            } => {
-                if let Some(b) = meter_bytes {
-                    self.stats.record_recv(b as usize);
-                }
-                assert_eq!(
-                    sent,
-                    type_fp::<T>(),
-                    "message type mismatch: receiver expects {}",
-                    std::any::type_name::<T>()
-                );
-                get_payload(count, &bytes).expect("peer sent an undecodable payload")
-            }
+        let msg = self.pop_message(key, site);
+        assert_eq!(
+            msg.type_fp,
+            type_fp::<T>(),
+            "message type mismatch: receiver expects {}",
+            std::any::type_name::<T>()
+        );
+        let data = get_payload(msg.count, &msg.bytes).expect("peer sent an undecodable payload");
+        if let Some(bytes) = metered_bytes(self.rank, src, tag, &data) {
+            self.stats.record_recv(bytes);
         }
+        data
     }
 
     fn split(&self, color: usize, key: usize) -> ProcComm {
@@ -793,9 +775,13 @@ impl Comm for ProcComm {
         self.stats.record_get(bytes);
     }
 
-    fn expose(&self, spec: WindowSpec) -> Vec<Exposure> {
-        let file = (spec.len > 0).then(|| {
-            window_file(&spec).unwrap_or_else(|e| {
+    fn expose<T: WinElem, U: WinElem>(
+        &self,
+        deposit: Arc<(Vec<T>, Vec<U>)>,
+    ) -> Vec<Exposure<T, U>> {
+        let (a, b) = &*deposit;
+        let file = (!a.is_empty()).then(|| {
+            window_file(a, b).unwrap_or_else(|e| {
                 panic!("ProcComm::expose: cannot write the window file under /dev/shm: {e}")
             })
         });
@@ -810,7 +796,7 @@ impl Comm for ProcComm {
             .enumerate()
             .map(|(rank, entry)| {
                 if rank == self.rank {
-                    Exposure::Shared(spec.arc.clone())
+                    Exposure::Shared(deposit.clone())
                 } else {
                     Exposure::Mapped(self.map_window(rank, entry))
                 }
@@ -1117,8 +1103,6 @@ mod tests {
             comm_id: 0,
             src: 1,
             tag: 5,
-            metered: true,
-            meter_bytes: 8,
             type_fp: 3,
             count: 1,
             payload: i.to_le_bytes().to_vec(),
@@ -1127,12 +1111,7 @@ mod tests {
 
     /// The payloads of link messages, in order.
     fn data_bytes<'a>(msgs: impl IntoIterator<Item = &'a InPayload>) -> Vec<Vec<u8>> {
-        msgs.into_iter()
-            .map(|m| match m {
-                InPayload::Remote { bytes, .. } => bytes.clone(),
-                InPayload::Local(_) => panic!("a link delivers wire bytes"),
-            })
-            .collect()
+        msgs.into_iter().map(|m| m.bytes.clone()).collect()
     }
 
     fn payloads(of: &[u64]) -> Vec<Vec<u8>> {
@@ -1281,46 +1260,52 @@ mod tests {
     }
 
     /// `f64` and `u64` are both 8 bytes wide, so only the type fingerprint
-    /// tells the receiver it asked for the wrong type.
+    /// tells the receiver it asked for the wrong type — from a peer
+    /// (`sender` 0) and from itself (`sender` 1) alike.
     #[test]
     fn procs_receiver_of_the_wrong_type_panics_on_the_fingerprint() {
         let u = Universe::new(2).with_watchdog(Some(Duration::from_secs(30)));
-        let got = u.try_run_procs(|comm| {
-            std::panic::set_hook(Box::new(|_| {}));
-            if comm.rank() == 0 {
-                comm.send_vec(1, 4, vec![1.5f64, -0.0]);
-            } else {
-                comm.recv_vec::<u64>(0, 4);
+        for sender in [0, 1] {
+            let got = u.try_run_procs(|comm| {
+                std::panic::set_hook(Box::new(|_| {}));
+                if comm.rank() == sender {
+                    comm.send_vec(1, 4, vec![1.5f64, -0.0]);
+                }
+                if comm.rank() == 1 {
+                    comm.recv_vec::<u64>(sender, 4);
+                }
+            });
+            match &got[1] {
+                Err(RankError::Panic { summary }) => {
+                    assert!(summary.contains("message type mismatch"), "{summary}")
+                }
+                other => panic!("receiver: expected the fingerprint panic, got {other:?}"),
             }
-        });
-        match &got[1] {
-            Err(RankError::Panic { summary }) => {
-                assert!(summary.contains("message type mismatch"), "{summary}")
-            }
-            other => panic!("receiver: expected the fingerprint panic, got {other:?}"),
+            assert!(
+                matches!(
+                    got[0],
+                    Err(RankError::Comm(CommError::PeerFailed { rank: 1, .. }))
+                ),
+                "rank 0 fails naming the receiver: {:?}",
+                got[0]
+            );
         }
-        assert!(
-            matches!(
-                got[0],
-                Err(RankError::Comm(CommError::PeerFailed { rank: 1, .. }))
-            ),
-            "the sender fails naming the receiver: {:?}",
-            got[0]
-        );
     }
 
     #[test]
-    fn procs_self_send_is_free_and_unserialized() {
+    fn procs_self_send_is_free() {
         let u = Universe::new(2);
         let got = u.run_procs(|comm| {
             let before = comm.stats();
-            // A self-send never meets the codec: the vector is queued as is.
+            // A self-send meets the codec like any message, but is not
+            // metered.
             comm.send_vec(comm.rank(), 3, vec![(1u8, String::from("x"))]);
             let v = comm.recv_vec::<(u8, String)>(comm.rank(), 3);
             let d = comm.stats() - before;
-            (v.len(), d.sent_msgs + d.recv_msgs + d.sent_bytes)
+            (v, d.sent_msgs + d.recv_msgs + d.sent_bytes)
         });
-        assert_eq!(got, vec![(1, 0), (1, 0)]);
+        let sent = vec![(1u8, String::from("x"))];
+        assert_eq!(got, vec![(sent.clone(), 0), (sent, 0)]);
     }
 
     #[test]

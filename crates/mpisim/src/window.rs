@@ -11,7 +11,6 @@
 
 use crate::backend::Comm;
 use crate::wire::Wire;
-use std::any::Any;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -33,46 +32,17 @@ impl WinElem for i64 {}
 impl WinElem for f32 {}
 impl WinElem for f64 {}
 
-/// What one rank contributes to a collective window exposure — the typed
-/// deposit (for in-process sharing) plus an untyped byte extractor (for a
-/// backend whose peers read the deposit as bytes).
-pub struct WindowSpec {
-    /// The deposit the in-process backends exchange zero-copy.
-    pub arc: Arc<dyn Any + Send + Sync>,
-    /// Elements in each of this rank's two (parallel) exposed arrays.
-    pub len: usize,
-    /// Serialize elements `range` of part `part` (0 or 1) of `arc` as
-    /// little-endian bytes appended to `out`. Monomorphized per element
-    /// type pair; a cross-process backend calls this to write the deposit
-    /// where its peers map it.
-    pub extract: fn(&(dyn Any + Send + Sync), usize, Range<usize>, &mut Vec<u8>),
-}
-
 /// One rank's deposit as [`Comm::expose`] hands it to every rank — one
-/// entry per rank of the communicator.
-pub enum Exposure {
+/// entry per rank of the communicator — and where a get against that rank
+/// reads.
+#[derive(Clone)]
+pub enum Exposure<T, U> {
     /// Zero-copy: the rank's deposit itself (every rank in-process; the
     /// calling rank's own across processes).
-    Shared(Arc<dyn Any + Send + Sync>),
+    Shared(Arc<(Vec<T>, Vec<U>)>),
     /// A peer process's deposit, mapped read-only: part 0's little-endian
     /// bytes, then part 1's (empty for an empty deposit).
     Mapped(Arc<dyn AsRef<[u8]> + Send + Sync>),
-}
-
-fn extract_pair<T: WinElem, U: WinElem>(
-    any: &(dyn Any + Send + Sync),
-    part: usize,
-    range: Range<usize>,
-    out: &mut Vec<u8>,
-) {
-    let (a, b) = any
-        .downcast_ref::<(Vec<T>, Vec<U>)>()
-        .expect("paired window deposit type");
-    match part {
-        0 => T::put_slice(&a[range], out),
-        1 => U::put_slice(&b[range], out),
-        _ => unreachable!("paired window has two parts"),
-    }
 }
 
 /// Decode `bytes` (little-endian, validated length) appending to `out`.
@@ -132,10 +102,11 @@ impl std::error::Error for WindowError {}
 /// (betweenness centrality) rather than once per application run. The
 /// handle is cheap to clone (it holds `Arc`s of the exposed buffers) and
 /// backend-neutral.
+#[derive(Clone)]
 pub struct PairedWindow<T, U> {
     /// Where a get against each rank reads from: the rank's shared deposit
     /// or its mapped bytes.
-    srcs: Vec<GetSrc<T, U>>,
+    srcs: Vec<Exposure<T, U>>,
     /// Length of each rank's exposed arrays.
     lens: Vec<usize>,
 }
@@ -146,29 +117,15 @@ impl<T: WinElem, U: WinElem> PairedWindow<T, U> {
     /// (passive-target exposure epoch).
     pub fn create<C: Comm>(comm: &C, a: Vec<T>, b: Vec<U>) -> PairedWindow<T, U> {
         assert_eq!(a.len(), b.len(), "paired window arrays must be parallel");
-        let spec = WindowSpec {
-            len: a.len(),
-            arc: Arc::new((a, b)),
-            extract: extract_pair::<T, U>,
-        };
         let elem_bytes = std::mem::size_of::<T>() + std::mem::size_of::<U>();
-        let (srcs, lens) = comm
-            .expose(spec)
-            .into_iter()
-            .map(|exposed| match exposed {
-                Exposure::Shared(deposit) => {
-                    let buf = deposit
-                        .downcast::<(Vec<T>, Vec<U>)>()
-                        .expect("paired window type");
-                    let len = buf.0.len();
-                    (GetSrc::Local(buf), len)
-                }
-                Exposure::Mapped(bytes) => {
-                    let len = (*bytes).as_ref().len() / elem_bytes;
-                    (GetSrc::Mapped(bytes), len)
-                }
+        let srcs = comm.expose(Arc::new((a, b)));
+        let lens = srcs
+            .iter()
+            .map(|src| match src {
+                Exposure::Shared(buf) => buf.0.len(),
+                Exposure::Mapped(bytes) => (**bytes).as_ref().len() / elem_bytes,
             })
-            .unzip();
+            .collect();
         PairedWindow { srcs, lens }
     }
 
@@ -275,8 +232,8 @@ impl<T: WinElem, U: WinElem> PairedWindow<T, U> {
             comm.record_get(range.len() * tb);
         }
         match &self.srcs[rank] {
-            GetSrc::Local(buf) => Read::Typed(&buf.0[range.clone()], &buf.1[range.clone()]),
-            GetSrc::Mapped(bytes) => {
+            Exposure::Shared(buf) => Read::Typed(&buf.0[range.clone()], &buf.1[range.clone()]),
+            Exposure::Mapped(bytes) => {
                 let (a, b) = (**bytes).as_ref().split_at(self.lens[rank] * ta);
                 let part = |elem: usize| range.start * elem..range.end * elem;
                 Read::Bytes(&a[part(ta)], &b[part(tb)])
@@ -299,36 +256,11 @@ impl<T: WinElem, U: WinElem> PairedWindow<T, U> {
     }
 }
 
-impl<T, U> Clone for PairedWindow<T, U> {
-    fn clone(&self) -> Self {
-        PairedWindow {
-            srcs: self.srcs.clone(),
-            lens: self.lens.clone(),
-        }
-    }
-}
-
 /// What one get reads: slices of the target's arrays, or their
 /// little-endian bytes.
 enum Read<'w, T, U> {
     Typed(&'w [T], &'w [U]),
     Bytes(&'w [u8], &'w [u8]),
-}
-
-/// Where a paired get reads from: the target's shared buffer pair
-/// (in-process, or the issuing rank's own deposit) or its mapped bytes.
-enum GetSrc<T, U> {
-    Local(Arc<(Vec<T>, Vec<U>)>),
-    Mapped(Arc<dyn AsRef<[u8]> + Send + Sync>),
-}
-
-impl<T, U> Clone for GetSrc<T, U> {
-    fn clone(&self) -> Self {
-        match self {
-            GetSrc::Local(buf) => GetSrc::Local(buf.clone()),
-            GetSrc::Mapped(bytes) => GetSrc::Mapped(bytes.clone()),
-        }
-    }
 }
 
 #[cfg(test)]

@@ -590,16 +590,15 @@ pub(crate) fn get_payload<T: Wire>(count: u64, mut bytes: &[u8]) -> Result<Vec<T
 /// cover the part after the length prefix.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Frame {
-    /// A two-sided `send_vec` payload (or an unmetered control-plane
-    /// message when `metered` is false). `src` is the sender's rank *in
-    /// the communicator* `comm_id`; `count` elements of the type
-    /// fingerprinted by `type_fp` are encoded in `payload`.
+    /// A two-sided `send_vec` payload. `src` is the sender's rank *in the
+    /// communicator* `comm_id`; `count` elements of the type fingerprinted
+    /// by `type_fp` are encoded in `payload`. The frame carries no size to
+    /// meter: the receiver meters the decoded `Vec<T>` by the same rule as
+    /// the sender (`tag` says whether it is a control message).
     Data {
         comm_id: u64,
         src: u64,
         tag: u64,
-        metered: bool,
-        meter_bytes: u64,
         type_fp: u64,
         count: u64,
         payload: Vec<u8>,
@@ -699,8 +698,6 @@ impl Frame {
                 comm_id,
                 src,
                 tag,
-                metered,
-                meter_bytes,
                 type_fp,
                 count,
                 payload,
@@ -709,8 +706,6 @@ impl Frame {
                 comm_id.put(out);
                 src.put(out);
                 tag.put(out);
-                metered.put(out);
-                meter_bytes.put(out);
                 type_fp.put(out);
                 count.put(out);
                 put_bulk(out, payload, fill);
@@ -804,8 +799,6 @@ impl Frame {
                 comm_id: u64::get(&mut buf)?,
                 src: u64::get(&mut buf)?,
                 tag: u64::get(&mut buf)?,
-                metered: bool::get(&mut buf)?,
-                meter_bytes: u64::get(&mut buf)?,
                 type_fp: u64::get(&mut buf)?,
                 count: u64::get(&mut buf)?,
                 payload: take_bulk(&mut buf)?,
@@ -977,8 +970,6 @@ mod tests {
                 comm_id: 7,
                 src: 1,
                 tag: (1 << 63) | 42,
-                metered: true,
-                meter_bytes: 800,
                 type_fp: 0xdead_beef,
                 count: 100,
                 payload: vec![1, 2, 3, 4],
@@ -1024,7 +1015,9 @@ mod tests {
     /// The format, pinned: byte strings recorded at ed28a73, before the
     /// bulk codec, the slicing CRC and the in-place frame encoders. Value
     /// encodings are what checkpoints store (`MatSnapshot` rides these
-    /// impls), frames are in socket form.
+    /// impls), frames are in socket form. The `Data` string was
+    /// re-recorded once, when the frame lost its metering flag and byte
+    /// count (9 bytes): the receiver meters what it decodes.
     #[test]
     fn golden_bytes_pin_the_value_and_frame_format() {
         let nan = f64::from_bits(0x7ff8_0000_dead_beef);
@@ -1059,17 +1052,15 @@ mod tests {
             comm_id: 7,
             src: 1,
             tag: (1 << 63) | 42,
-            metered: true,
-            meter_bytes: 24,
             type_fp: 0xdead_beef,
             count: 3,
             payload: vec![9, 8, 7],
         };
         let golden = [
             "1a0000000608070605040302010500000000000000aabbccddee1d0b5b0e",
-            "4100000004070000000000000001000000000000002a00000000000080\
-             011800000000000000efbeadde000000000300000000000000\
-             0300000000000000090807fd68425b",
+            "3800000004070000000000000001000000000000002a00000000000080\
+             efbeadde000000000300000000000000\
+             0300000000000000090807705312d0",
         ];
         for (frame, golden) in [&resp, &data].into_iter().zip(golden) {
             let mut socket = Vec::new();
@@ -1091,8 +1082,6 @@ mod tests {
             comm_id: 7,
             src: 1,
             tag: 5,
-            metered: true,
-            meter_bytes: 1000,
             type_fp: 0x1234,
             count: 1000,
             payload,
@@ -1141,8 +1130,6 @@ mod tests {
             comm_id: 1,
             src: 0,
             tag: 5,
-            metered: true,
-            meter_bytes: 24,
             type_fp: 0x1234,
             count: 3,
             payload: vec![9, 8, 7],

@@ -30,8 +30,8 @@ use saspgemm::dist::{
     SpgemmSession, Strategy,
 };
 use saspgemm::mpisim::{
-    Backend, Comm, CommStats, CostModel, Grid2D, Grid3D, PairedWindow, RankJob, Universe,
-    WindowError,
+    Backend, Comm, CommError, CommStats, CostModel, Grid2D, Grid3D, PairedWindow, RankError,
+    RankJob, Universe, WindowError,
 };
 use saspgemm::sparse::gen::{banded, erdos_renyi};
 use saspgemm::sparse::semiring::{MinPlus, PlusTimes};
@@ -628,6 +628,45 @@ fn threads_backend_concurrency_smoke() {
             let expect: u64 = if r % 2 == 0 { 2 + 4 + 6 } else { 1 + 3 + 5 + 7 };
             assert_eq!(*sub_sum, expect, "round {round} rank {r}");
             assert_eq!(*n, 8);
+        }
+    }
+}
+
+/// Rank 0 receives from a rank the communicator does not have.
+struct BadSource;
+
+impl RankJob for BadSource {
+    type Out = ();
+    fn run<C: Comm>(&self, comm: &C) {
+        if comm.rank() == 0 {
+            comm.recv_vec::<u64>(5, 1);
+        }
+    }
+}
+
+#[test]
+fn recv_from_a_bad_source_fails_at_once_on_every_backend() {
+    // On every backend the bad source is a panic naming it, and the other
+    // ranks fail naming the caller; under the watchdog a backend that
+    // parked on a mailbox no rank can send to would end in `Timeout`.
+    let u = Universe::new(3).with_watchdog(Some(Duration::from_secs(10)));
+    for backend in [Backend::Sim, Backend::Threads, Backend::Procs] {
+        let got = u.try_run_backend(backend, &BadSource);
+        match &got[0] {
+            Err(RankError::Panic { summary }) => assert!(
+                summary.contains("recv_vec from rank 5, communicator has 3"),
+                "{backend:?}: {summary}"
+            ),
+            other => panic!("{backend:?}: rank 0 must panic naming the source, got {other:?}"),
+        }
+        for (rank, outcome) in got.iter().enumerate().skip(1) {
+            assert!(
+                matches!(
+                    outcome,
+                    Err(RankError::Comm(CommError::PeerFailed { rank: 0, .. }))
+                ),
+                "{backend:?}: rank {rank} must fail naming rank 0, got {outcome:?}"
+            );
         }
     }
 }

@@ -11,14 +11,12 @@ use std::time::Duration;
 
 /// One instance of every frame kind, parameterized by the generated
 /// inputs so the property sweeps the full wire surface each case.
-fn build_frames(a: u64, b: u64, bytes: &[u8], flag: bool) -> Vec<Frame> {
+fn build_frames(a: u64, b: u64, bytes: &[u8]) -> Vec<Frame> {
     vec![
         Frame::Data {
             comm_id: a,
             src: b % 64,
             tag: b,
-            metered: flag,
-            meter_bytes: a % 4096,
             type_fp: a ^ b,
             count: bytes.len() as u64,
             payload: bytes.to_vec(),
@@ -44,9 +42,8 @@ proptest! {
         a in 0u64..u64::MAX,
         b in 0u64..u64::MAX,
         bytes in proptest::collection::vec(0u8..=255u8, 0..48),
-        flag in 0u8..2,
     ) {
-        for f in build_frames(a, b, &bytes, flag == 1) {
+        for f in build_frames(a, b, &bytes) {
             let enc = f.to_bytes();
             let back = Frame::from_bytes(&enc);
             prop_assert_eq!(back.as_ref().ok(), Some(&f));
@@ -61,9 +58,8 @@ proptest! {
         a in 0u64..u64::MAX,
         b in 0u64..u64::MAX,
         bytes in proptest::collection::vec(0u8..=255u8, 0..24),
-        flag in 0u8..2,
     ) {
-        for f in build_frames(a, b, &bytes, flag == 1) {
+        for f in build_frames(a, b, &bytes) {
             let enc = f.to_bytes();
             for cut in 0..enc.len() {
                 // every strict prefix must decode to Err, never panic and
@@ -85,7 +81,7 @@ proptest! {
         pos in 0usize..4096,
         xor in 1u8..=255,
     ) {
-        for f in build_frames(a, b, &bytes, true) {
+        for f in build_frames(a, b, &bytes) {
             let mut enc = f.to_bytes();
             let i = pos % enc.len();
             enc[i] ^= xor;
@@ -234,7 +230,7 @@ fn splitmix(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// One primitive of the codec registry against its reference: `make` turns
+/// One primitive `Wire` type against its reference: `make` turns
 /// random bits into a value (every bit pattern, so NaN payloads and `-0.0`
 /// are in play), `le` is the element's little-endian encoding written out
 /// independently of `Wire`. `bulk` says the type overrides the slice forms
@@ -355,8 +351,8 @@ fn bulk_codec_equals_the_elementwise_reference_for_every_registered_primitive() 
     check_bulk_codec("f64", true, f64::from_bits, |x| {
         x.to_bits().to_le_bytes().to_vec()
     });
-    // the tuples and nested vectors of the registry keep the element-wise
-    // default; same reference, same properties
+    // tuples and nested vectors keep the element-wise default; same
+    // reference, same properties
     check_bulk_codec(
         "(u32, u32, f64)",
         false,
