@@ -10,7 +10,7 @@
 
 use sa_dist::outer1d::{spgemm_outer_1d, OuterReport};
 use sa_dist::spgemm1d::{
-    analyze_1d_modes, spgemm_1d, try_spgemm_1d, FetchMode, Plan1D, SpgemmReport,
+    pick_fetch_mode, spgemm_1d, try_spgemm_1d, FetchMode, Plan1D, SpgemmReport,
 };
 use sa_dist::{
     load_agreed, save_wire, uniform_offsets, CacheConfig, CheckpointStore, DistMat1D, MatSnapshot,
@@ -108,11 +108,10 @@ fn galerkin_product_with<C: Comm>(
 }
 
 /// [`galerkin_product`] with the left multiplication's fetch coalescing
-/// picked by the collective analyzer: every candidate mode is priced in
-/// one [`analyze_1d_modes`] round (one metadata exchange, no numeric
-/// traffic), the per-rank critical paths under the α–β `model` are
-/// max-reduced together, and the cheapest mode drives the product — with
-/// the outer-product right algorithm the paper recommends (Fig. 12).
+/// picked by [`pick_fetch_mode`] (one metadata exchange, no numeric
+/// traffic) among the default block size, contiguous runs and exact
+/// columns — with the outer-product right algorithm the paper recommends
+/// (Fig. 12).
 /// Returns the coarse operator, the reports, and the mode picked.
 /// Collective.
 pub fn galerkin_auto<C: Comm>(
@@ -128,17 +127,7 @@ pub fn galerkin_auto<C: Comm>(
         FetchMode::ContiguousRuns,
         FetchMode::ColumnExact,
     ];
-    let local_times: Vec<f64> = analyze_1d_modes(comm, &rt_dist, a, &modes)
-        .iter()
-        .map(|pre| model.time_s(pre.planned_intervals * 2, pre.planned_fetch_bytes))
-        .collect();
-    let critical = comm.allreduce_vec(local_times, |x, y| x.max(*y));
-    let best = modes[critical
-        .iter()
-        .enumerate()
-        .min_by(|x, y| x.1.total_cmp(y.1))
-        .expect("non-empty candidate set")
-        .0];
+    let best = pick_fetch_mode(comm, &rt_dist, a, &modes, model);
     let plan = Plan1D {
         fetch_mode: best,
         ..Default::default()

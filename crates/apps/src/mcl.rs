@@ -5,7 +5,7 @@
 //! repository.
 
 use sa_dist::{
-    analyze_2d, load_agreed, save_wire, AlgoChoice, AutoTuner, CacheConfig, CheckpointStore,
+    load_agreed, pick_fetch_mode, save_wire, uniform_offsets, CacheConfig, CheckpointStore,
     DistMat1D, FetchMode, MatSnapshot, Plan1D, SessionSnapshot, SessionStats, SpgemmSession,
 };
 use sa_mpisim::{Comm, CostModel};
@@ -149,8 +149,7 @@ pub fn interpret_clusters(m: &Csc<f64>) -> Vec<u32> {
 }
 
 /// The matrix the first expansion squares: `a` with self-loops added
-/// (standard MCL) and columns normalized — shared by the solver and the
-/// autotuner's offline pricing so both see the same operand.
+/// (standard MCL) and columns normalized.
 fn expansion_seed(a: &Csc<f64>) -> Csc<f64> {
     let n = a.ncols();
     let mut coo = a.to_coo();
@@ -160,6 +159,12 @@ fn expansion_seed(a: &Csc<f64>) -> Csc<f64> {
     let mut with_loops = coo.to_csc_with(|x, y| x + y);
     normalize_columns(&mut with_loops);
     with_loops
+}
+
+/// [`expansion_seed`] in the 1D layout every driver iterates on.
+fn distributed_seed<C: Comm>(comm: &C, a: &Csc<f64>) -> DistMat1D {
+    let m0 = expansion_seed(a);
+    DistMat1D::from_global(comm, &m0, &uniform_offsets(m0.ncols(), comm.size()))
 }
 
 /// The matrix serial MCL holds after `iters` rounds of expansion + inflation
@@ -182,13 +187,12 @@ pub fn mcl_iterate(a: &Csc<f64>, cfg: &MclConfig, iters: usize) -> Csc<f64> {
     })
 }
 
-/// [`mcl_1d`] with the expansion's fetch mode chosen by the collective-free
-/// analyzer: each candidate coalescing is priced on the first squaring
-/// `M₀²` (the dominant multiply — later iterations only shrink) and the
-/// cheapest one under the α–β model drives the whole run. Rank 0 prices
-/// once and broadcasts the pick (the same pattern as `spgemm_auto` — the
-/// analysis is deterministic but not free). Returns the clusters,
-/// iteration count, session counters, and the mode picked. Collective.
+/// [`mcl_1d`] with the expansion's fetch mode picked by
+/// [`pick_fetch_mode`] among the default block size, contiguous runs and
+/// exact columns: each is priced on the first squaring `M₀²` (the dominant
+/// multiply — later iterations only shrink), and the cheapest under the
+/// α–β model drives the whole run. Returns the clusters, iteration count,
+/// session counters, and the mode picked. Collective.
 pub fn mcl_1d_auto<C: Comm>(
     comm: &C,
     a: &Csc<f64>,
@@ -196,32 +200,13 @@ pub fn mcl_1d_auto<C: Comm>(
     cache: CacheConfig,
     model: &CostModel,
 ) -> (Vec<u32>, usize, SessionStats, FetchMode) {
-    let m0 = expansion_seed(a); // every rank needs the seed to distribute
-    let payload = (comm.rank() == 0).then(|| {
-        let modes = [
-            FetchMode::default(),
-            FetchMode::ContiguousRuns,
-            FetchMode::ColumnExact,
-        ];
-        let best = modes
-            .into_iter()
-            .map(|m| {
-                // a 1 × P grid is Algorithm 1's layout
-                let t = analyze_2d(&m0, &m0, 1, comm.size(), m)
-                    .aware
-                    .modeled_time_s(model, AutoTuner::DEFAULT_FLOPS_PER_S);
-                (t, m)
-            })
-            .min_by(|x, y| x.0.total_cmp(&y.0))
-            .expect("non-empty candidate set")
-            .1;
-        AlgoChoice::OneD { mode: best }.encode().to_vec()
-    });
-    let wire = comm.bcast_vec(0, payload);
-    let words: [u64; 5] = wire[..5].try_into().expect("5-word choice");
-    let AlgoChoice::OneD { mode: best } = AlgoChoice::decode(&words) else {
-        unreachable!("rank 0 encodes a 1D pick")
-    };
+    let m0 = distributed_seed(comm, a);
+    let modes = [
+        FetchMode::default(),
+        FetchMode::ContiguousRuns,
+        FetchMode::ColumnExact,
+    ];
+    let best = pick_fetch_mode(comm, &m0, &m0, &modes, model);
     let plan = Plan1D {
         fetch_mode: best,
         ..Default::default()
@@ -270,7 +255,7 @@ pub fn mcl_1d_session<C: Comm>(
     plan: &Plan1D,
     cache: CacheConfig,
 ) -> (Vec<u32>, usize, SessionStats) {
-    mcl_run(comm, || expansion_seed(a), cfg, plan, cache, None)
+    mcl_run(comm, || distributed_seed(comm, a), cfg, plan, cache, None)
 }
 
 /// [`mcl_1d_session`] with per-iteration checkpointing, for execution under
@@ -298,7 +283,7 @@ pub fn mcl_1d_checkpointed<C: Comm>(
 ) -> (Vec<u32>, usize, SessionStats) {
     mcl_run(
         comm,
-        || expansion_seed(a),
+        || distributed_seed(comm, a),
         cfg,
         plan,
         cache,
@@ -310,7 +295,7 @@ pub fn mcl_1d_checkpointed<C: Comm>(
 /// clusters off the gathered matrix, drop the finished run's checkpoint.
 fn mcl_run<C: Comm>(
     comm: &C,
-    seed: impl FnOnce() -> Csc<f64>,
+    seed: impl FnOnce() -> DistMat1D,
     cfg: &MclConfig,
     plan: &Plan1D,
     cache: CacheConfig,
@@ -327,14 +312,15 @@ fn mcl_run<C: Comm>(
     (clusters, iters, stats)
 }
 
-/// The one MCL iteration loop. `seed` builds the column-stochastic matrix the
-/// first expansion squares ([`mcl_1d_auto`] hands over the one it priced the
-/// fetch modes on); it is not called when the run resumes from `checkpoint`.
+/// The one MCL iteration loop. `seed` distributes the column-stochastic
+/// matrix the first expansion squares ([`mcl_1d_auto`] hands over the one it
+/// priced the fetch modes on); it is not called when the run resumes from
+/// `checkpoint`.
 /// Without a `checkpoint` nothing is loaded or saved. Returns the last
 /// iterate, the iterations run, and the session counters.
 fn mcl_converge<C: Comm>(
     comm: &C,
-    seed: impl FnOnce() -> Csc<f64>,
+    seed: impl FnOnce() -> DistMat1D,
     cfg: &MclConfig,
     plan: &Plan1D,
     cache: CacheConfig,
@@ -357,9 +343,7 @@ fn mcl_converge<C: Comm>(
             (current, session, k as usize, true)
         }
         None => {
-            let with_loops = seed();
-            let offsets = sa_dist::uniform_offsets(with_loops.ncols(), comm.size());
-            let current = DistMat1D::from_global(comm, &with_loops, &offsets);
+            let current = seed();
             let session = SpgemmSession::create(comm, current.clone(), *plan, cache);
             (current, session, 0usize, false)
         }
@@ -523,7 +507,7 @@ mod tests {
                     let cfg = MclConfig { max_iters, ..cfg };
                     mcl_converge(
                         comm,
-                        || expansion_seed(&a),
+                        || distributed_seed(comm, &a),
                         &cfg,
                         &Plan1D::default(),
                         CacheConfig::unlimited(),

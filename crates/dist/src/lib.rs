@@ -7,7 +7,9 @@
 //!   one-sided windows, coalesced per [`FetchMode`] into ranged
 //!   `get`s (§III-A's block fetch strategy). [`analyze_1d`] prices the
 //!   communication exactly *before* any data moves — the §V `CV/memA`
-//!   criterion.
+//!   criterion — and [`pick_fetch_mode`] prices several fetch modes in
+//!   one such collective pass and returns the cheapest under the α–β
+//!   [`CostModel`](sa_mpisim::CostModel), the same on every rank.
 //! * [`outer1d`] — **Algorithm 3**, the outer-product 1D baseline
 //!   (expand–multiply–reduce), the better 1D algorithm for the Galerkin
 //!   right multiplication (Fig. 12).
@@ -22,12 +24,10 @@
 //!   split of the operands, with a fiber reduce-scatter of the partials —
 //!   in oblivious ([`spgemm_split_3d`]) and sparsity-aware
 //!   ([`spgemm_split_3d_sa`]) flavours.
-//! * [`autotune`] — the §V selection criterion generalized: collective-free
-//!   analyses replay every algorithm's symbolic machinery on the global
-//!   operands (predicted == metered, byte for byte) and
-//!   [`AutoTuner::pick`] returns the cheapest `(algorithm, fetch mode,
-//!   grid shape)` under the α–β [`CostModel`](sa_mpisim::CostModel);
-//!   [`spgemm_auto`] runs the winner.
+//! * [`analyze`] — exact traffic predictors for the 2D and 3D multiplies:
+//!   [`analyze_2d`] and [`analyze_3d`] replay the symbolic machinery on the
+//!   global operands, and what they predict is what execution meters,
+//!   byte for byte.
 //! * [`session`] — cross-iteration extension of Algorithm 1: a persistent
 //!   [`SpgemmSession`] pins the fetched operand (metadata + window exposure
 //!   once), and its resident copy of that operand
@@ -53,11 +53,11 @@
 //! `&SpgemmWorkspace::new()`): [`try_spgemm_1d`],
 //! [`try_spgemm_summa_2d_sa`] and [`spgemm_split_3d_sa`] (the last two
 //! generic over the semiring), [`spgemm_summa_2d`] and [`spgemm_split_3d`].
-//! [`try_spgemm_auto`] and [`spgemm_outer_1d`] need no workspace.
-//! [`spgemm_1d`], [`spgemm_summa_2d_sa`] and [`spgemm_auto`] are the
-//! panicking one-line wrappers of their `try_*` cores.
+//! [`spgemm_outer_1d`] needs no workspace. [`spgemm_1d`] and
+//! [`spgemm_summa_2d_sa`] are the panicking one-line wrappers of their
+//! `try_*` cores.
 
-pub mod autotune;
+pub mod analyze;
 pub mod checkpoint;
 pub mod dist1d;
 mod fetch;
@@ -71,10 +71,7 @@ pub mod spgemm1d;
 pub mod summa2d;
 pub mod summa2d_sa;
 
-pub use autotune::{
-    analyze_2d, analyze_3d, spgemm_auto, try_spgemm_auto, AlgoChoice, Analysis2D, Analysis3D,
-    AutoReport, AutoTuner, PhaseCost, Prediction,
-};
+pub use analyze::{analyze_2d, analyze_3d, Analysis2D, Analysis3D, PhaseCost, Prediction};
 pub use checkpoint::{
     agreed_step, load_agreed, load_wire, load_wire_or_fresh, save_wire, CheckpointStore, CkptError,
     FileStore, MatSnapshot, MemStore,
@@ -89,8 +86,8 @@ pub use prepare::{prepare, PrepResult, Strategy};
 pub use session::{CacheConfig, SessionAnalysis, SessionSnapshot, SessionStats, SpgemmSession};
 pub use shape::ShapeError;
 pub use spgemm1d::{
-    analyze_1d, analyze_1d_modes, spgemm_1d, try_spgemm_1d, Analysis1D, FetchMode, Plan1D,
-    SpgemmReport,
+    analyze_1d, analyze_1d_modes, pick_fetch_mode, spgemm_1d, try_spgemm_1d, Analysis1D, FetchMode,
+    Plan1D, SpgemmReport,
 };
 pub use summa2d::{spgemm_summa_2d, DistMat2D, SummaReport};
-pub use summa2d_sa::{grid_shapes, spgemm_summa_2d_sa, try_spgemm_summa_2d_sa, SaSummaReport};
+pub use summa2d_sa::{spgemm_summa_2d_sa, try_spgemm_summa_2d_sa, SaSummaReport};

@@ -7,13 +7,11 @@
 //! rank reports the same [`ShapeError`] (the operands' global shapes are
 //! replicated, so the check is collective-free and agrees by construction).
 //!
-//! The three `try_*` entry points ([`try_spgemm_1d`](crate::try_spgemm_1d),
-//! [`try_spgemm_summa_2d_sa`](crate::try_spgemm_summa_2d_sa),
-//! [`try_spgemm_auto`](crate::try_spgemm_auto)) return the error; their
-//! panicking wrappers ([`spgemm_1d`](crate::spgemm_1d),
-//! [`spgemm_summa_2d_sa`](crate::spgemm_summa_2d_sa),
-//! [`spgemm_auto`](crate::spgemm_auto)) unwrap it with the same message
-//! they always had. The baselines and the 3D split
+//! The two `try_*` entry points ([`try_spgemm_1d`](crate::try_spgemm_1d),
+//! [`try_spgemm_summa_2d_sa`](crate::try_spgemm_summa_2d_sa)) return the
+//! error; their panicking wrappers ([`spgemm_1d`](crate::spgemm_1d),
+//! [`spgemm_summa_2d_sa`](crate::spgemm_summa_2d_sa)) unwrap it with the
+//! same message they always had. The baselines and the 3D split
 //! ([`spgemm_summa_2d`](crate::spgemm_summa_2d),
 //! [`spgemm_split_3d`](crate::spgemm_split_3d),
 //! [`spgemm_split_3d_sa`](crate::spgemm_split_3d_sa),

@@ -26,7 +26,7 @@
 use crate::dist1d::DistMat1D;
 use crate::fetch::{exchange_meta, plan_fetch, FetchPlan, RankMeta, ENTRY_BYTES};
 use crate::shape::ShapeError;
-use sa_mpisim::{Comm, CommStats, PairedWindow, PhaseTimes, Wire, WireError};
+use sa_mpisim::{Comm, CommStats, CostModel, PairedWindow, PhaseTimes, Wire, WireError};
 use sa_sparse::semiring::PlusTimes;
 use sa_sparse::spgemm::{
     spgemm_with_epilogue, ChunkBuf, ColSource, Kernel, NoEpilogue, Schedule, SpgemmWorkspace,
@@ -303,6 +303,33 @@ pub fn analyze_1d_modes<C: Comm>(
             cv_over_mem: cv_of(maxes[i], sums[0]),
         })
         .collect()
+}
+
+/// The cheapest of `modes` for multiplying `a · b`, the same on every
+/// rank: one [`analyze_1d_modes`] round prices every mode's fetch schedule
+/// per rank under the α–β `model` (two messages per interval), the prices
+/// are max-reduced into per-mode critical paths, and the first mode with
+/// the least one wins. Moves no numeric data. Collective; panics if
+/// `modes` is empty.
+pub fn pick_fetch_mode<C: Comm>(
+    comm: &C,
+    a: &DistMat1D,
+    b: &DistMat1D,
+    modes: &[FetchMode],
+    model: &CostModel,
+) -> FetchMode {
+    let local_times: Vec<f64> = analyze_1d_modes(comm, a, b, modes)
+        .iter()
+        .map(|pre| model.time_s(pre.planned_intervals * 2, pre.planned_fetch_bytes))
+        .collect();
+    let critical = comm.allreduce_vec(local_times, |x, y| x.max(*y));
+    let best = critical
+        .iter()
+        .enumerate()
+        .min_by(|x, y| x.1.total_cmp(y.1))
+        .expect("at least one fetch mode to pick from")
+        .0;
+    modes[best]
 }
 
 /// The sparsity-aware 1D SpGEMM (Algorithm 1). Returns `C` in `B`'s column
@@ -659,6 +686,73 @@ mod tests {
                 assert_eq!(pre.needed_bytes, rep.needed_bytes, "{mode:?}");
                 assert_eq!(pre.planned_fetch_bytes_global, rep.fetched_bytes_global);
             }
+        }
+    }
+
+    #[test]
+    fn pick_fetch_mode_is_the_collective_argmin() {
+        use crate::prepare::{prepare, Strategy};
+        let modes = [
+            FetchMode::default(),
+            FetchMode::ContiguousRuns,
+            FetchMode::ColumnExact,
+            FetchMode::FullMatrix,
+        ];
+        let model = CostModel::default();
+        let scrambled = prepare(
+            &erdos_renyi(160, 160, 4.0, 21),
+            4,
+            Strategy::RandomPerm { seed: 3 },
+        )
+        .a;
+        for a in [banded(160, 5, 0.8, true, 7), scrambled] {
+            let got = Universe::new(4).run(|comm| {
+                let da = DistMat1D::from_global(comm, &a, &uniform_offsets(160, 4));
+                let pick = pick_fetch_mode(comm, &da, &da, &modes, &model);
+                let apart: Vec<Analysis1D> = modes
+                    .iter()
+                    .map(|&m| analyze_1d(comm, &da, &da, m))
+                    .collect();
+                // a duplicated entry is the same price twice: the pick stands
+                let dup = [modes[3], pick, pick];
+                (pick, apart, pick_fetch_mode(comm, &da, &da, &dup, &model))
+            });
+            let pick = got[0].0;
+            assert!(got.iter().all(|g| g.0 == pick), "every rank picks {pick:?}");
+            assert!(
+                got.iter().all(|g| g.2 == pick),
+                "duplicate entries keep the pick"
+            );
+            // the argmin over modes of the slowest rank's price, each mode
+            // analysed on its own
+            let critical = |i: usize| {
+                got.iter()
+                    .map(|(_, apart, _)| {
+                        model.time_s(apart[i].planned_intervals * 2, apart[i].planned_fetch_bytes)
+                    })
+                    .fold(0.0, f64::max)
+            };
+            let best =
+                (1..modes.len()).fold(0, |b, i| if critical(i) < critical(b) { i } else { b });
+            assert_eq!(pick, modes[best]);
+        }
+        // a diagonal operand needs no remote column: every needed-set mode
+        // prices zero, and the first one listed wins the tie
+        let mut coo = sa_sparse::Coo::new(40, 40);
+        for i in 0..40 {
+            coo.push(i, i, 1.0);
+        }
+        let diag = coo.to_csc_with(|x, _| x);
+        let picks = Universe::new(4).run(|comm| {
+            let da = DistMat1D::from_global(comm, &diag, &uniform_offsets(40, 4));
+            let (x, y) = (FetchMode::ColumnExact, FetchMode::Block(4));
+            (
+                pick_fetch_mode(comm, &da, &da, &[x, y], &model),
+                pick_fetch_mode(comm, &da, &da, &[y, x], &model),
+            )
+        });
+        for p in picks {
+            assert_eq!(p, (FetchMode::ColumnExact, FetchMode::Block(4)));
         }
     }
 

@@ -33,7 +33,7 @@
 //!
 //! Every byte is metered: [`SaSummaReport`] splits the traffic into the
 //! symbolic exchange, the A-window fetch, and the B request/ship legs, and
-//! [`analyze_2d`](crate::autotune::analyze_2d) predicts each leg exactly
+//! [`analyze_2d`](crate::analyze::analyze_2d) predicts each leg exactly
 //! before any rank is spawned.
 
 use crate::dist1d::DistMat1D;
@@ -351,20 +351,4 @@ pub fn try_spgemm_summa_2d_sa<C: Comm, S: Semiring<T = f64>>(
         },
     };
     Ok((c, report))
-}
-
-/// Grid-shape helper for tests and the autotuner: the `(pr, pc)` pairs a
-/// rank count supports, square first (the CombBLAS convention), then the
-/// degenerate `1 × P` / `P × 1` shapes that reduce to the 1D algorithms.
-pub fn grid_shapes(p: usize) -> Vec<(usize, usize)> {
-    let mut shapes = Vec::new();
-    let s = (p as f64).sqrt().round() as usize;
-    if s * s == p && s > 1 {
-        shapes.push((s, s));
-    }
-    shapes.push((1, p));
-    if p > 1 {
-        shapes.push((p, 1));
-    }
-    shapes
 }

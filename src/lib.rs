@@ -19,9 +19,9 @@
 //!   algorithm with block fetching, plus the 2D sparse SUMMA, 3D split, and
 //!   outer-product 1D baselines; `SpgemmSession` extends Algorithm 1 across
 //!   iterations with a persistent remote-column fetch cache; sparsity-aware
-//!   2D/3D variants bring needed-set communication to the grid layouts, and
-//!   an `AutoTuner` with collective-free cost analyses picks the cheapest
-//!   `(algorithm, fetch mode, grid shape)` per input (`spgemm_auto`).
+//!   2D/3D variants bring needed-set communication to the grid layouts,
+//!   with exact traffic predictors (`analyze_2d` / `analyze_3d`), and
+//!   `pick_fetch_mode` picks a 1D fetch mode from one collective analysis.
 //! * [`apps`] — evaluation applications: algebraic-multigrid restriction
 //!   (MIS-2 aggregation + Galerkin product) and batched betweenness
 //!   centrality; triangle counting and Markov clustering as extensions.
@@ -58,8 +58,8 @@ pub use sa_sparse as sparse;
 pub mod prelude {
     pub use sa_apps::{bc, galerkin, mcl, mis2, restriction, triangle};
     pub use sa_dist::{
-        analyze_1d, spgemm_1d, spgemm_auto, spgemm_split_3d_sa, spgemm_summa_2d_sa, try_spgemm_1d,
-        uniform_offsets, AlgoChoice, AutoTuner, CacheConfig, CheckpointStore, CkptError, DistMat1D,
+        analyze_1d, pick_fetch_mode, spgemm_1d, spgemm_split_3d_sa, spgemm_summa_2d_sa,
+        try_spgemm_1d, uniform_offsets, CacheConfig, CheckpointStore, CkptError, DistMat1D,
         DistMat2D, DistMat3D, FetchMode, FileStore, MatSnapshot, MemStore, Plan1D, SessionSnapshot,
         SessionStats, SpgemmReport, SpgemmSession,
     };

@@ -17,15 +17,15 @@
 //! (plus its pre-communication analysis), 2D SUMMA across grid shapes and
 //! semirings, the 3D split algorithm across layer counts, the stateful
 //! `SpgemmSession` fresh-vs-cache split with delta invalidation, the
-//! `spgemm_auto` tuner, MCL's three drivers, and a pure-runtime cell that
-//! exercises every collective, point-to-point patterns, windows, and splits
-//! directly.
+//! collective `pick_fetch_mode` and the multiply it picks for, MCL's three
+//! drivers, and a pure-runtime cell that exercises every collective,
+//! point-to-point patterns, windows, and splits directly.
 //!
 //! Outputs are fingerprinted with `f64::to_bits` (integer-valued operands
 //! make the sums exact), so equality is exact equality, not tolerance.
 
 use saspgemm::dist::{
-    analyze_1d, prepare, spgemm_1d, spgemm_auto, spgemm_split_3d_sa, spgemm_summa_2d_sa,
+    analyze_1d, pick_fetch_mode, prepare, spgemm_1d, spgemm_split_3d_sa, spgemm_summa_2d_sa,
     uniform_offsets, CacheConfig, DistMat1D, DistMat2D, DistMat3D, FetchMode, Plan1D,
     SpgemmSession, Strategy,
 };
@@ -527,27 +527,41 @@ fn session_cache_conforms() {
     run_conformance(4, &SessionCell { a: &a }, "session fresh-vs-cache");
 }
 
-/// The autotuner: same pick, same traffic, same product on every backend.
-struct AutoCell<'a> {
+/// The fetch-mode pick, then the 1D multiply under the picked mode: same
+/// mode, same traffic, same product on every backend.
+struct PickCell<'a> {
     a: &'a Csc<f64>,
     b: &'a Csc<f64>,
 }
 
-impl RankJob for AutoCell<'_> {
+impl RankJob for PickCell<'_> {
     type Out = Verdict;
     fn run<C: Comm>(&self, comm: &C) -> Verdict {
         let before = comm.stats();
-        let (c, rep) = spgemm_auto(comm, self.a, self.b, &CostModel::slingshot());
-        let s = format!("{}|choice={:?}|{:?}", fp_opt(&c), rep.choice, rep.comm);
+        let offsets = uniform_offsets(self.a.ncols(), comm.size());
+        let da = DistMat1D::from_global(comm, self.a, &offsets);
+        let db = DistMat1D::from_global(comm, self.b, &offsets);
+        let modes = [
+            FetchMode::default(),
+            FetchMode::ContiguousRuns,
+            FetchMode::ColumnExact,
+        ];
+        let mode = pick_fetch_mode(comm, &da, &db, &modes, &CostModel::slingshot());
+        let plan = Plan1D {
+            fetch_mode: mode,
+            ..Default::default()
+        };
+        let (c, _) = spgemm_1d(comm, &da, &db, &plan);
+        let s = format!("{}|mode={mode:?}", fp_opt(&c.gather(comm)));
         (s, comm.stats() - before)
     }
 }
 
 #[test]
-fn autotuner_conforms() {
+fn fetch_mode_pick_conforms() {
     let a = int_er(48, 48, 3.0, 51);
     let b = int_er(48, 48, 3.0, 52);
-    let got = run_conformance(4, &AutoCell { a: &a, b: &b }, "spgemm_auto");
+    let got = run_conformance(4, &PickCell { a: &a, b: &b }, "pick_fetch_mode");
     assert!(got[0].0.starts_with("48x48"), "rank 0 gathers the product");
 }
 

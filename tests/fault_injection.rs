@@ -2,12 +2,13 @@
 //! deaths into *typed, attributed, bounded* failures instead of hangs.
 //!
 //! The matrix: every distributed workload (1D / 2D / 3D sparsity-aware
-//! multiply, a cached `SpgemmSession` multiply + `update_a`, and the
-//! `spgemm_auto` tuner pick) × every fault shape (abort at the victim's
-//! first communication call, abort mid-stream inside a collective's
-//! constituent point-to-point calls, and a straggler delay) × all three
-//! backends (`Backend::Sim` / `Backend::Threads` / `Backend::Procs`, one
-//! `try_run_backend` each). In every abort cell the job must terminate within
+//! multiply, a cached `SpgemmSession` multiply + `update_a`, and a
+//! `pick_fetch_mode` pick followed by the 1D multiply it picked for) ×
+//! every fault shape (abort at the victim's first communication call,
+//! abort mid-stream inside a collective's constituent point-to-point
+//! calls, and a straggler delay) × all three backends (`Backend::Sim` /
+//! `Backend::Threads` / `Backend::Procs`, one `try_run_backend` each). In
+//! every abort cell the job must terminate within
 //! the watchdog deadline with the victim reporting its own panic and
 //! **every** survivor reporting [`CommError::PeerFailed`] naming the
 //! victim.
@@ -44,7 +45,7 @@
 //! the seeded-replay sweeps to one seed for CI replay jobs.
 
 use saspgemm::dist::{
-    agreed_step, load_wire_or_fresh, save_wire, spgemm_1d, spgemm_auto, spgemm_split_3d_sa,
+    agreed_step, load_wire_or_fresh, pick_fetch_mode, save_wire, spgemm_1d, spgemm_split_3d_sa,
     spgemm_summa_2d_sa, uniform_offsets, CacheConfig, CheckpointStore, DistMat1D, DistMat2D,
     DistMat3D, FetchMode, FileStore, MemStore, Plan1D, SessionSnapshot, SpgemmSession,
 };
@@ -185,11 +186,25 @@ fn workload<C: Comm>(name: &str, comm: &C) -> String {
                 r2.cache_hit_bytes
             )
         }
-        "auto" => {
+        "pick" => {
             let a = int_er(48, 3.0, 107);
             let b = int_er(48, 3.0, 108);
-            let (c, rep) = spgemm_auto(comm, &a, &b, &CostModel::slingshot());
-            format!("{} {:?} {:?}", fp_opt(&c), rep.choice, rep.comm)
+            let offsets = uniform_offsets(a.ncols(), comm.size());
+            let da = DistMat1D::from_global(comm, &a, &offsets);
+            let db = DistMat1D::from_global(comm, &b, &offsets);
+            let before = comm.stats();
+            let modes = [FetchMode::default(), FetchMode::ContiguousRuns];
+            let mode = pick_fetch_mode(comm, &da, &db, &modes, &CostModel::slingshot());
+            let plan = Plan1D {
+                fetch_mode: mode,
+                ..Default::default()
+            };
+            let (c, _) = spgemm_1d(comm, &da, &db, &plan);
+            format!(
+                "{} {mode:?} {:?}",
+                fp_opt(&c.gather(comm)),
+                comm.stats() - before
+            )
         }
         // One control-plane call each, fingerprinted by the traffic it metered.
         "barrier" | "split" | "window" => {
@@ -206,7 +221,7 @@ fn workload<C: Comm>(name: &str, comm: &C) -> String {
 }
 
 /// All workloads run on 4 ranks (the 3D case as a 2x2 grid x 1 layer).
-const WORKLOADS: [&str; 5] = ["1d", "2d", "3d", "session", "auto"];
+const WORKLOADS: [&str; 5] = ["1d", "2d", "3d", "session", "pick"];
 const NRANKS: usize = 4;
 const VICTIM: usize = 1;
 

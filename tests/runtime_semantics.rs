@@ -12,12 +12,11 @@
 
 use saspgemm::dist::{
     spgemm_1d, spgemm_outer_1d, spgemm_split_3d, spgemm_split_3d_sa, spgemm_summa_2d,
-    try_spgemm_1d, try_spgemm_auto, try_spgemm_summa_2d_sa, uniform_offsets, DistMat1D, DistMat2D,
-    DistMat3D, FetchMode, Plan1D, ShapeError,
+    try_spgemm_1d, try_spgemm_summa_2d_sa, uniform_offsets, DistMat1D, DistMat2D, DistMat3D,
+    FetchMode, Plan1D, ShapeError,
 };
 use saspgemm::mpisim::{
-    Backend, Comm, CommStats, CostModel, Grid2D, Grid3D, PairedWindow, PhaseTimes, RankComm,
-    Universe,
+    Backend, Comm, CommStats, Grid2D, Grid3D, PairedWindow, PhaseTimes, RankComm, Universe,
 };
 use saspgemm::sparse::gen::{banded, erdos_renyi};
 use saspgemm::sparse::{Csc, Dcsc, PlusTimes, SpgemmWorkspace};
@@ -389,7 +388,6 @@ fn try_entry_points_reject_bad_operands_alike_on_every_rank_before_moving_anythi
                 comm, &square, &s_flat, &s_square, mode, &ws,
             )
             .err(),
-            try_spgemm_auto(comm, &a, &b, &CostModel::default()).err(),
         ];
         (errs, comm.stats() - stats0, ws.counters() == counters0)
     });
@@ -406,7 +404,7 @@ fn try_entry_points_reject_bad_operands_alike_on_every_rank_before_moving_anythi
         grid: 2,
     };
     for (rank, (errs, delta, ws_untouched)) in got.into_iter().enumerate() {
-        let expect = [not_conformal, not_conformal, blocking, not_conformal].map(Some);
+        let expect = [not_conformal, not_conformal, blocking].map(Some);
         assert_eq!(errs, expect, "rank {rank}: the same typed error everywhere");
         assert_eq!(delta, CommStats::default(), "rank {rank}: nothing moved");
         assert!(ws_untouched, "rank {rank}: the workspace was not touched");
