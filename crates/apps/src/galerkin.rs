@@ -109,9 +109,10 @@ fn galerkin_product_with<C: Comm>(
 
 /// [`galerkin_product`] with the left multiplication's fetch coalescing
 /// picked by [`pick_fetch_mode`] (one metadata exchange, no numeric
-/// traffic) among the default block size, contiguous runs and exact
-/// columns — with the outer-product right algorithm the paper recommends
-/// (Fig. 12).
+/// traffic) between the default block size and contiguous runs — with the
+/// outer-product right algorithm the paper recommends (Fig. 12). Exact
+/// columns are no candidate: contiguous runs move the same bytes in no more
+/// gets, so they could never win.
 /// Returns the coarse operator, the reports, and the mode picked.
 /// Collective.
 pub fn galerkin_auto<C: Comm>(
@@ -122,11 +123,7 @@ pub fn galerkin_auto<C: Comm>(
 ) -> (DistMat1D, GalerkinReport, FetchMode) {
     let rt = r_global.transpose();
     let rt_dist = DistMat1D::from_global(comm, &rt, a.offsets());
-    let modes = [
-        FetchMode::default(),
-        FetchMode::ContiguousRuns,
-        FetchMode::ColumnExact,
-    ];
+    let modes = [FetchMode::default(), FetchMode::ContiguousRuns];
     let best = pick_fetch_mode(comm, &rt_dist, a, &modes, model);
     let plan = Plan1D {
         fetch_mode: best,

@@ -188,11 +188,12 @@ pub fn mcl_iterate(a: &Csc<f64>, cfg: &MclConfig, iters: usize) -> Csc<f64> {
 }
 
 /// [`mcl_1d`] with the expansion's fetch mode picked by
-/// [`pick_fetch_mode`] among the default block size, contiguous runs and
-/// exact columns: each is priced on the first squaring `M₀²` (the dominant
+/// [`pick_fetch_mode`] between the default block size and contiguous runs:
+/// each is priced on the first squaring `M₀²` (the dominant
 /// multiply — later iterations only shrink), and the cheapest under the
-/// α–β model drives the whole run. Returns the clusters, iteration count,
-/// session counters, and the mode picked. Collective.
+/// α–β model drives the whole run (exact columns could never win: contiguous
+/// runs move the same bytes in no more gets). Returns the clusters,
+/// iteration count, session counters, and the mode picked. Collective.
 pub fn mcl_1d_auto<C: Comm>(
     comm: &C,
     a: &Csc<f64>,
@@ -201,11 +202,7 @@ pub fn mcl_1d_auto<C: Comm>(
     model: &CostModel,
 ) -> (Vec<u32>, usize, SessionStats, FetchMode) {
     let m0 = distributed_seed(comm, a);
-    let modes = [
-        FetchMode::default(),
-        FetchMode::ContiguousRuns,
-        FetchMode::ColumnExact,
-    ];
+    let modes = [FetchMode::default(), FetchMode::ContiguousRuns];
     let best = pick_fetch_mode(comm, &m0, &m0, &modes, model);
     let plan = Plan1D {
         fetch_mode: best,

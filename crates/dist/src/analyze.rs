@@ -52,7 +52,7 @@ impl std::ops::AddAssign for PhaseCost {
 /// Predicted traffic of one multiply on one input, summed over ranks.
 #[derive(Clone, Copy, Debug)]
 pub struct Prediction {
-    /// Symbolic-exchange traffic (metadata allgathers, support lists).
+    /// Symbolic-exchange traffic (metadata records, support bitmaps).
     pub meta: PhaseCost,
     /// Numeric data movement (window fetches, B request/ship legs,
     /// broadcasts, reduce-scatter triples).
@@ -179,15 +179,13 @@ pub fn analyze_2d(a: &Csc<f64>, b: &Csc<f64>, pr: usize, pc: usize, mode: FetchM
         })
         .collect();
 
-    // symbolic exchange: jc + u32-lens allgathers along each process row,
-    // fixed-size support bitmaps down each process column
+    // symbolic exchange: one allgather of metadata records along each
+    // process row, fixed-size support bitmaps down each process column
     let mut rank_meta = vec![PhaseCost::default(); p];
     for (i, metas_i) in a_metas.iter().enumerate() {
-        let jc_lens: Vec<usize> = metas_i.iter().map(|m| m.jc.len()).collect();
-        let jc_cost = allgatherv_injected(&jc_lens, 4);
-        let len_cost = allgatherv_injected(&jc_lens, 4);
-        for s in 0..pc {
-            rank_meta[i * pc + s] += jc_cost[s] + len_cost[s];
+        let rec_lens: Vec<usize> = metas_i.iter().map(|m| m.record().len()).collect();
+        for (s, c) in allgatherv_injected(&rec_lens, 1).into_iter().enumerate() {
+            rank_meta[i * pc + s] += c;
         }
     }
     let words_of = |height: usize| height.div_ceil(64);
@@ -263,7 +261,7 @@ pub fn analyze_2d(a: &Csc<f64>, b: &Csc<f64>, pr: usize, pc: usize, mode: FetchM
                 let (cols_out, ents_out) = ship[i][t];
                 rc.b_served_bytes += cols_out * 8 + ents_out * 12;
                 data.bytes += cols_out * 8 + ents_out * 12;
-                data.msgs += 4;
+                data.msgs += 3;
             }
             rc.meta_bytes = rank_meta[rank].bytes;
             rc.meta_msgs = rank_meta[rank].msgs;

@@ -8,6 +8,32 @@
 //! `intervals.len()` ranged gets, which is what lets
 //! [`analyze_1d`](crate::spgemm1d::analyze_1d) price communication ahead of
 //! time and the tests assert metered == planned to the byte.
+//!
+//! # The metadata record
+//!
+//! Algorithm 1's replicated `⃗D` and prefix sums cross the wire as one
+//! `Vec<u8>` per rank, gathered by a single `allgatherv` ([`exchange_meta`]).
+//! Every number in it is an LEB128 varint (seven bits a byte, low group
+//! first, the high bit set on all bytes but the last):
+//!
+//! ```text
+//! runs  = run_count, (gap, run_len) × run_count
+//! record = runs(⃗D), entry_count × nzc
+//! ```
+//!
+//! `⃗D` is cut into maximal runs of consecutive local column ids; a run's
+//! `gap` counts from the end of the previous run (from 0 for the first),
+//! so a slice without empty columns is one run whatever its width. The
+//! entry counts follow in column order and rebuild the `u64` prefix array
+//! on the receiver. A column holding fewer than 128 entries costs one
+//! byte. The worst case is a hypersparse slice whose nonzero columns sit
+//! at least 2^28 apart: each column is a run of its own, 5 B of gap and
+//! 1 B of length, plus its count — at most 10 B per column while a column
+//! holds fewer than 2^28 entries (11 B beyond that), and at most 5 B of
+//! run count per record. [`SpgemmSession::update_a`]'s changed-column
+//! lists travel as bare runs.
+//!
+//! [`SpgemmSession::update_a`]: crate::session::SpgemmSession::update_a
 
 use crate::spgemm1d::FetchMode;
 use sa_mpisim::Comm;
@@ -35,30 +61,163 @@ impl RankMeta {
     pub fn col_entries(&self, q: usize) -> u64 {
         self.cp[q + 1] - self.cp[q]
     }
+
+    /// This metadata's wire record (see the module doc).
+    pub fn record(&self) -> Vec<u8> {
+        meta_record(&self.jc, self.cp.windows(2).map(|w| w[1] - w[0]))
+    }
+
+    /// Decode the record rank `from` sent, panicking with its name on a
+    /// malformed one.
+    fn from_record(from: usize, rec: &[u8]) -> RankMeta {
+        RankMeta::decode(rec).unwrap_or_else(|e| panic!("metadata record from rank {from}: {e}"))
+    }
+
+    /// Decode one rank's record; every malformed record is an `Err`.
+    fn decode(rec: &[u8]) -> Result<RankMeta, RecordError> {
+        let mut r = Reader(rec);
+        // ids are u32s, and each column's count takes at least one byte
+        let jc = r.runs(1 << 32, rec.len())?;
+        let mut cp = Vec::with_capacity(jc.len() + 1);
+        let mut end = 0u64;
+        cp.push(end);
+        for _ in 0..jc.len() {
+            end = end.checked_add(r.varint()?).ok_or(RecordError::Overflow)?;
+            cp.push(end);
+        }
+        r.finish()?;
+        Ok(RankMeta { jc, cp })
+    }
 }
 
-/// Replicate every rank's (jc, cp) metadata. Collective; metered as
-/// two-sided traffic (it is metadata exchange, not the RDMA fetch path).
-/// Column *lengths* travel as `u32` and the `u64` entry-range prefix is
-/// rebuilt locally — two thirds the wire bytes of shipping the prefix
-/// array itself, which matters once every process row of a 2D grid
-/// replicates its hypersparse block metadata per multiply.
-pub(crate) fn exchange_meta<C: Comm>(comm: &C, local: &Dcsc<f64>) -> Vec<RankMeta> {
-    let jcs = comm.allgatherv(local.jc().to_vec());
-    let lens: Vec<u32> = (0..local.nzc())
-        .map(|q| (local.cp()[q + 1] - local.cp()[q]) as u32)
-        .collect();
-    let lens_all = comm.allgatherv(lens);
-    jcs.into_iter()
-        .zip(lens_all)
-        .map(|(jc, lens)| {
-            let mut cp = Vec::with_capacity(lens.len() + 1);
-            cp.push(0u64);
-            for l in lens {
-                cp.push(cp.last().unwrap() + l as u64);
+/// Append `v` as an LEB128 varint.
+fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// The strictly ascending `ids` as maximal runs of consecutive ids: the
+/// run count, then per run its gap from the previous run's end and its
+/// length.
+pub(crate) fn runs_record(ids: &[Vidx]) -> Vec<u8> {
+    let runs = || ids.chunk_by(|&x, &y| u64::from(x) + 1 == u64::from(y));
+    let mut out = Vec::new();
+    put_varint(&mut out, runs().count() as u64);
+    let mut end = 0u64;
+    for run in runs() {
+        put_varint(&mut out, u64::from(run[0]) - end);
+        put_varint(&mut out, run.len() as u64);
+        end = u64::from(run[0]) + run.len() as u64;
+    }
+    out
+}
+
+/// One rank's metadata record: its nonzero-column ids `jc` (strictly
+/// ascending) as runs, then `lens`, the entry count of each column. The
+/// one encoder behind both [`exchange_meta`] and the exact traffic
+/// predictors.
+pub(crate) fn meta_record(jc: &[Vidx], lens: impl Iterator<Item = u64>) -> Vec<u8> {
+    let mut out = runs_record(jc);
+    for l in lens {
+        put_varint(&mut out, l);
+    }
+    out
+}
+
+/// Decode a [`runs_record`] whose ids all lie below `width`.
+pub(crate) fn decode_runs(rec: &[u8], width: usize) -> Result<Vec<Vidx>, RecordError> {
+    let mut r = Reader(rec);
+    let ids = r.runs(width as u64, width)?;
+    r.finish()?;
+    Ok(ids)
+}
+
+/// Why a record failed to decode.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum RecordError {
+    /// The record ended inside a field.
+    Truncated,
+    /// A varint or an entry-count sum ran past 64 bits.
+    Overflow,
+    /// A run was empty or reached past the ids the record may hold.
+    BadRun,
+    /// Bytes were left over after the last field.
+    Trailing(usize),
+}
+
+impl std::fmt::Display for RecordError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RecordError::Truncated => write!(f, "record truncated"),
+            RecordError::Overflow => write!(f, "value overflows 64 bits"),
+            RecordError::BadRun => write!(f, "empty or out-of-range column run"),
+            RecordError::Trailing(n) => write!(f, "{n} trailing bytes after the record"),
+        }
+    }
+}
+
+/// A cursor over one record.
+struct Reader<'a>(&'a [u8]);
+
+impl Reader<'_> {
+    fn varint(&mut self) -> Result<u64, RecordError> {
+        let mut v = 0u64;
+        // ten groups of seven bits cover 64; the tenth may add one bit
+        for shift in (0..64).step_by(7) {
+            let (&b, rest) = self.0.split_first().ok_or(RecordError::Truncated)?;
+            self.0 = rest;
+            let group = u64::from(b & 0x7f);
+            if shift == 63 && group > 1 {
+                return Err(RecordError::Overflow);
             }
-            RankMeta { jc, cp }
-        })
+            v |= group << shift;
+            if b & 0x80 == 0 {
+                return Ok(v);
+            }
+        }
+        Err(RecordError::Overflow)
+    }
+
+    /// A run list's ids, all below `end` and at most `max_ids` of them.
+    fn runs(&mut self, end: u64, max_ids: usize) -> Result<Vec<Vidx>, RecordError> {
+        let n = self.varint()?;
+        let mut ids = Vec::new();
+        let mut prev = 0u64;
+        for _ in 0..n {
+            let start = prev.checked_add(self.varint()?);
+            let len = self.varint()?;
+            let room = (max_ids - ids.len()) as u64;
+            prev = start
+                .and_then(|s| s.checked_add(len))
+                .filter(|&e| (1..=room).contains(&len) && e <= end)
+                .ok_or(RecordError::BadRun)?;
+            ids.extend((prev - len..prev).map(|c| c as Vidx));
+        }
+        Ok(ids)
+    }
+
+    fn finish(self) -> Result<(), RecordError> {
+        match self.0.len() {
+            0 => Ok(()),
+            n => Err(RecordError::Trailing(n)),
+        }
+    }
+}
+
+/// Replicate every rank's (jc, cp) metadata: one `allgatherv` of each
+/// rank's record (module doc), decoded into [`RankMeta`]s. Collective;
+/// metered as two-sided traffic (it is metadata exchange, not the RDMA
+/// fetch path), `len` bytes per record. A malformed record panics naming
+/// the rank that sent it.
+pub(crate) fn exchange_meta<C: Comm>(comm: &C, local: &Dcsc<f64>) -> Vec<RankMeta> {
+    let lens = local.cp().windows(2).map(|w| (w[1] - w[0]) as u64);
+    comm.allgatherv(meta_record(local.jc(), lens))
+        .iter()
+        .enumerate()
+        .map(|(r, rec)| RankMeta::from_record(r, rec))
         .collect()
 }
 
@@ -256,6 +415,167 @@ mod tests {
             v[k] = true;
         }
         v
+    }
+
+    /// SplitMix64 — test randomness without a dependency.
+    fn mix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Round-trip `cols` through the record; returns its length.
+    fn round_trip(cols: &[(u32, u64)]) -> usize {
+        let m = meta(cols);
+        let rec = m.record();
+        let back = RankMeta::decode(&rec).expect("a record decodes");
+        assert_eq!(back.jc, m.jc);
+        assert_eq!(back.cp, m.cp);
+        rec.len()
+    }
+
+    #[test]
+    fn record_round_trips_dense_and_empty_slices() {
+        // no empty column: one run, one byte per count below 128
+        let dense: Vec<(u32, u64)> = (0..1000).map(|j| (j, 1 + j as u64 % 127)).collect();
+        // run count 1, gap 0, run length 1000 (2 B), 1000 one-byte counts
+        assert_eq!(round_trip(&dense), 1 + 1 + 2 + 1000);
+        // nzc = 0: the run count alone
+        assert_eq!(round_trip(&[]), 1);
+        assert_eq!(meta(&[]).record(), vec![0u8]);
+        // runs split at every gap, wherever the first one starts
+        assert_eq!(
+            round_trip(&[(5, 1), (6, 2), (9, 3), (10, 4), (11, 5)]),
+            1 + 4 + 5
+        );
+    }
+
+    #[test]
+    fn record_round_trips_hypersparse_slices_within_the_size_bound() {
+        // gaps of 2^21 take four varint bytes, counts of 2^28 five
+        let wide: Vec<(u32, u64)> = (0..8).map(|j| (j * ((1 << 21) + 1), 1 << 28)).collect();
+        assert_eq!(round_trip(&wide), 1 + (1 + 1 + 5) + 7 * (4 + 1 + 5));
+        // the worst case: columns 2^28 apart (five gap bytes), counts below
+        // 2^28 (four bytes) — 10 B per column plus the run count
+        let sparse: Vec<(u32, u64)> = (0..15)
+            .map(|j| (j * ((1 << 28) + 1), (1 << 28) - 1))
+            .collect();
+        let len = round_trip(&sparse);
+        assert_eq!(len, 1 + (1 + 1 + 4) + 14 * (5 + 1 + 4));
+        assert!(len <= 10 * sparse.len() + 5, "{len} B");
+        // the top of the u32 column-id range and the largest count
+        assert!(round_trip(&[(0, u64::MAX >> 1), (u32::MAX - 1, 1), (u32::MAX, 2)]) > 0);
+        // random hypersparse slices
+        let mut st = 7;
+        for _ in 0..50 {
+            let mut j = 0u64;
+            let mut cols = Vec::new();
+            while cols.len() < 40 {
+                j += 1 + (mix(&mut st) >> (20 + mix(&mut st) % 44));
+                if j > u64::from(u32::MAX) {
+                    break;
+                }
+                cols.push((j as u32, mix(&mut st) >> (mix(&mut st) % 64)));
+            }
+            round_trip(&cols);
+        }
+    }
+
+    #[test]
+    fn malformed_records_are_errors_not_index_panics() {
+        let rec = meta(&[(0, 3), (1, 300), (1 << 22, 1)]).record();
+        for cut in 0..rec.len() {
+            assert_eq!(
+                RankMeta::decode(&rec[..cut]).err(),
+                Some(RecordError::Truncated),
+                "cut at {cut}"
+            );
+        }
+        let mut long = rec.clone();
+        long.push(0);
+        assert_eq!(
+            RankMeta::decode(&long).err(),
+            Some(RecordError::Trailing(1))
+        );
+        // an eleventh varint byte, or a tenth carrying more than bit 63
+        let mut r = Reader(&[0xff; 11]);
+        assert_eq!(r.varint(), Err(RecordError::Overflow));
+        let mut r = Reader(&[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02]);
+        assert_eq!(r.varint(), Err(RecordError::Overflow));
+        let mut r = Reader(&[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01]);
+        assert_eq!(r.varint(), Ok(u64::MAX));
+        // a run claiming more columns than the record could count, an
+        // empty run, a run past the u32 range: refused before allocating
+        let mut huge = vec![1, 0];
+        put_varint(&mut huge, 1 << 40);
+        assert_eq!(RankMeta::decode(&huge).err(), Some(RecordError::BadRun));
+        assert_eq!(
+            RankMeta::decode(&[1, 0, 0]).err(),
+            Some(RecordError::BadRun)
+        );
+        let mut past = vec![1];
+        put_varint(&mut past, u64::from(u32::MAX));
+        past.extend([2, 0, 0]);
+        assert_eq!(RankMeta::decode(&past).err(), Some(RecordError::BadRun));
+        // an entry-count prefix that overflows u64
+        let mut sum = vec![1, 0, 2];
+        put_varint(&mut sum, u64::MAX);
+        put_varint(&mut sum, 1);
+        assert_eq!(RankMeta::decode(&sum).err(), Some(RecordError::Overflow));
+    }
+
+    #[test]
+    #[should_panic(expected = "metadata record from rank 3: record truncated")]
+    fn a_truncated_record_panics_naming_its_sender() {
+        let rec = meta(&[(0, 3), (4, 1)]).record();
+        RankMeta::from_record(3, &rec[..rec.len() - 1]);
+    }
+
+    #[test]
+    fn run_records_round_trip_within_their_width() {
+        for ids in [vec![], vec![0, 1, 2, 7, 9, 10], vec![99]] {
+            assert_eq!(decode_runs(&runs_record(&ids), 100), Ok(ids));
+        }
+        assert_eq!(
+            decode_runs(&runs_record(&[99]), 99),
+            Err(RecordError::BadRun)
+        );
+        assert_eq!(decode_runs(&[1, 0], 100), Err(RecordError::Truncated));
+        assert_eq!(decode_runs(&[0, 0], 100), Err(RecordError::Trailing(1)));
+    }
+
+    #[test]
+    fn contiguous_runs_never_lose_to_column_exact() {
+        // same needed bytes in no more intervals, on random slices and masks
+        let mut st = 11;
+        for _ in 0..200 {
+            let offsets = [0, 40, 100, 130];
+            let metas: Vec<RankMeta> = (0..3)
+                .map(|o| {
+                    let mut cols = Vec::new();
+                    for j in 0..(offsets[o + 1] - offsets[o]) as u32 {
+                        if !mix(&mut st).is_multiple_of(3) {
+                            cols.push((j, 1 + mix(&mut st) % 9));
+                        }
+                    }
+                    meta(&cols)
+                })
+                .collect();
+            let density = mix(&mut st) % 100;
+            let needed: Vec<bool> = (0..130).map(|_| mix(&mut st) % 100 < density).collect();
+            let me = (mix(&mut st) % 3) as usize;
+            let plan = |m| plan_fetch(m, &metas, &offsets, &needed, me);
+            let (runs, exact) = (
+                plan(FetchMode::ContiguousRuns),
+                plan(FetchMode::ColumnExact),
+            );
+            assert_eq!(runs.fetch_bytes(), exact.fetch_bytes());
+            assert_eq!(runs.needed_bytes(), exact.needed_bytes());
+            assert_eq!(runs.fetch_bytes(), runs.needed_bytes());
+            assert!(runs.intervals.len() <= exact.intervals.len());
+        }
     }
 
     #[test]

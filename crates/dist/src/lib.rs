@@ -86,8 +86,8 @@ pub use prepare::{prepare, PrepResult, Strategy};
 pub use session::{CacheConfig, SessionAnalysis, SessionSnapshot, SessionStats, SpgemmSession};
 pub use shape::ShapeError;
 pub use spgemm1d::{
-    analyze_1d, analyze_1d_modes, pick_fetch_mode, spgemm_1d, try_spgemm_1d, Analysis1D, FetchMode,
-    Plan1D, SpgemmReport,
+    analyze_1d, pick_fetch_mode, spgemm_1d, try_spgemm_1d, Analysis1D, FetchMode, Plan1D,
+    SpgemmReport,
 };
 pub use summa2d::{spgemm_summa_2d, DistMat2D, SummaReport};
 pub use summa2d_sa::{spgemm_summa_2d_sa, try_spgemm_summa_2d_sa, SaSummaReport};

@@ -36,7 +36,9 @@
 //! accounts for the needed bytes the cache served instead of the wire.
 
 use crate::dist1d::DistMat1D;
-use crate::fetch::{plan_fetch, support_bit, FetchPlan, Interval, RankMeta, ENTRY_BYTES};
+use crate::fetch::{
+    decode_runs, plan_fetch, runs_record, support_bit, FetchPlan, Interval, RankMeta, ENTRY_BYTES,
+};
 use crate::spgemm1d::{
     assert_conformal, expose, FetchMode, Fetched, Multiply1D, Plan1D, SpgemmReport,
 };
@@ -658,9 +660,10 @@ impl SpgemmSession {
 
     /// Re-anchor the session on a changed operand without discarding the
     /// cache: each rank diffs its new slice against the old one column by
-    /// column, the changed global-column lists are allgathered (metadata
-    /// traffic, like the symbolic pass), and exactly those columns are
-    /// invalidated everywhere. The metadata and window exposure are
+    /// column, the changed-column lists are allgathered as runs of
+    /// consecutive ids (metadata traffic, encoded like the symbolic pass's
+    /// `⃗D`), and exactly those columns are invalidated everywhere. The
+    /// metadata and window exposure are
     /// refreshed, and the resident copy is laid out anew: the new local
     /// slice and the surviving resident columns, moved to their new
     /// offsets. Layout (dimensions and offsets) must be unchanged.
@@ -675,16 +678,19 @@ impl SpgemmSession {
         );
         let me = comm.rank();
         let changed = changed_columns(self.a.local(), new_a.local());
-        let all_changed = comm.allgatherv(changed);
+        let all_changed = comm.allgatherv(runs_record(&changed));
+        let offsets = self.a.offsets();
         let mut total = 0u64;
         let mut invalidated = 0u64;
-        for (owner, list) in all_changed.iter().enumerate() {
+        for (owner, rec) in all_changed.iter().enumerate() {
+            let (base, width) = (offsets[owner], offsets[owner + 1] - offsets[owner]);
+            let list = decode_runs(rec, width)
+                .unwrap_or_else(|e| panic!("changed-column record from rank {owner}: {e}"));
             total += list.len() as u64;
             if owner == me {
                 continue;
             }
-            let base = self.a.offsets()[owner];
-            for &lc in list {
+            for lc in list {
                 if self.cache.clear(base + lc as usize) {
                     invalidated += 1;
                 }

@@ -267,50 +267,12 @@ pub fn analyze_1d<C: Comm>(comm: &C, a: &DistMat1D, b: &DistMat1D, mode: FetchMo
     }
 }
 
-/// [`analyze_1d`] for several fetch modes at once: the metadata exchange
-/// and the needed-column scan are mode-independent and run once, each
-/// candidate is then priced locally, and one pair of combined reductions
-/// fills the global fields — a mode sweep costs one collective round
-/// instead of one per mode. Collective.
-pub fn analyze_1d_modes<C: Comm>(
-    comm: &C,
-    a: &DistMat1D,
-    b: &DistMat1D,
-    modes: &[FetchMode],
-) -> Vec<Analysis1D> {
-    assert_conformal(a, b);
-    let metas = exchange_meta(comm, a.local());
-    let needed = needed_columns(b);
-    let plans: Vec<FetchPlan> = modes
-        .iter()
-        .map(|&m| plan_fetch(m, &metas, a.offsets(), &needed, comm.rank()))
-        .collect();
-    let mem_local = a.local().nnz() as u64 * ENTRY_BYTES;
-    let mut sums: Vec<u64> = vec![mem_local];
-    sums.extend(plans.iter().map(|p| p.fetch_bytes()));
-    let sums = comm.allreduce_vec(sums, |x, y| x + y);
-    let maxes = comm.allreduce_vec(plans.iter().map(|p| p.fetch_bytes()).collect(), |x, y| {
-        (*x).max(*y)
-    });
-    plans
-        .iter()
-        .enumerate()
-        .map(|(i, plan)| Analysis1D {
-            planned_fetch_bytes: plan.fetch_bytes(),
-            planned_intervals: plan.intervals.len() as u64,
-            needed_bytes: plan.needed_bytes(),
-            planned_fetch_bytes_global: sums[i + 1],
-            cv_over_mem: cv_of(maxes[i], sums[0]),
-        })
-        .collect()
-}
-
 /// The cheapest of `modes` for multiplying `a · b`, the same on every
-/// rank: one [`analyze_1d_modes`] round prices every mode's fetch schedule
-/// per rank under the α–β `model` (two messages per interval), the prices
-/// are max-reduced into per-mode critical paths, and the first mode with
-/// the least one wins. Moves no numeric data. Collective; panics if
-/// `modes` is empty.
+/// rank: one metadata exchange, then every mode's fetch schedule planned
+/// and priced per rank under the α–β `model` (two messages per interval),
+/// the prices max-reduced into per-mode critical paths in one
+/// `allreduce_vec`, and the first mode with the least one wins. Moves no
+/// numeric data. Collective; panics if `modes` is empty.
 pub fn pick_fetch_mode<C: Comm>(
     comm: &C,
     a: &DistMat1D,
@@ -318,9 +280,15 @@ pub fn pick_fetch_mode<C: Comm>(
     modes: &[FetchMode],
     model: &CostModel,
 ) -> FetchMode {
-    let local_times: Vec<f64> = analyze_1d_modes(comm, a, b, modes)
+    assert_conformal(a, b);
+    let metas = exchange_meta(comm, a.local());
+    let needed = needed_columns(b);
+    let local_times: Vec<f64> = modes
         .iter()
-        .map(|pre| model.time_s(pre.planned_intervals * 2, pre.planned_fetch_bytes))
+        .map(|&m| {
+            let plan = plan_fetch(m, &metas, a.offsets(), &needed, comm.rank());
+            model.time_s(plan.rdma_msgs(), plan.fetch_bytes())
+        })
         .collect();
     let critical = comm.allreduce_vec(local_times, |x, y| x.max(*y));
     let best = critical
@@ -708,15 +676,27 @@ mod tests {
         for a in [banded(160, 5, 0.8, true, 7), scrambled] {
             let got = Universe::new(4).run(|comm| {
                 let da = DistMat1D::from_global(comm, &a, &uniform_offsets(160, 4));
+                let stats0 = comm.stats();
                 let pick = pick_fetch_mode(comm, &da, &da, &modes, &model);
+                let sent = (comm.stats() - stats0).sent_msgs;
                 let apart: Vec<Analysis1D> = modes
                     .iter()
                     .map(|&m| analyze_1d(comm, &da, &da, m))
                     .collect();
                 // a duplicated entry is the same price twice: the pick stands
                 let dup = [modes[3], pick, pick];
-                (pick, apart, pick_fetch_mode(comm, &da, &da, &dup, &model))
+                (
+                    pick,
+                    apart,
+                    pick_fetch_mode(comm, &da, &da, &dup, &model),
+                    sent,
+                )
             });
+            // one metadata allgatherv (a send to rank 0, then two
+            // broadcasts from it) and one max-allreduce (a send to rank 0,
+            // one broadcast): 5·(P − 1) messages, 3·(P − 1) of them rank 0's
+            let sent: Vec<u64> = got.iter().map(|g| g.3).collect();
+            assert_eq!(sent, [9, 2, 2, 2]);
             let pick = got[0].0;
             assert!(got.iter().all(|g| g.0 == pick), "every rank picks {pick:?}");
             assert!(
@@ -727,7 +707,7 @@ mod tests {
             // analysed on its own
             let critical = |i: usize| {
                 got.iter()
-                    .map(|(_, apart, _)| {
+                    .map(|(_, apart, ..)| {
                         model.time_s(apart[i].planned_intervals * 2, apart[i].planned_fetch_bytes)
                     })
                     .fold(0.0, f64::max)

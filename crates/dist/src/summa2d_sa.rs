@@ -49,18 +49,20 @@ use sa_sparse::Dcsc;
 use std::time::Instant;
 
 /// One owner's filtered B sub-block as it crosses the wire:
-/// `(jc, per-column lengths, rows, values)`.
-type BPart = (Vec<Vidx>, Vec<u32>, Vec<Vidx>, Vec<f64>);
+/// `(jc ++ per-column lengths, rows, values)` — `jc` and the lengths have
+/// one entry per shipped column, so the receiver splits the first vector
+/// at its midpoint.
+type BPart = (Vec<u32>, Vec<Vidx>, Vec<f64>);
 
-/// Borrowed view of one B̃ merge source: the same four arrays plus the
-/// owner's global row base.
+/// Borrowed view of one B̃ merge source: `(jc, lens, rows, values)` plus
+/// the owner's global row base.
 type BSrc<'a> = (&'a [Vidx], &'a [u32], &'a [Vidx], &'a [f64], usize);
 
 /// Tag of the B-side support request (receiver → owner, up the process
 /// column). User tags must stay below 2^48.
 const TAG_B_REQ: u64 = 0x2d5a01;
-/// Tag of the B-side filtered sub-block shipment (owner → receiver); four
-/// FIFO sends per pair (jc, lens, rows, vals).
+/// Tag of the B-side filtered sub-block shipment (owner → receiver); three
+/// FIFO sends per pair (jc ++ lens, rows, vals).
 const TAG_B_SHIP: u64 = 0x2d5a02;
 
 /// What one rank observed during [`spgemm_summa_2d_sa`] — the oblivious
@@ -231,8 +233,8 @@ pub fn try_spgemm_summa_2d_sa<C: Comm, S: Semiring<T = f64>>(
             }
         }
         b_served_bytes += (jc.len() + lens.len() + rows.len()) as u64 * 4 + vals.len() as u64 * 8;
+        jc.extend(lens);
         col.send_vec(i, TAG_B_SHIP, jc);
-        col.send_vec(i, TAG_B_SHIP, lens);
         col.send_vec(i, TAG_B_SHIP, rows);
         col.send_vec(i, TAG_B_SHIP, vals);
     }
@@ -243,12 +245,11 @@ pub fn try_spgemm_summa_2d_sa<C: Comm, S: Semiring<T = f64>>(
         if t == me_r {
             continue;
         }
-        let jc = col.recv_vec::<Vidx>(t, TAG_B_SHIP);
-        let lens = col.recv_vec::<u32>(t, TAG_B_SHIP);
+        let head = col.recv_vec::<u32>(t, TAG_B_SHIP);
         let rows = col.recv_vec::<Vidx>(t, TAG_B_SHIP);
         let vals = col.recv_vec::<f64>(t, TAG_B_SHIP);
-        b_shipped_bytes += (jc.len() + lens.len() + rows.len()) as u64 * 4 + vals.len() as u64 * 8;
-        *part = Some((jc, lens, rows, vals));
+        b_shipped_bytes += (head.len() + rows.len()) as u64 * 4 + vals.len() as u64 * 8;
+        *part = Some((head, rows, vals));
     }
     let b_exchange_s = t_b.elapsed().as_secs_f64();
 
@@ -267,7 +268,8 @@ pub fn try_spgemm_summa_2d_sa<C: Comm, S: Semiring<T = f64>>(
         if t == me_r {
             srcs.push((b_loc.jc(), &local_lens, b_loc.ir(), b_loc.num(), base));
         } else {
-            let (jc, lens, rows, vals) = part.as_ref().expect("shipped part");
+            let (head, rows, vals) = part.as_ref().expect("shipped part");
+            let (jc, lens) = head.split_at(head.len() / 2);
             srcs.push((jc, lens, rows, vals, base));
         }
     }

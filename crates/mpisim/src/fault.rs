@@ -203,6 +203,12 @@ impl<C: Comm> FaultComm<C> {
         }
     }
 
+    /// The fault-ops this rank has taken so far, splits included: a clean
+    /// run's final count bounds the `at_op`s that can fire.
+    pub fn ops(&self) -> u64 {
+        self.ops.get()
+    }
+
     /// Advance this rank's fault-op counter and trigger any planned fault.
     fn checkpoint(&self) {
         let op = self.ops.get();

@@ -63,7 +63,6 @@ impl Hub {
     pub fn recv(&self, me: usize, src: usize, tag: u64, sched: &Scheduler) -> Envelope {
         let mbox = &self.boxes[me];
         let site = WaitSite::recv(src, tag);
-        sched.check_healthy(site.primitive);
         loop {
             {
                 let mut inner = mbox.inner.lock();

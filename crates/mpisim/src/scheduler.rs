@@ -45,7 +45,7 @@
 //! is runnable) and fails the job with [`CommError::Timeout`].
 
 use crate::backend::control_primitive;
-use crate::error::{raise, CommError, Primitive};
+use crate::error::{CommError, Primitive};
 use parking_lot::{Condvar, Mutex};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -203,22 +203,6 @@ impl Scheduler {
         }
     }
 
-    /// Fail fast at a blocking primitive's entry if the job is already
-    /// poisoned: peers are unwinding, so completing (or starting to wait
-    /// for) the collective is pointless.
-    pub fn check_healthy(&self, primitive: Primitive) {
-        if let Some(victim) = self.poison_victim() {
-            raise(if world_rank() == Some(victim) {
-                CommError::Poisoned
-            } else {
-                CommError::PeerFailed {
-                    rank: victim,
-                    primitive,
-                }
-            });
-        }
-    }
-
     /// Park the calling rank until `ready` holds for the state behind
     /// `mutex`, waking on `cv`.
     ///
@@ -249,8 +233,11 @@ impl Scheduler {
         let out = loop {
             // Readiness first: a rank whose awaited message already sits in
             // its inbox completes this primitive even if the job was
-            // poisoned meanwhile, and fails typed at the next one's entry —
-            // so a failure is always charged to the primitive still waiting.
+            // poisoned meanwhile, and fails typed at the next wait whose
+            // message is missing — so a failure is always charged to the
+            // primitive still waiting, whatever order the serial permit
+            // visited the survivors in (the procs backend waits the same
+            // way).
             let mut guard = mutex.lock();
             if ready(&guard) {
                 break Ok(());
@@ -555,9 +542,9 @@ mod tests {
     fn a_delivered_message_wins_over_a_poison_seen_in_the_same_park() {
         // Both conditions hold before the park looks: the awaited message is
         // there and the job is poisoned. The wait completes, and the rank
-        // fails typed at its next primitive's entry instead, so a failure is
-        // charged to the primitive still waiting, never to one whose
-        // message had arrived.
+        // fails typed at its next wait instead, so a failure is charged to
+        // the primitive still waiting, never to one whose message had
+        // arrived.
         for sched in both_modes(2) {
             std::thread::scope(|scope| {
                 scope.spawn(|| {
@@ -568,13 +555,6 @@ mod tests {
                     let delivered = Mutex::new(true);
                     let cv = Condvar::new();
                     assert_eq!(sched.park_until(&delivered, &cv, site, |d| *d), Ok(()));
-                    expect_comm_error(
-                        AssertUnwindSafe(|| sched.check_healthy(Primitive::Barrier)),
-                        CommError::PeerFailed {
-                            rank: 1,
-                            primitive: Primitive::Barrier,
-                        },
-                    );
                     let missing = Mutex::new(false);
                     assert_eq!(
                         sched.park_until(&missing, &cv, site, |d| *d),

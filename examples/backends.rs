@@ -24,11 +24,7 @@ fn rank_job<C: Comm>(
 ) -> (Option<sa_sparse::Csc<f64>>, String, u64, u64) {
     let before = comm.stats();
     let da = DistMat1D::from_global(comm, a, &uniform_offsets(a.ncols(), comm.size()));
-    let modes = [
-        FetchMode::default(),
-        FetchMode::ContiguousRuns,
-        FetchMode::ColumnExact,
-    ];
+    let modes = [FetchMode::default(), FetchMode::ContiguousRuns];
     let mode = pick_fetch_mode(comm, &da, &da, &modes, &CostModel::slingshot());
     let plan = Plan1D {
         fetch_mode: mode,

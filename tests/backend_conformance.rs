@@ -14,7 +14,8 @@
 //!   even though the bytes now travel through TCP frames.
 //!
 //! Coverage: the 1D sparsity-aware multiply under all four fetch modes
-//! (plus its pre-communication analysis), 2D SUMMA across grid shapes and
+//! (plus its pre-communication analysis, and its collective rounds pinned
+//! on all three backends at once), 2D SUMMA across grid shapes and
 //! semirings, the 3D split algorithm across layer counts, the stateful
 //! `SpgemmSession` fresh-vs-cache split with delta invalidation, the
 //! collective `pick_fetch_mode` and the multiply it picks for, MCL's three
@@ -315,6 +316,37 @@ fn spgemm_1d_conforms_across_fetch_modes() {
         FetchMode::ColumnExact,
     ] {
         run_conformance(4, &Spgemm1D { a: &a, mode }, &format!("1D {mode:?}"));
+    }
+}
+
+/// One default `spgemm_1d`: the traffic it meters, per rank.
+struct OneMultiply<'a>(&'a Csc<f64>);
+
+impl RankJob for OneMultiply<'_> {
+    type Out = CommStats;
+    fn run<C: Comm>(&self, comm: &C) -> CommStats {
+        let offsets = uniform_offsets(self.0.ncols(), comm.size());
+        let da = DistMat1D::from_global(comm, self.0, &offsets);
+        let before = comm.stats();
+        spgemm_1d(comm, &da, &da, &Plan1D::default());
+        comm.stats() - before
+    }
+}
+
+#[test]
+fn spgemm_1d_sends_one_metadata_allgather_on_every_backend() {
+    // one allgatherv of metadata records (each record to rank 0, then its
+    // length table and the records from rank 0 to the other P − 1) and the
+    // global-stats allreduce (a send to rank 0, one broadcast back):
+    // 3·(P − 1) sends from rank 0, two from every other rank
+    let a = int_er(48, 48, 4.0, 11);
+    let u = Universe::new(4).with_watchdog(Some(Duration::from_secs(120)));
+    let sim = u.run_backend(Backend::Sim, &OneMultiply(&a));
+    for be in [Backend::Sim, Backend::Threads, Backend::Procs] {
+        let got = u.run_backend(be, &OneMultiply(&a));
+        let sent: Vec<u64> = got.iter().map(|t| t.sent_msgs).collect();
+        assert_eq!(sent, [9, 2, 2, 2], "sends per rank on '{}'", be.name());
+        assert_eq!(got, sim, "per-rank traffic on '{}'", be.name());
     }
 }
 

@@ -51,8 +51,8 @@ use saspgemm::dist::{
 };
 use saspgemm::mpisim::{
     corrupt_next_frame, kill_self_with_sigkill, mute_heartbeats, Backend, Comm, CommError,
-    CommStats, CostModel, FaultComm, FaultPlan, Grid2D, Grid3D, PairedWindow, Primitive, RankError,
-    RankJob, RecoverableJob, RecoveryReport, RetryPolicy, Universe,
+    CommStats, CostModel, FaultComm, FaultPlan, Grid2D, Grid3D, PairedWindow, Primitive, RankComm,
+    RankError, RankJob, RecoverableJob, RecoveryReport, RetryPolicy, Universe,
 };
 use saspgemm::sparse::gen::erdos_renyi;
 use saspgemm::sparse::{Csc, PlusTimes, SpgemmWorkspace};
@@ -590,14 +590,30 @@ fn fault_seeds() -> Vec<u64> {
     }
 }
 
+/// The fault-ops the rank with the fewest takes in a clean serial run of
+/// `body` — the range a seeded abort is drawn from, so it fires on
+/// whichever rank it picks.
+fn clean_ops<F>(body: F) -> u64
+where
+    F: Fn(&FaultComm<RankComm>) + Send + Sync,
+{
+    let ops = universe().launch(Backend::Sim, |comm| {
+        let fc = FaultComm::new(comm.split(0, comm.rank()), FaultPlan::none());
+        body(&fc);
+        fc.ops()
+    });
+    ops.into_iter().min().expect("at least one rank")
+}
+
 /// Replayability: the same seeded plan must produce the same
 /// surviving-rank error set on the deterministic serial backend, run
 /// after run — what makes a red fault run debuggable.
 #[test]
 fn seeded_fault_runs_are_replayable() {
     quiet_expected_panics();
+    let max_op = clean_ops(|fc| drop(workload("1d", fc)));
     for seed in fault_seeds() {
-        let plan = FaultPlan::seeded(seed, NRANKS, 8);
+        let plan = FaultPlan::seeded(seed, NRANKS, max_op);
         let victim = plan.victim().expect("seeded plan kills someone");
         let shape = |out: &[Result<String, RankError>]| -> Vec<String> {
             out.iter()
@@ -1065,8 +1081,9 @@ fn zero_fault_run_recoverable_is_byte_identical_to_try_run() {
 fn seeded_kill_then_recover_is_replayable() {
     quiet_expected_panics();
     let policy = RetryPolicy::new(2, Duration::from_millis(2));
+    let max_op = clean_ops(|fc| drop(recovery_workload("session", fc, &MemStore::new())));
     for seed in fault_seeds() {
-        let plan = FaultPlan::seeded(seed, NRANKS, 8).on_attempt(0);
+        let plan = FaultPlan::seeded(seed, NRANKS, max_op).on_attempt(0);
         let run = || {
             let store = MemStore::new();
             let out = recoverable_run(
