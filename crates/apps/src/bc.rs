@@ -24,11 +24,9 @@ use sa_dist::mat3d::{DistMat3D, LayerSplit, Owned3DBlock};
 use sa_dist::{
     load_agreed, save_wire, spgemm_split_3d, spgemm_summa_2d, try_spgemm_1d, uniform_offsets,
     CacheConfig, CheckpointStore, DistMat1D, DistMat2D, Plan1D, SessionSnapshot, SessionStats,
-    SpgemmReport, SpgemmSession,
+    SpgemmSession,
 };
 use sa_mpisim::{Comm, Grid2D, Grid3D, Wire, WireError};
-use sa_sparse::ewise::{ewise_add, mask_complement};
-use sa_sparse::semiring::PlusTimes;
 use sa_sparse::{Coo, Csc, Dcsc, SpgemmWorkspace, Vidx};
 use std::ops::Range;
 use std::sync::Arc;
@@ -50,10 +48,9 @@ pub struct BcOutcome {
     /// BFS levels explored.
     pub levels: usize,
     /// Peak local bytes across iterations (the Fig. 14 2D-OOM metric), by
-    /// one rule in every engine: the multiply's working set + masked + σ +
-    /// visited per forward level, the working set + δ + σ per backward
-    /// level. In the 1D engines at Fig. 14's tiny scale the forward sweep
-    /// sets the peak (0.076 MB with or without the backward term).
+    /// one rule in every engine: the multiply's working set + the level
+    /// stack (σ) + the visited bitmap + the δ blocks held at that level
+    /// (0.071 / 0.100 / 0.107 MB for 1D / 2D / 3D at Fig. 14's tiny scale).
     pub peak_local_bytes: u64,
     /// Bytes this rank injected into the network over the whole batch
     /// (point-to-point sends + RDMA gets), excluding the one-time operand
@@ -149,10 +146,24 @@ impl Layout {
         coo.to_csc_with(|x, _| x)
     }
 
-    /// Per-vertex sums of a block added into a global score vector.
-    fn add_vertex_sums(&self, block: &Csc<f64>, scores: &mut [f64]) {
-        for (r, c, v) in block.iter() {
-            scores[self.vertices.start + self.orient(r, c).0 as usize] += v;
+    /// Per-vertex sums of blocks with disjoint patterns added into a global
+    /// score vector in the order one merged block would give: column by
+    /// column, each by ascending row. Only in the transposed layout does
+    /// that order need a sort: a column there is one vertex, whose entries
+    /// (one per slot) come from several levels.
+    fn add_vertex_sums(&self, blocks: &[Dcsc<f64>], scores: &mut [f64]) {
+        let mut col: Vec<(Vidx, f64)> = Vec::new();
+        for j in 0..blocks.first().map_or(0, |b| b.ncols()) {
+            col.clear();
+            for (rows, xs) in blocks.iter().map(|b| b.col(j)) {
+                col.extend(rows.iter().copied().zip(xs.iter().copied()));
+            }
+            if !self.vertex_rows {
+                col.sort_unstable_by_key(|&(r, _)| r);
+            }
+            for &(r, x) in &col {
+                scores[self.vertices.start + self.orient(r as usize, j).0] += x;
+            }
         }
     }
 }
@@ -171,67 +182,54 @@ trait BrandesEngine<C: Comm> {
     fn backward(&mut self, comm: &C, weights: Csc<f64>) -> (Csc<f64>, u64);
 }
 
-/// `w = fringe ⊙ (1 + δ) ⊘ σ`: on the fringe's pattern, combine the
-/// dependency and path-count values (both defined on supersets of the
-/// fringe's pattern; δ defaults to 0 where absent).
-fn backward_weights(fringe: &Csc<f64>, delta: &Csc<f64>, nsp: &Csc<f64>) -> Csc<f64> {
-    let mut colptr = vec![0usize; fringe.ncols() + 1];
-    let mut rowidx: Vec<Vidx> = Vec::with_capacity(fringe.nnz());
-    let mut vals: Vec<f64> = Vec::with_capacity(fringe.nnz());
-    for j in 0..fringe.ncols() {
-        let (fr, _) = fringe.col(j);
-        let (dr, dv) = delta.col(j);
-        let (sr, sv) = nsp.col(j);
-        let (mut di, mut si) = (0usize, 0usize);
-        for &r in fr {
-            while di < dr.len() && dr[di] < r {
-                di += 1;
+/// `next`'s entries at cells of the frontier block no level has reached,
+/// now marked reached in `visited` (one bit per cell, column-major).
+fn keep_new(next: &Csc<f64>, visited: &mut [u64]) -> Dcsc<f64> {
+    let (mut jc, mut cp, mut ir, mut num) = (Vec::new(), vec![0], Vec::new(), Vec::new());
+    for j in 0..next.ncols() {
+        let (rows, xs) = next.col(j);
+        for (&r, &x) in rows.iter().zip(xs) {
+            let cell = j * next.nrows() + r as usize;
+            let (word, bit) = (&mut visited[cell / 64], 1u64 << (cell % 64));
+            if *word & bit == 0 {
+                *word |= bit;
+                ir.push(r);
+                num.push(x);
             }
-            let d = if di < dr.len() && dr[di] == r {
-                dv[di]
-            } else {
-                0.0
-            };
-            while si < sr.len() && sr[si] < r {
-                si += 1;
-            }
-            debug_assert!(si < sr.len() && sr[si] == r, "σ must cover the fringe");
-            let sigma = sv[si];
-            rowidx.push(r);
-            vals.push((1.0 + d) / sigma);
         }
-        colptr[j + 1] = rowidx.len();
+        if ir.len() > cp[cp.len() - 1] {
+            jc.push(j as Vidx);
+            cp.push(ir.len());
+        }
     }
-    Csc::from_parts(fringe.nrows(), fringe.ncols(), colptr, rowidx, vals)
+    Dcsc::from_parts(next.nrows(), next.ncols(), jc, cp, ir, num)
 }
 
-/// `contribution = t ⊙ mask ⊙ σ`: on `t ∩ mask` positions, `t · σ`.
-fn masked_scale(t: &Csc<f64>, mask: &Csc<f64>, nsp: &Csc<f64>) -> Csc<f64> {
-    let mut colptr = vec![0usize; t.ncols() + 1];
-    let mut rowidx: Vec<Vidx> = Vec::new();
-    let mut vals: Vec<f64> = Vec::new();
-    for j in 0..t.ncols() {
-        let (tr, tv) = t.col(j);
-        let (mr, _) = mask.col(j);
-        let (sr, sv) = nsp.col(j);
-        let (mut mi, mut si) = (0usize, 0usize);
-        for (&r, &x) in tr.iter().zip(tv) {
-            while mi < mr.len() && mr[mi] < r {
-                mi += 1;
+/// One step of the backward sweep on a level whose values are σ (a vertex
+/// gets its path count once, at the level that discovers it). Returns the
+/// weights `w = (1 + δ) ⊘ σ` and the level with its values replaced by
+/// δ = `t ⊙ σ`, 0 where `t` — the product of the level below, absent for
+/// the deepest level — has no entry.
+fn sweep_level(level: Dcsc<f64>, t: Option<&Csc<f64>>) -> (Dcsc<f64>, Dcsc<f64>) {
+    let (nr, nc) = (level.nrows(), level.ncols());
+    let (jc, cp, ir, mut vals) = level.into_parts();
+    let mut w = Vec::with_capacity(vals.len());
+    for (q, &j) in jc.iter().enumerate() {
+        let (tr, tv) = t.map_or((&[][..], &[][..]), |t| t.col(j as usize));
+        let mut p = 0;
+        for k in cp[q]..cp[q + 1] {
+            while p < tr.len() && tr[p] < ir[k] {
+                p += 1;
             }
-            if mi >= mr.len() || mr[mi] != r {
-                continue;
-            }
-            while si < sr.len() && sr[si] < r {
-                si += 1;
-            }
-            debug_assert!(si < sr.len() && sr[si] == r);
-            rowidx.push(r);
-            vals.push(x * sv[si]);
+            let sigma = vals[k];
+            let hit = tr.get(p) == Some(&ir[k]);
+            let d = if hit { tv[p] * sigma } else { 0.0 };
+            w.push((1.0 + d) / sigma);
+            vals[k] = d;
         }
-        colptr[j + 1] = rowidx.len();
     }
-    Csc::from_parts(t.nrows(), t.ncols(), colptr, rowidx, vals)
+    let weights = Dcsc::from_parts(nr, nc, jc.clone(), cp.clone(), ir.clone(), w);
+    (weights, Dcsc::from_parts(nr, nc, jc, cp, ir, vals))
 }
 
 /// One BC batch over `n` vertices through `engine`'s multiplies: the
@@ -244,53 +242,58 @@ fn brandes<C: Comm>(
     sources: &[Vidx],
 ) -> BcOutcome {
     let stats0 = comm.stats();
-    let first = layout.sources(sources);
-    let mut visited = first.clone();
-    let mut nsp = first.clone();
+    let (nr, nc) = layout.orient(layout.vertices.len(), layout.batch.len());
+    let mut visited = vec![0u64; (nr * nc).div_ceil(64)];
     // one frontier per level; the top is the fringe
-    let mut stack = vec![first];
+    let mut stack = vec![keep_new(&layout.sources(sources), &mut visited)];
+    // bytes of the level stack, bitmap and δ blocks this rank holds
+    let mut held = stack[0].mem_bytes() + 8 * visited.len();
     let mut times = BcTimes::default();
     let mut peak = 0u64;
 
     // forward search
     loop {
         let t0 = Instant::now();
-        let (next, ws) = engine.forward(comm, stack.last().expect("level 0"));
+        let (next, ws) = engine.forward(comm, &stack.last().expect("level 0").to_csc());
         times.forward_s.push(t0.elapsed().as_secs_f64());
-        let masked = mask_complement(&next, &visited);
-        peak = peak.max(ws + (masked.mem_bytes() + nsp.mem_bytes() + visited.mem_bytes()) as u64);
-        if comm.allreduce(masked.nnz() as u64, |x, y| x + y) == 0 {
+        let fresh = keep_new(&next, &mut visited);
+        peak = peak.max(ws + (held + fresh.mem_bytes()) as u64);
+        if comm.allreduce(fresh.nnz() as u64, |x, y| x + y) == 0 {
             break;
         }
-        visited = ewise_add::<PlusTimes<f64>>(&visited, &masked.map(|_| 1.0));
-        nsp = ewise_add::<PlusTimes<f64>>(&nsp, &masked);
-        stack.push(masked);
+        held += fresh.mem_bytes();
+        stack.push(fresh);
         assert!(stack.len() <= n, "BFS deeper than vertex count");
     }
 
     // backward sweep (levels L-1 .. 1; level-0 deltas belong to the
-    // sources themselves and are excluded, as in Brandes)
-    let mut delta = Csc::zeros(stack[0].nrows(), stack[0].ncols());
-    for l in (1..stack.len()).rev() {
-        let w = backward_weights(&stack[l], &delta, &nsp);
-        let t0 = Instant::now();
-        let (t, ws) = engine.backward(comm, w);
-        times.backward_s.push(t0.elapsed().as_secs_f64());
-        peak = peak.max(ws + (delta.mem_bytes() + nsp.mem_bytes()) as u64);
-        if l >= 2 {
-            let contrib = masked_scale(&t, &stack[l - 1], &nsp);
-            delta = ewise_add::<PlusTimes<f64>>(&delta, &contrib);
+    // sources themselves and are excluded, as in Brandes); `deltas` holds
+    // the δ blocks of levels L-2 .. 1
+    let levels = stack.len();
+    let (mut deltas, mut t) = (Vec::new(), None);
+    while stack.len() > 1 {
+        let level = stack.pop().expect("a level");
+        held -= level.mem_bytes();
+        let (w, delta) = sweep_level(level, t.as_ref());
+        if t.is_some() {
+            held += delta.mem_bytes();
+            deltas.push(delta);
         }
+        let t0 = Instant::now();
+        let (product, ws) = engine.backward(comm, w.into_csc());
+        times.backward_s.push(t0.elapsed().as_secs_f64());
+        peak = peak.max(ws + held as u64);
+        t = Some(product);
     }
 
     let mut scores = vec![0.0f64; n];
-    layout.add_vertex_sums(&delta, &mut scores);
+    layout.add_vertex_sums(&deltas, &mut scores);
     let scores = comm.allreduce_vec(scores, |x, y| x + y);
     let spent = comm.stats() - stats0;
     BcOutcome {
         scores,
         times,
-        levels: stack.len(),
+        levels,
         peak_local_bytes: peak,
         comm_bytes: spent.injected_bytes(),
         comm_msgs: spent.injected_msgs(),
@@ -386,9 +389,9 @@ impl<C: Comm> BrandesEngine<C> for Transposed1D {
 /// Cumulative session counters of [`bc_batches_1d_session`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct BcSessionStats {
-    /// The forward sessions' counters (`Next = Ãᵀ·F`).
+    /// The forward session's counters (`Next = Ãᵀ·F`; both sweeps' if `Ãᵀ = Ã`).
     pub forward: SessionStats,
-    /// The backward sessions' counters (`T = Ã·W`).
+    /// The backward session's counters (`T = Ã·W`; zero when `Ãᵀ = Ã`).
     pub backward: SessionStats,
 }
 
@@ -423,15 +426,15 @@ impl Wire for BcSessionStats {
 /// Where [`bc_batch_1d`] transposes the frontier so the tiny changing
 /// operand is the fetched one, this engine keeps CombBLAS' column-frontier
 /// formulation (`Next = Ãᵀ·F`, `T = Ã·W`) and pins the **adjacency** as the
-/// fetched operand of two [`SpgemmSession`]s (forward `Ãᵀ`, backward `Ã`).
-/// Within one batch each BFS level needs fresh columns (frontiers are
-/// disjoint), but across batches the traversals revisit mostly the same
-/// graph — so from the second batch on, the sessions' caches serve almost
-/// every needed column and the cumulative fetched volume flattens (the
-/// `session_cache` bench plots exactly this curve). An undersized
-/// [`CacheConfig`] degrades gracefully to per-level refetching;
-/// [`CacheConfig::disabled`] is the uncached baseline the acceptance test
-/// compares against.
+/// fetched operand of [`SpgemmSession`]s (forward `Ãᵀ`, backward `Ã`; one
+/// session serves both when `Ãᵀ = Ã`). Within one batch each BFS level
+/// needs fresh columns (frontiers are disjoint), but across batches the
+/// traversals revisit mostly the same graph — so from the second batch on,
+/// the caches serve almost every needed column and the cumulative fetched
+/// volume flattens (the `session_cache` bench plots exactly this curve).
+/// An undersized [`CacheConfig`] degrades gracefully to per-level
+/// refetching; [`CacheConfig::disabled`] is the uncached baseline the
+/// acceptance test compares against.
 ///
 /// Returns one [`BcOutcome`] per batch plus the cumulative session
 /// counters *after each batch* (the last entry is the final total — its
@@ -451,11 +454,11 @@ pub fn bc_batches_1d_session<C: Comm>(
 /// Collective.
 ///
 /// Before each batch, every rank saves `(batches done, outcomes so far,
-/// stats so far, forward snapshot, backward snapshot)` under `(rank, tag)`
-/// in `store`; on entry the ranks agree ([`load_agreed`]) on the last batch
-/// boundary all of them reached and resume there (the adjacency never
-/// changes, so restored cache contents are trivially valid — a restarted
-/// process only re-pays the window exposure). Batches are at-least-once: a
+/// stats so far, session snapshots)` under `(rank, tag)` in `store`; on
+/// entry the ranks agree ([`load_agreed`]) on the last batch boundary all
+/// of them reached and resume there (the adjacency never changes, so
+/// restored cache contents are trivially valid — a restarted process only
+/// re-pays the window exposure). Batches are at-least-once: a
 /// rank killed mid-batch re-runs that batch with the caches exactly as the
 /// fault-free run had them at its start, so the re-run's scores *and*
 /// per-batch traffic counters come out identical. Completed runs remove
@@ -487,45 +490,45 @@ fn bc_batches<C: Comm>(
         u64,
         Vec<BcOutcome>,
         Vec<BcSessionStats>,
-        SessionSnapshot,
-        SessionSnapshot,
+        Vec<SessionSnapshot>,
     );
     let resume =
         checkpoint.and_then(|(store, tag)| load_agreed(comm, store, tag, |c: &BcCkpt| c.0));
 
     let n = a.nrows();
     let a01 = a.map(|_| 1.0);
+    let a01t = a01.transpose();
     let plan = Plan1D {
         global_stats: false,
         ..*plan
     };
     let n_offsets = uniform_offsets(n, comm.size());
     let dist = |m: &Csc<f64>| DistMat1D::from_global(comm, m, &n_offsets);
-    let mut fwd = SpgemmSession::create(comm, dist(&a01.transpose()), plan, cache);
-    let mut bwd = SpgemmSession::create(comm, dist(&a01), plan, cache);
+    // forward `Ãᵀ`, then backward `Ã` unless it is the same matrix
+    let mut sessions = vec![SpgemmSession::create(comm, dist(&a01t), plan, cache)];
+    if a01t != a01 {
+        sessions.push(SpgemmSession::create(comm, dist(&a01), plan, cache));
+    }
     let (mut outcomes, mut snapshots) = match resume {
-        Some((_, outcomes, snapshots, fs, bs)) => {
-            fwd.restore(&fs);
-            bwd.restore(&bs);
+        Some((_, outcomes, snapshots, snaps)) => {
+            assert_eq!(snaps.len(), sessions.len(), "one snapshot per session");
+            for (session, snap) in sessions.iter_mut().zip(&snaps) {
+                session.restore(snap);
+            }
             (outcomes, snapshots)
         }
         None => (Vec::new(), Vec::new()),
     };
     for sources in batches.iter().skip(outcomes.len()) {
         if let Some((store, tag)) = checkpoint {
-            save_wire(
-                store,
-                me,
-                tag,
-                &(
-                    outcomes.len() as u64,
-                    outcomes.clone(),
-                    snapshots.clone(),
-                    fwd.snapshot(),
-                    bwd.snapshot(),
-                ),
-            )
-            .expect("writable checkpoint store");
+            let snaps: Vec<_> = sessions.iter().map(SpgemmSession::snapshot).collect();
+            let ckpt = (
+                outcomes.len() as u64,
+                outcomes.clone(),
+                snapshots.clone(),
+                snaps,
+            );
+            save_wire(store, me, tag, &ckpt).expect("writable checkpoint store");
         }
         // frontier block: rows = vertices (global), columns = my batch slice
         let cols = Arc::new(uniform_offsets(sources.len(), comm.size()));
@@ -535,15 +538,14 @@ fn bc_batches<C: Comm>(
             batch: span(&cols, me),
         };
         let mut engine = Sessions {
-            fwd: &mut fwd,
-            bwd: &mut bwd,
+            sessions: &mut sessions,
             cols,
         };
         outcomes.push(brandes(comm, &mut engine, &layout, n, sources));
-        snapshots.push(BcSessionStats {
-            forward: *fwd.stats(),
-            backward: *bwd.stats(),
-        });
+        let mut stats = sessions.iter().map(|s| *s.stats());
+        let forward = stats.next().expect("a session");
+        let backward = stats.next().unwrap_or_default();
+        snapshots.push(BcSessionStats { forward, backward });
     }
     if let Some((store, tag)) = checkpoint {
         store.remove(me, tag).expect("removable checkpoint");
@@ -553,33 +555,28 @@ fn bc_batches<C: Comm>(
 
 /// One batch of the session engine: the column frontier of [`bc_batch_2d`]
 /// on a 1D split of the batch dimension (`cols`), multiplied through the
-/// persistent sessions.
+/// persistent sessions (forward the first, backward the last).
 struct Sessions<'s> {
-    fwd: &'s mut SpgemmSession,
-    bwd: &'s mut SpgemmSession,
+    sessions: &'s mut [SpgemmSession],
     cols: Arc<Vec<usize>>,
 }
 
 impl Sessions<'_> {
-    fn wrap(&self, local: Dcsc<f64>) -> DistMat1D {
+    /// `local` times session `s`'s `Ã`; the working set is its fresh plus cached `Ã`.
+    fn multiply<C: Comm>(&mut self, comm: &C, s: usize, local: Dcsc<f64>) -> (Csc<f64>, u64) {
         let b = *self.cols.last().expect("offsets");
-        DistMat1D::from_local(local.nrows(), b, self.cols.clone(), local)
+        let f = DistMat1D::from_local(local.nrows(), b, self.cols.clone(), local);
+        let (out, rep) = self.sessions[s].multiply(comm, &f);
+        (out.into_local_csc(), rep.fresh_bytes + rep.cache_hit_bytes)
     }
-}
-
-/// A session product; the working set is the fresh plus the cached `Ã`.
-fn session_product((out, rep): (DistMat1D, SpgemmReport)) -> (Csc<f64>, u64) {
-    (out.into_local_csc(), rep.fresh_bytes + rep.cache_hit_bytes)
 }
 
 impl<C: Comm> BrandesEngine<C> for Sessions<'_> {
     fn forward(&mut self, comm: &C, fringe: &Csc<f64>) -> (Csc<f64>, u64) {
-        let f = self.wrap(Dcsc::from_csc(fringe));
-        session_product(self.fwd.multiply(comm, &f))
+        self.multiply(comm, 0, Dcsc::from_csc(fringe))
     }
     fn backward(&mut self, comm: &C, weights: Csc<f64>) -> (Csc<f64>, u64) {
-        let w = self.wrap(Dcsc::from(weights));
-        session_product(self.bwd.multiply(comm, &w))
+        self.multiply(comm, self.sessions.len() - 1, Dcsc::from(weights))
     }
 }
 
@@ -802,6 +799,7 @@ mod tests {
     use super::*;
     use sa_mpisim::Universe;
     use sa_sparse::gen::{banded, rmat, stencil2d_convection};
+    use sa_sparse::semiring::PlusTimes;
     use sa_sparse::spgemm::spgemm;
 
     fn close(a: &[f64], b: &[f64]) -> bool {
@@ -996,6 +994,69 @@ mod tests {
                 let expect = bc_serial(&a, sources);
                 assert!(close(&o.scores, &expect), "session BC batch mismatch");
             }
+        }
+    }
+
+    /// Three session batches over `a` on four ranks: per rank, the
+    /// outcomes, the final counters and the metered get bytes.
+    fn session_run(
+        a: &Csc<f64>,
+        batches: &[Vec<Vidx>],
+    ) -> Vec<(Vec<BcOutcome>, BcSessionStats, u64)> {
+        Universe::new(4).run(|comm| {
+            let before = comm.stats();
+            let plan = Plan1D::default();
+            let (outcomes, stats) =
+                bc_batches_1d_session(comm, a, batches, &plan, CacheConfig::unlimited());
+            let metered = (comm.stats() - before).rdma_get_bytes;
+            (outcomes, *stats.last().expect("a batch"), metered)
+        })
+    }
+
+    #[test]
+    fn session_engine_keeps_two_sessions_on_a_directed_graph() {
+        let a = stencil2d_convection(9, 9, 0.7)
+            .filter(|r, c, _| (r as i64 - c as i64).rem_euclid(3) != 1);
+        assert_ne!(a.pattern(), a.transpose().pattern(), "directed");
+        let batches: Vec<Vec<Vidx>> = (0..3).map(|s| pick_sources(a.nrows(), 12, s)).collect();
+        for (outcomes, stats, metered) in session_run(&a, &batches) {
+            for (o, sources) in outcomes.iter().zip(&batches) {
+                assert!(
+                    close(&o.scores, &bc_serial(&a, sources)),
+                    "directed session BC"
+                );
+            }
+            let levels: u64 = outcomes.iter().map(|o| o.levels as u64).sum();
+            assert_eq!(stats.forward.multiplies, levels, "forward: one per level");
+            assert_eq!(
+                stats.backward.multiplies,
+                levels - 3,
+                "backward: one per level but the top"
+            );
+            assert!(stats.backward.fresh_bytes > 0);
+            assert_eq!(stats.fresh_bytes(), metered);
+        }
+    }
+
+    #[test]
+    fn session_engine_serves_a_symmetric_graph_from_one_session() {
+        let a = rmat(7, 6, (0.57, 0.19, 0.19, 0.05), 1);
+        assert_eq!(a.pattern(), a.transpose().pattern(), "symmetric");
+        let batches: Vec<Vec<Vidx>> = (0..3).map(|s| pick_sources(a.nrows(), 12, s)).collect();
+        for (outcomes, stats, metered) in session_run(&a, &batches) {
+            for (o, sources) in outcomes.iter().zip(&batches) {
+                assert!(
+                    close(&o.scores, &bc_serial(&a, sources)),
+                    "symmetric session BC"
+                );
+            }
+            let levels: u64 = outcomes.iter().map(|o| o.levels as u64).sum();
+            assert_eq!(stats.forward.multiplies, 2 * levels - 3, "both sweeps");
+            assert_eq!(stats.backward, SessionStats::default(), "no second session");
+            // report == metered, to the byte, with every get in `forward`
+            assert_eq!(stats.forward.fresh_bytes, metered);
+            assert_eq!(stats.fresh_bytes(), metered);
+            assert!(stats.cache_hit_bytes() > 0);
         }
     }
 

@@ -30,8 +30,9 @@
 //! at least 2^28 apart: each column is a run of its own, 5 B of gap and
 //! 1 B of length, plus its count — at most 10 B per column while a column
 //! holds fewer than 2^28 entries (11 B beyond that), and at most 5 B of
-//! run count per record. [`SpgemmSession::update_a`]'s changed-column
-//! lists travel as bare runs.
+//! run count per record. [`SpgemmSession::update_a`] sends each rank's
+//! changed-column list as bare runs ahead of its new record, in the same
+//! `allgatherv` ([`exchange_update`]).
 //!
 //! [`SpgemmSession::update_a`]: crate::session::SpgemmSession::update_a
 
@@ -76,8 +77,15 @@ impl RankMeta {
     /// Decode one rank's record; every malformed record is an `Err`.
     fn decode(rec: &[u8]) -> Result<RankMeta, RecordError> {
         let mut r = Reader(rec);
+        let meta = RankMeta::read(&mut r)?;
+        r.finish()?;
+        Ok(meta)
+    }
+
+    /// Read one record off `r`.
+    fn read(r: &mut Reader) -> Result<RankMeta, RecordError> {
         // ids are u32s, and each column's count takes at least one byte
-        let jc = r.runs(1 << 32, rec.len())?;
+        let jc = r.runs(1 << 32, r.0.len())?;
         let mut cp = Vec::with_capacity(jc.len() + 1);
         let mut end = 0u64;
         cp.push(end);
@@ -85,7 +93,6 @@ impl RankMeta {
             end = end.checked_add(r.varint()?).ok_or(RecordError::Overflow)?;
             cp.push(end);
         }
-        r.finish()?;
         Ok(RankMeta { jc, cp })
     }
 }
@@ -102,7 +109,7 @@ fn put_varint(out: &mut Vec<u8>, mut v: u64) {
 /// The strictly ascending `ids` as maximal runs of consecutive ids: the
 /// run count, then per run its gap from the previous run's end and its
 /// length.
-pub(crate) fn runs_record(ids: &[Vidx]) -> Vec<u8> {
+fn runs_record(ids: &[Vidx]) -> Vec<u8> {
     let runs = || ids.chunk_by(|&x, &y| u64::from(x) + 1 == u64::from(y));
     let mut out = Vec::new();
     put_varint(&mut out, runs().count() as u64);
@@ -127,12 +134,14 @@ pub(crate) fn meta_record(jc: &[Vidx], lens: impl Iterator<Item = u64>) -> Vec<u
     out
 }
 
-/// Decode a [`runs_record`] whose ids all lie below `width`.
-pub(crate) fn decode_runs(rec: &[u8], width: usize) -> Result<Vec<Vidx>, RecordError> {
+/// Decode an update record (see [`exchange_update`]) whose changed ids all
+/// lie below `width`.
+fn decode_update(rec: &[u8], width: usize) -> Result<(Vec<Vidx>, RankMeta), RecordError> {
     let mut r = Reader(rec);
-    let ids = r.runs(width as u64, width)?;
+    let changed = r.runs(width as u64, width)?;
+    let meta = RankMeta::read(&mut r)?;
     r.finish()?;
-    Ok(ids)
+    Ok((changed, meta))
 }
 
 /// Why a record failed to decode.
@@ -213,12 +222,40 @@ impl Reader<'_> {
 /// fetch path), `len` bytes per record. A malformed record panics naming
 /// the rank that sent it.
 pub(crate) fn exchange_meta<C: Comm>(comm: &C, local: &Dcsc<f64>) -> Vec<RankMeta> {
-    let lens = local.cp().windows(2).map(|w| (w[1] - w[0]) as u64);
-    comm.allgatherv(meta_record(local.jc(), lens))
+    comm.allgatherv(local_record(local))
         .iter()
         .enumerate()
         .map(|(r, rec)| RankMeta::from_record(r, rec))
         .collect()
+}
+
+/// [`exchange_meta`] for a re-anchored operand, in the same one
+/// `allgatherv`: each rank's record is led by a [`runs_record`] of its
+/// `changed` local columns. Returns, per rank, its changed columns and its
+/// new metadata; rank `r`'s ids must lie below its width in `offsets`. A
+/// malformed record panics naming the rank that sent it.
+pub(crate) fn exchange_update<C: Comm>(
+    comm: &C,
+    changed: &[Vidx],
+    local: &Dcsc<f64>,
+    offsets: &[usize],
+) -> Vec<(Vec<Vidx>, RankMeta)> {
+    let mut rec = runs_record(changed);
+    rec.extend(local_record(local));
+    comm.allgatherv(rec)
+        .iter()
+        .enumerate()
+        .map(|(r, rec)| {
+            decode_update(rec, offsets[r + 1] - offsets[r])
+                .unwrap_or_else(|e| panic!("update record from rank {r}: {e}"))
+        })
+        .collect()
+}
+
+/// A local slice's metadata record.
+fn local_record(local: &Dcsc<f64>) -> Vec<u8> {
+    let lens = local.cp().windows(2).map(|w| (w[1] - w[0]) as u64);
+    meta_record(local.jc(), lens)
 }
 
 /// Pack a boolean support over `0..len` into `u64` bitmap words — the
@@ -535,15 +572,23 @@ mod tests {
 
     #[test]
     fn run_records_round_trip_within_their_width() {
+        let m = meta(&[(0, 3), (4, 1)]);
+        let update = |ids: &[Vidx]| [runs_record(ids), m.record()].concat();
         for ids in [vec![], vec![0, 1, 2, 7, 9, 10], vec![99]] {
-            assert_eq!(decode_runs(&runs_record(&ids), 100), Ok(ids));
+            let (got, got_meta) = decode_update(&update(&ids), 100).unwrap();
+            assert_eq!(got, ids);
+            assert_eq!((got_meta.jc, got_meta.cp), (m.jc.clone(), m.cp.clone()));
         }
+        let err = |rec: &[u8], width| decode_update(rec, width).err();
+        assert_eq!(err(&update(&[99]), 99), Some(RecordError::BadRun));
+        assert_eq!(err(&[1, 0], 100), Some(RecordError::Truncated));
+        // an empty run list and an empty metadata record, then one byte
+        assert_eq!(err(&[0, 0, 0], 100), Some(RecordError::Trailing(1)));
+        let rec = update(&[3]);
         assert_eq!(
-            decode_runs(&runs_record(&[99]), 99),
-            Err(RecordError::BadRun)
+            err(&rec[..rec.len() - 1], 100),
+            Some(RecordError::Truncated)
         );
-        assert_eq!(decode_runs(&[1, 0], 100), Err(RecordError::Truncated));
-        assert_eq!(decode_runs(&[0, 0], 100), Err(RecordError::Trailing(1)));
     }
 
     #[test]

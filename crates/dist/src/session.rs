@@ -37,7 +37,7 @@
 
 use crate::dist1d::DistMat1D;
 use crate::fetch::{
-    decode_runs, plan_fetch, runs_record, support_bit, FetchPlan, Interval, RankMeta, ENTRY_BYTES,
+    exchange_update, plan_fetch, support_bit, FetchPlan, Interval, RankMeta, ENTRY_BYTES,
 };
 use crate::spgemm1d::{
     assert_conformal, expose, FetchMode, Fetched, Multiply1D, Plan1D, SpgemmReport,
@@ -661,9 +661,9 @@ impl SpgemmSession {
     /// Re-anchor the session on a changed operand without discarding the
     /// cache: each rank diffs its new slice against the old one column by
     /// column, the changed-column lists are allgathered as runs of
-    /// consecutive ids (metadata traffic, encoded like the symbolic pass's
-    /// `⃗D`), and exactly those columns are invalidated everywhere. The
-    /// metadata and window exposure are
+    /// consecutive ids (encoded like the symbolic pass's `⃗D`) in the same
+    /// one metadata round as the new operand's record, and exactly those
+    /// columns are invalidated everywhere. The window exposure is
     /// refreshed, and the resident copy is laid out anew: the new local
     /// slice and the surviving resident columns, moved to their new
     /// offsets. Layout (dimensions and offsets) must be unchanged.
@@ -678,25 +678,26 @@ impl SpgemmSession {
         );
         let me = comm.rank();
         let changed = changed_columns(self.a.local(), new_a.local());
-        let all_changed = comm.allgatherv(runs_record(&changed));
         let offsets = self.a.offsets();
         let mut total = 0u64;
         let mut invalidated = 0u64;
-        for (owner, rec) in all_changed.iter().enumerate() {
-            let (base, width) = (offsets[owner], offsets[owner + 1] - offsets[owner]);
-            let list = decode_runs(rec, width)
-                .unwrap_or_else(|e| panic!("changed-column record from rank {owner}: {e}"));
+        let mut metas = Vec::with_capacity(comm.size());
+        let update = exchange_update(comm, &changed, new_a.local(), offsets);
+        for (owner, (list, meta)) in update.into_iter().enumerate() {
+            metas.push(meta);
             total += list.len() as u64;
             if owner == me {
                 continue;
             }
             for lc in list {
-                if self.cache.clear(base + lc as usize) {
+                if self.cache.clear(offsets[owner] + lc as usize) {
                     invalidated += 1;
                 }
             }
         }
-        (self.metas, self.win) = expose(comm, new_a.local());
+        let local = new_a.local();
+        self.win = PairedWindow::create(comm, local.ir().to_vec(), local.num().to_vec());
+        self.metas = metas;
         self.cache.lay_out(&new_a, &self.metas, me);
         self.a = new_a;
         self.stats.a_updates += 1;
@@ -1005,6 +1006,30 @@ mod tests {
             delta.fresh_bytes <= 4 * ENTRY_BYTES * 60,
             "delta fetch bounded by the changed columns"
         );
+    }
+
+    #[test]
+    fn update_a_sends_one_metadata_allgather() {
+        // the changed-column runs ride in the new operand's record: one
+        // allgatherv (each record to rank 0, then its length table and the
+        // records from rank 0 to the other P − 1), 3·(P − 1) messages
+        let a = erdos_renyi(60, 60, 3.0, 13);
+        let a2 = a.map(|v| 2.0 * v);
+        let got = sa_mpisim::Universe::new(4).run(|comm| {
+            let mut s = SpgemmSession::create(
+                comm,
+                dist(comm, &a),
+                Plan1D::default(),
+                CacheConfig::unlimited(),
+            );
+            let before = comm.stats();
+            let changed = s.update_a(comm, dist(comm, &a2));
+            ((comm.stats() - before).sent_msgs, changed)
+        });
+        let sent: Vec<u64> = got.iter().map(|g| g.0).collect();
+        assert_eq!(sent, [6, 1, 1, 1]);
+        let nonempty = (0..60).filter(|&j| a.col_nnz(j) > 0).count() as u64;
+        assert!(got.iter().all(|g| g.1 == nonempty), "every column changed");
     }
 
     #[test]

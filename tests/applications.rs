@@ -94,6 +94,56 @@ fn bc_engines_agree_with_each_other_and_serial() {
     }
 }
 
+/// FNV-1a over the scores' bit patterns.
+fn score_bits(scores: &[f64]) -> u64 {
+    let bytes = scores.iter().flat_map(|x| x.to_bits().to_le_bytes());
+    bytes.fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Every entry point's scores, bit for bit, on `bc_engines_agree…`'s graph
+/// and sources (and a second batch through the session engine). The level
+/// loop may change how it stores σ, δ and the visited set, but not one
+/// floating-point operation or the order of the score sums: each vertex
+/// adds its entries in ascending row order of the frontier block, which in
+/// the transposed 1D layout spans several BFS levels.
+#[test]
+fn bc_score_bits_are_pinned() {
+    let g = rmat(6, 6, (0.57, 0.19, 0.19, 0.05), 3);
+    let sources = pick_sources(g.nrows(), 10, 4);
+    let batches = [sources.clone(), pick_sources(g.nrows(), 10, 5)];
+    let plan = Plan1D::default();
+    let n = g.nrows();
+    let uneven = vec![0, n / 8, n / 8, n / 2, n];
+    let one = |ranks: Vec<Vec<f64>>| {
+        let fp = score_bits(&ranks[0]);
+        assert!(ranks.iter().all(|s| score_bits(s) == fp), "ranks disagree");
+        fp
+    };
+    let sessions = Universe::new(4).run(|c| {
+        let (outcomes, _) = bc_batches_1d_session(c, &g, &batches, &plan, CacheConfig::unlimited());
+        outcomes.into_iter().map(|o| o.scores).collect::<Vec<_>>()
+    });
+    let got = [
+        one(Universe::new(4).run(|c| bc_batch_1d(c, &g, &sources, &plan).scores)),
+        one(Universe::new(4).run(|c| bc_batch_1d_offsets(c, &g, &sources, &plan, &uneven).scores)),
+        one(sessions.iter().map(|b| b[0].clone()).collect()),
+        one(sessions.iter().map(|b| b[1].clone()).collect()),
+        one(Universe::new(9).run(|c| bc_batch_2d(c, &g, &sources).scores)),
+        one(Universe::new(8).run(|c| bc_batch_3d(c, 2, &g, &sources).scores)),
+    ];
+    let recorded = [
+        0xb7e3_0d11_5ad7_9daa, // 1D
+        0xb7e3_0d11_5ad7_9daa, // 1D uneven offsets
+        0x73a3_00eb_e442_9fe8, // session, first batch
+        0xb5df_bc1a_c92e_3242, // session, second batch
+        0xda2c_7af5_7c28_d847, // 2D on 3x3
+        0x0b1d_1c14_26ab_9c2f, // 3D 2x2x2
+    ];
+    assert_eq!(got, recorded, "{got:#018x?}");
+}
+
 #[test]
 fn bc_batching_is_additive() {
     // running two halves of the sources separately must sum to the full run

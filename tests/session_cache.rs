@@ -417,16 +417,17 @@ fn session_snapshot_bytes_are_pinned() {
             "bc",
         )
     });
+    // the graph is symmetric: one session serves both sweeps
     type BcCkpt = (
         u64,
         Vec<BcOutcome>,
         Vec<BcSessionStats>,
-        SessionSnapshot,
-        SessionSnapshot,
+        Vec<SessionSnapshot>,
     );
     let bc = bc_store.digest(4, |blob| {
-        let (_, _, _, fwd, bwd) = BcCkpt::from_bytes(blob).unwrap();
-        vec![fwd, bwd]
+        let (_, _, _, snaps) = BcCkpt::from_bytes(blob).unwrap();
+        assert_eq!(snaps.len(), 1, "one snapshot per session");
+        snaps
     });
 
     for (rank, (_, last)) in mcl.iter().enumerate() {
@@ -446,7 +447,7 @@ fn session_snapshot_bytes_are_pinned() {
     );
     assert_eq!(
         crcs(&bc),
-        [0x266046f2, 0x38cc3819, 0x3dacbfc7, 0x9a42496d],
+        [0xc7af9b76, 0x3ee2e04c, 0xaa870746, 0x816a08d1],
         "BC snapshot bytes"
     );
 }
