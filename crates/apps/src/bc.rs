@@ -26,7 +26,7 @@ use sa_dist::{
     CacheConfig, CheckpointStore, DistMat1D, DistMat2D, Plan1D, SessionSnapshot, SessionStats,
     SpgemmSession,
 };
-use sa_mpisim::{Comm, Grid2D, Grid3D, Wire, WireError};
+use sa_mpisim::{Comm, Grid2D, Grid3D};
 use sa_sparse::{Coo, Csc, Dcsc, SpgemmWorkspace, Vidx};
 use std::ops::Range;
 use std::sync::Arc;
@@ -62,39 +62,19 @@ pub struct BcOutcome {
     pub comm_msgs: u64,
 }
 
-impl Wire for BcTimes {
-    fn put(&self, out: &mut Vec<u8>) {
-        self.forward_s.put(out);
-        self.backward_s.put(out);
-    }
-    fn get(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(BcTimes {
-            forward_s: Wire::get(buf)?,
-            backward_s: Wire::get(buf)?,
-        })
-    }
-}
+sa_mpisim::wire_struct!(BcTimes {
+    forward_s,
+    backward_s
+});
 
-impl Wire for BcOutcome {
-    fn put(&self, out: &mut Vec<u8>) {
-        self.scores.put(out);
-        self.times.put(out);
-        self.levels.put(out);
-        self.peak_local_bytes.put(out);
-        self.comm_bytes.put(out);
-        self.comm_msgs.put(out);
-    }
-    fn get(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(BcOutcome {
-            scores: Wire::get(buf)?,
-            times: Wire::get(buf)?,
-            levels: Wire::get(buf)?,
-            peak_local_bytes: Wire::get(buf)?,
-            comm_bytes: Wire::get(buf)?,
-            comm_msgs: Wire::get(buf)?,
-        })
-    }
-}
+sa_mpisim::wire_struct!(BcOutcome {
+    scores,
+    times,
+    levels,
+    peak_local_bytes,
+    comm_bytes,
+    comm_msgs
+});
 
 /// Choose `batch` distinct sources deterministically.
 pub fn pick_sources(n: usize, batch: usize, seed: u64) -> Vec<Vidx> {
@@ -177,9 +157,9 @@ fn span(offsets: &[usize], i: usize) -> Range<usize> {
 /// own layout plus the bytes of the multiply's working set on this rank.
 trait BrandesEngine<C: Comm> {
     /// The next frontier before masking: `Aᵀ·F` (or `F̃·A`).
-    fn forward(&mut self, comm: &C, fringe: &Csc<f64>) -> (Csc<f64>, u64);
+    fn forward(&mut self, comm: &C, fringe: &Dcsc<f64>) -> (Csc<f64>, u64);
     /// The backward step: `A·W` (or `W̃·Aᵀ`).
-    fn backward(&mut self, comm: &C, weights: Csc<f64>) -> (Csc<f64>, u64);
+    fn backward(&mut self, comm: &C, weights: Dcsc<f64>) -> (Csc<f64>, u64);
 }
 
 /// `next`'s entries at cells of the frontier block no level has reached,
@@ -254,7 +234,7 @@ fn brandes<C: Comm>(
     // forward search
     loop {
         let t0 = Instant::now();
-        let (next, ws) = engine.forward(comm, &stack.last().expect("level 0").to_csc());
+        let (next, ws) = engine.forward(comm, stack.last().expect("level 0"));
         times.forward_s.push(t0.elapsed().as_secs_f64());
         let fresh = keep_new(&next, &mut visited);
         peak = peak.max(ws + (held + fresh.mem_bytes()) as u64);
@@ -268,7 +248,9 @@ fn brandes<C: Comm>(
 
     // backward sweep (levels L-1 .. 1; level-0 deltas belong to the
     // sources themselves and are excluded, as in Brandes); `deltas` holds
-    // the δ blocks of levels L-2 .. 1
+    // the δ blocks of levels L-2 .. 1. It ends once level 1's δ is written:
+    // a product of level 1's weights would feed level 0 only, so levels
+    // L-1 .. 2 multiply (`levels − 2` backward steps).
     let levels = stack.len();
     let (mut deltas, mut t) = (Vec::new(), None);
     while stack.len() > 1 {
@@ -279,8 +261,11 @@ fn brandes<C: Comm>(
             held += delta.mem_bytes();
             deltas.push(delta);
         }
+        if stack.len() == 1 {
+            break;
+        }
         let t0 = Instant::now();
-        let (product, ws) = engine.backward(comm, w.into_csc());
+        let (product, ws) = engine.backward(comm, w);
         times.backward_s.push(t0.elapsed().as_secs_f64());
         peak = peak.max(ws + held as u64);
         t = Some(product);
@@ -328,9 +313,13 @@ pub fn bc_batch_1d_offsets<C: Comm>(
     offsets: &[usize],
 ) -> BcOutcome {
     let a01 = a.map(|_| 1.0);
-    // stationary operands: adjacency (forward), its transpose (backward)
-    let adj = DistMat1D::from_global(comm, &a01, offsets);
-    let adj_t = DistMat1D::from_global(comm, &a01.transpose(), offsets);
+    let a01t = a01.transpose();
+    // stationary operands: the adjacency (forward), then its transpose
+    // (backward) unless it is the same matrix
+    let mut adjs = vec![DistMat1D::from_global(comm, &a01, offsets)];
+    if a01t != a01 {
+        adjs.push(DistMat1D::from_global(comm, &a01t, offsets));
+    }
     let layout = Layout {
         vertex_rows: false,
         vertices: span(offsets, comm.rank()),
@@ -344,12 +333,7 @@ pub fn bc_batch_1d_offsets<C: Comm>(
     // one arena for every per-level multiply of this batch: a BFS runs
     // 2·levels multiplies whose scratch is shape-compatible level to level
     let ws = SpgemmWorkspace::new();
-    let mut engine = Transposed1D {
-        adj,
-        adj_t,
-        plan,
-        ws,
-    };
+    let mut engine = Transposed1D { adjs, plan, ws };
     brandes(comm, &mut engine, &layout, a.nrows(), sources)
 }
 
@@ -357,8 +341,9 @@ pub fn bc_batch_1d_offsets<C: Comm>(
 /// fetched operand, the adjacency (forward) or its transpose (backward) the
 /// stationary one.
 struct Transposed1D {
-    adj: DistMat1D,
-    adj_t: DistMat1D,
+    /// The adjacency, then its transpose unless it is the same matrix:
+    /// forward multiplies by the first, backward by the last.
+    adjs: Vec<DistMat1D>,
     plan: Plan1D,
     ws: SpgemmWorkspace<f64>,
 }
@@ -374,11 +359,11 @@ impl Transposed1D {
 }
 
 impl<C: Comm> BrandesEngine<C> for Transposed1D {
-    fn forward(&mut self, comm: &C, fringe: &Csc<f64>) -> (Csc<f64>, u64) {
-        self.multiply(comm, Dcsc::from_csc(fringe), &self.adj)
+    fn forward(&mut self, comm: &C, fringe: &Dcsc<f64>) -> (Csc<f64>, u64) {
+        self.multiply(comm, fringe.clone(), &self.adjs[0])
     }
-    fn backward(&mut self, comm: &C, weights: Csc<f64>) -> (Csc<f64>, u64) {
-        self.multiply(comm, Dcsc::from(weights), &self.adj_t)
+    fn backward(&mut self, comm: &C, weights: Dcsc<f64>) -> (Csc<f64>, u64) {
+        self.multiply(comm, weights, self.adjs.last().expect("an adjacency"))
     }
 }
 
@@ -407,18 +392,7 @@ impl BcSessionStats {
     }
 }
 
-impl Wire for BcSessionStats {
-    fn put(&self, out: &mut Vec<u8>) {
-        self.forward.put(out);
-        self.backward.put(out);
-    }
-    fn get(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(BcSessionStats {
-            forward: Wire::get(buf)?,
-            backward: Wire::get(buf)?,
-        })
-    }
-}
+sa_mpisim::wire_struct!(BcSessionStats { forward, backward });
 
 /// Run several BC batches over *persistent* sparsity-aware 1D sessions.
 /// Collective.
@@ -572,11 +546,11 @@ impl Sessions<'_> {
 }
 
 impl<C: Comm> BrandesEngine<C> for Sessions<'_> {
-    fn forward(&mut self, comm: &C, fringe: &Csc<f64>) -> (Csc<f64>, u64) {
-        self.multiply(comm, 0, Dcsc::from_csc(fringe))
+    fn forward(&mut self, comm: &C, fringe: &Dcsc<f64>) -> (Csc<f64>, u64) {
+        self.multiply(comm, 0, fringe.clone())
     }
-    fn backward(&mut self, comm: &C, weights: Csc<f64>) -> (Csc<f64>, u64) {
-        self.multiply(comm, self.sessions.len() - 1, Dcsc::from(weights))
+    fn backward(&mut self, comm: &C, weights: Dcsc<f64>) -> (Csc<f64>, u64) {
+        self.multiply(comm, self.sessions.len() - 1, weights)
     }
 }
 
@@ -632,11 +606,11 @@ impl<C: Comm> Summa2D<C> {
 }
 
 impl<C: Comm> BrandesEngine<C> for Summa2D<C> {
-    fn forward(&mut self, comm: &C, fringe: &Csc<f64>) -> (Csc<f64>, u64) {
-        self.multiply(comm, &self.adj_t, fringe.clone())
+    fn forward(&mut self, comm: &C, fringe: &Dcsc<f64>) -> (Csc<f64>, u64) {
+        self.multiply(comm, &self.adj_t, fringe.to_csc())
     }
-    fn backward(&mut self, comm: &C, weights: Csc<f64>) -> (Csc<f64>, u64) {
-        self.multiply(comm, &self.adj, weights)
+    fn backward(&mut self, comm: &C, weights: Dcsc<f64>) -> (Csc<f64>, u64) {
+        self.multiply(comm, &self.adj, weights.into_csc())
     }
 }
 
@@ -736,11 +710,11 @@ impl<C: Comm> Split3D<C> {
 }
 
 impl<C: Comm> BrandesEngine<C> for Split3D<C> {
-    fn forward(&mut self, comm: &C, fringe: &Csc<f64>) -> (Csc<f64>, u64) {
-        self.multiply(comm, &self.adj_t, fringe.clone())
+    fn forward(&mut self, comm: &C, fringe: &Dcsc<f64>) -> (Csc<f64>, u64) {
+        self.multiply(comm, &self.adj_t, fringe.to_csc())
     }
-    fn backward(&mut self, comm: &C, weights: Csc<f64>) -> (Csc<f64>, u64) {
-        self.multiply(comm, &self.adj, weights)
+    fn backward(&mut self, comm: &C, weights: Dcsc<f64>) -> (Csc<f64>, u64) {
+        self.multiply(comm, &self.adj, weights.into_csc())
     }
 }
 
@@ -797,7 +771,7 @@ pub fn bc_serial(a: &Csc<f64>, sources: &[Vidx]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sa_mpisim::Universe;
+    use sa_mpisim::{Universe, Wire};
     use sa_sparse::gen::{banded, rmat, stencil2d_convection};
     use sa_sparse::semiring::PlusTimes;
     use sa_sparse::spgemm::spgemm;
@@ -830,10 +804,10 @@ mod tests {
     }
 
     impl<C: Comm> BrandesEngine<C> for Serial {
-        fn forward(&mut self, _: &C, fringe: &Csc<f64>) -> (Csc<f64>, u64) {
+        fn forward(&mut self, _: &C, fringe: &Dcsc<f64>) -> (Csc<f64>, u64) {
             (spgemm::<PlusTimes<f64>, _, _>(&self.at, fringe), 0)
         }
-        fn backward(&mut self, _: &C, weights: Csc<f64>) -> (Csc<f64>, u64) {
+        fn backward(&mut self, _: &C, weights: Dcsc<f64>) -> (Csc<f64>, u64) {
             let t = spgemm::<PlusTimes<f64>, _, _>(&self.a, &weights);
             (t, self.backward_ws)
         }
@@ -862,11 +836,8 @@ mod tests {
         let (plain, heavy) = (run(0), run(1 << 40));
         for o in [&plain, &heavy] {
             assert!(close(&o.scores, &expect), "stub engine BC mismatch");
-            assert!(
-                o.levels >= 3,
-                "the backward sweep multiplies at least twice"
-            );
-            assert_eq!(o.times.backward_s.len(), o.levels - 1);
+            assert!(o.levels >= 3, "the backward sweep multiplies at least once");
+            assert_eq!(o.times.backward_s.len(), o.levels - 2);
         }
         assert!(plain.peak_local_bytes < 1 << 40);
         assert!(
@@ -1030,8 +1001,8 @@ mod tests {
             assert_eq!(stats.forward.multiplies, levels, "forward: one per level");
             assert_eq!(
                 stats.backward.multiplies,
-                levels - 3,
-                "backward: one per level but the top"
+                levels - 6,
+                "backward: one per level but the top two"
             );
             assert!(stats.backward.fresh_bytes > 0);
             assert_eq!(stats.fresh_bytes(), metered);
@@ -1051,7 +1022,7 @@ mod tests {
                 );
             }
             let levels: u64 = outcomes.iter().map(|o| o.levels as u64).sum();
-            assert_eq!(stats.forward.multiplies, 2 * levels - 3, "both sweeps");
+            assert_eq!(stats.forward.multiplies, 2 * levels - 6, "both sweeps");
             assert_eq!(stats.backward, SessionStats::default(), "no second session");
             // report == metered, to the byte, with every get in `forward`
             assert_eq!(stats.forward.fresh_bytes, metered);

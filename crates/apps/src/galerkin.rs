@@ -39,6 +39,12 @@ pub struct GalerkinReport {
     pub right_outer: Option<OuterReport>,
 }
 
+sa_mpisim::wire_struct!(GalerkinReport {
+    left,
+    right_1d,
+    right_outer
+});
+
 /// Compute the distributed Galerkin product.
 ///
 /// `a` is the fine operator, 1D-distributed; `r_global` is the restriction
@@ -144,6 +150,8 @@ pub struct GalerkinSessionReport {
     /// tiny, as in [`galerkin_product`]'s left multiplication).
     pub rap: SpgemmReport,
 }
+
+sa_mpisim::wire_struct!(GalerkinSessionReport { ar, rap });
 
 /// Repeated Galerkin products against a stationary fine operator.
 ///
@@ -301,6 +309,7 @@ mod tests {
     use super::*;
     use crate::restriction::restriction_operator;
     use sa_dist::reference::serial_galerkin;
+    use sa_dist::Wired;
     use sa_mpisim::Universe;
     use sa_sparse::gen::{erdos_renyi_square, stencil3d};
 
@@ -312,7 +321,7 @@ mod tests {
             let offsets = uniform_offsets(a.ncols(), comm.size());
             let da = DistMat1D::from_global(comm, a, &offsets);
             let (coarse, _) = galerkin_product(comm, &da, &r, right, &Plan1D::default());
-            coarse.gather(comm)
+            coarse.gather(comm).map(Wired)
         });
         let coarse = got[0].as_ref().unwrap();
         assert!(
@@ -345,7 +354,7 @@ mod tests {
             let offsets = uniform_offsets(a.ncols(), comm.size());
             let da = DistMat1D::from_global(comm, &a, &offsets);
             let (coarse, _, mode) = galerkin_auto(comm, &da, &r, &CostModel::default());
-            (coarse.gather(comm), mode)
+            (coarse.gather(comm).map(Wired), mode)
         });
         let (coarse, mode0) = &got[0];
         assert!(coarse.as_ref().unwrap().max_abs_diff(&expect) < 1e-9);
@@ -393,7 +402,7 @@ mod tests {
             let mut uncached = GalerkinSession::create(comm, da, plan, CacheConfig::disabled());
             let mut coarse = Vec::new();
             for r in &rs {
-                coarse.push(cached.product(comm, r).0.gather(comm));
+                coarse.push(cached.product(comm, r).0.gather(comm).map(Wired));
                 let _ = uncached.product(comm, r);
             }
             // one more product with an already-seen R: fully cache-served
@@ -434,7 +443,7 @@ mod tests {
             let mut plain = GalerkinSession::create(comm, da, plan, CacheConfig::unlimited());
             let expect: Vec<_> = rs
                 .iter()
-                .map(|r| plain.product(comm, r).0.gather(comm))
+                .map(|r| plain.product(comm, r).0.gather(comm).map(Wired))
                 .collect();
             let (coarse, stats) = galerkin_products_recoverable(
                 comm,
@@ -445,7 +454,7 @@ mod tests {
                 &store,
                 "rap.test",
             );
-            let got: Vec<_> = coarse.iter().map(|c| c.gather(comm)).collect();
+            let got: Vec<_> = coarse.iter().map(|c| c.gather(comm).map(Wired)).collect();
             (expect, got, *plain.stats(), stats)
         });
         for (expect, got, plain_stats, stats) in got {

@@ -13,11 +13,10 @@
 //! * `SA_REPS=n` — repetitions per measurement (best kept);
 //! * `SA_BACKEND` = `sim` (default) | `threads` | `procs`, or the
 //!   `--backend <name>` bench argument — which communicator backend
-//!   executes the simulated ranks (the serial rank-loop or truly-parallel
-//!   threads, both on [`RankComm`](sa_mpisim::RankComm), or
-//!   [`ProcComm`](sa_mpisim::ProcComm) one OS process per rank over
-//!   Unix socket pairs). Metered traffic is byte-identical across all
-//!   three; only wall-clock changes.
+//!   executes the simulated ranks (the serial rank-loop, truly-parallel
+//!   threads, or one OS process per rank over Unix socket pairs; every
+//!   rank holds a [`RankComm`](sa_mpisim::RankComm)). Metered traffic is
+//!   byte-identical across all three; only wall-clock changes.
 //!
 //! Harness map: [`plan`]/[`scale`]/[`load`] configure a run,
 //! [`square_1d`] executes the canonical squaring workload,
@@ -30,7 +29,7 @@
 use sa_dist::{
     prepare, spgemm_1d, DistMat1D, FetchMode, Plan1D, PrepResult, SpgemmReport, Strategy,
 };
-use sa_mpisim::{Backend, Comm, CostModel, PhaseTimes, Universe};
+use sa_mpisim::{Backend, CostModel, PhaseTimes, Universe};
 use sa_sparse::gen::{Dataset, Scale};
 use sa_sparse::spgemm::Kernel;
 use sa_sparse::stats::summarize;
@@ -58,13 +57,9 @@ pub fn plan() -> Plan1D {
 /// The communicator backend the benches run on: `--backend <name>` in the
 /// bench arguments wins, then `SA_BACKEND`, then the serial simulator.
 /// Benches that call [`run_square_prepared`] (directly or through
-/// [`square_1d`]) honor both spellings on all three backends (the procs
-/// leg dispatches through `Universe::run_procs`). Benches that spin up a
+/// [`square_1d`]) honor both spellings; benches that spin up a
 /// [`Universe`] themselves and call `Universe::run` honor `SA_BACKEND`
-/// only, and only for the *in-process* schedulers — under
-/// `SA_BACKEND=procs` those entry points fail fast with a typed panic
-/// naming `run_procs` (an in-process closure cannot cross a process
-/// boundary), rather than silently falling back to the simulator.
+/// only. Every launch runs on all three backends.
 pub fn backend() -> Backend {
     let mut args = std::env::args();
     while let Some(a) = args.next() {
@@ -209,14 +204,6 @@ pub fn square_1d(
     (reports, prep.prep_seconds)
 }
 
-/// One rank's share of the canonical squaring workload — generic over the
-/// backend so the same code runs on every communicator.
-fn square_rank<C: Comm>(comm: &C, prep: &PrepResult, plan: &Plan1D) -> SpgemmReport {
-    let da = DistMat1D::from_global(comm, &prep.a, &prep.offsets);
-    let db = da.clone();
-    spgemm_1d(comm, &da, &db, plan).1
-}
-
 /// Squaring on an already-prepared (permuted + offset) matrix; best of
 /// [`reps`] runs by whole-universe wall time (launch to join). Executes on
 /// the backend selected by [`backend`] (the serial simulator unless
@@ -226,13 +213,13 @@ pub fn run_square_prepared(prep: &PrepResult, p: usize, plan: Plan1D) -> Vec<Spg
     let (_wall, reports) = best_of(reps(), || {
         let u = universe(p);
         let t0 = std::time::Instant::now();
-        // launch(be, ..) pins the scheduler: a `--backend` argument must win
+        // launch(be, ..) pins the backend: a `--backend` argument must win
         // over any SA_BACKEND in the environment
-        let reports = match be {
-            // one OS process per rank; the report crosses back over a socket
-            Backend::Procs => u.run_procs(|comm| square_rank(comm, prep, &plan)),
-            in_process => u.launch(in_process, |comm| square_rank(comm, prep, &plan)),
-        };
+        let reports = u.launch(be, |comm| {
+            let da = DistMat1D::from_global(comm, &prep.a, &prep.offsets);
+            let db = da.clone();
+            spgemm_1d(comm, &da, &db, &plan).1
+        });
         (t0.elapsed().as_secs_f64(), reports)
     });
     reports

@@ -438,30 +438,16 @@ impl MatSnapshot {
     }
 }
 
-impl Wire for MatSnapshot {
-    fn put(&self, out: &mut Vec<u8>) {
-        self.nrows.put(out);
-        self.ncols.put(out);
-        self.local_ncols.put(out);
-        self.offsets.put(out);
-        self.jc.put(out);
-        self.cp.put(out);
-        self.ir.put(out);
-        self.num.put(out);
-    }
-    fn get(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(MatSnapshot {
-            nrows: Wire::get(buf)?,
-            ncols: Wire::get(buf)?,
-            local_ncols: Wire::get(buf)?,
-            offsets: Wire::get(buf)?,
-            jc: Wire::get(buf)?,
-            cp: Wire::get(buf)?,
-            ir: Wire::get(buf)?,
-            num: Wire::get(buf)?,
-        })
-    }
-}
+sa_mpisim::wire_struct!(MatSnapshot {
+    nrows,
+    ncols,
+    local_ncols,
+    offsets,
+    jc,
+    cp,
+    ir,
+    num
+});
 
 /// Collective agreement on the resume point. Each rank passes the last
 /// step it finds durably checkpointed (`None` if nothing); the result is
@@ -499,6 +485,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Wired;
     use sa_sparse::gen::erdos_renyi;
 
     #[test]
@@ -601,7 +588,7 @@ mod tests {
                     && da.local().ir() == back.local().ir()
                     && da.local().jc() == back.local().jc()
                     && da.offsets() == back.offsets(),
-                back.gather(comm),
+                back.gather(comm).map(Wired),
             )
         });
         for (same, gathered) in got {

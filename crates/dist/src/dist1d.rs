@@ -166,6 +166,7 @@ impl DistMat1D {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Wired;
     use sa_mpisim::Universe;
     use sa_sparse::gen::erdos_renyi;
 
@@ -182,7 +183,7 @@ mod tests {
         let u = Universe::new(4);
         let got = u.run(|comm| {
             let d = DistMat1D::from_global(comm, &a, &uniform_offsets(50, 4));
-            (d.local().nnz(), d.gather(comm))
+            (d.local().nnz(), d.gather(comm).map(Wired))
         });
         let total: usize = got.iter().map(|(n, _)| n).sum();
         assert_eq!(total, a.nnz());

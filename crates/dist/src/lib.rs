@@ -70,6 +70,7 @@ pub mod shape;
 pub mod spgemm1d;
 pub mod summa2d;
 pub mod summa2d_sa;
+pub mod wired;
 
 pub use analyze::{analyze_2d, analyze_3d, Analysis2D, Analysis3D, PhaseCost, Prediction};
 pub use checkpoint::{
@@ -91,3 +92,4 @@ pub use spgemm1d::{
 };
 pub use summa2d::{spgemm_summa_2d, DistMat2D, SummaReport};
 pub use summa2d_sa::{spgemm_summa_2d_sa, try_spgemm_summa_2d_sa, SaSummaReport};
+pub use wired::Wired;

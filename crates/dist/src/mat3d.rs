@@ -169,6 +169,13 @@ pub struct Split3DReport {
     pub phases: PhaseTimes,
 }
 
+sa_mpisim::wire_struct!(Split3DReport {
+    peak_local_bytes,
+    summa,
+    comm,
+    phases
+});
+
 fn assert_conformal_3d(a: &DistMat3D, b: &DistMat3D) {
     assert_eq!(
         a.ncols, b.nrows,
@@ -284,6 +291,14 @@ pub struct SaSplit3DReport {
     pub phases: PhaseTimes,
 }
 
+sa_mpisim::wire_struct!(SaSplit3DReport {
+    summa,
+    reduce_bytes,
+    peak_local_bytes,
+    comm,
+    phases
+});
+
 /// Sparsity-aware 3D split SpGEMM: each layer runs the needed-set 2D
 /// SUMMA ([`spgemm_summa_2d_sa`](crate::summa2d_sa::spgemm_summa_2d_sa))
 /// on its slice, then the partials are summed with the same fiber
@@ -339,6 +354,7 @@ pub fn spgemm_split_3d_sa<C: Comm, S: Semiring<T = f64>>(
 mod tests {
     use super::*;
     use crate::reference::serial_spgemm;
+    use crate::Wired;
     use sa_mpisim::Universe;
     use sa_sparse::gen::{erdos_renyi, stencil3d};
 
@@ -350,7 +366,7 @@ mod tests {
             let da = DistMat3D::from_global_split_cols(&grid, a);
             let db = DistMat3D::from_global_split_rows(&grid, b);
             let (c, _rep) = spgemm_split_3d(comm, &grid, &da, &db, &SpgemmWorkspace::new());
-            c.gather(comm)
+            c.gather(comm).map(Wired)
         });
         let got = got[0].as_ref().unwrap();
         assert!(

@@ -31,6 +31,13 @@ pub struct OuterReport {
     pub phases: PhaseTimes,
 }
 
+sa_mpisim::wire_struct!(OuterReport {
+    expand_bytes,
+    reduce_bytes,
+    comm,
+    phases
+});
+
 /// Outer-product 1D SpGEMM. Returns `C` in `B`'s column layout plus this
 /// rank's [`OuterReport`]. Collective.
 pub fn spgemm_outer_1d<C: Comm>(
@@ -130,6 +137,7 @@ mod tests {
     use super::*;
     use crate::dist1d::uniform_offsets;
     use crate::reference::serial_spgemm;
+    use crate::Wired;
     use sa_mpisim::Universe;
     use sa_sparse::gen::{erdos_renyi, stencil3d};
 
@@ -140,7 +148,7 @@ mod tests {
             let da = DistMat1D::from_global(comm, a, &uniform_offsets(a.ncols(), p));
             let db = DistMat1D::from_global(comm, b, &uniform_offsets(b.ncols(), p));
             let (c, _rep) = spgemm_outer_1d(comm, &da, &db);
-            c.gather(comm)
+            c.gather(comm).map(Wired)
         });
         let got = got[0].as_ref().unwrap();
         assert!(

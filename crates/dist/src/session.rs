@@ -42,7 +42,7 @@ use crate::fetch::{
 use crate::spgemm1d::{
     assert_conformal, expose, FetchMode, Fetched, Multiply1D, Plan1D, SpgemmReport,
 };
-use sa_mpisim::{Comm, PairedWindow, PhaseTimes, Wire, WireError};
+use sa_mpisim::{Comm, PairedWindow, PhaseTimes};
 use sa_sparse::spgemm::{ColSource, NoEpilogue, SpgemmWorkspace};
 use sa_sparse::types::{vidx, Vidx};
 use sa_sparse::Dcsc;
@@ -272,26 +272,14 @@ pub struct SessionStats {
     pub invalidated_cols: u64,
 }
 
-impl Wire for SessionStats {
-    fn put(&self, out: &mut Vec<u8>) {
-        self.multiplies.put(out);
-        self.fresh_bytes.put(out);
-        self.cache_hit_bytes.put(out);
-        self.rdma_msgs.put(out);
-        self.a_updates.put(out);
-        self.invalidated_cols.put(out);
-    }
-    fn get(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(SessionStats {
-            multiplies: Wire::get(buf)?,
-            fresh_bytes: Wire::get(buf)?,
-            cache_hit_bytes: Wire::get(buf)?,
-            rdma_msgs: Wire::get(buf)?,
-            a_updates: Wire::get(buf)?,
-            invalidated_cols: Wire::get(buf)?,
-        })
-    }
-}
+sa_mpisim::wire_struct!(SessionStats {
+    multiplies,
+    fresh_bytes,
+    cache_hit_bytes,
+    rdma_msgs,
+    a_updates,
+    invalidated_cols
+});
 
 /// Wire-encodable image of one rank's session state, for checkpointing
 /// iterative jobs run under
@@ -324,24 +312,13 @@ impl SessionSnapshot {
     }
 }
 
-impl Wire for SessionSnapshot {
-    fn put(&self, out: &mut Vec<u8>) {
-        self.nrows.put(out);
-        self.ncols.put(out);
-        self.local_nnz.put(out);
-        self.stats.put(out);
-        self.cols.put(out);
-    }
-    fn get(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(SessionSnapshot {
-            nrows: Wire::get(buf)?,
-            ncols: Wire::get(buf)?,
-            local_nnz: Wire::get(buf)?,
-            stats: Wire::get(buf)?,
-            cols: Wire::get(buf)?,
-        })
-    }
-}
+sa_mpisim::wire_struct!(SessionSnapshot {
+    nrows,
+    ncols,
+    local_nnz,
+    stats,
+    cols
+});
 
 /// What the *next* [`SpgemmSession::multiply`] with this operand would do —
 /// the incremental counterpart of [`analyze_1d`](crate::spgemm1d::analyze_1d).
@@ -361,6 +338,13 @@ pub struct SessionAnalysis {
     /// misses).
     pub needed_bytes: u64,
 }
+
+sa_mpisim::wire_struct!(SessionAnalysis {
+    planned_fresh_bytes,
+    planned_intervals,
+    cache_hit_bytes,
+    needed_bytes
+});
 
 /// Outcome of the incremental symbolic pass: which needed columns are
 /// resident, and the mask of those that must travel.
@@ -812,6 +796,8 @@ mod tests {
     use super::*;
     use crate::dist1d::uniform_offsets;
     use crate::spgemm1d::spgemm_1d;
+    use crate::Wired;
+    use sa_mpisim::Wire;
     use sa_sparse::gen::{banded, erdos_renyi};
     use sa_sparse::Csc;
 
@@ -857,9 +843,9 @@ mod tests {
                 let metered = (comm.stats() - before).rdma_get_bytes;
                 let (c3_ref, _) = spgemm_1d(comm, &da, &db_warm, &plan);
                 (
-                    c_ref.gather(comm),
-                    c1.gather(comm),
-                    c2.gather(comm),
+                    c_ref.gather(comm).map(Wired),
+                    c1.gather(comm).map(Wired),
+                    c2.gather(comm).map(Wired),
                     rep_ref,
                     r1,
                     r2,
@@ -982,12 +968,12 @@ mod tests {
                 global_stats: false,
                 ..Default::default()
             };
-            let expect = spgemm_1d(comm, &da2, &db, &plan).0.gather(comm);
+            let expect = spgemm_1d(comm, &da2, &db, &plan).0.gather(comm).map(Wired);
             let mut s = SpgemmSession::create(comm, da, plan, CacheConfig::unlimited());
             let (_c, warm) = s.multiply(comm, &db);
             let changed = s.update_a(comm, da2);
             let (c, delta) = s.multiply(comm, &db);
-            (expect, c.gather(comm), warm, delta, changed)
+            (expect, c.gather(comm).map(Wired), warm, delta, changed)
         });
         let touched = [3usize, 17, 40, 55]
             .iter()
@@ -1080,13 +1066,13 @@ mod tests {
                     global_stats: false,
                     ..Default::default()
                 };
-                let expect = spgemm_1d(comm, &da2, &db, &plan).0.gather(comm);
+                let expect = spgemm_1d(comm, &da2, &db, &plan).0.gather(comm).map(Wired);
                 let mut s = SpgemmSession::create(comm, da, plan, CacheConfig::unlimited());
                 let (_c, _warm) = s.multiply(comm, &db);
                 let changed = s.update_a(comm, da2);
                 let pre = s.analyze(comm, &db);
                 let (c, rep) = s.multiply(comm, &db);
-                (expect, c.gather(comm), changed, pre, rep)
+                (expect, c.gather(comm).map(Wired), changed, pre, rep)
             });
             let (expect, c, changed, pre, rep) = &got[0];
             assert_eq!(c, expect, "{mode:?}: correctness");
@@ -1120,13 +1106,13 @@ mod tests {
                 global_stats: false,
                 ..Default::default()
             };
-            let expect = spgemm_1d(comm, &da2, &db, &plan).0.gather(comm);
+            let expect = spgemm_1d(comm, &da2, &db, &plan).0.gather(comm).map(Wired);
             let mut s = SpgemmSession::create(comm, da, plan, CacheConfig::unlimited());
             let (_c, _warm) = s.multiply(comm, &db);
             s.update_a(comm, da2); // dirties col 21; col 39 stays cached
             let pre = s.analyze(comm, &db);
             let (c, rep) = s.multiply(comm, &db);
-            (expect, c.gather(comm), pre, rep)
+            (expect, c.gather(comm).map(Wired), pre, rep)
         });
         let (expect, c, pre, rep) = &got[0];
         assert_eq!(c, expect, "last-position: correctness");
@@ -1162,8 +1148,8 @@ mod tests {
             assert_eq!(s2.stats(), snap.stats());
             let (c2, r2) = s2.multiply(comm, &db);
             (
-                c1.gather(comm),
-                c2.gather(comm),
+                c1.gather(comm).map(Wired),
+                c2.gather(comm).map(Wired),
                 r1.needed_bytes,
                 r2.fresh_bytes,
                 r2.cache_hit_bytes,

@@ -18,6 +18,8 @@
 //! [`spgemm_outer_1d`](crate::spgemm_outer_1d)) assert their shapes and
 //! panic.
 
+use sa_mpisim::{Wire, WireError};
+
 /// Why a distributed multiply's operands cannot be multiplied.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ShapeError {
@@ -40,6 +42,53 @@ pub enum ShapeError {
         /// Blocks the grid requires along that axis.
         grid: usize,
     },
+}
+
+/// A shape error crosses a process boundary as its kind byte and fields;
+/// `matrix` ("A" or "B") and `axis` ("row" or "col") as one flag each.
+impl Wire for ShapeError {
+    fn put(&self, out: &mut Vec<u8>) {
+        match *self {
+            ShapeError::NotConformal {
+                a_rows,
+                a_cols,
+                b_rows,
+                b_cols,
+            } => (0u8, a_rows, a_cols, b_rows, b_cols).put(out),
+            ShapeError::BlockingMismatch {
+                matrix,
+                axis,
+                blocks,
+                grid,
+            } => (1u8, matrix == "B", axis == "col", blocks, grid).put(out),
+        }
+    }
+    fn get(buf: &mut &[u8]) -> Result<Self, WireError> {
+        match u8::get(buf)? {
+            0 => {
+                let (a_rows, a_cols, b_rows, b_cols) = Wire::get(buf)?;
+                Ok(ShapeError::NotConformal {
+                    a_rows,
+                    a_cols,
+                    b_rows,
+                    b_cols,
+                })
+            }
+            1 => {
+                let (b, col, blocks, grid) = <(bool, bool, usize, usize)>::get(buf)?;
+                Ok(ShapeError::BlockingMismatch {
+                    matrix: if b { "B" } else { "A" },
+                    axis: if col { "col" } else { "row" },
+                    blocks,
+                    grid,
+                })
+            }
+            t => Err(WireError::BadTag {
+                what: "ShapeError",
+                tag: t as u64,
+            }),
+        }
+    }
 }
 
 impl std::fmt::Display for ShapeError {

@@ -51,6 +51,32 @@ pub enum FetchMode {
     ColumnExact,
 }
 
+/// A fetch mode crosses as its kind byte, then `K` for [`FetchMode::Block`].
+impl Wire for FetchMode {
+    fn put(&self, out: &mut Vec<u8>) {
+        match *self {
+            FetchMode::FullMatrix => out.push(0),
+            FetchMode::Block(k) => (1u8, k).put(out),
+            FetchMode::ContiguousRuns => out.push(2),
+            FetchMode::ColumnExact => out.push(3),
+        }
+    }
+    fn get(buf: &mut &[u8]) -> Result<Self, WireError> {
+        Ok(match u8::get(buf)? {
+            0 => FetchMode::FullMatrix,
+            1 => FetchMode::Block(usize::get(buf)?),
+            2 => FetchMode::ContiguousRuns,
+            3 => FetchMode::ColumnExact,
+            t => {
+                return Err(WireError::BadTag {
+                    what: "FetchMode",
+                    tag: t as u64,
+                })
+            }
+        })
+    }
+}
+
 impl Default for FetchMode {
     /// The benches' default granularity (the paper's K = 2048 scaled to
     /// these dataset sizes; see `sa_bench::plan`).
@@ -138,40 +164,19 @@ pub struct SpgemmReport {
     pub phases: PhaseTimes,
 }
 
-/// Wire encoding so per-rank reports can cross a process boundary — the
-/// `procs` backend returns each rank's result over a socket. Field order is
-/// declaration order; floats travel bit-exact (`f64::to_bits`), so an
-/// encoded report round-trips to an `==`-identical struct.
-impl Wire for SpgemmReport {
-    fn put(&self, out: &mut Vec<u8>) {
-        for v in [
-            self.fetched_bytes,
-            self.fresh_bytes,
-            self.cache_hit_bytes,
-            self.needed_bytes,
-            self.fetched_bytes_global,
-            self.rdma_msgs,
-        ] {
-            v.put(out);
-        }
-        self.cv_over_mem.put(out);
-        self.comm.put(out);
-        self.phases.put(out);
-    }
-    fn get(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(SpgemmReport {
-            fetched_bytes: u64::get(buf)?,
-            fresh_bytes: u64::get(buf)?,
-            cache_hit_bytes: u64::get(buf)?,
-            needed_bytes: u64::get(buf)?,
-            fetched_bytes_global: u64::get(buf)?,
-            rdma_msgs: u64::get(buf)?,
-            cv_over_mem: f64::get(buf)?,
-            comm: CommStats::get(buf)?,
-            phases: PhaseTimes::get(buf)?,
-        })
-    }
-}
+// Per-rank reports and analyses cross a process boundary: the `procs`
+// backend returns each rank's result over a socket.
+sa_mpisim::wire_struct!(SpgemmReport {
+    fetched_bytes,
+    fresh_bytes,
+    cache_hit_bytes,
+    needed_bytes,
+    fetched_bytes_global,
+    rdma_msgs,
+    cv_over_mem,
+    comm,
+    phases
+});
 
 /// Pre-communication analysis of a 1D multiply (Algorithm 1 lines 1–6
 /// without any window traffic).
@@ -189,6 +194,14 @@ pub struct Analysis1D {
     /// reports).
     pub cv_over_mem: f64,
 }
+
+sa_mpisim::wire_struct!(Analysis1D {
+    planned_fetch_bytes,
+    planned_intervals,
+    needed_bytes,
+    planned_fetch_bytes_global,
+    cv_over_mem
+});
 
 /// Typed conformality check shared by the `try_*` entry points.
 pub(crate) fn check_conformal(a: &DistMat1D, b: &DistMat1D) -> Result<(), ShapeError> {
@@ -305,7 +318,7 @@ pub fn pick_fetch_mode<C: Comm>(
 /// on a fresh workspace, panicking with its [`ShapeError`].
 ///
 /// ```
-/// use sa_dist::{spgemm_1d, uniform_offsets, DistMat1D, Plan1D};
+/// use sa_dist::{spgemm_1d, uniform_offsets, DistMat1D, Plan1D, Wired};
 /// use sa_dist::reference::serial_spgemm;
 /// use sa_mpisim::{Comm, Universe};
 /// use sa_sparse::gen::erdos_renyi;
@@ -317,7 +330,7 @@ pub fn pick_fetch_mode<C: Comm>(
 ///     let db = da.clone();
 ///     let (c, report) = spgemm_1d(comm, &da, &db, &Plan1D::default());
 ///     assert!(report.fetched_bytes >= report.needed_bytes);
-///     c.gather(comm) // Some(..) on rank 0 only
+///     c.gather(comm).map(Wired) // Some(..) on rank 0 only
 /// });
 /// assert_eq!(got[0].as_ref().unwrap(), &expect);
 /// ```
@@ -562,6 +575,7 @@ mod tests {
     use super::*;
     use crate::dist1d::uniform_offsets;
     use crate::reference::serial_spgemm;
+    use crate::Wired;
     use sa_mpisim::Universe;
     use sa_sparse::gen::{banded, erdos_renyi};
     use sa_sparse::Dcsc;
@@ -582,7 +596,10 @@ mod tests {
                     fetch_mode: mode,
                     ..Default::default()
                 };
-                spgemm_1d(comm, &da, &da.clone(), &plan).0.gather(comm)
+                spgemm_1d(comm, &da, &da.clone(), &plan)
+                    .0
+                    .gather(comm)
+                    .map(Wired)
             });
             assert_eq!(
                 got[0].as_ref().unwrap(),
@@ -754,7 +771,7 @@ mod tests {
                 Dcsc::from_csc(&f.extract_cols(c0, c1)),
             );
             let (c, _) = spgemm_1d(comm, &df, &dg, &Plan1D::default());
-            c.gather(comm)
+            c.gather(comm).map(Wired)
         });
         assert_eq!(got[0].as_ref().unwrap(), &expect);
     }

@@ -115,6 +115,13 @@ pub struct SummaReport {
     pub phases: PhaseTimes,
 }
 
+sa_mpisim::wire_struct!(SummaReport {
+    peak_local_bytes,
+    bcast_bytes,
+    comm,
+    phases
+});
+
 /// Broadcast a CSC block from `root` (sub-communicator rank) to the whole
 /// sub-communicator.
 fn bcast_block<C: Comm>(comm: &C, root: usize, mine: Option<&Csc<f64>>) -> Csc<f64> {
@@ -219,6 +226,7 @@ pub fn spgemm_summa_2d<C: Comm>(
 mod tests {
     use super::*;
     use crate::reference::serial_spgemm;
+    use crate::Wired;
     use sa_mpisim::Universe;
     use sa_sparse::gen::{erdos_renyi, stencil3d};
 
@@ -230,7 +238,7 @@ mod tests {
             let da = DistMat2D::from_global(&grid, a);
             let db = DistMat2D::from_global(&grid, b);
             let (c, _rep) = spgemm_summa_2d(comm, &grid, &da, &db, &SpgemmWorkspace::new());
-            c.gather(comm, &grid)
+            c.gather(comm, &grid).map(Wired)
         });
         let got = got[0].as_ref().unwrap();
         assert!(

@@ -97,6 +97,19 @@ pub struct SaSummaReport {
     pub phases: PhaseTimes,
 }
 
+sa_mpisim::wire_struct!(SaSummaReport {
+    a_fetched_bytes,
+    a_needed_bytes,
+    a_rdma_msgs,
+    b_request_bytes,
+    b_shipped_bytes,
+    b_served_bytes,
+    meta_bytes,
+    peak_local_bytes,
+    comm,
+    phases
+});
+
 /// Sparsity-aware 2D SUMMA `C = A·B` over the arithmetic semiring.
 /// Returns `C` blocked by (`A` rows, `B` cols) plus this rank's report.
 /// Collective over `comm` (the communicator `grid` was built from).

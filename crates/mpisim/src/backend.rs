@@ -20,8 +20,9 @@
 //!
 //! Three backends ship with the crate, chosen at launch time by a
 //! [`Backend`] value (see `docs/BACKENDS.md` for the full contract and an
-//! extension guide). Two run in-process on one
-//! [`RankComm`](crate::RankComm) and differ only in scheduling:
+//! extension guide). All three hand each rank a
+//! [`RankComm`](crate::RankComm). Two run in-process and differ only in
+//! scheduling:
 //!
 //! * [`Backend::Sim`] — the serial rank-loop **simulator**: one rank
 //!   executes at a time (a global run permit is handed over at blocking
@@ -30,8 +31,7 @@
 //! * [`Backend::Threads`] — **threads as ranks**: all rank threads run
 //!   concurrently; wall-clock is real parallel execution.
 //!
-//! The third, [`Backend::Procs`], forks one process per rank
-//! ([`ProcComm`](crate::ProcComm)).
+//! The third, [`Backend::Procs`], forks one process per rank.
 //!
 //! ```
 //! use sa_mpisim::{Backend, Comm, Universe};
@@ -448,19 +448,17 @@ pub trait Comm: Sized {
 }
 
 /// The backend a job runs on, chosen at launch time (`--backend threads`,
-/// `SA_BACKEND=threads`): [`Universe::launch`](crate::Universe::launch)
-/// takes one of the two in-process values,
-/// [`Universe::run_backend`](crate::Universe::run_backend) any of the three.
+/// `SA_BACKEND=threads`) and taken by every
+/// [`Universe`](crate::Universe) launch. Each hands its ranks a
+/// [`RankComm`](crate::RankComm).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Backend {
-    /// Serial rank-loop simulator on [`RankComm`](crate::RankComm) — the
-    /// default.
+    /// Serial rank-loop simulator — the default.
     #[default]
     Sim,
-    /// Truly-parallel threads-as-ranks on [`RankComm`](crate::RankComm).
+    /// Truly-parallel threads-as-ranks.
     Threads,
-    /// Process-per-rank socket-pair backend
-    /// ([`ProcComm`](crate::ProcComm)).
+    /// Process-per-rank socket-pair backend.
     Procs,
 }
 
@@ -494,15 +492,6 @@ impl Backend {
             Backend::Threads => "threads",
             Backend::Procs => "procs",
         }
-    }
-
-    /// Whether this backend executes ranks inside the calling process
-    /// (thread-per-rank) rather than as separate OS processes. In-process
-    /// backends share one address space, so tests that reach across ranks
-    /// through shared memory (or rely on a shared panic hook) only work
-    /// when this is true.
-    pub fn in_process(self) -> bool {
-        !matches!(self, Backend::Procs)
     }
 }
 
@@ -542,8 +531,5 @@ mod tests {
         assert_eq!(Backend::Sim.name(), "sim");
         assert_eq!(Backend::Threads.name(), "threads");
         assert_eq!(Backend::Procs.name(), "procs");
-        assert!(Backend::Sim.in_process());
-        assert!(Backend::Threads.in_process());
-        assert!(!Backend::Procs.in_process());
     }
 }

@@ -1,32 +1,36 @@
-//! The per-rank communicator handle of the two in-process backends.
+//! The per-rank communicator handle of every backend.
 //!
-//! [`RankComm`] is one implementation shared by
-//! [`Backend::Sim`](crate::Backend::Sim) and
-//! [`Backend::Threads`](crate::Backend::Threads) — the transport (mailbox
-//! hub) and the control plane over it are identical; the job's
-//! [`Scheduler`] alone decides how rank *execution* is scheduled (see
-//! [`crate::scheduler`]):
+//! [`RankComm`] is one implementation shared by all three backends. The
+//! identity, the counters, the collective op ids and the compute pool are
+//! the same everywhere; only the private transport differs, and only the
+//! methods that move bytes (`send_vec`, `recv_vec`, `expose`, `split`)
+//! branch on it:
 //!
-//! * `sim` — the serial rank-loop simulator: exactly one rank executes at
-//!   any instant; the run permit is handed over at blocking communication
-//!   calls. Wall-clock is the *sum* of rank work — fiction as a
-//!   time-to-solution, but per-rank timings are interference-free.
-//! * `threads` — truly-parallel threads: P OS threads sharing one process,
-//!   windows as `Arc`-shared read-only slices (gets are memcpys).
-//!   Wall-clock is real concurrent execution.
+//! * the in-process mailbox hub, for
+//!   [`Backend::Sim`](crate::Backend::Sim) and
+//!   [`Backend::Threads`](crate::Backend::Threads). The job's
+//!   [`Scheduler`] alone decides how rank *execution* is scheduled (see
+//!   [`crate::scheduler`]): `sim` hands one run permit over at blocking
+//!   calls (wall-clock is the *sum* of rank work), `threads` runs every
+//!   rank thread at once. Windows are `Arc`-shared slices (gets are
+//!   memcpys);
+//! * the rank process's node, for
+//!   [`Backend::Procs`](crate::Backend::Procs): sockets to every peer and
+//!   read-only mappings of their window files (see `proc.rs`).
 //!
 //! Barrier, split and window exposure are the trait's one unmetered
-//! control allgather over the hub, exactly as on the socket backend: a
-//! split allgathers `[color, key]` and then the group's new hub, an
-//! exposure allgathers the `Arc` deposits. Those two values are no `Wire`
-//! payload, so they take the allgather's shape straight over the hub.
+//! control allgather on every transport. In-process, a split's new hub
+//! and an exposure's `Arc` deposits are no `Wire` payload, so they take
+//! the allgather's shape straight over the hub.
 //!
-//! Because the data path is shared, the two backends are byte-identical in
-//! everything the paper measures; they differ only in wall-clock.
+//! Because metering reads the vector in hand before the transport is
+//! consulted, the backends are byte-identical in everything the paper
+//! measures; they differ only in wall-clock.
 
 use crate::backend::{control_tag, gather_release, metered_bytes, split_group, Comm};
 use crate::error::Primitive;
 use crate::p2p::Hub;
+use crate::proc::ProcLink;
 use crate::scheduler::Scheduler;
 use crate::stats::{CommStats, StatsCell};
 use crate::window::{Exposure, WinElem};
@@ -35,7 +39,7 @@ use std::cell::Cell;
 use std::rc::Rc;
 use std::sync::Arc;
 
-/// State shared by all ranks of one communicator.
+/// State shared by all ranks of one in-process communicator.
 pub(crate) struct Shared {
     pub hub: Hub,
     /// The job-wide execution scheduler: one per [`crate::Universe`] launch,
@@ -54,40 +58,47 @@ impl Shared {
     }
 }
 
-/// One rank's handle to a communicator on an in-process backend — the
-/// analog of an `MPI_Comm` plus the rank's OpenMP pool. Lives on exactly
-/// one thread (neither `Send` nor `Sync`: the stats counter models the
-/// rank's NIC and is shared by `Rc` across communicators split from this
-/// one, so traffic on a row/column sub-communicator still charges this
-/// rank).
+/// How one communicator's messages travel.
+pub(crate) enum Transport {
+    /// The in-process mailbox hub (`sim`, `threads`).
+    Shared(Arc<Shared>),
+    /// The rank process's sockets and window files (`procs`).
+    Proc(ProcLink),
+}
+
+/// One rank's handle to a communicator — the analog of an `MPI_Comm` plus
+/// the rank's OpenMP pool, on whichever [`Backend`](crate::Backend) the
+/// job was launched. Lives on exactly one thread (neither `Send` nor
+/// `Sync`: the stats counter models the rank's NIC and is shared by `Rc`
+/// across communicators split from this one, so traffic on a row/column
+/// sub-communicator still charges this rank).
 ///
 /// Use it through the [`Comm`] trait (`use sa_mpisim::Comm`), in
 /// algorithms and in the closures handed to [`crate::Universe::run`]
-/// alike. Created by [`crate::Universe::launch`] for
-/// [`Backend::Sim`](crate::Backend::Sim) and
-/// [`Backend::Threads`](crate::Backend::Threads).
+/// alike; it cannot be constructed directly.
 pub struct RankComm {
     rank: usize,
     size: usize,
-    shared: Arc<Shared>,
+    transport: Transport,
     stats: Rc<StatsCell>,
     op_counter: Cell<u64>,
     pool: Arc<rayon::ThreadPool>,
 }
 
 impl RankComm {
-    pub(crate) fn new(
+    /// Rank `rank` of a world of `size` over `transport`, with fresh
+    /// counters.
+    pub(crate) fn world(
         rank: usize,
         size: usize,
-        shared: Arc<Shared>,
+        transport: Transport,
         pool: Arc<rayon::ThreadPool>,
-        stats: Rc<StatsCell>,
     ) -> RankComm {
         RankComm {
             rank,
             size,
-            shared,
-            stats,
+            transport,
+            stats: Rc::new(StatsCell::default()),
             op_counter: Cell::new(0),
             pool,
         }
@@ -95,17 +106,16 @@ impl RankComm {
 
     /// [`Comm::control_allgather`] of one value no wire carries (`expose`'s
     /// deposit, `split`'s hub): the same op id, control tag and shape,
-    /// straight over the hub.
-    fn hub_allgather<T: Clone + Send + 'static>(&self, mine: T) -> Vec<T> {
+    /// straight over the in-process hub.
+    fn hub_allgather<T: Clone + Send + 'static>(&self, shared: &Shared, mine: T) -> Vec<T> {
         let t = control_tag(self.next_op(), Primitive::Exchange);
-        let hub = &self.shared.hub;
         gather_release(
             self.rank,
             self.size,
             vec![mine],
-            |dst, v: Vec<T>| hub.send(self.rank, dst, t, Box::new(v)),
+            |dst, v: Vec<T>| shared.hub.send(self.rank, dst, t, Box::new(v)),
             |src| {
-                let env = hub.recv(self.rank, src, t, &self.shared.sched);
+                let env = shared.hub.recv(self.rank, src, t, &shared.sched);
                 *env.downcast().expect("a control round's own type")
             },
         )
@@ -138,7 +148,10 @@ impl Comm for RankComm {
         if let Some(bytes) = metered_bytes(self.rank, dst, tag, &data) {
             self.stats.record_send(bytes);
         }
-        self.shared.hub.send(self.rank, dst, tag, Box::new(data));
+        match &self.transport {
+            Transport::Shared(shared) => shared.hub.send(self.rank, dst, tag, Box::new(data)),
+            Transport::Proc(link) => link.send(self.rank, dst, tag, &data),
+        }
     }
 
     fn recv_vec<T: Wire + Send + 'static>(&self, src: usize, tag: u64) -> Vec<T> {
@@ -147,13 +160,14 @@ impl Comm for RankComm {
             "recv_vec from rank {src}, communicator has {}",
             self.size
         );
-        let env = self
-            .shared
-            .hub
-            .recv(self.rank, src, tag, &self.shared.sched);
-        let data = *env
-            .downcast::<Vec<T>>()
-            .expect("message type mismatch: recv_vec::<T> on a different payload");
+        let data = match &self.transport {
+            Transport::Shared(shared) => *shared
+                .hub
+                .recv(self.rank, src, tag, &shared.sched)
+                .downcast::<Vec<T>>()
+                .expect("message type mismatch: recv_vec::<T> on a different payload"),
+            Transport::Proc(link) => link.recv(src, tag),
+        };
         if let Some(bytes) = metered_bytes(self.rank, src, tag, &data) {
             self.stats.record_recv(bytes);
         }
@@ -174,27 +188,38 @@ impl Comm for RankComm {
         &self,
         deposit: Arc<(Vec<T>, Vec<U>)>,
     ) -> Vec<Exposure<T, U>> {
-        let deposits = self.hub_allgather(deposit);
-        deposits.into_iter().map(Exposure::Shared).collect()
+        match &self.transport {
+            Transport::Shared(shared) => self
+                .hub_allgather(shared, deposit)
+                .into_iter()
+                .map(Exposure::Shared)
+                .collect(),
+            Transport::Proc(link) => link.expose(self, deposit),
+        }
     }
 
     fn split(&self, color: usize, key: usize) -> RankComm {
+        let split_op = self.op_counter.get(); // pre-allgather, aligned across ranks
         let (new_rank, group) = split_group(self, color, key);
-        // Each color's leader (its first member) builds the group's hub; one
-        // more control round hands it to the members.
-        let leader = group[0];
-        let mine =
-            (self.rank == leader).then(|| Shared::new(group.len(), self.shared.sched.clone()));
-        let shared = self
-            .hub_allgather(mine)
-            .swap_remove(leader)
-            .expect("leader published its group's hub");
-        RankComm::new(
-            new_rank,
-            group.len(),
-            shared,
-            self.pool.clone(),
-            self.stats.clone(), // one NIC per rank: sub-comm traffic counts here
-        )
+        let size = group.len();
+        let transport = match &self.transport {
+            Transport::Shared(shared) => {
+                // Each color's leader (its first member) builds the group's
+                // hub; one more control round hands it to the members.
+                let leader = group[0];
+                let mine = (self.rank == leader).then(|| Shared::new(size, shared.sched.clone()));
+                let hub = self.hub_allgather(shared, mine).swap_remove(leader);
+                Transport::Shared(hub.expect("leader published its group's hub"))
+            }
+            Transport::Proc(link) => Transport::Proc(link.split(split_op, color, group)),
+        };
+        RankComm {
+            rank: new_rank,
+            size,
+            transport,
+            stats: self.stats.clone(), // one NIC per rank: sub-comm traffic counts here
+            op_counter: Cell::new(0),
+            pool: self.pool.clone(),
+        }
     }
 }

@@ -15,7 +15,7 @@
 //!   a straggler (under the serial scheduler the sleep stalls the whole
 //!   job, exactly like a slow rank stalls a serial simulation).
 //! * [`FaultAction::Kill`] — the "power cord pulled" fault: inside a
-//!   forked `ProcComm` child the rank SIGKILLs its own process (no
+//!   forked `procs` rank process the rank SIGKILLs its own process (no
 //!   unwinding, no abort broadcast — survivors must detect the dead
 //!   socket); on the in-process backends it degrades to an `Abort`-style
 //!   panic, since a thread cannot be SIGKILLed in isolation.

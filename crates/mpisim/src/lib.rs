@@ -12,13 +12,13 @@
 //!   quantities the paper's analysis (Figures 5 and 6) is about, and they
 //!   are byte-identical across backends by construction (the collectives
 //!   are provided [`Comm`] methods over the metered two-sided core).
-//! * **Two in-process backends** share one communicator, [`RankComm`], and
-//!   differ only in scheduling: [`Backend::Sim`] is the serial rank-loop
-//!   simulator (one rank executes at a time — per-rank compute timings are
-//!   interference-free, a run's wall-clock is the sum of rank work),
-//!   [`Backend::Threads`] runs all rank threads concurrently (real parallel
-//!   wall-clock). See `docs/BACKENDS.md` for the contract and an extension
-//!   guide.
+//! * **Three backends share one communicator**, [`RankComm`]: two run
+//!   in-process and differ only in scheduling — [`Backend::Sim`] is the
+//!   serial rank-loop simulator (one rank executes at a time, a run's
+//!   wall-clock is the sum of rank work), [`Backend::Threads`] runs all
+//!   rank threads concurrently (real parallel wall-clock) — and
+//!   [`Backend::Procs`] forks one OS process per rank. See
+//!   `docs/BACKENDS.md` for the contract and an extension guide.
 //! * A Hockney **α–β model** ([`CostModel`]) converts the metered traffic
 //!   into network-time estimates with Slingshot-like constants, for the
 //!   figures whose shape depends on network latency/bandwidth rather than
@@ -34,9 +34,9 @@
 //!   against (`use sa_mpisim::Comm`).
 //! * [`Universe`] — launches a job on the [`Backend`] chosen at run time
 //!   (`--backend threads`, `SA_BACKEND`): [`Universe::launch`] runs a
-//!   closure on an in-process backend, [`Universe::run`] on the one
-//!   `SA_BACKEND` names, [`Universe::run_backend`] a [`RankJob`] on any of
-//!   the three.
+//!   closure on the backend it is given, [`Universe::run`] on the one
+//!   `SA_BACKEND` names, [`Universe::try_run_backend`] a [`RankJob`]; the
+//!   `try_` forms return one typed outcome per rank.
 //! * [`Universe::run_recoverable`] — restart-on-failure execution of a
 //!   [`RecoverableJob`] under a [`RetryPolicy`] (bounded exponential
 //!   backoff), with a [`RecoveryReport`] recording every
@@ -76,7 +76,7 @@ pub use costmodel::CostModel;
 pub use error::{CommError, Primitive, RankError, RankOutcome};
 pub use fault::{Fault, FaultAction, FaultComm, FaultPlan};
 pub use grid::{valid_layer_counts, Grid2D, Grid3D};
-pub use proc::{corrupt_next_frame, kill_self_with_sigkill, mute_heartbeats, ProcComm};
+pub use proc::{corrupt_next_frame, kill_self_with_sigkill, mute_heartbeats};
 pub use recover::{AttemptFailure, RecoverableJob, RecoveryReport, RetryPolicy};
 pub use stats::CommStats;
 pub use timer::PhaseTimes;

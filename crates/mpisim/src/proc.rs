@@ -1,12 +1,13 @@
 //! Process-per-rank backend: one OS process per rank over Unix socket pairs.
 //!
-//! The in-process backends (`sim` and `threads`, both on
-//! [`RankComm`](crate::RankComm)) share one address space, which makes
-//! wall-clock numbers thread-shared and window gets zero-copy. `ProcComm`
-//! is the backend that makes multi-core measurements honest: every rank is
-//! a forked OS process with its own heap, two-sided messages cross a real
-//! socket using the [`wire`](crate::wire) framing, and a window get copies
-//! out of the target's read-only mapping.
+//! The in-process backends (`sim` and `threads`) share one address space,
+//! which makes wall-clock numbers thread-shared and window gets zero-copy.
+//! `procs` is the backend that makes multi-core measurements honest: every
+//! rank is a forked OS process with its own heap, two-sided messages cross
+//! a real socket using the [`wire`](crate::wire) framing, and a window get
+//! copies out of the target's read-only mapping. The rank's
+//! [`RankComm`](crate::RankComm) is the same type as in-process; its
+//! transport is a [`ProcLink`] over this process's [`ProcNode`].
 //!
 //! # Architecture
 //!
@@ -54,30 +55,28 @@
 //!   child that dies without reporting (e.g. `kill -9`) is classified from
 //!   its `waitpid` status.
 //!
-//! Accounting is byte-identical to the in-process backends by construction: `send_vec` /
-//! `recv_vec` meter the vector in hand by the same rule as
-//! [`RankComm`](crate::RankComm) (self-sends free, the control tag range
+//! Accounting is byte-identical to the in-process backends by
+//! construction: [`RankComm`](crate::RankComm) meters the vector in hand
+//! before it picks a transport (self-sends free, the control tag range
 //! unmetered, window gets charged to the issuer only), and the collectives
 //! and the control plane (barrier, split, exposure) are provided [`Comm`]
 //! methods over that core. The backend-conformance suite asserts the
 //! identity per rank.
 
-use crate::backend::{metered_bytes, split_group, Comm};
+use crate::backend::Comm;
+use crate::comm::{RankComm, Transport};
 use crate::error::{raise, CommError, Primitive, RankError, RankOutcome};
 use crate::scheduler::{self, PoisonGuard, Scheduler, WaitSite};
-use crate::stats::{CommStats, StatsCell};
-use crate::universe::Universe;
+use crate::universe::{rank_pool, Universe};
 use crate::window::{Exposure, WinElem};
 use crate::wire::{get_payload, type_fp, Frame, Wire, WireError, MAX_FRAME};
 use parking_lot::{Condvar, Mutex};
-use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 use std::fs::{File, OpenOptions};
 use std::io::{BufReader, Read, Write};
 use std::os::fd::AsRawFd;
 use std::os::unix::fs::OpenOptionsExt;
 use std::os::unix::net::UnixStream;
-use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, PoisonError};
 use std::time::{Duration, Instant};
@@ -116,12 +115,31 @@ pub(crate) mod sys {
 
 /// Set in every forked rank process before anything else runs; lets
 /// backend-agnostic code (e.g. [`FaultAction::Kill`](crate::FaultAction))
-/// ask "am I a ProcComm child, where SIGKILLing myself kills one rank and
-/// not the whole test binary?"
+/// ask "am I a forked rank process, where SIGKILLing myself kills one rank
+/// and not the whole test binary?"
 static IN_FORKED_CHILD: AtomicBool = AtomicBool::new(false);
 
 pub(crate) fn in_forked_child() -> bool {
     IN_FORKED_CHILD.load(Ordering::Relaxed)
+}
+
+/// Keep every panic of a forked rank process off the default hook, which
+/// holds a process-global lock while it prints: a launching-process
+/// thread that was printing a panic at the fork leaves that lock held in
+/// the child for good, and the child's own panic would then wait on it
+/// forever. A rank's panic message reaches the launcher in its outcome
+/// instead (and `launch` logs it). Installed once, before the first fork;
+/// outside a rank process the hook defers to the one it replaced.
+fn silence_rank_process_panics() {
+    static ONCE: std::sync::Once = std::sync::Once::new();
+    ONCE.call_once(|| {
+        let launcher = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if !in_forked_child() {
+                launcher(info);
+            }
+        }));
+    });
 }
 
 /// Kill the calling process with SIGKILL — no unwinding, no atexit, no
@@ -580,30 +598,19 @@ fn mix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// One rank's handle on the **process-per-rank socket backend**.
-///
-/// Obtained inside [`Universe::run_procs`](crate::Universe::run_procs) /
-/// [`Universe::try_run_procs`](crate::Universe::try_run_procs) closures
-/// (or via `SA_BACKEND=procs` through
-/// [`Universe::run_backend`](crate::Universe::run_backend)); cannot be
-/// constructed directly. Implements the full [`Comm`] contract with
-/// byte-identical accounting to the in-process backends; window exposure
-/// shares the deposit as a read-only mapping (see the module docs).
-pub struct ProcComm {
-    rank: usize,
-    size: usize,
+/// The `procs` transport of one communicator (a [`RankComm`]'s
+/// `Transport::Proc`): its id on the wire, its members' world ranks and
+/// the rank process's node. The caller has checked the peer rank and
+/// metered the vector; a window deposit is shared as a read-only mapping
+/// (see the module docs).
+pub(crate) struct ProcLink {
     comm_id: u64,
     /// Communicator rank → world rank.
     members: Arc<Vec<usize>>,
     node: Arc<ProcNode>,
-    /// Shared across sub-communicators split from this one ("one NIC per
-    /// rank"), like [`RankComm`](crate::RankComm).
-    stats: Rc<StatsCell>,
-    op_counter: Cell<u64>,
-    pool: Arc<rayon::ThreadPool>,
 }
 
-impl ProcComm {
+impl ProcLink {
     fn world_of(&self, comm_rank: usize) -> usize {
         self.members[comm_rank]
     }
@@ -655,52 +662,27 @@ impl ProcComm {
             .and_then(|q| q.pop_front())
             .expect("park_until observed a queued message")
     }
-}
 
-impl Comm for ProcComm {
-    fn rank(&self) -> usize {
-        self.rank
-    }
-
-    fn size(&self) -> usize {
-        self.size
-    }
-
-    fn stats(&self) -> CommStats {
-        self.stats.snapshot()
-    }
-
-    fn pool(&self) -> &rayon::ThreadPool {
-        &self.pool
-    }
-
-    fn send_vec<T: Wire + Send + 'static>(&self, dst: usize, tag: u64, data: Vec<T>) {
-        assert!(
-            dst < self.size,
-            "send_vec to rank {dst}, communicator has {}",
-            self.size
-        );
-        if let Some(bytes) = metered_bytes(self.rank, dst, tag, &data) {
-            self.stats.record_send(bytes);
-        }
-        if dst == self.rank {
+    /// `rank`'s send of `data` to `dst` under `tag`.
+    pub(crate) fn send<T: Wire>(&self, rank: usize, dst: usize, tag: u64, data: &[T]) {
+        if dst == rank {
             // A self-send is encoded and queued in the form a peer's frame
             // arrives in, so one decode path (and one type check) serves
             // every message; the metering rule leaves it free.
-            let mut bytes = Vec::with_capacity(std::mem::size_of_val(data.as_slice()));
-            T::put_slice(&data, &mut bytes);
+            let mut bytes = Vec::with_capacity(std::mem::size_of_val(data));
+            T::put_slice(data, &mut bytes);
             let msg = InPayload {
                 type_fp: type_fp::<T>(),
                 count: data.len() as u64,
                 bytes,
             };
             self.node
-                .publish(&mut vec![((self.comm_id, self.rank as u64, tag), msg)]);
+                .publish(&mut vec![((self.comm_id, rank as u64, tag), msg)]);
             return;
         }
         let frame = Frame::Data {
             comm_id: self.comm_id,
-            src: self.rank as u64,
+            src: rank as u64,
             tag,
             type_fp: type_fp::<T>(),
             count: data.len() as u64,
@@ -709,8 +691,8 @@ impl Comm for ProcComm {
         let world = self.world_of(dst);
         // The elements are encoded once, into the buffer the socket write
         // reads — sized for fixed-width elements plus header and suffixes.
-        let mut msg = Vec::with_capacity(std::mem::size_of_val(data.as_slice()) + 128);
-        frame.put_framed_with(&mut msg, |out| T::put_slice(&data, out));
+        let mut msg = Vec::with_capacity(std::mem::size_of_val(data) + 128);
+        frame.put_framed_with(&mut msg, |out| T::put_slice(data, out));
         if self.node.write_raw(world, &msg).is_err() {
             // Dead socket: the peer is gone. Name the job's victim and
             // unwind — a send can no longer be "eager and never blocks"
@@ -724,12 +706,8 @@ impl Comm for ProcComm {
         }
     }
 
-    fn recv_vec<T: Wire + Send + 'static>(&self, src: usize, tag: u64) -> Vec<T> {
-        assert!(
-            src < self.size,
-            "recv_vec from rank {src}, communicator has {}",
-            self.size
-        );
+    /// The receive of a message from `src` under `tag`.
+    pub(crate) fn recv<T: Wire>(&self, src: usize, tag: u64) -> Vec<T> {
         let key = (self.comm_id, src as u64, tag);
         let site = WaitSite::recv(self.world_of(src), tag);
         let msg = self.pop_message(key, site);
@@ -739,50 +717,34 @@ impl Comm for ProcComm {
             "message type mismatch: receiver expects {}",
             std::any::type_name::<T>()
         );
-        let data = get_payload(msg.count, &msg.bytes).expect("peer sent an undecodable payload");
-        if let Some(bytes) = metered_bytes(self.rank, src, tag, &data) {
-            self.stats.record_recv(bytes);
-        }
-        data
+        get_payload(msg.count, &msg.bytes).expect("peer sent an undecodable payload")
     }
 
-    fn split(&self, color: usize, key: usize) -> ProcComm {
-        let split_op = self.op_counter.get(); // pre-allgather, aligned across ranks
-        let (new_rank, group) = split_group(self, color, key);
+    /// The link of the sub-communicator `group` (old ranks, in new-rank
+    /// order) of `color`, split at op `split_op` of this one.
+    pub(crate) fn split(&self, split_op: u64, color: usize, group: Vec<usize>) -> ProcLink {
         let members: Vec<usize> = group.into_iter().map(|r| self.world_of(r)).collect();
         let comm_id = mix64(
             self.comm_id ^ (split_op << 20) ^ (color as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
         );
-        ProcComm {
-            rank: new_rank,
-            size: members.len(),
+        ProcLink {
             comm_id,
             members: Arc::new(members),
             node: self.node.clone(),
-            stats: self.stats.clone(),
-            op_counter: Cell::new(0),
-            pool: self.pool.clone(),
         }
     }
 
-    fn next_op(&self) -> u64 {
-        let v = self.op_counter.get();
-        self.op_counter.set(v + 1);
-        v
-    }
-
-    fn record_get(&self, bytes: usize) {
-        self.stats.record_get(bytes);
-    }
-
-    fn expose<T: WinElem, U: WinElem>(
+    /// `comm`'s exposure of `deposit`: written to a window file that every
+    /// peer maps read-only.
+    pub(crate) fn expose<T: WinElem, U: WinElem>(
         &self,
+        comm: &RankComm,
         deposit: Arc<(Vec<T>, Vec<U>)>,
     ) -> Vec<Exposure<T, U>> {
         let (a, b) = &*deposit;
         let file = (!a.is_empty()).then(|| {
             window_file(a, b).unwrap_or_else(|e| {
-                panic!("ProcComm::expose: cannot write the window file under /dev/shm: {e}")
+                panic!("procs expose: cannot write the window file under /dev/shm: {e}")
             })
         });
         let (fd, bytes) = file.as_ref().map_or((0, 0), |(file, bytes)| {
@@ -790,12 +752,12 @@ impl Comm for ProcComm {
         });
         // SAFETY: `getpid` has no preconditions.
         let pid = unsafe { sys::getpid() } as u64;
-        let all = self.control_allgather(Primitive::Exchange, vec![pid, fd, bytes]);
+        let all = comm.control_allgather(Primitive::Exchange, vec![pid, fd, bytes]);
         let exposure = all
             .chunks(3)
             .enumerate()
             .map(|(rank, entry)| {
-                if rank == self.rank {
+                if rank == comm.rank() {
                     Exposure::Shared(deposit.clone())
                 } else {
                     Exposure::Mapped(self.map_window(rank, entry))
@@ -804,7 +766,7 @@ impl Comm for ProcComm {
             .collect();
         // Every peer has mapped this rank's file once this round completes;
         // closing it earlier could hand a slow peer's open a reused number.
-        self.control_allgather::<u64>(Primitive::Exchange, Vec::new());
+        comm.control_allgather::<u64>(Primitive::Exchange, Vec::new());
         drop(file);
         exposure
     }
@@ -825,7 +787,7 @@ fn child_main<F, R>(
     f: &F,
 ) -> !
 where
-    F: Fn(&ProcComm) -> R + Send + Sync,
+    F: Fn(&RankComm) -> R + Send + Sync,
     R: Wire + Send,
 {
     IN_FORKED_CHILD.store(true, Ordering::Relaxed);
@@ -851,7 +813,7 @@ fn child_body<F, R>(
     f: &F,
 ) -> i32
 where
-    F: Fn(&ProcComm) -> R + Send + Sync,
+    F: Fn(&RankComm) -> R + Send + Sync,
     R: Wire + Send,
 {
     let nranks = u.nranks();
@@ -882,23 +844,13 @@ where
     }
 
     // --- run the rank closure ---
-    let pool = Arc::new(
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(u.threads_per_rank())
-            .thread_name(move |i| format!("rank{rank}-w{i}"))
-            .build()
-            .expect("rank pool"),
-    );
-    let comm = ProcComm {
-        rank,
-        size: nranks,
+    let link = ProcLink {
         comm_id: 0,
         members: Arc::new((0..nranks).collect()),
         node: node.clone(),
-        stats: Rc::new(StatsCell::default()),
-        op_counter: Cell::new(0),
-        pool,
     };
+    let pool = rank_pool(rank, u.threads_per_rank());
+    let comm = RankComm::world(rank, nranks, Transport::Proc(link), pool);
     let result: Result<R, RankError> =
         match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             // Poisons the job on unwind (during the catch) so the Abort
@@ -947,12 +899,13 @@ static LAUNCH: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 /// Fork one process per rank, run `f` in each, and collect every rank's
 /// typed outcome. Called by
-/// [`Universe::try_run_procs`](crate::Universe::try_run_procs).
+/// [`Universe::try_launch`](crate::Universe::try_launch).
 pub(crate) fn launch_procs<F, R>(u: Universe, f: F) -> Vec<RankOutcome<R>>
 where
-    F: Fn(&ProcComm) -> R + Send + Sync,
+    F: Fn(&RankComm) -> R + Send + Sync,
     R: Wire + Send,
 {
+    silence_rank_process_panics();
     let nranks = u.nranks();
     let launch = LAUNCH.lock().unwrap_or_else(PoisonError::into_inner);
     // mesh[r][s]: rank r's end of its link to rank s.
@@ -1031,7 +984,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Universe;
+    use crate::{Backend, CommStats, Universe};
 
     #[test]
     fn read_frame_raw_tells_a_dead_stream_from_a_damaged_frame() {
@@ -1213,7 +1166,7 @@ mod tests {
     #[test]
     fn procs_ring_and_identity() {
         let u = Universe::new(4);
-        let got = u.run_procs(|comm| {
+        let got = u.launch(Backend::Procs, |comm| {
             let next = (comm.rank() + 1) % comm.size();
             let prev = (comm.rank() + comm.size() - 1) % comm.size();
             comm.send_vec(next, 7, vec![comm.rank() as u64]);
@@ -1255,7 +1208,7 @@ mod tests {
         }
         let u = Universe::new(4);
         let sim = u.run(workload);
-        let procs = u.run_procs(workload);
+        let procs = u.launch(Backend::Procs, workload);
         assert_eq!(sim, procs, "outputs and per-rank stats must be identical");
     }
 
@@ -1266,8 +1219,7 @@ mod tests {
     fn procs_receiver_of_the_wrong_type_panics_on_the_fingerprint() {
         let u = Universe::new(2).with_watchdog(Some(Duration::from_secs(30)));
         for sender in [0, 1] {
-            let got = u.try_run_procs(|comm| {
-                std::panic::set_hook(Box::new(|_| {}));
+            let got = u.try_launch(Backend::Procs, |comm| {
                 if comm.rank() == sender {
                     comm.send_vec(1, 4, vec![1.5f64, -0.0]);
                 }
@@ -1295,7 +1247,7 @@ mod tests {
     #[test]
     fn procs_self_send_is_free() {
         let u = Universe::new(2);
-        let got = u.run_procs(|comm| {
+        let got = u.launch(Backend::Procs, |comm| {
             let before = comm.stats();
             // A self-send meets the codec like any message, but is not
             // metered.
@@ -1312,7 +1264,7 @@ mod tests {
     fn procs_windows_serve_ranged_gets() {
         use crate::PairedWindow;
         let u = Universe::new(3);
-        let got = u.run_procs(|comm| {
+        let got = u.launch(Backend::Procs, |comm| {
             let me = comm.rank();
             let data: Vec<u64> = (0..10).map(|i| (me * 100 + i) as u64).collect();
             let win = PairedWindow::create(comm, data, vec![me as f64 + 0.5; 10]);
@@ -1356,7 +1308,7 @@ mod tests {
         }
         let u = Universe::new(4);
         let sim = u.run(workload);
-        let procs = u.run_procs(workload);
+        let procs = u.launch(Backend::Procs, workload);
         assert_eq!(sim, procs);
     }
 
@@ -1364,9 +1316,7 @@ mod tests {
     fn procs_abort_terminates_survivors_typed() {
         use crate::{FaultComm, FaultPlan};
         let u = Universe::new(3).with_watchdog(Some(Duration::from_secs(30)));
-        let got = u.try_run_procs(|comm| {
-            // Quiet the injected panic inside this child process only.
-            std::panic::set_hook(Box::new(|_| {}));
+        let got = u.try_launch(Backend::Procs, |comm| {
             let fc = FaultComm::new(comm.split(0, comm.rank()), FaultPlan::abort_at(1, 2));
             for round in 0..4u64 {
                 let v = fc.allreduce(round + fc.rank() as u64, |a, b| a + b);
@@ -1386,11 +1336,10 @@ mod tests {
     }
 
     #[test]
-    fn run_procs_panics_with_typed_payload() {
+    fn procs_launch_panics_with_typed_payload() {
         let u = Universe::new(2).with_watchdog(Some(Duration::from_secs(30)));
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            u.run_procs(|comm| {
-                std::panic::set_hook(Box::new(|_| {}));
+            u.launch(Backend::Procs, |comm| {
                 if comm.rank() == 1 {
                     panic!("rank 1 gives up");
                 }

@@ -1,11 +1,11 @@
 //! Recoverable jobs: turn typed rank failures into completed runs.
 //!
 //! PR 6 made failure a *value* ([`RankOutcome`]) and the procs backend made
-//! it *real* (a SIGKILLable OS process) — but `try_run*` still ends the job
-//! at the first failure. This module closes the detect→recover gap:
+//! it *real* (a SIGKILLable OS process) — but `try_launch` still ends the
+//! job at the first failure. This module closes the detect→recover gap:
 //! [`Universe::run_recoverable`] re-runs a [`RecoverableJob`] after a failed
-//! attempt, tearing the whole rank set down first (every `try_run*` entry
-//! point already joins **all** rank threads / reaps all child processes, so
+//! attempt, tearing the whole rank set down first (every `try_` launch
+//! already joins **all** rank threads / reaps all child processes, so
 //! teardown is inherent) and respawning it fresh — re-forked processes under
 //! [`Backend::Procs`], re-launched rank threads under `Sim`/`Threads`.
 //!
@@ -19,12 +19,12 @@
 //! attempt's per-rank failures, so "it recovered" is auditable, not silent.
 //!
 //! Zero-fault runs pay nothing: attempt 0 is exactly one
-//! [`Universe::try_run_backend`] call, byte-identical to `try_run` on the
+//! [`Universe::try_launch`] call, byte-identical to `try_run` on the
 //! conformance surface.
 
 use crate::backend::Backend;
 use crate::error::{RankError, RankOutcome};
-use crate::universe::{RankJob, Universe};
+use crate::universe::Universe;
 use crate::wire::Wire;
 use crate::Comm;
 use std::time::Duration;
@@ -99,7 +99,8 @@ pub struct RecoveryReport {
     pub history: Vec<AttemptFailure>,
 }
 
-/// A backend-generic rank body that can be re-entered: like [`RankJob`],
+/// A backend-generic rank body that can be re-entered: like
+/// [`RankJob`](crate::RankJob),
 /// but the body also receives the attempt number, which is what lets it
 /// resume from a checkpoint instead of starting over (and lets a fault
 /// plan arm itself for one attempt only — see
@@ -112,28 +113,12 @@ pub trait RecoverableJob: Sync {
     fn run<C: Comm>(&self, comm: &C, attempt: u32) -> Self::Out;
 }
 
-/// Adapter: one attempt of a [`RecoverableJob`] is a plain [`RankJob`].
-/// The attempt number is ordinary captured data — under procs the fork
-/// snapshots the parent's memory, so every re-forked child sees the right
-/// attempt without any cross-process coordination.
-struct AttemptJob<'a, J> {
-    job: &'a J,
-    attempt: u32,
-}
-
-impl<J: RecoverableJob> RankJob for AttemptJob<'_, J> {
-    type Out = J::Out;
-    fn run<C: Comm>(&self, comm: &C) -> J::Out {
-        self.job.run(comm, self.attempt)
-    }
-}
-
 impl Universe {
     /// Run `job` on `backend`, restarting the **entire rank set** after a
     /// failed attempt — up to `policy.max_restarts` times, with bounded
     /// exponential backoff between attempts.
     ///
-    /// Teardown is complete before every restart: `try_run_backend` joins
+    /// Teardown is complete before every restart: `try_launch` joins
     /// all rank threads (in-process) or reaps all child processes (procs),
     /// so a restart re-launches every rank from scratch — re-forked
     /// processes under [`Backend::Procs`], fresh `sa-rank-{r}` threads
@@ -143,7 +128,7 @@ impl Universe {
     /// post-restart segment bit-identical to a fault-free run resumed from
     /// the same checkpoint.
     ///
-    /// A zero-fault run executes exactly one `try_run_backend` call —
+    /// A zero-fault run executes exactly one `try_launch` call —
     /// byte-identical outcomes to [`Universe::try_run`] by construction.
     ///
     /// ```
@@ -181,7 +166,9 @@ impl Universe {
         let mut history = Vec::new();
         let mut attempt = 0u32;
         loop {
-            let out = self.try_run_backend(backend, &AttemptJob { job, attempt });
+            // The attempt number is ordinary captured data: under procs the
+            // fork snapshots it, so every re-forked child sees the right one.
+            let out = self.try_launch(backend, |c| job.run(c, attempt));
             let failures: Vec<(usize, RankError)> = out
                 .iter()
                 .enumerate()

@@ -21,9 +21,13 @@
 /// `fetch_s` around a broadcast leg, `symbolic_s` around the metadata
 /// allgather. Those stages are therefore **not** comparable across backends
 /// and are not a wait-skew measure under `sim`. Only `compute_s` never
-/// blocks and is interference-free on every backend. For backend-honest
-/// network time, apply the α–β model to the exact metered traffic — the
-/// convention the benches print (`sa_bench::modeled_total`).
+/// blocks, and under `sim` (one rank runs at a time) it is the rank's own
+/// kernel time. Under `threads` and `procs` it is interference-free only
+/// while every rank has a core: with more ranks than cores it also counts
+/// the time the rank spent descheduled (4 ranks on 2 cores have read
+/// `compute_s` near twice the kernel's thread CPU time). For
+/// backend-honest network time, apply the α–β model to the exact metered
+/// traffic — the convention the benches print (`sa_bench::modeled_total`).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct PhaseTimes {
     pub symbolic_s: f64,

@@ -1,21 +1,18 @@
-//! Launching a simulated job: one thread per rank, one Rayon pool per rank.
+//! Launching a job: one thread (`sim`, `threads`) or one forked process
+//! (`procs`) per rank, one Rayon pool per rank.
 
 use crate::backend::{Backend, Comm};
-use crate::comm::{RankComm, Shared};
+use crate::comm::{RankComm, Shared, Transport};
 use crate::error::{RankError, RankOutcome};
-use crate::proc::ProcComm;
 use crate::scheduler::{self, PoisonGuard, Scheduler};
-use crate::stats::StatsCell;
 use crate::wire::Wire;
-use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// A backend-generic per-rank workload: the same job can run on any
-/// [`Backend`] via [`Universe::run_backend`]. This is a trait rather than a
-/// closure because the rank body must be generic over the communicator type
-/// ([`RankComm`] and [`ProcComm`] are distinct types), which a closure
-/// cannot express. The output crosses a process boundary under the
+/// A per-rank workload written once against the [`Comm`] trait, so the
+/// same body runs on a plain [`RankComm`] or on a wrapper such as
+/// [`FaultComm`](crate::FaultComm). [`Universe::try_run_backend`] launches
+/// it on any [`Backend`]. The output crosses a process boundary under the
 /// `procs` backend, hence `Out: Wire`.
 ///
 /// ```
@@ -29,7 +26,8 @@ use std::time::Duration;
 ///     }
 /// }
 /// let u = Universe::new(3);
-/// assert_eq!(u.run_backend(Backend::Sim, &Sum), vec![3, 3, 3]);
+/// let out = u.try_run_backend(Backend::Sim, &Sum);
+/// assert!(out.iter().all(|o| o.as_ref() == Ok(&3)));
 /// ```
 pub trait RankJob: Sync {
     /// Per-rank result type.
@@ -42,13 +40,15 @@ pub trait RankJob: Sync {
 /// `threads_per_rank` compute threads (the paper's `c = p · t` Figure 7
 /// configuration space).
 ///
-/// The same allocation can be executed by either in-process backend
-/// through [`Universe::launch`]: [`Backend::Sim`], the serial rank-loop
-/// simulator (exact metering, interference-free per-rank timings,
-/// wall-clock = sum of rank work), or [`Backend::Threads`], the
-/// truly-parallel backend (same metering, real concurrent wall-clock).
-/// Outputs and metered traffic are identical across the two; only time
-/// differs.
+/// The same allocation can be executed by any [`Backend`] through
+/// [`Universe::launch`]: [`Backend::Sim`], the serial rank-loop simulator
+/// (exact metering, interference-free per-rank timings, wall-clock = sum
+/// of rank work), [`Backend::Threads`], the truly-parallel backend (same
+/// metering, real concurrent wall-clock), or [`Backend::Procs`], one
+/// forked OS process per rank. Every rank gets a [`RankComm`]; outputs and
+/// metered traffic are identical across the three, only time differs. A
+/// rank's result is [`Wire`], because under `procs` it crosses a process
+/// boundary.
 ///
 /// ```
 /// use sa_mpisim::{Backend, Comm, Universe};
@@ -131,43 +131,43 @@ impl Universe {
         self.heartbeat
     }
 
-    /// Run `f` once per rank on the in-process backend named by
-    /// `SA_BACKEND` ([`Backend::from_env`]: `sim` when unset) and collect
-    /// the per-rank results in rank order. Panics in any rank propagate.
+    /// Run `f` once per rank on the backend named by `SA_BACKEND`
+    /// ([`Backend::from_env`]: `sim` when unset) and collect the per-rank
+    /// results in rank order. Panics in any rank propagate.
     ///
-    /// This is how the existing suites are re-run under concurrency without
-    /// rewriting them: outputs and traffic are backend-identical by
-    /// contract, so CI re-runs the dist integration suites with
-    /// `SA_BACKEND=threads`. Code that must pin a backend regardless of the
+    /// This is how the existing suites are re-run under concurrency and
+    /// across a process boundary without rewriting them: outputs and
+    /// traffic are backend-identical by contract, so CI re-runs the dist
+    /// integration suites with `SA_BACKEND=threads` and
+    /// `SA_BACKEND=procs`. Code that must pin a backend regardless of the
     /// environment uses [`Universe::launch`].
     pub fn run<F, R>(&self, f: F) -> Vec<R>
     where
         F: Fn(&RankComm) -> R + Send + Sync,
-        R: Send,
+        R: Wire + Send,
     {
         self.launch(Backend::from_env(), f)
     }
 
-    /// Run `f` once per rank on the in-process `backend` —
-    /// [`Backend::Sim`] (serial run permit) or [`Backend::Threads`]
-    /// (free-running) — and collect the per-rank results in rank order.
-    /// Spawns one OS thread per rank (named `sa-rank-{r}` for readable
-    /// backtraces) with its own compute pool; the environment is never
-    /// consulted. [`Backend::Procs`] panics: use [`Universe::run_procs`] or
-    /// [`Universe::run_backend`].
+    /// Run `f` once per rank on `backend` and collect the per-rank results
+    /// in rank order; the environment is never consulted. In-process, each
+    /// rank is an OS thread named `sa-rank-{r}` (for readable backtraces)
+    /// under a serial run permit (`Sim`) or free-running (`Threads`);
+    /// under `Procs` each rank is a forked process and its result comes
+    /// back over a socket. Every rank has its own compute pool.
     pub fn launch<F, R>(&self, backend: Backend, f: F) -> Vec<R>
     where
         F: Fn(&RankComm) -> R + Send + Sync,
-        R: Send,
+        R: Wire + Send,
     {
         join_or_panic(self.try_launch(backend, f))
     }
 
-    /// Fault-tolerant variant of [`Universe::run`]: joins **all** rank
-    /// threads and returns one [`RankOutcome`] per rank, in rank order,
-    /// instead of re-raising the first panic. A rank that fails poisons the
-    /// job, so its surviving peers unwind out of their blocking primitives
-    /// with [`PeerFailed`](crate::CommError::PeerFailed) naming the victim —
+    /// Fault-tolerant variant of [`Universe::run`]: joins **all** ranks
+    /// and returns one [`RankOutcome`] per rank, in rank order, instead of
+    /// re-raising the first panic. A rank that fails poisons the job, so
+    /// its surviving peers unwind out of their blocking primitives with
+    /// [`PeerFailed`](crate::CommError::PeerFailed) naming the victim —
     /// every rank terminates, none hangs. A rank whose closure returns
     /// enters one unmetered terminal barrier on the world communicator
     /// first, so the outcome is all-or-nothing: a survivor that needed
@@ -200,84 +200,40 @@ impl Universe {
     pub fn try_run<F, R>(&self, f: F) -> Vec<RankOutcome<R>>
     where
         F: Fn(&RankComm) -> R + Send + Sync,
-        R: Send,
+        R: Wire + Send,
     {
         self.try_launch(Backend::from_env(), f)
     }
 
-    /// Run `f` once per rank on the **process-per-rank socket backend**
-    /// ([`ProcComm`]): every rank is a forked OS process, all communication
-    /// crosses a Unix socket pair. Results come back in rank order; any rank
-    /// failure panics (survivor `PeerFailed` payloads stay typed). Unlike
-    /// the in-process backends the closure's result must be wire-encodable
-    /// (`R: Wire`) — it crosses a process boundary.
-    pub fn run_procs<F, R>(&self, f: F) -> Vec<R>
+    /// Fault-tolerant variant of [`Universe::launch`]: run and join
+    /// **all** ranks on `backend`, returning each rank's result or
+    /// classified failure in rank order. Joining everyone (rather than
+    /// bailing at the first failed join) is what the poison machinery
+    /// guarantees is safe: a failed rank wakes every parked peer, so no
+    /// join can hang. A `procs` child that dies without reporting (crash,
+    /// `kill -9`) is classified from its exit status.
+    pub fn try_launch<F, R>(&self, backend: Backend, f: F) -> Vec<RankOutcome<R>>
     where
-        F: Fn(&ProcComm) -> R + Send + Sync,
+        F: Fn(&RankComm) -> R + Send + Sync,
         R: Wire + Send,
     {
-        join_or_panic(self.try_run_procs(f))
+        match backend {
+            Backend::Sim => self.launch_on(Scheduler::serial(self.nranks, self.watchdog), f),
+            Backend::Threads => self.launch_on(Scheduler::parallel(self.nranks, self.watchdog), f),
+            Backend::Procs => crate::proc::launch_procs(*self, f),
+        }
     }
 
-    /// Fault-tolerant variant of [`Universe::run_procs`]: one
-    /// [`RankOutcome`] per rank. A child process that dies without
-    /// reporting (crash, `kill -9`) is classified from its exit status;
-    /// survivors terminate typed via the poison/watchdog machinery and the
-    /// terminal barrier exactly as in-process.
-    pub fn try_run_procs<F, R>(&self, f: F) -> Vec<RankOutcome<R>>
-    where
-        F: Fn(&ProcComm) -> R + Send + Sync,
-        R: Wire + Send,
-    {
-        crate::proc::launch_procs(*self, f)
-    }
-
-    /// Run a backend-generic [`RankJob`] on the given [`Backend`] —
-    /// panicking join. This is the dispatch point suites use to execute
-    /// one workload identically on `sim`, `threads`, and `procs`.
-    pub fn run_backend<J: RankJob>(&self, backend: Backend, job: &J) -> Vec<J::Out> {
-        join_or_panic(self.try_run_backend(backend, job))
-    }
-
-    /// Fault-tolerant variant of [`Universe::run_backend`].
+    /// [`Universe::try_launch`] of a [`RankJob`]: one outcome per rank.
     pub fn try_run_backend<J: RankJob>(
         &self,
         backend: Backend,
         job: &J,
     ) -> Vec<RankOutcome<J::Out>> {
-        match backend {
-            Backend::Procs => self.try_run_procs(|c| job.run(c)),
-            in_process => self.try_launch(in_process, |c| job.run(c)),
-        }
+        self.try_launch(backend, |c| job.run(c))
     }
 
-    fn sched(&self, backend: Backend) -> Arc<Scheduler> {
-        match backend {
-            Backend::Sim => Scheduler::serial(self.nranks, self.watchdog),
-            Backend::Threads => Scheduler::parallel(self.nranks, self.watchdog),
-            Backend::Procs => panic!(
-                "Backend::Procs: Universe::launch/run (and their try_ forms) execute \
-                 the in-process backends only; this entry point takes a `RankComm` \
-                 closure that cannot cross a process boundary. Use Universe::run_procs \
-                 (or the backend-generic Universe::run_backend with a RankJob) instead."
-            ),
-        }
-    }
-
-    /// Fault-tolerant variant of [`Universe::launch`]: spawn, run and join
-    /// **all** rank threads, returning each rank's result or classified
-    /// panic in rank order. Joining everyone (rather than bailing at the
-    /// first failed join) is what the poison machinery guarantees is safe:
-    /// a failed rank wakes every parked peer, so no join can hang.
-    pub fn try_launch<F, R>(&self, backend: Backend, f: F) -> Vec<RankOutcome<R>>
-    where
-        F: Fn(&RankComm) -> R + Send + Sync,
-        R: Send,
-    {
-        self.launch_on(self.sched(backend), f)
-    }
-
-    /// [`Universe::try_launch`] under a given scheduler.
+    /// [`Universe::try_launch`] in-process, under a given scheduler.
     pub(crate) fn launch_on<F, R>(&self, sched: Arc<Scheduler>, f: F) -> Vec<RankOutcome<R>>
     where
         F: Fn(&RankComm) -> R + Send + Sync,
@@ -294,16 +250,10 @@ impl Universe {
                         .name(format!("sa-rank-{rank}"))
                         .spawn_scoped(scope, move || {
                             scheduler::set_world_rank(rank);
-                            let pool = Arc::new(
-                                rayon::ThreadPoolBuilder::new()
-                                    .num_threads(tpr)
-                                    .thread_name(move |i| format!("rank{rank}-w{i}"))
-                                    .build()
-                                    .expect("rank pool"),
-                            );
                             let sched = shared.sched.clone();
-                            let stats = Rc::new(StatsCell::default());
-                            let comm = RankComm::new(rank, nranks, shared, pool, stats);
+                            let pool = rank_pool(rank, tpr);
+                            let comm =
+                                RankComm::world(rank, nranks, Transport::Shared(shared), pool);
                             // Serial mode: hold the run permit whenever this
                             // rank executes; the guard releases it on return
                             // or panic. The poison guard is declared second
@@ -326,6 +276,17 @@ impl Universe {
                 .collect()
         })
     }
+}
+
+/// Rank `rank`'s compute pool of `threads` workers, named `rank{r}-w{i}`.
+pub(crate) fn rank_pool(rank: usize, threads: usize) -> Arc<rayon::ThreadPool> {
+    Arc::new(
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .thread_name(move |i| format!("rank{rank}-w{i}"))
+            .build()
+            .expect("rank pool"),
+    )
 }
 
 /// The panicking join of every launcher: log **every** failed rank (a
@@ -417,7 +378,8 @@ mod tests {
         use std::sync::atomic::{AtomicUsize, Ordering};
         let counter = AtomicUsize::new(0);
         let u = Universe::new(8);
-        u.run(|comm| {
+        // in-process: every rank counts on the one shared counter
+        u.launch(Backend::Sim, |comm| {
             counter.fetch_add(1, Ordering::SeqCst);
             comm.barrier();
             assert_eq!(counter.load(Ordering::SeqCst), 8);
@@ -661,7 +623,9 @@ mod tests {
     #[test]
     fn rank_threads_are_named() {
         let u = Universe::new(3);
-        let got = u.run(|_comm| std::thread::current().name().map(String::from));
+        let got = u.launch(Backend::Sim, |_comm| {
+            std::thread::current().name().map(String::from)
+        });
         for (r, name) in got.iter().enumerate() {
             assert_eq!(name.as_deref(), Some(format!("sa-rank-{r}").as_str()));
         }
@@ -698,12 +662,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "Use Universe::run_procs")]
-    fn launch_refuses_the_procs_backend() {
-        Universe::new(2).launch(Backend::Procs, |comm| comm.rank());
-    }
-
-    #[test]
     fn try_run_is_all_ok_on_success() {
         let u = Universe::new(3);
         let out = u.try_run(|comm| comm.allreduce(1u64, |a, b| a + b));
@@ -718,9 +676,11 @@ mod tests {
         use crate::{CommError, RankError};
         // Both ranks receive a message nobody sends: a certain deadlock.
         // The watchdog must terminate the job — one rank times out, the
-        // other unwinds with PeerFailed naming it.
+        // other unwinds with PeerFailed naming it. Pinned in-process (one
+        // shared scheduler): under procs each rank process has its own
+        // watchdog, and several ranks may time out.
         let u = Universe::new(2).with_watchdog(Some(Duration::from_millis(200)));
-        let out = u.try_run(|comm| {
+        let out = u.try_launch(Backend::Sim, |comm| {
             let from = (comm.rank() + 1) % 2;
             let _: Vec<u8> = comm.recv_vec(from, 0);
         });

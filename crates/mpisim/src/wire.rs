@@ -1,8 +1,9 @@
 //! Length-delimited manual serialization for the cross-process backend.
 //!
 //! The in-process backends move payloads as `Arc`s and `Box<dyn Any>`; the
-//! process-per-rank backend ([`ProcComm`](crate::ProcComm)) has to put the
-//! same values on a socket. This module is the whole wire story:
+//! process-per-rank backend (`procs`) has to put the same values on a
+//! socket, and carry each rank's result back to the launcher. This module
+//! is the whole wire story:
 //!
 //! * [`Wire`] — put/get of the value types the runtime ships (primitives,
 //!   tuples, `String`s, `Vec`s, the error/stats/timing types). It is the
@@ -25,6 +26,7 @@
 use crate::error::{CommError, Primitive, RankError};
 use crate::stats::CommStats;
 use crate::timer::PhaseTimes;
+use crate::window::WindowError;
 use std::time::Duration;
 
 /// Hard cap on one frame's encoded size (body + kind byte). Large enough
@@ -375,6 +377,8 @@ wire_tuple!(A, B);
 wire_tuple!(A, B, C);
 wire_tuple!(A, B, C, D);
 wire_tuple!(A, B, C, D, E);
+wire_tuple!(A, B, C, D, E, F);
+wire_tuple!(A, B, C, D, E, F, G);
 
 impl Wire for Duration {
     fn put(&self, out: &mut Vec<u8>) {
@@ -393,47 +397,47 @@ impl Wire for Duration {
     }
 }
 
-impl Wire for CommStats {
-    fn put(&self, out: &mut Vec<u8>) {
-        for v in [
-            self.sent_msgs,
-            self.sent_bytes,
-            self.recv_msgs,
-            self.recv_bytes,
-            self.rdma_gets,
-            self.rdma_get_bytes,
-        ] {
-            v.put(out);
+/// Implement [`Wire`] for a struct whose fields are all `Wire`: the listed
+/// fields travel in the order given (declaration order, by convention), so
+/// an encoded value round-trips to an `==`-identical struct.
+///
+/// ```
+/// #[derive(Debug, PartialEq)]
+/// struct Report { bytes: u64, ratio: f64 }
+/// sa_mpisim::wire_struct!(Report { bytes, ratio });
+///
+/// use sa_mpisim::Wire;
+/// let r = Report { bytes: 7, ratio: 0.5 };
+/// assert_eq!(Report::from_bytes(&r.to_bytes()), Ok(r));
+/// ```
+#[macro_export]
+macro_rules! wire_struct {
+    ($t:ty { $($field:ident),* $(,)? }) => {
+        impl $crate::Wire for $t {
+            fn put(&self, out: &mut Vec<u8>) {
+                $($crate::Wire::put(&self.$field, out);)*
+            }
+            fn get(buf: &mut &[u8]) -> Result<Self, $crate::WireError> {
+                Ok(Self { $($field: $crate::Wire::get(buf)?),* })
+            }
         }
-    }
-    fn get(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(CommStats {
-            sent_msgs: u64::get(buf)?,
-            sent_bytes: u64::get(buf)?,
-            recv_msgs: u64::get(buf)?,
-            recv_bytes: u64::get(buf)?,
-            rdma_gets: u64::get(buf)?,
-            rdma_get_bytes: u64::get(buf)?,
-        })
-    }
+    };
 }
 
-impl Wire for PhaseTimes {
-    fn put(&self, out: &mut Vec<u8>) {
-        self.symbolic_s.put(out);
-        self.fetch_s.put(out);
-        self.compute_s.put(out);
-        self.assemble_s.put(out);
-    }
-    fn get(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(PhaseTimes {
-            symbolic_s: f64::get(buf)?,
-            fetch_s: f64::get(buf)?,
-            compute_s: f64::get(buf)?,
-            assemble_s: f64::get(buf)?,
-        })
-    }
-}
+wire_struct!(CommStats {
+    sent_msgs,
+    sent_bytes,
+    recv_msgs,
+    recv_bytes,
+    rdma_gets,
+    rdma_get_bytes
+});
+wire_struct!(PhaseTimes {
+    symbolic_s,
+    fetch_s,
+    compute_s,
+    assemble_s
+});
 
 impl Wire for Primitive {
     fn put(&self, out: &mut Vec<u8>) {
@@ -485,6 +489,35 @@ impl Wire for CommError {
             2 => Ok(CommError::Poisoned),
             t => Err(WireError::BadTag {
                 what: "CommError",
+                tag: t as u64,
+            }),
+        }
+    }
+}
+
+/// A window error crosses as `(kind, rank, size or requested end, exposed
+/// length)`.
+impl Wire for WindowError {
+    fn put(&self, out: &mut Vec<u8>) {
+        match *self {
+            WindowError::BadRank { rank, size } => (0u8, rank, size, 0usize).put(out),
+            WindowError::OutOfRange {
+                rank,
+                requested_end,
+                exposed_len,
+            } => (1u8, rank, requested_end, exposed_len).put(out),
+        }
+    }
+    fn get(buf: &mut &[u8]) -> Result<Self, WireError> {
+        match <(u8, usize, usize, usize)>::get(buf)? {
+            (0, rank, size, _) => Ok(WindowError::BadRank { rank, size }),
+            (1, rank, requested_end, exposed_len) => Ok(WindowError::OutOfRange {
+                rank,
+                requested_end,
+                exposed_len,
+            }),
+            (t, ..) => Err(WireError::BadTag {
+                what: "WindowError",
                 tag: t as u64,
             }),
         }

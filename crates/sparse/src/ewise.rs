@@ -1,6 +1,6 @@
-//! Elementwise operations on CSC matrices: union add (semiring ⊕),
-//! intersection multiply, and masking — the building blocks of the 2D/3D
-//! partial-result merges and the betweenness-centrality sweeps.
+//! Elementwise operations on CSC matrices: union add (semiring ⊕) and
+//! intersection multiply — the building blocks of the 2D/3D partial-result
+//! merges and triangle counting.
 
 use crate::csc::Csc;
 use crate::semiring::Semiring;
@@ -73,36 +73,6 @@ pub fn ewise_mul<S: Semiring>(a: &Csc<S::T>, b: &Csc<S::T>) -> Csc<S::T> {
     Csc::from_parts(a.nrows(), a.ncols(), colptr, rowidx, vals)
 }
 
-/// Keep entries of `a` whose position is *absent* from `mask` — the
-/// complement mask (`A .* !M`) used by BFS to remove already-visited
-/// vertices from a frontier.
-pub fn mask_complement<T: Copy + Send + Sync, U: Copy + Send + Sync>(
-    a: &Csc<T>,
-    mask: &Csc<U>,
-) -> Csc<T> {
-    assert_eq!(a.nrows(), mask.nrows());
-    assert_eq!(a.ncols(), mask.ncols());
-    let mut colptr = vec![0usize; a.ncols() + 1];
-    let mut rowidx: Vec<Vidx> = Vec::new();
-    let mut vals: Vec<T> = Vec::new();
-    for j in 0..a.ncols() {
-        let (ra, va) = a.col(j);
-        let (rm, _) = mask.col(j);
-        let mut k = 0usize;
-        for (&r, &v) in ra.iter().zip(va) {
-            while k < rm.len() && rm[k] < r {
-                k += 1;
-            }
-            if k >= rm.len() || rm[k] != r {
-                rowidx.push(r);
-                vals.push(v);
-            }
-        }
-        colptr[j + 1] = rowidx.len();
-    }
-    Csc::from_parts(a.nrows(), a.ncols(), colptr, rowidx, vals)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,16 +113,6 @@ mod tests {
         let c = ewise_mul::<PlusTimes<f64>>(&a, &b);
         assert_eq!(c.nnz(), 1);
         assert_eq!(c.get(1, 1), Some(6.0));
-    }
-
-    #[test]
-    fn complement_mask_removes_visited() {
-        let a = m(&[(0, 0, 1.0), (1, 0, 1.0), (2, 0, 1.0)]);
-        let visited = m(&[(1, 0, 9.0)]);
-        let c = mask_complement(&a, &visited);
-        assert_eq!(c.nnz(), 2);
-        assert_eq!(c.get(1, 0), None);
-        assert_eq!(c.get(0, 0), Some(1.0));
     }
 
     #[test]

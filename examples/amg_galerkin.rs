@@ -40,10 +40,10 @@ fn main() {
                 saspgemm::apps::galerkin::RightAlgo::Outer,
                 &Plan1D::default(),
             );
-            (coarse.gather(comm), rep)
+            (coarse.gather(comm).map(Wired), rep)
         });
         let (gathered, rep) = results.remove(0);
-        let coarse = gathered.expect("rank 0 gathers");
+        let coarse = gathered.expect("rank 0 gathers").0;
         println!(
             "level {level}: n = {} ({:.1}x coarser), nnz = {}, RtA comm: {} RDMA msgs / {:.1} KB fetched",
             coarse.nrows(),

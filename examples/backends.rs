@@ -1,9 +1,9 @@
 //! The same fetch-mode pick and 1D multiply on all three communicator
-//! backends, with
-//! matching reports: `Backend::Sim` (serial rank-loop simulator, the
-//! default) vs `Backend::Threads` (threads as ranks, truly parallel) —
-//! both on one in-process `RankComm` — vs `Backend::Procs` (`ProcComm`, one
-//! OS process per rank over Unix socket pairs).
+//! backends, with matching reports: `Backend::Sim` (serial rank-loop
+//! simulator, the default) vs `Backend::Threads` (threads as ranks, truly
+//! parallel) vs `Backend::Procs` (one OS process per rank over Unix socket
+//! pairs). Every rank holds the same `RankComm`; one launch call serves
+//! all three.
 //!
 //! Run with: `cargo run --release --example backends`
 //!
@@ -16,12 +16,9 @@
 
 use saspgemm::prelude::*;
 
-/// One rank's share of the job, written once against the `Comm` trait so
-/// the identical code runs on either backend.
-fn rank_job<C: Comm>(
-    comm: &C,
-    a: &sa_sparse::Csc<f64>,
-) -> (Option<sa_sparse::Csc<f64>>, String, u64, u64) {
+/// One rank's share of the job. Its result crosses a process boundary
+/// under `procs`, so the gathered product travels as `Wired`.
+fn rank_job(comm: &RankComm, a: &Csc<f64>) -> (Option<Wired<Csc<f64>>>, String, u64, u64) {
     let before = comm.stats();
     let da = DistMat1D::from_global(comm, a, &uniform_offsets(a.ncols(), comm.size()));
     let modes = [FetchMode::default(), FetchMode::ContiguousRuns];
@@ -31,7 +28,7 @@ fn rank_job<C: Comm>(
         ..Default::default()
     };
     let (c, _) = spgemm_1d(comm, &da, &da, &plan);
-    let c = c.gather(comm);
+    let c = c.gather(comm).map(Wired);
     let delta = comm.stats() - before;
     (
         c,
@@ -39,23 +36,6 @@ fn rank_job<C: Comm>(
         delta.injected_bytes(),
         delta.injected_msgs(),
     )
-}
-
-/// Bit-exact fingerprint of the gathered product, compact enough to send
-/// back from a forked rank process.
-fn fp(c: &Option<sa_sparse::Csc<f64>>) -> String {
-    match c {
-        Some(c) => {
-            let mut sum = 0u64;
-            for (r, col, v) in c.iter() {
-                sum = sum
-                    .wrapping_mul(0x100000001b3)
-                    .wrapping_add(v.to_bits() ^ ((r as u64) << 32) ^ col as u64);
-            }
-            format!("{}x{} nnz={} h={sum:x}", c.nrows(), c.ncols(), c.nnz())
-        }
-        None => "-".into(),
-    }
 }
 
 fn main() {
@@ -66,35 +46,23 @@ fn main() {
 
     println!("== pick_fetch_mode + spgemm_1d on {p} ranks, all three backends ==");
 
-    let t0 = std::time::Instant::now();
-    let sim = universe.launch(Backend::Sim, |comm| rank_job(comm, &a));
-    let wall_sim = t0.elapsed();
-
-    let t0 = std::time::Instant::now();
-    let thr = universe.launch(Backend::Threads, |comm| rank_job(comm, &a));
-    let wall_thr = t0.elapsed();
-
-    // The procs leg returns over a socket, so the product travels as a
-    // bit-exact fingerprint instead of the matrix itself.
-    let t0 = std::time::Instant::now();
-    let procs = universe.run_procs(|comm| {
-        let (c, pick, bytes, msgs) = rank_job(comm, &a);
-        (fp(&c), pick, bytes, msgs)
-    });
-    let wall_procs = t0.elapsed();
+    let mut walls = Vec::new();
+    let mut runs = Vec::new();
+    for backend in [Backend::Sim, Backend::Threads, Backend::Procs] {
+        let t0 = std::time::Instant::now();
+        runs.push(universe.launch(backend, |comm| rank_job(comm, &a)));
+        walls.push(t0.elapsed().as_secs_f64() * 1e3);
+    }
 
     // Identical pick, identical product, identical traffic — per rank.
-    for (r, (s, t)) in sim.iter().zip(&thr).enumerate() {
-        assert_eq!(s.1, t.1, "rank {r}: fetch-mode pick diverged");
-        assert_eq!(s.2, t.2, "rank {r}: injected bytes diverged");
-        assert_eq!(s.3, t.3, "rank {r}: injected messages diverged");
-        assert_eq!(s.0, t.0, "rank {r}: product diverged");
-    }
-    for (r, (s, q)) in sim.iter().zip(&procs).enumerate() {
-        assert_eq!(q.1, s.1, "rank {r}: procs fetch-mode pick diverged");
-        assert_eq!(q.2, s.2, "rank {r}: procs injected bytes diverged");
-        assert_eq!(q.3, s.3, "rank {r}: procs injected messages diverged");
-        assert_eq!(q.0, fp(&s.0), "rank {r}: procs product diverged");
+    let sim = &runs[0];
+    for (backend, got) in ["threads", "procs"].iter().zip(&runs[1..]) {
+        for (r, (s, t)) in sim.iter().zip(got).enumerate() {
+            assert_eq!(s.1, t.1, "rank {r}: {backend} fetch-mode pick diverged");
+            assert_eq!(s.2, t.2, "rank {r}: {backend} injected bytes diverged");
+            assert_eq!(s.3, t.3, "rank {r}: {backend} injected messages diverged");
+            assert_eq!(s.0, t.0, "rank {r}: {backend} product diverged");
+        }
     }
     assert!(sim[0].0.is_some(), "rank 0 gathered C");
 
@@ -108,9 +76,7 @@ fn main() {
     }
     println!(
         "wall: sim {:.1} ms (sum of rank work)  vs  threads {:.1} ms (concurrent)  vs  procs {:.1} ms (fork + socket mesh + multiply)",
-        wall_sim.as_secs_f64() * 1e3,
-        wall_thr.as_secs_f64() * 1e3,
-        wall_procs.as_secs_f64() * 1e3
+        walls[0], walls[1], walls[2]
     );
     println!("reports matched per rank on every metered counter, on all three backends.");
 }

@@ -45,7 +45,7 @@ fn main() {
             report.rdma_msgs,
             report.fetched_bytes,
             report.needed_bytes,
-            c.gather(comm),
+            c.gather(comm).map(Wired),
         )
     });
     for (rank, msgs, fetched, needed, _) in &outputs {

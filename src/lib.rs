@@ -40,7 +40,7 @@
 //!     let da = DistMat1D::from_global(comm, &a, &offsets);
 //!     let db = da.clone();
 //!     let (c, report) = spgemm_1d(comm, &da, &db, &Plan1D::default());
-//!     (c.into_local_csc(), report)
+//!     (Wired(c.into_local_csc()), report)
 //! });
 //! assert_eq!(per_rank.len(), 4);
 //! let (_, report0) = &per_rank[0];
@@ -61,7 +61,7 @@ pub mod prelude {
         analyze_1d, pick_fetch_mode, spgemm_1d, spgemm_split_3d_sa, spgemm_summa_2d_sa,
         try_spgemm_1d, uniform_offsets, CacheConfig, CheckpointStore, CkptError, DistMat1D,
         DistMat2D, DistMat3D, FetchMode, FileStore, MatSnapshot, MemStore, Plan1D, SessionSnapshot,
-        SessionStats, SpgemmReport, SpgemmSession,
+        SessionStats, SpgemmReport, SpgemmSession, Wired,
     };
     pub use sa_mpisim::{
         Backend, Comm, CommError, CostModel, FaultComm, FaultPlan, PhaseTimes, RankComm, RankError,

@@ -28,7 +28,7 @@
 use saspgemm::dist::{
     analyze_1d, pick_fetch_mode, prepare, spgemm_1d, spgemm_split_3d_sa, spgemm_summa_2d_sa,
     uniform_offsets, CacheConfig, DistMat1D, DistMat2D, DistMat3D, FetchMode, Plan1D,
-    SpgemmSession, Strategy,
+    SpgemmSession, Strategy, Wired,
 };
 use saspgemm::mpisim::{
     Backend, Comm, CommError, CommStats, CostModel, Grid2D, Grid3D, PairedWindow, RankError,
@@ -80,9 +80,9 @@ fn run_conformance<J: RankJob<Out = Verdict>>(nranks: usize, job: &J, what: &str
     // Watchdog on: a conformance bug on a remote backend must fail typed,
     // not hang the suite.
     let u = Universe::new(nranks).with_watchdog(Some(Duration::from_secs(120)));
-    let baseline = u.run_backend(Backend::Sim, job);
+    let baseline = u.launch(Backend::Sim, |c| job.run(c));
     let be = backend_under_test();
-    let got = u.run_backend(be, job);
+    let got = u.launch(be, |c| job.run(c));
     assert_eq!(baseline.len(), got.len(), "{what}: rank count");
     for (rank, (base, g)) in baseline.iter().zip(&got).enumerate() {
         assert_eq!(
@@ -341,9 +341,9 @@ fn spgemm_1d_sends_one_metadata_allgather_on_every_backend() {
     // 3·(P − 1) sends from rank 0, two from every other rank
     let a = int_er(48, 48, 4.0, 11);
     let u = Universe::new(4).with_watchdog(Some(Duration::from_secs(120)));
-    let sim = u.run_backend(Backend::Sim, &OneMultiply(&a));
+    let sim = u.launch(Backend::Sim, |c| OneMultiply(&a).run(c));
     for be in [Backend::Sim, Backend::Threads, Backend::Procs] {
-        let got = u.run_backend(be, &OneMultiply(&a));
+        let got = u.launch(be, |c| OneMultiply(&a).run(c));
         let sent: Vec<u64> = got.iter().map(|t| t.sent_msgs).collect();
         assert_eq!(sent, [9, 2, 2, 2], "sends per rank on '{}'", be.name());
         assert_eq!(got, sim, "per-rank traffic on '{}'", be.name());
@@ -731,7 +731,7 @@ fn serial_backend_is_deterministic_across_runs() {
             let db = da.clone();
             let (c, rep) = spgemm_1d(comm, &da, &db, &Plan1D::default());
             (
-                c.into_local_csc(),
+                Wired(c.into_local_csc()),
                 rep.fetched_bytes,
                 rep.rdma_msgs,
                 comm.stats(),

@@ -6,7 +6,7 @@ use saspgemm::dist::mat3d::DistMat3D;
 use saspgemm::dist::reference::serial_spgemm;
 use saspgemm::dist::{
     spgemm_1d, spgemm_outer_1d, spgemm_split_3d, spgemm_summa_2d, uniform_offsets, DistMat1D,
-    DistMat2D, FetchMode, Plan1D,
+    DistMat2D, FetchMode, Plan1D, Wired,
 };
 use saspgemm::mpisim::{Grid2D, Grid3D, Universe};
 use saspgemm::sparse::gen::{banded, erdos_renyi, rmat, sbm, stencil3d};
@@ -28,7 +28,7 @@ fn check_all_algorithms(a: &Csc<f64>, b: &Csc<f64>, label: &str) {
                         ..Default::default()
                     };
                     let (c, _) = spgemm_1d(comm, &da, &db, &plan);
-                    c.gather(comm)
+                    c.gather(comm).map(Wired)
                 })
                 .remove(0)
                 .unwrap();
@@ -47,7 +47,7 @@ fn check_all_algorithms(a: &Csc<f64>, b: &Csc<f64>, label: &str) {
                 let da = DistMat1D::from_global(comm, a, &uniform_offsets(a.ncols(), 4));
                 let db = DistMat1D::from_global(comm, b, &uniform_offsets(b.ncols(), 4));
                 let (c, _) = spgemm_outer_1d(comm, &da, &db);
-                c.gather(comm)
+                c.gather(comm).map(Wired)
             })
             .remove(0)
             .unwrap();
@@ -63,7 +63,7 @@ fn check_all_algorithms(a: &Csc<f64>, b: &Csc<f64>, label: &str) {
                 let da = DistMat2D::from_global(&grid, a);
                 let db = DistMat2D::from_global(&grid, b);
                 let (c, _) = spgemm_summa_2d(comm, &grid, &da, &db, &SpgemmWorkspace::new());
-                c.gather(comm, &grid)
+                c.gather(comm, &grid).map(Wired)
             })
             .remove(0)
             .unwrap();
@@ -79,7 +79,7 @@ fn check_all_algorithms(a: &Csc<f64>, b: &Csc<f64>, label: &str) {
                 let da = DistMat3D::from_global_split_cols(&grid, a);
                 let db = DistMat3D::from_global_split_rows(&grid, b);
                 let (c, _) = spgemm_split_3d(comm, &grid, &da, &db, &SpgemmWorkspace::new());
-                c.gather(comm)
+                c.gather(comm).map(Wired)
             })
             .remove(0)
             .unwrap();

@@ -291,7 +291,7 @@ fn control_plane_is_silent_and_attributed_on_every_backend() {
     ];
     for backend in [Backend::Sim, Backend::Threads, Backend::Procs] {
         for (call, primitive) in calls {
-            let out = universe().run_backend(backend, &Bare(call));
+            let out = universe().launch(backend, |c| Bare(call).run(c));
             for (r, stats) in out.iter().enumerate() {
                 assert_eq!(stats, &silent, "{backend:?} {call}: rank {r} metered it");
             }
@@ -473,7 +473,7 @@ fn straggler_stalls_but_completes_identically_procs() {
 fn sigkill_mid_job_fails_every_survivor_typed_procs() {
     quiet_expected_panics();
     for name in ["1d", "2d"] {
-        let out = universe().try_run_procs(|comm| {
+        let out = universe().try_launch(Backend::Procs, |comm| {
             if comm.rank() == VICTIM {
                 kill_self_with_sigkill();
             }
@@ -516,7 +516,7 @@ fn concurrent_launches_do_not_leak_mesh_ends_procs() {
                 .with_heartbeat(None);
             start.wait();
             let started = std::time::Instant::now();
-            let out = u.try_run_procs(|comm| {
+            let out = u.try_launch(Backend::Procs, |comm| {
                 if comm.rank() == VICTIM {
                     kill_self_with_sigkill();
                 }
@@ -527,7 +527,7 @@ fn concurrent_launches_do_not_leak_mesh_ends_procs() {
         let slow = scope.spawn(|| {
             let u = Universe::new(8).with_watchdog(Some(Duration::from_secs(60)));
             start.wait();
-            u.try_run_procs(|comm| {
+            u.try_launch(Backend::Procs, |comm| {
                 std::thread::sleep(Duration::from_secs(2));
                 comm.barrier();
             })
@@ -550,6 +550,78 @@ fn concurrent_launches_do_not_leak_mesh_ends_procs() {
     assert!(slow.iter().all(|o| o.is_ok()), "job B: {slow:?}");
 }
 
+/// `fork` copies only the calling thread, so a lock another thread of the
+/// launching process holds at the fork stays held in the child for good —
+/// and libtest runs every procs cell from a threaded process. Two threads
+/// churn the allocator, stdout and stderr (their global locks and the
+/// test's capture buffer) and the default panic hook while 24 small jobs
+/// launch one after another. The 20 clean jobs must come back `Ok` on
+/// every rank; in the last 4, rank 1 panics outside any injected-fault
+/// filter, so its panic path runs in a child forked while the launcher's
+/// threads were panicking too, and every outcome must still come back
+/// typed.
+#[test]
+fn forks_under_allocator_print_and_panic_churn_complete_procs() {
+    use std::io::Write;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    quiet_expected_panics();
+    let stop = AtomicBool::new(false);
+    let u = Universe::new(4).with_watchdog(Some(Duration::from_secs(30)));
+    let jobs = std::thread::scope(|scope| {
+        for churner in 0..2 {
+            let stop = &stop;
+            scope.spawn(move || {
+                for i in 0u64.. {
+                    if stop.load(Ordering::Relaxed) {
+                        break;
+                    }
+                    let junk: Vec<Vec<u64>> = (0..64).map(|k| vec![i; 1 + 8 * k]).collect();
+                    println!("churner {churner}: {} blocks", junk.len());
+                    eprintln!("churner {churner}: round {i}");
+                    let _ = std::io::stdout().lock().flush();
+                    let _ = std::io::stderr().lock().flush();
+                    let _ = std::panic::catch_unwind(|| panic!("churner {churner} round {i}"));
+                    std::thread::sleep(Duration::from_micros(200));
+                }
+            });
+        }
+        let jobs: Vec<_> = (0..24)
+            .map(|job| {
+                u.try_launch(Backend::Procs, |comm| {
+                    comm.barrier();
+                    let sum = comm.allreduce(comm.rank() as u64, |a, b| a + b);
+                    if job >= 20 && comm.rank() == 1 {
+                        panic!("rank 1 gives up in job {job}");
+                    }
+                    sum
+                })
+            })
+            .collect();
+        stop.store(true, Ordering::Relaxed);
+        jobs
+    });
+    for (job, out) in jobs.iter().enumerate().take(20) {
+        assert!(out.iter().all(|o| o == &Ok(6)), "job {job}: {out:?}");
+    }
+    for (job, out) in jobs.iter().enumerate().skip(20) {
+        assert!(
+            matches!(&out[1], Err(RankError::Panic { summary }) if summary.contains("gives up")),
+            "job {job} rank 1: {:?}",
+            out[1]
+        );
+        for r in [0, 2, 3] {
+            assert!(
+                matches!(
+                    out[r],
+                    Err(RankError::Comm(CommError::PeerFailed { rank: 1, .. }))
+                ),
+                "job {job} rank {r}: {:?}",
+                out[r]
+            );
+        }
+    }
+}
+
 /// Cross-process stall detection: every process deadlocks in a circular
 /// recv that no one serves; each process's own watchdog must fire and
 /// convert the stall into a typed `Timeout` (or `PeerFailed`, if a peer's
@@ -562,7 +634,7 @@ fn cross_process_deadlock_times_out_typed_procs() {
     quiet_expected_panics();
     let out = Universe::new(NRANKS)
         .with_watchdog(Some(Duration::from_secs(2)))
-        .try_run_procs(|comm| {
+        .try_launch(Backend::Procs, |comm| {
             let v: Vec<u64> = comm.recv_vec((comm.rank() + 1) % comm.size(), 999);
             format!("{v:?}") // never reached: tag 999 is never sent
         });
@@ -1064,7 +1136,7 @@ fn zero_fault_run_recoverable_is_byte_identical_to_try_run() {
         assert_eq!(report_t, trivial, "{name}: zero-fault report not trivial");
     }
     let (rec_p, report_p) = u.run_recoverable(Backend::Procs, &policy, &PlainJob("1d"));
-    let bare_p = u.try_run_procs(|comm| workload("1d", comm));
+    let bare_p = u.try_launch(Backend::Procs, |comm| workload("1d", comm));
     assert_eq!(
         rec_p, bare_p,
         "1d: run_recoverable perturbed the procs backend"
@@ -1130,7 +1202,7 @@ fn corrupt_frame_on_a_clean_link_fails_the_receiver_typed_procs() {
     const TAG: u64 = 0x62;
     let payload: Vec<u64> = (0..64).map(|i| i * 0x9e37_79b9 + 1).collect();
     let started = std::time::Instant::now();
-    let out = universe().try_run_procs(|comm| {
+    let out = universe().try_launch(Backend::Procs, |comm| {
         let got = match comm.rank() {
             0 => comm.recv_vec::<u64>(VICTIM, TAG),
             VICTIM => {
@@ -1175,7 +1247,7 @@ fn wedged_peer_is_detected_by_missed_heartbeats_procs() {
     let out = Universe::new(NRANKS)
         .with_watchdog(Some(Duration::from_secs(60)))
         .with_heartbeat(Some(Duration::from_millis(250)))
-        .try_run_procs(|comm| {
+        .try_launch(Backend::Procs, |comm| {
             comm.barrier();
             if comm.rank() == VICTIM {
                 // model a wedge: the process lives but goes silent
@@ -1469,7 +1541,7 @@ fn a_dead_targets_mapped_window_stays_readable_procs() {
     };
     quiet_expected_panics();
     let started = std::time::Instant::now();
-    let out = universe().try_run_procs(|comm| {
+    let out = universe().try_launch(Backend::Procs, |comm| {
         let me = comm.rank();
         let win = PairedWindow::create(comm, ids(me), vals(me));
         if me == VICTIM {
@@ -1546,10 +1618,10 @@ fn column_exact_fetch_of_a_thousand_gets_is_bit_identical_procs() {
     let a = int_er(N, 6.0, 211).filter(|r, c, _| (r as usize) >= N / 2 || (c as usize) < N / 2);
     let job = ColumnExactJob(a);
     let u = Universe::new(2).with_watchdog(Some(Duration::from_secs(60)));
-    let sim = u.run_backend(Backend::Sim, &job);
+    let sim = u.launch(Backend::Sim, |c| job.run(c));
     assert!(sim[0].1 >= 1_000, "plan too short: {} gets", sim[0].1);
     assert_eq!(sim[1].1, 0, "rank 1 must only serve");
-    let procs = u.run_backend(Backend::Procs, &job);
+    let procs = u.launch(Backend::Procs, |c| job.run(c));
     for (r, (got, want)) in procs.iter().zip(&sim).enumerate() {
         assert_eq!(got, want, "rank {r} diverged from the simulator");
     }
@@ -1616,14 +1688,14 @@ fn large_frame_fetch_is_bit_identical_procs() {
     );
     let job = LargeFrameJob { a, b };
     let u = Universe::new(2).with_watchdog(Some(Duration::from_secs(60)));
-    let sim = u.run_backend(Backend::Sim, &job);
+    let sim = u.launch(Backend::Sim, |c| job.run(c));
     assert_eq!(
         (sim[0].1, sim[0].2),
         (4, (2 * RUN * ROWS * 12) as u64),
         "rank 0 must fetch two runs of rank 1's columns, rows and values"
     );
     assert_eq!(sim[1].1, 0, "rank 1 must only serve");
-    let procs = u.run_backend(Backend::Procs, &job);
+    let procs = u.launch(Backend::Procs, |c| job.run(c));
     for (r, (got, want)) in procs.iter().zip(&sim).enumerate() {
         assert_eq!(got, want, "rank {r} diverged from the simulator");
     }
@@ -1671,12 +1743,12 @@ fn gets_and_sends_sharing_a_link_are_bit_identical_procs() {
     let a = int_er(N, 6.0, 223).filter(|r, c, _| (r as usize) >= N / 2 || (c as usize) < N / 2);
     let job = SharedLinkJob(a);
     let u = Universe::new(2).with_watchdog(Some(Duration::from_secs(60)));
-    let sim = u.run_backend(Backend::Sim, &job);
+    let sim = u.launch(Backend::Sim, |c| job.run(c));
     assert!(sim[0].2 >= 2_000, "plan too short: {} gets", sim[0].2);
     assert_eq!(sim[1].2, 0, "rank 1 must only serve");
     let want: Vec<u64> = (0..SHARED_LINK_SENDS).flat_map(|i| [i, i * i]).collect();
     assert_eq!(sim[0].1, want, "rank 0 receives every send, in order");
-    let procs = u.run_backend(Backend::Procs, &job);
+    let procs = u.launch(Backend::Procs, |c| job.run(c));
     for (r, (got, want)) in procs.iter().zip(&sim).enumerate() {
         assert_eq!(got, want, "rank {r} diverged from the simulator");
     }

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use saspgemm::dist::reference::serial_spgemm;
-use saspgemm::dist::{prepare, spgemm_1d, DistMat1D, Plan1D, Strategy as PrepStrategy};
+use saspgemm::dist::{prepare, spgemm_1d, DistMat1D, Plan1D, Strategy as PrepStrategy, Wired};
 use saspgemm::mpisim::Universe;
 use saspgemm::partition::{partition_kway, partition_to_perm, Graph, PartitionConfig};
 use saspgemm::sparse::gen::sbm;
@@ -53,7 +53,7 @@ proptest! {
             let da = DistMat1D::from_global(comm, &prep.a, &prep.offsets);
             let db = da.clone();
             let (c, _) = spgemm_1d(comm, &da, &db, &Plan1D::default());
-            c.gather(comm)
+            c.gather(comm).map(Wired)
         }).remove(0).unwrap();
         let undone = permute_symmetric(&permuted_c, &prep.perm.as_ref().unwrap().inverse());
         prop_assert!(undone.max_abs_diff(&expect) < 1e-9);
@@ -95,7 +95,7 @@ fn metis_strategy_preserves_squaring_result() {
             let da = DistMat1D::from_global(comm, &prep.a, &prep.offsets);
             let db = da.clone();
             let (c, _) = spgemm_1d(comm, &da, &db, &Plan1D::default());
-            c.gather(comm)
+            c.gather(comm).map(Wired)
         })
         .remove(0)
         .unwrap();

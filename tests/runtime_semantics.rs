@@ -1,49 +1,17 @@
 //! Simulated-runtime semantics the distributed algorithms rely on:
 //! paired windows, degenerate 1D layouts, collective algebra, and
-//! failure injection at the crate boundary.
-//!
-//! Backend policy: this suite tests `Universe::run` semantics through
-//! in-process closures, so it honors the `SA_BACKEND` escape hatch for
-//! the two in-process schedulers (`sim`, `threads`) and **explicitly pins
-//! the serial scheduler, saying so once,** when the environment selects a
-//! backend these closures cannot run on (`procs` — its coverage lives in
-//! `backend_conformance.rs` and `fault_injection.rs`). See
-//! [`run_in_process`].
+//! failure injection at the crate boundary. Every cell launches through
+//! `Universe::run`, so it runs on the backend `SA_BACKEND` names.
 
 use saspgemm::dist::{
     spgemm_1d, spgemm_outer_1d, spgemm_split_3d, spgemm_split_3d_sa, spgemm_summa_2d,
     try_spgemm_1d, try_spgemm_summa_2d_sa, uniform_offsets, DistMat1D, DistMat2D, DistMat3D,
-    FetchMode, Plan1D, ShapeError,
+    FetchMode, Plan1D, ShapeError, Wired,
 };
-use saspgemm::mpisim::{
-    Backend, Comm, CommStats, Grid2D, Grid3D, PairedWindow, PhaseTimes, RankComm, Universe,
-};
+use saspgemm::mpisim::{Comm, CommStats, Grid2D, Grid3D, PairedWindow, PhaseTimes, Universe};
 use saspgemm::sparse::gen::{banded, erdos_renyi};
 use saspgemm::sparse::{Csc, Dcsc, PlusTimes, SpgemmWorkspace};
-use std::sync::Once;
 use std::time::Instant;
-
-/// The suite's runner: the backend `SA_BACKEND` names when it is an
-/// in-process one (unset, `sim`, or the `threads` upgrade), otherwise a
-/// pinned `launch(Backend::Sim, ..)` with a one-time notice — never a
-/// silent fallback, and never a panic inside the launcher.
-fn run_in_process<R: Send>(u: &Universe, f: impl Fn(&RankComm) -> R + Send + Sync) -> Vec<R> {
-    let be = Backend::from_env();
-    if be.in_process() {
-        return u.launch(be, f);
-    }
-    static NOTE: Once = Once::new();
-    NOTE.call_once(|| {
-        eprintln!(
-            "[runtime_semantics] SA_BACKEND={} is not an in-process backend; \
-             this suite's closures cannot cross a process boundary, so it pins \
-             the serial reference scheduler instead (procs coverage lives in \
-             backend_conformance.rs and fault_injection.rs)",
-            be.name()
-        );
-    });
-    u.launch(Backend::Sim, f)
-}
 
 // ---------------------------------------------------------------------
 // paired windows
@@ -56,7 +24,7 @@ fn paired_window_matches_two_plain_windows() {
     let ir_of = |rank: usize| (0..20).map(move |i| (rank * 1000 + i) as u32);
     let num_of = |rank: usize| (0..20).map(move |i| (rank * 10 + i) as f64);
     let u = Universe::new(3);
-    let got = run_in_process(&u, |comm| {
+    let got = u.run(|comm| {
         let paired = PairedWindow::create(
             comm,
             ir_of(comm.rank()).collect(),
@@ -74,7 +42,7 @@ fn paired_window_matches_two_plain_windows() {
 #[test]
 fn paired_window_meters_two_messages_per_get() {
     let u = Universe::new(2);
-    let got = run_in_process(&u, |comm| {
+    let got = u.run(|comm| {
         let win = PairedWindow::create(comm, vec![1u32; 10], vec![2.0f64; 10]);
         let before = comm.stats();
         let (mut a, mut b) = (Vec::new(), Vec::new());
@@ -94,7 +62,7 @@ fn paired_window_meters_two_messages_per_get() {
 #[test]
 fn paired_window_rejects_out_of_range_and_bad_rank() {
     let u = Universe::new(2);
-    let got = run_in_process(&u, |comm| {
+    let got = u.run(|comm| {
         let win = PairedWindow::create(
             comm,
             vec![0u32; comm.rank() * 2],
@@ -112,7 +80,7 @@ fn paired_window_rejects_out_of_range_and_bad_rank() {
 #[should_panic(expected = "parallel")]
 fn paired_window_requires_parallel_arrays() {
     let u = Universe::new(1);
-    run_in_process(&u, |comm| {
+    u.run(|comm| {
         let _ = PairedWindow::create(comm, vec![1u32; 3], vec![1.0f64; 4]);
     });
 }
@@ -128,7 +96,7 @@ fn empty_rank_slices_are_harmless() {
     let expect = saspgemm::dist::reference::serial_spgemm(&a, &a);
     let u = Universe::new(3);
     let a2 = a.clone();
-    let got = run_in_process(&u, move |comm| {
+    let got = u.run(move |comm| {
         let offsets = vec![0usize, 12, 12, 24];
         let da = DistMat1D::from_global(comm, &a2, &offsets);
         let (c, rep) = spgemm_1d(comm, &da, &da.clone(), &Plan1D::default());
@@ -136,7 +104,7 @@ fn empty_rank_slices_are_harmless() {
             rep.fetched_bytes == 0 || comm.rank() != 1,
             "empty slice fetches nothing"
         );
-        c.gather(comm)
+        c.gather(comm).map(Wired)
     });
     assert_eq!(got[0].as_ref().unwrap(), &expect);
 }
@@ -147,11 +115,11 @@ fn more_ranks_than_columns() {
     let expect = saspgemm::dist::reference::serial_spgemm(&a, &a);
     let u = Universe::new(8); // 8 ranks, 6 columns: two ranks idle
     let a2 = a.clone();
-    let got = run_in_process(&u, move |comm| {
+    let got = u.run(move |comm| {
         let offsets = uniform_offsets(6, comm.size());
         let da = DistMat1D::from_global(comm, &a2, &offsets);
         let (c, _) = spgemm_1d(comm, &da, &da.clone(), &Plan1D::default());
-        c.gather(comm)
+        c.gather(comm).map(Wired)
     });
     assert_eq!(got[0].as_ref().unwrap(), &expect);
 }
@@ -162,10 +130,10 @@ fn single_column_per_rank() {
     let expect = saspgemm::dist::reference::serial_spgemm(&a, &a);
     let u = Universe::new(5);
     let a2 = a.clone();
-    let got = run_in_process(&u, move |comm| {
+    let got = u.run(move |comm| {
         let da = DistMat1D::from_global(comm, &a2, &uniform_offsets(5, 5));
         let (c, _) = spgemm_1d(comm, &da, &da.clone(), &Plan1D::default());
-        c.gather(comm)
+        c.gather(comm).map(Wired)
     });
     assert_eq!(got[0].as_ref().unwrap(), &expect);
 }
@@ -178,7 +146,7 @@ fn single_column_per_rank() {
 fn allreduce_tuple_matches_two_scalars() {
     // spgemm_1d's global stats use a tuple allreduce; verify against parts
     let u = Universe::new(4);
-    let got = run_in_process(&u, |comm| {
+    let got = u.run(|comm| {
         let r = comm.rank() as u64;
         let pair = comm.allreduce((r, 10 * r), |x, y| (x.0 + y.0, x.1 + y.1));
         let a = comm.allreduce(r, |x, y| x + y);
@@ -197,15 +165,11 @@ fn concurrent_universes_do_not_interfere() {
     // this implicitly when criterion warms up while another job drains)
     let t1 = std::thread::spawn(|| {
         let u = Universe::new(3);
-        run_in_process(&u, |comm| {
-            comm.allreduce(comm.rank() as u64 + 1, |x, y| x + y)
-        })
+        u.run(|comm| comm.allreduce(comm.rank() as u64 + 1, |x, y| x + y))
     });
     let t2 = std::thread::spawn(|| {
         let u = Universe::new(5);
-        run_in_process(&u, |comm| {
-            comm.allreduce(comm.rank() as u64 + 1, |x, y| x + y)
-        })
+        u.run(|comm| comm.allreduce(comm.rank() as u64 + 1, |x, y| x + y))
     });
     assert!(t1.join().unwrap().iter().all(|&x| x == 6));
     assert!(t2.join().unwrap().iter().all(|&x| x == 15));
@@ -215,7 +179,7 @@ fn concurrent_universes_do_not_interfere() {
 fn stats_deltas_are_monotone_and_additive() {
     let a = banded(60, 4, 1.0, true, 9);
     let u = Universe::new(4);
-    let got = run_in_process(&u, move |comm| {
+    let got = u.run(move |comm| {
         let s0 = comm.stats();
         let da = DistMat1D::from_global(comm, &a, &uniform_offsets(60, 4));
         let (_, rep1) = spgemm_1d(comm, &da, &da.clone(), &Plan1D::default());
@@ -259,7 +223,7 @@ fn timed<C: Comm>(comm: &C, multiply: impl FnOnce() -> PhaseTimes) -> Timed {
 fn grid_and_outer_reports_split_their_time_into_phases() {
     let a = erdos_renyi(48, 48, 4.0, 21);
     let (u4, u8) = (Universe::new(4), Universe::new(8));
-    let summa = run_in_process(&u4, |comm| {
+    let summa = u4.run(|comm| {
         let grid = Grid2D::square(comm);
         let da = DistMat2D::from_global(&grid, &a);
         let ws = SpgemmWorkspace::new();
@@ -267,12 +231,12 @@ fn grid_and_outer_reports_split_their_time_into_phases() {
             spgemm_summa_2d(comm, &grid, &da, &da, &ws).1.phases
         })
     });
-    let outer = run_in_process(&u4, |comm| {
+    let outer = u4.run(|comm| {
         let da = DistMat1D::from_global(comm, &a, &uniform_offsets(48, 4));
         timed(comm, || spgemm_outer_1d(comm, &da, &da).1.phases)
     });
     let split_3d = |aware: bool| {
-        run_in_process(&u8, |comm| {
+        u8.run(|comm| {
             let grid = Grid3D::new(comm, 2, 2);
             let da = DistMat3D::from_global_split_cols(&grid, &a);
             let db = DistMat3D::from_global_split_rows(&grid, &a);
@@ -318,7 +282,7 @@ fn exposed_dcsc_arrays_reassemble_to_original_columns() {
     let a = erdos_renyi(30, 40, 2.5, 13);
     let u = Universe::new(4);
     let a2 = a.clone();
-    let got = run_in_process(&u, move |comm| {
+    let got = u.run(move |comm| {
         let offsets = uniform_offsets(40, 4);
         let da = DistMat1D::from_global(comm, &a2, &offsets);
         let local = da.local().clone();
@@ -348,7 +312,7 @@ fn dimension_mismatch_reported_with_shapes() {
     let a = erdos_renyi(10, 12, 2.0, 1);
     let b = erdos_renyi(10, 12, 2.0, 2); // 12 ≠ 10: A·B invalid
     let u = Universe::new(2);
-    run_in_process(&u, move |comm| {
+    u.run(move |comm| {
         let da = DistMat1D::from_global(comm, &a, &uniform_offsets(12, 2));
         let db = DistMat1D::from_global(comm, &b, &uniform_offsets(12, 2));
         let _ = spgemm_1d(comm, &da, &db, &Plan1D::default());
@@ -361,7 +325,7 @@ fn try_entry_points_reject_bad_operands_alike_on_every_rank_before_moving_anythi
     let b = erdos_renyi(10, 12, 2.0, 2); // 12 ≠ 10: A·B invalid
     let sq = erdos_renyi(12, 12, 2.0, 3);
     let u = Universe::new(4);
-    let got = run_in_process(&u, move |comm| {
+    let got = u.run(move |comm| {
         // operands and grids first: the baseline covers the calls alone
         let offsets = uniform_offsets(12, 4);
         let (da, db) = (
@@ -389,7 +353,11 @@ fn try_entry_points_reject_bad_operands_alike_on_every_rank_before_moving_anythi
             )
             .err(),
         ];
-        (errs, comm.stats() - stats0, ws.counters() == counters0)
+        (
+            errs.to_vec(),
+            comm.stats() - stats0,
+            ws.counters() == counters0,
+        )
     });
     let not_conformal = ShapeError::NotConformal {
         a_rows: 10,
@@ -416,7 +384,7 @@ fn try_entry_points_reject_bad_operands_alike_on_every_rank_before_moving_anythi
 fn offsets_must_cover_all_columns() {
     let a: Csc<f64> = erdos_renyi(8, 8, 2.0, 3);
     let u = Universe::new(2);
-    run_in_process(&u, move |comm| {
+    u.run(move |comm| {
         let _ = DistMat1D::from_global(comm, &a, &[0, 4, 7]); // 7 ≠ 8
     });
 }

@@ -10,7 +10,7 @@ use saspgemm::apps::bc::{
 use saspgemm::apps::mcl::{mcl_1d_checkpointed, MclConfig};
 use saspgemm::dist::{
     spgemm_1d, uniform_offsets, CacheConfig, CheckpointStore, CkptError, DistMat1D, FetchMode,
-    MatSnapshot, Plan1D, SessionSnapshot, SpgemmSession,
+    MatSnapshot, Plan1D, SessionSnapshot, SpgemmSession, Wired,
 };
 use saspgemm::mpisim::{crc32, Comm, Universe, Wire};
 use saspgemm::sparse::gen::{erdos_renyi, rmat, sbm};
@@ -198,9 +198,9 @@ fn session_results_and_baseline_traffic_match_sessionless() {
         let (_w, _) = on.multiply(comm, &db);
         let (c_on, rep_on) = on.multiply(comm, &db);
         (
-            c_ref.gather(comm),
-            c_off.gather(comm),
-            c_on.gather(comm),
+            c_ref.gather(comm).map(Wired),
+            c_off.gather(comm).map(Wired),
+            c_on.gather(comm).map(Wired),
             rep_ref,
             rep_off,
             rep_on,
@@ -348,28 +348,39 @@ impl CheckpointStore for Recording {
 }
 
 impl Recording {
-    /// Per rank, the CRC-32 of its saved snapshots' wire bytes back to back,
-    /// and the last snapshot `pick` found.
-    fn digest(
-        &self,
-        p: usize,
-        pick: impl Fn(&[u8]) -> Vec<SessionSnapshot>,
-    ) -> Vec<(u32, SessionSnapshot)> {
+    /// The blobs `rank` saved, in order. A rank returns them from its own
+    /// copy of the store, so they reach the launcher from a forked process
+    /// too.
+    fn saved(&self, rank: usize) -> Vec<Vec<u8>> {
         let saves = self.0.lock().unwrap();
-        (0..p)
-            .map(|rank| {
-                let mut bytes = Vec::new();
-                let mut last = None;
-                for (_, blob) in saves.iter().filter(|(r, _)| *r == rank) {
-                    for snap in pick(blob) {
-                        bytes.extend(snap.to_bytes());
-                        last = Some(snap);
-                    }
-                }
-                (crc32(&bytes), last.expect("a saved snapshot"))
-            })
+        saves
+            .iter()
+            .filter(|(r, _)| *r == rank)
+            .map(|(_, blob)| blob.clone())
             .collect()
     }
+}
+
+/// Per rank, the CRC-32 of its saved snapshots' wire bytes back to back,
+/// and the last snapshot `pick` found.
+fn digest(
+    saved: &[Vec<Vec<u8>>],
+    pick: impl Fn(&[u8]) -> Vec<SessionSnapshot>,
+) -> Vec<(u32, SessionSnapshot)> {
+    saved
+        .iter()
+        .map(|blobs| {
+            let mut bytes = Vec::new();
+            let mut last = None;
+            for blob in blobs {
+                for snap in pick(blob) {
+                    bytes.extend(snap.to_bytes());
+                    last = Some(snap);
+                }
+            }
+            (crc32(&bytes), last.expect("a saved snapshot"))
+        })
+        .collect()
 }
 
 /// The checkpoint format is pinned: an MCL run (re-anchored every
@@ -387,7 +398,7 @@ fn session_snapshot_bytes_are_pinned() {
         fetch_mode: FetchMode::Block(256),
         ..Plan1D::default()
     };
-    Universe::new(4).run(|comm| {
+    let saved = Universe::new(4).run(|comm| {
         mcl_1d_checkpointed(
             comm,
             &a,
@@ -396,9 +407,10 @@ fn session_snapshot_bytes_are_pinned() {
             CacheConfig::unlimited(),
             &mcl_store,
             "mcl",
-        )
+        );
+        mcl_store.saved(comm.rank())
     });
-    let mcl = mcl_store.digest(4, |blob| {
+    let mcl = digest(&saved, |blob| {
         let (_, _, snap) = <(u64, MatSnapshot, SessionSnapshot)>::from_bytes(blob).unwrap();
         vec![snap]
     });
@@ -406,7 +418,7 @@ fn session_snapshot_bytes_are_pinned() {
     let bc_store = Recording::default();
     let g = rmat(8, 8, (0.57, 0.19, 0.19, 0.05), 42);
     let batches: Vec<Vec<Vidx>> = (0..5).map(|s| pick_sources(g.nrows(), 16, s)).collect();
-    Universe::new(4).run(|comm| {
+    let saved = Universe::new(4).run(|comm| {
         bc_batches_1d_session_recoverable(
             comm,
             &g,
@@ -415,7 +427,8 @@ fn session_snapshot_bytes_are_pinned() {
             CacheConfig::unlimited(),
             &bc_store,
             "bc",
-        )
+        );
+        bc_store.saved(comm.rank())
     });
     // the graph is symmetric: one session serves both sweeps
     type BcCkpt = (
@@ -424,7 +437,7 @@ fn session_snapshot_bytes_are_pinned() {
         Vec<BcSessionStats>,
         Vec<SessionSnapshot>,
     );
-    let bc = bc_store.digest(4, |blob| {
+    let bc = digest(&saved, |blob| {
         let (_, _, _, snaps) = BcCkpt::from_bytes(blob).unwrap();
         assert_eq!(snaps.len(), 1, "one snapshot per session");
         snaps
@@ -447,7 +460,7 @@ fn session_snapshot_bytes_are_pinned() {
     );
     assert_eq!(
         crcs(&bc),
-        [0xc7af9b76, 0x3ee2e04c, 0xaa870746, 0x816a08d1],
+        [0xdcc193d5, 0xd312dbca, 0x76166af3, 0x28db5018],
         "BC snapshot bytes"
     );
 }

@@ -12,7 +12,7 @@
 
 use saspgemm::dist::{
     analyze_2d, analyze_3d, spgemm_split_3d, spgemm_split_3d_sa, spgemm_summa_2d,
-    spgemm_summa_2d_sa, try_spgemm_summa_2d_sa, DistMat2D, DistMat3D, FetchMode,
+    spgemm_summa_2d_sa, try_spgemm_summa_2d_sa, DistMat2D, DistMat3D, FetchMode, Wired,
 };
 use saspgemm::mpisim::{Comm, Grid2D, Grid3D, Universe};
 use saspgemm::sparse::gen::{erdos_renyi, rmat};
@@ -50,7 +50,7 @@ fn aware_2d_bit_identical_across_grid_shapes_and_modes() {
                     rep.a_fetched_bytes >= rep.a_needed_bytes,
                     "over-fetch only ever adds"
                 );
-                c.gather(comm, &grid)
+                c.gather(comm, &grid).map(Wired)
             });
             assert_eq!(got[0].as_ref().unwrap(), &expect, "{pr}x{pc} {mode:?}");
         }
@@ -117,7 +117,7 @@ fn aware_2d_rectangular_hub_and_empty_slices() {
             let da = DistMat2D::from_global(&grid, &a);
             let db = DistMat2D::from_global(&grid, &b);
             let (c, _) = spgemm_summa_2d_sa(comm, &grid, &da, &db, FetchMode::Block(3));
-            c.gather(comm, &grid)
+            c.gather(comm, &grid).map(Wired)
         });
         assert_eq!(got[0].as_ref().unwrap(), &expect, "{pr}x{pc}");
     }
@@ -131,7 +131,7 @@ fn aware_2d_rectangular_hub_and_empty_slices() {
         let da = DistMat2D::from_global(&grid, &ta);
         let db = DistMat2D::from_global(&grid, &tiny);
         let (c, _) = spgemm_summa_2d_sa(comm, &grid, &da, &db, FetchMode::ColumnExact);
-        c.gather(comm, &grid)
+        c.gather(comm, &grid).map(Wired)
     });
     assert_eq!(got[0].as_ref().unwrap(), &expect);
 }
@@ -157,7 +157,7 @@ fn aware_2d_and_3d_respect_semirings() {
             &ws,
         )
         .unwrap();
-        c.gather(comm, &grid)
+        c.gather(comm, &grid).map(Wired)
     });
     assert_eq!(got[0].as_ref().unwrap(), &expect, "2D tropical");
     // the fiber reduction combines partials with the semiring's ⊕, so the
@@ -170,7 +170,7 @@ fn aware_2d_and_3d_respect_semirings() {
         let ws = SpgemmWorkspace::new();
         let (c, _) =
             spgemm_split_3d_sa::<_, MinPlus>(comm, &grid, &da, &db, FetchMode::Block(4), &ws);
-        c.gather(comm)
+        c.gather(comm).map(Wired)
     });
     assert_eq!(got[0].as_ref().unwrap(), &expect, "3D tropical");
 }
@@ -191,7 +191,7 @@ fn aware_3d_bit_identical_across_layer_counts() {
                 let (c, rep) =
                     spgemm_split_3d_sa::<_, PlusTimes<f64>>(comm, &grid, &da, &db, mode, &ws);
                 assert!(rep.peak_local_bytes > 0);
-                c.gather(comm)
+                c.gather(comm).map(Wired)
             });
             assert_eq!(
                 got[0].as_ref().unwrap(),
@@ -335,7 +335,12 @@ fn steady_state_2d_multiplies_allocate_nothing() {
             assert_eq!(aware(&aware_ws).local(), first_aware.local());
             assert_eq!(obl(&obl_ws).local(), first_obl.local());
         }
-        (warm_a, aware_ws.counters(), warm_o, obl_ws.counters())
+        (
+            Wired(warm_a),
+            Wired(aware_ws.counters()),
+            Wired(warm_o),
+            Wired(obl_ws.counters()),
+        )
     });
     for (warm_a, steady_a, warm_o, steady_o) in results {
         for (warm, steady, label) in [(warm_a, steady_a, "aware"), (warm_o, steady_o, "oblivious")]
@@ -391,7 +396,12 @@ fn steady_state_3d_multiplies_allocate_nothing() {
             assert_eq!(run().local, first.local);
             assert_eq!(obl().local, first_obl.local);
         }
-        (warm, ws.counters(), warm_o, obl_ws.counters())
+        (
+            Wired(warm),
+            Wired(ws.counters()),
+            Wired(warm_o),
+            Wired(obl_ws.counters()),
+        )
     });
     for (warm, steady, warm_o, steady_o) in results {
         for (w, s) in [(warm, steady), (warm_o, steady_o)] {

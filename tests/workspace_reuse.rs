@@ -6,7 +6,7 @@
 //! kernel used to build three `Vec`s per column), so the last test counts
 //! the allocator's own calls.
 
-use saspgemm::dist::{uniform_offsets, CacheConfig, DistMat1D, Plan1D, SpgemmSession};
+use saspgemm::dist::{uniform_offsets, CacheConfig, DistMat1D, Plan1D, SpgemmSession, Wired};
 use saspgemm::mpisim::{Comm, Universe};
 use saspgemm::sparse::gen::erdos_renyi;
 use saspgemm::sparse::semiring::PlusTimes;
@@ -95,10 +95,10 @@ fn session_steady_state_allocates_nothing() {
         }
         let steady = s.workspace().counters();
         (
-            c1.into_local_csc(),
-            last.unwrap().into_local_csc(),
-            warm,
-            steady,
+            Wired(c1.into_local_csc()),
+            Wired(last.unwrap().into_local_csc()),
+            Wired(warm),
+            Wired(steady),
         )
     });
     for (first, last, warm, steady) in results {
