@@ -454,10 +454,10 @@ sa_mpisim::wire_struct!(MatSnapshot {
 /// `Some(k)` only when **every** rank reports exactly `k` — any
 /// disagreement (a rank died before saving, a stale or missing file) makes
 /// all ranks start fresh together, so no rank resumes ahead of another.
+/// One collective: the reports' min and max travel as one pair.
 pub fn agreed_step<C: Comm>(comm: &C, mine: Option<u64>) -> Option<u64> {
     let enc = mine.map_or(-1i64, |k| k as i64);
-    let min = comm.allreduce(enc, |a, b| a.min(b));
-    let max = comm.allreduce(enc, |a, b| a.max(b));
+    let (min, max) = comm.allreduce((enc, enc), |a, b| (a.0.min(b.0), a.1.max(b.1)));
     (min == max && min >= 0).then_some(min as u64)
 }
 

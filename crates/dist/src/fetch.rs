@@ -286,21 +286,18 @@ pub(crate) struct Interval {
 }
 
 impl Interval {
-    /// The paired-window request that moves this interval: `(owner, entry
-    /// range)`.
-    pub fn get(&self) -> (usize, std::ops::Range<usize>) {
-        (
-            self.owner,
-            self.entries.start as usize..self.entries.end as usize,
-        )
+    /// The paired-window request that moves this interval, landing at
+    /// `at`: `(owner, entry range, at)`.
+    pub fn get(&self, at: usize) -> (usize, std::ops::Range<usize>, usize) {
+        let entries = self.entries.start as usize..self.entries.end as usize;
+        (self.owner, entries, at)
     }
 }
 
 /// The full fetch schedule of one multiply, plus its exact cost.
 pub(crate) struct FetchPlan {
     /// Ranged fetches, ordered by owner rank then position — ascending
-    /// global column order, which lets the fetched buffers concatenate
-    /// directly into a DCSC.
+    /// global column order, the order `Ã`'s layout walks.
     pub intervals: Vec<Interval>,
     /// Entries the plan moves (≥ `needed_entries` when blocks over-fetch).
     pub fetch_entries: u64,

@@ -17,7 +17,7 @@
 //!   sparsity-oblivious baseline of Figs. 4/5/9.
 //! * [`summa2d_sa`] — Algorithm 1's needed-set communication on the 2D
 //!   grid: the needed `A` columns fetched per process row by Algorithm 1's
-//!   own expose / plan / assemble core, owner-filtered `B` shipping per
+//!   own expose / plan / one-shot `Ã` core, owner-filtered `B` shipping per
 //!   process column, any `pr × pc` shape (`1 × P` degenerates to
 //!   Algorithm 1 exactly).
 //! * [`mat3d`] — the 3D split algorithm: per-layer SUMMA over a column/row
@@ -34,8 +34,9 @@
 //!   ([`FetchCache`](session::FetchCache)) keeps every remote column it
 //!   fetches across multiplies (or, under [`CacheConfig::disabled`], none)
 //!   so iterative workloads (§II-C batched BC / MCL / Galerkin) fetch only
-//!   the per-iteration miss set. [`SessionAnalysis`] is the incremental,
-//!   collective-free counterpart of [`analyze_1d`].
+//!   the per-iteration miss set; a sessionless multiply's one-shot `Ã` is
+//!   that layout with only its local slice and planned intervals filled.
+//!   [`SessionAnalysis`] is [`analyze_1d`]'s incremental, collective-free twin.
 //! * [`checkpoint`] — per-rank checkpoint stores ([`MemStore`] for
 //!   threads, [`FileStore`] for processes) and [`SessionSnapshot`]
 //!   capture/restore, the durability layer under

@@ -17,16 +17,16 @@
 //!   changed operand, invalidating exactly the columns whose content
 //!   changed — iterative solvers that converge (MCL) communicate only the
 //!   per-iteration delta.
-//! * [`FetchCache`] — the session's resident copy of the fetched operand,
-//!   laid out as the operand itself is: one pair of entry arrays in global
-//!   column order (each owner's part at the offset of its first column,
-//!   each stored column at its owner's entry offset within it), one
-//!   column-offset array built from the replicated metadata, and one
-//!   resident bit per global column. The local slice is copied in at
-//!   `create` and `update_a`; a planned get lands at its columns' home
-//!   offsets; the kernel reads the arrays in place as `Ã`. So a fetched
+//! * [`FetchCache`] — `Ã`'s one layout: a column-offset array over every
+//!   global column id indexing one pair of entry arrays, and one resident
+//!   bit per global column, filled by one walk over `(owner, position
+//!   range)` lists. A session's resident copy lays out every stored column
+//!   of every owner; a sessionless multiply's one-shot `Ã` only its local
+//!   slice and planned intervals, in arrays borrowed from its workspace.
+//!   The local slice is copied home, a planned get lands at the offset of
+//!   its first column, and the kernel reads the arrays in place: a fetched
 //!   byte moves once, and a resident one never again. Under
-//!   [`CacheConfig::disabled`] no bit is ever set.
+//!   [`CacheConfig::disabled`] (and in a one-shot `Ã`) no bit is ever set.
 //!
 //! Metering stays exact: a session multiply's
 //! [`SpgemmReport::fresh_bytes`](crate::spgemm1d::SpgemmReport::fresh_bytes)
@@ -43,9 +43,11 @@ use crate::spgemm1d::{
     assert_conformal, expose, FetchMode, Fetched, Multiply1D, Plan1D, SpgemmReport,
 };
 use sa_mpisim::{Comm, PairedWindow, PhaseTimes};
-use sa_sparse::spgemm::{ColSource, NoEpilogue, SpgemmWorkspace};
+use sa_sparse::spgemm::{ChunkBuf, ColSource, NoEpilogue, SpgemmWorkspace};
 use sa_sparse::types::{vidx, Vidx};
 use sa_sparse::Dcsc;
+use std::mem::take;
+use std::ops::Range;
 use std::time::Instant;
 
 /// Whether a session's [`FetchCache`] keeps the columns it fetches.
@@ -79,15 +81,15 @@ impl Default for CacheConfig {
     }
 }
 
-/// A session's resident copy of its fetched operand (see the module docs).
-/// An enabled cache keeps every remote column a get delivers until
+/// `Ã` in its one layout: a session's resident copy of its fetched operand,
+/// or a sessionless multiply's one-shot `Ã` (see the module docs). An
+/// enabled cache keeps every remote column a get delivers until
 /// [`SpgemmSession::update_a`] invalidates it; a disabled one keeps none.
 pub struct FetchCache {
     enabled: bool,
     nrows: usize,
     /// Where each global column's entries start in `ir`/`num` (`ncols + 1`
-    /// offsets): owner `o`'s part begins at `ptr[offsets[o]]`, its stored
-    /// column `q` at that plus `metas[o].cp[q]`.
+    /// offsets); a column the layout left out is empty.
     ptr: Vec<usize>,
     ir: Vec<Vidx>,
     num: Vec<f64>,
@@ -131,20 +133,6 @@ impl FetchCache {
         support_bit(&self.resident, g)
     }
 
-    /// Global ids of the resident columns, ascending.
-    fn resident_ids(&self) -> impl Iterator<Item = usize> + '_ {
-        self.resident.iter().enumerate().flat_map(|(w, &word)| {
-            let mut bits = word;
-            std::iter::from_fn(move || {
-                (bits != 0).then(|| {
-                    let b = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    64 * w + b
-                })
-            })
-        })
-    }
-
     /// Mark column `g` resident (its entries are home).
     fn keep(&mut self, g: usize) {
         let bit = 1u64 << (g % 64);
@@ -172,32 +160,92 @@ impl FetchCache {
     /// local slice copied home, every resident column moved to its new
     /// home (an unchanged column keeps its length), nothing else written.
     fn lay_out(&mut self, a: &DistMat1D, metas: &[RankMeta], me: usize) {
-        let mut ptr = Vec::with_capacity(a.ncols() + 1);
-        let mut end = 0usize;
-        for (meta, &base) in metas.iter().zip(a.offsets().iter()) {
-            for q in 0..meta.nzc() {
+        let (ptr, ir, num) = (take(&mut self.ptr), take(&mut self.ir), take(&mut self.num));
+        let every = metas.iter().enumerate().map(|(o, m)| (o, 0..m.nzc()));
+        self.fill(a, metas, me, every);
+        for g in set_bits(&self.resident) {
+            let (old, new) = (ptr[g]..ptr[g + 1], self.ptr[g]..self.ptr[g + 1]);
+            self.ir[new.clone()].copy_from_slice(&ir[old.clone()]);
+            self.num[new].copy_from_slice(&num[old]);
+        }
+    }
+
+    /// Lay out the stored columns `spans` lists (ascending; the local slice
+    /// among them) over the arrays, reused where they fit, else fresh zeroed
+    /// memory whose pages only a write touches; copy the local slice home.
+    fn fill<S>(&mut self, a: &DistMat1D, metas: &[RankMeta], me: usize, spans: S)
+    where
+        S: IntoIterator<Item = (usize, Range<usize>)>,
+    {
+        let (ptr, mut end) = (&mut self.ptr, 0usize);
+        ptr.clear();
+        ptr.reserve(a.ncols() + 1);
+        for (owner, pos) in spans {
+            let (base, meta) = (a.offsets()[owner], &metas[owner]);
+            for q in pos {
                 // ids up to and including this column start where it does
                 ptr.resize(base + meta.jc[q] as usize + 1, end);
                 end += meta.col_entries(q) as usize;
             }
         }
         ptr.resize(a.ncols() + 1, end);
-        let (mut ir, mut num) = (vec![0; end], vec![0.0; end]);
-        let (local, home) = (a.local(), ptr[a.offsets()[me]]);
-        ir[home..home + local.nnz()].copy_from_slice(local.ir());
-        num[home..home + local.nnz()].copy_from_slice(local.num());
-        for g in self.resident_ids() {
-            let (old, new) = (self.ptr[g]..self.ptr[g + 1], ptr[g]..ptr[g + 1]);
-            ir[new.clone()].copy_from_slice(&self.ir[old.clone()]);
-            num[new].copy_from_slice(&self.num[old]);
-        }
-        (self.ptr, self.ir, self.num) = (ptr, ir, num);
+        zeros(&mut self.ir, end);
+        zeros(&mut self.num, end);
+        let (local, home) = (a.local(), self.ptr[a.offsets()[me]]);
+        self.ir[home..home + local.nnz()].copy_from_slice(local.ir());
+        self.num[home..home + local.nnz()].copy_from_slice(local.num());
     }
 
-    /// Move `fplan` with one batched get, each interval straight to its
-    /// columns' home offsets, and keep every column it delivered (block
-    /// over-fetch included; a re-delivered resident column is rewritten
-    /// with the same bytes). Returns the seconds spent inside the get.
+    /// A sessionless multiply's `Ã`: the local slice and `fplan`'s intervals
+    /// (over-fetch included) laid out in arrays borrowed from `ws` until
+    /// [`FetchCache::recycle`], then landed. Also returns the borrowed
+    /// chunk's `lens`, which `Ã` does not use and `recycle` hands back with
+    /// it, and the get's seconds.
+    pub(crate) fn one_shot<C: Comm>(
+        comm: &C,
+        a: &DistMat1D,
+        metas: &[RankMeta],
+        win: &PairedWindow<Vidx, f64>,
+        fplan: &FetchPlan,
+        ws: &SpgemmWorkspace<f64>,
+    ) -> (FetchCache, Vec<u32>, f64) {
+        let (me, ivs) = (comm.rank(), &fplan.intervals);
+        let split = ivs.partition_point(|iv| iv.owner < me);
+        let span = |iv: &Interval| (iv.owner, iv.pos.clone());
+        let spans = (ivs[..split].iter().map(span))
+            .chain([(me, 0..metas[me].nzc())])
+            .chain(ivs[split..].iter().map(span));
+        let ChunkBuf { lens, rows, vals } = ws.take_chunk();
+        let mut atilde = FetchCache {
+            enabled: false,
+            nrows: a.nrows(),
+            ptr: ws.take_idx(),
+            ir: rows,
+            num: vals,
+            resident: Vec::new(),
+            resident_cols: 0,
+            resident_bytes: 0,
+        };
+        atilde.fill(a, metas, me, spans);
+        let fetch_s = atilde.land(comm, win, metas, a.offsets(), fplan);
+        (atilde, lens, fetch_s)
+    }
+
+    /// Hand a [`FetchCache::one_shot`]'s arrays and `lens` back to `ws`.
+    pub(crate) fn recycle(self, lens: Vec<u32>, ws: &SpgemmWorkspace<f64>) {
+        let (rows, vals) = (self.ir, self.num);
+        ws.put_chunk(ChunkBuf { lens, rows, vals });
+        ws.put_idx(self.ptr);
+    }
+
+    /// Bytes of the pointer array and the laid-out entries.
+    pub(crate) fn mem_bytes(&self) -> u64 {
+        (self.ptr.len() * std::mem::size_of::<usize>()) as u64 + self.ir.len() as u64 * ENTRY_BYTES
+    }
+
+    /// Move `fplan` with one batched get, each interval landing at the
+    /// `ptr` of its first column; an enabled cache keeps every column it
+    /// delivered (over-fetch too). Returns the seconds inside the get.
     fn land<C: Comm>(
         &mut self,
         comm: &C,
@@ -206,14 +254,9 @@ impl FetchCache {
         offsets: &[usize],
         fplan: &FetchPlan,
     ) -> f64 {
-        let gets: Vec<_> = fplan
-            .intervals
-            .iter()
-            .map(|iv| {
-                let (owner, range) = iv.get();
-                let at = self.ptr[offsets[owner]] + range.start;
-                (owner, range, at)
-            })
+        let first = |iv: &Interval| offsets[iv.owner] + metas[iv.owner].jc[iv.pos.start] as usize;
+        let gets: Vec<_> = (fplan.intervals.iter())
+            .map(|iv| iv.get(self.ptr[first(iv)]))
             .collect();
         let t0 = Instant::now();
         win.get_many_at(comm, &gets, &mut self.ir, &mut self.num)
@@ -231,26 +274,48 @@ impl FetchCache {
     }
 }
 
-/// The resident arrays as the kernel's `Ã`, column `j` at
+/// `v` as `len` zeros, in place when its capacity suffices.
+fn zeros<T: Clone + Default>(v: &mut Vec<T>, len: usize) {
+    if v.capacity() < len {
+        *v = vec![T::default(); len];
+    } else {
+        v.clear();
+        v.resize(len, T::default());
+    }
+}
+
+/// Ids of the set bits of `words`, ascending.
+fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(w, &word)| {
+        let mut bits = word;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let b = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                64 * w + b
+            })
+        })
+    })
+}
+
+/// The laid-out arrays as the kernel's `Ã`, column `j` at
 /// `ptr[j]..ptr[j + 1]`. The kernel reads only the columns the multiply
 /// needs, and every one of them is home: local, resident, or just landed.
-struct Resident<'c>(&'c FetchCache);
-
-impl ColSource<f64> for Resident<'_> {
+impl ColSource<f64> for FetchCache {
     fn nrows(&self) -> usize {
-        self.0.nrows
+        self.nrows
     }
     fn ncols(&self) -> usize {
-        self.0.ptr.len() - 1
+        self.ptr.len() - 1
     }
     #[inline]
     fn col(&self, j: usize) -> (&[Vidx], &[f64]) {
-        let e = self.0.ptr[j]..self.0.ptr[j + 1];
-        (&self.0.ir[e.clone()], &self.0.num[e])
+        let e = self.ptr[j]..self.ptr[j + 1];
+        (&self.ir[e.clone()], &self.num[e])
     }
     #[inline]
     fn col_nnz(&self, j: usize) -> usize {
-        self.0.ptr[j + 1] - self.0.ptr[j]
+        self.ptr[j + 1] - self.ptr[j]
     }
 }
 
@@ -634,7 +699,7 @@ impl SpgemmSession {
             plan: &self.plan,
             ws: &self.ws,
         }
-        .finish(comm, &Resident(&self.cache), fetched, epilogue);
+        .finish(comm, &self.cache, fetched, epilogue);
         self.stats.multiplies += 1;
         self.stats.fresh_bytes += report.fresh_bytes;
         self.stats.cache_hit_bytes += report.cache_hit_bytes;
@@ -696,8 +761,7 @@ impl SpgemmSession {
     pub fn snapshot(&self) -> SessionSnapshot {
         let (offsets, cache) = (self.a.offsets(), &self.cache);
         let mut owner = 0;
-        let cols = cache
-            .resident_ids()
+        let cols = set_bits(&cache.resident)
             .map(|g| {
                 while offsets[owner + 1] <= g {
                     owner += 1;

@@ -9,9 +9,8 @@
 //!    `A` columns the multiply touches,
 //! 3. coalesces them into ranged one-sided fetches per [`FetchMode`]
 //!    (§III-A block fetching), pulling row ids and values through a single
-//!    [`PairedWindow`] — two RDMA messages per
-//!    interval, appended straight into the compacted `Ã` arrays with no
-//!    per-column allocation,
+//!    [`PairedWindow`] — two RDMA messages per interval, each landing in
+//!    place in `Ã`'s column-pointer layout with no per-column allocation,
 //! 4. multiplies `Ã · B_loc` with the local hybrid kernel on the rank's
 //!    compute pool.
 //!
@@ -19,19 +18,18 @@
 //! moving numeric data — the §V `CV/memA` criterion is available *before*
 //! committing to a layout. Step 4 is shared with
 //! [`SpgemmSession::multiply`](crate::session::SpgemmSession::multiply),
-//! whose fetches land in its resident copy of `A` instead of a compact
-//! `Ã`; like the paper's implementation (§III-A) neither overlaps the fetch
-//! with the multiply.
+//! whose fetches land in its resident copy of `A`, the same layout with
+//! every column of `A` laid out; like the paper's implementation (§III-A)
+//! neither overlaps the fetch with the multiply.
 
 use crate::dist1d::DistMat1D;
 use crate::fetch::{exchange_meta, plan_fetch, FetchPlan, RankMeta, ENTRY_BYTES};
+use crate::session::FetchCache;
 use crate::shape::ShapeError;
 use sa_mpisim::{Comm, CommStats, CostModel, PairedWindow, PhaseTimes, Wire, WireError};
 use sa_sparse::semiring::PlusTimes;
-use sa_sparse::spgemm::{
-    spgemm_with_epilogue, ChunkBuf, ColSource, Kernel, NoEpilogue, Schedule, SpgemmWorkspace,
-};
-use sa_sparse::types::{vidx, Vidx};
+use sa_sparse::spgemm::{spgemm_with_epilogue, Kernel, NoEpilogue, Schedule, SpgemmWorkspace};
+use sa_sparse::types::Vidx;
 use sa_sparse::Dcsc;
 use std::time::Instant;
 
@@ -345,13 +343,13 @@ pub fn spgemm_1d<C: Comm>(
 
 /// Algorithm 1 on an operand exposed for this one call: shapes checked
 /// once, then metadata replication, window exposure, needed-column scan and
-/// fetch planning, a compact `Ã` of the local slice and the fetched
+/// fetch planning, a one-shot `Ã` of the local slice and the fetched
 /// columns, and the kernel–wrap–report tail a session multiply runs too.
 ///
 /// Non-conformal operands come back as `Err(`[`ShapeError`]`)` on every
 /// rank: the check runs before any communication, on globally-replicated
-/// dimensions, so ranks always agree. Per-thread kernel scratch, the `Ã`
-/// assembly buffers and the symbolic arrays are borrowed from (and returned
+/// dimensions, so ranks always agree. Per-thread kernel scratch, `Ã`'s
+/// arrays and the symbolic arrays are borrowed from (and returned
 /// to) `ws`, so a loop of multiplies whose fetched operand changes between
 /// calls (per-batch BC frontiers, the Galerkin `Rᵀ·(AR)` step) reuses the
 /// compute-side allocations; a [`SpgemmSession`] runs the same multiply on
@@ -373,7 +371,7 @@ pub fn try_spgemm_1d<C: Comm>(
     let fplan = plan_fetch(plan.fetch_mode, &metas, a.offsets(), &needed, comm.rank());
     let symbolic_s = t_call.elapsed().as_secs_f64();
     let t_asm = Instant::now();
-    let (atilde, fetch_s) = assemble(comm, a, &metas, &win, ws, &fplan);
+    let (atilde, lens, fetch_s) = FetchCache::one_shot(comm, a, &metas, &win, &fplan, ws);
     let assemble_s = (t_asm.elapsed().as_secs_f64() - fetch_s).max(0.0);
     let fetched = Fetched {
         fplan: &fplan,
@@ -389,14 +387,7 @@ pub fn try_spgemm_1d<C: Comm>(
     };
     let out =
         Multiply1D { a, b, plan, ws }.finish(comm, &atilde, fetched, None::<&NoEpilogue<f64>>);
-    // hand Ã's buffers back for the next call's assembly
-    let (jc, cp, ir, num) = atilde.into_parts();
-    ws.put_chunk(ChunkBuf {
-        lens: jc,
-        rows: ir,
-        vals: num,
-    });
-    ws.put_idx(cp);
+    atilde.recycle(lens, ws);
     Ok(out)
 }
 
@@ -409,67 +400,6 @@ pub(crate) fn expose<C: Comm>(
     let metas = exchange_meta(comm, local);
     let win = PairedWindow::create(comm, local.ir().to_vec(), local.num().to_vec());
     (metas, win)
-}
-
-/// Assemble a compact `Ã` — every planned interval (over-fetched columns
-/// included) and the local slice at its owner position, in ascending
-/// global-column order — into buffers recycled through `ws`. One
-/// owner/position walk fills `jc`/`cp` from the replicated metadata and
-/// lists the gets, which move as one batch straight into `ir`/`num` (the
-/// local slice rides along as a free own-rank get). Returns `Ã` and the
-/// seconds spent inside the batched get. The sessionless multiply and the
-/// sparsity-aware 2D SUMMA (its block row of `A` exposed along the process
-/// row) build their `Ã` here; a session reads its resident copy instead.
-pub(crate) fn assemble<C: Comm>(
-    comm: &C,
-    a: &DistMat1D,
-    metas: &[RankMeta],
-    win: &PairedWindow<Vidx, f64>,
-    ws: &SpgemmWorkspace<f64>,
-    fplan: &FetchPlan,
-) -> (Dcsc<f64>, f64) {
-    let ChunkBuf {
-        lens: mut jc,
-        rows: mut ir,
-        vals: mut num,
-    } = ws.take_chunk();
-    let mut cp = ws.take_idx();
-    let nzc_estimate =
-        a.local().nzc() + fplan.intervals.iter().map(|iv| iv.pos.len()).sum::<usize>();
-    jc.reserve(nzc_estimate);
-    cp.reserve(nzc_estimate + 1);
-    cp.push(0);
-    let mut gets = Vec::with_capacity(fplan.intervals.len() + 1);
-    let mut ivs = fplan.intervals.iter().peekable();
-    let me = comm.rank();
-    for (owner, meta) in metas.iter().enumerate() {
-        let base = a.offsets()[owner];
-        let mut push = |pos: std::ops::Range<usize>| {
-            for q in pos {
-                jc.push(vidx(base + meta.jc[q] as usize));
-                cp.push(cp.last().unwrap() + meta.col_entries(q) as usize);
-            }
-        };
-        if owner == me {
-            gets.push((me, 0..a.local().nnz()));
-            push(0..meta.nzc());
-        }
-        while let Some(iv) = ivs.next_if(|iv| iv.owner == owner) {
-            gets.push(iv.get());
-            push(iv.pos.clone());
-        }
-    }
-    let nnz = *cp.last().unwrap();
-    ir.reserve(nnz);
-    num.reserve(nnz);
-    let t0 = Instant::now();
-    win.get_many_into(comm, &gets, &mut ir, &mut num)
-        .expect("fetch interval within exposed window");
-    let fetch_s = t0.elapsed().as_secs_f64();
-    (
-        Dcsc::from_parts(a.nrows(), a.ncols(), jc, cp, ir, num),
-        fetch_s,
-    )
 }
 
 /// What the front half of a 1D multiply — symbolic pass, fetch, `Ã` —
@@ -499,16 +429,15 @@ impl Multiply1D<'_> {
     /// session multiply: `Ã·B_loc` on the rank's compute pool (through
     /// `epilogue`, if any), the product wrapped in `B`'s layout, and the
     /// exact report.
-    pub(crate) fn finish<C, A, E>(
+    pub(crate) fn finish<C, E>(
         self,
         comm: &C,
-        atilde: &A,
+        atilde: &FetchCache,
         fetched: Fetched<'_>,
         epilogue: Option<&E>,
     ) -> (DistMat1D, SpgemmReport)
     where
         C: Comm,
-        A: ColSource<f64> + ?Sized,
         E: Fn(&[Vidx], &mut [f64], &mut Vec<Vidx>, &mut Vec<f64>) + Sync,
     {
         let Multiply1D { a, b, plan, ws } = self;

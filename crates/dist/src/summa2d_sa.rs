@@ -7,12 +7,13 @@
 //!
 //! * **A side (one-sided, windowed) — the 1D core.** Along its process
 //!   *row* a rank's block row of `A` is a 1D column-distributed matrix, so
-//!   it is exposed, planned and assembled by the functions
+//!   it is exposed, planned and laid out by the functions
 //!   [`spgemm_1d`](crate::spgemm1d::spgemm_1d) runs: the `⃗D`/prefix
 //!   metadata allgather and the
 //!   [`PairedWindow`](sa_mpisim::PairedWindow) exposure over the row, the
 //!   1D planner coalescing the needed columns per [`FetchMode`], one
-//!   batched get landing straight in `Ã`. Only the needed set differs:
+//!   batched get landing straight in the one-shot `Ã`'s column-pointer
+//!   layout. Only the needed set differs:
 //!   the global inner indices the rank's block *column* of `B` touches,
 //!   learnt from a compact nonzero-row exchange down its process column.
 //! * **B side (request/ship).** A column of `B_sj` contributes to
@@ -38,8 +39,9 @@
 
 use crate::dist1d::DistMat1D;
 use crate::fetch::{pack_support, plan_fetch, support_bit};
+use crate::session::FetchCache;
 use crate::shape::ShapeError;
-use crate::spgemm1d::{assemble, expose, FetchMode};
+use crate::spgemm1d::{expose, FetchMode};
 use crate::summa2d::DistMat2D;
 use sa_mpisim::{Comm, CommStats, Grid2D, PhaseTimes};
 use sa_sparse::semiring::{PlusTimes, Semiring};
@@ -88,7 +90,9 @@ pub struct SaSummaReport {
     /// metadata along the row, nonzero-row lists down the column).
     pub meta_bytes: u64,
     /// Largest simultaneous footprint of (`Ã`, `B̃`, `C` block) — the
-    /// aware working set comparable with the oblivious peak.
+    /// aware working set comparable with the oblivious peak. `Ã` counts as
+    /// laid out: its column-pointer array over every inner index plus its
+    /// entries.
     pub peak_local_bytes: u64,
     /// Exact communication-counter delta of this call on this rank.
     pub comm: CommStats,
@@ -142,9 +146,9 @@ fn check_shapes<C: Comm>(grid: &Grid2D<C>, a: &DistMat2D, b: &DistMat2D) -> Resu
 /// Non-conformal operands, or operand blocking that disagrees with the
 /// grid, come back as `Err(`[`ShapeError`]`)` on every rank (the check runs
 /// before any communication, on globally-replicated dimensions, so ranks
-/// always agree). The `Ã`/`B̃` assembly buffers and all kernel scratch are
-/// borrowed from `ws`, so iterative drivers reach a zero-allocation steady
-/// state on the compute path.
+/// always agree). `Ã`'s arrays, the `B̃` assembly buffers and all kernel
+/// scratch are borrowed from `ws`, so iterative drivers reach a
+/// zero-allocation steady state on the compute path.
 pub fn try_spgemm_summa_2d_sa<C: Comm, S: Semiring<T = f64>>(
     comm: &C,
     grid: &Grid2D<C>,
@@ -190,10 +194,10 @@ pub fn try_spgemm_summa_2d_sa<C: Comm, S: Semiring<T = f64>>(
     let meta_delta = comm.stats() - stats0;
     let symbolic_s = t_call.elapsed().as_secs_f64();
 
-    // --- Ã: my block row of A, needed columns only — fetched and
-    // assembled exactly as a sessionless 1D multiply does it ---
+    // --- Ã: my block row of A, needed columns only — fetched and laid
+    // out exactly as a sessionless 1D multiply does it ---
     let t_asm = Instant::now();
-    let (atilde, fetch_s) = assemble(row, &a_row, &metas, &win, ws, &fplan);
+    let (atilde, lens, fetch_s) = FetchCache::one_shot(row, &a_row, &metas, &win, &fplan, ws);
     let mut assemble_s = (t_asm.elapsed().as_secs_f64() - fetch_s).max(0.0);
 
     // --- B exchange: request exactly the columns that intersect my A
@@ -323,17 +327,12 @@ pub fn try_spgemm_summa_2d_sa<C: Comm, S: Semiring<T = f64>>(
         spgemm_with::<S, _, _>(&atilde, &btilde, Kernel::Hybrid, Schedule::FlopBalanced, ws)
     });
     let compute_s = t_comp.elapsed().as_secs_f64();
-    let peak = (atilde.mem_bytes() + btilde.mem_bytes() + c_local.mem_bytes()) as u64;
-    // hand the assembly buffers back for the next multiply
-    for m in [atilde, btilde] {
-        let (jc, cp, ir, num) = m.into_parts();
-        ws.put_chunk(ChunkBuf {
-            lens: jc,
-            rows: ir,
-            vals: num,
-        });
-        ws.put_idx(cp);
-    }
+    let peak = atilde.mem_bytes() + (btilde.mem_bytes() + c_local.mem_bytes()) as u64;
+    // hand the buffers back for the next multiply
+    atilde.recycle(lens, ws);
+    let (lens, cp, rows, vals) = btilde.into_parts();
+    ws.put_chunk(ChunkBuf { lens, rows, vals });
+    ws.put_idx(cp);
 
     let comm_delta = comm.stats() - stats0;
     let fetched = fplan.fetch_bytes();

@@ -221,9 +221,9 @@ pub trait Comm: Sized {
     fn next_op(&self) -> u64;
 
     /// Metering hook for one-sided transfers: charge one RDMA get of
-    /// `bytes` to this rank. Called by
-    /// [`PairedWindow::get_many_into`](crate::PairedWindow::get_many_into)
-    /// for remote fetches only.
+    /// `bytes` to this rank. Called by the batched get,
+    /// [`PairedWindow::get_many_at`](crate::PairedWindow::get_many_at), for
+    /// remote fetches only.
     #[doc(hidden)]
     fn record_get(&self, bytes: usize);
 

@@ -4,10 +4,10 @@
 //! values of A"; line 7: "Use passive-target RDMA Calls (MPI_Get) to fetch
 //! the remote column block data". A [`PairedWindow`] is those two windows
 //! exposed in one collective round: [`PairedWindow::create`] is the
-//! exposure (`MPI_Win_create`), [`PairedWindow::get_many_into`] the
-//! one-sided fetch of a whole plan. The target rank's thread never
-//! participates in a get — faithful to RDMA semantics where the NIC serves
-//! remote reads.
+//! exposure (`MPI_Win_create`), [`PairedWindow::get_many_at`] the one
+//! batched get — a whole plan, each request landing in place. The target
+//! rank's thread never participates in a get — faithful to RDMA semantics
+//! where the NIC serves remote reads.
 
 use crate::backend::Comm;
 use crate::wire::Wire;
@@ -45,20 +45,24 @@ pub enum Exposure<T, U> {
     Mapped(Arc<dyn AsRef<[u8]> + Send + Sync>),
 }
 
-/// Decode `bytes` (little-endian, validated length) appending to `out`.
-fn decode_elems<T: WinElem>(bytes: &[u8], count: usize, out: &mut Vec<T>) {
-    let mut buf = bytes;
-    T::get_into(&mut buf, count, out).expect("window payload decode");
-    assert!(buf.is_empty(), "window payload had trailing bytes");
+/// The elements `bytes` holds (little-endian, fixed width), in order: one
+/// chunk per element, the block decode `Wire::get_into` runs.
+fn decode<T: WinElem>(bytes: &[u8]) -> impl Iterator<Item = T> + '_ {
+    bytes
+        .chunks_exact(size_of::<T>())
+        .map(|mut chunk| T::get(&mut chunk).expect("window payload decode"))
 }
 
-/// Decode `bytes` (little-endian, exactly `out.len()` elements) over `out`.
+/// Decode `bytes` (exactly `out.len()` elements) over `out`.
 fn decode_in_place<T: WinElem>(bytes: &[u8], out: &mut [T]) {
-    let mut buf = bytes;
-    for x in out {
-        *x = T::get(&mut buf).expect("window payload decode");
+    assert_eq!(
+        bytes.len(),
+        std::mem::size_of_val(out),
+        "window payload length"
+    );
+    for (x, v) in out.iter_mut().zip(decode(bytes)) {
+        *x = v;
     }
-    assert!(buf.is_empty(), "window payload had trailing bytes");
 }
 
 /// Errors a one-sided access can produce.
@@ -134,45 +138,16 @@ impl<T: WinElem, U: WinElem> PairedWindow<T, U> {
         self.lens[rank]
     }
 
-    /// One-sided fetch of a whole plan: for each `(rank, range)` of `gets`,
-    /// in order, append `range` of both of `rank`'s arrays to
-    /// `out_a`/`out_b` — Algorithm 1 line 7's `MPI_Get`s followed by one
-    /// `MPI_Win_flush`. Validated as a whole first (a failed batch meters
-    /// nothing and leaves the outputs untouched), then each get is metered
-    /// (two RDMA messages per remote request, nothing for own-rank
-    /// entries) and copied, in plan order on the calling thread: from the
-    /// target's deposit in-process, decoded from its mapped bytes across
-    /// processes.
-    pub fn get_many_into<C: Comm>(
-        &self,
-        comm: &C,
-        gets: &[(usize, Range<usize>)],
-        out_a: &mut Vec<T>,
-        out_b: &mut Vec<U>,
-    ) -> Result<(), WindowError> {
-        for (rank, range) in gets {
-            self.check(*rank, range)?;
-        }
-        for (rank, range) in gets {
-            match self.read(comm, *rank, range) {
-                Read::Typed(a, b) => {
-                    out_a.extend_from_slice(a);
-                    out_b.extend_from_slice(b);
-                }
-                Read::Bytes(a, b) => {
-                    decode_elems(a, range.len(), out_a);
-                    decode_elems(b, range.len(), out_b);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// [`get_many_into`](PairedWindow::get_many_into) landing each get in
-    /// place: for each `(rank, range, at)` of `gets`, `range` of both of
-    /// `rank`'s arrays overwrites `out_a[at..]`/`out_b[at..]`. Metered and
-    /// validated the same way; a destination past the end of the outputs
-    /// panics before anything is read.
+    /// One-sided fetch of a whole plan, each get landing in place: for each
+    /// `(rank, range, at)` of `gets`, in order, `range` of both of `rank`'s
+    /// arrays overwrites `out_a[at..]`/`out_b[at..]` — Algorithm 1 line 7's
+    /// `MPI_Get`s followed by one `MPI_Win_flush`. Validated as a whole
+    /// first (a failed batch meters nothing and leaves the outputs
+    /// untouched; a destination past the end of the outputs panics before
+    /// anything is read), then each get is metered (two RDMA messages per
+    /// remote request, nothing for own-rank entries) and copied, in plan
+    /// order on the calling thread: from the target's deposit in-process,
+    /// decoded from its mapped bytes across processes.
     pub fn get_many_at<C: Comm>(
         &self,
         comm: &C,
@@ -242,8 +217,11 @@ impl<T: WinElem, U: WinElem> PairedWindow<T, U> {
     }
 
     /// One-sided fetch of `range` from both of `rank`'s arrays, appended to
-    /// `out_a`/`out_b`: [`get_many_into`](PairedWindow::get_many_into) of
-    /// one request.
+    /// `out_a`/`out_b`: checked and metered as one request of
+    /// [`get_many_at`](PairedWindow::get_many_at), then appended where that
+    /// lands in place, so the outputs grow by exactly what the get reads
+    /// and nothing is written twice. A failed get meters nothing and leaves
+    /// the outputs untouched.
     pub fn get_both_into<C: Comm>(
         &self,
         comm: &C,
@@ -252,7 +230,18 @@ impl<T: WinElem, U: WinElem> PairedWindow<T, U> {
         out_a: &mut Vec<T>,
         out_b: &mut Vec<U>,
     ) -> Result<(), WindowError> {
-        self.get_many_into(comm, &[(rank, range)], out_a, out_b)
+        self.check(rank, &range)?;
+        match self.read(comm, rank, &range) {
+            Read::Typed(a, b) => {
+                out_a.extend_from_slice(a);
+                out_b.extend_from_slice(b);
+            }
+            Read::Bytes(a, b) => {
+                out_a.extend(decode::<T>(a));
+                out_b.extend(decode::<U>(b));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -392,8 +381,10 @@ mod tests {
             let r = comm.rank() as u32;
             let win = PairedWindow::create(comm, vec![r + 10; 4], vec![r as f64; 4]);
             let (mut a, mut b) = (vec![99u32], vec![-1.0f64]);
-            win.get_many_into(comm, &[(0, 0..2), (1, 1..3)], &mut a, &mut b)
-                .unwrap();
+            for (rank, range) in [(0, 0..2), (1, 1..3)] {
+                win.get_both_into(comm, rank, range, &mut a, &mut b)
+                    .unwrap();
+            }
             (a, b)
         });
         for (a, b) in got {
@@ -414,13 +405,11 @@ mod tests {
                 .unwrap();
             let at = comm.stats() - before;
             let before = comm.stats();
-            win.get_many_into(
-                comm,
-                &[(1, 1..3), (0, 0..1)],
-                &mut Vec::new(),
-                &mut Vec::new(),
-            )
-            .unwrap();
+            let (mut a1, mut b1) = (Vec::new(), Vec::new());
+            for (rank, range) in [(1, 1..3), (0, 0..1)] {
+                win.get_both_into(comm, rank, range, &mut a1, &mut b1)
+                    .unwrap();
+            }
             (a, b, at, comm.stats() - before)
         });
         for (a, b, at, into) in got {

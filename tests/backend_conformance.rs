@@ -177,7 +177,7 @@ fn runtime_churn_conforms() {
     }
 }
 
-/// `PairedWindow::get_many_into` against the same gets issued one by one:
+/// `PairedWindow::get_many_at` against the same gets issued one by one:
 /// same data, same per-rank `CommStats`, on every backend. The plan covers
 /// what a copy loop over shared or mapped windows could get wrong — empty
 /// ranges, own-rank entries between remote ones, several owners in one
@@ -214,13 +214,22 @@ impl RankJob for BatchedGets {
         plan.push((other(0), 40..44));
         plan.push((me, 7..7));
 
-        let (mut a, mut b) = (vec![u32::MAX], vec![-1.0f64]);
+        // the batch lands back to back behind one sentinel entry
+        let mut at = 1;
+        let plan: Vec<_> = (plan.into_iter())
+            .map(|(rank, range)| {
+                let start = at;
+                at += range.len();
+                (rank, range, start)
+            })
+            .collect();
+        let (mut a, mut b) = (vec![u32::MAX; at], vec![-1.0f64; at]);
         let t0 = comm.stats();
-        win.get_many_into(comm, &plan, &mut a, &mut b).unwrap();
+        win.get_many_at(comm, &plan, &mut a, &mut b).unwrap();
         let batched = comm.stats() - t0;
         let (mut a1, mut b1) = (vec![u32::MAX], vec![-1.0f64]);
         let t0 = comm.stats();
-        for (rank, range) in &plan {
+        for (rank, range, _) in &plan {
             win.get_both_into(comm, *rank, range.clone(), &mut a1, &mut b1)
                 .unwrap();
         }
@@ -229,13 +238,14 @@ impl RankJob for BatchedGets {
         assert_eq!(batched, one_by_one, "rank {me}: batched metering diverged");
 
         // a bad request anywhere fails the whole batch before it meters or
-        // moves anything
+        // moves anything: the valid gets around it would land on sentinels
         let t0 = comm.stats();
+        let (mut a2, mut b2) = (vec![u32::MAX; at], vec![-1.0f64; at]);
         let mut bad = plan.clone();
-        bad.insert(200, (other(0), 0..len_of(other(0)) + 1));
-        let oob = win.get_many_into(comm, &bad, &mut a1, &mut b1).unwrap_err();
-        bad[200] = (n, 0..1);
-        let bad_rank = win.get_many_into(comm, &bad, &mut a1, &mut b1).unwrap_err();
+        bad.insert(200, (other(0), 0..len_of(other(0)) + 1, 0));
+        let oob = win.get_many_at(comm, &bad, &mut a2, &mut b2).unwrap_err();
+        bad[200] = (n, 0..1, 0);
+        let bad_rank = win.get_many_at(comm, &bad, &mut a2, &mut b2).unwrap_err();
         assert!(matches!(oob, WindowError::OutOfRange { .. }), "{oob:?}");
         assert!(
             matches!(bad_rank, WindowError::BadRank { .. }),
@@ -246,7 +256,10 @@ impl RankJob for BatchedGets {
             CommStats::default(),
             "failed batch metered"
         );
-        assert!(a == a1 && b == b1, "failed batch touched the outputs");
+        assert!(
+            a2.iter().all(|&x| x == u32::MAX) && b2.iter().all(|&x| x == -1.0),
+            "failed batch touched the outputs"
+        );
         comm.barrier();
 
         let mix = |h: u64, x: u64| (h ^ x).wrapping_mul(0x0000_0100_0000_01b3);

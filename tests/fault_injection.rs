@@ -930,9 +930,16 @@ fn assert_recovery_matrix(backend: Backend) {
             ),
         ];
         if backend == Backend::Procs {
+            // half-way through the victim's clean run, so the kill fires
+            // mid-run whatever the workload's collective count
+            let victim_ops = universe().launch(Backend::Sim, |comm| {
+                let fc = FaultComm::new(comm.split(0, comm.rank()), FaultPlan::none());
+                drop(recovery_workload(name, &fc, &MemStore::new()));
+                fc.ops()
+            })[VICTIM];
             shapes.push((
                 "sigkill",
-                FaultPlan::kill_at(VICTIM, 12).on_attempt(0),
+                FaultPlan::kill_at(VICTIM, victim_ops / 2).on_attempt(0),
                 Duration::from_secs(60),
             ));
         }
@@ -1439,7 +1446,7 @@ enum Death {
 }
 
 /// Every survivor pulls a long plan from the victim in one
-/// `get_many_into`; the victim dies as soon as every survivor has announced
+/// `get_many_at`; the victim dies as soon as every survivor has announced
 /// (tag `GO`) that its batch is starting, i.e. while each of them reads.
 struct FullWindowJob(Death);
 
@@ -1462,10 +1469,10 @@ impl RankJob for FullWindowJob {
                 Death::Sigkill => kill_self_with_sigkill(),
             }
         }
-        let plan: Vec<_> = (0..LEN).map(|k| (VICTIM, k..k + 1)).collect();
+        let plan: Vec<_> = (0..LEN).map(|k| (VICTIM, k..k + 1, k)).collect();
         comm.send_vec(VICTIM, GO, vec![me as u64]);
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        win.get_many_into(comm, &plan, &mut a, &mut b)
+        let (mut a, mut b) = (vec![0; LEN], vec![0.0; LEN]);
+        win.get_many_at(comm, &plan, &mut a, &mut b)
             .expect("plan within the exposed window");
         // a get is a copy out of the target's deposit or mapping and cannot
         // fail: the barrier is where a survivor learns of the death
@@ -1559,7 +1566,7 @@ fn a_dead_targets_mapped_window_stays_readable_procs() {
             "the wait for the victim's death ended otherwise"
         );
         let (mut a, mut b) = (Vec::new(), Vec::new());
-        win.get_many_into(comm, &[(VICTIM, 0..LEN)], &mut a, &mut b)
+        win.get_both_into(comm, VICTIM, 0..LEN, &mut a, &mut b)
             .expect("the whole window is in range");
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert!(

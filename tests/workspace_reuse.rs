@@ -6,7 +6,10 @@
 //! kernel used to build three `Vec`s per column), so the last test counts
 //! the allocator's own calls.
 
-use saspgemm::dist::{uniform_offsets, CacheConfig, DistMat1D, Plan1D, SpgemmSession, Wired};
+use saspgemm::dist::{
+    spgemm_1d, try_spgemm_1d, uniform_offsets, CacheConfig, DistMat1D, FetchMode, Plan1D,
+    SpgemmSession, Wired,
+};
 use saspgemm::mpisim::{Comm, Universe};
 use saspgemm::sparse::gen::erdos_renyi;
 use saspgemm::sparse::semiring::PlusTimes;
@@ -120,6 +123,66 @@ fn session_steady_state_allocates_nothing() {
             steady.scratch_reuses > warm.scratch_reuses && steady.chunk_reuses > warm.chunk_reuses,
             "steady state is served from the pools"
         );
+    }
+}
+
+#[test]
+fn warm_sessionless_1d_loops_take_every_buffer_from_the_pools() {
+    // the per-batch BC / Galerkin `Rᵀ·(AR)` pattern: one workspace, a
+    // fetched operand that changes between calls
+    let b = erdos_renyi(160, 160, 4.0, 31);
+    let warm_up = erdos_renyi(160, 160, 3.0, 32);
+    let operands: Vec<_> = (0..3).map(|i| erdos_renyi(160, 160, 3.0, 40 + i)).collect();
+    for mode in [
+        FetchMode::FullMatrix,
+        FetchMode::Block(8),
+        FetchMode::ContiguousRuns,
+        FetchMode::ColumnExact,
+    ] {
+        let results = Universe::new(4).run(|comm| {
+            let offsets = uniform_offsets(160, comm.size());
+            let db = DistMat1D::from_global(comm, &b, &offsets);
+            let plan = Plan1D {
+                fetch_mode: mode,
+                global_stats: false,
+                ..Default::default()
+            };
+            let ws = SpgemmWorkspace::new();
+            let da = DistMat1D::from_global(comm, &warm_up, &offsets);
+            for _ in 0..2 {
+                try_spgemm_1d(comm, &da, &db, &plan, &ws).unwrap();
+            }
+            let warm = ws.counters();
+            let products: Vec<_> = (operands.iter())
+                .map(|a| {
+                    let da = DistMat1D::from_global(comm, a, &offsets);
+                    let (c, _) = try_spgemm_1d(comm, &da, &db, &plan, &ws).unwrap();
+                    // the same multiply on a workspace of its own
+                    let (twin, _) = spgemm_1d(comm, &da, &db, &plan);
+                    (Wired(c.into_local_csc()), Wired(twin.into_local_csc()))
+                })
+                .collect();
+            (Wired(warm), Wired(ws.counters()), products)
+        });
+        for (warm, steady, products) in results {
+            assert!(warm.total_allocs() > 0, "{mode:?}: warm-up does allocate");
+            assert_eq!(
+                (
+                    steady.scratch_allocs,
+                    steady.chunk_allocs,
+                    steady.idx_allocs
+                ),
+                (warm.scratch_allocs, warm.chunk_allocs, warm.idx_allocs),
+                "{mode:?}: a warm loop takes every scratch, chunk and index buffer from the pools"
+            );
+            assert!(
+                steady.chunk_reuses > warm.chunk_reuses && steady.idx_reuses > warm.idx_reuses,
+                "{mode:?}: the loop is served from the pools"
+            );
+            for (c, twin) in products {
+                assert_eq!(c, twin, "{mode:?}: a warm product equals its twin");
+            }
+        }
     }
 }
 
